@@ -194,7 +194,8 @@ func SweepSeedsContext(ctx context.Context, tr *Trace, dev Profile, fraction flo
 	return core.SweepSeedsContext(ctx, tr, dev, fraction, seeds, opts)
 }
 
-// DefaultSweepSeeds is a small deterministic seed set for SweepSeeds.
+// DefaultSweepSeeds is a small deterministic seed set for
+// SweepSeedsContext.
 var DefaultSweepSeeds = core.DefaultSweepSeeds
 
 // TagUniform marks each frame useful with probability p.
@@ -251,60 +252,6 @@ func SuspendFractionsContext(ctx context.Context, tr *Trace, dev Profile, opts O
 // chain.
 func RunSuiteContext(ctx context.Context, dev Profile, opts Options) (*Suite, error) {
 	return core.RunSuiteContext(ctx, dev, opts)
-}
-
-// Compatibility shims. The functions below are the pre-consolidation
-// surface — bare names with implicit defaults and Options-suffixed
-// variants — kept so existing callers build unchanged. Each is a
-// one-line delegation to its Context variant; the apishim lint check
-// forbids adding new non-context entry points outside this block.
-
-// Deprecated: use EvaluateContext.
-func Evaluate(tr *Trace, useful []bool, dev Profile, kind PolicyKind, opts Options) (Result, error) {
-	return EvaluateContext(context.Background(), tr, useful, dev, kind, opts)
-}
-
-// Deprecated: use EvaluateFractionContext.
-func EvaluateFraction(tr *Trace, fraction float64, dev Profile, kind PolicyKind, opts Options) (Result, error) {
-	return EvaluateFractionContext(context.Background(), tr, fraction, dev, kind, opts)
-}
-
-// Deprecated: use CompareEnergyContext.
-func CompareEnergyOptions(tr *Trace, dev Profile, opts Options) (EnergyComparison, error) {
-	return CompareEnergyContext(context.Background(), tr, dev, opts)
-}
-
-// Deprecated: use CompareEnergyContext with Options{} for the paper's
-// defaults.
-func CompareEnergy(tr *Trace, dev Profile) (EnergyComparison, error) {
-	return CompareEnergyContext(context.Background(), tr, dev, Options{})
-}
-
-// Deprecated: use SuspendFractionsContext.
-func SuspendFractionsOptions(tr *Trace, dev Profile, opts Options) (SuspendRow, error) {
-	return SuspendFractionsContext(context.Background(), tr, dev, opts)
-}
-
-// Deprecated: use SuspendFractionsContext with Options{} for the
-// paper's defaults.
-func SuspendFractions(tr *Trace, dev Profile) (SuspendRow, error) {
-	return SuspendFractionsContext(context.Background(), tr, dev, Options{})
-}
-
-// Deprecated: use RunSuiteContext.
-func RunSuiteOptions(dev Profile, opts Options) (*Suite, error) {
-	return RunSuiteContext(context.Background(), dev, opts)
-}
-
-// Deprecated: use RunSuiteContext with Options{} for the paper's
-// defaults.
-func RunSuite(dev Profile) (*Suite, error) {
-	return RunSuiteContext(context.Background(), dev, Options{})
-}
-
-// Deprecated: use SweepSeedsContext.
-func SweepSeeds(tr *Trace, dev Profile, fraction float64, seeds []uint64) (SeedSweep, error) {
-	return SweepSeedsContext(context.Background(), tr, dev, fraction, seeds, Options{})
 }
 
 // NewNetwork builds the protocol-level simulation harness.
@@ -394,7 +341,7 @@ func NewCDFInts(samples []int) *CDF { return trace.NewCDFInts(samples) }
 func DefaultOverhead() Overhead { return energy.DefaultOverhead() }
 
 // ComputeEnergy evaluates the Section IV model directly over arrivals;
-// most callers use Evaluate and the policy layer instead.
+// most callers use EvaluateContext and the policy layer instead.
 func ComputeEnergy(frames []Arrival, dev Profile, duration time.Duration, overhead Overhead) (Breakdown, error) {
 	return energy.Compute(frames, energy.Config{Device: dev, Duration: duration, Overhead: overhead})
 }

@@ -2,6 +2,7 @@ package hide
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestPublicPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := CompareEnergy(tr, NexusOne)
+	cmp, err := CompareEnergyContext(context.Background(), tr, NexusOne, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPublicTaggingHelpers(t *testing.T) {
 	if len(u2) != len(tr.Frames) {
 		t.Fatal("port tag length mismatch")
 	}
-	r, err := Evaluate(tr, u2, GalaxyS4, HIDE, Options{})
+	r, err := EvaluateContext(context.Background(), tr, u2, GalaxyS4, HIDE, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package hide
 // regenerates the paper's numbers alongside timing data.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func benchSuite(b *testing.B, dev Profile) {
 	var s *Suite
 	for i := 0; i < b.N; i++ {
 		var err error
-		s, err = RunSuite(dev)
+		s, err = RunSuiteContext(context.Background(), dev, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func BenchmarkFigure9SuspendFraction(b *testing.B) {
 	}
 	var row SuspendRow
 	for i := 0; i < b.N; i++ {
-		row, err = SuspendFractions(tr, NexusOne)
+		row, err = SuspendFractionsContext(context.Background(), tr, NexusOne, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func BenchmarkAblationSyncInterval(b *testing.B) {
 		for _, iv := range intervals {
 			o := DefaultOverhead()
 			o.PortMsgInterval = iv
-			r, err := Evaluate(tr, useful, NexusOne, HIDE, Options{Overhead: o})
+			r, err := EvaluateContext(context.Background(), tr, useful, NexusOne, HIDE, Options{Overhead: o})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -265,7 +266,7 @@ func BenchmarkAblationCombinedPolicy(b *testing.B) {
 	useful := TagUniform(tr, 0.1, 1)
 	var hideJ, combJ float64
 	for i := 0; i < b.N; i++ {
-		h, err := Evaluate(tr, useful, NexusOne, HIDE, Options{})
+		h, err := EvaluateContext(context.Background(), tr, useful, NexusOne, HIDE, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -574,7 +575,7 @@ func BenchmarkDCFValidation(b *testing.B) {
 func BenchmarkRunSuiteWorkers(b *testing.B) {
 	// Warm the shared trace cache so every variant measures pure
 	// evaluation, not first-touch trace generation.
-	if _, err := RunSuiteOptions(NexusOne, Options{Workers: 1}); err != nil {
+	if _, err := RunSuiteContext(context.Background(), NexusOne, Options{Workers: 1}); err != nil {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 0} {
@@ -584,8 +585,43 @@ func BenchmarkRunSuiteWorkers(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunSuiteOptions(NexusOne, Options{Workers: workers}); err != nil {
+				if _, err := RunSuiteContext(context.Background(), NexusOne, Options{Workers: workers}); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStationsMillion replays a 2-minute WRL trace against 10⁶
+// HIDE clients, each port class folded into one cohort station — exact
+// within the AID space per the internal/check equivalence suite, the
+// aggregate what-if regime past it (DESIGN.md §9). The WindowWorkers
+// sub-benchmarks run the same population through the windowed-parallel
+// assembly (DESIGN.md §13); inspect their worker fan-out with
+// `go test -run '^$' -bench 'StationsMillion/window' -trace w.out .`
+// and `go tool trace w.out`.
+func BenchmarkStationsMillion(b *testing.B) {
+	cfg := ScenarioConfig(WRL)
+	cfg.Duration = 2 * time.Minute
+	tr, err := GenerateTraceConfig(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name    string
+		workers int
+	}{{"serial", 0}, {"window=1", 1}, {"window=2", 2}, {"window=4", 4}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pts, err := core.ScaleClientsOptions(tr, NexusOne, []int{1_000_000},
+					core.Options{Cohort: 1 << 30, WindowWorkers: v.workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if pts[0].N != 1_000_000 {
+					b.Fatalf("scaled %d clients, want 1000000", pts[0].N)
 				}
 			}
 		})

@@ -22,6 +22,24 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
+// BenchmarkTree measures the whole-module hidelint run TestTreeClean
+// gates on — walk, parse, type-check, and every analyzer including the
+// flow-aware CFG passes — so the cost of the static-analysis gate is
+// tracked like any other hot path. run builds a fresh loader per call,
+// so the package cache cannot hide the dominant type-checking cost.
+func BenchmarkTree(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, err := run(io.Discard, "../..", "", "text", []string{"./..."})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != 0 {
+			b.Fatalf("tree has %d finding(s) during bench", n)
+		}
+	}
+}
+
 // TestFixtureFindings drives the CLI seam over a known-bad fixture
 // package and expects a non-zero finding count, the condition under
 // which main exits non-zero.

@@ -32,7 +32,7 @@
 // Quick start:
 //
 //	tr, _ := hide.GenerateTrace(hide.Starbucks)
-//	cmp, _ := hide.CompareEnergy(tr, hide.NexusOne)
+//	cmp, _ := hide.CompareEnergyContext(context.Background(), tr, hide.NexusOne, hide.Options{})
 //	fmt.Printf("receive-all %.1f mW, HIDE:10%% %.1f mW (saves %.0f%%)\n",
 //		cmp.ReceiveAll.AvgPowerMW(), cmp.HIDE[0].AvgPowerMW(), 100*cmp.Savings(0))
 //

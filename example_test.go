@@ -1,6 +1,7 @@
 package hide_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -8,14 +9,14 @@ import (
 	"repro"
 )
 
-// ExampleCompareEnergy reproduces one cell of the paper's energy study:
+// ExampleCompareEnergyContext reproduces one cell of the paper's energy study:
 // the Starbucks trace on a Nexus One.
-func ExampleCompareEnergy() {
+func ExampleCompareEnergyContext() {
 	tr, err := hide.GenerateTrace(hide.Starbucks)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cmp, err := hide.CompareEnergy(tr, hide.NexusOne)
+	cmp, err := hide.CompareEnergyContext(context.Background(), tr, hide.NexusOne, hide.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

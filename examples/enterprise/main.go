@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -69,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, dev := range hide.Profiles {
-		cmp, err := hide.CompareEnergy(tr, dev)
+		cmp, err := hide.CompareEnergyContext(context.Background(), tr, dev, hide.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// 1. Generate the Starbucks broadcast trace (30 min of UDP-padded
 	//    broadcast frames calibrated to the paper's Figure 6).
 	tr, err := hide.GenerateTrace(hide.Starbucks)
@@ -25,7 +28,7 @@ func main() {
 
 	// 2. Compare receive-all, the client-side filter's lower bound, and
 	//    HIDE at 10%..2% useful frames on a Nexus One.
-	cmp, err := hide.CompareEnergy(tr, hide.NexusOne)
+	cmp, err := hide.CompareEnergyContext(ctx, tr, hide.NexusOne, hide.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func main() {
 	}
 
 	// 3. How much longer does the phone sleep?
-	row, err := hide.SuspendFractions(tr, hide.NexusOne)
+	row, err := hide.SuspendFractionsContext(ctx, tr, hide.NexusOne, hide.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

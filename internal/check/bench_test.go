@@ -32,3 +32,24 @@ func BenchmarkOracleWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkChaosCell measures one fault scenario of the chaos grid —
+// beacon-drops over both chaos traces with the full invariant, miss
+// budget, convergence and same-seed determinism checks.
+func BenchmarkChaosCell(b *testing.B) {
+	scs, err := ScenariosByName("beacon-drops")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ChaosConfig{Scenarios: scs}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := RunChaosGrid(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ChaosErr(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dot11"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/medium"
 	"repro/internal/sim"
@@ -429,45 +427,14 @@ func (w *WindowedNetwork) groupFor(dst dot11.MACAddr) *windowGroup {
 	return w.groups[sp.group]
 }
 
-// advanceGroups drains every group's events through the window. The
-// worker count bounds concurrency only: each group is one serial event
-// stream, claimed atomically in index order, and the spawn is joined
-// before the function returns (the gojoin invariant) — no goroutine
-// outlives the window.
+// advanceGroups drains every group's events through the window on the
+// engine worker pool. The worker count bounds concurrency only: each
+// group is one serial event stream, and no worker outlives the window.
 func (w *WindowedNetwork) advanceGroups(ctx context.Context, until time.Duration) error {
-	workers := w.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(w.groups) {
-		workers = len(w.groups)
-	}
-	if workers <= 1 {
-		for _, g := range w.groups {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			g.eng.RunUntil(until)
-		}
+	return engine.ForEach(ctx, w.workers, len(w.groups), func(_ context.Context, k int) error {
+		w.groups[k].eng.RunUntil(until)
 		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				k := int(next.Add(1)) - 1
-				if k >= len(w.groups) {
-					return
-				}
-				w.groups[k].eng.RunUntil(until)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	})
 }
 
 // mergeUp replays the window's captured group transmissions onto the

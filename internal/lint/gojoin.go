@@ -27,9 +27,10 @@ var GoJoin = &Analyzer{
 }
 
 // goJoinScope lists the packages whose goroutines must be joined.
-// internal/core joined the scope with the windowed-parallel runner:
-// its per-window group workers (WindowedNetwork.advanceGroups) carry
-// exactly the barrier discipline this analyzer protects.
+// internal/core joined the scope with the windowed-parallel runner,
+// whose barrier discipline this analyzer protects; its group drains
+// now run on the engine pool, and the scope keeps any new goroutine
+// there under the same rule.
 var goJoinScope = map[string]bool{
 	"internal/engine":    true,
 	"internal/ess":       true,

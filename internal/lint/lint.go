@@ -46,7 +46,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		CtxFirst,
-		APIShim,
 		ExitPath,
 		ElemConst,
 		ErrDrop,

@@ -149,19 +149,6 @@ func TestCtxFirstOutOfScope(t *testing.T) {
 	}
 }
 
-func TestAPIShimFixture(t *testing.T) {
-	checkFixture(t, APIShim, "apishim", "repro")
-}
-
-// TestAPIShimOutOfScope re-analyzes the shim fixture under an internal
-// path, where the public-surface convention does not apply.
-func TestAPIShimOutOfScope(t *testing.T) {
-	diags := loadFixture(t, APIShim, "apishim", "repro/internal/trace")
-	if len(diags) != 0 {
-		t.Errorf("out-of-scope package reported: %v", diags)
-	}
-}
-
 func TestExitPathFixture(t *testing.T) {
 	checkFixture(t, ExitPath, "exitpath", "repro/cmd/fixture")
 }

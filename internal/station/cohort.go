@@ -550,6 +550,10 @@ func (c *CohortStation) Handoff(eng *sim.Engine, med medium.BlockChannel, bssid 
 	c.tmpl.suspendEv.Cancel()
 	c.tmpl.ackTimer.Cancel()
 	c.tmpl.assocTimer.Cancel()
+	// The handles point into the old engine's event pool, which that
+	// shard's goroutine recycles; drop them so nothing reads it again.
+	c.checkEv = sim.Handle{}
+	c.tmpl.suspendEv, c.tmpl.ackTimer, c.tmpl.assocTimer = sim.Handle{}, sim.Handle{}, sim.Handle{}
 	if om, ok := c.med.(interface{ Detach(dot11.MACAddr) }); ok {
 		om.Detach(c.base)
 	}

@@ -447,9 +447,13 @@ func (s *Station) Leave(reason uint16) {
 // new shard. The sync bookkeeping is reset: the new AP has not
 // acknowledged this station's ports, and the new AP's TSF is
 // unrelated to the old one's, so the restart detector must not read
-// the first foreign beacon as a timestamp regression.
+// the first foreign beacon as a timestamp regression. The timer
+// handles are dropped with the old engine: its goroutine recycles the
+// pooled events they point at, so even a no-op Cancel through them
+// from the new shard would race.
 func (s *Station) Migrate(eng *sim.Engine, med medium.Channel, bssid dot11.MACAddr) {
 	s.assocTimer.Cancel()
+	s.suspendEv, s.ackTimer, s.assocTimer = sim.Handle{}, sim.Handle{}, sim.Handle{}
 	if om, ok := s.med.(interface{ Detach(dot11.MACAddr) }); ok {
 		om.Detach(s.cfg.Addr)
 	}
