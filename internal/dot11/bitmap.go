@@ -9,9 +9,12 @@ package dot11
 // The zero value is an empty bitmap. The bitmap grows on demand up to
 // the 251 octets needed for MaxAID.
 type VirtualBitmap struct {
-	octets [252]byte // fixed backing; 2008 bits cover AID 0..2007
-	hi     int       // index one past the highest non-zero octet
+	octets [bitmapOctets]byte // fixed backing; 2008 bits cover AID 0..2007
+	hi     int                // index one past the highest non-zero octet
 }
+
+// bitmapOctets is the capacity of a full virtual bitmap in octets.
+const bitmapOctets = 252
 
 // Set sets the bit for aid. Invalid AIDs (> MaxAID) are ignored.
 func (v *VirtualBitmap) Set(aid AID) {
@@ -123,11 +126,23 @@ func (v *VirtualBitmap) Compress() (offset uint8, partial []byte) {
 // bitmap's capacity.
 func Decompress(offset uint8, partial []byte) (*VirtualBitmap, error) {
 	var v VirtualBitmap
-	if int(offset)+len(partial) > len(v.octets) {
+	if int(offset)+len(partial) > bitmapOctets {
 		return nil, ErrBadElement
 	}
 	copy(v.octets[offset:], partial)
 	v.hi = int(offset) + len(partial)
 	v.shrink()
 	return &v, nil
+}
+
+// partialGet tests the bit for aid of a partial virtual bitmap in
+// place. It answers exactly as Decompress(offset, partial).Get(aid)
+// does, including false for an encoding Decompress rejects, without
+// building the full bitmap.
+func partialGet(offset uint8, partial []byte, aid AID) bool {
+	if aid > MaxAID || int(offset)+len(partial) > bitmapOctets {
+		return false
+	}
+	i := int(aid)/8 - int(offset)
+	return i >= 0 && i < len(partial) && partial[i]&(1<<(uint(aid)%8)) != 0
 }

@@ -239,14 +239,14 @@ func unmarshalMACHeader(b []byte) (MACHeader, error) {
 	if len(b) < MACHeaderLen {
 		return MACHeader{}, fmt.Errorf("%w: %d bytes for MAC header", ErrShortFrame, len(b))
 	}
-	var h MACHeader
-	h.FC = UnmarshalFrameControl([2]byte{b[0], b[1]})
-	h.Duration = getUint16(b[2:])
-	copy(h.Addr1[:], b[4:])
-	copy(h.Addr2[:], b[10:])
-	copy(h.Addr3[:], b[16:])
-	h.Seq = getUint16(b[22:])
-	return h, nil
+	return MACHeader{
+		FC:       UnmarshalFrameControl([2]byte{b[0], b[1]}),
+		Duration: getUint16(b[2:]),
+		Addr1:    MACAddr(b[4:10]),
+		Addr2:    MACAddr(b[10:16]),
+		Addr3:    MACAddr(b[16:22]),
+		Seq:      getUint16(b[22:]),
+	}, nil
 }
 
 // putUint16 writes v little-endian.

@@ -27,17 +27,27 @@ func (e Element) AppendTo(b []byte) ([]byte, error) {
 func ParseElements(b []byte) ([]Element, error) {
 	var out []Element
 	for len(b) > 0 {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("%w: trailing %d bytes", ErrBadElement, len(b))
+		e, rest, err := nextElement(b)
+		if err != nil {
+			return nil, err
 		}
-		id, n := b[0], int(b[1])
-		if len(b) < 2+n {
-			return nil, fmt.Errorf("%w: element id=%d declares %d bytes, %d remain", ErrBadElement, id, n, len(b)-2)
-		}
-		out = append(out, Element{ID: id, Body: b[2 : 2+n]})
-		b = b[2+n:]
+		out = append(out, e)
+		b = rest
 	}
 	return out, nil
+}
+
+// nextElement splits the first element off a non-empty element blob.
+// The body aliases b.
+func nextElement(b []byte) (e Element, rest []byte, err error) {
+	if len(b) < 2 {
+		return Element{}, nil, fmt.Errorf("%w: trailing %d bytes", ErrBadElement, len(b))
+	}
+	id, n := b[0], int(b[1])
+	if len(b) < 2+n {
+		return Element{}, nil, fmt.Errorf("%w: element id=%d declares %d bytes, %d remain", ErrBadElement, id, n, len(b)-2)
+	}
+	return Element{ID: id, Body: b[2 : 2+n]}, b[2+n:], nil
 }
 
 // FindElement returns the first element with the given ID, or false.
@@ -83,32 +93,44 @@ func (t TIM) Element() (Element, error) {
 	return Element{ID: ElementIDTIM, Body: body}, nil
 }
 
-// ParseTIM decodes a TIM element body.
+// ParseTIM decodes a TIM element body into a TIM that owns a copy of
+// its bitmap.
 func ParseTIM(e Element) (TIM, error) {
 	if e.ID != ElementIDTIM {
 		return TIM{}, fmt.Errorf("%w: element id %d is not TIM", ErrBadElement, e.ID)
 	}
-	if len(e.Body) < 4 {
-		return TIM{}, fmt.Errorf("%w: TIM body %d bytes", ErrBadElement, len(e.Body))
+	t, err := readTIM(e.Body)
+	if err != nil {
+		return TIM{}, err
 	}
-	t := TIM{
-		DTIMCount:    e.Body[0],
-		DTIMPeriod:   e.Body[1],
-		Broadcast:    e.Body[2]&0x01 != 0,
-		BitmapOffset: e.Body[2] >> 1 << 1,
+	return t.clone(), nil
+}
+
+// readTIM decodes a TIM element body in place: the partial bitmap
+// aliases body.
+func readTIM(body []byte) (TIM, error) {
+	if len(body) < 4 {
+		return TIM{}, fmt.Errorf("%w: TIM body %d bytes", ErrBadElement, len(body))
 	}
-	t.PartialBitmap = append([]byte(nil), e.Body[3:]...)
-	return t, nil
+	return TIM{
+		DTIMCount:     body[0],
+		DTIMPeriod:    body[1],
+		Broadcast:     body[2]&0x01 != 0,
+		BitmapOffset:  body[2] >> 1 << 1,
+		PartialBitmap: body[3:],
+	}, nil
+}
+
+// clone returns t with a private copy of its partial bitmap.
+func (t TIM) clone() TIM {
+	t.PartialBitmap = append([]byte(nil), t.PartialBitmap...)
+	return t
 }
 
 // UnicastBuffered reports whether the TIM indicates buffered unicast
 // traffic for aid.
 func (t TIM) UnicastBuffered(aid AID) bool {
-	v, err := Decompress(t.BitmapOffset, t.PartialBitmap)
-	if err != nil {
-		return false
-	}
-	return v.Get(aid)
+	return partialGet(t.BitmapOffset, t.PartialBitmap, aid)
 }
 
 // BTIM is the Broadcast Traffic Indication Map element HIDE adds to
@@ -143,30 +165,41 @@ func (b BTIM) Element() (Element, error) {
 	return Element{ID: ElementIDBTIM, Body: body}, nil
 }
 
-// ParseBTIM decodes a BTIM element body.
+// ParseBTIM decodes a BTIM element body into a BTIM that owns a copy
+// of its bitmap.
 func ParseBTIM(e Element) (BTIM, error) {
 	if e.ID != ElementIDBTIM {
 		return BTIM{}, fmt.Errorf("%w: element id %d is not BTIM", ErrBadElement, e.ID)
 	}
-	if len(e.Body) < 2 {
-		return BTIM{}, fmt.Errorf("%w: BTIM body %d bytes", ErrBadElement, len(e.Body))
+	b, err := readBTIM(e.Body)
+	if err != nil {
+		return BTIM{}, err
 	}
-	b := BTIM{Offset: e.Body[0]}
-	if b.Offset%2 != 0 {
-		return BTIM{}, fmt.Errorf("%w: BTIM offset %d is odd", ErrBadElement, b.Offset)
+	return b.clone(), nil
+}
+
+// readBTIM decodes a BTIM element body in place: the partial bitmap
+// aliases body.
+func readBTIM(body []byte) (BTIM, error) {
+	if len(body) < 2 {
+		return BTIM{}, fmt.Errorf("%w: BTIM body %d bytes", ErrBadElement, len(body))
 	}
-	b.PartialBitmap = append([]byte(nil), e.Body[1:]...)
-	return b, nil
+	if body[0]%2 != 0 {
+		return BTIM{}, fmt.Errorf("%w: BTIM offset %d is odd", ErrBadElement, body[0])
+	}
+	return BTIM{Offset: body[0], PartialBitmap: body[1:]}, nil
+}
+
+// clone returns b with a private copy of its partial bitmap.
+func (b BTIM) clone() BTIM {
+	b.PartialBitmap = append([]byte(nil), b.PartialBitmap...)
+	return b
 }
 
 // UsefulBroadcastBuffered reports whether the BTIM bit for aid is set,
 // i.e. whether the AP holds broadcast frames useful to that client.
 func (b BTIM) UsefulBroadcastBuffered(aid AID) bool {
-	v, err := Decompress(b.Offset, b.PartialBitmap)
-	if err != nil {
-		return false
-	}
-	return v.Get(aid)
+	return partialGet(b.Offset, b.PartialBitmap, aid)
 }
 
 // OpenUDPPorts is the element (ID 200) carried in a UDP Port Message,

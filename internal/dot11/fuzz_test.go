@@ -51,10 +51,18 @@ func seedCorpus(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 }
 
+// FuzzUnmarshalBeacon drives the beacon decoders, the frames every
+// client parses most. UnmarshalBeacon must round-trip what it accepts,
+// and the in-place ReadBeacon must agree with it on every input (see
+// checkReadBeacon).
 func FuzzUnmarshalBeacon(f *testing.F) {
 	seedCorpus(f)
+	for _, raw := range beaconEdgeSeeds() {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b, err := UnmarshalBeacon(raw)
+		checkReadBeacon(t, raw, b, err)
 		if err != nil {
 			return
 		}
@@ -71,6 +79,90 @@ func FuzzUnmarshalBeacon(f *testing.F) {
 			t.Fatal("beacon fields drifted across re-encode")
 		}
 	})
+}
+
+// beaconEdgeSeeds are beacons that stress the reader's element walk
+// and bit tests: repeated TIM/BTIM elements (the last one wins), a
+// bitmap reaching past the virtual bitmap's capacity (every bit test
+// answers false), a BTIM near the top of the AID space, and a
+// malformed element after a valid TIM.
+func beaconEdgeSeeds() [][]byte {
+	hdr := func() []byte {
+		b := make([]byte, MACHeaderLen+beaconFixedLen)
+		h := MACHeader{FC: FrameControl{Type: TypeManagement, Subtype: SubtypeBeacon}, Addr1: Broadcast, Addr2: apAddr}
+		h.marshalInto(b)
+		return b
+	}
+	elem := func(b []byte, id uint8, body ...byte) []byte {
+		return append(append(b, id, uint8(len(body))), body...)
+	}
+	var seeds [][]byte
+	b := hdr()
+	b = elem(b, ElementIDTIM, 1, 3, 0x01, 0xff)
+	b = elem(b, ElementIDBTIM, 0, 0x08)
+	b = elem(b, ElementIDTIM, 0, 3, 0x00, 0x06)
+	b = elem(b, ElementIDBTIM, 2, 0x00, 0x01)
+	seeds = append(seeds, b)
+	seeds = append(seeds, elem(hdr(), ElementIDTIM, 0, 1, 250, 0xff, 0xff, 0xff))
+	seeds = append(seeds, elem(elem(hdr(), ElementIDTIM, 0, 1, 0, 0), ElementIDBTIM, 250, 0x80))
+	seeds = append(seeds, append(elem(hdr(), ElementIDTIM, 0, 1, 0, 0x02), ElementIDBTIM, 4, 0))
+	return seeds
+}
+
+// checkReadBeacon is the differential half of FuzzUnmarshalBeacon: the
+// in-place reader errs exactly when UnmarshalBeacon (b, err) does,
+// reads the same fields, leaves the frame untouched, and its bit tests
+// equal the Decompress reference for every AID up to MaxAID+8.
+func checkReadBeacon(t *testing.T, raw []byte, b *Beacon, err error) {
+	t.Helper()
+	orig := append([]byte(nil), raw...)
+	var r BeaconReading
+	rerr := ReadBeacon(raw, &r)
+	if !bytes.Equal(raw, orig) {
+		t.Fatal("ReadBeacon wrote into the frame")
+	}
+	if (rerr != nil) != (err != nil) {
+		t.Fatalf("ReadBeacon err = %v, UnmarshalBeacon err = %v", rerr, err)
+	}
+	if err != nil {
+		return
+	}
+	if r.Header != b.Header || r.Timestamp != b.Timestamp || r.BeaconInterval != b.BeaconInterval ||
+		r.Capability != b.Capability || string(r.SSID) != b.SSID {
+		t.Fatalf("fixed fields differ: reading %+v, beacon %+v", r, b)
+	}
+	if r.HasTIM != (b.TIM != nil) || r.HasBTIM != (b.BTIM != nil) {
+		t.Fatalf("element presence differs: reading TIM=%v BTIM=%v, beacon TIM=%v BTIM=%v",
+			r.HasTIM, r.HasBTIM, b.TIM != nil, b.BTIM != nil)
+	}
+	if r.HasTIM {
+		if r.TIM.DTIMCount != b.TIM.DTIMCount || r.TIM.DTIMPeriod != b.TIM.DTIMPeriod ||
+			r.TIM.Broadcast != b.TIM.Broadcast || r.TIM.BitmapOffset != b.TIM.BitmapOffset ||
+			!bytes.Equal(r.TIM.PartialBitmap, b.TIM.PartialBitmap) {
+			t.Fatalf("TIM differs: reading %+v, beacon %+v", r.TIM, *b.TIM)
+		}
+		checkBits(t, "TIM", b.TIM.BitmapOffset, b.TIM.PartialBitmap, r.TIM.UnicastBuffered, b.TIM.UnicastBuffered)
+	}
+	if r.HasBTIM {
+		if r.BTIM.Offset != b.BTIM.Offset || !bytes.Equal(r.BTIM.PartialBitmap, b.BTIM.PartialBitmap) {
+			t.Fatalf("BTIM differs: reading %+v, beacon %+v", r.BTIM, *b.BTIM)
+		}
+		checkBits(t, "BTIM", b.BTIM.Offset, b.BTIM.PartialBitmap, r.BTIM.UsefulBroadcastBuffered, b.BTIM.UsefulBroadcastBuffered)
+	}
+}
+
+// checkBits requires the in-place bit tests of a reading and of the
+// decoded beacon to equal Decompress(offset, partial).Get for every
+// AID up to MaxAID+8, false where Decompress rejects the encoding.
+func checkBits(t *testing.T, elem string, offset uint8, partial []byte, reading, decoded func(AID) bool) {
+	t.Helper()
+	ref, err := Decompress(offset, partial)
+	for aid := AID(0); aid <= MaxAID+8; aid++ {
+		want := err == nil && ref.Get(aid)
+		if reading(aid) != want || decoded(aid) != want {
+			t.Fatalf("%s bit for AID %d: reading %v, beacon %v, Decompress %v", elem, aid, reading(aid), decoded(aid), want)
+		}
+	}
 }
 
 func FuzzUnmarshalUDPPortMessage(f *testing.F) {

@@ -5,16 +5,22 @@
 // each assignment the defined variable's fact is recomputed from the
 // facts reaching the right-hand side, and joins take the union (a
 // variable MAY carry the fact if any predecessor path says so). The
-// analysis is intraprocedural and field-insensitive; calls are opaque
-// (their results carry no fact unless the carrier function says
-// otherwise). Over-approximation is by design: the analyzers built on
-// this report writes that MAY hit a shared buffer, and the suppression
-// directive exists for the cases the approximation cannot see through.
+// analysis is intraprocedural and field-insensitive: a struct carries
+// the fact as a whole, and the carrier function decides whether its
+// fields do. Calls are opaque (their results carry no fact unless the
+// carrier function says otherwise), except that a call handed a
+// carrying argument may store it through any &x argument, so x may
+// carry the fact afterwards. Over-approximation is by design: the
+// analyzers built on this report writes that MAY hit a shared buffer,
+// and the suppression directive exists for the cases the
+// approximation cannot see through.
 package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 )
 
 // factSet maps local objects to "may carry the fact".
@@ -102,6 +108,7 @@ func (fa *flowAnalysis) solve(g *funcCFG, seed factSet) []factSet {
 // the parts of compound statements that execute at this CFG point are
 // considered (evaluatedNodes).
 func (fa *flowAnalysis) stepStmt(s ast.Stmt, facts factSet) {
+	fa.stepCalls(s, facts)
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		fa.stepAssign(s, facts)
@@ -134,6 +141,40 @@ func (fa *flowAnalysis) stepStmt(s ast.Stmt, facts factSet) {
 		if s.Value != nil {
 			if id, ok := s.Value.(*ast.Ident); ok {
 				fa.setIdent(id, false, facts)
+			}
+		}
+	}
+}
+
+// stepCalls applies the side effect of the calls s evaluates: a call
+// handed an argument that carries the fact may store it through any
+// &x argument (dot11.ReadBeacon(raw, &b) leaves b's bitmaps aliasing
+// raw), so x may carry the fact once the call returns. Function
+// literals are not evaluated here, and no fact is ever killed.
+func (fa *flowAnalysis) stepCalls(s ast.Stmt, facts factSet) {
+	for _, n := range evaluatedNodes(s) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.CallExpr:
+				fa.stepCall(n, facts)
+			}
+			return true
+		})
+	}
+}
+
+// stepCall marks the &x arguments of one call that receives a
+// carrying argument.
+func (fa *flowAnalysis) stepCall(call *ast.CallExpr, facts factSet) {
+	if !slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return fa.carries(a, facts) }) {
+		return
+	}
+	for _, a := range call.Args {
+		if u, ok := ast.Unparen(a).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if id, ok := ast.Unparen(u.X).(*ast.Ident); ok {
+				fa.setIdent(id, true, facts)
 			}
 		}
 	}
@@ -192,10 +233,11 @@ func (fa *flowAnalysis) setIdent(id *ast.Ident, val bool, facts factSet) {
 
 // aliasCarrier returns a carries function for may-alias of slice or
 // pointer-shaped values: an identifier aliases if its object is in the
-// fact set; slicing, parenthesizing, and growing with append preserve
-// aliasing; append onto a fresh backing array (append([]byte(nil), ...)
-// or append(x[:0:0], ...)) is the sanctioned clone idiom and does NOT
-// alias; everything else (calls, literals, index loads) is fresh.
+// fact set; slicing, parenthesizing, selecting a field, and growing
+// with append preserve aliasing; append onto a fresh backing array
+// (append([]byte(nil), ...) or append(x[:0:0], ...)) is the sanctioned
+// clone idiom and does NOT alias; everything else (calls, literals,
+// index loads) is fresh.
 func aliasCarrier(info *types.Info) func(expr ast.Expr, facts factSet) bool {
 	var carries func(expr ast.Expr, facts factSet) bool
 	carries = func(expr ast.Expr, facts factSet) bool {
@@ -226,6 +268,13 @@ func aliasCarrier(info *types.Info) func(expr ast.Expr, facts factSet) bool {
 			return false
 		case *ast.StarExpr:
 			return carries(e.X, facts)
+		case *ast.SelectorExpr:
+			// A field of a value that may alias the frame may alias it
+			// too: b.BTIM.PartialBitmap after ReadBeacon(raw, &b).
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				return carries(e.X, facts)
+			}
+			return false
 		default:
 			return false
 		}

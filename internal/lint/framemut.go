@@ -18,9 +18,10 @@ import (
 var FrameMut = &Analyzer{
 	Name: "framemut",
 	Doc: "delivered frame buffers are shared and immutable: in medium.Node " +
-		"Receive/ReceiveAs implementations and throughout internal/medium, no write " +
-		"(element store, copy dst) may go through a byte slice that may alias the " +
-		"frame parameter; clone first with append([]byte(nil), b...)",
+		"Receive/ReceiveAs implementations and throughout internal/medium and " +
+		"internal/station, no write (element store, copy dst) may go through a byte " +
+		"slice that may alias the frame parameter, directly or through the fields of " +
+		"a value read from it; clone first with append([]byte(nil), b...)",
 	Run: runFrameMut,
 }
 
@@ -43,13 +44,15 @@ func runFrameMut(p *Pass) error {
 
 // frameParams returns the parameters of fn that hold a delivered (or
 // injected) frame buffer: the []byte parameter of a Receive/ReceiveAs
-// method matching the medium.Node shape anywhere in the tree, and —
-// inside internal/medium itself, where every byte slice in flight is
-// the shared injection copy — any []byte parameter of any function.
+// method matching the medium.Node shape anywhere in the tree, and any
+// []byte parameter of any function inside internal/medium, where every
+// byte slice in flight is the shared injection copy, and inside
+// internal/station, whose receive path hands the delivered frame on to
+// helpers (handleBeacon, groupDivergence) that read it in place.
 func frameParams(p *Pass, fn *ast.FuncDecl) []types.Object {
-	inMedium := p.RelPath() == "internal/medium"
+	allParams := p.RelPath() == "internal/medium" || p.RelPath() == "internal/station"
 	isReceive := fn.Recv != nil && (fn.Name.Name == "Receive" || fn.Name.Name == "ReceiveAs")
-	if !inMedium && !isReceive {
+	if !allParams && !isReceive {
 		return nil
 	}
 	var out []types.Object

@@ -179,7 +179,19 @@ func TestIgnoreNeedsReason(t *testing.T) {
 }
 
 func TestFrameMutFixture(t *testing.T) {
-	checkFixture(t, FrameMut, "framemut", "repro/internal/medium")
+	for _, path := range []string{"repro/internal/medium", "repro/internal/station"} {
+		t.Run(path, func(t *testing.T) { checkFixture(t, FrameMut, "framemut", path) })
+	}
+}
+
+// TestFrameMutOutOfScope re-analyzes the frame fixture where only
+// Receive/ReceiveAs parameters are delivered frames: the five writes
+// in those two methods are all that may be reported.
+func TestFrameMutOutOfScope(t *testing.T) {
+	diags := loadFixture(t, FrameMut, "framemut", "repro/internal/ap")
+	if len(diags) != 5 {
+		t.Errorf("out-of-scope run got %d findings, want the 5 in Receive/ReceiveAs: %v", len(diags), diags)
+	}
 }
 
 func TestRNGDrawFixture(t *testing.T) {

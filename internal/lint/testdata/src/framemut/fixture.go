@@ -1,11 +1,16 @@
 // Package fixture exercises the framemut analyzer. The test harness
-// analyzes it as repro/internal/medium, where every []byte parameter
-// is a shared frame buffer; the Receive/ReceiveAs methods are checked
-// under any path. Delivered frames are immutable — the only sanctioned
-// mutation path clones first with append([]byte(nil), b...).
+// analyzes it as repro/internal/medium and as repro/internal/station,
+// where every []byte parameter is a shared frame buffer; the
+// Receive/ReceiveAs methods are checked under any path. Delivered
+// frames are immutable — the only sanctioned mutation path clones
+// first with append([]byte(nil), b...).
 package fixture
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/dot11"
+)
 
 type sink struct {
 	last []byte
@@ -58,4 +63,32 @@ func corrupt(raw []byte, at int) []byte {
 // to catch in this package.
 func patch(frame []byte, seq uint16) {
 	frame[22] = byte(seq) // want `write into a byte slice that may alias the delivered frame`
+}
+
+// handleBeacon is a station-style helper handed the delivered frame: a
+// reading filled by a call that receives the frame aliases it through
+// its fields, and so does a slice taken from one of them.
+func handleBeacon(raw []byte) {
+	var b dot11.BeaconReading
+	if err := dot11.ReadBeacon(raw, &b); err != nil {
+		return
+	}
+	b.BTIM.PartialBitmap[0] = 0xff // want `write into a byte slice that may alias the delivered frame`
+	bm := b.TIM.PartialBitmap
+	bm[0]++           // want `write into a byte slice that may alias the delivered frame`
+	copy(b.SSID, "x") // want `copy into a byte slice that may alias the delivered frame`
+}
+
+// readBeacon is the read-only use a station makes of a reading: bit
+// tests, copying out, and mutating only a clone.
+func readBeacon(raw []byte, aid dot11.AID) bool {
+	var b dot11.BeaconReading
+	if dot11.ReadBeacon(raw, &b) != nil || !b.HasTIM {
+		return false
+	}
+	var ssid [32]byte
+	copy(ssid[:], b.SSID)
+	own := dot11.BTIM{Offset: b.BTIM.Offset, PartialBitmap: append([]byte(nil), b.BTIM.PartialBitmap...)}
+	own.PartialBitmap[0] = 0
+	return b.TIM.UnicastBuffered(aid) || own.UsefulBroadcastBuffered(aid)
 }

@@ -1,6 +1,7 @@
 package station
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -92,5 +93,75 @@ func TestAllocBudgetCohortRoutedReceive(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("routed asleep receive: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// dtimBeacon encodes a DTIM beacon announcing group traffic: its TIM
+// sets the broadcast bit and no unicast bit, and its BTIM sets the bit
+// of every AID in [first, first+n) when set is true and none otherwise.
+// The timestamp is far ahead of the rig AP's, so receiving it never
+// looks like an AP restart.
+func dtimBeacon(t *testing.T, first dot11.AID, n int, set bool) []byte {
+	t.Helper()
+	var bm dot11.VirtualBitmap
+	for k := 0; set && k < n; k++ {
+		bm.Set(first + dot11.AID(k))
+	}
+	btim := dot11.BTIMFromBitmap(&bm)
+	raw, err := (&dot11.Beacon{
+		Header:         dot11.MACHeader{Addr1: dot11.Broadcast, Addr2: bssid, Addr3: bssid},
+		Timestamp:      1 << 40,
+		BeaconInterval: 100,
+		SSID:           "t",
+		TIM:            &dot11.TIM{DTIMPeriod: 1, Broadcast: true, PartialBitmap: []byte{0}},
+		BTIM:           &btim,
+	}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestAllocBudgetBeaconReceive pins the beacon receive path at zero
+// allocations: a suspended HIDE station and a 64-member cohort read
+// the TIM/BTIM of a DTIM beacon in place, off the shared frame. The
+// BTIM bit is set for every member in one run and clear in the other;
+// the TIM unicast bit stays clear, so nothing is sent either way.
+func TestAllocBudgetBeaconReceive(t *testing.T) {
+	for _, set := range []bool{true, false} {
+		t.Run(fmt.Sprintf("btim=%v", set), func(t *testing.T) {
+			eng, a, st := rig(t, HIDE, true, []uint16{5353})
+			a.Start()
+			eng.RunUntil(500 * time.Millisecond)
+			frame := dtimBeacon(t, st.AID(), 1, set)
+			now, before := eng.Now(), st.Stats()
+			allocs := testing.AllocsPerRun(200, func() {
+				st.Receive(frame, dot11.Rate1Mbps, now)
+			})
+			if allocs != 0 {
+				t.Errorf("station beacon receive: %.1f allocs/op, want 0", allocs)
+			}
+			after := st.Stats()
+			if st.listening != set || after.BeaconsHeard == before.BeaconsHeard ||
+				after.PSPollsSent != before.PSPollsSent || after.PortMsgsSent != before.PortMsgsSent {
+				t.Errorf("station read the beacon wrong: listening=%v, stats before %+v after %+v", st.listening, before, after)
+			}
+
+			eng, c := cohortRig(t, 64)
+			frame = dtimBeacon(t, c.BaseAID(), c.Count(), set)
+			now, before = eng.Now(), c.Template().Stats()
+			allocs = testing.AllocsPerRun(200, func() {
+				c.ReceiveAs(dot11.Broadcast, frame, dot11.Rate1Mbps, now)
+			})
+			if allocs != 0 {
+				t.Errorf("cohort beacon receive: %.1f allocs/op, want 0", allocs)
+			}
+			after = c.Template().Stats()
+			if c.Count() != 64 || c.tmpl.listening != set || after.BeaconsHeard == before.BeaconsHeard ||
+				after.PSPollsSent != before.PSPollsSent || after.PortMsgsSent != before.PortMsgsSent {
+				t.Errorf("cohort read the beacon wrong: count=%d listening=%v, stats before %+v after %+v",
+					c.Count(), c.tmpl.listening, before, after)
+			}
+		})
 	}
 }

@@ -366,32 +366,31 @@ func (c *CohortStation) groupDivergence(raw []byte) int {
 	if dot11.Classify(raw) != dot11.KindBeacon {
 		return 0
 	}
-	b, err := dot11.UnmarshalBeacon(raw)
-	if err != nil || b.TIM == nil {
+	var b dot11.BeaconReading
+	if err := dot11.ReadBeacon(raw, &b); err != nil || !b.HasTIM {
 		return 0 // unparseable or TIM-less: every member bails out alike
 	}
 	if li := c.tmpl.cfg.ListenInterval; li > 1 && c.tmpl.beaconSeq%li != 0 {
 		return 0 // the members' radios sleep through this beacon together
 	}
-	btim := b.BTIM
-	if c.tmpl.cfg.Mode != HIDE || b.TIM.DTIMCount != 0 {
-		btim = nil // the BTIM reading is not consulted on this beacon
-	}
-	first := c.memberReading(b, btim, 0)
+	// The BTIM reading is consulted only on a HIDE member's DTIM.
+	btim := b.HasBTIM && c.tmpl.cfg.Mode == HIDE && b.TIM.DTIMCount == 0
+	first := c.memberReading(&b, btim, 0)
 	for k := 1; k < c.count; k++ {
-		if c.memberReading(b, btim, k) != first {
+		if c.memberReading(&b, btim, k) != first {
 			return k
 		}
 	}
 	return 0
 }
 
-// memberReading is member k's view of a beacon's per-AID indications.
-func (c *CohortStation) memberReading(b *dot11.Beacon, btim *dot11.BTIM, k int) [2]bool {
+// memberReading is member k's view of a beacon's per-AID indications;
+// btim says whether the BTIM bit is consulted.
+func (c *CohortStation) memberReading(b *dot11.BeaconReading, btim bool, k int) [2]bool {
 	aid := c.tmpl.aid + dot11.AID(k)
 	return [2]bool{
 		b.TIM.UnicastBuffered(aid),
-		btim != nil && btim.UsefulBroadcastBuffered(aid),
+		btim && b.BTIM.UsefulBroadcastBuffered(aid),
 	}
 }
 

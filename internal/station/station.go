@@ -730,10 +730,12 @@ func (s *Station) LastBeaconAt() (time.Duration, bool) {
 }
 
 // handleBeacon processes TIM/BTIM indications. The radio wakes for
-// every beacon regardless of host state (Section II).
+// every beacon regardless of host state (Section II). The beacon is
+// read in place, off the shared frame, and the reading does not
+// outlive this call.
 func (s *Station) handleBeacon(raw []byte, now time.Duration) {
-	b, err := dot11.UnmarshalBeacon(raw)
-	if err != nil {
+	var b dot11.BeaconReading
+	if err := dot11.ReadBeacon(raw, &b); err != nil {
 		return
 	}
 	// Listen interval: the radio sleeps through all but every LI-th
@@ -741,13 +743,13 @@ func (s *Station) handleBeacon(raw []byte, now time.Duration) {
 	s.beaconSeq++
 	if s.cfg.ListenInterval > 1 && (s.beaconSeq-1)%s.cfg.ListenInterval != 0 {
 		s.stats.BeaconsSkipped++
-		if b.TIM != nil && b.TIM.DTIMCount == 0 {
+		if b.HasTIM && b.TIM.DTIMCount == 0 {
 			s.stats.DTIMsSkipped++
 		}
 		return
 	}
 	s.stats.BeaconsHeard++
-	s.observeBeacon(b, now)
+	s.observeBeacon(&b, now)
 
 	// Group bursts never span beacons: if the end-of-burst frame was
 	// lost (MoreData never cleared), the beacon ends the listen window
@@ -760,7 +762,7 @@ func (s *Station) handleBeacon(raw []byte, now time.Duration) {
 	}
 
 	// Unicast indication: poll for each buffered frame.
-	if b.TIM != nil && b.TIM.UnicastBuffered(s.aid) {
+	if b.HasTIM && b.TIM.UnicastBuffered(s.aid) {
 		s.sendPSPoll()
 	}
 
@@ -768,17 +770,17 @@ func (s *Station) handleBeacon(raw []byte, now time.Duration) {
 	// client-side stations obey the standard broadcast bit. A HIDE
 	// station whose beacon lacks a BTIM (legacy AP) falls back to the
 	// standard behaviour, preserving coexistence in both directions.
-	isDTIM := b.TIM != nil && b.TIM.DTIMCount == 0
+	isDTIM := b.HasTIM && b.TIM.DTIMCount == 0
 	if !isDTIM {
 		return
 	}
 	switch {
-	case s.cfg.Mode == HIDE && b.BTIM != nil:
+	case s.cfg.Mode == HIDE && b.HasBTIM:
 		if b.BTIM.UsefulBroadcastBuffered(s.aid) {
 			s.listening = true
 		}
 	default:
-		if b.TIM != nil && b.TIM.Broadcast {
+		if b.TIM.Broadcast {
 			s.listening = true
 		}
 	}
@@ -798,7 +800,7 @@ func (s *Station) handleBeacon(raw []byte, now time.Duration) {
 // timestamp regression means the AP restarted and lost its soft state,
 // so a HIDE station re-registers its open ports instead of trusting a
 // Client UDP Port Table that no longer exists.
-func (s *Station) observeBeacon(b *dot11.Beacon, now time.Duration) {
+func (s *Station) observeBeacon(b *dot11.BeaconReading, now time.Duration) {
 	s.lastBeaconAt = now
 	if gap := time.Duration(b.BeaconInterval) * dot11.TU; gap > 0 {
 		s.beaconGap = gap
