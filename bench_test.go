@@ -621,7 +621,7 @@ func BenchmarkStationsMillion(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pts, err := core.ScaleClientsOptions(tr, NexusOne, []int{1_000_000},
+				pts, err := core.ScaleClientsNetwork(core.NetworkConfig{}, tr, NexusOne, []int{1_000_000},
 					core.Options{Cohort: 1 << 30, WindowWorkers: v.workers})
 				if err != nil {
 					b.Fatal(err)

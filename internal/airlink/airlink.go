@@ -16,16 +16,18 @@
 // judged per peer — drop, corrupt, duplicate — exactly like the
 // in-process medium judges deliveries, so the chaos scenarios from
 // internal/fault run against a real daemon over real sockets. And the
-// hub tracks peer liveness (SetLiveness + PingPeers): a client process
-// that died without disassociating stops answering pings and is
-// evicted after a configurable number of missed sweeps, with a
-// callback so the daemon can clean up AP-side state and log the
-// eviction.
+// hub tracks peer liveness (SetLiveness + PingPeers) in the same
+// netmedium.Peers table the simulation monitor keeps its taps in: a
+// client process that died without disassociating stops answering
+// pings and is evicted after a configurable number of missed sweeps,
+// and PingPeers returns the evicted MACs so the daemon can clean up
+// AP-side state and log the eviction.
 package airlink
 
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -60,49 +62,24 @@ func dstMAC(raw []byte) (dot11.MACAddr, bool) {
 	return dst, true
 }
 
-// Liveness parameterizes the hub's peer-eviction sweep (PingPeers).
-type Liveness struct {
-	// MaxMissedPings is how many consecutive sweeps a peer may leave
-	// unanswered before eviction (default 3).
-	MaxMissedPings int
-}
-
-// normalized fills defaults.
-func (l Liveness) normalized() Liveness {
-	if l.MaxMissedPings <= 0 {
-		l.MaxMissedPings = 3
-	}
-	return l
-}
-
-// hubPeer is one learned client endpoint with its liveness state.
-type hubPeer struct {
-	mac    dot11.MACAddr
-	addr   net.Addr
-	missed int // consecutive unanswered ping sweeps
-}
-
 // Hub is the AP-side link: it owns the listening socket, learns peers,
 // and fans group frames out to all of them.
 type Hub struct {
 	pc     net.PacketConn
 	inject chan<- sim.Event
 
-	mu    sync.Mutex
-	node  medium.Node // the local AP
-	peers map[dot11.MACAddr]*hubPeer
-	// order keeps the peers in learn order so fan-out (and the fault
-	// plan's per-peer RNG draws) replay in a deterministic sequence for
-	// a given association order, mirroring the in-process medium's
-	// attach-order fanout.
-	order []dot11.MACAddr
+	mu   sync.Mutex
+	node medium.Node // the local AP
+	// peers keeps the stations in first-contact order so fan-out (and
+	// the fault plan's per-peer RNG draws) replay in a deterministic
+	// sequence for a given association order, mirroring the in-process
+	// medium's attach-order fanout.
+	peers netmedium.Peers[dot11.MACAddr]
 	stats HubStats
 
-	plan    fault.Plan
-	rng     *sim.RNG
-	clock   func() time.Duration // virtual time for fault windows; nil = zero
-	live    Liveness
-	onEvict func(mac dot11.MACAddr)
+	plan  fault.Plan
+	rng   *sim.RNG
+	clock func() time.Duration // virtual time for fault windows; nil = zero
 }
 
 // HubStats counts hub activity.
@@ -123,7 +100,7 @@ type HubStats struct {
 // NewHub wraps a listening socket. Received frames are delivered to
 // the attached node via the inject channel (on the engine goroutine).
 func NewHub(pc net.PacketConn, inject chan<- sim.Event) *Hub {
-	return &Hub{pc: pc, inject: inject, peers: make(map[dot11.MACAddr]*hubPeer)}
+	return &Hub{pc: pc, inject: inject}
 }
 
 var _ medium.Channel = (*Hub)(nil)
@@ -136,7 +113,7 @@ func (h *Hub) Stats() HubStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.stats
-	st.Peers = len(h.peers)
+	st.Peers = h.peers.Len()
 	return st
 }
 
@@ -182,57 +159,31 @@ func (h *Hub) FaultActive() bool {
 	return h.plan != nil
 }
 
-// SetLiveness configures the peer-eviction sweep and the eviction
-// callback. onEvict runs with the hub lock released, from whichever
-// goroutine calls PingPeers (the daemon drives sweeps from the engine
-// goroutine, so callbacks may safely touch engine state there).
-func (h *Hub) SetLiveness(cfg Liveness, onEvict func(mac dot11.MACAddr)) {
-	cfg = cfg.normalized()
+// SetLiveness sets how many consecutive unanswered sweeps evict a peer
+// (values < 1 restore the default of 3). Safe to call while serving.
+func (h *Hub) SetLiveness(maxMissed int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.live = cfg
-	h.onEvict = onEvict
+	h.peers.SetMaxMissed(maxMissed)
 }
 
-// PingPeers runs one liveness sweep: peers that have left
-// MaxMissedPings consecutive sweeps unanswered are evicted, the rest
-// are pinged again. Any datagram from a peer — a frame, a pong —
-// resets its counter. Drive it at a steady cadence on the engine
-// clock; evicted MACs are reported through the SetLiveness callback.
-func (h *Hub) PingPeers() {
+// PingPeers runs one liveness sweep of the peer table
+// (netmedium.Peers.Sweep) and returns the MACs it evicted: peers that
+// have left the configured number of consecutive sweeps unanswered go,
+// the rest are pinged again. Any datagram from a peer — a frame, a
+// pong — resets its counter. Drive it at a steady cadence on the
+// engine clock.
+func (h *Hub) PingPeers() []dot11.MACAddr {
 	ping, err := netmedium.Message{Type: netmedium.MsgPing}.Marshal()
 	if err != nil {
-		return
+		return nil
 	}
-	var evicted []dot11.MACAddr
 	h.mu.Lock()
-	live := h.live.normalized()
-	kept := h.order[:0]
-	for _, mac := range h.order {
-		p := h.peers[mac]
-		if p == nil {
-			continue
-		}
-		if p.missed >= live.MaxMissedPings {
-			delete(h.peers, mac)
-			h.stats.Evictions++
-			evicted = append(evicted, mac)
-			continue
-		}
-		kept = append(kept, mac)
-		p.missed++
-		if _, err := h.pc.WriteTo(ping, p.addr); err == nil {
-			h.stats.PingsSent++
-		}
-	}
-	h.order = kept
-	onEvict := h.onEvict
-	h.mu.Unlock()
-	if onEvict != nil {
-		for _, mac := range evicted {
-			onEvict(mac)
-		}
-	}
+	defer h.mu.Unlock()
+	evicted, sent := h.peers.Sweep(func(addr netip.AddrPort) error { return netmedium.SendTo(h.pc, ping, addr) })
+	h.stats.PingsSent += sent
+	h.stats.Evictions += len(evicted)
+	return evicted
 }
 
 // DropPeer forgets a peer immediately (a disassociated client); its
@@ -240,22 +191,7 @@ func (h *Hub) PingPeers() {
 func (h *Hub) DropPeer(mac dot11.MACAddr) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.removePeerLocked(mac)
-}
-
-// removePeerLocked deletes a peer from the map and the fan-out order.
-// Callers hold h.mu.
-func (h *Hub) removePeerLocked(mac dot11.MACAddr) {
-	if _, ok := h.peers[mac]; !ok {
-		return
-	}
-	delete(h.peers, mac)
-	for i, m := range h.order {
-		if m == mac {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
+	h.peers.Remove(mac)
 }
 
 // Transmit sends a frame to its addressee(s) over UDP, applying the
@@ -273,24 +209,20 @@ func (h *Hub) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Dura
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if dst.IsMulticast() {
-		for _, mac := range h.order {
-			peer := h.peers[mac]
-			if peer == nil {
-				continue
-			}
-			h.deliverLocked(src, dst, mac, peer.addr, raw, msg, rate)
-		}
+		h.peers.Each(func(mac dot11.MACAddr, to netip.AddrPort) {
+			h.deliverLocked(src, dst, mac, to, raw, msg, rate)
+		})
 		return 0
 	}
-	if peer, ok := h.peers[dst]; ok {
-		h.deliverLocked(src, dst, dst, peer.addr, raw, msg, rate)
+	if to, ok := h.peers.Addr(dst); ok {
+		h.deliverLocked(src, dst, dst, to, raw, msg, rate)
 	}
 	return 0
 }
 
 // deliverLocked judges one (frame, peer) delivery against the fault
 // plan and writes the surviving copies. Callers hold h.mu.
-func (h *Hub) deliverLocked(src, dst, rcv dot11.MACAddr, to net.Addr, raw, msg []byte, rate dot11.Rate) {
+func (h *Hub) deliverLocked(src, dst, rcv dot11.MACAddr, to netip.AddrPort, raw, msg []byte, rate dot11.Rate) {
 	out := msg
 	if h.plan != nil {
 		at := time.Duration(0)
@@ -322,12 +254,12 @@ func (h *Hub) deliverLocked(src, dst, rcv dot11.MACAddr, to net.Addr, raw, msg [
 		}
 		if v.Duplicate {
 			h.stats.FaultDuplicated++
-			if _, err := h.pc.WriteTo(out, to); err == nil {
+			if netmedium.SendTo(h.pc, out, to) == nil {
 				h.stats.FramesOut++
 			}
 		}
 	}
-	if _, err := h.pc.WriteTo(out, to); err == nil {
+	if netmedium.SendTo(h.pc, out, to) == nil {
 		h.stats.FramesOut++
 	}
 }
@@ -342,72 +274,45 @@ func (h *Hub) Serve() error {
 		if err != nil {
 			return err
 		}
-		m, err := netmedium.Unmarshal(buf[:n])
-		if err != nil {
-			h.mu.Lock()
-			h.stats.BadPackets++
-			h.mu.Unlock()
-			continue
-		}
-		switch m.Type {
-		case netmedium.MsgFrame:
-		case netmedium.MsgPong:
-			h.mu.Lock()
-			h.touchLocked(from)
-			h.mu.Unlock()
-			continue
-		case netmedium.MsgPing:
-			h.mu.Lock()
-			h.touchLocked(from)
-			h.mu.Unlock()
-			if pong, err := (netmedium.Message{Type: netmedium.MsgPong}).Marshal(); err == nil {
-				//lint:ignore errdrop best-effort pong; a lost reply looks like a lost packet
-				_, _ = h.pc.WriteTo(pong, from)
-			}
-			continue
-		default:
-			h.mu.Lock()
-			h.stats.BadPackets++
-			h.mu.Unlock()
-			continue
-		}
-		raw := m.Payload
-		h.mu.Lock()
-		if src, ok := srcMAC(raw); ok {
-			h.learnLocked(src, from)
-		}
-		node := h.node
-		h.stats.FramesIn++
-		h.mu.Unlock()
-		if node == nil {
-			continue
-		}
-		rate := m.Rate
-		h.inject <- func(now time.Duration) {
-			node.Receive(raw, rate, now)
-		}
+		h.handle(buf[:n], netmedium.AddrPortOf(from))
 	}
 }
 
-// learnLocked records (or refreshes) a peer endpoint. Callers hold h.mu.
-func (h *Hub) learnLocked(mac dot11.MACAddr, from net.Addr) {
-	if p, ok := h.peers[mac]; ok {
-		p.addr = from
-		p.missed = 0
+// handle applies one datagram from a station. A frame teaches the peer
+// table its transmitter's address and goes to the attached node; any
+// valid datagram resets its sender's liveness count.
+func (h *Hub) handle(b []byte, from netip.AddrPort) {
+	m, err := netmedium.Unmarshal(b)
+	h.mu.Lock()
+	switch {
+	case err != nil:
+		h.stats.BadPackets++
+	case m.Type == netmedium.MsgFrame:
+		if src, ok := srcMAC(m.Payload); ok {
+			h.peers.Learn(src, from)
+		} else {
+			h.peers.Touch(from)
+		}
+		h.stats.FramesIn++
+	case m.Type == netmedium.MsgPing:
+		h.peers.Touch(from)
+		if pong, err := (netmedium.Message{Type: netmedium.MsgPong}).Marshal(); err == nil {
+			//lint:ignore errdrop best-effort pong; a lost reply looks like a lost packet
+			_ = netmedium.SendTo(h.pc, pong, from)
+		}
+	case m.Type == netmedium.MsgPong:
+		h.peers.Touch(from)
+	default:
+		h.stats.BadPackets++
+	}
+	node := h.node
+	h.mu.Unlock()
+	if err != nil || m.Type != netmedium.MsgFrame || node == nil {
 		return
 	}
-	h.peers[mac] = &hubPeer{mac: mac, addr: from}
-	h.order = append(h.order, mac)
-}
-
-// touchLocked resets the liveness counter of the peer at a transport
-// address (pongs carry no MAC). Callers hold h.mu.
-func (h *Hub) touchLocked(from net.Addr) {
-	fs := from.String()
-	for _, p := range h.peers {
-		if p.addr.String() == fs {
-			p.missed = 0
-		}
+	raw, rate := m.Payload, m.Rate
+	h.inject <- func(now time.Duration) {
+		node.Receive(raw, rate, now)
 	}
 }
 

@@ -70,8 +70,8 @@ func startRig(t *testing.T, mode station.Mode, ports []uint16, beaconInterval ti
 	go r.link.Serve()
 	apDone := make(chan struct{})
 	stDone := make(chan struct{})
-	go func() { defer close(apDone); _ = apEng.RunRealtime(ctx, apInject) }()
-	go func() { defer close(stDone); _ = stEng.RunRealtime(ctx, stInject) }()
+	go func() { defer close(apDone); _ = apEng.RunRealtime(ctx, apInject, 1) }()
+	go func() { defer close(stDone); _ = stEng.RunRealtime(ctx, stInject, 1) }()
 	go func() {
 		<-apDone
 		<-stDone

@@ -117,7 +117,7 @@ func TestHubFaultPlanCorrupt(t *testing.T) {
 
 // TestHubLivenessEviction registers two peers; one answers pings, the
 // other goes silent. After enough sweeps only the silent one is
-// evicted and reported.
+// evicted and returned by the sweep.
 func TestHubLivenessEviction(t *testing.T) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -127,10 +127,7 @@ func TestHubLivenessEviction(t *testing.T) {
 	go hub.Serve()
 	defer hub.Close()
 
-	evicted := make(chan dot11.MACAddr, 4)
-	hub.SetLiveness(Liveness{MaxMissedPings: 2}, func(mac dot11.MACAddr) {
-		evicted <- mac
-	})
+	hub.SetLiveness(2)
 
 	liveMAC := dot11.MACAddr{0x02, 0, 0, 0, 0, 0x01}
 	deadMAC := dot11.MACAddr{0x02, 0, 0, 0, 0, 0x02}
@@ -161,11 +158,9 @@ func TestHubLivenessEviction(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		hub.PingPeers()
-		select {
-		case mac := <-evicted:
-			if mac != deadMAC {
-				t.Fatalf("evicted %v, want %v", mac, deadMAC)
+		if evicted := hub.PingPeers(); len(evicted) > 0 {
+			if len(evicted) != 1 || evicted[0] != deadMAC {
+				t.Fatalf("evicted %v, want [%v]", evicted, deadMAC)
 			}
 			if n := hub.Stats().Peers; n != 1 {
 				t.Fatalf("peers after eviction = %d, want 1", n)
@@ -177,7 +172,6 @@ func TestHubLivenessEviction(t *testing.T) {
 				t.Fatal("live peer never answered a ping")
 			}
 			return
-		default:
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no eviction after deadline: %+v", hub.Stats())

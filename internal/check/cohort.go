@@ -325,11 +325,6 @@ func (m EquivMatrix) RunContext(ctx context.Context) (*EquivMatrixResult, error)
 	return &EquivMatrixResult{Results: res}, nil
 }
 
-// Run executes the sweep with a background context.
-func (m EquivMatrix) Run() (*EquivMatrixResult, error) {
-	return m.RunContext(context.Background())
-}
-
 // Failures returns the cells whose cohort diverged from the expanded
 // population.
 func (r *EquivMatrixResult) Failures() []EquivResult {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func runEquivMatrix(t *testing.T, workers int) *EquivMatrixResult {
 		m.Sizes = []int{1, 64}
 		m.Config.Duration = 45 * time.Second
 	}
-	res, err := m.Run()
+	res, err := m.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("equivalence matrix (workers=%d): %v", workers, err)
 	}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"flag"
 	"path/filepath"
 	"sync"
@@ -55,7 +56,7 @@ func figure6Summaries(t *testing.T) []scenarioSummary {
 	return rows
 }
 
-// suiteCache memoizes the per-device core.RunSuite results so the
+// suiteCache memoizes the per-device core.RunSuiteContext results so the
 // figure 7, 8, and 9 subtests share one evaluation per device.
 var suiteCache = struct {
 	sync.Mutex
@@ -69,9 +70,9 @@ func deviceSuite(t *testing.T, dev energy.Profile) *core.Suite {
 	if s, ok := suiteCache.m[dev.Name]; ok {
 		return s
 	}
-	s, err := core.RunSuite(dev, core.Options{})
+	s, err := core.RunSuiteContext(context.Background(), dev, core.Options{})
 	if err != nil {
-		t.Fatalf("RunSuite(%s): %v", dev.Name, err)
+		t.Fatalf("RunSuiteContext(%s): %v", dev.Name, err)
 	}
 	suiteCache.m[dev.Name] = s
 	return s
@@ -128,7 +129,7 @@ func TestGolden(t *testing.T) {
 // the regeneration pipeline is deterministic.
 func TestGoldenDeterminism(t *testing.T) {
 	render := func() []byte {
-		s, err := core.RunSuite(energy.NexusOne, core.Options{})
+		s, err := core.RunSuiteContext(context.Background(), energy.NexusOne, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	a, b := render(), render()
 	if string(a) != string(b) {
-		t.Fatal("two core.RunSuite renderings differ byte-for-byte")
+		t.Fatal("two core.RunSuiteContext renderings differ byte-for-byte")
 	}
 	first := figure6Summaries(t)
 	second := figure6Summaries(t)

@@ -471,12 +471,6 @@ func (m Matrix) RunContext(ctx context.Context) (*MatrixResult, error) {
 	return out, nil
 }
 
-// Run executes the sweep sequentially-compatibly: it is RunContext
-// with a background context.
-func (m Matrix) Run() (*MatrixResult, error) {
-	return m.RunContext(context.Background())
-}
-
 // Failures returns the cells that disagreed or violated an invariant.
 func (r *MatrixResult) Failures() []CellResult {
 	var out []CellResult

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ const testOracleDuration = 5 * time.Minute
 func TestOracleMatrix(t *testing.T) {
 	m := DefaultMatrix()
 	m.Config.Duration = testOracleDuration
-	res, err := m.Run()
+	res, err := m.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("matrix run: %v", err)
 	}

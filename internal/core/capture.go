@@ -17,18 +17,28 @@ type Capture struct {
 	records []trace.PCAPRecord
 }
 
-// StartCapture installs a monitor tap on the medium. It replaces any
-// previously installed tap (including a Monitor's publisher), so use
-// one observability mechanism per run.
+// StartCapture starts recording every frame on the medium. A capture
+// and a Monitor (ServeMonitor) share the network's one medium tap, so
+// a served run can be captured too.
 func (n *Network) StartCapture() *Capture {
-	c := &Capture{}
-	n.Medium.SetTap(func(raw []byte, rate dot11.Rate, at time.Duration) {
+	n.capture = &Capture{}
+	n.Medium.SetTap(n.tap)
+	return n.capture
+}
+
+// tap is the medium's monitor callback once a capture or a Monitor is
+// in use (until then the medium has none): it records the frame and
+// streams it to the monitor's taps.
+func (n *Network) tap(raw []byte, rate dot11.Rate, at time.Duration) {
+	if c := n.capture; c != nil {
 		c.records = append(c.records, trace.PCAPRecord{
 			At:  at,
 			Raw: append([]byte(nil), raw...),
 		})
-	})
-	return c
+	}
+	if m := n.monitor; m != nil {
+		m.Server.Publish(raw, rate, at)
+	}
 }
 
 // Frames returns the number of captured frames.

@@ -7,8 +7,7 @@
 // points fan independent evaluation cells over a worker pool
 // (internal/engine) with a deterministic ordered reduction, so the
 // parallel output is byte-identical to the sequential path for any
-// worker count. The non-context forms are thin shims kept for
-// compatibility.
+// worker count.
 //
 // For the client-side solution the paper compares against "the lower
 // bound energy consumption of the client-side solution derived by the
@@ -82,7 +81,7 @@ type Options struct {
 	// sequential path. The output is identical either way.
 	Workers int
 	// Cohort caps the number of clients folded into one cohort station
-	// in scaling runs (ScaleClientsOptions): 0 or 1 models every client
+	// in scaling runs (ScaleClientsNetwork): 0 or 1 models every client
 	// individually, larger values chunk each port class into cohorts of
 	// at most Cohort members, enabling 10⁵–10⁶ client populations.
 	Cohort int
@@ -219,11 +218,6 @@ func evaluateScratch(ctx context.Context, tr *trace.Trace, useful []bool, dev en
 	return res, nil
 }
 
-// Evaluate runs one policy over a tagged trace for one device.
-func Evaluate(tr *trace.Trace, useful []bool, dev energy.Profile, kind policy.Kind, opts Options) (Result, error) {
-	return EvaluateContext(context.Background(), tr, useful, dev, kind, opts)
-}
-
 // EvaluateFractionContext tags the trace with a uniform useful
 // fraction and evaluates the policy.
 func EvaluateFractionContext(ctx context.Context, tr *trace.Trace, fraction float64, dev energy.Profile, kind policy.Kind, opts Options) (Result, error) {
@@ -235,12 +229,6 @@ func EvaluateFractionContext(ctx context.Context, tr *trace.Trace, fraction floa
 	defer scratchPool.Put(sc)
 	sc.useful = trace.TagUniformInto(sc.useful[:0], tr, fraction, opts.Seed)
 	return evaluateScratch(ctx, tr, sc.useful, dev, kind, opts, sc)
-}
-
-// EvaluateFraction tags the trace with a uniform useful fraction and
-// evaluates the policy.
-func EvaluateFraction(tr *trace.Trace, fraction float64, dev energy.Profile, kind policy.Kind, opts Options) (Result, error) {
-	return EvaluateFractionContext(context.Background(), tr, fraction, dev, kind, opts)
 }
 
 // UsefulFractions is the sweep of Figures 7-8: 10%, 8%, 6%, 4%, 2%.
@@ -314,11 +302,6 @@ func CompareEnergyContext(ctx context.Context, tr *trace.Trace, dev energy.Profi
 	return out, nil
 }
 
-// CompareEnergy evaluates all Figure 7/8 bars for one trace and device.
-func CompareEnergy(tr *trace.Trace, dev energy.Profile, opts Options) (EnergyComparison, error) {
-	return CompareEnergyContext(context.Background(), tr, dev, opts)
-}
-
 // SuspendRow is one trace's worth of Figure 9 bars: the fraction of
 // time in suspend mode under each solution.
 type SuspendRow struct {
@@ -353,11 +336,6 @@ func SuspendFractionsContext(ctx context.Context, tr *trace.Trace, dev energy.Pr
 	row.HIDE10 = res[2].Breakdown.SuspendFraction
 	row.HIDE2 = res[3].Breakdown.SuspendFraction
 	return row, nil
-}
-
-// SuspendFractions evaluates the Figure 9 row for one trace and device.
-func SuspendFractions(tr *trace.Trace, dev energy.Profile, opts Options) (SuspendRow, error) {
-	return SuspendFractionsContext(context.Background(), tr, dev, opts)
 }
 
 // Suite evaluates Figures 7/8 and 9 across all five scenarios for one
@@ -453,12 +431,6 @@ func RunSuiteContext(ctx context.Context, dev energy.Profile, opts Options) (*Su
 		s.Suspend = append(s.Suspend, row)
 	}
 	return s, nil
-}
-
-// RunSuite generates all scenario traces and evaluates the full figure
-// set for the device.
-func RunSuite(dev energy.Profile, opts Options) (*Suite, error) {
-	return RunSuiteContext(context.Background(), dev, opts)
 }
 
 // SavingsRange returns the min and max HIDE saving versus receive-all

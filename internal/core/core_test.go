@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func suiteFor(t *testing.T, dev energy.Profile) *Suite {
 	if s, ok := suites[dev.Name]; ok {
 		return s
 	}
-	s, err := RunSuite(dev, Options{})
+	s, err := RunSuiteContext(context.Background(), dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +31,10 @@ func TestEvaluateFractionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateFraction(tr, -0.1, energy.NexusOne, policy.HIDE, Options{}); err == nil {
+	if _, err := EvaluateFractionContext(context.Background(), tr, -0.1, energy.NexusOne, policy.HIDE, Options{}); err == nil {
 		t.Error("negative fraction accepted")
 	}
-	if _, err := EvaluateFraction(tr, 1.5, energy.NexusOne, policy.HIDE, Options{}); err == nil {
+	if _, err := EvaluateFractionContext(context.Background(), tr, 1.5, energy.NexusOne, policy.HIDE, Options{}); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
 }
@@ -173,7 +174,7 @@ func TestEvaluateResultMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := EvaluateFraction(tr, 0.10, energy.GalaxyS4, policy.HIDE, Options{})
+	r, err := EvaluateFractionContext(context.Background(), tr, 0.10, energy.GalaxyS4, policy.HIDE, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestClientSideSweepPicksCheapWakelockOnLightTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := EvaluateFraction(tr, 0.10, energy.NexusOne, policy.ClientSide, Options{})
+	r, err := EvaluateFractionContext(context.Background(), tr, 0.10, energy.NexusOne, policy.ClientSide, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +213,11 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := EvaluateFraction(tr, 0.10, energy.NexusOne, policy.HIDE, Options{})
+	a, err := EvaluateFractionContext(context.Background(), tr, 0.10, energy.NexusOne, policy.HIDE, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateFraction(tr, 0.10, energy.NexusOne, policy.HIDE, Options{})
+	b, err := EvaluateFractionContext(context.Background(), tr, 0.10, energy.NexusOne, policy.HIDE, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestSeedSweepRobustness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := SweepSeeds(tr, energy.NexusOne, 0.10, DefaultSweepSeeds)
+		sw, err := SweepSeedsContext(context.Background(), tr, energy.NexusOne, 0.10, DefaultSweepSeeds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestSweepSeedsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := SweepSeeds(tr, energy.NexusOne, 0.10, nil)
+	sw, err := SweepSeedsContext(context.Background(), tr, energy.NexusOne, 0.10, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +300,11 @@ func TestScaleClientsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScaleClients(tr, energy.NexusOne, []int{0}); err == nil {
+	if _, err := ScaleClientsNetwork(NetworkConfig{}, tr, energy.NexusOne, []int{0}, Options{}); err == nil {
 		t.Error("population 0 accepted")
 	}
 	empty := &trace.Trace{Name: "e", Duration: time.Minute}
-	if _, err := ScaleClients(empty, energy.NexusOne, []int{1}); err == nil {
+	if _, err := ScaleClientsNetwork(NetworkConfig{}, empty, energy.NexusOne, []int{1}, Options{}); err == nil {
 		t.Error("portless trace accepted")
 	}
 }

@@ -27,7 +27,8 @@ type Network struct {
 	SSID    string
 	entries []netEntry
 	cohorts []*station.CohortStation
-	monitor *Monitor
+	capture *Capture // fed by tap
+	monitor *Monitor // fed by tap
 
 	seed          uint64
 	harden        bool

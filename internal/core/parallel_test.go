@@ -81,12 +81,12 @@ func TestSweepSeedsParallelDeterminism(t *testing.T) {
 	if seq != par {
 		t.Fatalf("parallel SweepSeeds differs: %+v vs %+v", par, seq)
 	}
-	legacy, err := SweepSeeds(tr, energy.NexusOne, 0.10, DefaultSweepSeeds)
+	auto, err := SweepSeedsContext(context.Background(), tr, energy.NexusOne, 0.10, DefaultSweepSeeds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy != seq {
-		t.Fatalf("compatibility shim diverged: %+v vs %+v", legacy, seq)
+	if auto != seq {
+		t.Fatalf("default worker count diverged: %+v vs %+v", auto, seq)
 	}
 }
 
@@ -148,11 +148,11 @@ func TestSeedZeroSelectable(t *testing.T) {
 		t.Fatalf("WithSeed(0) normalized to seed %#x, want 0", explicit.Seed)
 	}
 
-	rDef, err := EvaluateFraction(tr, 0.10, energy.NexusOne, policy.HIDE, Options{})
+	rDef, err := EvaluateFractionContext(context.Background(), tr, 0.10, energy.NexusOne, policy.HIDE, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rZero, err := EvaluateFraction(tr, 0.10, energy.NexusOne, policy.HIDE, Options{}.WithSeed(0))
+	rZero, err := EvaluateFractionContext(context.Background(), tr, 0.10, energy.NexusOne, policy.HIDE, Options{}.WithSeed(0))
 	if err != nil {
 		t.Fatal(err)
 	}

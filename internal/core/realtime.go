@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/dot11"
 	"repro/internal/netmedium"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -16,36 +16,53 @@ import (
 // exposes it over the network: taps subscribe for a monitor-mode frame
 // stream and can inject broadcast traffic into the AP while the
 // simulation runs — the live-observability surface of the simulator.
+// It runs on the same live machinery as the hided/hidec daemons: the
+// engine's RunRealtime driver, its inject channel, and the shared
+// netmedium peer table.
 
 // defaultPingEvery is the default liveness-sweep cadence in virtual
 // time.
 const defaultPingEvery = time.Second
 
+// monitorInjects bounds the inject requests queued for the engine: 64
+// absorbs a burst of tap requests while the engine is busy with an
+// event. Past that, or while no replay drains the queue, a request is
+// dropped like a lost datagram rather than stall the server's read
+// loop.
+const monitorInjects = 64
+
 // Monitor couples a Network to a netmedium server.
 type Monitor struct {
 	Server *netmedium.Server
 
-	mu        sync.Mutex
-	pending   []netmedium.InjectRequest
+	inject    chan sim.Event // requests awaiting the engine; see monitorInjects
 	served    chan struct{}
 	pingEvery time.Duration // 0 = defaultPingEvery
 }
 
 // ServeMonitor starts a monitor/inject service on pc. Every frame on
-// the medium streams to subscribers; inject requests are applied at
-// the next simulation step. The returned Monitor's Close stops the
-// service.
+// the medium streams to subscribers; inject requests are applied on
+// the engine while ReplayRealtime runs. The returned Monitor's Close
+// stops the service.
 //
 //lint:ignore ctxfirst the monitor lifetime is owned by Close, not a context
 func (n *Network) ServeMonitor(pc net.PacketConn) *Monitor {
-	m := &Monitor{served: make(chan struct{})}
+	m := &Monitor{inject: make(chan sim.Event, monitorInjects), served: make(chan struct{})}
 	m.Server = netmedium.NewServer(pc, func(req netmedium.InjectRequest) {
-		m.mu.Lock()
-		m.pending = append(m.pending, req)
-		m.mu.Unlock()
+		ev := func(time.Duration) {
+			n.AP.EnqueueGroup(dot11.UDPDatagram{
+				DstIP:   [4]byte{255, 255, 255, 255},
+				DstPort: req.DstPort,
+				Payload: make([]byte, int(req.PayloadSize)),
+			}, dot11.Rate1Mbps)
+		}
+		select {
+		case m.inject <- ev:
+		default: // queue full: dropped, see monitorInjects
+		}
 	})
-	n.Medium.SetTap(m.Server.Publish)
 	n.monitor = m
+	n.Medium.SetTap(n.tap)
 	//lint:ignore gojoin the serve goroutine IS the monitor's lifetime — Close joins it through the served channel; it cannot join here or ServeMonitor would never return
 	go func() {
 		defer close(m.served)
@@ -57,22 +74,10 @@ func (n *Network) ServeMonitor(pc net.PacketConn) *Monitor {
 // SetLiveness configures the tap-eviction parameters: pingEvery is
 // the sweep cadence in virtual time (0 keeps the one-second default),
 // maxMissed is how many unanswered sweeps evict a tap (<1 keeps the
-// default of 3).
+// default of 3). Call it before ReplayRealtime.
 func (m *Monitor) SetLiveness(pingEvery time.Duration, maxMissed int) {
-	m.mu.Lock()
 	m.pingEvery = pingEvery
-	m.mu.Unlock()
 	m.Server.SetLiveness(maxMissed)
-}
-
-// livenessInterval is the effective sweep cadence.
-func (m *Monitor) livenessInterval() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.pingEvery > 0 {
-		return m.pingEvery
-	}
-	return defaultPingEvery
 }
 
 // Close stops the monitor service and waits for its goroutine.
@@ -82,94 +87,44 @@ func (m *Monitor) Close() error {
 	return err
 }
 
-// drainInto applies pending inject requests to the AP.
-func (m *Monitor) drainInto(n *Network) {
-	m.mu.Lock()
-	reqs := m.pending
-	m.pending = nil
-	m.mu.Unlock()
-	for _, r := range reqs {
-		n.AP.EnqueueGroup(dot11.UDPDatagram{
-			DstIP:   [4]byte{255, 255, 255, 255},
-			DstPort: r.DstPort,
-			Payload: make([]byte, int(r.PayloadSize)),
-		}, dot11.Rate1Mbps)
-	}
-}
-
 // ReplayRealtime replays the trace paced to the wall clock: one second
-// of virtual time takes 1/speed wall seconds. Pending monitor injects
-// are applied between simulation steps. The context cancels the run
-// early.
+// of virtual time takes 1/speed wall seconds. It is Replay run by
+// sim.Engine.RunRealtime instead of RunUntil, and ends in the same
+// state: the run stops once every event up to the trace duration plus
+// one beacon interval has fired. With a Monitor serving, tap injects
+// are applied on the engine and a periodic event sweeps tap liveness.
+// The context cancels the run early.
 func (n *Network) ReplayRealtime(ctx context.Context, tr *trace.Trace, speed float64) error {
 	if speed <= 0 {
 		return fmt.Errorf("core: non-positive realtime speed %v", speed)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := n.ScheduleReplay(tr); err != nil {
 		return err
 	}
-	n.AP.Start()
-	for _, f := range tr.Frames {
-		f := f
-		payload := f.Length - dot11.MACHeaderLen - dot11.UDPEncapsLen
-		if payload < 0 {
-			payload = 0
+	var inject chan sim.Event
+	if m := n.monitor; m != nil {
+		inject = m.inject
+		every := m.pingEvery
+		if every <= 0 {
+			every = defaultPingEvery
 		}
-		if _, err := n.Engine.ScheduleAt(f.At, func(time.Duration) {
-			n.AP.EnqueueGroup(dot11.UDPDatagram{
-				DstIP:   [4]byte{255, 255, 255, 255},
-				DstPort: f.DstPort,
-				Payload: make([]byte, payload),
-			}, f.Rate)
-		}); err != nil {
-			return fmt.Errorf("core: scheduling trace frame: %w", err)
+		var sweep sim.Event
+		sweep = func(time.Duration) {
+			m.Server.PingTaps()
+			n.Engine.MustScheduleAfter(every, sweep)
 		}
+		n.Engine.MustScheduleAfter(every, sweep)
 	}
-	end := tr.Duration + dot11.DefaultBeaconInterval
-
-	// minSleep bounds timer churn: virtual gaps shorter than this (in
-	// wall time) dispatch immediately.
-	const minSleep = 200 * time.Microsecond
-	// Liveness sweeps reap crashed taps at the configured cadence
-	// (default once per virtual second).
-	pingEvery := defaultPingEvery
-	if n.monitor != nil {
-		pingEvery = n.monitor.livenessInterval()
+	// stop ends the run like RunUntil(end): it waits for the rest of
+	// its instant, including events scheduled there after it, to fire.
+	var stop sim.Event
+	stop = func(now time.Duration) {
+		if next, ok := n.Engine.NextEventAt(); ok && next <= now {
+			n.Engine.MustScheduleAt(now, stop)
+			return
+		}
+		n.Engine.Stop()
 	}
-	nextPing := pingEvery
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		if n.monitor != nil {
-			n.monitor.drainInto(n)
-			if now := n.Engine.Now(); now >= nextPing {
-				n.monitor.Server.PingTaps()
-				for nextPing <= now {
-					nextPing += pingEvery
-				}
-			}
-		}
-		next, ok := n.Engine.NextEventAt()
-		if !ok || next > end {
-			break
-		}
-		if gap := next - n.Engine.Now(); gap > 0 {
-			wall := time.Duration(float64(gap) / speed)
-			if wall >= minSleep {
-				timer := time.NewTimer(wall)
-				select {
-				case <-ctx.Done():
-					timer.Stop()
-					return ctx.Err()
-				case <-timer.C:
-				}
-			}
-		}
-		n.Engine.Step()
-	}
-	n.Engine.RunUntil(end)
-	return nil
+	n.Engine.MustScheduleAt(tr.Duration+dot11.DefaultBeaconInterval, stop)
+	return n.Engine.RunRealtime(ctx, inject, speed)
 }

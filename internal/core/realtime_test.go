@@ -58,6 +58,34 @@ func TestReplayRealtimeMatchesVirtualReplay(t *testing.T) {
 	}
 }
 
+func TestReplayRealtimeEndsLikeReplay(t *testing.T) {
+	// The run ends one beacon interval after the trace: with a 1.024 s
+	// trace that is exactly the 11th beacon, scheduled by the previous
+	// beacon after the stopping event. Replay's RunUntil fires it, so
+	// the realtime run must too, and stop at the same clock.
+	tr := shortTrace(t, 10*dot11.DefaultBeaconInterval, 2)
+	run := func(realtime bool) (int, time.Duration) {
+		n, err := NewNetwork(NetworkConfig{HIDE: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if realtime {
+			err = n.ReplayRealtime(context.Background(), tr, 100)
+		} else {
+			err = n.Replay(tr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.AP.Stats().BeaconsSent, n.Engine.Now()
+	}
+	vb, vnow := run(false)
+	rb, rnow := run(true)
+	if rb != vb || rnow != vnow {
+		t.Fatalf("realtime run sent %d beacons and stopped at %v; virtual %d at %v", rb, rnow, vb, vnow)
+	}
+}
+
 func TestReplayRealtimeCancellation(t *testing.T) {
 	n, err := NewNetwork(NetworkConfig{HIDE: true})
 	if err != nil {
@@ -155,6 +183,107 @@ func TestLiveMonitorStreamsAndInjects(t *testing.T) {
 	}
 }
 
+// serveMonitor starts a monitor on loopback with one subscribed tap.
+func serveMonitor(t *testing.T, n *Network) (*Monitor, *netmedium.Tap) {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := n.ServeMonitor(pc)
+	t.Cleanup(func() { mon.Close() })
+	tap, err := netmedium.Dial(mon.Server.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tap.Close() })
+	waitFor(t, "tap subscription", func() bool { return mon.Server.Stats().Subscribers == 1 })
+	return mon, tap
+}
+
+// waitFor polls cond until it holds, failing after a generous
+// slow-machine deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestCaptureWhileServingMonitor(t *testing.T) {
+	// A capture and a monitor share the medium's one tap: a served
+	// realtime run captures exactly the frames a capture-only virtual
+	// replay does, and the subscribed tap is sent every one of them.
+	tr := shortTrace(t, time.Minute, 2)
+	build := func() *Network {
+		n, err := NewNetwork(NetworkConfig{HIDE: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.AddStation(station.HIDE, []uint16{5353}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	alone := build()
+	want := alone.StartCapture()
+	if err := alone.Replay(tr); err != nil {
+		t.Fatal(err)
+	}
+
+	served := build()
+	got := served.StartCapture()
+	mon, _ := serveMonitor(t, served)
+	mon.SetLiveness(time.Hour, 0) // the tap never reads, so never pongs
+	if err := served.ReplayRealtime(context.Background(), tr, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if want.Frames() == 0 || got.Frames() != want.Frames() {
+		t.Fatalf("served run captured %d frames, capture-only run %d", got.Frames(), want.Frames())
+	}
+	if sent := mon.Server.Stats().FramesSent; sent != got.Frames() {
+		t.Fatalf("monitor streamed %d frames to its tap, capture recorded %d", sent, got.Frames())
+	}
+}
+
+func TestMonitorCloseAfterInjectFlood(t *testing.T) {
+	// Injects that arrive after the replay has ended find no engine to
+	// drain them: the bounded queue fills and the rest are dropped, so
+	// the server keeps reading and Close still returns.
+	n, err := NewNetwork(NetworkConfig{HIDE: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, tap := serveMonitor(t, n)
+	if err := n.ReplayRealtime(context.Background(), shortTrace(t, time.Second, 1), 1000); err != nil {
+		t.Fatal(err)
+	}
+	const flood = 4 * monitorInjects
+	for sent := 0; sent < flood; {
+		// Batches small enough for the socket buffer, so every request
+		// reaches the server and its count proves the read loop ran on.
+		for i := 0; i < 16; i++ {
+			if err := tap.Inject(netmedium.InjectRequest{DstPort: 5353, PayloadSize: 8}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent += 16
+		waitFor(t, "inject batch", func() bool { return mon.Server.Stats().Injects == sent })
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- mon.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked after an inject flood")
+	}
+}
+
 func TestCaptureClosesTheLoop(t *testing.T) {
 	// Generate → simulate → capture to pcap → re-import: the re-imported
 	// broadcast trace must contain exactly the group frames the AP sent,
@@ -198,7 +327,7 @@ func TestCaptureClosesTheLoop(t *testing.T) {
 		}
 	}
 	// The re-imported trace drives the analytic pipeline end to end.
-	r, err := EvaluateFraction(got, 0.10, energy.NexusOne, policy.ReceiveAll, Options{})
+	r, err := EvaluateFractionContext(context.Background(), got, 0.10, energy.NexusOne, policy.ReceiveAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

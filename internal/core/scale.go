@@ -58,13 +58,6 @@ type ScalePoint struct {
 	MeanUseful float64
 }
 
-// ScaleClients replays the trace against populations of HIDE stations.
-// Station i listens on a port drawn round-robin from the trace's port
-// set, so usefulness is spread across the population.
-func ScaleClients(tr *trace.Trace, dev energy.Profile, sizes []int) ([]ScalePoint, error) {
-	return scaleIndividual(NetworkConfig{HIDE: true}, tr, dev, sizes, Options{})
-}
-
 // scaleIndividual is the individually-modeled-station scaling path,
 // parameterized by the network configuration and the execution mode
 // (opts.WindowWorkers).
@@ -120,22 +113,20 @@ func scaleIndividual(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, siz
 	return out, nil
 }
 
-// ScaleClientsOptions is ScaleClients with an Options knob: when
-// opts.Cohort > 1 each port class is modeled as cohort stations of at
-// most opts.Cohort members instead of individual stations, which lifts
-// the reachable population from the AID-space ceiling (2007) to 10⁵–10⁶
-// clients. Class sizes match ScaleClients' round-robin assignment
-// (port i serves ⌈n/len(ports)⌉ or ⌊n/len(ports)⌋ members); per-station
+// ScaleClientsNetwork replays the trace against populations of HIDE
+// stations on a BSS built from cfg, so scaling studies can set
+// protocol knobs beyond the default — hardened fail-safes, refresh
+// jitter, custom DTIM periods. cfg.HIDE is forced on: the experiment
+// measures the HIDE control plane. Station i listens on a port drawn
+// round-robin from the trace's port set, so usefulness is spread
+// across the population.
+//
+// When opts.Cohort > 1 each port class is modeled as cohort stations
+// of at most opts.Cohort members instead of individual stations, which
+// lifts the reachable population from the AID-space ceiling (2007) to
+// 10⁵–10⁶ clients. Class sizes match the round-robin assignment (port
+// i serves ⌈n/len(ports)⌉ or ⌊n/len(ports)⌋ members); per-station
 // energy comes from one member per cohort scaled by the cohort width.
-func ScaleClientsOptions(tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
-	return ScaleClientsNetwork(NetworkConfig{HIDE: true}, tr, dev, sizes, opts)
-}
-
-// ScaleClientsNetwork is ScaleClientsOptions with an explicit network
-// configuration, for scaling studies that need protocol knobs beyond
-// the default BSS — hardened fail-safes, refresh jitter, custom DTIM
-// periods. cfg.HIDE is forced on: the experiment measures the HIDE
-// control plane.
 func ScaleClientsNetwork(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
 	cfg.HIDE = true
 	if opts.Cohort <= 1 {
@@ -212,7 +203,7 @@ func DefaultScaleClients(dev energy.Profile) ([]ScalePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ScaleClients(tr, dev, []int{1, 5, 15, 40})
+	return ScaleClientsNetwork(NetworkConfig{HIDE: true}, tr, dev, []int{1, 5, 15, 40}, Options{})
 }
 
 // DefaultScaleCohorts runs the cohort-backed scaling experiment on the
@@ -227,7 +218,7 @@ func DefaultScaleCohorts(dev energy.Profile) ([]ScalePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ScaleClientsOptions(tr, dev, []int{2007, 100_000, 1_000_000}, Options{Cohort: 1 << 30})
+	return ScaleClientsNetwork(NetworkConfig{HIDE: true}, tr, dev, []int{2007, 100_000, 1_000_000}, Options{Cohort: 1 << 30})
 }
 
 // RefreshJitterPoint is one cell of the hardened-refresh congestion
@@ -291,8 +282,8 @@ type PortCoalescePoint struct {
 // Port Message frame. The sweep takes one DTIM span (the tightest
 // window that can span two suspend attempts) and the hardened refresh
 // cadence of three spans (the largest window that never starves a TTL
-// refresh); past that the knob would merely re-create SyncOnlyOnChange
-// and its known fail-safe gap (DESIGN.md §7).
+// refresh); past that the window stops being freshness-bounded in
+// practice and re-opens the known fail-safe gap (DESIGN.md §7).
 func DefaultPortCoalesceStudy(dev energy.Profile) ([]PortCoalescePoint, error) {
 	tr, err := defaultScaleTrace()
 	if err != nil {

@@ -82,10 +82,5 @@ func SweepSeedsContext(ctx context.Context, tr *trace.Trace, dev energy.Profile,
 	return out, nil
 }
 
-// SweepSeeds evaluates HIDE's saving across tagging seeds.
-func SweepSeeds(tr *trace.Trace, dev energy.Profile, fraction float64, seeds []uint64) (SeedSweep, error) {
-	return SweepSeedsContext(context.Background(), tr, dev, fraction, seeds, Options{})
-}
-
 // DefaultSweepSeeds is a small deterministic seed set.
 var DefaultSweepSeeds = []uint64{1, 7, 42, 1001, 0xdeadbeef}

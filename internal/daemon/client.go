@@ -293,7 +293,7 @@ func (c *Client) Run(ctx context.Context) error {
 	c.st.StartAssociation(c.cfg.SSID)
 	c.scheduleWatchdog()
 
-	err := c.eng.RunRealtime(runCtx, c.inject)
+	err := c.eng.RunRealtime(runCtx, c.inject, 1)
 	close(c.engDone)
 	if c.lost.Load() {
 		return fmt.Errorf("%w (no beacon from %s for %v)", ErrConnectionLost, c.cfg.BSSID, c.cfg.DeadTimeout)

@@ -111,7 +111,7 @@ func New(cfg Config) (*Daemon, error) {
 		PortTTL:        time.Duration(cfg.PortTTL),
 	})
 	d.hub.SetClock(func() time.Duration { return d.eng.Now() })
-	d.hub.SetLiveness(airlink.Liveness{MaxMissedPings: cfg.MaxMissedPings}, d.onEvict)
+	d.hub.SetLiveness(cfg.MaxMissedPings)
 	d.httpSrv = &http.Server{Handler: control.NewServer(d).Handler()}
 	return d, nil
 }
@@ -234,7 +234,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		map[bool]string{true: "legacy", false: "HIDE"}[d.cfg.Legacy],
 		d.cfg.SSID, d.AirAddr(), d.ControlAddr(), d.cfg.BSSID, d.cfg.DTIMPeriod)
 
-	err := d.eng.RunRealtime(runCtx, d.inject)
+	err := d.eng.RunRealtime(runCtx, d.inject, 1)
 	close(d.engDone)
 	if errors.Is(err, context.Canceled) {
 		// The engine only stops via runCtx, which falls after a clean
@@ -296,11 +296,11 @@ func (d *Daemon) onEngine(timeout time.Duration, fn func(now time.Duration)) err
 	}
 }
 
-// onEvict is the hub's liveness-eviction callback. It runs on the
-// engine goroutine (PingPeers is driven from the sweep event), so it
-// may touch AP state directly: log the eviction with its AID, then
-// disassociate to flush the association and its port-table entries.
-func (d *Daemon) onEvict(mac dot11.MACAddr) {
+// evict handles a peer the hub's liveness sweep evicted. It runs on
+// the engine goroutine (the sweep event), so it may touch AP state
+// directly: log the eviction with its AID, then disassociate to flush
+// the association and its port-table entries.
+func (d *Daemon) evict(mac dot11.MACAddr) {
 	d.evictions.Add(1)
 	if aid, ok := d.ap.AIDOf(mac); ok {
 		d.logf("liveness: evicting aid=%d mac=%s (unanswered pings)", aid, mac)
@@ -315,7 +315,9 @@ func (d *Daemon) onEvict(mac dot11.MACAddr) {
 func (d *Daemon) schedulePingSweep() {
 	var sweep func(now time.Duration)
 	sweep = func(now time.Duration) {
-		d.hub.PingPeers()
+		for _, mac := range d.hub.PingPeers() {
+			d.evict(mac)
+		}
 		d.eng.MustScheduleAfter(time.Duration(d.Config().PingInterval), sweep)
 	}
 	d.eng.MustScheduleAfter(time.Duration(d.cfg.PingInterval), sweep)
@@ -462,7 +464,7 @@ func (d *Daemon) Reload() (string, error) {
 	d.cfg = merged
 	d.mu.Unlock()
 	if cur.MaxMissedPings != merged.MaxMissedPings {
-		d.hub.SetLiveness(airlink.Liveness{MaxMissedPings: merged.MaxMissedPings}, d.onEvict)
+		d.hub.SetLiveness(merged.MaxMissedPings)
 	}
 	if cur.Scenario != merged.Scenario {
 		if err := d.switchReplay(merged.Scenario); err != nil {

@@ -83,11 +83,6 @@ type ChurnResult struct {
 	Duration time.Duration
 }
 
-// RunChurn is RunChurnContext with a background context.
-func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
-	return RunChurnContext(context.Background(), cfg)
-}
-
 // RunChurnContext runs one churn cell: a hardened K-AP ESS of HIDE
 // stations under seed-driven mobility. Hardening is forced on — the
 // TTL-refresh piggyback is the mechanism that eventually closes a

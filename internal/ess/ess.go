@@ -421,9 +421,6 @@ func (e *ESS) StationEnergy(st *station.Station, dev energy.Profile, duration ti
 	return e.shards[0].Net.StationEnergy(st, dev, duration, withOverhead)
 }
 
-// Run is RunContext with a background context.
-func (e *ESS) Run(tr *trace.Trace) error { return e.RunContext(context.Background(), tr) }
-
 // RunContext replays the broadcast trace through every AP (the same
 // upstream broadcast reaches each AP from the distribution system)
 // and drives all shards to the trace end in lockstep windows, merging

@@ -1,6 +1,7 @@
 package ess
 
 import (
+	"context"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
@@ -93,7 +94,7 @@ func TestK1RoamFreeMatchesNetwork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(tr); err != nil {
+	if err := e.RunContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,7 +125,7 @@ func TestRoamsHappenAndReassociate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(tr); err != nil {
+	if err := e.RunContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -158,11 +159,11 @@ func TestColdVsReplicatedResyncWindow(t *testing.T) {
 	warm := base
 	warm.Replicate = true
 
-	cr, err := RunChurn(cold)
+	cr, err := RunChurnContext(context.Background(), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := RunChurn(warm)
+	wr, err := RunChurnContext(context.Background(), warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if _, err := e.AddCohort(station.HIDE, []uint16{5353}, 4, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(tr); err != nil {
+		if err := e.RunContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 		fps := make([]uint64, len(ds))
@@ -246,7 +247,7 @@ func TestCohortHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(tr); err != nil {
+	if err := e.RunContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()

@@ -70,7 +70,7 @@ func TestPongKeepsSubscriberAlive(t *testing.T) {
 		waitFor(t, "pong processed", func() bool {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
-			for _, sub := range srv.subs {
+			for _, sub := range srv.taps.order {
 				if sub.missed == 0 {
 					return true
 				}
@@ -111,12 +111,12 @@ func TestTapAutoPongsAndStillReceivesFrames(t *testing.T) {
 		waitFor(t, "pong processed", func() bool {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
-			for _, sub := range srv.subs {
+			for _, sub := range srv.taps.order {
 				if sub.missed != 0 {
 					return false
 				}
 			}
-			return len(srv.subs) > 0
+			return srv.taps.Len() > 0
 		})
 	}
 	if st := srv.Stats(); st.Subscribers != 1 || st.Evictions != 0 {

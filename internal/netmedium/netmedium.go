@@ -21,6 +21,12 @@
 // is the raw 802.11 frame; server→tap only), Inject (payload is a
 // 4-byte header: dst UDP port (2) + frame payload size (2); tap→server
 // only), and Pong/Ping for liveness.
+//
+// The package also holds what both UDP servers of the live runtime
+// share: the codec, which internal/airlink reuses for its virtual air,
+// and Peers, the ordered ping/pong liveness table that keeps this
+// server's taps and the airlink hub's stations under one sweep and one
+// eviction rule.
 package netmedium
 
 import (
@@ -29,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -147,37 +154,29 @@ type Stats struct {
 	Evictions int
 }
 
-// maxMissedPings is the default for how many consecutive PingTaps
-// sweeps a subscriber may leave unanswered before it is evicted
-// (configurable per server via SetLiveness). A tap that crashed
-// without unsubscribing would otherwise receive every published frame
-// forever.
+// maxMissedPings is the default for how many consecutive sweeps a
+// peer may leave unanswered before the next one evicts it
+// (configurable per server via SetLiveness). A peer that crashed
+// without saying goodbye would otherwise be sent every frame forever.
 const maxMissedPings = 3
 
-// subscriber is one tap with its liveness state.
-type subscriber struct {
-	addr   net.Addr
-	missed int // consecutive unanswered pings
-}
-
 // Server relays monitor frames to taps and inject requests into the
-// simulation. It is safe for concurrent use: Publish is called from
-// the simulation loop while Serve reads the socket.
+// simulation. It is safe for concurrent use: Publish and PingTaps are
+// called from the simulation loop while Serve reads the socket.
 type Server struct {
 	pc     net.PacketConn
 	inject func(InjectRequest)
 
-	mu        sync.Mutex
-	subs      map[string]*subscriber
-	stats     Stats
-	maxMissed int // 0 = the maxMissedPings default
+	mu    sync.Mutex
+	taps  Peers[netip.AddrPort] // keyed by their own address
+	stats Stats
 }
 
 // NewServer wraps a packet connection. inject is called (from the
-// Serve goroutine) for every valid inject request; nil disables
-// injection.
+// Serve goroutine) for every valid inject request and must not block;
+// nil disables injection.
 func NewServer(pc net.PacketConn, inject func(InjectRequest)) *Server {
-	return &Server{pc: pc, inject: inject, subs: make(map[string]*subscriber)}
+	return &Server{pc: pc, inject: inject}
 }
 
 // Addr returns the server's listen address.
@@ -188,7 +187,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Subscribers = len(s.subs)
+	st.Subscribers = s.taps.Len()
 	return st
 }
 
@@ -201,63 +200,43 @@ func (s *Server) Serve() error {
 		if err != nil {
 			return err
 		}
-		m, err := Unmarshal(buf[:n])
-		if err != nil {
-			s.mu.Lock()
-			s.stats.BadPackets++
-			s.mu.Unlock()
-			continue
-		}
-		switch m.Type {
-		case MsgSubscribe:
-			s.mu.Lock()
-			s.subs[from.String()] = &subscriber{addr: from}
-			s.mu.Unlock()
-		case MsgUnsubscribe:
-			s.mu.Lock()
-			delete(s.subs, from.String())
-			s.mu.Unlock()
-		case MsgInject:
-			req, err := parseInject(m.Payload)
-			if err != nil {
-				s.mu.Lock()
-				s.stats.BadPackets++
-				s.mu.Unlock()
-				continue
-			}
-			s.mu.Lock()
-			s.stats.Injects++
-			s.touch(from)
-			inject := s.inject
-			s.mu.Unlock()
-			if inject != nil {
-				inject(req)
-			}
-		case MsgPing:
-			s.mu.Lock()
-			s.touch(from)
-			s.mu.Unlock()
-			pong, err := Message{Type: MsgPong}.Marshal()
-			if err == nil {
-				//lint:ignore errdrop best-effort pong; a lost reply looks like a lost packet
-				_, _ = s.pc.WriteTo(pong, from)
-			}
-		case MsgPong:
-			s.mu.Lock()
-			s.touch(from)
-			s.mu.Unlock()
-		default:
-			s.mu.Lock()
-			s.stats.BadPackets++
-			s.mu.Unlock()
-		}
+		s.handle(buf[:n], AddrPortOf(from))
 	}
 }
 
-// touch marks a subscriber alive. Callers hold s.mu.
-func (s *Server) touch(from net.Addr) {
-	if sub, ok := s.subs[from.String()]; ok {
-		sub.missed = 0
+// handle applies one datagram from a tap. Any valid message from a
+// subscriber resets its liveness count.
+func (s *Server) handle(b []byte, from netip.AddrPort) {
+	m, err := Unmarshal(b)
+	var req InjectRequest
+	if err == nil && m.Type == MsgInject {
+		req, err = parseInject(m.Payload)
+	}
+	s.mu.Lock()
+	switch {
+	case err != nil:
+		s.stats.BadPackets++
+	case m.Type == MsgSubscribe:
+		s.taps.Learn(from, from)
+	case m.Type == MsgUnsubscribe:
+		s.taps.Remove(from)
+	case m.Type == MsgInject:
+		s.stats.Injects++
+		s.taps.Touch(from)
+	case m.Type == MsgPing:
+		s.taps.Touch(from)
+		if pong, err := (Message{Type: MsgPong}).Marshal(); err == nil {
+			//lint:ignore errdrop best-effort pong; a lost reply looks like a lost packet
+			_ = SendTo(s.pc, pong, from)
+		}
+	case m.Type == MsgPong:
+		s.taps.Touch(from)
+	default:
+		s.stats.BadPackets++
+	}
+	s.mu.Unlock()
+	if err == nil && m.Type == MsgInject && s.inject != nil {
+		s.inject(req)
 	}
 }
 
@@ -267,15 +246,15 @@ func (s *Server) touch(from net.Addr) {
 func (s *Server) SetLiveness(maxMissed int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.maxMissed = maxMissed
+	s.taps.SetMaxMissed(maxMissed)
 }
 
-// PingTaps runs one liveness sweep: subscribers that have left the
-// configured number of consecutive sweeps unanswered (SetLiveness;
-// default 3) are evicted, the rest are pinged again. Drive it at a
-// steady cadence (ReplayRealtime's cadence is configurable via
-// Monitor.SetLiveness); any message from a tap — a Pong, an Inject,
-// even a fresh Subscribe — resets its counter.
+// PingTaps runs one liveness sweep of the tap table (Peers.Sweep):
+// subscribers that have left the configured number of consecutive
+// sweeps unanswered (SetLiveness; default 3) are evicted, the rest are
+// pinged again. Drive it at a steady cadence (ReplayRealtime's sweep
+// event, configurable via Monitor.SetLiveness); any message from a tap
+// — a Pong, an Inject, even a fresh Subscribe — resets its counter.
 func (s *Server) PingTaps() {
 	ping, err := Message{Type: MsgPing}.Marshal()
 	if err != nil {
@@ -283,31 +262,17 @@ func (s *Server) PingTaps() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	limit := s.maxMissed
-	if limit < 1 {
-		limit = maxMissedPings
-	}
-	for key, sub := range s.subs {
-		if sub.missed >= limit {
-			delete(s.subs, key)
-			s.stats.Evictions++
-			continue
-		}
-		sub.missed++
-		if _, err := s.pc.WriteTo(ping, sub.addr); err != nil {
-			delete(s.subs, key)
-			s.stats.Evictions++
-			continue
-		}
-		s.stats.PingsSent++
-	}
+	evicted, sent := s.taps.Sweep(func(addr netip.AddrPort) error { return SendTo(s.pc, ping, addr) })
+	s.stats.PingsSent += sent
+	s.stats.Evictions += len(evicted)
 }
 
 // Close shuts the server down; Serve returns.
 func (s *Server) Close() error { return s.pc.Close() }
 
-// Publish streams one monitor frame to every subscriber. Send errors
-// drop the subscriber (taps that went away).
+// Publish streams one monitor frame to every subscriber, in
+// subscription order. A tap that cannot be reached is left to the
+// liveness sweep.
 func (s *Server) Publish(raw []byte, rate dot11.Rate, at time.Duration) {
 	if len(raw) > maxFrameLen {
 		return
@@ -318,13 +283,31 @@ func (s *Server) Publish(raw []byte, rate dot11.Rate, at time.Duration) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for key, sub := range s.subs {
-		if _, err := s.pc.WriteTo(msg, sub.addr); err != nil {
-			delete(s.subs, key)
-			continue
+	s.taps.Each(func(_, addr netip.AddrPort) {
+		if SendTo(s.pc, msg, addr) == nil {
+			s.stats.FramesSent++
 		}
-		s.stats.FramesSent++
+	})
+}
+
+// AddrPortOf returns a datagram's UDP source address as the
+// netip.AddrPort the peer tables key on (the zero AddrPort for an
+// address that is not UDP).
+func AddrPortOf(a net.Addr) netip.AddrPort {
+	u, _ := a.(*net.UDPAddr)
+	return u.AddrPort()
+}
+
+// SendTo writes b to addr over pc. On a *net.UDPConn, the socket every
+// server here listens on, the send does not allocate.
+func SendTo(pc net.PacketConn, b []byte, addr netip.AddrPort) error {
+	var err error
+	if u, ok := pc.(*net.UDPConn); ok {
+		_, err = u.WriteToUDPAddrPort(b, addr)
+	} else {
+		_, err = pc.WriteTo(b, net.UDPAddrFromAddrPort(addr))
 	}
+	return err
 }
 
 // Tap is a monitor-mode subscriber.

@@ -304,8 +304,8 @@ func (e *Engine) MustScheduleArgAt(at time.Duration, fn ArgEvent, arg any) Handl
 	return h
 }
 
-// Stop makes the current Run/RunUntil call return after the event being
-// dispatched completes. Pending events stay queued.
+// Stop makes the current Run/RunUntil/RunRealtime call return after the
+// event being dispatched completes. Pending events stay queued.
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetInterrupt installs a predicate consulted before each event during
@@ -386,8 +386,8 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	return e.now
 }
 
-// NextEventAt returns the timestamp of the next live event, if any.
-// Real-time drivers use it to decide how long to sleep between steps.
+// NextEventAt returns the timestamp of the next live event, if any. A
+// stopping event uses it to let the rest of its instant run first.
 func (e *Engine) NextEventAt() (time.Duration, bool) { return e.peek() }
 
 // peek returns the timestamp of the next live event, draining (and

@@ -80,13 +80,6 @@ type Config struct {
 	// group indications the station then misses — the classic power/
 	// latency trade-off, counted in Stats.DTIMsSkipped.
 	ListenInterval int
-	// SyncOnlyOnChange skips the pre-suspend UDP Port Message when the
-	// open-port set is unchanged since the last acknowledged sync — an
-	// optimization over the paper's send-every-suspend behaviour that
-	// trades the (already negligible) E2 overhead for reliance on the
-	// AP never losing association state. Skips are counted in
-	// Stats.PortMsgsSkipped.
-	SyncOnlyOnChange bool
 	// PortCoalesce batches port registrations and refreshes: a
 	// pre-suspend UDP Port Message is skipped while the last
 	// acknowledged sync still matches the current open-port set AND is
@@ -94,13 +87,15 @@ type Config struct {
 	// busy trace ride on one registration instead of re-sending an
 	// identical port list every few hundred milliseconds. Port changes
 	// made while awake still coalesce into the single full-list message
-	// sent at the next suspend whose sync is stale or dirty. Unlike
-	// SyncOnlyOnChange the skip is freshness-bounded, so it composes
-	// with the hardened AP-side TTL: keep the window below the AP's
-	// PortTTL minus the refresh cadence and the table entry can never
-	// age out behind a skipped sync. Zero disables coalescing — the
-	// paper's send-every-suspend behaviour, byte-identical to builds
-	// without the knob. Skips are counted in Stats.PortMsgsCoalesced.
+	// sent at the next suspend whose sync is stale or dirty. The skip
+	// is freshness-bounded, so it composes with the hardened AP-side
+	// TTL: keep the window below the AP's PortTTL minus the refresh
+	// cadence and the table entry can never age out behind a skipped
+	// sync; an unbounded window (math.MaxInt64) skips every unchanged
+	// sync and relies on the AP never losing association state. Zero
+	// disables coalescing — the paper's send-every-suspend behaviour,
+	// byte-identical to builds without the knob. Skips are counted in
+	// Stats.PortMsgsCoalesced.
 	PortCoalesce time.Duration
 	// PortRefresh re-sends the UDP Port Message when a heard DTIM
 	// beacon finds the last acknowledged sync older than this,
@@ -170,7 +165,6 @@ type Stats struct {
 	AssocRequests   int
 	BeaconsSkipped  int
 	DTIMsSkipped    int
-	PortMsgsSkipped int
 	// PortMsgGivenUp counts suspends entered with the port sync
 	// unacknowledged after the full retry budget — the AP may hold
 	// stale (conservative) information until the next refresh.
@@ -231,7 +225,7 @@ type Station struct {
 	retries     int
 	ackTimer    sim.Handle
 	lastPortMsg []uint16
-	syncedPorts []uint16 // last ACKed port set (for SyncOnlyOnChange)
+	syncedPorts []uint16 // last ACKed port set
 
 	associated   bool
 	assocRetries int
@@ -956,11 +950,6 @@ func (s *Station) trySuspend(now time.Duration) {
 		if s.cfg.PortCoalesce > 0 && s.syncedPorts != nil &&
 			now-s.lastSyncAt < s.cfg.PortCoalesce && equalPorts(s.syncedPorts, s.OpenPorts()) {
 			s.stats.PortMsgsCoalesced++
-			s.completeSuspend()
-			return
-		}
-		if s.cfg.SyncOnlyOnChange && s.syncedPorts != nil && equalPorts(s.syncedPorts, s.OpenPorts()) {
-			s.stats.PortMsgsSkipped++
 			s.completeSuspend()
 			return
 		}
