@@ -121,7 +121,8 @@ const (
 // UsefulFractions is the Figure 7/8 sweep: 10%, 8%, 6%, 4%, 2%.
 var UsefulFractions = core.UsefulFractions
 
-// ProfileByName returns a built-in device profile by its Table I name.
+// ProfileByName returns a built-in device profile by its Table I name
+// or its flag spelling ("Nexus One" or "nexusone").
 func ProfileByName(name string) (Profile, error) { return energy.ProfileByName(name) }
 
 // GenerateTrace produces the calibrated synthetic trace for a scenario.

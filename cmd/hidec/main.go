@@ -59,9 +59,7 @@ func main() {
 	default:
 		cli.Usagef("hidec", "unknown mode %q", *mode)
 	}
-	dev, err := hide.ProfileByName(map[string]string{
-		"nexusone": "Nexus One", "galaxys4": "Galaxy S4",
-	}[strings.ToLower(*device)])
+	dev, err := hide.ProfileByName(*device)
 	if err != nil {
 		cli.Usagef("hidec", "%v", err)
 	}

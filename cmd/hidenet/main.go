@@ -17,12 +17,12 @@ import (
 	stdnet "net"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/station"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -38,26 +38,13 @@ func main() {
 	pcapOut := flag.String("pcap", "", "write a monitor-mode pcap capture of the run to this file")
 	flag.Parse()
 
-	var dev hide.Profile
-	switch strings.ToLower(*device) {
-	case "nexusone":
-		dev = hide.NexusOne
-	case "galaxys4":
-		dev = hide.GalaxyS4
-	default:
-		cli.Usagef("hidenet", "unknown device %q", *device)
+	dev, err := hide.ProfileByName(*device)
+	if err != nil {
+		cli.Usagef("hidenet", "%v", err)
 	}
-
-	var sc hide.Scenario
-	found := false
-	for _, s := range hide.Scenarios {
-		if strings.EqualFold(s.String(), *scenario) {
-			sc, found = s, true
-			break
-		}
-	}
-	if !found {
-		cli.Usagef("hidenet", "unknown scenario %q", *scenario)
+	sc, err := trace.ScenarioByName(*scenario)
+	if err != nil {
+		cli.Usagef("hidenet", "%v", err)
 	}
 
 	tr, err := hide.GenerateTrace(sc)

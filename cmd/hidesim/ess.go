@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/trace"
 )
 
 // churnFlags collects the -ess experiment's knobs.
@@ -31,16 +32,9 @@ type churnFlags struct {
 // requested roam rate twice (cold port-table resync, then proactive DS
 // replication) and prints the miss/energy comparison.
 func runChurnGrid(f churnFlags) {
-	var scenario hide.Scenario
-	found := false
-	for _, s := range hide.Scenarios {
-		if strings.EqualFold(s.String(), f.scenario) {
-			scenario, found = s, true
-			break
-		}
-	}
-	if !found {
-		cli.Usagef("hidesim", "unknown scenario %q", f.scenario)
+	scenario, err := trace.ScenarioByName(f.scenario)
+	if err != nil {
+		cli.Usagef("hidesim", "%v", err)
 	}
 	var rates []float64
 	for _, part := range strings.Split(f.roam, ",") {

@@ -11,12 +11,9 @@
 // Usage:
 //
 //	hidesim [-device nexusone|galaxys4|all] [-metric power|suspend|all] [-components] [-parallel N]
-//	hidesim -fault <scenario,...|all|list> [-parallel N]
 //	hidesim -ess [-ess-aps K] [-ess-stations N] [-ess-roam r1,r2,...] [-ess-dsloss p] [-parallel N]
 //
-// With -fault, hidesim skips the energy study and runs the chaos grid
-// for the selected fault scenarios: invariant checks, fail-safe
-// recovery, and same-seed determinism under injected faults.
+// The chaos fault grid has its own command, crosscheck -fault.
 //
 // With -ess, hidesim runs the multi-AP roaming churn experiment: each
 // requested roam rate is run twice — cold handoffs (the roamed-to AP
@@ -36,7 +33,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/check"
 	"repro/internal/cli"
 )
 
@@ -45,7 +41,6 @@ func main() {
 	metric := flag.String("metric", "all", "metric: power (Fig. 7/8), suspend (Fig. 9), or all")
 	components := flag.Bool("components", false, "print the five energy components per bar")
 	format := flag.String("format", "table", "output format: table or csv (machine-readable, for plotting)")
-	faultNames := flag.String("fault", "", "run the chaos fault grid instead: scenario name(s), \"all\", or \"list\"")
 	essMode := flag.Bool("ess", false, "run the multi-AP roaming churn experiment instead")
 	essAPs := flag.Int("ess-aps", 4, "ESS: number of access points")
 	essStations := flag.Int("ess-stations", 32, "ESS: number of HIDE stations")
@@ -58,22 +53,18 @@ func main() {
 	workers := cli.WorkersFlag()
 	flag.Parse()
 
-	if *faultNames != "" {
-		runFaultGrid(*faultNames, *workers)
-		return
+	devices := hide.Profiles
+	if !strings.EqualFold(*device, "all") {
+		dev, err := hide.ProfileByName(*device)
+		if err != nil {
+			cli.Usagef("hidesim", "%v", err)
+		}
+		devices = []hide.Profile{dev}
+	}
+	if *format != "table" && *format != "csv" {
+		cli.Usagef("hidesim", "unknown format %q", *format)
 	}
 	if *essMode {
-		if *format != "table" && *format != "csv" {
-			cli.Usagef("hidesim", "unknown format %q", *format)
-		}
-		dev := hide.NexusOne // churn prices one device; -device all keeps the default
-		switch strings.ToLower(*device) {
-		case "nexusone", "all":
-		case "galaxys4":
-			dev = hide.GalaxyS4
-		default:
-			cli.Usagef("hidesim", "unknown device %q", *device)
-		}
 		runChurnGrid(churnFlags{
 			aps:      *essAPs,
 			stations: *essStations,
@@ -84,7 +75,7 @@ func main() {
 			jitter:   *essJitter,
 			seed:     *essSeed,
 			format:   *format,
-			dev:      dev,
+			dev:      devices[0], // churn prices one device; -device all keeps the Nexus One
 			workers:  *workers,
 		})
 		return
@@ -94,23 +85,8 @@ func main() {
 	defer stop()
 	opts := hide.Options{Workers: *workers}
 
-	var devices []hide.Profile
-	switch strings.ToLower(*device) {
-	case "nexusone":
-		devices = []hide.Profile{hide.NexusOne}
-	case "galaxys4":
-		devices = []hide.Profile{hide.GalaxyS4}
-	case "all":
-		devices = hide.Profiles
-	default:
-		cli.Usagef("hidesim", "unknown device %q", *device)
-	}
 	if *metric != "power" && *metric != "suspend" && *metric != "all" {
 		cli.Usagef("hidesim", "unknown metric %q", *metric)
-	}
-
-	if *format != "table" && *format != "csv" {
-		cli.Usagef("hidesim", "unknown format %q", *format)
 	}
 
 	if *format == "csv" {
@@ -146,34 +122,6 @@ func main() {
 		if *metric == "suspend" || *metric == "all" {
 			printSuspend(suite)
 		}
-	}
-}
-
-// runFaultGrid runs the chaos grid for the named scenarios and exits
-// non-zero on any invariant, recovery, or determinism failure.
-func runFaultGrid(names string, workers int) {
-	if names == "list" {
-		for _, sc := range check.DefaultChaosScenarios() {
-			fmt.Printf("%-14s %s\n", sc.Name, sc.Note)
-		}
-		return
-	}
-	scenarios, err := check.ScenariosByName(names)
-	if err != nil {
-		cli.Usagef("hidesim", "%v", err)
-	}
-	ctx, stop := cli.SignalContext()
-	defer stop()
-	results, err := check.RunChaosGrid(ctx, check.ChaosConfig{
-		Scenarios: scenarios,
-		Workers:   workers,
-	})
-	if err != nil {
-		cli.Exit("hidesim", err)
-	}
-	fmt.Print(check.ChaosReport(results))
-	if err := check.ChaosErr(results); err != nil {
-		cli.Exit("hidesim", err)
 	}
 }
 

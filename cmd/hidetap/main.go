@@ -63,7 +63,7 @@ func main() {
 // describe formats one frame event as a tcpdump-style line.
 func describe(ev netmedium.FrameEvent) string {
 	prefix := fmt.Sprintf("%12v %8s %4dB ", ev.At, ev.Rate, len(ev.Raw))
-	switch dot11.Classify(ev.Raw) {
+	switch k := dot11.Classify(ev.Raw); k {
 	case dot11.KindBeacon:
 		b, err := dot11.UnmarshalBeacon(ev.Raw)
 		if err != nil {
@@ -101,11 +101,7 @@ func describe(ev netmedium.FrameEvent) string {
 		return prefix + "ack"
 	case dot11.KindPSPoll:
 		return prefix + "ps-poll"
-	case dot11.KindAssocRequest:
-		return prefix + "assoc-request"
-	case dot11.KindAssocResponse:
-		return prefix + "assoc-response"
 	default:
-		return prefix + "unknown"
+		return prefix + k.String()
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/engine"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -37,22 +38,13 @@ func main() {
 	workers := cli.WorkersFlag()
 	flag.Parse()
 
-	dev, err := hide.ProfileByName(map[string]string{
-		"nexusone": "Nexus One", "galaxys4": "Galaxy S4",
-	}[strings.ToLower(*device)])
+	dev, err := hide.ProfileByName(*device)
 	if err != nil {
 		cli.Usagef("sweep", "%v", err)
 	}
-	var sc hide.Scenario
-	found := false
-	for _, s := range hide.Scenarios {
-		if strings.EqualFold(s.String(), *base) {
-			sc, found = s, true
-			break
-		}
-	}
-	if !found {
-		cli.Usagef("sweep", "unknown scenario %q", *base)
+	sc, err := trace.ScenarioByName(*base)
+	if err != nil {
+		cli.Usagef("sweep", "%v", err)
 	}
 	dens, err := parseFloats(*densities)
 	if err != nil {

@@ -32,25 +32,13 @@ func main() {
 	width := flag.Int("width", 100, "characters per row")
 	flag.Parse()
 
-	var dev hide.Profile
-	switch strings.ToLower(*device) {
-	case "nexusone":
-		dev = hide.NexusOne
-	case "galaxys4":
-		dev = hide.GalaxyS4
-	default:
-		cli.Usagef("timeline", "unknown device %q", *device)
+	dev, err := hide.ProfileByName(*device)
+	if err != nil {
+		cli.Usagef("timeline", "%v", err)
 	}
-	var sc hide.Scenario
-	found := false
-	for _, s := range hide.Scenarios {
-		if strings.EqualFold(s.String(), *scenario) {
-			sc, found = s, true
-			break
-		}
-	}
-	if !found {
-		cli.Usagef("timeline", "unknown scenario %q", *scenario)
+	sc, err := trace.ScenarioByName(*scenario)
+	if err != nil {
+		cli.Usagef("timeline", "%v", err)
 	}
 	if *width < 10 || *width > 500 {
 		cli.Usagef("timeline", "width %d outside [10, 500]", *width)

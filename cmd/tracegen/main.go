@@ -19,6 +19,7 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -27,21 +28,13 @@ func main() {
 	cdf := flag.Bool("cdf", false, "print full CDF series (Figure 6 curves)")
 	flag.Parse()
 
-	var scenarios []hide.Scenario
-	if *scenario == "all" {
-		scenarios = hide.Scenarios
-	} else {
-		found := false
-		for _, s := range hide.Scenarios {
-			if strings.EqualFold(s.String(), *scenario) {
-				scenarios = []hide.Scenario{s}
-				found = true
-				break
-			}
+	scenarios := hide.Scenarios
+	if *scenario != "all" {
+		s, err := trace.ScenarioByName(*scenario)
+		if err != nil {
+			cli.Usagef("tracegen", "%v", err)
 		}
-		if !found {
-			cli.Usagef("tracegen", "unknown scenario %q", *scenario)
-		}
+		scenarios = []hide.Scenario{s}
 	}
 
 	ctx, stop := cli.SignalContext()

@@ -729,10 +729,8 @@ func (a *AP) flushGroup() {
 // Receive implements medium.Node: the AP's frame demultiplexer.
 func (a *AP) Receive(raw []byte, rate dot11.Rate, now time.Duration) {
 	switch dot11.Classify(raw) {
-	case dot11.KindAssocRequest:
+	case dot11.KindAssocRequest, dot11.KindReassocRequest:
 		a.handleAssocRequest(raw, now)
-	case dot11.KindReassocRequest:
-		a.handleReassocRequest(raw, now)
 	case dot11.KindDisassoc:
 		if d, err := dot11.UnmarshalDisassoc(raw); err == nil {
 			a.Disassociate(d.Header.Addr2)
@@ -748,9 +746,21 @@ func (a *AP) Receive(raw []byte, rate dot11.Rate, now time.Duration) {
 	}
 }
 
-// handleAssocRequest performs the frame-level association exchange: it
-// allocates (or re-confirms, for retries) the station's AID, seeds the
-// port table from an included Open UDP Ports element, and responds.
+// handleAssocRequest performs the frame-level (re)association
+// exchange: it allocates (or re-confirms, for retries) the station's
+// AID, seeds the port table, and responds with the request's subtype.
+//
+// An association request's Open UDP Ports element replaces the
+// client's entry, even when empty. A reassociation comes from a
+// station roaming in from another AP of the ESS while its host stays
+// suspended, so an empty element there means the request carried no
+// port state (a firmware roam signals HIDE capability with an empty
+// element), NOT a deregistration — deregistration happens via UDP Port
+// Messages. Only a non-empty set overrides the distribution system's
+// replicated entry (SetRoamPortLookup); without one the station's BTIM
+// filtering stays conservative (no entry → no wanted frames indicated)
+// until its next UDP Port Message — the cold-roam resync window the
+// ESS experiments quantify.
 func (a *AP) handleAssocRequest(raw []byte, now time.Duration) {
 	req, err := dot11.UnmarshalAssocRequest(raw)
 	if err != nil {
@@ -762,6 +772,7 @@ func (a *AP) handleAssocRequest(raw []byte, now time.Duration) {
 			Addr1: addr, Addr2: a.cfg.BSSID, Addr3: a.cfg.BSSID,
 			Seq: a.nextSeq(),
 		},
+		Reassoc:       req.Reassoc,
 		Status:        dot11.StatusSuccess,
 		HIDESupported: a.cfg.HIDE,
 	}
@@ -769,59 +780,6 @@ func (a *AP) handleAssocRequest(raw []byte, now time.Duration) {
 	if !ok && a.draining {
 		// A draining AP takes no new clients; StatusAPFull tells the
 		// station to back off and try elsewhere.
-		resp.Status = dot11.StatusAPFull
-		a.stats.AssocsRejectedDraining++
-	} else if !ok {
-		aid, err := a.Associate(addr, req.HIDECapable)
-		if err != nil {
-			resp.Status = dot11.StatusAPFull
-		} else {
-			c = a.clients[addr]
-			_ = aid
-		}
-	}
-	if c != nil {
-		resp.AID = c.aid
-		if a.cfg.HIDE && req.Ports != nil {
-			a.table.UpdateAt(c.aid, req.Ports, now)
-			if a.portSync != nil {
-				a.portSync(addr, req.Ports)
-			}
-		}
-	}
-	a.stats.AssocResponses++
-	out, err := resp.Marshal()
-	if err != nil {
-		panic(fmt.Sprintf("ap: assoc response marshal: %v", err))
-	}
-	a.med.Transmit(a.cfg.BSSID, out, a.cfg.BeaconRate)
-}
-
-// handleReassocRequest serves a station roaming in from another AP of
-// the ESS. The exchange mirrors association — allocate an AID,
-// respond — with one difference: the station's host is suspended
-// during a firmware-level roam, so the request carries no Open UDP
-// Ports element. The AP instead consults the distribution system
-// (SetRoamPortLookup) for a replicated port set; without one the
-// station's BTIM filtering stays conservative (no entry → no wanted
-// frames indicated) until its next UDP Port Message — the cold-roam
-// resync window the ESS experiments quantify.
-func (a *AP) handleReassocRequest(raw []byte, now time.Duration) {
-	req, err := dot11.UnmarshalReassocRequest(raw)
-	if err != nil {
-		return
-	}
-	addr := req.Header.Addr2
-	resp := &dot11.ReassocResponse{
-		Header: dot11.MACHeader{
-			Addr1: addr, Addr2: a.cfg.BSSID, Addr3: a.cfg.BSSID,
-			Seq: a.nextSeq(),
-		},
-		Status:        dot11.StatusSuccess,
-		HIDESupported: a.cfg.HIDE,
-	}
-	c, ok := a.clients[addr]
-	if !ok && a.draining {
 		resp.Status = dot11.StatusAPFull
 		a.stats.AssocsRejectedDraining++
 	} else if !ok {
@@ -834,17 +792,17 @@ func (a *AP) handleReassocRequest(raw []byte, now time.Duration) {
 	if c != nil {
 		resp.AID = c.aid
 		if a.cfg.HIDE {
-			// An empty port set means the request carried no port state
-			// (a firmware roam signals HIDE capability with an empty
-			// element), NOT a deregistration — deregistration happens via
-			// UDP Port Messages. Only a non-empty set overrides the
-			// distribution system's replicated entry.
-			if len(req.Ports) > 0 {
+			fromAir := req.Ports != nil
+			if req.Reassoc {
+				fromAir = len(req.Ports) > 0
+			}
+			switch {
+			case fromAir:
 				a.table.UpdateAt(c.aid, req.Ports, now)
 				if a.portSync != nil {
 					a.portSync(addr, req.Ports)
 				}
-			} else if a.roamPorts != nil {
+			case req.Reassoc && a.roamPorts != nil:
 				if ports := a.roamPorts(addr); ports != nil {
 					a.table.UpdateAt(c.aid, ports, now)
 					a.stats.PortsSeededOnRoam += len(ports)
@@ -852,10 +810,14 @@ func (a *AP) handleReassocRequest(raw []byte, now time.Duration) {
 			}
 		}
 	}
-	a.stats.Reassociations++
+	if req.Reassoc {
+		a.stats.Reassociations++
+	} else {
+		a.stats.AssocResponses++
+	}
 	out, err := resp.Marshal()
 	if err != nil {
-		panic(fmt.Sprintf("ap: reassoc response marshal: %v", err))
+		panic(fmt.Sprintf("ap: assoc response marshal: %v", err))
 	}
 	a.med.Transmit(a.cfg.BSSID, out, a.cfg.BeaconRate)
 }

@@ -18,13 +18,16 @@ var (
 
 // sniffer records everything delivered to one address.
 type sniffer struct {
-	beacons []*dot11.Beacon
-	data    []*dot11.DataFrame
-	acks    int
+	beacons   []*dot11.Beacon
+	data      []*dot11.DataFrame
+	acks      int
+	responses []dot11.FrameKind // (re)association responses, in order
 }
 
 func (s *sniffer) Receive(raw []byte, rate dot11.Rate, at time.Duration) {
-	switch dot11.Classify(raw) {
+	switch k := dot11.Classify(raw); k {
+	case dot11.KindAssocResponse, dot11.KindReassocResponse:
+		s.responses = append(s.responses, k)
 	case dot11.KindBeacon:
 		if b, err := dot11.UnmarshalBeacon(raw); err == nil {
 			s.beacons = append(s.beacons, b)

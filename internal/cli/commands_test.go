@@ -1,0 +1,70 @@
+package cli_test
+
+import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestCommandExitCodes builds the commands that take a -scenario or
+// -device name and runs each on tiny inputs, asserting the exit-code
+// conventions of this package: an unknown name is a usage mistake
+// (Usagef, exit 2) reported with the name as given, a retired flag is
+// one too (the flag package's own exit 2), and a valid name in any
+// case runs (exit 0).
+func TestCommandExitCodes(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("the go tool is needed to build the commands: %v", err)
+	}
+	cmds := []string{"hidec", "hidenet", "hidesim", "sweep", "timeline", "tracegen"}
+	bin := t.TempDir()
+	build := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, c := range cmds {
+		build = append(build, "repro/cmd/"+c)
+	}
+	if out, err := exec.Command(goTool, build...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		cmd    string
+		args   []string
+		code   int
+		stderr string // must appear in stderr
+	}{
+		{"hidec", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"hidenet", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
+		{"hidenet", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"hidesim", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"hidesim", []string{"-ess", "-ess-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
+		{"hidesim", []string{"-fault", "all"}, 2, "-fault"},
+		{"sweep", []string{"-base", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
+		{"sweep", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"timeline", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
+		{"timeline", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"tracegen", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
+		{"tracegen", []string{"-scenario", "sTARBUCKS"}, 0, ""},
+	} {
+		t.Run(c.cmd+" "+strings.Join(c.args, " "), func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(bin, c.cmd), c.args...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			code := 0
+			var exit *exec.ExitError
+			if errors.As(err, &exit) {
+				code = exit.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if code != c.code {
+				t.Fatalf("exit code %d, want %d; stderr:\n%s", code, c.code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), c.stderr) {
+				t.Errorf("stderr does not mention %s:\n%s", c.stderr, stderr.String())
+			}
+		})
+	}
+}

@@ -224,8 +224,8 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FaultRequest
-	if err := decodeJSON(data, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := DecodeJSON(data, &req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("control: bad request body: %w", err))
 		return
 	}
 	if _, err := req.Validate(); err != nil {
@@ -260,8 +260,8 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InjectRequest
-	if err := decodeJSON(data, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := DecodeJSON(data, &req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("control: bad request body: %w", err))
 		return
 	}
 	if req.Port == 0 {

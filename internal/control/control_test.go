@@ -211,6 +211,8 @@ func TestFaultEndpoint(t *testing.T) {
 		`{"plan":{"kind":"loss","p":7}}`,
 		`{"unknown_field":1,"plan":{"kind":"loss","p":0.5}}`,
 		`{"plan":{"kind":"loss","p":0.5}} trailing`,
+		// A stray closing delimiter after a valid body.
+		`{"clear":true}}`, `{"clear":true}]`,
 	} {
 		code, _ := post(t, ts.URL+"/v1/fault", bad)
 		if code != http.StatusBadRequest {
@@ -236,7 +238,7 @@ func TestInjectAndRestartEndpoints(t *testing.T) {
 	if len(b.injected) != 2 || b.injected[0].Count != 3 || b.injected[1].Count != 1 {
 		t.Fatalf("backend saw %+v", b.injected)
 	}
-	for _, bad := range []string{`{}`, `{"port":0}`, `{"port":53,"count":-1}`, `{"port":53,"count":99999}`} {
+	for _, bad := range []string{`{}`, `{"port":0}`, `{"port":53,"count":-1}`, `{"port":53,"count":99999}`, `{"port":1}}`, `{"port":1}]`} {
 		if code, _ := post(t, ts.URL+"/v1/inject", bad); code != http.StatusBadRequest {
 			t.Errorf("inject body %q accepted", bad)
 		}

@@ -53,7 +53,7 @@ func FuzzControlRequest(f *testing.F) {
 		if rec.Code == http.StatusOK {
 			// An accepted body decodes strictly and compiles.
 			var fr FaultRequest
-			if err := decodeJSON(body, &fr); err != nil {
+			if err := DecodeJSON(body, &fr); err != nil {
 				t.Fatalf("200 for body the decoder rejects: %v\n%s", err, body)
 			}
 			if _, err := fr.Validate(); err != nil {

@@ -15,10 +15,11 @@
 package control
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+	"io"
 	"time"
 
 	"repro/internal/dot11"
@@ -146,7 +147,7 @@ func (s *PlanSpec) build(depth int, nodes *int) (fault.Plan, error) {
 		if s.Inner == nil {
 			return nil, fmt.Errorf("control: to without inner plan")
 		}
-		mac, err := ParseMAC(s.To)
+		mac, err := dot11.ParseMAC(s.To)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +173,7 @@ func (s *PlanSpec) build(depth int, nodes *int) (fault.Plan, error) {
 			Inner: inner,
 		}, nil
 	case "silence":
-		mac, err := ParseMAC(s.To)
+		mac, err := dot11.ParseMAC(s.To)
 		if err != nil {
 			return nil, err
 		}
@@ -220,23 +221,6 @@ func frameKind(name string) (dot11.FrameKind, error) {
 	return 0, fmt.Errorf("control: unknown frame kind %q", name)
 }
 
-// ParseMAC parses a colon-separated MAC address ("02:1d:e0:aa:00:10").
-func ParseMAC(s string) (dot11.MACAddr, error) {
-	var mac dot11.MACAddr
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return mac, fmt.Errorf("control: bad MAC %q", s)
-	}
-	for i, p := range parts {
-		b, err := strconv.ParseUint(p, 16, 8)
-		if err != nil || len(p) != 2 {
-			return mac, fmt.Errorf("control: bad MAC %q", s)
-		}
-		mac[i] = byte(b)
-	}
-	return mac, nil
-}
-
 // FaultRequest is the body of POST /v1/fault: either {"clear":true}
 // to remove the installed plan, or a plan with the RNG seed its
 // verdicts draw from.
@@ -268,15 +252,18 @@ type InjectRequest struct {
 	Count int    `json:"count,omitempty"`
 }
 
-// decodeJSON strictly decodes a request body into v.
-func decodeJSON(data []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+// DecodeJSON strictly decodes one JSON value from data into v: an
+// unknown object field is an error, and only whitespace may follow the
+// value. The control plane reads request bodies with it and the daemon
+// its config file.
+func DecodeJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("control: bad request body: %w", err)
+		return err
 	}
-	if dec.More() {
-		return fmt.Errorf("control: trailing data after JSON body")
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func TestPlanSpecRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var back PlanSpec
-			if err := decodeJSON(data, &back); err != nil {
+			if err := DecodeJSON(data, &back); err != nil {
 				t.Fatalf("decode of own marshal failed: %v\n%s", err, data)
 			}
 			if !reflect.DeepEqual(spec, back) {
@@ -118,28 +118,6 @@ func TestFaultRequestValidate(t *testing.T) {
 	p, err := (&FaultRequest{Seed: 7, Plan: &PlanSpec{Kind: "loss", P: 0.5}}).Validate()
 	if err != nil || p == nil {
 		t.Fatalf("valid request rejected: plan=%v err=%v", p, err)
-	}
-}
-
-// TestParseMAC covers the accessory parser.
-func TestParseMAC(t *testing.T) {
-	mac, err := ParseMAC("02:1d:E0:aa:00:10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := dot11.MACAddr{0x02, 0x1d, 0xe0, 0xaa, 0x00, 0x10}
-	if mac != want {
-		t.Fatalf("ParseMAC = %v, want %v", mac, want)
-	}
-	for _, bad := range []string{"", ":::::", "02:1d:e0:aa:00", "02:1d:e0:aa:00:10:20", "2:1d:e0:aa:00:10", "0g:00:00:00:00:00"} {
-		if _, err := ParseMAC(bad); err == nil {
-			t.Errorf("ParseMAC(%q) accepted", bad)
-		}
-	}
-	// String() of a parsed MAC parses back to the same address.
-	back, err := ParseMAC(want.String())
-	if err != nil || back != want {
-		t.Fatalf("String round trip: %v, %v", back, err)
 	}
 }
 

@@ -200,20 +200,11 @@ func (n *Network) ScheduleReplay(tr *trace.Trace) error {
 	n.AP.Start()
 	// One bound event for all frames, with per-frame state passed as a
 	// pointer into the (immutable, shared) trace: no closure and no
-	// payload buffer per scheduled frame. EncapsulateUDP copies the
-	// payload into the frame body, so the all-zero padding buffer can be
-	// shared by every datagram.
+	// payload buffer per scheduled frame (Frame.Datagram shares its
+	// padding).
 	enqueue := func(now time.Duration, arg any) {
 		f := arg.(*trace.Frame)
-		payload := f.Length - dot11.MACHeaderLen - dot11.UDPEncapsLen
-		if payload < 0 {
-			payload = 0
-		}
-		n.AP.EnqueueGroup(dot11.UDPDatagram{
-			DstIP:   [4]byte{255, 255, 255, 255},
-			DstPort: f.DstPort,
-			Payload: zeroPad(payload),
-		}, f.Rate)
+		n.AP.EnqueueGroup(f.Datagram(), f.Rate)
 	}
 	for i := range tr.Frames {
 		if _, err := n.Engine.ScheduleArgAt(tr.Frames[i].At, enqueue, &tr.Frames[i]); err != nil {
@@ -221,18 +212,6 @@ func (n *Network) ScheduleReplay(tr *trace.Trace) error {
 		}
 	}
 	return nil
-}
-
-// zeroPayloadBuf backs replayed datagram padding; see Replay.
-var zeroPayloadBuf [4096]byte
-
-// zeroPad returns an all-zero payload of n bytes, shared when it fits
-// the static buffer.
-func zeroPad(n int) []byte {
-	if n <= len(zeroPayloadBuf) {
-		return zeroPayloadBuf[:n]
-	}
-	return make([]byte, n)
 }
 
 // Stations returns the attached stations in attachment order.

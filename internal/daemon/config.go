@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/dot11"
 	"repro/internal/trace"
 )
@@ -131,33 +132,42 @@ func (c Config) normalized() Config {
 
 // Validate checks the fields a typo would most likely corrupt.
 func (c Config) Validate() error {
-	if _, err := parseMAC(c.BSSID); err != nil {
+	if _, err := dot11.ParseMAC(c.BSSID); err != nil {
 		return err
 	}
 	if !strings.EqualFold(c.Scenario, "none") {
-		if _, err := scenarioByName(c.Scenario); err != nil {
+		if _, err := trace.ScenarioByName(c.Scenario); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// LoadConfig reads a JSON config file, rejecting unknown fields so a
-// misspelled key fails loudly instead of silently keeping a default.
+// LoadConfig reads a JSON config file holding one config object. An
+// unknown field or anything but whitespace after the object is an
+// error, so a misspelled key fails loudly instead of silently keeping
+// a default. Defaults are filled in and the result validated.
 func LoadConfig(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("daemon: reading config: %w", err)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
+	c, err := parseConfig(data)
+	if err != nil {
+		return Config{}, fmt.Errorf("daemon: %s: %w", path, err)
+	}
+	return c, nil
+}
+
+// parseConfig is LoadConfig after the file read.
+func parseConfig(data []byte) (Config, error) {
 	var c Config
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("daemon: parsing %s: %w", path, err)
+	if err := control.DecodeJSON(data, &c); err != nil {
+		return Config{}, fmt.Errorf("parsing config: %w", err)
 	}
 	c = c.normalized()
 	if err := c.Validate(); err != nil {
-		return Config{}, fmt.Errorf("daemon: %s: %w", path, err)
+		return Config{}, err
 	}
 	return c, nil
 }
@@ -212,34 +222,4 @@ func (c Config) diff(next Config) (reloadable, restartOnly []string) {
 		restartOnly = append(restartOnly, chg("seed", c.Seed, next.Seed))
 	}
 	return reloadable, restartOnly
-}
-
-// parseMAC parses a colon-separated MAC address.
-func parseMAC(s string) (dot11.MACAddr, error) {
-	var mac dot11.MACAddr
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return mac, fmt.Errorf("daemon: bad MAC %q", s)
-	}
-	for i, p := range parts {
-		if len(p) != 2 {
-			return mac, fmt.Errorf("daemon: bad MAC %q", s)
-		}
-		var b byte
-		if _, err := fmt.Sscanf(p, "%02x", &b); err != nil {
-			return mac, fmt.Errorf("daemon: bad MAC %q", s)
-		}
-		mac[i] = b
-	}
-	return mac, nil
-}
-
-// scenarioByName resolves a scenario name case-insensitively.
-func scenarioByName(name string) (trace.Scenario, error) {
-	for _, s := range trace.Scenarios {
-		if strings.EqualFold(s.String(), name) {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("daemon: unknown scenario %q", name)
 }

@@ -76,7 +76,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bssid, err := parseMAC(cfg.BSSID)
+	bssid, err := dot11.ParseMAC(cfg.BSSID)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +364,7 @@ func (d *Daemon) scheduleReplay() {
 	if strings.EqualFold(name, "none") {
 		return
 	}
-	s, err := scenarioByName(name)
+	s, err := trace.ScenarioByName(name)
 	if err != nil {
 		// Config was validated at load; an unknown name here means
 		// "none" semantics, not a crash.
@@ -383,34 +383,28 @@ func (d *Daemon) scheduleReplay() {
 
 // scheduleTrace schedules the trace's frames from offset, looping
 // until the replay generation moves on (a reload switched scenarios).
+// Like core's ScheduleReplay, every pass binds one event over pointers
+// into the trace rather than a closure per frame.
 func (d *Daemon) scheduleTrace(tr *trace.Trace, gen uint64, offset time.Duration) {
-	var scheduleFrom func(offset time.Duration)
-	scheduleFrom = func(offset time.Duration) {
-		for _, f := range tr.Frames {
-			f := f
-			payload := f.Length - dot11.MACHeaderLen - dot11.UDPEncapsLen
-			if payload < 0 {
-				payload = 0
-			}
-			d.eng.MustScheduleAt(offset+f.At, func(time.Duration) {
-				if d.replayGen.Load() != gen {
-					return
-				}
-				d.ap.EnqueueGroup(dot11.UDPDatagram{
-					DstIP:   [4]byte{255, 255, 255, 255},
-					DstPort: f.DstPort,
-					Payload: make([]byte, payload),
-				}, f.Rate)
-			})
+	enqueue := func(_ time.Duration, arg any) {
+		if d.replayGen.Load() != gen {
+			return
+		}
+		f := arg.(*trace.Frame)
+		d.ap.EnqueueGroup(f.Datagram(), f.Rate)
+	}
+	var pass func(offset time.Duration)
+	pass = func(offset time.Duration) {
+		for i := range tr.Frames {
+			d.eng.MustScheduleArgAt(offset+tr.Frames[i].At, enqueue, &tr.Frames[i])
 		}
 		d.eng.MustScheduleAt(offset+tr.Duration, func(now time.Duration) {
-			if d.replayGen.Load() != gen {
-				return
+			if d.replayGen.Load() == gen {
+				pass(now)
 			}
-			scheduleFrom(now)
 		})
 	}
-	scheduleFrom(offset)
+	pass(offset)
 }
 
 // switchReplay retires the running replay and, unless the new
@@ -422,7 +416,7 @@ func (d *Daemon) switchReplay(name string) error {
 	if strings.EqualFold(name, "none") {
 		return nil
 	}
-	s, err := scenarioByName(name)
+	s, err := trace.ScenarioByName(name)
 	if err != nil {
 		return err
 	}

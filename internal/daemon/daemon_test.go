@@ -52,14 +52,25 @@ func TestLoadConfigDefaultsAndDurations(t *testing.T) {
 	}
 }
 
+// badConfigs are config files LoadConfig must reject; FuzzParseConfig
+// starts from them too.
+var badConfigs = map[string]string{
+	"unknown-field": `{"listne": "127.0.0.1:0"}`,
+	"bad-duration":  `{"drain_deadline": "yesterday"}`,
+	"bad-scenario":  `{"scenario": "NoSuchPlace"}`,
+	"bad-bssid":     `{"bssid": "zz:zz:zz:zz:zz:zz"}`,
+	"not-json":      `listen = 127.0.0.1`,
+	// Octets a scanf-style MAC reader accepts.
+	"bssid-0x-octet":       `{"bssid": "0x:1d:e0:ff:00:01"}`,
+	"bssid-leading-space":  `{"bssid": " 2:1d:e0:ff:00:01"}`,
+	"bssid-trailing-space": `{"bssid": "1 :1d:e0:ff:00:01"}`,
+	// Anything after the one config object.
+	"second-value":     `{"scenario": "none"} {"scenario": "NoSuchPlace"}`,
+	"trailing-garbage": `{"scenario": "none"} trailing garbage`,
+}
+
 func TestLoadConfigRejectsBadInput(t *testing.T) {
-	for name, body := range map[string]string{
-		"unknown-field": `{"listne": "127.0.0.1:0"}`,
-		"bad-duration":  `{"drain_deadline": "yesterday"}`,
-		"bad-scenario":  `{"scenario": "NoSuchPlace"}`,
-		"bad-bssid":     `{"bssid": "zz:zz:zz:zz:zz:zz"}`,
-		"not-json":      `listen = 127.0.0.1`,
-	} {
+	for name, body := range badConfigs {
 		t.Run(name, func(t *testing.T) {
 			if _, err := LoadConfig(writeConfig(t, body)); err == nil {
 				t.Fatalf("accepted %s", body)

@@ -8,11 +8,20 @@ import "fmt"
 // support and seeds the AP's Client UDP Port Table before the first
 // suspend. Legacy stations omit the element and get standard
 // treatment.
+//
+// Reassociation (subtypes 0010/0011) is the same exchange, made by a
+// station moving between APs of one ESS: the request adds a Current AP
+// field naming the AP the station leaves, so the distribution system
+// can migrate its state, and the response differs only in its subtype.
+// One codec serves each direction, and its Reassoc field is the
+// subtype.
 
-// Management subtypes for the association exchange.
+// Management subtypes for the (re)association exchange.
 const (
-	SubtypeAssocRequest  uint8 = 0b0000
-	SubtypeAssocResponse uint8 = 0b0001
+	SubtypeAssocRequest    uint8 = 0b0000
+	SubtypeAssocResponse   uint8 = 0b0001
+	SubtypeReassocRequest  uint8 = 0b0010
+	SubtypeReassocResponse uint8 = 0b0011
 )
 
 // Association status codes (802.11 table 8-37 subset).
@@ -22,9 +31,9 @@ const (
 	StatusAPFull          uint16 = 17
 )
 
-// AssocRequest is an association request. Ports being non-nil marks
-// the station HIDE-capable (a zero-length open set is expressed as a
-// present, empty element).
+// AssocRequest is an association or reassociation request. Ports being
+// non-nil marks the station HIDE-capable (a zero-length open set is
+// expressed as a present, empty element).
 type AssocRequest struct {
 	Header     MACHeader
 	Capability uint16
@@ -35,19 +44,42 @@ type AssocRequest struct {
 	// HIDECapable marks the station as understanding BTIM elements.
 	// Set implicitly when Ports is non-nil.
 	HIDECapable bool
+	// Reassoc marks a reassociation request (subtype 0010), the only
+	// kind that carries CurrentAP.
+	Reassoc bool
+	// CurrentAP names the AP a reassociating station is roaming away
+	// from.
+	CurrentAP MACAddr
 }
 
-// assocReqFixedLen is capability (2) + listen interval (2).
+// assocReqFixedLen is capability (2) + listen interval (2); a
+// reassociation request follows it with the current AP address (6).
 const assocReqFixedLen = 4
 
-// Marshal encodes the association request.
+// fixedLen is the length of the request body before its elements.
+func (r *AssocRequest) fixedLen() int {
+	if r.Reassoc {
+		return assocReqFixedLen + len(r.CurrentAP)
+	}
+	return assocReqFixedLen
+}
+
+// Marshal encodes the request with the subtype Reassoc selects.
 func (r *AssocRequest) Marshal() ([]byte, error) {
 	hdr := r.Header
 	hdr.FC.Type = TypeManagement
 	hdr.FC.Subtype = SubtypeAssocRequest
-	out := make([]byte, MACHeaderLen+assocReqFixedLen, MACHeaderLen+assocReqFixedLen+32)
+	if r.Reassoc {
+		hdr.FC.Subtype = SubtypeReassocRequest
+	}
+	fixed := r.fixedLen()
+	out := make([]byte, MACHeaderLen+fixed, MACHeaderLen+fixed+32)
 	hdr.marshalInto(out)
-	putUint16(out[MACHeaderLen:], r.Capability)
+	p := out[MACHeaderLen:]
+	putUint16(p, r.Capability)
+	if r.Reassoc {
+		copy(p[assocReqFixedLen:], r.CurrentAP[:])
+	}
 	var err error
 	if out, err = (Element{ID: ElementIDSSID, Body: []byte(r.SSID)}).AppendTo(out); err != nil {
 		return nil, err
@@ -75,20 +107,27 @@ func (r *AssocRequest) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalAssocRequest decodes an association request.
+// UnmarshalAssocRequest decodes an association or reassociation
+// request; Reassoc reports which subtype it carried.
 func UnmarshalAssocRequest(raw []byte) (*AssocRequest, error) {
 	hdr, err := unmarshalMACHeader(raw)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.FC.Type != TypeManagement || hdr.FC.Subtype != SubtypeAssocRequest {
-		return nil, fmt.Errorf("%w: %v/%d, want assoc request", ErrBadFrameType, hdr.FC.Type, hdr.FC.Subtype)
+	if hdr.FC.Type != TypeManagement || (hdr.FC.Subtype != SubtypeAssocRequest && hdr.FC.Subtype != SubtypeReassocRequest) {
+		return nil, fmt.Errorf("%w: %v/%d, want (re)assoc request", ErrBadFrameType, hdr.FC.Type, hdr.FC.Subtype)
 	}
-	if len(raw) < MACHeaderLen+assocReqFixedLen {
-		return nil, fmt.Errorf("%w: %d bytes for assoc request", ErrShortFrame, len(raw))
+	r := &AssocRequest{Header: hdr, Reassoc: hdr.FC.Subtype == SubtypeReassocRequest}
+	fixed := r.fixedLen()
+	if len(raw) < MACHeaderLen+fixed {
+		return nil, fmt.Errorf("%w: %d bytes for %v", ErrShortFrame, len(raw), Classify(raw))
 	}
-	r := &AssocRequest{Header: hdr, Capability: getUint16(raw[MACHeaderLen:])}
-	elems, err := ParseElements(raw[MACHeaderLen+assocReqFixedLen:])
+	p := raw[MACHeaderLen:]
+	r.Capability = getUint16(p)
+	if r.Reassoc {
+		copy(r.CurrentAP[:], p[assocReqFixedLen:])
+	}
+	elems, err := ParseElements(p[fixed:])
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +150,12 @@ func UnmarshalAssocRequest(raw []byte) (*AssocRequest, error) {
 	return r, nil
 }
 
-// AssocResponse is an association response.
+// AssocResponse is an association or reassociation response; both
+// carry the same body.
 type AssocResponse struct {
-	Header     MACHeader
+	Header MACHeader
+	// Reassoc marks a reassociation response (subtype 0011).
+	Reassoc    bool
 	Capability uint16
 	Status     uint16
 	AID        AID
@@ -127,11 +169,14 @@ const assocRespFixedLen = 6
 // hideSupportElementID flags AP-side HIDE support in the response.
 const hideSupportElementID uint8 = 202
 
-// Marshal encodes the association response.
+// Marshal encodes the response with the subtype Reassoc selects.
 func (r *AssocResponse) Marshal() ([]byte, error) {
 	hdr := r.Header
 	hdr.FC.Type = TypeManagement
 	hdr.FC.Subtype = SubtypeAssocResponse
+	if r.Reassoc {
+		hdr.FC.Subtype = SubtypeReassocResponse
+	}
 	out := make([]byte, MACHeaderLen+assocRespFixedLen, MACHeaderLen+assocRespFixedLen+4)
 	hdr.marshalInto(out)
 	p := out[MACHeaderLen:]
@@ -147,21 +192,23 @@ func (r *AssocResponse) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalAssocResponse decodes an association response.
+// UnmarshalAssocResponse decodes an association or reassociation
+// response; Reassoc reports which subtype it carried.
 func UnmarshalAssocResponse(raw []byte) (*AssocResponse, error) {
 	hdr, err := unmarshalMACHeader(raw)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.FC.Type != TypeManagement || hdr.FC.Subtype != SubtypeAssocResponse {
-		return nil, fmt.Errorf("%w: %v/%d, want assoc response", ErrBadFrameType, hdr.FC.Type, hdr.FC.Subtype)
+	if hdr.FC.Type != TypeManagement || (hdr.FC.Subtype != SubtypeAssocResponse && hdr.FC.Subtype != SubtypeReassocResponse) {
+		return nil, fmt.Errorf("%w: %v/%d, want (re)assoc response", ErrBadFrameType, hdr.FC.Type, hdr.FC.Subtype)
 	}
 	if len(raw) < MACHeaderLen+assocRespFixedLen {
-		return nil, fmt.Errorf("%w: %d bytes for assoc response", ErrShortFrame, len(raw))
+		return nil, fmt.Errorf("%w: %d bytes for %v", ErrShortFrame, len(raw), Classify(raw))
 	}
 	p := raw[MACHeaderLen:]
 	r := &AssocResponse{
 		Header:     hdr,
+		Reassoc:    hdr.FC.Subtype == SubtypeReassocResponse,
 		Capability: getUint16(p),
 		Status:     getUint16(p[2:]),
 		AID:        AID(getUint16(p[4:]) &^ 0xc000),

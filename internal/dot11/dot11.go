@@ -12,8 +12,10 @@
 package dot11
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // MACAddr is a 48-bit IEEE 802 MAC address.
@@ -25,6 +27,26 @@ var Broadcast = MACAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 // String formats the address in the conventional colon-separated form.
 func (a MACAddr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+}
+
+// ParseMAC parses the colon-separated form String prints
+// ("02:1d:e0:aa:00:10"): six octets of exactly two hex digits each,
+// in either case, and nothing else.
+func ParseMAC(s string) (MACAddr, error) {
+	var a MACAddr
+	parts := strings.Split(s, ":")
+	if len(parts) != len(a) {
+		return a, fmt.Errorf("dot11: bad MAC %q", s)
+	}
+	for i, p := range parts {
+		if len(p) != 2 {
+			return a, fmt.Errorf("dot11: bad MAC %q", s)
+		}
+		if _, err := hex.Decode(a[i:i+1], []byte(p)); err != nil {
+			return a, fmt.Errorf("dot11: bad MAC %q", s)
+		}
+	}
+	return a, nil
 }
 
 // IsBroadcast reports whether the address is the broadcast address.

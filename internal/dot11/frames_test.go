@@ -416,6 +416,33 @@ func TestMACAddrHelpers(t *testing.T) {
 	}
 }
 
+// TestParseMAC: the parser reads back exactly what String prints, in
+// either case, and refuses everything else — including the octets a
+// scanf-style reader accepts ("0x", " 2", "1 ").
+func TestParseMAC(t *testing.T) {
+	mac, err := ParseMAC("02:1d:E0:aa:00:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MACAddr{0x02, 0x1d, 0xe0, 0xaa, 0x00, 0x10}
+	if mac != want {
+		t.Fatalf("ParseMAC = %v, want %v", mac, want)
+	}
+	for _, bad := range []string{
+		"", ":::::", "02:1d:e0:aa:00", "02:1d:e0:aa:00:10:20", "2:1d:e0:aa:00:10", "0g:00:00:00:00:00",
+		"0x:1d:e0:ff:00:01", " 2:1d:e0:ff:00:01", "1 :1d:e0:ff:00:01",
+	} {
+		if _, err := ParseMAC(bad); err == nil {
+			t.Errorf("ParseMAC(%q) accepted", bad)
+		}
+	}
+	// String() of a parsed MAC parses back to the same address.
+	back, err := ParseMAC(want.String())
+	if err != nil || back != want {
+		t.Fatalf("String round trip: %v, %v", back, err)
+	}
+}
+
 func TestAIDValid(t *testing.T) {
 	cases := []struct {
 		aid  AID

@@ -33,8 +33,16 @@ func TestProfileByName(t *testing.T) {
 	if err != nil || p.Name != "Galaxy S4" {
 		t.Fatalf("ProfileByName: %v %v", p, err)
 	}
-	if _, err := ProfileByName("iPhone"); err == nil {
-		t.Fatal("unknown profile accepted")
+	// The command-line spellings name the same profiles.
+	for name, want := range map[string]string{"nexusone": "Nexus One", "GalaxyS4": "Galaxy S4", "nexus one": "Nexus One"} {
+		if p, err := ProfileByName(name); err != nil || p.Name != want {
+			t.Errorf("ProfileByName(%q) = %q, %v; want %q", name, p.Name, err, want)
+		}
+	}
+	for _, bad := range []string{"iPhone", "", "nexus"} {
+		if _, err := ProfileByName(bad); err == nil {
+			t.Errorf("unknown profile %q accepted", bad)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ package energy
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -85,19 +86,22 @@ var GalaxyS4 = Profile{
 // Profiles lists the built-in device profiles.
 var Profiles = []Profile{NexusOne, GalaxyS4}
 
-// ProfileByName returns the built-in profile with the given name
-// (case-sensitive), or an error listing the known names.
+// ProfileByName returns the built-in profile with the given name,
+// ignoring case and spaces, so the command-line spellings "nexusone"
+// and "galaxys4" name the same profiles as "Nexus One" and "Galaxy S4".
+// An unknown name is an error listing the known ones.
 func ProfileByName(name string) (Profile, error) {
+	key := func(s string) string { return strings.ToLower(strings.ReplaceAll(s, " ", "")) }
 	for _, p := range Profiles {
-		if p.Name == name {
+		if key(p.Name) == key(name) {
 			return p, nil
 		}
 	}
 	known := make([]string, len(Profiles))
 	for i, p := range Profiles {
-		known[i] = p.Name
+		known[i] = key(p.Name)
 	}
-	return Profile{}, fmt.Errorf("energy: unknown device %q (known: %v)", name, known)
+	return Profile{}, fmt.Errorf("energy: unknown device %q (known: %s)", name, strings.Join(known, ", "))
 }
 
 // Validate checks that the profile's constants are physically sensible.

@@ -377,34 +377,51 @@ func (s *Station) StartAssociation(ssid string) {
 	if s.associated {
 		return
 	}
+	s.startExchange(false, ssid, dot11.MACAddr{})
+}
+
+// startExchange begins a (re)association exchange: it clamps the
+// SSID, resets the retry budget, and sends the first attempt.
+func (s *Station) startExchange(reassoc bool, ssid string, currentAP dot11.MACAddr) {
 	if len(ssid) > 32 {
 		// 802.11 SSID limit; clamping keeps marshalling infallible.
 		ssid = ssid[:32]
 	}
 	s.assocRetries = 0
-	s.sendAssocRequest(ssid)
+	s.sendAssocRequest(reassoc, ssid, currentAP)
 }
 
-// sendAssocRequest transmits one association attempt and arms the
-// retry timer.
-func (s *Station) sendAssocRequest(ssid string) {
+// sendAssocRequest transmits one (re)association attempt and arms the
+// retry timer. A HIDE station's association request carries its open
+// ports; its reassociation request deliberately carries an empty
+// element: a firmware roam does not resend application state, which
+// is exactly what makes the cold-handoff resync window real.
+func (s *Station) sendAssocRequest(reassoc bool, ssid string, currentAP dot11.MACAddr) {
 	req := &dot11.AssocRequest{
 		Header: dot11.MACHeader{
 			Addr1: s.cfg.BSSID, Addr2: s.cfg.Addr, Addr3: s.cfg.BSSID,
 			FC: dot11.FrameControl{Retry: s.assocRetries > 0},
 		},
-		SSID: ssid,
+		Reassoc:   reassoc,
+		CurrentAP: currentAP,
+		SSID:      ssid,
 	}
 	if s.cfg.Mode == HIDE {
 		req.HIDECapable = true
-		req.Ports = s.OpenPorts()
+		if !reassoc {
+			req.Ports = s.OpenPorts()
+		}
 	}
 	raw, err := req.Marshal()
 	if err != nil {
 		panic(fmt.Sprintf("station: assoc request marshal: %v", err))
 	}
 	s.med.Transmit(s.cfg.Addr, raw, s.cfg.CtrlRate)
-	s.stats.AssocRequests++
+	if reassoc {
+		s.stats.ReassocRequests++
+	} else {
+		s.stats.AssocRequests++
+	}
 	s.assocTimer.Cancel()
 	s.assocTimer = s.eng.MustScheduleAfter(s.cfg.AckTimeout, func(time.Duration) {
 		if s.associated {
@@ -414,7 +431,7 @@ func (s *Station) sendAssocRequest(ssid string) {
 		if s.assocRetries > s.cfg.MaxRetries {
 			return // give up; the station stays unassociated
 		}
-		s.sendAssocRequest(ssid)
+		s.sendAssocRequest(reassoc, ssid, currentAP)
 	})
 }
 
@@ -470,64 +487,7 @@ func (s *Station) Reassociate(ssid string, currentAP dot11.MACAddr) {
 	if s.associated || s.crashed {
 		return
 	}
-	if len(ssid) > 32 {
-		// 802.11 SSID limit; clamping keeps marshalling infallible.
-		ssid = ssid[:32]
-	}
-	s.assocRetries = 0
-	s.sendReassocRequest(ssid, currentAP)
-}
-
-// sendReassocRequest transmits one reassociation attempt and arms the
-// retry timer. The request deliberately carries no Open UDP Ports
-// element: a firmware roam does not resend application state, which
-// is exactly what makes the cold-handoff resync window real.
-func (s *Station) sendReassocRequest(ssid string, currentAP dot11.MACAddr) {
-	req := &dot11.ReassocRequest{
-		Header: dot11.MACHeader{
-			Addr1: s.cfg.BSSID, Addr2: s.cfg.Addr, Addr3: s.cfg.BSSID,
-			FC: dot11.FrameControl{Retry: s.assocRetries > 0},
-		},
-		CurrentAP: currentAP,
-		SSID:      ssid,
-	}
-	if s.cfg.Mode == HIDE {
-		req.HIDECapable = true
-	}
-	raw, err := req.Marshal()
-	if err != nil {
-		panic(fmt.Sprintf("station: reassoc request marshal: %v", err))
-	}
-	s.med.Transmit(s.cfg.Addr, raw, s.cfg.CtrlRate)
-	s.stats.ReassocRequests++
-	s.assocTimer.Cancel()
-	s.assocTimer = s.eng.MustScheduleAfter(s.cfg.AckTimeout, func(time.Duration) {
-		if s.associated {
-			return
-		}
-		s.assocRetries++
-		if s.assocRetries > s.cfg.MaxRetries {
-			return // give up; the station stays unassociated
-		}
-		s.sendReassocRequest(ssid, currentAP)
-	})
-}
-
-// handleReassocResponse completes a roam without waking the host.
-func (s *Station) handleReassocResponse(raw []byte) {
-	resp, err := dot11.UnmarshalReassocResponse(raw)
-	if err != nil || s.associated {
-		return
-	}
-	if resp.Status != dot11.StatusSuccess || !resp.AID.Valid() {
-		return
-	}
-	s.assocTimer.Cancel()
-	// Rejoin cannot fail here: the AID was just validated.
-	if err := s.Rejoin(resp.AID); err != nil {
-		panic(fmt.Sprintf("station: rejoin after reassoc: %v", err))
-	}
-	s.stats.Reassociations++
+	s.startExchange(true, ssid, currentAP)
 }
 
 // Rejoin records the AID assigned on reassociation without waking the
@@ -554,7 +514,9 @@ func (s *Station) Synced() bool { return s.syncedPorts != nil }
 // ListensOn reports whether a UDP port is open on the station.
 func (s *Station) ListensOn(p uint16) bool { return s.ports[p] }
 
-// handleAssocResponse completes the association exchange.
+// handleAssocResponse completes a (re)association exchange. An
+// association response joins and wakes the host; a reassociation
+// response completes a roam without waking it.
 func (s *Station) handleAssocResponse(raw []byte) {
 	resp, err := dot11.UnmarshalAssocResponse(raw)
 	if err != nil || s.associated {
@@ -564,9 +526,15 @@ func (s *Station) handleAssocResponse(raw []byte) {
 		return
 	}
 	s.assocTimer.Cancel()
-	// Join cannot fail here: the AID was just validated.
-	if err := s.Join(resp.AID); err != nil {
-		panic(fmt.Sprintf("station: join after assoc: %v", err))
+	// Neither Join nor Rejoin can fail here: the AID was just validated.
+	if resp.Reassoc {
+		err = s.Rejoin(resp.AID)
+		s.stats.Reassociations++
+	} else {
+		err = s.Join(resp.AID)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("station: join after assoc response: %v", err))
 	}
 }
 
@@ -651,10 +619,8 @@ func (s *Station) Receive(raw []byte, rate dot11.Rate, now time.Duration) {
 		return
 	}
 	switch dot11.Classify(raw) {
-	case dot11.KindAssocResponse:
+	case dot11.KindAssocResponse, dot11.KindReassocResponse:
 		s.handleAssocResponse(raw)
-	case dot11.KindReassocResponse:
-		s.handleReassocResponse(raw)
 	case dot11.KindBeacon:
 		if s.associated {
 			s.handleBeacon(raw, now)

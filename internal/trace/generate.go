@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/dot11"
@@ -39,6 +40,17 @@ func (s Scenario) String() string {
 	default:
 		return fmt.Sprintf("Scenario(%d)", int(s))
 	}
+}
+
+// ScenarioByName resolves a scenario by its String name, ignoring
+// case.
+func ScenarioByName(name string) (Scenario, error) {
+	for _, s := range Scenarios {
+		if strings.EqualFold(s.String(), name) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("trace: unknown scenario %q", name)
 }
 
 // PortMix is a weighted set of destination UDP ports appearing in

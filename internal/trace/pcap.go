@@ -331,21 +331,15 @@ func WritePCAP(w io.Writer, tr *Trace) error {
 	}
 	src := dot11.MACAddr{0x02, 0x1d, 0xe0, 0xff, 0xff, 0xfe}
 	var rec [pcapRecordHeaderLen]byte
-	for i, f := range tr.Frames {
-		payloadLen := f.Length - dot11.MACHeaderLen - dot11.UDPEncapsLen
-		if payloadLen < 0 {
-			payloadLen = 0
-		}
+	for i := range tr.Frames {
+		f := &tr.Frames[i]
 		df := &dot11.DataFrame{
 			Header: dot11.MACHeader{
 				FC:    dot11.FrameControl{FromDS: true, MoreData: f.MoreData},
 				Addr1: dot11.Broadcast, Addr2: src, Addr3: src,
 				Seq: uint16(i&0x0fff) << 4,
 			},
-			Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{
-				DstIP: [4]byte{255, 255, 255, 255}, DstPort: f.DstPort,
-				Payload: make([]byte, payloadLen),
-			}),
+			Payload: dot11.EncapsulateUDP(f.Datagram()),
 		}
 		raw := df.Marshal()
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(f.At/time.Second))

@@ -43,6 +43,26 @@ func (f Frame) EndTime() time.Duration {
 	return f.At + time.Duration(float64(8*f.Length)/float64(f.Rate)*float64(time.Second))
 }
 
+// zeroPayload backs the padding of the datagrams Frame.Datagram
+// returns. Encapsulation copies the payload into the frame body
+// (dot11.EncapsulateUDP), so every datagram can share it.
+var zeroPayload [4096]byte
+
+// Datagram returns the broadcast UDP datagram the frame carries: its
+// destination port, zero-padded so the encapsulated frame is Length
+// bytes long. Padding up to 4 KiB is shared read-only memory, so the
+// call does not allocate.
+func (f Frame) Datagram() dot11.UDPDatagram {
+	d := dot11.UDPDatagram{DstIP: [4]byte{255, 255, 255, 255}, DstPort: f.DstPort}
+	n := max(f.Length-dot11.MACHeaderLen-dot11.UDPEncapsLen, 0)
+	if n <= len(zeroPayload) {
+		d.Payload = zeroPayload[:n]
+	} else {
+		d.Payload = make([]byte, n)
+	}
+	return d
+}
+
 // Trace is an ordered sequence of broadcast frames plus its duration.
 type Trace struct {
 	// Name identifies the scenario (e.g. "Classroom").

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -431,5 +432,44 @@ func TestSummarizeEmptyAndSingle(t *testing.T) {
 	})
 	if single.Frames != 1 || single.CV != 0 {
 		t.Errorf("single summary: %+v", single)
+	}
+}
+
+// TestFrameDatagram: the datagram encapsulates to a frame of exactly
+// the trace frame's length, carries only zeros, and costs no
+// allocation for padding that fits the shared buffer.
+func TestFrameDatagram(t *testing.T) {
+	for _, length := range []int{1, dot11.MACHeaderLen + dot11.UDPEncapsLen, 120, 1500, 5000} {
+		f := Frame{Length: length, DstPort: 5353}
+		d := f.Datagram()
+		if d.DstPort != 5353 || d.DstIP != [4]byte{255, 255, 255, 255} {
+			t.Fatalf("length %d: datagram %+v", length, d)
+		}
+		want := max(length, dot11.MACHeaderLen+dot11.UDPEncapsLen)
+		if got := dot11.MACHeaderLen + len(dot11.EncapsulateUDP(d)); got != want {
+			t.Errorf("length %d: encapsulated frame is %d bytes, want %d", length, got, want)
+		}
+		if bytes.ContainsFunc(d.Payload, func(r rune) bool { return r != 0 }) {
+			t.Errorf("length %d: padding is not all zeros", length)
+		}
+	}
+	f := Frame{Length: 1500}
+	if n := testing.AllocsPerRun(100, func() { _ = f.Datagram() }); n != 0 {
+		t.Fatalf("Datagram allocates %v times per call", n)
+	}
+}
+
+func TestScenarioByName(t *testing.T) {
+	for _, s := range Scenarios {
+		for _, name := range []string{s.String(), strings.ToLower(s.String()), strings.ToUpper(s.String())} {
+			if got, err := ScenarioByName(name); err != nil || got != s {
+				t.Errorf("ScenarioByName(%q) = %v, %v; want %v", name, got, err, s)
+			}
+		}
+	}
+	for _, bad := range []string{"", "none", "NoSuchPlace", "Starbucks "} {
+		if _, err := ScenarioByName(bad); err == nil {
+			t.Errorf("ScenarioByName(%q) accepted", bad)
+		}
 	}
 }
