@@ -187,31 +187,58 @@ func (n *Network) Replay(tr *trace.Trace) error {
 }
 
 // ScheduleReplay is Replay without the run: it validates the trace,
-// starts the beacon loop, and schedules every frame, leaving the
-// engine untouched so the caller drives it — the ESS advances all
+// starts the beacon loop, and queues the trace's first frame, leaving
+// the engine untouched so the caller drives it — the ESS advances all
 // shard engines in lockstep windows instead of one RunUntil. A plain
 // Replay is ScheduleReplay followed by RunUntil(Duration + one beacon
 // interval), and the ESS's final window lands on exactly that
 // deadline, which is what makes a roam-free K=1 ESS byte-identical.
+//
+// Only one replay event is queued at a time: each frame's event
+// schedules the next frame before handing its own to the AP. Frame 0
+// takes an ordinary slot and frame i fires at that slot's offset i, so
+// frame i sorts where it would if every frame had been queued up front
+// (consecutive seqs from frame 0's): ties with beacons, deliveries and
+// timers fire in the same order.
 func (n *Network) ScheduleReplay(tr *trace.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
 	n.AP.Start()
-	// One bound event for all frames, with per-frame state passed as a
-	// pointer into the (immutable, shared) trace: no closure and no
-	// payload buffer per scheduled frame (Frame.Datagram shares its
-	// padding).
-	enqueue := func(now time.Duration, arg any) {
-		f := arg.(*trace.Frame)
-		n.AP.EnqueueGroup(f.Datagram(), f.Rate)
+	if len(tr.Frames) == 0 {
+		return nil
 	}
-	for i := range tr.Frames {
-		if _, err := n.Engine.ScheduleArgAt(tr.Frames[i].At, enqueue, &tr.Frames[i]); err != nil {
-			return fmt.Errorf("core: scheduling trace frame: %w", err)
-		}
+	r := &replay{eng: n.Engine, ap: n.AP, frames: tr.Frames}
+	r.fireFn = r.fire
+	h, err := n.Engine.ScheduleAt(tr.Frames[0].At, r.fireFn)
+	if err != nil {
+		return fmt.Errorf("core: scheduling trace frame: %w", err)
 	}
+	r.slot, _ = h.Slot()
 	return nil
+}
+
+// replay walks a trace one frame event at a time. Its single bound
+// event carries no per-frame closure, and frames are read in place
+// from the (immutable, shared) trace, whose Datagram shares its
+// padding.
+type replay struct {
+	eng    *sim.Engine
+	ap     *ap.AP
+	frames []trace.Frame
+	next   int      // index of the frame whose event is queued
+	slot   sim.Slot // frame 0's slot; frame i fires at its offset i
+	fireFn sim.Event
+}
+
+// fire queues the next frame, then hands this one to the AP.
+func (r *replay) fire(time.Duration) {
+	f := &r.frames[r.next]
+	r.next++
+	if r.next < len(r.frames) {
+		r.eng.MustScheduleAtSlot(r.frames[r.next].At, r.slot.Offset(r.next), r.fireFn)
+	}
+	r.ap.EnqueueGroup(f.Datagram(), f.Rate)
 }
 
 // Stations returns the attached stations in attachment order.

@@ -383,8 +383,8 @@ func (d *Daemon) scheduleReplay() {
 
 // scheduleTrace schedules the trace's frames from offset, looping
 // until the replay generation moves on (a reload switched scenarios).
-// Like core's ScheduleReplay, every pass binds one event over pointers
-// into the trace rather than a closure per frame.
+// Every pass binds one event over pointers into the trace rather than
+// a closure per frame.
 func (d *Daemon) scheduleTrace(tr *trace.Trace, gen uint64, offset time.Duration) {
 	enqueue := func(_ time.Duration, arg any) {
 		if d.replayGen.Load() != gen {

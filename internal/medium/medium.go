@@ -374,10 +374,16 @@ func (m *Medium) deliverEvent(now time.Duration, arg any) {
 // deliver routes the frame to its destination(s). Block entries may
 // split mid-walk (divergent fault verdicts), so the group loop indexes
 // the fanout slice and skips the entries a block delivery consumed.
+// With a fault plan set, the frame is classified once here, from the
+// bytes as transmitted, for every receiver's verdict.
 func (m *Medium) deliver(src dot11.MACAddr, raw []byte, rate dot11.Rate, now time.Duration) {
 	dst, ok := destination(raw)
 	if !ok {
 		return
+	}
+	var kind dot11.FrameKind
+	if m.plan != nil {
+		kind = dot11.Classify(raw)
 	}
 	if dst.IsMulticast() {
 		for i := 0; i < len(m.fanout); i++ {
@@ -385,16 +391,16 @@ func (m *Medium) deliver(src dot11.MACAddr, raw []byte, rate dot11.Rate, now tim
 				continue
 			}
 			if m.fanout[i].count > 1 {
-				i += m.deliverBlock(i, src, dst, raw, rate, now) - 1
+				i += m.deliverBlock(i, src, dst, raw, kind, rate, now) - 1
 				continue
 			}
 			e := &m.fanout[i]
-			m.deliverOne(e.node, e.addr, src, dst, raw, rate, now)
+			m.deliverOne(e.node, e.addr, src, dst, raw, kind, rate, now)
 		}
 		return
 	}
 	if n, ok := m.nodes[dst]; ok {
-		m.deliverOne(n, dst, src, dst, raw, rate, now)
+		m.deliverOne(n, dst, src, dst, raw, kind, rate, now)
 		return
 	}
 	// Not a registered address: it may be a non-base member of a block.
@@ -404,7 +410,7 @@ func (m *Medium) deliver(src dot11.MACAddr, raw []byte, rate dot11.Rate, now tim
 			continue
 		}
 		if off, ok := dot11.AddrOffset(e.addr, dst); ok && off < e.count {
-			m.deliverOne(e.node, dst, src, dst, raw, rate, now)
+			m.deliverOne(e.node, dst, src, dst, raw, kind, rate, now)
 			return
 		}
 	}
@@ -424,7 +430,7 @@ func (m *Medium) deliver(src dot11.MACAddr, raw []byte, rate dot11.Rate, now tim
 // mid-handshake); the contract is that such a node delivers the
 // in-flight frame to the carved tail itself, so entries inserted during
 // a delivery are counted as consumed and not visited again.
-func (m *Medium) deliverBlock(i int, src, dst dot11.MACAddr, raw []byte, rate dot11.Rate, now time.Duration) int {
+func (m *Medium) deliverBlock(i int, src, dst dot11.MACAddr, raw []byte, kind dot11.FrameKind, rate dot11.Rate, now time.Duration) int {
 	count := m.fanout[i].count
 	if m.plan == nil {
 		m.Stats.Deliveries += count
@@ -437,7 +443,6 @@ func (m *Medium) deliverBlock(i int, src, dst dot11.MACAddr, raw []byte, rate do
 	// each corrupted member's position like the expanded walk does.
 	m.verdicts = m.verdicts[:0]
 	base := m.fanout[i].addr
-	kind := dot11.Classify(raw)
 	for k := 0; k < count; k++ {
 		v := m.plan.Deliver(fault.Delivery{
 			Raw: raw, Kind: kind,
@@ -514,8 +519,6 @@ func (m *Medium) applyVerdict(n Node, to dot11.MACAddr, bv blockVerdict, members
 	handTo(n, to, raw, rate, now)
 }
 
-// deliverOne hands the frame to one node, applying the fault plan's
-// verdict for this (frame, receiver) pair.
 // handTo performs the final hand-off of a delivery to a node. Nodes
 // standing for several addresses (RoutedNode) are told the address the
 // medium routed the frame to — the pre-fault destination, trustworthy
@@ -531,10 +534,12 @@ func handTo(n Node, to dot11.MACAddr, raw []byte, rate dot11.Rate, now time.Dura
 	n.Receive(raw, rate, now)
 }
 
-func (m *Medium) deliverOne(n Node, rcv, src, dst dot11.MACAddr, raw []byte, rate dot11.Rate, now time.Duration) {
+// deliverOne hands the frame to one node, applying the fault plan's
+// verdict for this (frame, receiver) pair.
+func (m *Medium) deliverOne(n Node, rcv, src, dst dot11.MACAddr, raw []byte, kind dot11.FrameKind, rate dot11.Rate, now time.Duration) {
 	if m.plan != nil {
 		v := m.plan.Deliver(fault.Delivery{
-			Raw: raw, Kind: dot11.Classify(raw),
+			Raw: raw, Kind: kind,
 			Src: src, Dst: dst, Rcv: rcv, At: now,
 		}, m.rng)
 		// The corruption byte is drawn whenever the verdict says Corrupt

@@ -19,8 +19,8 @@ func BenchmarkScheduleStep(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCancel measures the schedule→cancel→drain path the
-// stations exercise on every arrival (wakelock-expiry rearming).
+// BenchmarkScheduleCancel measures the schedule→cancel→reschedule path
+// the stations exercise on every arrival (wakelock-expiry rearming).
 func BenchmarkScheduleCancel(b *testing.B) {
 	eng := New()
 	fn := func(time.Duration) {}

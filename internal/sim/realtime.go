@@ -46,7 +46,7 @@ func (e *Engine) RunRealtime(ctx context.Context, inject <-chan Event, speed flo
 	catchUp := func() {
 		limit := vnow()
 		for !e.stopped {
-			next, ok := e.peek()
+			next, ok := e.NextEventAt()
 			if !ok || next > limit {
 				if limit > e.now {
 					e.now = limit
@@ -75,7 +75,7 @@ func (e *Engine) RunRealtime(ctx context.Context, inject <-chan Event, speed flo
 	for !e.stopped {
 		disarm()
 		var timerC <-chan time.Time
-		if next, ok := e.peek(); ok {
+		if next, ok := e.NextEventAt(); ok {
 			delay := time.Duration(float64(next-vnow()) / speed)
 			if delay < 0 {
 				delay = 0

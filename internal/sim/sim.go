@@ -8,16 +8,19 @@
 // All simulation time is expressed as time.Duration offsets from the
 // start of the run. The engine never consults the wall clock.
 //
-// The engine is allocation-lean on its hot path: queue items are
-// recycled through a free list (generation-guarded, so stale Handles
-// cannot touch a recycled slot), the queue backing array is pre-sized,
-// and the ScheduleArg variants let periodic callers (beacon ticks,
-// frame deliveries, wakelock expiries) attach per-event state without
-// allocating a closure per event.
+// The queue holds only live events: it is a binary heap over the item
+// slice, ordered by (time, seq, sub) and compared inline, and
+// Handle.Cancel takes its event out of the heap at the call, so a
+// cancelled timer costs nothing later. The engine is allocation-lean
+// on its hot path: queue items are recycled through a free list as
+// soon as they fire or are cancelled (generation-guarded, so stale
+// Handles cannot touch a recycled slot), the queue backing array is
+// pre-sized, and the ScheduleArg variants let periodic callers (beacon
+// ticks, frame deliveries, wakelock expiries) attach per-event state
+// without allocating a closure per event.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -39,8 +42,10 @@ type ArgEvent func(now time.Duration, arg any)
 type Hook func(now time.Duration)
 
 // item is a scheduled event inside the queue. Items are recycled via
-// the engine's free list; gen increments on every recycle so Handles
-// referring to a previous occupancy turn inert.
+// their engine's free list the moment they fire or are cancelled; gen
+// increments on every recycle, so an item is live exactly while its
+// Handle's generation matches, and Handles referring to a previous
+// occupancy turn inert.
 type item struct {
 	at    time.Duration
 	seq   uint64 // insertion order, breaks ties deterministically
@@ -49,37 +54,44 @@ type item struct {
 	fn    Event
 	argFn ArgEvent
 	arg   any
-	done  bool // cancelled or fired
-	idx   int  // heap index, -1 once popped
+	eng   *Engine // owning engine, whose queue Cancel removes the item from
+	idx   int     // heap index while queued
+}
+
+// before orders items by (at, seq, sub), the queue's firing order.
+func (a *item) before(b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.sub < b.sub
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The
 // generation stamp keeps a Handle inert once its event has fired or
-// been cancelled and the slot recycled.
+// been cancelled, since either recycles the item.
 type Handle struct {
 	it  *item
 	gen uint64
 }
 
-// live reports whether the handle still refers to its original event.
-func (h Handle) live() bool { return h.it != nil && h.it.gen == h.gen }
+// Pending reports whether the event has neither fired nor been cancelled.
+func (h Handle) Pending() bool { return h.it != nil && h.it.gen == h.gen }
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op. Cancel reports whether the
-// event was still pending.
+// Cancel prevents the event from firing: it takes the event out of the
+// queue and recycles its item at the call, so Engine.Pending drops by
+// one. Cancelling an event that has already fired or been cancelled is
+// a no-op. Cancel reports whether the event was still pending.
 func (h Handle) Cancel() bool {
-	if !h.live() || h.it.done {
+	if !h.Pending() {
 		return false
 	}
-	h.it.done = true
-	h.it.fn = nil
-	h.it.argFn = nil
-	h.it.arg = nil
+	e := h.it.eng
+	e.release(e.remove(h.it.idx))
 	return true
 }
-
-// Pending reports whether the event has neither fired nor been cancelled.
-func (h Handle) Pending() bool { return h.live() && !h.it.done }
 
 // Slot identifies an event's position within its instant's firing
 // order. An entity standing for many identical members (a cohort)
@@ -99,56 +111,19 @@ func (s Slot) Offset(k int) Slot { return Slot{seq: s.seq, sub: s.sub + uint64(k
 // Slot returns the pending event's firing slot. The second result is
 // false once the event has fired or been cancelled.
 func (h Handle) Slot() (Slot, bool) {
-	if !h.live() || h.it.done {
+	if !h.Pending() {
 		return Slot{}, false
 	}
 	return Slot{seq: h.it.seq, sub: h.it.sub}, true
 }
 
 // At returns the virtual time the event is scheduled for, or zero once
-// the event has fired or been cancelled and its slot recycled.
+// the event has fired or been cancelled.
 func (h Handle) At() time.Duration {
-	if !h.live() {
+	if !h.Pending() {
 		return 0
 	}
 	return h.it.at
-}
-
-// eventQueue implements heap.Interface ordered by (at, seq, sub).
-type eventQueue []*item
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	if q[i].seq != q[j].seq {
-		return q[i].seq < q[j].seq
-	}
-	return q[i].sub < q[j].sub
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-
-func (q *eventQueue) Push(x any) {
-	it := x.(*item)
-	it.idx = len(*q)
-	*q = append(*q, it)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.idx = -1
-	*q = old[:n-1]
-	return it
 }
 
 // ErrSchedulePast is returned when an event is scheduled before the
@@ -164,7 +139,7 @@ const initialQueueCapacity = 64
 // to use; its clock starts at 0.
 type Engine struct {
 	now       time.Duration
-	queue     eventQueue
+	queue     []*item // binary min-heap by (at, seq, sub); live events only
 	free      []*item // recycled items, LIFO
 	seq       uint64
 	fired     uint64
@@ -176,7 +151,7 @@ type Engine struct {
 
 // New returns a new Engine with its clock at 0 and a pre-sized queue.
 func New() *Engine {
-	return &Engine{queue: make(eventQueue, 0, initialQueueCapacity)}
+	return &Engine{queue: make([]*item, 0, initialQueueCapacity)}
 }
 
 // Now returns the current virtual time.
@@ -185,8 +160,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of events that have been dispatched.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events waiting in the queue, including
-// cancelled events that have not been drained yet.
+// Pending returns the number of events waiting to fire. Cancelled
+// events leave the queue at the Cancel call and are not counted.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // alloc takes an item from the free list or allocates a fresh one.
@@ -197,19 +172,82 @@ func (e *Engine) alloc() *item {
 		e.free = e.free[:n-1]
 		return it
 	}
-	return &item{}
+	return &item{eng: e}
 }
 
-// release recycles a popped item. Bumping the generation first makes
-// every outstanding Handle for this occupancy inert.
+// release recycles an item taken out of the queue. Bumping the
+// generation first makes every outstanding Handle for this occupancy
+// inert.
 func (e *Engine) release(it *item) {
 	it.gen++
 	it.fn = nil
 	it.argFn = nil
 	it.arg = nil
-	it.done = false
-	it.idx = -1
 	e.free = append(e.free, it)
+}
+
+// push adds an item to the heap.
+func (e *Engine) push(it *item) {
+	e.queue = append(e.queue, it)
+	e.up(len(e.queue) - 1)
+}
+
+// remove takes the item at heap index i out of the heap and returns it.
+// The last item fills the hole and sifts down, or up if it cannot go
+// down.
+func (e *Engine) remove(i int) *item {
+	q := e.queue
+	n := len(q) - 1
+	it := q[i]
+	q[i] = q[n]
+	q[n] = nil
+	e.queue = q[:n]
+	if i < n && !e.down(i) {
+		e.up(i)
+	}
+	return it
+}
+
+// up moves the item at index j towards the root until its parent fires
+// first, keeping every moved item's idx current.
+func (e *Engine) up(j int) {
+	q := e.queue
+	it := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := q[i]
+		if !it.before(p) {
+			break
+		}
+		q[j], p.idx = p, j
+		j = i
+	}
+	q[j], it.idx = it, j
+}
+
+// down moves the item at index i towards the leaves until both its
+// children fire after it. It reports whether the item moved.
+func (e *Engine) down(i int) bool {
+	q := e.queue
+	n := len(q)
+	it := q[i]
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(it) {
+			break
+		}
+		q[i], q[c].idx = q[c], i
+		i = c
+	}
+	q[i], it.idx = it, i
+	return i > i0
 }
 
 // schedule enqueues a prepared item.
@@ -225,7 +263,7 @@ func (e *Engine) schedule(at time.Duration, fn Event, argFn ArgEvent, arg any) (
 	it.argFn = argFn
 	it.arg = arg
 	e.seq++
-	heap.Push(&e.queue, it)
+	e.push(it)
 	return Handle{it: it, gen: it.gen}, nil
 }
 
@@ -243,7 +281,7 @@ func (e *Engine) ScheduleAtSlot(at time.Duration, slot Slot, fn Event) (Handle, 
 	it.seq = slot.seq
 	it.sub = slot.sub
 	it.fn = fn
-	heap.Push(&e.queue, it)
+	e.push(it)
 	return Handle{it: it, gen: it.gen}, nil
 }
 
@@ -326,27 +364,23 @@ func (e *Engine) AddHook(h Hook) { e.hooks = append(e.hooks, h) }
 // Step dispatches the single next pending event, advancing the clock to
 // its timestamp. It reports whether an event was dispatched.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		it := heap.Pop(&e.queue).(*item)
-		if it.done {
-			e.release(it)
-			continue
-		}
-		e.now = it.at
-		fn, argFn, arg := it.fn, it.argFn, it.arg
-		e.release(it)
-		e.fired++
-		if fn != nil {
-			fn(e.now)
-		} else {
-			argFn(e.now, arg)
-		}
-		for _, h := range e.hooks {
-			h(e.now)
-		}
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	it := e.remove(0)
+	e.now = it.at
+	fn, argFn, arg := it.fn, it.argFn, it.arg
+	e.release(it)
+	e.fired++
+	if fn != nil {
+		fn(e.now)
+	} else {
+		argFn(e.now, arg)
+	}
+	for _, h := range e.hooks {
+		h(e.now)
+	}
+	return true
 }
 
 // Run dispatches events until the queue is empty or Stop is called.
@@ -368,7 +402,7 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	defer func() { e.running = false }()
 
 	for !e.stopped {
-		next, ok := e.peek()
+		next, ok := e.NextEventAt()
 		if !ok {
 			break
 		}
@@ -386,19 +420,11 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	return e.now
 }
 
-// NextEventAt returns the timestamp of the next live event, if any. A
+// NextEventAt returns the timestamp of the next event, if any. A
 // stopping event uses it to let the rest of its instant run first.
-func (e *Engine) NextEventAt() (time.Duration, bool) { return e.peek() }
-
-// peek returns the timestamp of the next live event, draining (and
-// recycling) cancelled entries from the top of the heap.
-func (e *Engine) peek() (time.Duration, bool) {
-	for len(e.queue) > 0 {
-		it := e.queue[0]
-		if !it.done {
-			return it.at, true
-		}
-		e.release(heap.Pop(&e.queue).(*item))
+func (e *Engine) NextEventAt() (time.Duration, bool) {
+	if len(e.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.queue[0].at, true
 }
