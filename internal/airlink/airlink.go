@@ -41,27 +41,6 @@ import (
 // maxDatagram bounds reads.
 const maxDatagram = 8192
 
-// srcMAC extracts the transmitter address of a raw frame (Addr2/TA at
-// offset 10 for everything this protocol sends except ACKs).
-func srcMAC(raw []byte) (dot11.MACAddr, bool) {
-	var src dot11.MACAddr
-	if len(raw) < 16 || dot11.Classify(raw) == dot11.KindACK {
-		return src, false
-	}
-	copy(src[:], raw[10:16])
-	return src, true
-}
-
-// dstMAC extracts the receiver address (offset 4 for all frame types).
-func dstMAC(raw []byte) (dot11.MACAddr, bool) {
-	var dst dot11.MACAddr
-	if len(raw) < 10 {
-		return dst, false
-	}
-	copy(dst[:], raw[4:10])
-	return dst, true
-}
-
 // Hub is the AP-side link: it owns the listening socket, learns peers,
 // and fans group frames out to all of them.
 type Hub struct {
@@ -198,7 +177,7 @@ func (h *Hub) DropPeer(mac dot11.MACAddr) {
 // installed fault plan per delivery. It is called from the engine
 // goroutine only.
 func (h *Hub) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Duration {
-	dst, ok := dstMAC(raw)
+	dst, ok := dot11.Receiver(raw)
 	if !ok {
 		return 0
 	}
@@ -288,7 +267,7 @@ func (h *Hub) handle(b []byte, from netip.AddrPort) {
 	case err != nil:
 		h.stats.BadPackets++
 	case m.Type == netmedium.MsgFrame:
-		if src, ok := srcMAC(m.Payload); ok {
+		if src, ok := dot11.Transmitter(m.Payload); ok {
 			h.peers.Learn(src, from)
 		} else {
 			h.peers.Touch(from)

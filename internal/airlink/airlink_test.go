@@ -213,32 +213,6 @@ func TestLegacyClientOverTheWire(t *testing.T) {
 	}
 }
 
-func TestSrcDstExtraction(t *testing.T) {
-	req := &dot11.AssocRequest{Header: dot11.MACHeader{
-		Addr1: bssid, Addr2: dot11.MACAddr{1, 2, 3, 4, 5, 6}, Addr3: bssid,
-	}}
-	raw, err := req.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, ok := srcMAC(raw)
-	if !ok || src != (dot11.MACAddr{1, 2, 3, 4, 5, 6}) {
-		t.Fatalf("srcMAC = %v, %v", src, ok)
-	}
-	dst, ok := dstMAC(raw)
-	if !ok || dst != bssid {
-		t.Fatalf("dstMAC = %v, %v", dst, ok)
-	}
-	// ACKs have no transmitter address to learn from.
-	ack := (&dot11.ACK{RA: bssid}).Marshal()
-	if _, ok := srcMAC(ack); ok {
-		t.Fatal("srcMAC accepted an ACK")
-	}
-	if _, ok := srcMAC([]byte{1, 2}); ok {
-		t.Fatal("srcMAC accepted a runt")
-	}
-}
-
 func TestHubTransmitToUnknownPeer(t *testing.T) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

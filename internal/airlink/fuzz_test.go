@@ -85,7 +85,7 @@ func FuzzHubDatagrams(f *testing.F) {
 			}
 			hub.handle(dgram, from)
 			if m, err := netmedium.Unmarshal(dgram); err == nil && m.Type == netmedium.MsgFrame {
-				if src, ok := srcMAC(m.Payload); ok {
+				if src, ok := dot11.Transmitter(m.Payload); ok {
 					if at, _ := hub.peers.Addr(src); at != from {
 						t.Fatalf("frame from %v at %v: routed to %v", src, from, at)
 					}

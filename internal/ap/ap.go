@@ -156,7 +156,8 @@ type BeaconView struct {
 }
 
 // Observer receives AP protocol events. Observers run synchronously on
-// the simulation goroutine; they must not mutate the AP.
+// the simulation goroutine; they must not mutate the AP, nor the view
+// every observer of one beacon shares.
 type Observer interface {
 	// BeaconBuilt fires after each beacon is assembled, before its
 	// transmission and before any group flush it announces.
@@ -177,7 +178,7 @@ type AP struct {
 	dtim    int           // beacons until next DTIM (the DTIM count)
 	bootAt  time.Duration // virtual time of the last (re)boot; TSF epoch
 	stats   Stats
-	obs     Observer
+	obs     []Observer
 	flagFn  func(bufferedPorts []uint16, table *porttable.Table) *dot11.VirtualBitmap
 	// roamPorts, when set, is consulted at reassociation time for a
 	// replicated port set from the ESS distribution system (warm
@@ -239,8 +240,9 @@ func New(eng *sim.Engine, med medium.Channel, cfg Config) *AP {
 // Stats returns the AP's protocol counters.
 func (a *AP) Stats() Stats { return a.stats }
 
-// SetObserver installs the protocol observer (nil disables it).
-func (a *AP) SetObserver(o Observer) { a.obs = o }
+// AddObserver subscribes o to the AP's protocol events; observers run
+// in the order they were added.
+func (a *AP) AddObserver(o Observer) { a.obs = append(a.obs, o) }
 
 // SetFlagComputer overrides Algorithm 1's per-client flag computation.
 // The replacement receives the destination ports of the buffered group
@@ -536,14 +538,17 @@ func (a *AP) beaconTick(now time.Duration) {
 	}
 	isDTIM := a.dtim == 0
 	beacon, raw := a.encodeBeacon(now, isDTIM)
-	if a.obs != nil {
+	if len(a.obs) > 0 {
 		ports, unparsed := a.bufferedPorts()
-		a.obs.BeaconBuilt(now, BeaconView{
+		v := BeaconView{
 			Beacon:           beacon,
 			IsDTIM:           isDTIM,
 			BufferedPorts:    ports,
 			UnparsedBuffered: unparsed,
-		})
+		}
+		for _, o := range a.obs {
+			o.BeaconBuilt(now, v)
+		}
 	}
 	a.med.Transmit(a.cfg.BSSID, raw, a.cfg.BeaconRate)
 	a.stats.BeaconsSent++

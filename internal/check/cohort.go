@@ -108,6 +108,10 @@ type equivSide struct {
 	frames   int
 	arrivals [][]energy.Arrival
 	stats    []station.Stats
+	// aggregate and violations are the ESS layer's extra observables:
+	// each cohort's regime, and the shard's invariant violations.
+	aggregate  []bool
+	violations []Violation
 }
 
 // runEquivSide replays the trace against a population of size

@@ -3,12 +3,15 @@
 // Two claims anchor the multi-AP assembly to everything already
 // proven about the single-AP path:
 //
-//  1. A K=1 ESS with no mobility IS the single-AP simulation: the
-//     windowed barrier execution must reproduce a plain core.Network
-//     replay byte-for-byte — identical frame streams (fingerprint of
-//     every transmission's instant, rate, and bytes), identical
-//     per-station counters and arrival logs, and bit-identical energy
-//     breakdowns (compared with ==, never a tolerance).
+//  1. A roam-free ESS IS K independent single-AP simulations: shard i
+//     must reproduce a plain core.Network seeded Seed+i with the
+//     shard's BSSID, attaching the shard's clients under the same
+//     ESS-wide station numbers, byte-for-byte — identical frame
+//     streams (fingerprint of every transmission's instant, rate, and
+//     bytes), identical per-client counters, arrival logs and cohort
+//     regimes, and bit-identical energy breakdowns (compared with ==,
+//     never a tolerance) — while an Invariants checker on every shard
+//     records no violation. K=1 is the single-AP network itself.
 //  2. Under churn and a lossy distribution system, the ESS stays
 //     deterministic: the same seed produces the same shard
 //     fingerprints and stats for any worker count, and the
@@ -19,6 +22,7 @@ package check
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -54,77 +58,147 @@ type ESSEquivResult struct {
 // OK reports whether the cell was exact.
 func (r ESSEquivResult) OK() bool { return r.Mismatch == "" }
 
-// runNetworkSide replays the trace against a plain single-AP network
-// with frame-level association — the exact call sequence
-// ess.AddStation mirrors.
-func runNetworkSide(tr *trace.Trace, kind policy.Kind, open []uint16, seed uint64, size int) (*equivSide, error) {
-	mode, err := modeFor(kind)
+// runESSSide replays tr against a roam-free ESS of k shards built from
+// cfg, attaching pop in order (0 for a station, n > 0 for a cohort of n
+// members) with an Invariants checker on every shard. It returns one
+// side per shard and the shard BSSIDs.
+func runESSSide(ctx context.Context, tr *trace.Trace, cfg core.NetworkConfig, k int, mode station.Mode, open []uint16, pop []int) ([]*equivSide, []dot11.MACAddr, error) {
+	e, err := ess.New(ess.Config{APs: k, Network: cfg})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n, err := core.NewNetwork(core.NetworkConfig{
-		DTIMPeriod: 1,
-		HIDE:       kind == policy.HIDE,
-		Seed:       seed,
-	})
-	if err != nil {
-		return nil, err
+	digests := make([]*airDigest, k)
+	for i, sh := range e.Shards() {
+		digests[i] = newAirDigest()
+		sh.Net.Medium.SetTap(digests[i].tap)
 	}
-	d := newAirDigest()
-	n.Medium.SetTap(d.tap)
-	var sts []*station.Station
-	for i := 0; i < size; i++ {
-		st, err := n.AddStation(mode, open)
+	for _, size := range pop {
+		if size == 0 {
+			_, err = e.AddStation(mode, open, 1)
+		} else {
+			_, err = e.AddCohort(mode, open, size, 1)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	invs := make([]*Invariants, k)
+	for i, sh := range e.Shards() {
+		invs[i] = NewInvariants()
+		invs[i].Watch(sh.Net)
+	}
+	if err := e.RunContext(ctx, tr); err != nil {
+		return nil, nil, err
+	}
+	sides := make([]*equivSide, k)
+	bssids := make([]dot11.MACAddr, k)
+	for i, sh := range e.Shards() {
+		invs[i].Finish(tr.Duration + dot11.DefaultBeaconInterval)
+		sides[i] = networkSide(digests[i], sh.Net)
+		sides[i].violations = invs[i].Violations()
+		bssids[i] = sh.Net.BSSID
+	}
+	return sides, bssids, nil
+}
+
+// runNetworkSide replays tr against the reference of an ESS with the
+// given shard BSSIDs: one independent core.Network per shard, network
+// i seeded cfg.Seed+i with shard i's BSSID. The clients of pop are
+// placed round-robin, as the ESS places them, and attached under the
+// same ESS-wide station numbers through AddStationAt and AddCohortAt.
+func runNetworkSide(tr *trace.Trace, cfg core.NetworkConfig, bssids []dot11.MACAddr, mode station.Mode, open []uint16, pop []int) ([]*equivSide, error) {
+	nets := make([]*core.Network, len(bssids))
+	digests := make([]*airDigest, len(bssids))
+	for i, bssid := range bssids {
+		ncfg := cfg
+		ncfg.Seed += uint64(i)
+		ncfg.BSSID = bssid
+		n, err := core.NewNetwork(ncfg)
 		if err != nil {
 			return nil, err
 		}
-		sts = append(sts, st)
+		digests[i] = newAirDigest()
+		n.Medium.SetTap(digests[i].tap)
+		nets[i] = n
 	}
-	if err := n.Replay(tr); err != nil {
-		return nil, err
-	}
-	side := &equivSide{fp: d.h.Sum64(), frames: d.frames}
-	for _, st := range sts {
-		side.arrivals = append(side.arrivals, st.Arrivals())
-		side.stats = append(side.stats, st.Stats())
-	}
-	return side, nil
-}
-
-// runESSSide replays the trace against a K=1 ESS with the same
-// population.
-func runESSSide(ctx context.Context, tr *trace.Trace, kind policy.Kind, open []uint16, seed uint64, size int) (*equivSide, error) {
-	mode, err := modeFor(kind)
-	if err != nil {
-		return nil, err
-	}
-	e, err := ess.New(ess.Config{
-		APs: 1,
-		Network: core.NetworkConfig{
-			DTIMPeriod: 1,
-			HIDE:       kind == policy.HIDE,
-			Seed:       seed,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := newAirDigest()
-	e.Shards()[0].Net.Medium.SetTap(d.tap)
-	for i := 0; i < size; i++ {
-		if _, err := e.AddStation(mode, open, 1); err != nil {
+	idx := 1
+	for j, size := range pop {
+		n := nets[j%len(nets)]
+		var err error
+		if size == 0 {
+			_, err = n.AddStationAt(idx, mode, open, 1)
+			idx++
+		} else {
+			_, err = n.AddCohortAt(idx, mode, open, size, 1)
+			idx += size
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
-	if err := e.RunContext(ctx, tr); err != nil {
-		return nil, err
+	sides := make([]*equivSide, len(nets))
+	for i, n := range nets {
+		if err := n.Replay(tr); err != nil {
+			return nil, err
+		}
+		sides[i] = networkSide(digests[i], n)
 	}
+	return sides, nil
+}
+
+// networkSide collects a replayed network's observables: its air, then
+// its stations' and its cohorts' in attachment order.
+func networkSide(d *airDigest, n *core.Network) *equivSide {
 	side := &equivSide{fp: d.h.Sum64(), frames: d.frames}
-	for _, st := range e.Stations() {
+	for _, st := range n.Stations() {
 		side.arrivals = append(side.arrivals, st.Arrivals())
 		side.stats = append(side.stats, st.Stats())
 	}
-	return side, nil
+	for _, c := range n.Cohorts() {
+		side.arrivals = append(side.arrivals, c.Arrivals())
+		side.stats = append(side.stats, c.MemberStats())
+		side.aggregate = append(side.aggregate, c.Aggregate())
+	}
+	return side
+}
+
+// compareESS replays tr on a roam-free ESS of k shards and on its
+// reference (runNetworkSide), and returns the frames the reference put
+// on air and the first mismatch ("" = exact).
+func compareESS(ctx context.Context, tr *trace.Trace, cfg core.NetworkConfig, k int, mode station.Mode, open []uint16, pop []int, eq EquivConfig) (int, string, error) {
+	es, bssids, err := runESSSide(ctx, tr, cfg, k, mode, open, pop)
+	if err != nil {
+		return 0, "", fmt.Errorf("ess side: %w", err)
+	}
+	ref, err := runNetworkSide(tr, cfg, bssids, mode, open, pop)
+	if err != nil {
+		return 0, "", fmt.Errorf("network side: %w", err)
+	}
+	frames := 0
+	for _, s := range ref {
+		frames += s.frames
+	}
+	return frames, diffESS(es, ref, eq, tr.Duration+dot11.DefaultBeaconInterval), nil
+}
+
+// diffESS names the first shard whose ESS side broke an invariant or
+// diverges from its reference ("" = exact).
+func diffESS(es, ref []*equivSide, eq EquivConfig, window time.Duration) string {
+	for i := range es {
+		if v := es[i].violations; len(v) > 0 {
+			return fmt.Sprintf("shard %d: %d invariant violation(s), first %v", i, len(v), v[0])
+		}
+		if len(es[i].stats) != len(ref[i].stats) {
+			return fmt.Sprintf("shard %d: ess %d clients, network %d", i, len(es[i].stats), len(ref[i].stats))
+		}
+		if !slices.Equal(es[i].aggregate, ref[i].aggregate) {
+			return fmt.Sprintf("shard %d cohort regimes (aggregate): ess %v, network %v", i, es[i].aggregate, ref[i].aggregate)
+		}
+		if d := diffSidesLabeled(es[i], ref[i], "ess", "network", len(ref[i].stats), eq, window); d != "" {
+			return fmt.Sprintf("shard %d %s", i, d)
+		}
+	}
+	return ""
 }
 
 // ESSEquivConfig tunes the K=1 equivalence sweep.
@@ -169,18 +243,16 @@ func RunESSEquivCellContext(ctx context.Context, c ESSEquivCell, cfg ESSEquivCon
 	}
 	open := sortedPorts(trace.OpenPortsForFraction(tr, cfg.UsefulTarget))
 
-	net, err := runNetworkSide(tr, c.Policy, open, cfg.Seed, c.Size)
+	mode, err := modeFor(c.Policy)
 	if err != nil {
-		return ESSEquivResult{}, fmt.Errorf("check: %v network side: %w", c, err)
+		return ESSEquivResult{}, err
 	}
-	es, err := runESSSide(ctx, tr, c.Policy, open, cfg.Seed, c.Size)
+	ncfg := core.NetworkConfig{DTIMPeriod: 1, HIDE: c.Policy == policy.HIDE, Seed: cfg.Seed}
+	frames, mismatch, err := compareESS(ctx, tr, ncfg, 1, mode, open, make([]int, c.Size), cfg.equiv())
 	if err != nil {
-		return ESSEquivResult{}, fmt.Errorf("check: %v ess side: %w", c, err)
+		return ESSEquivResult{}, fmt.Errorf("check: %v %w", c, err)
 	}
-
-	res := ESSEquivResult{Cell: c, Frames: net.frames}
-	res.Mismatch = diffSides(es, net, c.Size, cfg.equiv(), tr.Duration+dot11.DefaultBeaconInterval)
-	return res, nil
+	return ESSEquivResult{Cell: c, Frames: frames, Mismatch: mismatch}, nil
 }
 
 // ESSEquivMatrix is the K=1 byte-identity sweep.

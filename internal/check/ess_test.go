@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/policy"
+	"repro/internal/core"
+	"repro/internal/dot11"
+	"repro/internal/ess"
+	"repro/internal/porttable"
+	"repro/internal/station"
 	"repro/internal/trace"
 )
 
@@ -40,16 +44,116 @@ func TestESSEquivCellDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := sortedPorts(trace.OpenPortsForFraction(tr, 0.10))
-	net, err := runNetworkSide(tr, policy.ReceiveAll, open, 21, 2)
+	pop := make([]int, 2)
+	es, bssids, err := runESSSide(context.Background(), tr, core.NetworkConfig{DTIMPeriod: 1, HIDE: true, Seed: 21}, 1, station.HIDE, open, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, err := runESSSide(context.Background(), tr, policy.HIDE, open, 21, 2)
+	net, err := runNetworkSide(tr, core.NetworkConfig{DTIMPeriod: 1, Seed: 21}, bssids, station.Legacy, open, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffSides(es, net, 2, ESSEquivConfig{}.normalized().equiv(), tr.Duration); d == "" {
+	if d := diffESS(es, net, ESSEquivConfig{}.normalized().equiv(), tr.Duration); d == "" {
 		t.Fatal("HIDE and ReceiveAll sides compared equal")
+	}
+}
+
+// TestESSAIDBoundaryMatchesNetwork pins the cohort regime at the AID
+// boundary: after one station that associates by frame exchange, a
+// cohort of MaxAID members no longer fits the AIDs still free, so a
+// K=1 ESS must make it aggregate and leave the station its AID, exactly
+// as a core.Network built the same way does.
+func TestESSAIDBoundaryMatchesNetwork(t *testing.T) {
+	tr, err := oracleTrace(trace.Classroom, 31, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := sortedPorts(trace.OpenPortsForFraction(tr, 0.10))
+	cfg := core.NetworkConfig{DTIMPeriod: 1, HIDE: true, Seed: 31}
+	pop := []int{0, int(dot11.MaxAID)}
+	es, bssids, err := runESSSide(context.Background(), tr, cfg, 1, station.HIDE, open, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := runNetworkSide(tr, cfg, bssids, station.HIDE, open, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffESS(es, net, ESSEquivConfig{}.normalized().equiv(), tr.Duration+dot11.DefaultBeaconInterval); d != "" {
+		t.Fatal(d)
+	}
+	if !net[0].aggregate[0] {
+		t.Fatal("a MaxAID cohort after a pending station stayed exact")
+	}
+}
+
+// TestESSK4MatchesIndependentNetworks is the K>1 reference: a
+// roam-free, hardened four-shard ESS must equal four independent
+// core.Networks, each seeded Seed+i with its shard's BSSID and
+// attaching the shard's stations and cohorts under the same ESS-wide
+// numbers — per shard, byte for byte, with no invariant violation. The
+// channel is lossy so that each shard's seed shows in its loss draws
+// and retry jitter.
+func TestESSK4MatchesIndependentNetworks(t *testing.T) {
+	tr, err := oracleTrace(trace.Classroom, 41, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := sortedPorts(trace.OpenPortsForFraction(tr, 0.10))
+	cfg := core.NetworkConfig{DTIMPeriod: 1, HIDE: true, Harden: true, Loss: 0.02, Seed: 41}
+	pop := append(make([]int, 10), 3, 5)
+	frames, d, err := compareESS(context.Background(), tr, cfg, 4, station.HIDE, open, pop, ESSEquivConfig{}.normalized().equiv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != "" {
+		t.Fatal(d)
+	}
+	if frames == 0 {
+		t.Fatal("empty frame streams")
+	}
+}
+
+// TestESSShardObservers shows an Invariants checker and the ESS's own
+// miss counter observing one shard's AP side by side: a flag computer
+// that clears every BTIM bit on shard 1 must be flagged by that
+// shard's checker and counted as wanted misses by the ESS, while shard
+// 0 stays clean.
+func TestESSShardObservers(t *testing.T) {
+	tr, err := oracleTrace(trace.Classroom, 43, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := sortedPorts(trace.OpenPortsForFraction(tr, 0.10))
+	e, err := ess.New(ess.Config{APs: 2, Network: core.NetworkConfig{DTIMPeriod: 1, HIDE: true, Seed: 43}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := e.AddStation(station.HIDE, open, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Shards()[1].Net.AP.SetFlagComputer(func([]uint16, *porttable.Table) *dot11.VirtualBitmap {
+		return &dot11.VirtualBitmap{} // every BTIM bit cleared
+	})
+	var invs []*Invariants
+	for _, sh := range e.Shards() {
+		inv := NewInvariants()
+		inv.Watch(sh.Net)
+		invs = append(invs, inv)
+	}
+	if err := e.RunContext(context.Background(), tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := invs[0].Err(); err != nil {
+		t.Fatalf("clean shard 0: %v", err)
+	}
+	if len(invs[1].Violations()) == 0 {
+		t.Fatal("shard 1's checker did not flag the cleared BTIM bits")
+	}
+	if e.Stats().WantedMisses == 0 {
+		t.Fatal("the ESS miss counter saw no misses beside the checker")
 	}
 }
 

@@ -100,7 +100,7 @@ func (inv *Invariants) Watch(n *core.Network) {
 // conservation hook.
 func (inv *Invariants) WatchAP(eng *sim.Engine, a *ap.AP) {
 	inv.ap = a
-	a.SetObserver(inv)
+	a.AddObserver(inv)
 	eng.AddHook(inv.eventHook)
 }
 

@@ -15,10 +15,7 @@ func TestRefreshJitterSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := base.StationConfigAt(1, station.HIDE, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := base.stationConfig(1, station.HIDE, 1)
 	if ref.PortRefresh <= 0 {
 		t.Fatal("hardened config has no port refresh")
 	}
@@ -34,17 +31,11 @@ func TestRefreshJitterSpread(t *testing.T) {
 	distinct := false
 	var prev int64
 	for i := 1; i <= 32; i++ {
-		c, err := jn.StationConfigAt(i, station.HIDE, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := jn.stationConfig(i, station.HIDE, 1)
 		if c.PortRefresh < ref.PortRefresh || c.PortRefresh > 2*ref.PortRefresh {
 			t.Fatalf("station %d refresh %v outside [%v, %v]", i, c.PortRefresh, ref.PortRefresh, 2*ref.PortRefresh)
 		}
-		c2, err := jn2.StationConfigAt(i, station.HIDE, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c2 := jn2.stationConfig(i, station.HIDE, 1)
 		if c.PortRefresh != c2.PortRefresh {
 			t.Fatalf("station %d jitter not deterministic: %v vs %v", i, c.PortRefresh, c2.PortRefresh)
 		}
@@ -62,10 +53,7 @@ func TestRefreshJitterSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := plain.StationConfigAt(1, station.HIDE, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pc := plain.stationConfig(1, station.HIDE, 1)
 	if pc.PortRefresh != 0 {
 		t.Fatalf("unhardened config got refresh %v, want 0", pc.PortRefresh)
 	}

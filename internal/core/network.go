@@ -25,7 +25,7 @@ type Network struct {
 	AP      *ap.AP
 	BSSID   dot11.MACAddr
 	SSID    string
-	entries []netEntry
+	entries []*station.Station
 	cohorts []*station.CohortStation
 	capture *Capture // fed by tap
 	monitor *Monitor // fed by tap
@@ -35,15 +35,7 @@ type Network struct {
 	portRefresh   time.Duration // station-side TTL refresh cadence when hardened
 	refreshJitter float64       // per-station refresh desynchronization factor
 	portCoalesce  time.Duration // station-side port-message batching window
-	used          int           // station MAC addresses consumed (cohort members included)
-	aidsUsed      int           // AIDs the attached stations will consume once associated
-}
-
-// netEntry pairs a station with its configuration.
-type netEntry struct {
-	st   *station.Station
-	addr dot11.MACAddr
-	mode station.Mode
+	used          int           // highest station number attached (cohort members included)
 }
 
 // NetworkConfig configures NewNetwork.
@@ -112,18 +104,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		cfg.SSID = "hide-sim"
 	}
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), cfg.Seed+1)
-	if cfg.Loss > 0 {
-		if err := med.SetLoss(cfg.Loss); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Fault != nil {
-		plan := cfg.Fault
-		if cfg.Loss > 0 {
-			plan = fault.Compose(fault.Loss{P: cfg.Loss}, plan)
-		}
-		med.SetFaultPlan(plan)
+	med, err := newMedium(eng, cfg.Seed+1, cfg.Loss, cfg.Fault)
+	if err != nil {
+		return nil, err
 	}
 
 	// Hardening cadences derive from the DTIM span: stations refresh
@@ -165,13 +148,33 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	}, nil
 }
 
+// newMedium builds a medium on eng with its fault RNG seeded by seed:
+// the Loss knob first, then plan composed after it. A nil plan leaves
+// the channel pristine beyond Loss. NewNetwork and the windowed groups
+// both build their media here.
+func newMedium(eng *sim.Engine, seed uint64, loss float64, plan fault.Plan) (*medium.Medium, error) {
+	med := medium.New(eng, dot11.DefaultPHY(), seed)
+	if loss > 0 {
+		if err := med.SetLoss(loss); err != nil {
+			return nil, err
+		}
+	}
+	if plan != nil {
+		if loss > 0 {
+			plan = fault.Compose(fault.Loss{P: loss}, plan)
+		}
+		med.SetFaultPlan(plan)
+	}
+	return med, nil
+}
+
 // AddStation creates and attaches a station with the given open ports
 // and starts the frame-level association exchange: the AssocRequest —
 // carrying the Open UDP Ports element for HIDE stations — goes over
 // the medium and the AP assigns the AID in its response. Association
 // completes within the first milliseconds of the simulation run.
 func (n *Network) AddStation(mode station.Mode, openPorts []uint16) (*station.Station, error) {
-	return n.AddStationListenInterval(mode, openPorts, 1)
+	return n.AddStationAt(n.used+1, mode, openPorts, 1)
 }
 
 // Replay schedules every frame of the trace as a group datagram
@@ -243,11 +246,7 @@ func (r *replay) fire(time.Duration) {
 
 // Stations returns the attached stations in attachment order.
 func (n *Network) Stations() []*station.Station {
-	out := make([]*station.Station, len(n.entries))
-	for i, e := range n.entries {
-		out[i] = e.st
-	}
-	return out
+	return append([]*station.Station(nil), n.entries...)
 }
 
 // StationEnergy evaluates the Section IV model over a station's
@@ -271,12 +270,9 @@ func (n *Network) StationEnergy(st *station.Station, dev energy.Profile, duratio
 // through the 24-bit block for million-member cohorts.
 var stationBase = dot11.MACAddr{0x02, 0x1d, 0xe0, 0x01, 0x00, 0x00}
 
-// stationConfig assembles the station.Config for the idx-th station
-// address, applying the network's hardening knobs.
-func (n *Network) stationConfig(idx int, mode station.Mode, li int) (station.Config, error) {
-	if idx+0x010000 >= dot11.MaxAddrBlock {
-		return station.Config{}, fmt.Errorf("core: station address space exhausted")
-	}
+// stationConfig assembles the station.Config for station number idx,
+// applying the network's hardening knobs.
+func (n *Network) stationConfig(idx int, mode station.Mode, li int) station.Config {
 	scfg := station.Config{
 		Addr:           dot11.AddrAdd(stationBase, idx),
 		BSSID:          n.BSSID,
@@ -299,38 +295,23 @@ func (n *Network) stationConfig(idx int, mode station.Mode, li int) (station.Con
 		}
 		scfg.MissedBeaconFailSafe = true
 	}
-	return scfg, nil
-}
-
-// StationConfigAt exposes the station.Config the network would build
-// for station number idx (1-based, the same numbering AddStation
-// uses), including the hardening and refresh-jitter knobs. The ESS
-// uses it to create stations with globally-unique addresses across
-// shards while keeping the exact per-station configuration a plain
-// Network would produce — the K=1 byte-identity proof depends on it.
-func (n *Network) StationConfigAt(idx int, mode station.Mode, li int) (station.Config, error) {
-	return n.stationConfig(idx, mode, li)
+	return scfg
 }
 
 // AddStationListenInterval is AddStation with an 802.11 listen
 // interval: the station's radio wakes only for every li-th beacon.
 func (n *Network) AddStationListenInterval(mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
-	if n.aidsUsed+1 > int(dot11.MaxAID) {
-		return nil, fmt.Errorf("core: association space exhausted")
-	}
-	scfg, err := n.stationConfig(n.used+1, mode, li)
-	if err != nil {
-		return nil, err
-	}
-	st := station.New(n.Engine, n.Medium, scfg)
-	for _, p := range openPorts {
-		st.OpenPort(p)
-	}
-	st.StartAssociation(n.SSID)
-	n.used++
-	n.aidsUsed++
-	n.entries = append(n.entries, netEntry{st: st, addr: scfg.Addr, mode: mode})
-	return st, nil
+	return n.AddStationAt(n.used+1, mode, openPorts, li)
+}
+
+// AddStationAt is AddStationListenInterval for station number idx
+// (1-based, the numbering AddStation counts up), from which the
+// station's address, RNG and refresh jitter derive. The ESS attaches
+// every station to its shard's Network under an ESS-wide number, so
+// addresses stay unique across shards while each station is built
+// exactly as a plain Network would build it.
+func (n *Network) AddStationAt(idx int, mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
+	return n.attachStation(attachment{idx: idx, eng: n.Engine, med: n.Medium}, mode, openPorts, li)
 }
 
 // AddStationDirect is AddStationListenInterval minus the frame-level
@@ -339,47 +320,98 @@ func (n *Network) AddStationListenInterval(mode station.Mode, openPorts []uint16
 // the equivalence suite uses it so both sides of the cohort-vs-
 // expanded comparison share the same join path.
 func (n *Network) AddStationDirect(mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
-	scfg, err := n.stationConfig(n.used+1, mode, li)
-	if err != nil {
-		return nil, err
-	}
-	st := station.New(n.Engine, n.Medium, scfg)
-	for _, p := range openPorts {
-		st.OpenPort(p)
-	}
-	aid, err := n.AP.Associate(scfg.Addr, mode == station.HIDE)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Join(aid); err != nil {
-		return nil, err
-	}
-	n.used++
-	n.aidsUsed++
-	n.entries = append(n.entries, netEntry{st: st, addr: scfg.Addr, mode: mode})
-	return st, nil
+	return n.attachStation(attachment{idx: n.used + 1, eng: n.Engine, med: n.Medium, direct: true}, mode, openPorts, li)
 }
 
 // AddCohort attaches count identical stations as one scheduled entity
 // (station.CohortStation) and picks the representation regime
-// automatically: while the whole cohort fits the free AID space every
+// automatically: while the whole cohort fits the AIDs still free every
 // member is associated individually on a contiguous AID block and the
 // cohort is exact — byte-identical frames, bit-identical energy —
 // otherwise the cohort aggregates behind a single association
 // (ap.AssociateAggregate), the regime the 10⁵–10⁶ client runs use.
 func (n *Network) AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("core: cohort count %d < 1", count)
+	return n.AddCohortAt(n.used+1, mode, openPorts, count, li)
+}
+
+// AddCohortAt is AddCohort for the block of station numbers
+// [idx, idx+count), the cohort counterpart of AddStationAt.
+func (n *Network) AddCohortAt(idx int, mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
+	return n.attachCohort(attachment{idx: idx, eng: n.Engine, med: n.Medium}, mode, openPorts, count, li)
+}
+
+// attachment says where a station or cohort attaches: the station
+// number of its first member, and the engine and medium it runs on —
+// the network's own, or a windowed group's replica.
+type attachment struct {
+	idx    int
+	eng    *sim.Engine
+	med    *medium.Medium
+	direct bool // associate out of band instead of by frame exchange
+	// ackTimeout overrides station.DefaultAckTimeout when positive.
+	ackTimeout time.Duration
+}
+
+// admit checks that the station numbers [at.idx, at.idx+count) fit
+// the station address space and that an AID is still free, and returns
+// the first member's configuration and the count of free AIDs: the
+// AP's, minus those owed to attached stations not yet associated.
+func (n *Network) admit(at attachment, count int, mode station.Mode, li int) (station.Config, int, error) {
+	if at.idx < 1 || at.idx+count-1+0x010000 >= dot11.MaxAddrBlock {
+		return station.Config{}, 0, fmt.Errorf("core: stations %d..%d exceed the station address space", at.idx, at.idx+count-1)
 	}
-	scfg, err := n.stationConfig(n.used+1, mode, li)
+	free := n.AP.FreeAIDs()
+	for _, st := range n.entries {
+		if !st.Associated() {
+			free--
+		}
+	}
+	if free < 1 {
+		return station.Config{}, 0, fmt.Errorf("core: association space exhausted")
+	}
+	scfg := n.stationConfig(at.idx, mode, li)
+	scfg.AckTimeout = at.ackTimeout
+	return scfg, free, nil
+}
+
+// attachStation is the one path that attaches a station: it admits the
+// station, builds it on at's engine and medium with its ports open, and
+// associates it — by frame exchange, or out of band when at.direct.
+func (n *Network) attachStation(at attachment, mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
+	scfg, _, err := n.admit(at, 1, mode, li)
 	if err != nil {
 		return nil, err
 	}
-	if n.used+count+0x010000 > dot11.MaxAddrBlock {
-		return nil, fmt.Errorf("core: cohort of %d exceeds the station address space", count)
+	st := station.New(at.eng, at.med, scfg)
+	for _, p := range openPorts {
+		st.OpenPort(p)
 	}
-	exact := count <= n.AP.FreeAIDs() && n.aidsUsed+count <= int(dot11.MaxAID)
-	c, err := station.NewCohort(n.Engine, n.Medium, station.CohortConfig{
+	if at.direct {
+		aid, err := n.AP.Associate(scfg.Addr, mode == station.HIDE)
+		if err != nil {
+			return nil, err
+		}
+		if err := st.Join(aid); err != nil {
+			return nil, err
+		}
+	} else {
+		st.StartAssociation(n.SSID)
+	}
+	n.used = max(n.used, at.idx)
+	n.entries = append(n.entries, st)
+	return st, nil
+}
+
+// attachCohort is the one path that attaches a cohort, associated out
+// of band. It is exact only while the whole block fits the free AIDs
+// admit counts; otherwise it aggregates behind one association.
+func (n *Network) attachCohort(at attachment, mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
+	scfg, free, err := n.admit(at, count, mode, li)
+	if err != nil {
+		return nil, err
+	}
+	exact := count <= free
+	c, err := station.NewCohort(at.eng, at.med, station.CohortConfig{
 		Config:    scfg,
 		Count:     count,
 		Aggregate: !exact,
@@ -390,21 +422,18 @@ func (n *Network) AddCohort(mode station.Mode, openPorts []uint16, count, li int
 	for _, p := range openPorts {
 		c.OpenPort(p)
 	}
-	var first dot11.AID
+	associate := n.AP.AssociateAggregate
 	if exact {
-		first, err = n.AP.AssociateCohort(scfg.Addr, count, mode == station.HIDE)
-		n.aidsUsed += count
-	} else {
-		first, err = n.AP.AssociateAggregate(scfg.Addr, count, mode == station.HIDE)
-		n.aidsUsed++
+		associate = n.AP.AssociateCohort
 	}
+	first, err := associate(scfg.Addr, count, mode == station.HIDE)
 	if err != nil {
 		return nil, err
 	}
 	if err := c.JoinBlock(first); err != nil {
 		return nil, err
 	}
-	n.used += count
+	n.used = max(n.used, at.idx+count-1)
 	n.cohorts = append(n.cohorts, c)
 	return c, nil
 }

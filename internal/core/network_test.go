@@ -275,3 +275,52 @@ func TestNetworkAssociationOverTheAir(t *testing.T) {
 		}
 	}
 }
+
+// TestAttachBounds pins the attach path's limits. A cohort is exact
+// only while it fits the AIDs still free, which excludes the AID owed
+// to a station still associating by frame exchange, and nothing
+// attaches once no AID is free. A block of station numbers must start
+// at 1 or later and end inside the address space.
+func TestAttachBounds(t *testing.T) {
+	n, err := NewNetwork(NetworkConfig{HIDE: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := n.AddStation(station.HIDE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.AddCohort(station.HIDE, nil, int(dot11.MaxAID)-1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Aggregate() {
+		t.Fatal("a cohort filling exactly the AIDs still free went aggregate")
+	}
+	if _, err := n.AddStation(station.HIDE, nil); err == nil {
+		t.Fatal("a station attached with every AID promised")
+	}
+	if _, err := n.AddCohort(station.HIDE, nil, 1, 1); err == nil {
+		t.Fatal("a cohort took the AID owed to the associating station")
+	}
+	n.AP.Start()
+	n.Engine.RunUntil(time.Second)
+	if !st.Associated() || st.AID() != dot11.MaxAID {
+		t.Fatalf("station associated %v with AID %d, want AID %d", st.Associated(), st.AID(), dot11.MaxAID)
+	}
+
+	last := dot11.MaxAddrBlock - 0x010000 - 1 // the highest station number
+	m, err := NewNetwork(NetworkConfig{HIDE: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddCohortAt(last-2, station.HIDE, nil, 3, 1); err != nil {
+		t.Fatalf("a cohort ending at the last station number: %v", err)
+	}
+	if _, err := m.AddCohortAt(last-1, station.HIDE, nil, 3, 1); err == nil {
+		t.Fatal("a cohort ran past the last station number")
+	}
+	if _, err := m.AddStationAt(0, station.HIDE, nil, 1); err == nil {
+		t.Fatal("station number 0 attached")
+	}
+}

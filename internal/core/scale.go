@@ -58,10 +58,22 @@ type ScalePoint struct {
 	MeanUseful float64
 }
 
-// scaleIndividual is the individually-modeled-station scaling path,
-// parameterized by the network configuration and the execution mode
-// (opts.WindowWorkers).
-func scaleIndividual(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
+// ScaleClientsNetwork replays the trace against populations of HIDE
+// stations on a BSS built from cfg, so scaling studies can set
+// protocol knobs beyond the default — hardened fail-safes, refresh
+// jitter, custom DTIM periods. cfg.HIDE is forced on: the experiment
+// measures the HIDE control plane. Station i listens on a port drawn
+// round-robin from the trace's port set, so usefulness is spread
+// across the population.
+//
+// When opts.Cohort > 1 each port class is modeled as cohort stations
+// of at most opts.Cohort members instead of individual stations, which
+// lifts the reachable population from the AID-space ceiling (2007) to
+// 10⁵–10⁶ clients. Class sizes match the round-robin assignment (port
+// i serves ⌈n/len(ports)⌉ or ⌊n/len(ports)⌋ members); per-station
+// energy comes from one member per cohort scaled by the cohort width.
+func ScaleClientsNetwork(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
+	cfg.HIDE = true
 	hist := tr.PortHistogram()
 	var ports []uint16
 	for p := range hist {
@@ -81,13 +93,30 @@ func scaleIndividual(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, siz
 		if err != nil {
 			return nil, err
 		}
-		sts := make([]*station.Station, 0, n)
-		for i := 0; i < n; i++ {
-			st, err := asm.AddStation(station.HIDE, []uint16{ports[i%len(ports)]})
-			if err != nil {
-				return nil, err
+		var sts []*station.Station
+		var cohorts []*station.CohortStation
+		if opts.Cohort > 1 {
+			for i := range ports {
+				size := n / len(ports)
+				if i < n%len(ports) {
+					size++
+				}
+				for off := 0; off < size; off += opts.Cohort {
+					c, err := asm.AddCohort(station.HIDE, []uint16{ports[i]}, min(opts.Cohort, size-off), 1)
+					if err != nil {
+						return nil, err
+					}
+					cohorts = append(cohorts, c)
+				}
 			}
-			sts = append(sts, st)
+		} else {
+			for i := 0; i < n; i++ {
+				st, err := asm.AddStation(station.HIDE, []uint16{ports[i%len(ports)]})
+				if err != nil {
+					return nil, err
+				}
+				sts = append(sts, st)
+			}
 		}
 		if err := asm.Replay(tr); err != nil {
 			return nil, err
@@ -106,74 +135,6 @@ func scaleIndividual(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, siz
 			sumJ += b.TotalJ()
 			sumUseful += float64(st.Stats().GroupUseful)
 		}
-		pt.MeanStationJ = sumJ / float64(n)
-		pt.MeanUseful = sumUseful / float64(n)
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// ScaleClientsNetwork replays the trace against populations of HIDE
-// stations on a BSS built from cfg, so scaling studies can set
-// protocol knobs beyond the default — hardened fail-safes, refresh
-// jitter, custom DTIM periods. cfg.HIDE is forced on: the experiment
-// measures the HIDE control plane. Station i listens on a port drawn
-// round-robin from the trace's port set, so usefulness is spread
-// across the population.
-//
-// When opts.Cohort > 1 each port class is modeled as cohort stations
-// of at most opts.Cohort members instead of individual stations, which
-// lifts the reachable population from the AID-space ceiling (2007) to
-// 10⁵–10⁶ clients. Class sizes match the round-robin assignment (port
-// i serves ⌈n/len(ports)⌉ or ⌊n/len(ports)⌋ members); per-station
-// energy comes from one member per cohort scaled by the cohort width.
-func ScaleClientsNetwork(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
-	cfg.HIDE = true
-	if opts.Cohort <= 1 {
-		return scaleIndividual(cfg, tr, dev, sizes, opts)
-	}
-	hist := tr.PortHistogram()
-	var ports []uint16
-	for p := range hist {
-		ports = append(ports, p)
-	}
-	if len(ports) == 0 {
-		return nil, fmt.Errorf("core: trace has no ports to assign")
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-
-	var out []ScalePoint
-	for _, n := range sizes {
-		if n < 1 {
-			return nil, fmt.Errorf("core: population %d < 1", n)
-		}
-		asm, net, err := newScaleAssembly(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		var cohorts []*station.CohortStation
-		for i := range ports {
-			size := n / len(ports)
-			if i < n%len(ports) {
-				size++
-			}
-			for off := 0; off < size; off += opts.Cohort {
-				c, err := asm.AddCohort(station.HIDE, []uint16{ports[i]}, min(opts.Cohort, size-off), 1)
-				if err != nil {
-					return nil, err
-				}
-				cohorts = append(cohorts, c)
-			}
-		}
-		if err := asm.Replay(tr); err != nil {
-			return nil, err
-		}
-
-		pt := ScalePoint{N: n, PortMsgsReceived: net.AP.Stats().PortMsgsReceived}
-		if beacons := net.AP.Stats().BeaconsSent; beacons > 0 {
-			pt.BTIMBytesPerBeacon = float64(net.AP.Stats().BTIMBytesSent) / float64(beacons)
-		}
-		var sumJ, sumUseful float64
 		for _, c := range cohorts {
 			_, total, err := net.CohortEnergy(c, dev, tr.Duration, true)
 			if err != nil {

@@ -177,56 +177,53 @@ func (w *WindowedNetwork) Window() time.Duration { return w.window }
 // Groups returns the number of partitions (one per Add call).
 func (w *WindowedNetwork) Groups() int { return len(w.groups) }
 
-// newGroup creates the next partition: a fresh engine and a medium
+// newGroup builds the next partition — a fresh engine and a medium
 // replica with a group-indexed seed, the shared Loss knob, and the
-// group's own fault plan. Its transmissions are captured for the
-// barrier merge.
-func (w *WindowedNetwork) newGroup() (*windowGroup, error) {
+// group's own fault plan, its transmissions captured for the barrier
+// merge — and the attachment that puts the next station number on it.
+// Stations in a group associate out of band (a frame-level handshake
+// would span barriers for no modelling gain), and their ACK timeout is
+// stretched by one window: uplink crosses to the AP only at barriers,
+// so the handshake round trip grows by up to one window and the stock
+// timeout would misread that latency as loss and retry.
+func (w *WindowedNetwork) newGroup() (*windowGroup, attachment, error) {
 	idx := len(w.groups)
 	// Group-indexed derivation of the hub medium's seed (Seed+1), so a
 	// group's fault stream is fixed by its position in assembly order —
 	// never by worker count or scheduling.
 	gseed := (w.netCfg.Seed + 1) ^ (0x9e3779b97f4a7c15 * uint64(idx+2))
-	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), gseed)
-	if w.netCfg.Loss > 0 {
-		if err := med.SetLoss(w.netCfg.Loss); err != nil {
-			return nil, err
-		}
-	}
+	var plan fault.Plan
 	if w.faultFor != nil {
-		if plan := w.faultFor(idx); plan != nil {
-			if w.netCfg.Loss > 0 {
-				plan = fault.Compose(fault.Loss{P: w.netCfg.Loss}, plan)
-			}
-			med.SetFaultPlan(plan)
-		}
+		plan = w.faultFor(idx)
+	}
+	eng := sim.New()
+	med, err := newMedium(eng, gseed, w.netCfg.Loss, plan)
+	if err != nil {
+		return nil, attachment{}, err
 	}
 	g := &windowGroup{eng: eng, med: med}
 	med.SetTxObserver(func(src dot11.MACAddr, raw []byte, rate dot11.Rate, start, deliverAt time.Duration) {
 		g.up = append(g.up, airFrame{src: src, raw: raw, rate: rate, start: start, deliverAt: deliverAt})
 	})
-	w.groups = append(w.groups, g)
-	return g, nil
+	at := attachment{
+		idx:        w.Hub.used + 1,
+		eng:        eng,
+		med:        med,
+		direct:     true,
+		ackTimeout: station.DefaultAckTimeout + w.window,
+	}
+	return g, at, nil
 }
 
-// windowStationConfig is the hub's stationConfig plus the windowed ACK
-// stretch: uplink crosses to the AP only at barriers, so the handshake
-// round trip grows by up to one window and the stock timeout would
-// misread that latency as loss and retry.
-func (w *WindowedNetwork) windowStationConfig(idx int, mode station.Mode, li int) (station.Config, error) {
-	scfg, err := w.Hub.stationConfig(idx, mode, li)
-	if err != nil {
-		return station.Config{}, err
-	}
-	scfg.AckTimeout = station.DefaultAckTimeout + w.window
-	return scfg, nil
+// addGroup joins an attached group to the partition set; it owns the
+// station numbers [first, first+count) for unicast routing.
+func (w *WindowedNetwork) addGroup(g *windowGroup, first, count int) {
+	w.spans = append(w.spans, groupSpan{first: first, count: count, group: len(w.groups)})
+	w.groups = append(w.groups, g)
 }
 
 // AddStation attaches a station in its own partition, associated with
-// the hub AP out of band (the direct-join path the equivalence suite
-// and cohorts use — a frame-level association handshake would span
-// barriers for no modelling gain).
+// the hub AP out of band.
 func (w *WindowedNetwork) AddStation(mode station.Mode, openPorts []uint16) (*station.Station, error) {
 	return w.AddStationListenInterval(mode, openPorts, 1)
 }
@@ -234,86 +231,33 @@ func (w *WindowedNetwork) AddStation(mode station.Mode, openPorts []uint16) (*st
 // AddStationListenInterval is AddStation with an 802.11 listen
 // interval.
 func (w *WindowedNetwork) AddStationListenInterval(mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
-	n := w.Hub
-	if n.aidsUsed+1 > int(dot11.MaxAID) {
-		return nil, fmt.Errorf("core: association space exhausted")
-	}
-	scfg, err := w.windowStationConfig(n.used+1, mode, li)
+	g, at, err := w.newGroup()
 	if err != nil {
 		return nil, err
 	}
-	g, err := w.newGroup()
+	st, err := w.Hub.attachStation(at, mode, openPorts, li)
 	if err != nil {
 		return nil, err
 	}
-	st := station.New(g.eng, g.med, scfg)
-	for _, p := range openPorts {
-		st.OpenPort(p)
-	}
-	aid, err := n.AP.Associate(scfg.Addr, mode == station.HIDE)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Join(aid); err != nil {
-		return nil, err
-	}
-	w.spans = append(w.spans, groupSpan{first: n.used + 1, count: 1, group: len(w.groups) - 1})
-	n.used++
-	n.aidsUsed++
-	n.entries = append(n.entries, netEntry{st: st, addr: scfg.Addr, mode: mode})
+	w.addGroup(g, at.idx, 1)
 	return st, nil
 }
 
 // AddCohort attaches count identical stations as one cohort block in
-// its own partition, with the same exact/aggregate regime selection as
-// Network.AddCohort. Splits the fault plan forces stay inside the
-// group: the carved segments live on the group's medium and keep their
-// addresses inside the block's contiguous span.
+// its own partition, with Network.AddCohort's exact/aggregate regime.
+// Splits the fault plan forces stay inside the group: the carved
+// segments live on the group's medium and keep their addresses inside
+// the block's contiguous span.
 func (w *WindowedNetwork) AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
-	n := w.Hub
-	if count < 1 {
-		return nil, fmt.Errorf("core: cohort count %d < 1", count)
-	}
-	scfg, err := w.windowStationConfig(n.used+1, mode, li)
+	g, at, err := w.newGroup()
 	if err != nil {
 		return nil, err
 	}
-	if n.used+count+0x010000 > dot11.MaxAddrBlock {
-		return nil, fmt.Errorf("core: cohort of %d exceeds the station address space", count)
-	}
-	exact := count <= n.AP.FreeAIDs() && n.aidsUsed+count <= int(dot11.MaxAID)
-	g, err := w.newGroup()
+	c, err := w.Hub.attachCohort(at, mode, openPorts, count, li)
 	if err != nil {
 		return nil, err
 	}
-	c, err := station.NewCohort(g.eng, g.med, station.CohortConfig{
-		Config:    scfg,
-		Count:     count,
-		Aggregate: !exact,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range openPorts {
-		c.OpenPort(p)
-	}
-	var first dot11.AID
-	if exact {
-		first, err = n.AP.AssociateCohort(scfg.Addr, count, mode == station.HIDE)
-		n.aidsUsed += count
-	} else {
-		first, err = n.AP.AssociateAggregate(scfg.Addr, count, mode == station.HIDE)
-		n.aidsUsed++
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := c.JoinBlock(first); err != nil {
-		return nil, err
-	}
-	w.spans = append(w.spans, groupSpan{first: n.used + 1, count: count, group: len(w.groups) - 1})
-	n.used += count
-	n.cohorts = append(n.cohorts, c)
+	w.addGroup(g, at.idx, count)
 	return c, nil
 }
 
@@ -387,7 +331,7 @@ func (w *WindowedNetwork) dispatchDown(until time.Duration) error {
 	}
 	for i := 0; i < n; i++ {
 		f := &w.pendDown[i]
-		dst, ok := frameDst(f.raw)
+		dst, ok := dot11.Receiver(f.raw)
 		if !ok {
 			continue
 		}
@@ -464,15 +408,4 @@ func (w *WindowedNetwork) mergeUp() {
 		w.Hub.Medium.Transmit(w.merge[i].src, w.merge[i].raw, w.merge[i].rate)
 		w.merge[i].raw = nil
 	}
-}
-
-// frameDst extracts the receiver address (offset 4 in every frame type
-// used here — Addr1/RA/BSSID).
-func frameDst(raw []byte) (dot11.MACAddr, bool) {
-	var dst dot11.MACAddr
-	if len(raw) < 10 {
-		return dst, false
-	}
-	copy(dst[:], raw[4:10])
-	return dst, true
 }

@@ -271,6 +271,26 @@ func unmarshalMACHeader(b []byte) (MACHeader, error) {
 	}, nil
 }
 
+// Receiver returns a raw frame's receiver address, bytes 4–10: Addr1
+// of management and data frames, the RA of an ACK, the BSSID of a
+// PS-Poll. A frame too short to carry one reports false.
+func Receiver(raw []byte) (MACAddr, bool) {
+	if len(raw) < 10 {
+		return MACAddr{}, false
+	}
+	return MACAddr(raw[4:10]), true
+}
+
+// Transmitter returns a raw frame's transmitter address, bytes 10–16:
+// Addr2 of management and data frames, the TA of a PS-Poll. An ACK
+// carries none, and neither does a frame too short to hold one.
+func Transmitter(raw []byte) (MACAddr, bool) {
+	if len(raw) < 16 || Classify(raw) == KindACK {
+		return MACAddr{}, false
+	}
+	return MACAddr(raw[10:16]), true
+}
+
 // putUint16 writes v little-endian.
 func putUint16(b []byte, v uint16) {
 	b[0] = byte(v)

@@ -350,6 +350,45 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestFrameAddresses pins where Receiver and Transmitter read each
+// frame kind's addresses: the medium routes on the first, and the
+// airlink hub learns its peers from the second.
+func TestFrameAddresses(t *testing.T) {
+	req := &AssocRequest{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}}
+	reqRaw, err := req.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		raw    []byte
+		rx, tx MACAddr
+		hasTx  bool
+	}{
+		{"association request", reqRaw, apAddr, c1Addr, true},
+		{"data", (&DataFrame{Header: MACHeader{Addr1: Broadcast, Addr2: apAddr, Addr3: apAddr}}).Marshal(), Broadcast, apAddr, true},
+		{"PS-Poll", (&PSPoll{AID: 1, BSSID: apAddr, TA: c1Addr}).Marshal(), apAddr, c1Addr, true},
+		// ACKs have no transmitter address to learn from.
+		{"ACK", (&ACK{RA: c1Addr}).Marshal(), c1Addr, MACAddr{}, false},
+	}
+	for _, c := range cases {
+		if rx, ok := Receiver(c.raw); !ok || rx != c.rx {
+			t.Errorf("%s: Receiver = %v, %v; want %v", c.name, rx, ok, c.rx)
+		}
+		if tx, ok := Transmitter(c.raw); ok != c.hasTx || tx != c.tx {
+			t.Errorf("%s: Transmitter = %v, %v; want %v, %v", c.name, tx, ok, c.tx, c.hasTx)
+		}
+	}
+	for _, runt := range [][]byte{nil, {1, 2}, make([]byte, 9)} {
+		if _, ok := Receiver(runt); ok {
+			t.Errorf("Receiver accepted a %d-byte runt", len(runt))
+		}
+	}
+	if _, ok := Transmitter(make([]byte, 15)); ok {
+		t.Error("Transmitter accepted a 15-byte runt")
+	}
+}
+
 func TestParseElementsErrors(t *testing.T) {
 	if _, err := ParseElements([]byte{5}); err == nil {
 		t.Error("accepted truncated element header")

@@ -157,7 +157,9 @@ type homedCohort struct {
 // Shard is one AP's slice of the ESS: a complete single-BSS assembly
 // plus the DS queue and miss counters local to its event loop.
 type Shard struct {
-	// Net is the shard's single-BSS assembly (engine, medium, AP).
+	// Net is the shard's single-BSS assembly (engine, medium, AP). Its
+	// Stations and Cohorts list the clients attached to this shard,
+	// wherever they have roamed since.
 	Net *core.Network
 
 	idx      int
@@ -294,7 +296,7 @@ func New(cfg Config) (*ESS, error) {
 			})
 			n.AP.SetRoamPortLookup(func(addr dot11.MACAddr) []uint16 { return e.dir[addr] })
 		}
-		n.AP.SetObserver(sh)
+		n.AP.AddObserver(sh)
 		e.shards = append(e.shards, sh)
 	}
 	return e, nil
@@ -306,23 +308,17 @@ func (e *ESS) Shards() []*Shard { return e.shards }
 // Now returns the current barrier time.
 func (e *ESS) Now() time.Duration { return e.now }
 
-// AddStation creates a station homed on the next shard (round-robin)
-// and starts the frame-level association exchange, exactly as
-// core.Network.AddStation does: the station's address, configuration,
-// and hardening knobs come from the shard's own assembly, with the
-// index allocated ESS-globally so addresses stay unique across
-// shards.
+// AddStation attaches a station to the next shard (round-robin)
+// through the shard Network's AddStationAt, under the next ESS-wide
+// station number so addresses stay unique across shards: it is built,
+// configured and associated by frame exchange exactly as a plain
+// core.Network would attach it.
 func (e *ESS) AddStation(mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
 	sh := e.shards[e.placed%len(e.shards)]
-	scfg, err := sh.Net.StationConfigAt(e.used+1, mode, li)
+	st, err := sh.Net.AddStationAt(e.used+1, mode, openPorts, li)
 	if err != nil {
 		return nil, err
 	}
-	st := station.New(sh.Net.Engine, sh.Net.Medium, scfg)
-	for _, p := range openPorts {
-		st.OpenPort(p)
-	}
-	st.StartAssociation(sh.Net.SSID)
 	e.used++
 	e.placed++
 	sh.stations = append(sh.stations, homedStation{st: st, mode: mode})
@@ -330,44 +326,14 @@ func (e *ESS) AddStation(mode station.Mode, openPorts []uint16, li int) (*statio
 	return st, nil
 }
 
-// AddCohort creates a cohort homed on the next shard (round-robin)
-// with the same regime selection as core.Network.AddCohort: exact
-// while the block fits the shard AP's free AID space, aggregate
-// beyond. Exact cohorts roam as a unit via the cohort-aware handoff.
+// AddCohort attaches a cohort to the next shard (round-robin) through
+// the shard Network's AddCohortAt, which picks the exact or aggregate
+// regime from that shard's AID space. Exact cohorts roam as a unit via
+// the cohort-aware handoff.
 func (e *ESS) AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("ess: cohort count %d < 1", count)
-	}
 	sh := e.shards[e.placed%len(e.shards)]
-	scfg, err := sh.Net.StationConfigAt(e.used+1, mode, li)
+	c, err := sh.Net.AddCohortAt(e.used+1, mode, openPorts, count, li)
 	if err != nil {
-		return nil, err
-	}
-	if e.used+count+0x010000 > dot11.MaxAddrBlock {
-		return nil, fmt.Errorf("ess: cohort of %d exceeds the station address space", count)
-	}
-	exact := count <= sh.Net.AP.FreeAIDs()
-	c, err := station.NewCohort(sh.Net.Engine, sh.Net.Medium, station.CohortConfig{
-		Config:    scfg,
-		Count:     count,
-		Aggregate: !exact,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range openPorts {
-		c.OpenPort(p)
-	}
-	var first dot11.AID
-	if exact {
-		first, err = sh.Net.AP.AssociateCohort(scfg.Addr, count, mode == station.HIDE)
-	} else {
-		first, err = sh.Net.AP.AssociateAggregate(scfg.Addr, count, mode == station.HIDE)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := c.JoinBlock(first); err != nil {
 		return nil, err
 	}
 	e.used += count

@@ -9,7 +9,8 @@
 // machine-checked rules enforced on every commit.
 //
 // The framework is deliberately small and stdlib-only (go/parser,
-// go/ast, go/types with the source importer): an Analyzer has a name,
+// go/ast, go/types over module source, with the standard library
+// imported from compiler export data): an Analyzer has a name,
 // a doc string, and a Run function over a type-checked package; it
 // reports Diagnostics with file:line:col positions. A finding can be
 // suppressed for one line with

@@ -1,14 +1,17 @@
 // Package loading: a small, deterministic substitute for
 // golang.org/x/tools/go/packages built entirely on the standard
 // library. Module packages are discovered by walking the tree, parsed
-// with go/parser, and type-checked with go/types; imports inside the
-// module resolve recursively through the loader itself, and standard
-// library imports resolve through the compiler-independent "source"
-// importer so no compiled export data is required.
+// with go/parser, and type-checked with go/types, because the
+// analyzers read their syntax; imports inside the module resolve
+// recursively through the loader itself. Standard library imports
+// resolve through the "gc" importer from compiler export data in the
+// local build cache, located by one `go list -export std` per loader,
+// instead of type-checking GOROOT from source on every run.
 
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -16,7 +19,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -64,15 +69,20 @@ func NewLoader(root string) (*Loader, error) {
 	if modpath == "" {
 		return nil, fmt.Errorf("lint: no module line in %s/go.mod", root)
 	}
-	// The source importer type-checks the standard library from
-	// GOROOT/src. Cgo-enabled variants of net and friends would need
-	// the cgo preprocessor; the pure-Go variants type-check cleanly
-	// and have identical exported APIs, so force them.
-	build.Default.CgoEnabled = false
+	exports, err := stdExports()
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	std, ok := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(file)
+	}).(types.ImporterFrom)
 	if !ok {
-		return nil, fmt.Errorf("lint: source importer unavailable")
+		return nil, fmt.Errorf("lint: export-data importer unavailable")
 	}
 	return &Loader{
 		Root:    root,
@@ -82,6 +92,34 @@ func NewLoader(root string) (*Loader, error) {
 		loading: make(map[string]bool),
 		std:     std,
 	}, nil
+}
+
+// stdExports maps the standard library packages to their compiler
+// export data files, listed by one `go list -export std` of the go
+// command in build.Default.GOROOT, which compiles any the build cache
+// lacks. A package that fails to build is left out (-e) and fails only
+// if imported. The importer's default lookup runs go list once per
+// imported package instead, which costs a whole-tree run about two
+// seconds.
+func stdExports() (map[string]string, error) {
+	goroot := build.Default.GOROOT
+	cmd := exec.Command(filepath.Join(goroot, "bin", "go"), "list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}", "std")
+	cmd.Dir = goroot
+	out, err := cmd.Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return nil, fmt.Errorf("lint: go list -export std: %w: %s", err, ee.Stderr)
+		}
+		return nil, fmt.Errorf("lint: go list -export std: %w", err)
+	}
+	exports := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports, nil
 }
 
 // ModulePath returns the module path from go.mod.
@@ -257,7 +295,8 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 }
 
 // loaderImporter routes module-internal imports back through the
-// loader and everything else to the standard-library source importer.
+// loader and everything else to the standard-library export-data
+// importer.
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {

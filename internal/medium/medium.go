@@ -377,7 +377,7 @@ func (m *Medium) deliverEvent(now time.Duration, arg any) {
 // With a fault plan set, the frame is classified once here, from the
 // bytes as transmitted, for every receiver's verdict.
 func (m *Medium) deliver(src dot11.MACAddr, raw []byte, rate dot11.Rate, now time.Duration) {
-	dst, ok := destination(raw)
+	dst, ok := dot11.Receiver(raw)
 	if !ok {
 		return
 	}
@@ -570,16 +570,4 @@ func (m *Medium) deliverOne(n Node, rcv, src, dst dot11.MACAddr, raw []byte, kin
 	}
 	m.Stats.Deliveries++
 	handTo(n, dst, raw, rate, now)
-}
-
-// destination extracts the receiver address from a raw frame.
-func destination(raw []byte) (dot11.MACAddr, bool) {
-	var dst dot11.MACAddr
-	if len(raw) < 10 {
-		return dst, false
-	}
-	// All frame types used here carry the receiver address at offset 4
-	// (Addr1 for management/data, RA for ACK, BSSID for PS-Poll).
-	copy(dst[:], raw[4:10])
-	return dst, true
 }

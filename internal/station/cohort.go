@@ -283,12 +283,9 @@ func (c *CohortStation) fanTransmit(raw []byte, rate dot11.Rate) time.Duration {
 // read from the frame itself. The emulated Medium always uses
 // ReceiveAs instead.
 func (c *CohortStation) Receive(raw []byte, rate dot11.Rate, now time.Duration) {
-	if len(raw) < 10 {
-		return
+	if dst, ok := dot11.Receiver(raw); ok {
+		c.ReceiveAs(dst, raw, rate, now)
 	}
-	var dst dot11.MACAddr
-	copy(dst[:], raw[4:10])
-	c.ReceiveAs(dst, raw, rate, now)
 }
 
 // ReceiveAs implements medium.RoutedNode: group frames and the

@@ -786,10 +786,8 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 	// slow path exactly: not ours, multicast, not listening, beacon not
 	// overdue → return with no state change (and a frame the full parse
 	// would reject changes no state on either path).
-	if len(raw) >= 10 && !s.listening {
-		var addr1 dot11.MACAddr
-		copy(addr1[:], raw[4:10])
-		if addr1 != s.cfg.Addr && addr1.IsMulticast() && !s.beaconOverdue(now) {
+	if !s.listening {
+		if addr1, ok := dot11.Receiver(raw); ok && addr1 != s.cfg.Addr && addr1.IsMulticast() && !s.beaconOverdue(now) {
 			return
 		}
 	}
