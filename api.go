@@ -148,7 +148,8 @@ type PCAPOptions = trace.PCAPOptions
 // 802.11, or radiotap link types) as a broadcast trace.
 func ReadTracePCAP(r io.Reader, opts PCAPOptions) (*Trace, error) { return trace.ReadPCAP(r, opts) }
 
-// WriteTracePCAP exports the trace as an 802.11 pcap capture.
+// WriteTracePCAP exports the trace as a radiotap 802.11 pcap capture
+// with nanosecond timestamps and per-frame rates.
 func WriteTracePCAP(w io.Writer, tr *Trace) error { return trace.WritePCAP(w, tr) }
 
 // Trace transforms for building sweeps from one capture.

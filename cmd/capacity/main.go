@@ -24,6 +24,15 @@ func main() {
 	rate := flag.Float64("rate", 11e6, "channel data rate in bits/s")
 	validate := flag.Bool("validate", false, "cross-check the Bianchi model against the slotted DCF Monte-Carlo simulator")
 	flag.Parse()
+	if *interval <= 0 {
+		cli.Usagef("capacity", "-interval %v must be positive", *interval)
+	}
+	if *ports < 0 {
+		cli.Usagef("capacity", "-ports %d must not be negative", *ports)
+	}
+	if !(*rate > 0) {
+		cli.Usagef("capacity", "-rate %v must be positive", *rate)
+	}
 
 	cfg := hide.TableII()
 	cfg.DataRate = *rate

@@ -27,6 +27,9 @@ func main() {
 	sweep := flag.String("sweep", "both", "which sweep to print: interval, ports, or both")
 	measure := flag.Bool("measure", false, "measure table timings on this machine instead of calibrated constants")
 	flag.Parse()
+	if *sweep != "interval" && *sweep != "ports" && *sweep != "both" {
+		cli.Usagef("delayanalysis", "-sweep %q: want interval, ports or both", *sweep)
+	}
 
 	timings := hide.CalibratedARMTimings()
 	source := "calibrated (1 GHz ARM class)"

@@ -29,10 +29,12 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"time"
 
 	"repro/internal/cli"
 	"repro/internal/daemon"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -48,6 +50,11 @@ func main() {
 	drain := flag.Duration("drain", 5*time.Second, "graceful-drain deadline on SIGTERM")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
 	flag.Parse()
+	if *config == "" && !strings.EqualFold(*scenario, "none") {
+		if _, err := trace.ScenarioByName(*scenario); err != nil {
+			cli.Usagef("hided", "-scenario: %v", err)
+		}
+	}
 
 	var d *daemon.Daemon
 	var err error

@@ -259,25 +259,12 @@ func (r ChaosResult) String() string {
 // receive all of them.
 const chaosProbeCount = 4
 
-// chaosTrace generates the (cached) trace for one cell, perturbing
-// the scenario's calibrated seed like the oracle does.
-func chaosTrace(s trace.Scenario, seed uint64, d time.Duration) (*trace.Trace, error) {
-	cfg := trace.ScenarioConfig(s)
-	if seed != 0 {
-		cfg.Seed ^= seed * 0x9e3779b97f4a7c15
-	}
-	if d > 0 && d < cfg.Duration {
-		cfg.Duration = d
-	}
-	return engine.Traces.Generate(cfg)
-}
-
 // chaosRun drives one hardened network through one fault scenario and
 // returns the cell result plus a fingerprint of every statistic, used
 // by the caller to assert same-seed determinism.
 func chaosRun(sc ChaosScenario, ts trace.Scenario, seed uint64, duration time.Duration) (ChaosResult, string, error) {
 	res := ChaosResult{Scenario: sc.Name, Trace: ts, Seed: seed, Budget: -1}
-	tr, err := chaosTrace(ts, seed, duration)
+	tr, err := oracleTrace(ts, seed, duration)
 	if err != nil {
 		return res, "", err
 	}
@@ -524,19 +511,10 @@ func RunChaosGrid(ctx context.Context, cfg ChaosConfig) ([]ChaosResult, error) {
 	})
 }
 
-// ChaosErr folds the grid outcome into a single error, nil when every
-// cell passed.
+// ChaosErr folds the grid outcome into a single error naming the
+// failing cells, nil when every cell passed.
 func ChaosErr(results []ChaosResult) error {
-	bad := 0
-	for _, r := range results {
-		if !r.OK() {
-			bad++
-		}
-	}
-	if bad == 0 {
-		return nil
-	}
-	return fmt.Errorf("check: %d of %d chaos cells failed", bad, len(results))
+	return failErr("chaos cells failed", results, ChaosResult.OK, ChaosResult.String)
 }
 
 // ChaosReport renders the grid outcome as a fixed-width table with

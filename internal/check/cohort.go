@@ -1,6 +1,10 @@
-// Cohort equivalence layer: proves the CohortStation fold exact.
+// Equivalence harness and its cohort layer.
 //
-// A cohort of N members must be indistinguishable from N
+// Every equivalence layer compares sides built the same way: a
+// replayed core.Network's observables are collected by networkSide
+// (the air fingerprint, then one entry per client) and two sides are
+// compared by diffSides. The cohort layer proves the CohortStation
+// fold exact: a cohort of N members must be indistinguishable from N
 // individually-modeled stations on every observable the simulation
 // exposes: the monitor-mode frame stream (byte-identical, in order),
 // each member's arrival log and protocol counters, and the Section IV
@@ -29,7 +33,7 @@ import (
 	"repro/internal/trace"
 )
 
-// EquivCell identifies one cohort-vs-expanded comparison: a station
+// EquivCell identifies one equivalence comparison: a station
 // population of Size members in the mode matching Policy, replaying a
 // Scenario trace.
 type EquivCell struct {
@@ -43,7 +47,7 @@ func (c EquivCell) String() string {
 	return fmt.Sprintf("%s/%s/n%d", c.Policy, c.Scenario, c.Size)
 }
 
-// EquivConfig tunes a cohort-equivalence run.
+// EquivConfig tunes an equivalence run.
 type EquivConfig struct {
 	// Duration truncates the scenario traces; zero keeps the paper's
 	// full capture durations. Tests use a couple of minutes.
@@ -52,7 +56,7 @@ type EquivConfig struct {
 	// 0.10); the resulting open-port set is shared by every member.
 	UsefulTarget float64
 	// Seed perturbs the scenario's calibrated generator seed and drives
-	// both networks' jitter RNGs, like the oracle's Cell.Seed.
+	// both sides' jitter RNGs, like the oracle's Cell.Seed.
 	Seed uint64
 	// Devices are the profiles the per-member breakdowns are priced
 	// for; empty selects both Table I devices.
@@ -60,11 +64,12 @@ type EquivConfig struct {
 	// Workers bounds the matrix parallelism: 0 selects
 	// runtime.GOMAXPROCS(0), 1 forces the sequential path.
 	Workers int
-	// Fault, when non-nil, returns a fresh fault plan per network. Both
-	// sides install their own instance (plans may be stateful) over
-	// identically-seeded medium RNGs, so a plan that hits a member
-	// subset must split the cohort into exactly the segments the
-	// expanded stations would form on their own.
+	// Fault, when non-nil, returns a fresh fault plan per network of the
+	// cohort layer (the ESS cells reject it). Both sides install their
+	// own instance (plans may be stateful) over identically-seeded
+	// medium RNGs, so a plan that hits a member subset must split the
+	// cohort into exactly the segments the expanded stations would form
+	// on their own.
 	Fault func() fault.Plan
 }
 
@@ -77,6 +82,19 @@ func (c EquivConfig) normalized() EquivConfig {
 		c.Devices = []energy.Profile{energy.NexusOne, energy.GalaxyS4}
 	}
 	return c
+}
+
+// equivTrace returns a cell's trace and the sorted open-port set every
+// member listens on, rejecting an empty population up front.
+func equivTrace(sc trace.Scenario, size int, cfg EquivConfig) (*trace.Trace, []uint16, error) {
+	if size < 1 {
+		return nil, nil, fmt.Errorf("check: equivalence size %d < 1", size)
+	}
+	tr, err := oracleTrace(sc, cfg.Seed, cfg.Duration)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, sortedPorts(trace.OpenPortsForFraction(tr, cfg.UsefulTarget)), nil
 }
 
 // airDigest fingerprints a monitor-mode capture: an FNV-1a hash over
@@ -108,10 +126,34 @@ type equivSide struct {
 	frames   int
 	arrivals [][]energy.Arrival
 	stats    []station.Stats
-	// aggregate and violations are the ESS layer's extra observables:
-	// each cohort's regime, and the shard's invariant violations.
+	// aggregate is each cohort's regime, and violations the ESS
+	// shard's invariant violations.
 	aggregate  []bool
 	violations []Violation
+}
+
+// networkSide collects a replayed network's observables: its air, then
+// one entry per client — each station, then each cohort's members,
+// segment by segment — and each cohort's regime. One shared log stands
+// for every member of a segment; that identity is what the cohort
+// layer tests, so it is expanded here and compared per member.
+func networkSide(d *airDigest, n *core.Network) *equivSide {
+	side := &equivSide{fp: d.h.Sum64(), frames: d.frames}
+	for _, st := range n.Stations() {
+		side.arrivals = append(side.arrivals, st.Arrivals())
+		side.stats = append(side.stats, st.Stats())
+	}
+	for _, c := range n.Cohorts() {
+		side.aggregate = append(side.aggregate, c.Aggregate())
+		for _, s := range c.Segments() {
+			arr, st := s.Arrivals(), s.MemberStats()
+			for i := 0; i < s.Count(); i++ {
+				side.arrivals = append(side.arrivals, arr)
+				side.stats = append(side.stats, st)
+			}
+		}
+	}
+	return side
 }
 
 // runEquivSide replays the trace against a population of size
@@ -136,11 +178,9 @@ func runEquivSide(tr *trace.Trace, kind policy.Kind, open []uint16, cfg EquivCon
 	}
 	d := newAirDigest()
 	n.Medium.SetTap(d.tap)
-
-	var c *station.CohortStation
-	var sts []*station.Station
 	if cohort {
-		if c, err = n.AddCohort(mode, open, size, 1); err != nil {
+		c, err := n.AddCohort(mode, open, size, 1)
+		if err != nil {
 			return nil, err
 		}
 		if c.Aggregate() {
@@ -148,52 +188,23 @@ func runEquivSide(tr *trace.Trace, kind policy.Kind, open []uint16, cfg EquivCon
 		}
 	} else {
 		for i := 0; i < size; i++ {
-			st, err := n.AddStationDirect(mode, open, 1)
-			if err != nil {
+			if _, err := n.AddStationDirect(mode, open, 1); err != nil {
 				return nil, err
 			}
-			sts = append(sts, st)
 		}
 	}
 	if err := n.Replay(tr); err != nil {
 		return nil, err
 	}
-
-	side := &equivSide{fp: d.h.Sum64(), frames: d.frames}
-	if cohort {
-		// Handshake-timeout divergence may have split the cohort into
-		// segments (member order preserved); one shared log stands for
-		// every member of a segment — that identity is the claim under
-		// test, so it is expanded here and compared per member.
-		segs, total := c.Segments(), 0
-		for _, s := range segs {
-			total += s.Count()
-		}
-		if total != size {
-			return nil, fmt.Errorf("check: cohort segments cover %d of %d members", total, size)
-		}
-		for _, s := range segs {
-			arr, st := s.Arrivals(), s.MemberStats()
-			for i := 0; i < s.Count(); i++ {
-				side.arrivals = append(side.arrivals, arr)
-				side.stats = append(side.stats, st)
-			}
-		}
-	} else {
-		for _, st := range sts {
-			side.arrivals = append(side.arrivals, st.Arrivals())
-			side.stats = append(side.stats, st.Stats())
-		}
-	}
-	return side, nil
+	return networkSide(d, n), nil
 }
 
-// EquivResult is one compared cell. Mismatch is empty when the cohort
-// reproduced the expanded run exactly, otherwise it names the first
-// observable that diverged.
+// EquivResult is one compared cell. Mismatch is empty when the two
+// sides matched exactly, otherwise it names the first observable that
+// diverged.
 type EquivResult struct {
 	Cell EquivCell
-	// Frames is the number of frames both sides put on air.
+	// Frames is the number of frames the reference side put on air.
 	Frames int
 	// Mismatch names the first diverging observable ("" = exact).
 	Mismatch string
@@ -202,60 +213,61 @@ type EquivResult struct {
 // OK reports whether the cell was exact.
 func (r EquivResult) OK() bool { return r.Mismatch == "" }
 
-// RunEquivCell runs one cohort-equivalence comparison.
-func RunEquivCell(c EquivCell, cfg EquivConfig) (EquivResult, error) {
+// RunEquivCell runs one cohort-equivalence comparison: an exact cohort
+// against the same population modeled station by station.
+func RunEquivCell(ctx context.Context, c EquivCell, cfg EquivConfig) (EquivResult, error) {
 	cfg = cfg.normalized()
-	if c.Size < 1 {
-		return EquivResult{}, fmt.Errorf("check: equivalence size %d < 1", c.Size)
-	}
-	tr, err := oracleTrace(c.Scenario, cfg.Seed, cfg.Duration)
+	tr, open, err := equivTrace(c.Scenario, c.Size, cfg)
 	if err != nil {
 		return EquivResult{}, err
 	}
-	open := sortedPorts(trace.OpenPortsForFraction(tr, cfg.UsefulTarget))
-
 	coh, err := runEquivSide(tr, c.Policy, open, cfg, c.Size, true)
 	if err != nil {
 		return EquivResult{}, fmt.Errorf("check: %v cohort side: %w", c, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return EquivResult{}, err
 	}
 	exp, err := runEquivSide(tr, c.Policy, open, cfg, c.Size, false)
 	if err != nil {
 		return EquivResult{}, fmt.Errorf("check: %v expanded side: %w", c, err)
 	}
-
-	res := EquivResult{Cell: c, Frames: exp.frames}
-	res.Mismatch = diffSides(coh, exp, c.Size, cfg, tr.Duration+dot11.DefaultBeaconInterval)
-	return res, nil
+	window := tr.Duration + dot11.DefaultBeaconInterval
+	return EquivResult{
+		Cell: c, Frames: exp.frames,
+		Mismatch: diffSides(coh, exp, "cohort", "expanded", cfg.Devices, window),
+	}, nil
 }
 
-// diffSides compares every observable and names the first divergence.
-func diffSides(coh, exp *equivSide, size int, cfg EquivConfig, window time.Duration) string {
-	return diffSidesLabeled(coh, exp, "cohort", "expanded", size, cfg, window)
-}
-
-// diffSidesLabeled is diffSides with caller-chosen side names, shared
-// with the windowed-parallel determinism layer (window.go) where the
-// sides are worker counts rather than representations.
-func diffSidesLabeled(a, b *equivSide, an, bn string, size int, cfg EquivConfig, window time.Duration) string {
+// diffSides is the one comparator of every equivalence layer: it
+// compares the frame count and air fingerprint, the member count, then
+// each member's stats, arrivals and bit-identical energy for every
+// device, and names the first divergence ("" = exact). an and bn name
+// the two sides.
+func diffSides(a, b *equivSide, an, bn string, devs []energy.Profile, window time.Duration) string {
 	if a.frames != b.frames {
 		return fmt.Sprintf("frame count: %s %d, %s %d", an, a.frames, bn, b.frames)
 	}
 	if a.fp != b.fp {
 		return fmt.Sprintf("frame-stream fingerprint: %s %016x, %s %016x", an, a.fp, bn, b.fp)
 	}
-	for i := 0; i < size; i++ {
+	if len(a.stats) != len(b.stats) {
+		return fmt.Sprintf("member count: %s %d, %s %d", an, len(a.stats), bn, len(b.stats))
+	}
+	for i := range a.stats {
 		if a.stats[i] != b.stats[i] {
 			return fmt.Sprintf("member %d stats: %s %+v, %s %+v", i, an, a.stats[i], bn, b.stats[i])
 		}
 		if d := diffArrivals(a.arrivals[i], b.arrivals[i], an, bn); d != "" {
 			return fmt.Sprintf("member %d %s", i, d)
 		}
-		for _, dev := range cfg.Devices {
-			ab, err := energy.Compute(a.arrivals[i], energy.Config{Device: dev, Duration: window, BeaconListenInterval: 1})
+		for _, dev := range devs {
+			ecfg := energy.Config{Device: dev, Duration: window, BeaconListenInterval: 1}
+			ab, err := energy.Compute(a.arrivals[i], ecfg)
 			if err != nil {
 				return fmt.Sprintf("member %d %s energy: %v", i, an, err)
 			}
-			bb, err := energy.Compute(b.arrivals[i], energy.Config{Device: dev, Duration: window, BeaconListenInterval: 1})
+			bb, err := energy.Compute(b.arrivals[i], ecfg)
 			if err != nil {
 				return fmt.Sprintf("member %d %s energy: %v", i, bn, err)
 			}
@@ -280,7 +292,8 @@ func diffArrivals(a, b []energy.Arrival, an, bn string) string {
 	return ""
 }
 
-// EquivMatrix is the cohort-equivalence sweep.
+// EquivMatrix is the equivalence grid the cohort and the K=1 ESS
+// sweeps share.
 type EquivMatrix struct {
 	Policies  []policy.Kind
 	Scenarios []trace.Scenario
@@ -288,9 +301,9 @@ type EquivMatrix struct {
 	Config    EquivConfig
 }
 
-// DefaultEquivMatrix covers the acceptance grid: the three compared
-// policies × three scenario traces spanning the load range (Starbucks
-// lightest, Classroom heaviest) × cohort sizes 1, 7, and 64.
+// DefaultEquivMatrix covers the cohort acceptance grid: the three
+// compared policies × three scenario traces spanning the load range
+// (Starbucks lightest, Classroom heaviest) × cohort sizes 1, 7, and 64.
 func DefaultEquivMatrix() EquivMatrix {
 	return EquivMatrix{
 		Policies:  []policy.Kind{policy.ReceiveAll, policy.ClientSide, policy.HIDE},
@@ -304,10 +317,12 @@ type EquivMatrixResult struct {
 	Results []EquivResult
 }
 
-// RunContext executes the sweep, fanning cells over the worker pool
-// configured by Config.Workers; the cell order (policy-major, then
-// scenario, then size) is identical for any worker count.
-func (m EquivMatrix) RunContext(ctx context.Context) (*EquivMatrixResult, error) {
+// RunContext executes the sweep with run as the cell runner
+// (RunEquivCell or RunESSEquivCellContext), fanning cells over the
+// worker pool configured by Config.Workers; the cell order
+// (policy-major, then scenario, then size) is identical for any worker
+// count.
+func (m EquivMatrix) RunContext(ctx context.Context, run func(context.Context, EquivCell, EquivConfig) (EquivResult, error)) (*EquivMatrixResult, error) {
 	cfg := m.Config.normalized()
 	var cells []EquivCell
 	for _, kind := range m.Policies {
@@ -318,10 +333,7 @@ func (m EquivMatrix) RunContext(ctx context.Context) (*EquivMatrixResult, error)
 		}
 	}
 	res, err := engine.Map(ctx, cfg.Workers, len(cells), func(ctx context.Context, i int) (EquivResult, error) {
-		if err := ctx.Err(); err != nil {
-			return EquivResult{}, err
-		}
-		return RunEquivCell(cells[i], cfg)
+		return run(ctx, cells[i], cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -329,28 +341,35 @@ func (m EquivMatrix) RunContext(ctx context.Context) (*EquivMatrixResult, error)
 	return &EquivMatrixResult{Results: res}, nil
 }
 
-// Failures returns the cells whose cohort diverged from the expanded
-// population.
-func (r *EquivMatrixResult) Failures() []EquivResult {
-	var out []EquivResult
-	for _, c := range r.Results {
-		if !c.OK() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Err returns nil when every cell was exact, otherwise an error naming
 // the diverging cells.
 func (r *EquivMatrixResult) Err() error {
-	fails := r.Failures()
-	if len(fails) == 0 {
+	return failErr("equivalence cells diverged", r.Results, EquivResult.OK, func(c EquivResult) string {
+		return fmt.Sprintf("%v (%s)", c.Cell, c.Mismatch)
+	})
+}
+
+// failures and failErr are the failing-cell fold of every grid:
+// failures returns the results ok rejects, and failErr an error naming
+// each of them (nil when every result passed).
+func failures[R any](results []R, ok func(R) bool) []R {
+	var bad []R
+	for _, r := range results {
+		if !ok(r) {
+			bad = append(bad, r)
+		}
+	}
+	return bad
+}
+
+func failErr[R any](what string, results []R, ok func(R) bool, name func(R) string) error {
+	bad := failures(results, ok)
+	if len(bad) == 0 {
 		return nil
 	}
-	names := make([]string, len(fails))
-	for i, f := range fails {
-		names[i] = fmt.Sprintf("%v (%s)", f.Cell, f.Mismatch)
+	names := make([]string, len(bad))
+	for i, r := range bad {
+		names[i] = name(r)
 	}
-	return fmt.Errorf("check: %d/%d equivalence cells diverged: %v", len(fails), len(r.Results), names)
+	return fmt.Errorf("check: %d/%d %s: %v", len(bad), len(results), what, names)
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -130,7 +131,7 @@ func TestQuickCohortFaultSubsetEquivalence(t *testing.T) {
 	}
 	prop := func(s faultSpec) bool {
 		iter++
-		res, err := RunEquivCell(
+		res, err := RunEquivCell(context.Background(),
 			EquivCell{Policy: policy.HIDE, Scenario: s.scenario(), Size: quickCohortSize},
 			EquivConfig{
 				Duration: 30 * time.Second,
@@ -219,17 +220,11 @@ func splitRun(t *testing.T, cuts []int, seed uint64) (*equivSide, []int) {
 	if err := n.Replay(tr); err != nil {
 		t.Fatal(err)
 	}
-	side := &equivSide{fp: d.h.Sum64(), frames: d.frames}
 	var widths []int
 	for _, s := range c.Segments() {
 		widths = append(widths, s.Count())
-		arr, st := s.Arrivals(), s.MemberStats()
-		for i := 0; i < s.Count(); i++ {
-			side.arrivals = append(side.arrivals, arr)
-			side.stats = append(side.stats, st)
-		}
 	}
-	return side, widths
+	return networkSide(d, n), widths
 }
 
 // TestQuickCohortSplitOrderInsensitive: applying the same cuts in any
@@ -255,9 +250,8 @@ func TestQuickCohortSplitOrderInsensitive(t *testing.T) {
 			t.Logf("cuts %v: segment widths %v vs reversed %v", p.Cuts, aw, bw)
 			return false
 		}
-		cfg := EquivConfig{Devices: []energy.Profile{energy.NexusOne}}
 		window := 30*time.Second + dot11.DefaultBeaconInterval
-		if d := diffSides(a, b, quickCohortSize, cfg, window); d != "" {
+		if d := diffSides(a, b, "cuts", "reversed", []energy.Profile{energy.NexusOne}, window); d != "" {
 			t.Logf("cuts %v vs reversed: %s", p.Cuts, d)
 			return false
 		}

@@ -30,7 +30,7 @@ func runEquivMatrix(t *testing.T, workers int) *EquivMatrixResult {
 		m.Sizes = []int{1, 64}
 		m.Config.Duration = 45 * time.Second
 	}
-	res, err := m.RunContext(context.Background())
+	res, err := m.RunContext(context.Background(), RunEquivCell)
 	if err != nil {
 		t.Fatalf("equivalence matrix (workers=%d): %v", workers, err)
 	}
@@ -81,7 +81,7 @@ func TestCohortEquivMatrixSequential(t *testing.T) {
 // TestEquivCellValidation: degenerate sizes are rejected up front, not
 // silently compared.
 func TestEquivCellValidation(t *testing.T) {
-	_, err := RunEquivCell(EquivCell{Policy: policy.HIDE, Scenario: trace.WRL, Size: 0},
+	_, err := RunEquivCell(context.Background(), EquivCell{Policy: policy.HIDE, Scenario: trace.WRL, Size: 0},
 		EquivConfig{Duration: time.Second})
 	if err == nil || !strings.Contains(err.Error(), "size") {
 		t.Fatalf("size 0 accepted: %v", err)

@@ -8,10 +8,11 @@
 //     shard's BSSID, attaching the shard's clients under the same
 //     ESS-wide station numbers, byte-for-byte — identical frame
 //     streams (fingerprint of every transmission's instant, rate, and
-//     bytes), identical per-client counters, arrival logs and cohort
-//     regimes, and bit-identical energy breakdowns (compared with ==,
-//     never a tolerance) — while an Invariants checker on every shard
-//     records no violation. K=1 is the single-AP network itself.
+//     bytes), identical counters and arrival logs for every client and
+//     cohort member, identical cohort regimes, and bit-identical energy
+//     breakdowns (compared with ==, never a tolerance) — while an
+//     Invariants checker on every shard records no violation. K=1 is
+//     the single-AP network itself.
 //  2. Under churn and a lossy distribution system, the ESS stays
 //     deterministic: the same seed produces the same shard
 //     fingerprints and stats for any worker count, and the
@@ -28,35 +29,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/dot11"
 	"repro/internal/energy"
-	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/policy"
 	"repro/internal/station"
 	"repro/internal/trace"
 )
-
-// ESSEquivCell identifies one K=1 ESS-vs-Network comparison.
-type ESSEquivCell struct {
-	Policy   policy.Kind
-	Scenario trace.Scenario
-	Size     int
-}
-
-// String labels the cell for reports.
-func (c ESSEquivCell) String() string {
-	return fmt.Sprintf("ess/%s/%s/n%d", c.Policy, c.Scenario, c.Size)
-}
-
-// ESSEquivResult is one compared cell; Mismatch names the first
-// diverging observable ("" = exact).
-type ESSEquivResult struct {
-	Cell     ESSEquivCell
-	Frames   int
-	Mismatch string
-}
-
-// OK reports whether the cell was exact.
-func (r ESSEquivResult) OK() bool { return r.Mismatch == "" }
 
 // runESSSide replays tr against a roam-free ESS of k shards built from
 // cfg, attaching pop in order (0 for a station, n > 0 for a cohort of n
@@ -146,186 +123,68 @@ func runNetworkSide(tr *trace.Trace, cfg core.NetworkConfig, bssids []dot11.MACA
 	return sides, nil
 }
 
-// networkSide collects a replayed network's observables: its air, then
-// its stations' and its cohorts' in attachment order.
-func networkSide(d *airDigest, n *core.Network) *equivSide {
-	side := &equivSide{fp: d.h.Sum64(), frames: d.frames}
-	for _, st := range n.Stations() {
-		side.arrivals = append(side.arrivals, st.Arrivals())
-		side.stats = append(side.stats, st.Stats())
-	}
-	for _, c := range n.Cohorts() {
-		side.arrivals = append(side.arrivals, c.Arrivals())
-		side.stats = append(side.stats, c.MemberStats())
-		side.aggregate = append(side.aggregate, c.Aggregate())
-	}
-	return side
-}
-
 // compareESS replays tr on a roam-free ESS of k shards and on its
-// reference (runNetworkSide), and returns the frames the reference put
-// on air and the first mismatch ("" = exact).
-func compareESS(ctx context.Context, tr *trace.Trace, cfg core.NetworkConfig, k int, mode station.Mode, open []uint16, pop []int, eq EquivConfig) (int, string, error) {
+// reference (runNetworkSide), and returns the reference sides and the
+// first mismatch ("" = exact).
+func compareESS(ctx context.Context, tr *trace.Trace, cfg core.NetworkConfig, k int, mode station.Mode, open []uint16, pop []int, devs []energy.Profile) ([]*equivSide, string, error) {
 	es, bssids, err := runESSSide(ctx, tr, cfg, k, mode, open, pop)
 	if err != nil {
-		return 0, "", fmt.Errorf("ess side: %w", err)
+		return nil, "", fmt.Errorf("ess side: %w", err)
 	}
 	ref, err := runNetworkSide(tr, cfg, bssids, mode, open, pop)
 	if err != nil {
-		return 0, "", fmt.Errorf("network side: %w", err)
+		return nil, "", fmt.Errorf("network side: %w", err)
 	}
-	frames := 0
-	for _, s := range ref {
-		frames += s.frames
-	}
-	return frames, diffESS(es, ref, eq, tr.Duration+dot11.DefaultBeaconInterval), nil
+	return ref, diffESS(es, ref, devs, tr.Duration+dot11.DefaultBeaconInterval), nil
 }
 
-// diffESS names the first shard whose ESS side broke an invariant or
-// diverges from its reference ("" = exact).
-func diffESS(es, ref []*equivSide, eq EquivConfig, window time.Duration) string {
+// diffESS names the first shard whose ESS side broke an invariant, made
+// a cohort of another regime, or diverges from its reference under
+// diffSides ("" = exact).
+func diffESS(es, ref []*equivSide, devs []energy.Profile, window time.Duration) string {
 	for i := range es {
 		if v := es[i].violations; len(v) > 0 {
 			return fmt.Sprintf("shard %d: %d invariant violation(s), first %v", i, len(v), v[0])
 		}
-		if len(es[i].stats) != len(ref[i].stats) {
-			return fmt.Sprintf("shard %d: ess %d clients, network %d", i, len(es[i].stats), len(ref[i].stats))
-		}
 		if !slices.Equal(es[i].aggregate, ref[i].aggregate) {
 			return fmt.Sprintf("shard %d cohort regimes (aggregate): ess %v, network %v", i, es[i].aggregate, ref[i].aggregate)
 		}
-		if d := diffSidesLabeled(es[i], ref[i], "ess", "network", len(ref[i].stats), eq, window); d != "" {
+		if d := diffSides(es[i], ref[i], "ess", "network", devs, window); d != "" {
 			return fmt.Sprintf("shard %d %s", i, d)
 		}
 	}
 	return ""
 }
 
-// ESSEquivConfig tunes the K=1 equivalence sweep.
-type ESSEquivConfig struct {
-	// Duration truncates the scenario traces (zero keeps them whole).
-	Duration time.Duration
-	// UsefulTarget is the port-derived useful-traffic fraction
-	// (default 0.10).
-	UsefulTarget float64
-	// Seed perturbs the trace generator and seeds both assemblies.
-	Seed uint64
-	// Devices price the bit-identity check (default both Table I
-	// devices).
-	Devices []energy.Profile
-	// Workers bounds the matrix parallelism.
-	Workers int
-}
-
-// normalized fills defaults.
-func (c ESSEquivConfig) normalized() ESSEquivConfig {
-	if c.UsefulTarget <= 0 {
-		c.UsefulTarget = 0.10
-	}
-	if len(c.Devices) == 0 {
-		c.Devices = []energy.Profile{energy.NexusOne, energy.GalaxyS4}
-	}
-	return c
-}
-
-// equiv projects the config onto the shared diffSides parameter type.
-func (c ESSEquivConfig) equiv() EquivConfig { return EquivConfig{Devices: c.Devices} }
-
-// RunESSEquivCellContext runs one K=1 comparison.
-func RunESSEquivCellContext(ctx context.Context, c ESSEquivCell, cfg ESSEquivConfig) (ESSEquivResult, error) {
+// RunESSEquivCellContext runs one K=1 comparison: a one-shard ESS of
+// c.Size stations against the plain core.Network.
+func RunESSEquivCellContext(ctx context.Context, c EquivCell, cfg EquivConfig) (EquivResult, error) {
 	cfg = cfg.normalized()
-	if c.Size < 1 {
-		return ESSEquivResult{}, fmt.Errorf("check: ess equivalence size %d < 1", c.Size)
+	if cfg.Fault != nil {
+		return EquivResult{}, fmt.Errorf("check: %v: the ESS cells take no fault plan", c)
 	}
-	tr, err := oracleTrace(c.Scenario, cfg.Seed, cfg.Duration)
+	tr, open, err := equivTrace(c.Scenario, c.Size, cfg)
 	if err != nil {
-		return ESSEquivResult{}, err
+		return EquivResult{}, err
 	}
-	open := sortedPorts(trace.OpenPortsForFraction(tr, cfg.UsefulTarget))
-
 	mode, err := modeFor(c.Policy)
 	if err != nil {
-		return ESSEquivResult{}, err
+		return EquivResult{}, err
 	}
 	ncfg := core.NetworkConfig{DTIMPeriod: 1, HIDE: c.Policy == policy.HIDE, Seed: cfg.Seed}
-	frames, mismatch, err := compareESS(ctx, tr, ncfg, 1, mode, open, make([]int, c.Size), cfg.equiv())
+	ref, mismatch, err := compareESS(ctx, tr, ncfg, 1, mode, open, make([]int, c.Size), cfg.Devices)
 	if err != nil {
-		return ESSEquivResult{}, fmt.Errorf("check: %v %w", c, err)
+		return EquivResult{}, fmt.Errorf("check: %v %w", c, err)
 	}
-	return ESSEquivResult{Cell: c, Frames: frames, Mismatch: mismatch}, nil
+	return EquivResult{Cell: c, Frames: ref[0].frames, Mismatch: mismatch}, nil
 }
 
-// ESSEquivMatrix is the K=1 byte-identity sweep.
-type ESSEquivMatrix struct {
-	Policies  []policy.Kind
-	Scenarios []trace.Scenario
-	Size      int
-	Config    ESSEquivConfig
-}
-
-// DefaultESSEquivMatrix covers the acceptance grid: three policies ×
-// three scenario traces, a handful of stations each.
-func DefaultESSEquivMatrix() ESSEquivMatrix {
-	return ESSEquivMatrix{
-		Policies:  []policy.Kind{policy.ReceiveAll, policy.ClientSide, policy.HIDE},
-		Scenarios: []trace.Scenario{trace.Classroom, trace.Starbucks, trace.WRL},
-		Size:      4,
-	}
-}
-
-// ESSEquivMatrixResult collects every cell of a sweep.
-type ESSEquivMatrixResult struct {
-	Results []ESSEquivResult
-}
-
-// RunContext executes the sweep over the worker pool; cell order is
-// policy-major then scenario, identical for any worker count.
-func (m ESSEquivMatrix) RunContext(ctx context.Context) (*ESSEquivMatrixResult, error) {
-	cfg := m.Config.normalized()
-	size := m.Size
-	if size < 1 {
-		size = 4
-	}
-	var cells []ESSEquivCell
-	for _, kind := range m.Policies {
-		for _, sc := range m.Scenarios {
-			cells = append(cells, ESSEquivCell{Policy: kind, Scenario: sc, Size: size})
-		}
-	}
-	res, err := engine.Map(ctx, cfg.Workers, len(cells), func(ctx context.Context, i int) (ESSEquivResult, error) {
-		if err := ctx.Err(); err != nil {
-			return ESSEquivResult{}, err
-		}
-		return RunESSEquivCellContext(ctx, cells[i], cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ESSEquivMatrixResult{Results: res}, nil
-}
-
-// Failures returns the diverging cells.
-func (r *ESSEquivMatrixResult) Failures() []ESSEquivResult {
-	var out []ESSEquivResult
-	for _, c := range r.Results {
-		if !c.OK() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Err returns nil when every cell was exact.
-func (r *ESSEquivMatrixResult) Err() error {
-	fails := r.Failures()
-	if len(fails) == 0 {
-		return nil
-	}
-	names := make([]string, len(fails))
-	for i, f := range fails {
-		names[i] = fmt.Sprintf("%v (%s)", f.Cell, f.Mismatch)
-	}
-	return fmt.Errorf("check: %d/%d ESS equivalence cells diverged: %v", len(fails), len(r.Results), names)
+// DefaultESSEquivMatrix covers the K=1 acceptance grid: three policies
+// × three scenario traces, four stations each.
+func DefaultESSEquivMatrix() EquivMatrix {
+	m := DefaultEquivMatrix()
+	m.Sizes = []int{4}
+	return m
 }
 
 // ESSRoamFaultConfig tunes the roam-under-fault check: a churning ESS

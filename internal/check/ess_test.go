@@ -18,8 +18,8 @@ import (
 // three scenario traces.
 func TestESSEquivMatrix(t *testing.T) {
 	m := DefaultESSEquivMatrix()
-	m.Config = ESSEquivConfig{Duration: 90 * time.Second, Seed: 17}
-	res, err := m.RunContext(context.Background())
+	m.Config = EquivConfig{Duration: 90 * time.Second, Seed: 17}
+	res, err := m.RunContext(context.Background(), RunESSEquivCellContext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestESSEquivCellDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffESS(es, net, ESSEquivConfig{}.normalized().equiv(), tr.Duration); d == "" {
+	if d := diffESS(es, net, EquivConfig{}.normalized().Devices, tr.Duration); d == "" {
 		t.Fatal("HIDE and ReceiveAll sides compared equal")
 	}
 }
@@ -79,7 +79,7 @@ func TestESSAIDBoundaryMatchesNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffESS(es, net, ESSEquivConfig{}.normalized().equiv(), tr.Duration+dot11.DefaultBeaconInterval); d != "" {
+	if d := diffESS(es, net, EquivConfig{}.normalized().Devices, tr.Duration+dot11.DefaultBeaconInterval); d != "" {
 		t.Fatal(d)
 	}
 	if !net[0].aggregate[0] {
@@ -102,15 +102,25 @@ func TestESSK4MatchesIndependentNetworks(t *testing.T) {
 	open := sortedPorts(trace.OpenPortsForFraction(tr, 0.10))
 	cfg := core.NetworkConfig{DTIMPeriod: 1, HIDE: true, Harden: true, Loss: 0.02, Seed: 41}
 	pop := append(make([]int, 10), 3, 5)
-	frames, d, err := compareESS(context.Background(), tr, cfg, 4, station.HIDE, open, pop, ESSEquivConfig{}.normalized().equiv())
+	ref, d, err := compareESS(context.Background(), tr, cfg, 4, station.HIDE, open, pop, EquivConfig{}.normalized().Devices)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != "" {
 		t.Fatal(d)
 	}
+	frames, members := 0, 0
+	for _, s := range ref {
+		frames += s.frames
+		members += len(s.stats)
+	}
 	if frames == 0 {
 		t.Fatal("empty frame streams")
+	}
+	// Ten stations plus cohorts of 3 and 5: every member is compared,
+	// including those of segments a lossy channel split off.
+	if members != 18 {
+		t.Fatalf("compared %d members, want 18", members)
 	}
 }
 

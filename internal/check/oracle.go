@@ -312,42 +312,11 @@ func absDiff(a, b float64) float64 {
 // price it analytically, replay it through the protocol simulation,
 // and diff the breakdowns.
 func RunCell(c Cell, cfg OracleConfig) (CellResult, error) {
-	cfg = cfg.normalized()
-	tr, err := oracleTrace(c.Scenario, c.Seed, cfg.Duration)
+	res, err := matrixUnit{scenario: c.Scenario, seed: c.Seed, kind: c.Policy}.run([]energy.Profile{c.Device}, cfg.normalized())
 	if err != nil {
 		return CellResult{}, err
 	}
-	open := trace.OpenPortsForFraction(tr, cfg.UsefulTarget)
-	useful := trace.TagByOpenPorts(tr, open)
-	window := tr.Duration + dot11.DefaultBeaconInterval
-
-	a, err := analyticBreakdown(alignDTIM(tr, useful, c.Policy == policy.HIDE), useful, c.Policy, c.Device, window)
-	if err != nil {
-		return CellResult{}, err
-	}
-	st, viol, err := protocolRun(tr, c.Policy, sortedPorts(open), c.Seed, cfg)
-	if err != nil {
-		return CellResult{}, err
-	}
-	p, err := protocolBreakdown(st, c.Policy, c.Device, window)
-	if err != nil {
-		return CellResult{}, err
-	}
-	return CellResult{
-		Cell: c, Analytic: a, Protocol: p,
-		Diffs:      Compare(a, p, cfg.Tolerance),
-		Violations: viol,
-	}, nil
-}
-
-// protocolBreakdown prices a protocol station's arrival log with the
-// same model configuration the analytic side used.
-func protocolBreakdown(st *station.Station, kind policy.Kind, dev energy.Profile, window time.Duration) (energy.Breakdown, error) {
-	cfg := energy.Config{Device: dev, Duration: window}
-	if kind.HasOverhead() {
-		cfg.Overhead = energy.DefaultOverhead()
-	}
-	return energy.Compute(st.Arrivals(), cfg)
+	return res[0], nil
 }
 
 // sortedPorts flattens an open-port set into the sorted list the
@@ -399,9 +368,9 @@ type matrixUnit struct {
 	kind     policy.Kind
 }
 
-// run executes the unit and returns one CellResult per device, in
-// device order.
-func (u matrixUnit) run(m Matrix, cfg OracleConfig) ([]CellResult, error) {
+// run executes the unit and returns one CellResult per device of devs,
+// in order.
+func (u matrixUnit) run(devs []energy.Profile, cfg OracleConfig) ([]CellResult, error) {
 	tr, err := oracleTrace(u.scenario, u.seed, cfg.Duration)
 	if err != nil {
 		return nil, err
@@ -415,8 +384,8 @@ func (u matrixUnit) run(m Matrix, cfg OracleConfig) ([]CellResult, error) {
 	arrivals := st.Arrivals()
 	aligned := alignDTIM(tr, useful, u.kind == policy.HIDE)
 	window := tr.Duration + dot11.DefaultBeaconInterval
-	out := make([]CellResult, 0, len(m.Devices))
-	for _, dev := range m.Devices {
+	out := make([]CellResult, 0, len(devs))
+	for _, dev := range devs {
 		c := Cell{Policy: u.kind, Scenario: u.scenario, Device: dev, Seed: u.seed}
 		a, err := analyticBreakdown(aligned, useful, u.kind, dev, window)
 		if err != nil {
@@ -455,11 +424,8 @@ func (m Matrix) RunContext(ctx context.Context) (*MatrixResult, error) {
 			}
 		}
 	}
-	cells, err := engine.Map(ctx, cfg.Workers, len(units), func(ctx context.Context, i int) ([]CellResult, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return units[i].run(m, cfg)
+	cells, err := engine.Map(ctx, cfg.Workers, len(units), func(_ context.Context, i int) ([]CellResult, error) {
+		return units[i].run(m.Devices, cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -472,26 +438,10 @@ func (m Matrix) RunContext(ctx context.Context) (*MatrixResult, error) {
 }
 
 // Failures returns the cells that disagreed or violated an invariant.
-func (r *MatrixResult) Failures() []CellResult {
-	var out []CellResult
-	for _, c := range r.Results {
-		if !c.OK() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+func (r *MatrixResult) Failures() []CellResult { return failures(r.Results, CellResult.OK) }
 
 // Err returns nil when every cell passed, otherwise an error naming the
 // failing cells.
 func (r *MatrixResult) Err() error {
-	fails := r.Failures()
-	if len(fails) == 0 {
-		return nil
-	}
-	names := make([]string, len(fails))
-	for i, f := range fails {
-		names[i] = f.Cell.String()
-	}
-	return fmt.Errorf("check: %d/%d oracle cells failed: %v", len(fails), len(r.Results), names)
+	return failErr("oracle cells failed", r.Results, CellResult.OK, func(c CellResult) string { return c.Cell.String() })
 }

@@ -6,9 +6,10 @@
 // stream on the hub medium must stay byte-identical, and every
 // member's arrival log, protocol counters, and Section IV energy
 // breakdown bit-identical, for ANY WindowWorkers value. This layer
-// replays the same cell at workers 1, 2 and 4 and compares every
-// observable against the sequential (workers=1) reference with the
-// cohort suite's exact comparators (==, not tolerances). Cells sweep
+// replays the same cell at workers 1, 2 and 4, collects the hub's
+// observables with the shared collector (networkSide), and compares
+// them against the sequential (workers=1) reference with the shared
+// exact comparator (diffSides: ==, not tolerances). Cells sweep
 // both population shapes (one cohort block vs individually-partitioned
 // stations) and per-group fault plans on/off, so the proof covers the
 // barrier merge under contention, downlink fault draws from the
@@ -72,9 +73,8 @@ func windowFaultFor(on bool) func(int) fault.Plan {
 }
 
 // runWindowSide replays the cell's population through the windowed
-// assembly at the given worker count and collects the cohort suite's
-// observables: the hub-air fingerprint and the per-member pricing
-// inputs.
+// assembly at the given worker count and collects the hub's
+// observables with the shared collector.
 func runWindowSide(tr *trace.Trace, open []uint16, cfg EquivConfig, c WindowCell, workers int) (*equivSide, error) {
 	w, err := core.NewWindowedNetwork(core.WindowConfig{
 		Network:  core.NetworkConfig{DTIMPeriod: 1, HIDE: true, Seed: cfg.Seed},
@@ -86,11 +86,9 @@ func runWindowSide(tr *trace.Trace, open []uint16, cfg EquivConfig, c WindowCell
 	}
 	d := newAirDigest()
 	w.Hub.Medium.SetTap(d.tap)
-
-	var coh *station.CohortStation
-	var sts []*station.Station
 	if c.Cohort {
-		if coh, err = w.AddCohort(station.HIDE, open, c.Size, 1); err != nil {
+		coh, err := w.AddCohort(station.HIDE, open, c.Size, 1)
+		if err != nil {
 			return nil, err
 		}
 		if coh.Aggregate() {
@@ -98,40 +96,15 @@ func runWindowSide(tr *trace.Trace, open []uint16, cfg EquivConfig, c WindowCell
 		}
 	} else {
 		for i := 0; i < c.Size; i++ {
-			st, err := w.AddStation(station.HIDE, open)
-			if err != nil {
+			if _, err := w.AddStation(station.HIDE, open); err != nil {
 				return nil, err
 			}
-			sts = append(sts, st)
 		}
 	}
 	if err := w.Replay(tr); err != nil {
 		return nil, err
 	}
-
-	side := &equivSide{fp: d.h.Sum64(), frames: d.frames}
-	if c.Cohort {
-		segs, total := coh.Segments(), 0
-		for _, s := range segs {
-			total += s.Count()
-		}
-		if total != c.Size {
-			return nil, fmt.Errorf("check: cohort segments cover %d of %d members", total, c.Size)
-		}
-		for _, s := range segs {
-			arr, st := s.Arrivals(), s.MemberStats()
-			for i := 0; i < s.Count(); i++ {
-				side.arrivals = append(side.arrivals, arr)
-				side.stats = append(side.stats, st)
-			}
-		}
-	} else {
-		for _, st := range sts {
-			side.arrivals = append(side.arrivals, st.Arrivals())
-			side.stats = append(side.stats, st.Stats())
-		}
-	}
-	return side, nil
+	return networkSide(d, w.Hub), nil
 }
 
 // WindowResult is one compared cell: the sequential reference against
@@ -153,15 +126,11 @@ func (r WindowResult) OK() bool { return r.Mismatch == "" }
 // across WindowWorkerSweep.
 func RunWindowCell(c WindowCell, cfg EquivConfig) (WindowResult, error) {
 	cfg = cfg.normalized()
-	if c.Size < 1 {
-		return WindowResult{}, fmt.Errorf("check: window cell size %d < 1", c.Size)
-	}
-	tr, err := oracleTrace(c.Scenario, cfg.Seed, cfg.Duration)
+	tr, open, err := equivTrace(c.Scenario, c.Size, cfg)
 	if err != nil {
 		return WindowResult{}, err
 	}
-	open := sortedPorts(trace.OpenPortsForFraction(tr, cfg.UsefulTarget))
-	deadline := tr.Duration + dot11.DefaultBeaconInterval
+	window := tr.Duration + dot11.DefaultBeaconInterval
 
 	ref, err := runWindowSide(tr, open, cfg, c, WindowWorkerSweep[0])
 	if err != nil {
@@ -173,7 +142,7 @@ func RunWindowCell(c WindowCell, cfg EquivConfig) (WindowResult, error) {
 		if err != nil {
 			return WindowResult{}, fmt.Errorf("check: %v workers=%d: %w", c, workers, err)
 		}
-		if d := diffSidesLabeled(ref, side, "workers=1", fmt.Sprintf("workers=%d", workers), c.Size, cfg, deadline); d != "" {
+		if d := diffSides(ref, side, "workers=1", fmt.Sprintf("workers=%d", workers), cfg.Devices, window); d != "" {
 			res.Mismatch = fmt.Sprintf("workers=%d: %s", workers, d)
 			return res, nil
 		}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 )
 
@@ -24,11 +25,30 @@ func SignalContext() (context.Context, context.CancelFunc) {
 
 // WorkersFlag registers the -parallel worker-count flag with its -j
 // shorthand on the default flag set and returns the bound value. 0
-// (the default) selects GOMAXPROCS; 1 forces the sequential path.
+// (the default) selects GOMAXPROCS; 1 forces the sequential path; a
+// negative count is a usage error (exit 2) naming the flag.
 func WorkersFlag() *int {
-	j := flag.Int("parallel", 0, "evaluation worker count (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(j, "j", 0, "shorthand for -parallel")
-	return j
+	var w workers
+	flag.Var(&w, "parallel", "evaluation worker `count` (0 = GOMAXPROCS, 1 = sequential)")
+	flag.Var(&w, "j", "shorthand for -parallel")
+	return (*int)(&w)
+}
+
+// workers is the flag.Value behind WorkersFlag.
+type workers int
+
+func (w *workers) String() string { return strconv.Itoa(int(*w)) }
+
+func (w *workers) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return err
+	}
+	if n < 0 {
+		return fmt.Errorf("worker count %d is negative", n)
+	}
+	*w = workers(n)
+	return nil
 }
 
 // CodeConnLost is the exit code for a client daemon whose connection

@@ -8,18 +8,19 @@ import (
 	"testing"
 )
 
-// TestCommandExitCodes builds the commands that take a -scenario or
-// -device name and runs each on tiny inputs, asserting the exit-code
-// conventions of this package: an unknown name is a usage mistake
-// (Usagef, exit 2) reported with the name as given, a retired flag is
-// one too (the flag package's own exit 2), and a valid name in any
-// case runs (exit 0).
+// TestCommandExitCodes builds the commands and runs each on tiny
+// inputs, asserting the exit-code conventions of this package: an
+// unknown name or an out-of-range flag value is a usage mistake
+// (Usagef or the flag package, exit 2) reported with the name or the
+// flag as given, a retired flag is one too, a failure past the command
+// line exits 1, and a valid value runs (exit 0).
 func TestCommandExitCodes(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Fatalf("the go tool is needed to build the commands: %v", err)
 	}
-	cmds := []string{"hidec", "hidenet", "hidesim", "sweep", "timeline", "tracegen"}
+	cmds := []string{"capacity", "crosscheck", "delayanalysis", "hidec", "hided", "hidenet",
+		"hideport", "hidesim", "report", "sweep", "timeline", "tracegen"}
 	bin := t.TempDir()
 	build := []string{"build", "-o", bin + string(filepath.Separator)}
 	for _, c := range cmds {
@@ -34,12 +35,20 @@ func TestCommandExitCodes(t *testing.T) {
 		code   int
 		stderr string // must appear in stderr
 	}{
+		{"capacity", []string{"-ports", "-5"}, 2, "-ports"},
+		{"capacity", []string{"-interval", "-1s"}, 2, "-interval"},
+		{"crosscheck", []string{"-seeds", "0"}, 2, "-seeds"},
+		{"delayanalysis", []string{"-sweep", "Ports"}, 2, "-sweep"},
+		{"delayanalysis", []string{"-sweep", "ports"}, 0, ""},
 		{"hidec", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"hided", []string{"-scenario", "NoSuchPlace"}, 2, "-scenario"},
+		{"hideport", []string{"-file", "/nonexistent"}, 1, "/nonexistent"},
 		{"hidenet", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"hidenet", []string{"-device", "iphone"}, 2, `"iphone"`},
 		{"hidesim", []string{"-device", "iphone"}, 2, `"iphone"`},
 		{"hidesim", []string{"-ess", "-ess-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"hidesim", []string{"-fault", "all"}, 2, "-fault"},
+		{"report", []string{"-j", "-3"}, 2, "-j"},
 		{"sweep", []string{"-base", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"sweep", []string{"-device", "iphone"}, 2, `"iphone"`},
 		{"timeline", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},

@@ -445,16 +445,6 @@ func (n *Network) Cohorts() []*station.CohortStation {
 	return append([]*station.CohortStation(nil), n.cohorts...)
 }
 
-// Members returns the number of stations the network models, counting
-// every cohort with its multiplicity.
-func (n *Network) Members() int {
-	m := len(n.entries)
-	for _, c := range n.cohorts {
-		m += c.Count()
-	}
-	return m
-}
-
 // CohortEnergy evaluates the Section IV model over one cohort member's
 // arrivals and returns both the per-member breakdown and the
 // cohort-wide aggregate (per-member scaled by the cohort's count).

@@ -55,8 +55,8 @@ import (
 type WindowedNetwork struct {
 	// Hub is the serial heart of the assembly: AP, port table, trace
 	// replay, and the canonical air. Its accessors (Stations, Cohorts,
-	// Members, StationEnergy, CohortEnergy, AP stats) see every entity
-	// added through the windowed Add methods. A tap installed on
+	// StationEnergy, CohortEnergy, AP stats) see every entity added
+	// through the windowed Add methods. A tap installed on
 	// Hub.Medium observes the canonical frame stream: group-local
 	// mirrors are delivery machinery, not air.
 	Hub *Network

@@ -366,20 +366,6 @@ func (e *ESS) Cohorts() []*station.CohortStation {
 	return out
 }
 
-// Members returns the number of clients the ESS models, counting
-// cohorts with their multiplicity.
-func (e *ESS) Members() int {
-	n := 0
-	for _, m := range e.members {
-		if m.coh != nil {
-			n += m.coh.Count()
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
 // StationEnergy prices a station's recorded arrivals with the Section
 // IV model; arrivals and listen interval are station-local, so any
 // shard's assembly can do the pricing.

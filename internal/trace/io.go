@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/dot11"
@@ -24,8 +26,12 @@ import (
 var csvHeader = []string{"at_us", "length", "rate_bps", "dst_port", "more_data"}
 
 // WriteCSV writes the trace in CSV form. The trace name and duration
-// ride in a "#name=...;duration_us=..." comment line before the header.
+// ride in a "#name=...;duration_us=..." comment line before the header,
+// so the name may hold anything but a newline.
 func WriteCSV(w io.Writer, tr *Trace) error {
+	if strings.Contains(tr.Name, "\n") {
+		return fmt.Errorf("trace: CSV preamble cannot carry the newline in name %q", tr.Name)
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "#name=%s;duration_us=%d\n", tr.Name, tr.Duration.Microseconds())
 	cw := csv.NewWriter(bw)
@@ -58,22 +64,20 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading CSV preamble: %w", err)
 	}
-	if len(first) > 0 && first[0] == '#' {
-		if _, err := fmt.Sscanf(first, "#name=%s", &tr.Name); err == nil {
-			// Name may embed the duration segment; split it out.
-			for i := range tr.Name {
-				if tr.Name[i] == ';' {
-					var durUS int64
-					if _, err := fmt.Sscanf(tr.Name[i:], ";duration_us=%d", &durUS); err == nil {
-						tr.Duration = time.Duration(durUS) * time.Microsecond
-					}
-					tr.Name = tr.Name[:i]
-					break
-				}
+	first = strings.TrimSuffix(strings.TrimSuffix(first, "\n"), "\r")
+	if !strings.HasPrefix(first, "#") {
+		return nil, fmt.Errorf("trace: CSV missing #name preamble")
+	}
+	if rest, ok := strings.CutPrefix(first, "#name="); ok {
+		// The name runs to the last duration segment, so it may
+		// itself hold spaces and semicolons.
+		tr.Name = rest
+		if i := strings.LastIndex(rest, csvDurationKey); i >= 0 {
+			tr.Name = rest[:i]
+			if tr.Duration, err = parseMicros(rest[i+len(csvDurationKey):], "duration_us"); err != nil {
+				return nil, err
 			}
 		}
-	} else {
-		return nil, fmt.Errorf("trace: CSV missing #name preamble")
 	}
 	cr := csv.NewReader(br)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -109,16 +113,55 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
+// csvDurationKey introduces the duration in the CSV preamble.
+const csvDurationKey = ";duration_us="
+
+// parseMicros parses a decimal microsecond count into a Duration,
+// rejecting counts the Duration cannot hold.
+func parseMicros(s, field string) (time.Duration, error) {
+	us, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("trace: bad %s %q: %w", field, s, err)
+	}
+	return micros(us, field)
+}
+
+// micros converts a microsecond count into a Duration, rejecting
+// counts the Duration cannot hold instead of letting them wrap.
+func micros(us int64, field string) (time.Duration, error) {
+	const limit = math.MaxInt64 / int64(time.Microsecond)
+	if us > limit || us < -limit {
+		return 0, fmt.Errorf("trace: %s %d µs outside the representable range", field, us)
+	}
+	return time.Duration(us) * time.Microsecond, nil
+}
+
+// maxFrameLen bounds the frame length a trace file may declare. No
+// broadcast frame comes near it: an IPv4 datagram spans at most 64 KiB
+// and an 802.11 MPDU under 12 KiB. Replays and WritePCAP build a
+// datagram of the declared length.
+const maxFrameLen = 1 << 16
+
+// checkLength rejects a frame length longer than maxFrameLen.
+func checkLength(n int) error {
+	if n > maxFrameLen {
+		return fmt.Errorf("trace: frame length %d exceeds %d bytes", n, maxFrameLen)
+	}
+	return nil
+}
+
 // parseCSVRecord converts one CSV record into a Frame.
 func parseCSVRecord(rec []string) (Frame, error) {
 	var f Frame
-	atUS, err := strconv.ParseInt(rec[0], 10, 64)
-	if err != nil {
-		return f, fmt.Errorf("trace: bad at_us %q: %w", rec[0], err)
+	var err error
+	if f.At, err = parseMicros(rec[0], "at_us"); err != nil {
+		return f, err
 	}
-	f.At = time.Duration(atUS) * time.Microsecond
 	if f.Length, err = strconv.Atoi(rec[1]); err != nil {
 		return f, fmt.Errorf("trace: bad length %q: %w", rec[1], err)
+	}
+	if err := checkLength(f.Length); err != nil {
+		return f, err
 	}
 	rate, err := strconv.ParseFloat(rec[2], 64)
 	if err != nil {
@@ -178,7 +221,11 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("trace: reading JSONL header: %w", err)
 	}
-	tr := &Trace{Name: hdr.Name, Duration: time.Duration(hdr.DurationUS) * time.Microsecond}
+	dur, err := micros(hdr.DurationUS, "duration_us")
+	if err != nil {
+		return nil, err
+	}
+	tr := &Trace{Name: hdr.Name, Duration: dur}
 	for {
 		var jf jsonlFrame
 		if err := dec.Decode(&jf); err == io.EOF {
@@ -186,8 +233,15 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: reading JSONL frame: %w", err)
 		}
+		at, err := micros(jf.AtUS, "at_us")
+		if err != nil {
+			return nil, err
+		}
+		if err := checkLength(jf.Length); err != nil {
+			return nil, err
+		}
 		tr.Frames = append(tr.Frames, Frame{
-			At: time.Duration(jf.AtUS) * time.Microsecond, Length: jf.Length,
+			At: at, Length: jf.Length,
 			Rate: dot11.Rate(jf.RateBPS), DstPort: jf.DstPort, MoreData: jf.MoreData,
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/dot11"
@@ -17,9 +18,11 @@ import (
 //     on the AP's wired side. Rates are not available and default to
 //     1 Mb/s (the basic rate broadcast goes out at).
 //   - IEEE 802.11 (DLT 105): raw frames as produced by this package's
-//     own dot11 encoder or a monitor-mode capture without radiotap.
-//   - Radiotap (DLT 127): monitor-mode captures; the radiotap header's
-//     Rate field supplies the per-frame PHY rate when present.
+//     own dot11 encoder (WritePCAPRecords) or a monitor-mode capture
+//     without radiotap.
+//   - Radiotap (DLT 127): monitor-mode captures and WritePCAP exports;
+//     the radiotap header's Rate field supplies the per-frame PHY rate
+//     when present.
 //
 // Only UDP-padded group-addressed data frames become trace entries;
 // everything else (beacons, ACKs, unicast, non-UDP) is skipped, which
@@ -63,18 +66,18 @@ func ReadPCAP(r io.Reader, opts PCAPOptions) (*Trace, error) {
 		return nil, fmt.Errorf("trace: reading pcap global header: %w", err)
 	}
 	var order binary.ByteOrder
-	var nanos bool
+	unit := time.Microsecond // of the sub-second timestamp field
 	switch magic := binary.LittleEndian.Uint32(gh[:4]); magic {
 	case pcapMagicMicros:
 		order = binary.LittleEndian
 	case pcapMagicNanos:
-		order, nanos = binary.LittleEndian, true
+		order, unit = binary.LittleEndian, time.Nanosecond
 	default:
 		switch magic := binary.BigEndian.Uint32(gh[:4]); magic {
 		case pcapMagicMicros:
 			order = binary.BigEndian
 		case pcapMagicNanos:
-			order, nanos = binary.BigEndian, true
+			order, unit = binary.BigEndian, time.Nanosecond
 		default:
 			return nil, fmt.Errorf("trace: not a pcap file (magic %#08x)", magic)
 		}
@@ -100,32 +103,33 @@ func ReadPCAP(r io.Reader, opts PCAPOptions) (*Trace, error) {
 		sub := order.Uint32(rec[4:8])
 		capLen := order.Uint32(rec[8:12])
 		origLen := order.Uint32(rec[12:16])
-		if capLen > 1<<20 {
-			return nil, fmt.Errorf("trace: implausible pcap capture length %d", capLen)
+		if capLen > 1<<20 || origLen > 1<<20 {
+			return nil, fmt.Errorf("trace: implausible pcap capture length %d (original %d)", capLen, origLen)
+		}
+		if time.Duration(sub)*unit >= time.Second {
+			return nil, fmt.Errorf("trace: pcap sub-second timestamp %d out of range", sub)
 		}
 		pkt := make([]byte, capLen)
 		if _, err := io.ReadFull(r, pkt); err != nil {
 			return nil, fmt.Errorf("trace: reading pcap packet body: %w", err)
 		}
-		ts := time.Duration(sec) * time.Second
-		if nanos {
-			ts += time.Duration(sub) * time.Nanosecond
-		} else {
-			ts += time.Duration(sub) * time.Microsecond
-		}
-		if !haveFirst {
-			haveFirst = true
-			// Real captures carry epoch timestamps; rebase those to the
-			// first packet. Captures that already use small relative
-			// offsets (e.g. WritePCAP exports) keep them, so a write/
-			// read cycle is lossless.
-			if ts > 24*time.Hour {
-				first = ts
-			}
-		}
 		f, ok := decodePacket(linkType, pkt, int(origLen), opts.DefaultRate)
 		if !ok {
 			continue
+		}
+		if err := checkLength(f.Length); err != nil {
+			return nil, err
+		}
+		ts := time.Duration(sec)*time.Second + time.Duration(sub)*unit
+		if !haveFirst {
+			haveFirst = true
+			// Real captures carry epoch timestamps; rebase those to the
+			// first broadcast frame. Captures that already use small
+			// relative offsets (e.g. WritePCAP exports) keep them, so a
+			// write/read cycle is lossless.
+			if ts > 24*time.Hour {
+				first = ts
+			}
 		}
 		f.At = ts - first
 		tr.Frames = append(tr.Frames, f)
@@ -180,7 +184,7 @@ func decodeEthernet(pkt []byte, origLen int, rate dot11.Rate) (Frame, bool) {
 	}
 	// Express the length as the equivalent 802.11 frame: swap the
 	// Ethernet header for MAC header + LLC/SNAP.
-	length := origLen - ethHdrLen + dot11.MACHeaderLen + dot11.LLCSNAPLen
+	length := max(origLen, len(pkt)) - ethHdrLen + dot11.MACHeaderLen + dot11.LLCSNAPLen
 	return Frame{Length: length, Rate: rate, DstPort: port}, true
 }
 
@@ -206,13 +210,14 @@ func decode80211(pkt []byte, origLen int, rate dot11.Rate) (Frame, bool) {
 	}, true
 }
 
-// ipv4UDPDstPort pulls the UDP destination port out of an IPv4 packet.
+// ipv4UDPDstPort pulls the UDP destination port out of an IPv4 packet
+// that holds a whole UDP header.
 func ipv4UDPDstPort(ip []byte) (uint16, bool) {
-	if len(ip) < 20 || ip[0]>>4 != 4 {
+	if len(ip) < dot11.IPv4HdrLen || ip[0]>>4 != 4 {
 		return 0, false
 	}
 	ihl := int(ip[0]&0x0f) * 4
-	if ihl < 20 || len(ip) < ihl+4 || ip[9] != 17 {
+	if ihl < dot11.IPv4HdrLen || len(ip) < ihl+dot11.UDPHdrLen || ip[9] != 17 {
 		return 0, false
 	}
 	return uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3]), true
@@ -286,17 +291,23 @@ type PCAPRecord struct {
 	Raw []byte
 }
 
+// writePCAPHeader writes a little-endian pcap global header.
+func writePCAPHeader(w io.Writer, magic, linkType uint32) error {
+	var gh [pcapGlobalHeaderLen]byte
+	binary.LittleEndian.PutUint32(gh[0:4], magic)
+	binary.LittleEndian.PutUint16(gh[4:6], 2) // version major
+	binary.LittleEndian.PutUint16(gh[6:8], 4) // version minor
+	binary.LittleEndian.PutUint32(gh[16:20], 65535)
+	binary.LittleEndian.PutUint32(gh[20:24], linkType)
+	_, err := w.Write(gh[:])
+	return err
+}
+
 // WritePCAPRecords writes raw 802.11 frames (e.g. from the medium's
 // monitor tap) as a DLT 105 pcap capture, preserving their bytes
 // exactly. ReadPCAP turns such a capture back into a broadcast trace.
 func WritePCAPRecords(w io.Writer, recs []PCAPRecord) error {
-	var gh [pcapGlobalHeaderLen]byte
-	binary.LittleEndian.PutUint32(gh[0:4], pcapMagicMicros)
-	binary.LittleEndian.PutUint16(gh[4:6], 2)
-	binary.LittleEndian.PutUint16(gh[6:8], 4)
-	binary.LittleEndian.PutUint32(gh[16:20], 65535)
-	binary.LittleEndian.PutUint32(gh[20:24], DLT80211)
-	if _, err := w.Write(gh[:]); err != nil {
+	if err := writePCAPHeader(w, pcapMagicMicros, DLT80211); err != nil {
 		return err
 	}
 	var rec [pcapRecordHeaderLen]byte
@@ -315,24 +326,32 @@ func WritePCAPRecords(w io.Writer, recs []PCAPRecord) error {
 	return nil
 }
 
-// WritePCAP exports the trace as an 802.11 (DLT 105) pcap capture:
-// each trace frame becomes a group-addressed UDP data frame encoded by
-// the dot11 package, so external tools (wireshark, tshark) can inspect
-// generated traces and ReadPCAP round-trips them.
+// WritePCAP exports the trace as a radiotap (DLT 127) pcap capture
+// with nanosecond timestamps: each trace frame becomes a
+// group-addressed UDP data frame encoded by the dot11 package behind a
+// radiotap header carrying its rate, so external tools (wireshark,
+// tshark) can inspect generated traces and ReadPCAP reads back the
+// frames as written. A rate the radiotap Rate field cannot carry (a
+// multiple of 500 kb/s up to 127.5 Mb/s) is left out and reads back as
+// the reader's default rate.
 func WritePCAP(w io.Writer, tr *Trace) error {
-	var gh [pcapGlobalHeaderLen]byte
-	binary.LittleEndian.PutUint32(gh[0:4], pcapMagicMicros)
-	binary.LittleEndian.PutUint16(gh[4:6], 2) // version major
-	binary.LittleEndian.PutUint16(gh[6:8], 4) // version minor
-	binary.LittleEndian.PutUint32(gh[16:20], 65535)
-	binary.LittleEndian.PutUint32(gh[20:24], DLT80211)
-	if _, err := w.Write(gh[:]); err != nil {
+	if err := writePCAPHeader(w, pcapMagicNanos, DLTRadiotap); err != nil {
 		return err
 	}
 	src := dot11.MACAddr{0x02, 0x1d, 0xe0, 0xff, 0xff, 0xfe}
 	var rec [pcapRecordHeaderLen]byte
 	for i := range tr.Frames {
 		f := &tr.Frames[i]
+		if f.At < 0 || f.At/time.Second > math.MaxUint32 {
+			return fmt.Errorf("trace: frame %d at %v outside the pcap timestamp range", i, f.At)
+		}
+		// Radiotap version 0, length, present word, then the Rate
+		// field (present bit 2) in 500 kb/s units when it fits.
+		rt := []byte{0, 0, 8, 0, 0, 0, 0, 0}
+		if units := math.Round(float64(f.Rate) / 500e3); units >= 1 && units <= 255 && units*500e3 == float64(f.Rate) {
+			rt[2], rt[4] = 9, 1<<2
+			rt = append(rt, byte(units))
+		}
 		df := &dot11.DataFrame{
 			Header: dot11.MACHeader{
 				FC:    dot11.FrameControl{FromDS: true, MoreData: f.MoreData},
@@ -342,15 +361,15 @@ func WritePCAP(w io.Writer, tr *Trace) error {
 			Payload: dot11.EncapsulateUDP(f.Datagram()),
 		}
 		raw := df.Marshal()
+		n := uint32(len(rt) + len(raw))
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(f.At/time.Second))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(f.At%time.Second/time.Microsecond))
-		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(raw)))
-		binary.LittleEndian.PutUint32(rec[12:16], uint32(len(raw)))
-		if _, err := w.Write(rec[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(raw); err != nil {
-			return err
+		binary.LittleEndian.PutUint32(rec[4:8], uint32(f.At%time.Second))
+		binary.LittleEndian.PutUint32(rec[8:12], n)
+		binary.LittleEndian.PutUint32(rec[12:16], n)
+		for _, b := range [][]byte{rec[:], rt, raw} {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

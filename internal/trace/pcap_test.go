@@ -25,25 +25,18 @@ func TestPCAPRoundTrip(t *testing.T) {
 	if len(got.Frames) != len(tr.Frames) {
 		t.Fatalf("round trip lost frames: %d vs %d", len(got.Frames), len(tr.Frames))
 	}
+	// Nanosecond timestamps and the radiotap Rate field carry every
+	// frame exactly.
 	for i := range tr.Frames {
-		w, g := tr.Frames[i], got.Frames[i]
-		// Timestamps round to microseconds; rate does not survive DLT
-		// 105 (no radiotap) and reverts to the default.
-		if g.At.Truncate(time.Microsecond) != w.At.Truncate(time.Microsecond) {
-			t.Fatalf("frame %d time %v != %v", i, g.At, w.At)
-		}
-		if g.DstPort != w.DstPort || g.Length != w.Length || g.MoreData != w.MoreData {
+		if w, g := tr.Frames[i], got.Frames[i]; g != w {
 			t.Fatalf("frame %d: got %+v, want %+v", i, g, w)
-		}
-		if g.Rate != dot11.Rate1Mbps {
-			t.Fatalf("frame %d rate = %v, want default", i, g.Rate)
 		}
 	}
 }
 
 // buildEthernetPCAP synthesizes an Ethernet capture with the given
 // packets (each: offset, dst MAC, payload bytes after the MAC header).
-func buildEthernetPCAP(t *testing.T, pkts [][]byte, times []time.Duration) []byte {
+func buildEthernetPCAP(t testing.TB, pkts [][]byte, times []time.Duration) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var gh [pcapGlobalHeaderLen]byte

@@ -13,6 +13,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -73,9 +74,13 @@ type Trace struct {
 	Frames []Frame
 }
 
-// Validate checks trace invariants: sorted arrivals within [0, Duration],
-// positive lengths and rates.
+// Validate checks trace invariants: a non-negative duration, sorted
+// arrivals within [0, Duration], positive lengths and positive finite
+// rates.
 func (tr *Trace) Validate() error {
+	if tr.Duration < 0 {
+		return fmt.Errorf("trace %s: negative duration %v", tr.Name, tr.Duration)
+	}
 	var prev time.Duration
 	for i, f := range tr.Frames {
 		if f.At < 0 || f.At > tr.Duration {
@@ -87,8 +92,9 @@ func (tr *Trace) Validate() error {
 		if f.Length <= 0 {
 			return fmt.Errorf("trace %s: frame %d has non-positive length %d", tr.Name, i, f.Length)
 		}
-		if f.Rate <= 0 {
-			return fmt.Errorf("trace %s: frame %d has non-positive rate %v", tr.Name, i, f.Rate)
+		// NaN fails the first comparison and +Inf the second.
+		if !(f.Rate > 0 && f.Rate <= math.MaxFloat64) {
+			return fmt.Errorf("trace %s: frame %d has rate %v, want positive and finite", tr.Name, i, f.Rate)
 		}
 		prev = f.At
 	}

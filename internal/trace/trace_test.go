@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -319,15 +321,62 @@ func assertTracesEqual(t *testing.T, want, got *Trace) {
 }
 
 func TestReadCSVRejectsGarbage(t *testing.T) {
+	const pre = "#name=x;duration_us=1000000\nat_us,length,rate_bps,dst_port,more_data\n"
 	cases := []string{
 		"",
 		"at_us,length\n",
 		"#name=x;duration_us=1000\nat_us,length,rate_bps,dst_port,more_data\nnot,a,valid,row,x\n",
 		"#name=x;duration_us=1000\nwrong,header,entirely,here,now\n",
+		// Rates must be finite, and no broadcast frame is 64 KiB long.
+		pre + "0,100,NaN,5353,false\n",
+		pre + "0,100,+Inf,5353,false\n",
+		pre + "0,65537,1e6,5353,false\n",
+		// Microsecond counts whose nanoseconds wrap to 384 ns.
+		pre + "18446744073709552,100,1e6,5353,false\n",
+		"#name=x;duration_us=18446744073709552\nat_us,length,rate_bps,dst_port,more_data\n",
 	}
 	for i, c := range cases {
 		if _, err := ReadCSV(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("case %d: garbage CSV accepted", i)
+		}
+	}
+}
+
+// TestCSVNameRoundTrip: a CSV trace name keeps its spaces and
+// semicolons, even one that looks like the duration segment.
+func TestCSVNameRoundTrip(t *testing.T) {
+	for _, name := range []string{"Star bucks", "a;b", "x;duration_us=7", " "} {
+		tr := &Trace{Name: name, Duration: 10 * time.Second, Frames: []Frame{
+			{At: time.Second, Length: 100, Rate: dot11.Rate1Mbps, DstPort: 5353},
+		}}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Errorf("%q read back as %+v", name, got)
+		}
+	}
+	if err := WriteCSV(io.Discard, &Trace{Name: "two\nlines"}); err == nil {
+		t.Error("a name with a newline was written")
+	}
+}
+
+// TestReadJSONLRejectsOutOfRange: microsecond counts whose nanoseconds
+// wrap, and frames longer than 64 KiB, are errors.
+func TestReadJSONLRejectsOutOfRange(t *testing.T) {
+	const hdr = `{"name":"x","duration_us":1000000,"frames":1}` + "\n"
+	for _, in := range []string{
+		`{"name":"x","duration_us":18446744073709552,"frames":0}`,
+		hdr + `{"at_us":18446744073709552,"length":100,"rate_bps":1e6,"dst_port":1}`,
+		hdr + `{"at_us":0,"length":65537,"rate_bps":1e6,"dst_port":1}`,
+	} {
+		if _, err := ReadJSONL(bytes.NewReader([]byte(in))); err == nil {
+			t.Errorf("%s accepted", in)
 		}
 	}
 }
