@@ -1,6 +1,7 @@
 package airlink
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -112,6 +113,53 @@ func TestHubFaultPlanCorrupt(t *testing.T) {
 	}
 	if diff != 1 {
 		t.Fatalf("corrupted payload differs in %d bytes, want 1", diff)
+	}
+}
+
+// TestHubTransmitKeepsNoCallerBuffer pins the Channel contract on the
+// hub: the caller overwrites its buffer right after Transmit, and every
+// peer of a group frame still receives the original bytes.
+func TestHubTransmitKeepsNoCallerBuffer(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(pc, make(chan sim.Event, 16))
+	go hub.Serve()
+	defer hub.Close()
+
+	var peers []net.Conn
+	for i := 1; i <= 2; i++ {
+		conn, err := net.Dial("udp", pc.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		registerPeer(t, conn, dot11.MACAddr{0x02, 0, 0, 0, 0, byte(i)})
+		peers = append(peers, conn)
+	}
+	waitPeers(t, hub, 2)
+
+	buf := broadcastBeacon(t)
+	want := append([]byte(nil), buf...)
+	hub.Transmit(bssid, buf, dot11.Rate1Mbps)
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	for i, conn := range peers {
+		in := make([]byte, maxDatagram)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(in)
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+		m, err := netmedium.Unmarshal(in[:n])
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+		if !bytes.Equal(m.Payload, want) {
+			t.Errorf("peer %d received %x, want the original %x", i, m.Payload, want)
+		}
 	}
 }
 

@@ -148,7 +148,8 @@ type BeaconView struct {
 	// IsDTIM marks DTIM beacons (group traffic flushes after these).
 	IsDTIM bool
 	// BufferedPorts holds the destination UDP port of every buffered
-	// group frame whose port was parseable — Algorithm 1's inputs.
+	// group frame whose port was parseable — Algorithm 1's inputs. The
+	// AP reuses its storage, so it is valid only during BeaconBuilt.
 	BufferedPorts []uint16
 	// UnparsedBuffered counts buffered group frames without a
 	// classifiable destination port (never indicated in the BTIM).
@@ -197,6 +198,15 @@ type AP struct {
 	// and reassociation attempts are refused with StatusAPFull while
 	// existing clients are disassociated with real frames.
 	draining bool
+
+	// Scratch reused across events: the ports of the port message being
+	// handled, its ACK's bytes, and the buffered ports handed to
+	// observers and the flag computer. Transmit never keeps a frame
+	// buffer, and the table, the portSync hook and observers never keep
+	// a ports slice.
+	msgPorts []uint16
+	ackBuf   []byte
+	buffered []uint16
 }
 
 // beaconCache holds the last fully built beacon. While no
@@ -246,7 +256,8 @@ func (a *AP) AddObserver(o Observer) { a.obs = append(a.obs, o) }
 
 // SetFlagComputer overrides Algorithm 1's per-client flag computation.
 // The replacement receives the destination ports of the buffered group
-// frames and the Client UDP Port Table, and returns the BTIM bitmap.
+// frames (valid only for the call) and the Client UDP Port Table, and
+// returns the BTIM bitmap.
 // It exists as a fault-injection point for the cross-validation
 // harness — a broken computer must be caught by both the differential
 // oracle and the BTIM invariant. A nil fn restores Algorithm 1.
@@ -696,7 +707,9 @@ func (a *AP) broadcastFlags() *dot11.VirtualBitmap {
 
 // bufferedPorts returns the destination ports of the buffered group
 // frames with a parseable port, plus the count of unparseable ones.
+// The ports slice is the AP's scratch, valid until the next call.
 func (a *AP) bufferedPorts() (ports []uint16, unparsed int) {
+	ports = a.buffered[:0]
 	for _, g := range a.group {
 		if g.ok {
 			ports = append(ports, g.dstPort)
@@ -704,6 +717,7 @@ func (a *AP) bufferedPorts() (ports []uint16, unparsed int) {
 			unparsed++
 		}
 	}
+	a.buffered = ports
 	return ports, unparsed
 }
 
@@ -828,25 +842,28 @@ func (a *AP) handleAssocRequest(raw []byte, now time.Duration) {
 }
 
 // handlePortMessage updates the port table and ACKs the sender. The
-// arrival time stamps the entry's TTL clock.
+// arrival time stamps the entry's TTL clock. The message is read into,
+// and the ACK encoded from, the AP's scratch buffers.
 func (a *AP) handlePortMessage(raw []byte, now time.Duration) {
-	msg, err := dot11.UnmarshalUDPPortMessage(raw)
+	hdr, ports, err := dot11.ReadUDPPortMessage(raw, a.msgPorts)
+	a.msgPorts = ports
 	if err != nil {
 		return // malformed frames are dropped silently, like real MACs
 	}
-	c, ok := a.clients[msg.Header.Addr2]
+	c, ok := a.clients[hdr.Addr2]
 	if !ok {
 		return // not associated; no state to update, no ACK
 	}
 	if a.cfg.HIDE {
-		a.table.UpdateAt(c.aid, msg.Ports, now)
+		a.table.UpdateAt(c.aid, ports, now)
 		if a.portSync != nil {
-			a.portSync(c.addr, msg.Ports)
+			a.portSync(c.addr, ports)
 		}
 	}
 	a.stats.PortMsgsReceived++
-	ack := &dot11.ACK{RA: c.addr}
-	a.med.Transmit(a.cfg.BSSID, ack.Marshal(), a.cfg.BeaconRate)
+	ack := dot11.ACK{RA: c.addr}
+	a.ackBuf = ack.AppendTo(a.ackBuf[:0])
+	a.med.Transmit(a.cfg.BSSID, a.ackBuf, a.cfg.BeaconRate)
 	a.stats.ACKsSent++
 }
 

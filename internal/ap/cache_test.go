@@ -80,6 +80,18 @@ func TestBeaconCacheInvalidation(t *testing.T) {
 
 	now := 100 * time.Millisecond
 	var lateAID dot11.AID
+	// portMsg hands the AP a UDP Port Message from client i, through
+	// the receive path stations use.
+	portMsg := func(i int, ports ...uint16) {
+		raw, err := (&dot11.UDPPortMessage{
+			Header: dot11.MACHeader{Addr1: a.cfg.BSSID, Addr2: addr(i), Addr3: a.cfg.BSSID},
+			Ports:  ports,
+		}).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Receive(raw, dot11.Rate1Mbps, now)
+	}
 	steps := []struct {
 		name      string
 		wantStale bool
@@ -91,6 +103,17 @@ func TestBeaconCacheInvalidation(t *testing.T) {
 			a.Table().UpdateAt(aids[0], []uint16{8080}, now)
 		}},
 		{"idle-patch-after-update", false, func() {}},
+		{"port-message-changed-refresh", true, func() {
+			portMsg(0, 8080, 8081)
+		}},
+		{"port-message-unchanged-refresh", false, func() {
+			// The same set, reordered and with a duplicate: only the
+			// TTL clock moves, so the cached beacon is patched.
+			portMsg(0, 8081, 8080, 8081)
+			if at, _ := a.Table().RefreshedAt(aids[0]); at != now {
+				t.Fatalf("unchanged refresh stamped %v, want %v", at, now)
+			}
+		}},
 		{"port-table-remove", true, func() {
 			a.Table().Remove(aids[1])
 		}},
@@ -160,5 +183,42 @@ func TestBeaconCacheInvalidation(t *testing.T) {
 			t.Fatal("flag-computer-set: stateful flag computer must keep the cache invalid")
 		}
 		now += a.cfg.BeaconInterval
+	}
+}
+
+// TestAllocBudgetPortMessageReceive pins the AP's side of a warm port
+// refresh at one allocation: reading the message into the AP's
+// scratch, the unchanged table refresh and encoding the ACK allocate
+// nothing, which leaves the medium's injection copy of the ACK. No
+// station is attached, so the ACK's delivery is a drop.
+func TestAllocBudgetPortMessageReceive(t *testing.T) {
+	eng := sim.New()
+	med := medium.New(eng, dot11.DefaultPHY(), 1)
+	a := New(eng, med, Config{BSSID: bssid, SSID: "t", HIDE: true})
+	aid, err := a.Associate(c1Addr, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := (&dot11.UDPPortMessage{
+		Header: dot11.MACHeader{Addr1: bssid, Addr2: c1Addr, Addr3: bssid},
+		Ports:  []uint16{53, 5353},
+	}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	receive := func() {
+		a.Receive(raw, dot11.Rate1Mbps, eng.Now())
+		eng.Step() // the ACK's delivery
+	}
+	receive() // the first message creates the table entry
+	gen := a.Table().Gen()
+	if allocs := testing.AllocsPerRun(200, receive); allocs > 1 {
+		t.Fatalf("warm port-message receive and ACK: %.1f allocs/op, want <= 1 (injection copy only)", allocs)
+	}
+	if st := a.Stats(); st.PortMsgsReceived != 202 || st.ACKsSent != 202 {
+		t.Fatalf("received %d, ACKed %d; want 202, 202", st.PortMsgsReceived, st.ACKsSent)
+	}
+	if a.Table().Gen() != gen || !a.Table().Listening(5353, aid) {
+		t.Fatal("unchanged refreshes moved the table generation or lost the entry")
 	}
 }

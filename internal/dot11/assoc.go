@@ -85,24 +85,7 @@ func (r *AssocRequest) Marshal() ([]byte, error) {
 		return nil, err
 	}
 	if r.HIDECapable || r.Ports != nil {
-		ports := r.Ports
-		for {
-			n := len(ports)
-			if n > MaxPortsPerElement {
-				n = MaxPortsPerElement
-			}
-			e, err := OpenUDPPorts{Ports: ports[:n]}.Element()
-			if err != nil {
-				return nil, err
-			}
-			if out, err = e.AppendTo(out); err != nil {
-				return nil, err
-			}
-			ports = ports[n:]
-			if len(ports) == 0 {
-				break
-			}
-		}
+		out = appendPortElements(out, r.Ports)
 	}
 	return out, nil
 }
@@ -136,15 +119,13 @@ func UnmarshalAssocRequest(raw []byte) (*AssocRequest, error) {
 		case ElementIDSSID:
 			r.SSID = string(e.Body)
 		case ElementIDOpenUDPPorts:
-			o, err := ParseOpenUDPPorts(e)
-			if err != nil {
-				return nil, err
-			}
 			r.HIDECapable = true
 			if r.Ports == nil {
 				r.Ports = []uint16{}
 			}
-			r.Ports = append(r.Ports, o.Ports...)
+			if r.Ports, err = appendPorts(r.Ports, e.Body); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return r, nil

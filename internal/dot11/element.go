@@ -202,41 +202,37 @@ func (b BTIM) UsefulBroadcastBuffered(aid AID) bool {
 	return partialGet(b.Offset, b.PartialBitmap, aid)
 }
 
-// OpenUDPPorts is the element (ID 200) carried in a UDP Port Message,
-// listing the UDP ports open on a client (paper Figure 3). Each port is
-// two bytes, so at most 127 ports fit in one element; callers with more
-// ports split them across multiple elements.
-type OpenUDPPorts struct {
-	Ports []uint16
-}
-
 // MaxPortsPerElement is the number of 2-byte ports that fit in one
-// 255-byte element body.
+// 255-byte body of the Open UDP Ports element (ID 200), which lists the
+// UDP ports open on a client in UDP Port Messages and association
+// requests (paper Figure 3). Longer lists are split across several
+// elements.
 const MaxPortsPerElement = 127
 
-// Element encodes the port list as an information element.
-func (o OpenUDPPorts) Element() (Element, error) {
-	if len(o.Ports) > MaxPortsPerElement {
-		return Element{}, fmt.Errorf("%w: %d ports", ErrElementTooLong, len(o.Ports))
+// appendPorts validates an Open UDP Ports element body and appends its
+// ports to dst.
+func appendPorts(dst []uint16, body []byte) ([]uint16, error) {
+	if len(body)%2 != 0 {
+		return dst, fmt.Errorf("%w: odd port list length %d", ErrBadElement, len(body))
 	}
-	body := make([]byte, 2*len(o.Ports))
-	for i, p := range o.Ports {
-		putUint16(body[2*i:], p)
+	for i := 0; i < len(body); i += 2 {
+		dst = append(dst, getUint16(body[i:]))
 	}
-	return Element{ID: ElementIDOpenUDPPorts, Body: body}, nil
+	return dst, nil
 }
 
-// ParseOpenUDPPorts decodes an Open UDP Ports element body.
-func ParseOpenUDPPorts(e Element) (OpenUDPPorts, error) {
-	if e.ID != ElementIDOpenUDPPorts {
-		return OpenUDPPorts{}, fmt.Errorf("%w: element id %d is not Open UDP Ports", ErrBadElement, e.ID)
+// appendPortElements appends ports as Open UDP Ports elements of at
+// most MaxPortsPerElement ports each; an empty list still gets one
+// empty element.
+func appendPortElements(b []byte, ports []uint16) []byte {
+	for {
+		n := min(len(ports), MaxPortsPerElement)
+		b = append(b, ElementIDOpenUDPPorts, uint8(2*n))
+		for _, p := range ports[:n] {
+			b = append(b, byte(p), byte(p>>8))
+		}
+		if ports = ports[n:]; len(ports) == 0 {
+			return b
+		}
 	}
-	if len(e.Body)%2 != 0 {
-		return OpenUDPPorts{}, fmt.Errorf("%w: odd port list length %d", ErrBadElement, len(e.Body))
-	}
-	o := OpenUDPPorts{Ports: make([]uint16, len(e.Body)/2)}
-	for i := range o.Ports {
-		o.Ports[i] = getUint16(e.Body[2*i:])
-	}
-	return o, nil
 }

@@ -184,60 +184,64 @@ type UDPPortMessage struct {
 	Ports  []uint16
 }
 
-// Marshal encodes the UDP Port Message into wire format.
+// Marshal encodes the UDP Port Message into a new buffer. Encoding
+// cannot fail; the error is always nil.
 func (m *UDPPortMessage) Marshal() ([]byte, error) {
+	return m.AppendTo(make([]byte, 0, MACHeaderLen+2+2*len(m.Ports))), nil
+}
+
+// AppendTo appends the encoded UDP Port Message to b and returns the
+// extended slice, so a sender can encode every message into one
+// reused buffer.
+func (m *UDPPortMessage) AppendTo(b []byte) []byte {
 	hdr := m.Header
 	hdr.FC.Type = TypeManagement
 	hdr.FC.Subtype = SubtypeUDPPortMessage
-
-	out := make([]byte, MACHeaderLen, MACHeaderLen+2+2*len(m.Ports))
-	hdr.marshalInto(out)
-	ports := m.Ports
-	for {
-		n := len(ports)
-		if n > MaxPortsPerElement {
-			n = MaxPortsPerElement
-		}
-		e, err := OpenUDPPorts{Ports: ports[:n]}.Element()
-		if err != nil {
-			return nil, err
-		}
-		if out, err = e.AppendTo(out); err != nil {
-			return nil, err
-		}
-		ports = ports[n:]
-		if len(ports) == 0 {
-			break
-		}
-	}
-	return out, nil
+	start := len(b)
+	b = append(b, make([]byte, MACHeaderLen)...)
+	hdr.marshalInto(b[start:])
+	return appendPortElements(b, m.Ports)
 }
 
-// UnmarshalUDPPortMessage decodes a UDP Port Message frame.
+// UnmarshalUDPPortMessage decodes a UDP Port Message into a message
+// that owns its port list; receive paths read in place with
+// ReadUDPPortMessage.
 func UnmarshalUDPPortMessage(raw []byte) (*UDPPortMessage, error) {
+	hdr, ports, err := ReadUDPPortMessage(raw, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &UDPPortMessage{Header: hdr, Ports: ports}, nil
+}
+
+// ReadUDPPortMessage validates a UDP Port Message in place and appends
+// the ports of its Open UDP Ports elements, in frame order, to
+// ports[:0]; with a scratch slice of enough capacity it allocates
+// nothing. It rejects exactly the frames UnmarshalUDPPortMessage
+// rejects, and is the one home of their validation rules. On error
+// the returned slice keeps the scratch's storage but holds no ports.
+func ReadUDPPortMessage(raw []byte, ports []uint16) (MACHeader, []uint16, error) {
+	ports = ports[:0]
 	hdr, err := unmarshalMACHeader(raw)
 	if err != nil {
-		return nil, err
+		return MACHeader{}, ports, err
 	}
 	if hdr.FC.Type != TypeManagement || hdr.FC.Subtype != SubtypeUDPPortMessage {
-		return nil, fmt.Errorf("%w: %v/%d, want UDP port message", ErrBadFrameType, hdr.FC.Type, hdr.FC.Subtype)
+		return MACHeader{}, ports, fmt.Errorf("%w: %v/%d, want UDP port message", ErrBadFrameType, hdr.FC.Type, hdr.FC.Subtype)
 	}
-	elems, err := ParseElements(raw[MACHeaderLen:])
-	if err != nil {
-		return nil, err
-	}
-	m := &UDPPortMessage{Header: hdr}
-	for _, e := range elems {
+	for rest := raw[MACHeaderLen:]; len(rest) > 0; {
+		var e Element
+		if e, rest, err = nextElement(rest); err != nil {
+			return MACHeader{}, ports[:0], err
+		}
 		if e.ID != ElementIDOpenUDPPorts {
 			continue
 		}
-		o, err := ParseOpenUDPPorts(e)
-		if err != nil {
-			return nil, err
+		if ports, err = appendPorts(ports, e.Body); err != nil {
+			return MACHeader{}, ports[:0], err
 		}
-		m.Ports = append(m.Ports, o.Ports...)
 	}
-	return m, nil
+	return hdr, ports, nil
 }
 
 // ACK is an 802.11 ACK control frame.
@@ -245,13 +249,17 @@ type ACK struct {
 	RA MACAddr // receiver address
 }
 
-// Marshal encodes the ACK into wire format (without FCS).
+// Marshal encodes the ACK into a new buffer (without FCS).
 func (a *ACK) Marshal() []byte {
-	out := make([]byte, ACKFrameLen-FCSLen)
+	return a.AppendTo(make([]byte, 0, ACKFrameLen-FCSLen))
+}
+
+// AppendTo appends the encoded ACK (without FCS) to b and returns the
+// extended slice.
+func (a *ACK) AppendTo(b []byte) []byte {
 	fc := FrameControl{Type: TypeControl, Subtype: SubtypeACK}.Marshal()
-	out[0], out[1] = fc[0], fc[1]
-	copy(out[4:], a.RA[:])
-	return out
+	b = append(b, fc[0], fc[1], 0, 0) // frame control, zero duration
+	return append(b, a.RA[:]...)
 }
 
 // UnmarshalACK decodes an ACK control frame.
@@ -324,14 +332,28 @@ func (d *DataFrame) Marshal() []byte {
 
 // UnmarshalDataFrame decodes a data frame. The payload aliases raw.
 func UnmarshalDataFrame(raw []byte) (*DataFrame, error) {
-	hdr, err := unmarshalMACHeader(raw)
-	if err != nil {
+	d := new(DataFrame)
+	if err := ReadDataFrame(raw, d); err != nil {
 		return nil, err
 	}
-	if hdr.FC.Type != TypeData {
-		return nil, fmt.Errorf("%w: %v, want data", ErrBadFrameType, hdr.FC.Type)
+	return d, nil
+}
+
+// ReadDataFrame reads a data frame into d without allocating; the
+// payload aliases raw, so d lives no longer than raw may be used. It
+// rejects exactly the frames UnmarshalDataFrame rejects. On error d is
+// left unchanged.
+func ReadDataFrame(raw []byte, d *DataFrame) error {
+	hdr, err := unmarshalMACHeader(raw)
+	if err != nil {
+		return err
 	}
-	return &DataFrame{Header: hdr, Payload: raw[MACHeaderLen:]}, nil
+	if hdr.FC.Type != TypeData {
+		return fmt.Errorf("%w: %v, want data", ErrBadFrameType, hdr.FC.Type)
+	}
+	d.Header = hdr
+	d.Payload = raw[MACHeaderLen:]
+	return nil
 }
 
 // FrameKind classifies a raw frame without fully decoding it.

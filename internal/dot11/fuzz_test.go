@@ -47,6 +47,11 @@ func seedCorpus(f *testing.F) {
 	}
 	dis := &Disassoc{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, Reason: ReasonStationLeft}
 	f.Add(dis.Marshal())
+	data := &DataFrame{
+		Header:  MACHeader{FC: FrameControl{FromDS: true, MoreData: true}, Addr1: Broadcast, Addr2: apAddr, Addr3: apAddr},
+		Payload: EncapsulateUDP(UDPDatagram{DstPort: 5353, Payload: []byte("fuzz")}),
+	}
+	f.Add(data.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x00})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -166,12 +171,37 @@ func checkBits(t *testing.T, elem string, offset uint8, partial []byte, reading,
 	}
 }
 
+// FuzzUnmarshalUDPPortMessage drives the port-message codec. The
+// in-place ReadUDPPortMessage, given a dirty non-empty scratch slice,
+// accepts exactly what UnmarshalUDPPortMessage accepts and reads the
+// same header and ports; an accepted message re-encodes with Marshal
+// to a frame carrying exactly the same ports; and AppendTo onto a
+// non-empty prefix yields the prefix followed by Marshal's bytes.
 func FuzzUnmarshalUDPPortMessage(f *testing.F) {
 	seedCorpus(f)
+	split := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, Ports: make([]uint16, 2*MaxPortsPerElement+3)}
+	if raw, err := split.Marshal(); err == nil {
+		f.Add(raw) // three Open UDP Ports elements
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		orig := append([]byte(nil), raw...)
 		m, err := UnmarshalUDPPortMessage(raw)
+		scratch := []uint16{0xdead, 0xbeef, 7}
+		hdr, ports, rerr := ReadUDPPortMessage(raw, scratch[:2])
+		if !bytes.Equal(raw, orig) {
+			t.Fatal("ReadUDPPortMessage wrote into the frame")
+		}
+		if (rerr != nil) != (err != nil) {
+			t.Fatalf("ReadUDPPortMessage err = %v, UnmarshalUDPPortMessage err = %v", rerr, err)
+		}
 		if err != nil {
 			return
+		}
+		if hdr != m.Header || !slices.Equal(ports, m.Ports) {
+			t.Fatalf("in-place read %v %v, owning decode %v %v", hdr, ports, m.Header, m.Ports)
+		}
+		if len(ports) > 0 && &ports[0] != &scratch[0] && cap(scratch) >= len(ports) {
+			t.Fatal("ReadUDPPortMessage ignored a scratch slice with room")
 		}
 		out, err := m.Marshal()
 		if err != nil {
@@ -181,8 +211,13 @@ func FuzzUnmarshalUDPPortMessage(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if len(m2.Ports) != len(m.Ports) {
-			t.Fatal("port count drifted")
+		if !slices.Equal(m2.Ports, m.Ports) {
+			t.Fatalf("ports drifted across re-encode: %v -> %v", m.Ports, m2.Ports)
+		}
+		prefix := []byte{0xa5, 0x5a, 0x01}
+		app := m.AppendTo(append([]byte(nil), prefix...))
+		if !bytes.Equal(app, append(append([]byte(nil), prefix...), out...)) {
+			t.Fatalf("AppendTo after a prefix = %x, want %x then %x", app, prefix, out)
 		}
 	})
 }
@@ -399,45 +434,73 @@ func FuzzBTIMElement(f *testing.F) {
 }
 
 // FuzzOpenUDPPortsElement drives the Open UDP Ports (element ID 200)
-// codec: ParseOpenUDPPorts must never panic, any accepted body must
-// round-trip exactly when it fits in one element, and oversize port
-// lists must be refused by the encoder.
+// codec shared by port messages and association requests: appendPorts
+// must never panic and accepts exactly the even-length bodies, and the
+// ports it reads re-encode with appendPortElements to elements of at
+// most MaxPortsPerElement ports whose bodies, concatenated, are the
+// original body; a list that fits one element is not split.
 func FuzzOpenUDPPortsElement(f *testing.F) {
-	if e, err := (OpenUDPPorts{Ports: []uint16{53, 5353, 1900}}).Element(); err == nil {
-		f.Add(e.Body)
-	}
+	f.Add([]byte{0x35, 0x00, 0xe9, 0x14, 0x6c, 0x07}) // 53, 5353, 1900
 	f.Add([]byte{})
 	f.Add([]byte{0, 53})
 	f.Add([]byte{0xff}) // odd length: must be rejected
 	f.Add(bytes.Repeat([]byte{0x14, 0xeb}, MaxPortsPerElement))
 	f.Add(bytes.Repeat([]byte{0, 1}, MaxPortsPerElement+1))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		o, err := ParseOpenUDPPorts(Element{ID: ElementIDOpenUDPPorts, Body: body})
+		ports, err := appendPorts(nil, body)
+		if (err == nil) != (len(body)%2 == 0) {
+			t.Fatalf("appendPorts err = %v for a %d-byte body", err, len(body))
+		}
 		if err != nil {
 			return
 		}
-		if len(o.Ports)*2 != len(body) {
-			t.Fatalf("decoded %d ports from %d bytes", len(o.Ports), len(body))
+		if len(ports)*2 != len(body) {
+			t.Fatalf("decoded %d ports from %d bytes", len(ports), len(body))
 		}
-		e, err := o.Element()
-		if len(o.Ports) > MaxPortsPerElement {
-			if err == nil {
-				t.Fatalf("encoder accepted %d ports (max %d)", len(o.Ports), MaxPortsPerElement)
+		out := appendPortElements(nil, ports)
+		var back []byte
+		for rest := out; len(rest) > 0; {
+			e, r, err := nextElement(rest)
+			if err != nil || e.ID != ElementIDOpenUDPPorts || len(e.Body) > 2*MaxPortsPerElement {
+				t.Fatalf("re-encoded %x holds a bad element (id %d, %d bytes): %v", out, e.ID, len(e.Body), err)
 			}
-			return
+			back, rest = append(back, e.Body...), r
 		}
-		if err != nil {
-			t.Fatalf("re-encode of accepted port list failed: %v", err)
+		if !bytes.Equal(back, body) {
+			t.Fatalf("port list wire image drifted: %x -> %x", body, back)
 		}
-		if !bytes.Equal(e.Body, body) {
-			t.Fatalf("port list wire image drifted: %x -> %x", body, e.Body)
+		if len(ports) <= MaxPortsPerElement && len(out) != 2+len(body) {
+			t.Fatalf("%d ports split across elements: %x", len(ports), out)
 		}
 	})
 }
 
+// FuzzClassifyNeverPanics feeds arbitrary frames to Classify, and to
+// both data-frame decoders: the in-place ReadDataFrame accepts exactly
+// what UnmarshalDataFrame accepts (data frames with a full MAC header)
+// and reads the same header and payload, aliasing the frame.
 func FuzzClassifyNeverPanics(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		_ = Classify(raw).String()
+		kind := Classify(raw)
+		_ = kind.String()
+		d, err := UnmarshalDataFrame(raw)
+		var r DataFrame
+		rerr := ReadDataFrame(raw, &r)
+		if (rerr != nil) != (err != nil) {
+			t.Fatalf("ReadDataFrame err = %v, UnmarshalDataFrame err = %v", rerr, err)
+		}
+		if want := kind == KindData && len(raw) >= MACHeaderLen; (err == nil) != want {
+			t.Fatalf("data frame accepted = %v for a %d-byte %v frame", err == nil, len(raw), kind)
+		}
+		if err != nil {
+			return
+		}
+		if r.Header != d.Header || !bytes.Equal(r.Payload, d.Payload) {
+			t.Fatalf("in-place read %+v, owning decode %+v", r, *d)
+		}
+		if len(r.Payload) > 0 && &r.Payload[0] != &raw[MACHeaderLen] {
+			t.Fatal("ReadDataFrame payload does not alias the frame")
+		}
 	})
 }

@@ -48,6 +48,7 @@ package ess
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ap"
@@ -290,9 +291,15 @@ func New(cfg Config) (*ESS, error) {
 		sh := &Shard{Net: n, idx: i}
 		if cfg.Replicate {
 			n.AP.SetPortSync(func(addr dot11.MACAddr, ports []uint16) {
-				sh.dsQueue = append(sh.dsQueue, dsRecord{
-					addr: addr, ports: append([]uint16(nil), ports...),
-				})
+				// Directory values are never written into, so a record
+				// of an unchanged set shares the directory's slice. The
+				// directory changes only at barriers, so this read is
+				// as race-free as the roam lookup's.
+				rec := e.dir[addr]
+				if !slices.Equal(rec, ports) {
+					rec = append([]uint16(nil), ports...)
+				}
+				sh.dsQueue = append(sh.dsQueue, dsRecord{addr: addr, ports: rec})
 			})
 			n.AP.SetRoamPortLookup(func(addr dot11.MACAddr) []uint16 { return e.dir[addr] })
 		}

@@ -34,6 +34,9 @@ type Channel interface {
 	// Attach registers a node under its MAC address.
 	Attach(addr dot11.MACAddr, n Node)
 	// Transmit sends a frame; it returns the (estimated) delivery time.
+	// The callee never keeps raw: the caller may overwrite it as soon
+	// as Transmit returns, so senders encode every frame into one
+	// reused buffer.
 	Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Duration
 }
 

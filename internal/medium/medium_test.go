@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -187,6 +188,46 @@ func TestTransmitCopiesBuffer(t *testing.T) {
 	}
 	if r1.frames[0].raw[0] == 0xff {
 		t.Error("medium aliased the caller's buffer")
+	}
+}
+
+// keeper keeps every delivered frame as delivered, without copying.
+type keeper struct{ frames [][]byte }
+
+func (k *keeper) Receive(raw []byte, _ dot11.Rate, _ time.Duration) {
+	k.frames = append(k.frames, raw)
+}
+
+// TestTransmitKeepsNoCallerBuffer pins the Channel contract senders
+// rely on to encode every frame into one reused buffer: the caller
+// overwrites its buffer right after Transmit, and every receiver of a
+// group frame, the tap and the transmission observer still see the
+// original bytes, even when they keep the slices they were handed.
+func TestTransmitKeepsNoCallerBuffer(t *testing.T) {
+	eng := sim.New()
+	m := New(eng, dot11.DefaultPHY(), 1)
+	k1, k2 := &keeper{}, &keeper{}
+	m.Attach(s1Addr, k1)
+	m.Attach(s2Addr, k2)
+	var tapped, observed [][]byte
+	m.SetTap(func(raw []byte, _ dot11.Rate, _ time.Duration) { tapped = append(tapped, raw) })
+	m.SetTxObserver(func(_ dot11.MACAddr, raw []byte, _ dot11.Rate, _, _ time.Duration) {
+		observed = append(observed, raw)
+	})
+	buf := beaconRaw(t)
+	want := append([]byte(nil), buf...)
+	m.Transmit(apAddr, buf, dot11.Rate1Mbps)
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	eng.Run()
+	for _, c := range []struct {
+		name string
+		got  [][]byte
+	}{{"s1", k1.frames}, {"s2", k2.frames}, {"tap", tapped}, {"observer", observed}} {
+		if len(c.got) != 1 || !bytes.Equal(c.got[0], want) {
+			t.Errorf("%s saw %x, want the original %x", c.name, c.got, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package porttable
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -35,8 +36,16 @@ type Table struct {
 	// any other registration — the AP's sequential AID allocator
 	// guarantees that.
 	counts map[dot11.AID]int
-	gen    uint64 // bumped on every mutation; lets callers cache derived state
+	gen    uint64 // bumped whenever the port → client mapping changes; lets callers cache derived state
 	ops    OpCounts
+	// floor is a lower bound on every refresh stamp, so ExpireBefore
+	// returns at once while no entry can be stale.
+	floor time.Duration
+	// uniq and seen are updateBlock's deduplication scratch: the
+	// deduplicated ports, and one bit per port number (8 KiB, allocated
+	// on first use) set only while a refresh is being deduplicated.
+	uniq []uint16
+	seen *[1 << 16 / 64]uint64
 }
 
 // OpCounts tallies table operations, feeding the delay model.
@@ -94,10 +103,12 @@ func blockEnd(aid dot11.AID, count int) dot11.AID {
 	return dot11.AID(hi)
 }
 
-// Gen returns the table's mutation generation: it changes whenever the
-// port → client mapping may have changed, so callers (the AP's beacon
-// cache) can detect staleness of state derived from the table without
-// subscribing to individual updates.
+// Gen returns the table's mutation generation: it changes exactly when
+// the port → client mapping changes, so callers (the AP's beacon cache)
+// can detect staleness of state derived from the table without
+// subscribing to individual updates. A refresh that re-announces a
+// client's stored port set only restarts its TTL clock and leaves Gen
+// alone.
 func (t *Table) Gen() uint64 { return t.gen }
 
 // Update replaces the port set for a client with the ports from its
@@ -132,13 +143,26 @@ func (t *Table) UpdateCohortAt(aid dot11.AID, count int, ports []uint16, now tim
 
 // updateBlock replaces the port set for a (possibly multi-member)
 // client entry. count == 1 is exactly the historical UpdateAt path.
+// Every refresh prices as deleting the old ports and inserting the new
+// ones (Eq. 25), but one that re-announces the stored set for the same
+// block changes no mapping: it keeps the message's port order, restarts
+// the TTL clock and leaves Gen alone.
 func (t *Table) updateBlock(aid dot11.AID, count int, ports []uint16, now time.Duration) {
 	t.init()
-	if len(t.byClient[aid]) > 0 || len(ports) > 0 {
+	old := t.byClient[aid]
+	uniq, same := t.dedup(ports, old)
+	if same && len(old) > 0 && t.countOf(aid) == count {
+		copy(old, uniq)
+		t.ops.Deletes += len(old)
+		t.ops.Inserts += len(uniq)
+		t.stamp(aid, now)
+		return
+	}
+	if len(old) > 0 || len(uniq) > 0 {
 		t.gen++
 	}
 	oldEnd := blockEnd(aid, t.countOf(aid))
-	for _, p := range t.byClient[aid] {
+	for _, p := range old {
 		if set := t.byPort[p]; set != nil {
 			delete(set, aid)
 			if bits := t.portBits[p]; bits != nil {
@@ -157,18 +181,11 @@ func (t *Table) updateBlock(aid dot11.AID, count int, ports []uint16, now time.D
 	delete(t.refreshed, aid)
 	delete(t.counts, aid)
 
-	if len(ports) == 0 {
+	if len(uniq) == 0 {
 		return
 	}
 	end := blockEnd(aid, count)
-	uniq := make([]uint16, 0, len(ports))
-	seen := make(map[uint16]struct{}, len(ports))
-	for _, p := range ports {
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		uniq = append(uniq, p)
+	for _, p := range uniq {
 		set := t.byPort[p]
 		if set == nil {
 			set = make(map[dot11.AID]struct{})
@@ -185,10 +202,47 @@ func (t *Table) updateBlock(aid dot11.AID, count int, ports []uint16, now time.D
 		}
 		t.ops.Inserts++
 	}
-	t.byClient[aid] = uniq
-	t.refreshed[aid] = now
+	// Stored lists are never handed out (Ports copies), so the old
+	// list's storage can take the new one.
+	t.byClient[aid] = append(old[:0], uniq...)
+	t.stamp(aid, now)
 	if count > 1 {
 		t.counts[aid] = count
+	}
+}
+
+// dedup collapses repeated ports, keeping first occurrences in order,
+// into the table's scratch slice (valid until the next call), and
+// reports whether the result is the same set as old, a stored
+// (duplicate-free) list.
+func (t *Table) dedup(ports, old []uint16) (uniq []uint16, same bool) {
+	if t.seen == nil {
+		t.seen = new([1 << 16 / 64]uint64)
+	}
+	seen := t.seen
+	uniq = t.uniq[:0]
+	for _, p := range ports {
+		if seen[p/64]&(1<<(p%64)) == 0 {
+			seen[p/64] |= 1 << (p % 64)
+			uniq = append(uniq, p)
+		}
+	}
+	same = len(uniq) == len(old)
+	for i := 0; same && i < len(old); i++ {
+		same = seen[old[i]/64]&(1<<(old[i]%64)) != 0
+	}
+	for _, p := range uniq {
+		seen[p/64] &^= 1 << (p % 64)
+	}
+	t.uniq = uniq
+	return uniq, same
+}
+
+// stamp records a client's refresh time and keeps floor below it.
+func (t *Table) stamp(aid dot11.AID, now time.Duration) {
+	t.refreshed[aid] = now
+	if now < t.floor {
+		t.floor = now
 	}
 }
 
@@ -209,14 +263,23 @@ func (t *Table) RefreshedAt(aid dot11.AID) (time.Duration, bool) {
 // TTL sweep the AP runs at beacon cadence: a client that crashed
 // without deregistering stops refreshing, so its stale entries — which
 // would otherwise inflate every other client's wakeups forever — age
-// out after one TTL.
+// out after one TTL. While cutoff is at or below the oldest stamp the
+// table has seen since its last sweep, nothing can be stale and the
+// sweep returns without walking the clients.
 func (t *Table) ExpireBefore(cutoff time.Duration) []dot11.AID {
+	if cutoff <= t.floor {
+		return nil
+	}
 	var stale []dot11.AID
+	floor := time.Duration(math.MaxInt64)
 	for aid, at := range t.refreshed {
 		if at < cutoff {
 			stale = append(stale, aid)
+		} else {
+			floor = min(floor, at)
 		}
 	}
+	t.floor = floor
 	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 	for _, aid := range stale {
 		t.Remove(aid)

@@ -2,6 +2,7 @@ package station
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -163,5 +164,35 @@ func TestAllocBudgetBeaconReceive(t *testing.T) {
 					c.Count(), c.tmpl.listening, before, after)
 			}
 		})
+	}
+}
+
+// TestAllocBudgetPortMessageSend pins a warm station's UDP Port
+// Message send at one allocation: the medium's injection copy. The
+// message is encoded into the station's reused buffer, and the sent
+// and acknowledged lists share the open-port list. No AP is attached,
+// so the frame's delivery is a drop and the ACK is handed in directly.
+func TestAllocBudgetPortMessageSend(t *testing.T) {
+	eng := sim.New()
+	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	st := New(eng, med, Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 0x10}, BSSID: bssid, Mode: HIDE})
+	st.OpenPort(53)
+	st.OpenPort(5353)
+	if err := st.Join(1); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(2 * time.Second) // the unanswered handshake gives up and the host suspends
+	send := func() {
+		st.retries = 0
+		st.sendPortMessage(eng.Now())
+		eng.Step() // the frame's delivery
+		st.handleACK(eng.Now())
+	}
+	send()
+	if allocs := testing.AllocsPerRun(200, send); allocs > 1 {
+		t.Fatalf("warm port-message send: %.1f allocs/op, want <= 1 (injection copy only)", allocs)
+	}
+	if !st.Synced() || !slices.Equal(st.syncedPorts, []uint16{53, 5353}) {
+		t.Fatalf("synced %v with %v, want true with [53 5353]", st.Synced(), st.syncedPorts)
 	}
 }

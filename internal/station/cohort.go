@@ -560,7 +560,7 @@ func (c *CohortStation) Handoff(eng *sim.Engine, med medium.BlockChannel, bssid 
 	c.tmpl.associated = false
 	c.tmpl.aid = 0
 	c.tmpl.listening = false
-	c.tmpl.syncedPorts = nil
+	c.tmpl.synced = false
 	c.tmpl.haveTimestamp = false
 	c.tmpl.setSuspended(true)
 	return nil
@@ -576,12 +576,12 @@ func (c *CohortStation) RejoinBlock(first dot11.AID) error { return c.tmpl.Rejoi
 
 // ListensOn reports whether a UDP port is open on the cohort's
 // members (all members share one port set).
-func (c *CohortStation) ListensOn(p uint16) bool { return c.tmpl.ports[p] }
+func (c *CohortStation) ListensOn(p uint16) bool { return c.tmpl.ListensOn(p) }
 
 // Synced reports whether the cohort's current AP has acknowledged its
 // open-port set; false after a Handoff marks the cold-roam resync
 // window, exactly as Station.Synced does.
-func (c *CohortStation) Synced() bool { return c.tmpl.syncedPorts != nil }
+func (c *CohortStation) Synced() bool { return c.tmpl.synced }
 
 // Template returns the Station carrying the members' shared protocol
 // state — for observers and pricing; drive the cohort through

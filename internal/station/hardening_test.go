@@ -1,6 +1,7 @@
 package station
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -190,6 +191,33 @@ func TestNoPortRefreshWhenDisabled(t *testing.T) {
 	eng.RunUntil(3 * time.Second)
 	if got := st.Stats().PortMsgRefreshes; got != 0 {
 		t.Errorf("refreshes = %d with PortRefresh disabled", got)
+	}
+}
+
+// TestZeroPortStationSyncs: a HIDE station with no open ports still
+// completes the handshake. The AP acknowledges its empty port list, so
+// the station counts as synced, and under PortCoalesce its next
+// suspend rides on that sync instead of resending the empty list.
+func TestZeroPortStationSyncs(t *testing.T) {
+	eng, _, a, st := hardRig(t, Config{PortCoalesce: math.MaxInt64}, nil)
+	a.Start()
+	eng.RunUntil(2 * time.Second)
+	if s := st.Stats(); s.PortMsgsSent != 1 || s.ACKsReceived != 1 || !st.Synced() {
+		t.Fatalf("after the handshake: sent %d, ACKs %d, synced %v; want 1, 1, true",
+			s.PortMsgsSent, s.ACKsReceived, st.Synced())
+	}
+	// A unicast frame wakes the host; its next suspend coalesces.
+	if err := a.EnqueueUnicast(st.Addr(), dot11.UDPDatagram{DstPort: 4000}, dot11.Rate11Mbps); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(5 * time.Second)
+	s := st.Stats()
+	if s.UnicastReceived != 1 || s.Suspends != 2 || s.PortMsgsSent != 1 || s.PortMsgsCoalesced != 1 {
+		t.Errorf("after one wake: unicast %d, suspends %d, sent %d, coalesced %d; want 1, 2, 1, 1",
+			s.UnicastReceived, s.Suspends, s.PortMsgsSent, s.PortMsgsCoalesced)
+	}
+	if !st.Suspended() || !st.Synced() {
+		t.Errorf("suspended %v, synced %v; want both", st.Suspended(), st.Synced())
 	}
 }
 

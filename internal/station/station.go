@@ -13,6 +13,7 @@ package station
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -214,7 +215,10 @@ type Station struct {
 	med medium.Channel
 	aid dot11.AID
 
-	ports map[uint16]bool
+	// ports is the sorted open-port list. OpenPort and ClosePort
+	// replace it and nothing writes into it, so the last sent and the
+	// last acknowledged lists, snapshots and clones share it.
+	ports []uint16
 
 	listening bool // radio held on for a group-frame burst
 	suspended bool
@@ -225,7 +229,9 @@ type Station struct {
 	retries     int
 	ackTimer    sim.Handle
 	lastPortMsg []uint16
-	syncedPorts []uint16 // last ACKed port set
+	syncedPorts []uint16 // last ACKed port set, meaningful while synced
+	synced      bool     // the current AP acknowledged syncedPorts
+	txBuf       []byte   // port-message encode buffer; Transmit never keeps it
 
 	associated   bool
 	assocRetries int
@@ -263,11 +269,10 @@ var _ medium.Node = (*Station)(nil)
 func New(eng *sim.Engine, med medium.Channel, cfg Config) *Station {
 	cfg = cfg.normalized()
 	s := &Station{
-		cfg:   cfg,
-		eng:   eng,
-		med:   med,
-		ports: make(map[uint16]bool),
-		rng:   sim.NewRNG(cfg.Seed ^ addrSeed(cfg.Addr)),
+		cfg: cfg,
+		eng: eng,
+		med: med,
+		rng: sim.NewRNG(cfg.Seed ^ addrSeed(cfg.Addr)),
 	}
 	s.trySuspendFn = s.trySuspend
 	s.ackTimeoutFn = s.ackTimeout
@@ -278,8 +283,8 @@ func New(eng *sim.Engine, med medium.Channel, cfg Config) *Station {
 // cloneFor returns a deep copy of the station reparented to a new MAC
 // address, AID, and channel — the member-divergence path of cohort
 // splitting (off is the clone's member offset from the source). The
-// clone owns fresh copies of every mutable slice and map, rebinds its
-// method-value events to itself, re-arms any pending suspend/ACK
+// clone owns a fresh arrival log (port lists are immutable and
+// shared), rebinds its method-value events to itself, re-arms any pending suspend/ACK
 // timers at their original instants, and seeds a fresh RNG from the
 // new address (exact versus an expanded member until the first retry
 // draw, since jitter is only consumed on retransmissions). Pending
@@ -302,8 +307,9 @@ func (s *Station) cloneFor(addr dot11.MACAddr, aid dot11.AID, med medium.Channel
 }
 
 // snapshot returns an inert deep copy of the station's protocol state:
-// fresh copies of every mutable slice and map, but no channel, no
-// bound events, no scheduled timers, and no observer. Cohorts freeze
+// a fresh arrival log (port lists are immutable and shared), but no
+// channel, no encode buffer, no bound events, no scheduled timers, and
+// no observer. Cohorts freeze
 // one per handshake round so a timed-out tail can be split off in the
 // exact pre-ACK state an expanded member would hold; adopt brings a
 // snapshot to life.
@@ -311,12 +317,7 @@ func (s *Station) snapshot() *Station {
 	c := new(Station)
 	*c = *s
 	c.med = nil
-	c.ports = make(map[uint16]bool, len(s.ports))
-	for p, v := range s.ports {
-		c.ports[p] = v
-	}
-	c.lastPortMsg = append([]uint16(nil), s.lastPortMsg...)
-	c.syncedPorts = append([]uint16(nil), s.syncedPorts...) // nil stays nil
+	c.txBuf = nil
 	c.arrivals = append([]energy.Arrival(nil), s.arrivals...)
 	c.obs = nil
 	c.trySuspendFn, c.ackTimeoutFn, c.ackArm = nil, nil, nil
@@ -409,7 +410,7 @@ func (s *Station) sendAssocRequest(reassoc bool, ssid string, currentAP dot11.MA
 	if s.cfg.Mode == HIDE {
 		req.HIDECapable = true
 		if !reassoc {
-			req.Ports = s.OpenPorts()
+			req.Ports = s.ports
 		}
 	}
 	raw, err := req.Marshal()
@@ -471,7 +472,7 @@ func (s *Station) Migrate(eng *sim.Engine, med medium.Channel, bssid dot11.MACAd
 	s.eng = eng
 	s.med = med
 	s.cfg.BSSID = bssid
-	s.syncedPorts = nil
+	s.synced = false
 	s.haveTimestamp = false
 	med.Attach(s.cfg.Addr, s)
 }
@@ -509,10 +510,13 @@ func (s *Station) Rejoin(aid dot11.AID) error {
 // copy of its open-port set. Migrate resets it: the roam-target AP
 // has acknowledged nothing, so a false value after a roam marks the
 // cold-handoff resync window.
-func (s *Station) Synced() bool { return s.syncedPorts != nil }
+func (s *Station) Synced() bool { return s.synced }
 
 // ListensOn reports whether a UDP port is open on the station.
-func (s *Station) ListensOn(p uint16) bool { return s.ports[p] }
+func (s *Station) ListensOn(p uint16) bool {
+	_, ok := slices.BinarySearch(s.ports, p)
+	return ok
+}
 
 // handleAssocResponse completes a (re)association exchange. An
 // association response joins and wakes the host; a reassociation
@@ -577,19 +581,22 @@ func (s *Station) Suspended() bool { return s.suspended }
 func (s *Station) ListenInterval() int { return s.cfg.ListenInterval }
 
 // OpenPort registers a listening UDP port (an application socket).
-func (s *Station) OpenPort(p uint16) { s.ports[p] = true }
+func (s *Station) OpenPort(p uint16) {
+	if i, ok := slices.BinarySearch(s.ports, p); !ok {
+		s.ports = slices.Concat(s.ports[:i], []uint16{p}, s.ports[i:]) // a new list
+	}
+}
 
 // ClosePort removes a listening UDP port.
-func (s *Station) ClosePort(p uint16) { delete(s.ports, p) }
-
-// OpenPorts returns the sorted open-port set.
-func (s *Station) OpenPorts() []uint16 {
-	out := make([]uint16, 0, len(s.ports))
-	for p := range s.ports {
-		out = append(out, p)
+func (s *Station) ClosePort(p uint16) {
+	if i, ok := slices.BinarySearch(s.ports, p); ok {
+		s.ports = slices.Concat(s.ports[:i], s.ports[i+1:]) // a new list
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+}
+
+// OpenPorts returns a copy of the sorted open-port set.
+func (s *Station) OpenPorts() []uint16 {
+	return append(make([]uint16, 0, len(s.ports)), s.ports...)
 }
 
 // Crash models a client that dies without deregistering: the radio
@@ -770,7 +777,7 @@ func (s *Station) observeBeacon(b *dot11.BeaconReading, now time.Duration) {
 	s.haveTimestamp = true
 	if restarted {
 		s.stats.APRestartsSeen++
-		s.syncedPorts = nil
+		s.synced = false
 		if s.cfg.Mode == HIDE && !s.awaitingACK {
 			s.retries = 0
 			s.sendPortMessage(now)
@@ -791,8 +798,8 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 			return
 		}
 	}
-	df, err := dot11.UnmarshalDataFrame(raw)
-	if err != nil {
+	var df dot11.DataFrame
+	if err := dot11.ReadDataFrame(raw, &df); err != nil {
 		return
 	}
 	if df.Header.Addr1 == s.cfg.Addr {
@@ -824,7 +831,7 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 	s.stats.GroupReceived++
 	useful := false
 	if port, err := dot11.DstUDPPort(df.Payload); err == nil {
-		useful = s.ports[port]
+		useful = s.ListensOn(port)
 	}
 	wl := s.cfg.Tau
 	switch s.cfg.Mode {
@@ -911,8 +918,8 @@ func (s *Station) trySuspend(now time.Duration) {
 		return
 	}
 	if s.cfg.Mode == HIDE {
-		if s.cfg.PortCoalesce > 0 && s.syncedPorts != nil &&
-			now-s.lastSyncAt < s.cfg.PortCoalesce && equalPorts(s.syncedPorts, s.OpenPorts()) {
+		if s.cfg.PortCoalesce > 0 && s.synced &&
+			now-s.lastSyncAt < s.cfg.PortCoalesce && slices.Equal(s.syncedPorts, s.ports) {
 			s.stats.PortMsgsCoalesced++
 			s.completeSuspend()
 			return
@@ -924,24 +931,19 @@ func (s *Station) trySuspend(now time.Duration) {
 	s.completeSuspend()
 }
 
-// sendPortMessage transmits the UDP Port Message and arms the ACK
-// timeout.
+// sendPortMessage transmits the UDP Port Message, encoded into the
+// station's reused buffer, and arms the ACK timeout.
 func (s *Station) sendPortMessage(now time.Duration) {
-	s.lastPortMsg = s.OpenPorts()
-	msg := &dot11.UDPPortMessage{
+	s.lastPortMsg = s.ports
+	msg := dot11.UDPPortMessage{
 		Header: dot11.MACHeader{
 			Addr1: s.cfg.BSSID, Addr2: s.cfg.Addr, Addr3: s.cfg.BSSID,
 			FC: dot11.FrameControl{Retry: s.retries > 0},
 		},
 		Ports: s.lastPortMsg,
 	}
-	raw, err := msg.Marshal()
-	if err != nil {
-		// Port lists are bounded by the uint16 space; marshal cannot
-		// fail on real input, so treat failure as a bug.
-		panic(fmt.Sprintf("station: port message marshal: %v", err))
-	}
-	s.med.Transmit(s.cfg.Addr, raw, s.cfg.CtrlRate)
+	s.txBuf = msg.AppendTo(s.txBuf[:0])
+	s.med.Transmit(s.cfg.Addr, s.txBuf, s.cfg.CtrlRate)
 	s.stats.PortMsgsSent++
 	if s.retries > 0 {
 		s.stats.PortMsgRetries++
@@ -1003,7 +1005,8 @@ func (s *Station) handleACK(now time.Duration) {
 	s.awaitingACK = false
 	s.ackTimer.Cancel()
 	s.stats.ACKsReceived++
-	s.syncedPorts = append([]uint16(nil), s.lastPortMsg...)
+	s.syncedPorts = s.lastPortMsg
+	s.synced = true
 	s.lastSyncAt = now
 	if now >= s.wlExpiry && !s.listening {
 		s.completeSuspend()
@@ -1017,19 +1020,6 @@ func (s *Station) completeSuspend() {
 	}
 	s.setSuspended(true)
 	s.stats.Suspends++
-}
-
-// equalPorts compares two sorted port lists.
-func equalPorts(a, b []uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sendPSPoll requests one buffered unicast frame.
