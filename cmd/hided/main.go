@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ap"
 	"repro/internal/cli"
 	"repro/internal/daemon"
 	"repro/internal/trace"
@@ -42,7 +43,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:5600", "UDP address to serve the virtual air on")
 	control := flag.String("control", "127.0.0.1:5680", "TCP address of the HTTP control plane")
 	ssid := flag.String("ssid", "hide-net", "network name")
-	dtim := flag.Int("dtim", 3, "DTIM period in beacons")
+	dtim := flag.Int("dtim", ap.DefaultDTIMPeriod, "DTIM period in beacons")
 	scenario := flag.String("scenario", "Starbucks", "broadcast traffic scenario to replay (none to disable)")
 	legacy := flag.Bool("legacy", false, "run as a stock AP without HIDE extensions")
 	pingEvery := flag.Duration("ping-every", time.Second, "client liveness sweep cadence")

@@ -38,6 +38,12 @@ func main() {
 	pcapOut := flag.String("pcap", "", "write a monitor-mode pcap capture of the run to this file")
 	flag.Parse()
 
+	if !(*loss >= 0 && *loss < 1) {
+		cli.Usagef("hidenet", "-loss %v must be in [0, 1)", *loss)
+	}
+	if *minutes < 0 {
+		cli.Usagef("hidenet", "-minutes %d must not be negative", *minutes)
+	}
 	dev, err := hide.ProfileByName(*device)
 	if err != nil {
 		cli.Usagef("hidenet", "%v", err)
@@ -52,18 +58,7 @@ func main() {
 		cli.Exit("hidenet", err)
 	}
 	if *minutes > 0 {
-		cut := time.Duration(*minutes) * time.Minute
-		if cut < tr.Duration {
-			n := 0
-			for _, f := range tr.Frames {
-				if f.At >= cut {
-					break
-				}
-				n++
-			}
-			tr.Frames = tr.Frames[:n]
-			tr.Duration = cut
-		}
+		tr = trace.Truncate(tr, time.Duration(*minutes)*time.Minute)
 	}
 
 	// Give every station ports covering roughly the target fraction of

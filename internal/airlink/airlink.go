@@ -13,8 +13,8 @@
 //
 // Two hardening layers ride on top of the plain relay. The hub can
 // carry a live fault.Plan (SetFaultPlan): every outgoing delivery is
-// judged per peer — drop, corrupt, duplicate — exactly like the
-// in-process medium judges deliveries, so the chaos scenarios from
+// judged per peer — drop, corrupt, duplicate — by the in-process
+// medium's rule (fault.Judge), so the chaos scenarios from
 // internal/fault run against a real daemon over real sockets. And the
 // hub tracks peer liveness (SetLiveness + PingPeers) in the same
 // netmedium.Peers table the simulation monitor keeps its taps in: a
@@ -187,51 +187,48 @@ func (h *Hub) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Dura
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	// With a plan installed, the frame is classified and stamped once
+	// here, for every peer's judgement, as the medium does.
+	d := fault.Delivery{Raw: raw, Src: src, Dst: dst}
+	if h.plan != nil {
+		d.Kind = dot11.Classify(raw)
+		if h.clock != nil {
+			d.At = h.clock()
+		}
+	}
 	if dst.IsMulticast() {
 		h.peers.Each(func(mac dot11.MACAddr, to netip.AddrPort) {
-			h.deliverLocked(src, dst, mac, to, raw, msg, rate)
+			d.Rcv = mac
+			h.deliverLocked(d, to, msg)
 		})
 		return 0
 	}
 	if to, ok := h.peers.Addr(dst); ok {
-		h.deliverLocked(src, dst, dst, to, raw, msg, rate)
+		d.Rcv = dst
+		h.deliverLocked(d, to, msg)
 	}
 	return 0
 }
 
-// deliverLocked judges one (frame, peer) delivery against the fault
-// plan and writes the surviving copies. Callers hold h.mu.
-func (h *Hub) deliverLocked(src, dst, rcv dot11.MACAddr, to netip.AddrPort, raw, msg []byte, rate dot11.Rate) {
+// deliverLocked judges one (frame, peer) delivery d by the fault plan
+// and writes the surviving copies of msg, the datagram carrying d.Raw.
+// Callers hold h.mu.
+func (h *Hub) deliverLocked(d fault.Delivery, to netip.AddrPort, msg []byte) {
 	out := msg
 	if h.plan != nil {
-		at := time.Duration(0)
-		if h.clock != nil {
-			at = h.clock()
-		}
-		v := h.plan.Deliver(fault.Delivery{
-			Raw:  raw,
-			Kind: dot11.Classify(raw),
-			Src:  src,
-			Dst:  dst,
-			Rcv:  rcv,
-			At:   at,
-		}, h.rng)
-		if v.Drop {
+		o := fault.Judge(h.plan, d, h.rng)
+		if o.Drop {
 			h.stats.FaultDropped++
 			return
 		}
-		if v.Corrupt {
+		if o.Corrupt {
 			// Corrupt a private copy of the receiver's datagram; the
 			// shared msg buffer keeps serving the other peers untouched.
-			cp := append([]byte(nil), msg...)
-			if len(raw) > 0 {
-				i := int(h.rng.Uint64() % uint64(len(raw)))
-				cp[len(cp)-len(raw)+i] ^= 0xff
-			}
-			out = cp
+			out = append([]byte(nil), msg...)
+			out[len(out)-len(d.Raw)+o.Byte] ^= 0xff
 			h.stats.FaultCorrupted++
 		}
-		if v.Duplicate {
+		if o.Duplicate {
 			h.stats.FaultDuplicated++
 			if netmedium.SendTo(h.pc, out, to) == nil {
 				h.stats.FramesOut++
@@ -308,7 +305,6 @@ type Link struct {
 	stats        LinkStats
 	writeTimeout time.Duration
 	readIdle     time.Duration
-	onIdle       func()
 }
 
 // LinkStats counts link activity.
@@ -319,8 +315,8 @@ type LinkStats struct {
 	// WriteErrors counts sends that failed or timed out (per-operation
 	// write deadline); the frame is treated as lost on the air.
 	WriteErrors int
-	// IdlePeriods counts read-idle expiries (no datagram from the hub
-	// for the configured window) reported through the idle callback.
+	// IdlePeriods counts read-idle expiries: no datagram from the hub
+	// for the configured window.
 	IdlePeriods int
 	// PingsAnswered counts hub liveness pings answered with a pong.
 	PingsAnswered int
@@ -347,15 +343,14 @@ func (l *Link) Attach(addr dot11.MACAddr, n medium.Node) {
 // SetIOTimeouts installs per-operation deadlines: every Transmit gets
 // a write deadline of write (0 leaves writes unbounded), and Serve
 // arms a read deadline of readIdle per read — when no datagram arrives
-// within it, onIdle fires (from the Serve goroutine) and reading
-// continues, so a silent hub surfaces as idleness instead of a hung
-// read. Configure before Serve starts.
-func (l *Link) SetIOTimeouts(write, readIdle time.Duration, onIdle func()) {
+// within it, Serve counts an idle period and reads on, so a silent hub
+// surfaces as idleness instead of a hung read. Configure before Serve
+// starts.
+func (l *Link) SetIOTimeouts(write, readIdle time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.writeTimeout = write
 	l.readIdle = readIdle
-	l.onIdle = onIdle
 }
 
 // Transmit sends a frame to the hub, bounded by the configured write
@@ -397,7 +392,6 @@ func (l *Link) Serve() error {
 	for {
 		l.mu.Lock()
 		idle := l.readIdle
-		onIdle := l.onIdle
 		l.mu.Unlock()
 		if idle > 0 {
 			//lint:ignore errdrop a deadline that cannot be set degrades to a blocking read
@@ -409,9 +403,6 @@ func (l *Link) Serve() error {
 				l.mu.Lock()
 				l.stats.IdlePeriods++
 				l.mu.Unlock()
-				if onIdle != nil {
-					onIdle()
-				}
 				continue
 			}
 			return err

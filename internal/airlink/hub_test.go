@@ -3,11 +3,13 @@ package airlink
 import (
 	"bytes"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/dot11"
 	"repro/internal/fault"
+	"repro/internal/medium"
 	"repro/internal/netmedium"
 	"repro/internal/sim"
 )
@@ -252,9 +254,9 @@ func TestHubDropPeer(t *testing.T) {
 	}
 }
 
-// TestLinkReadIdleCallback checks the read-idle deadline fires the
-// callback instead of hanging or killing the serve loop.
-func TestLinkReadIdleCallback(t *testing.T) {
+// TestLinkReadIdlePeriods checks the read-idle deadline counts idle
+// periods instead of hanging or killing the serve loop.
+func TestLinkReadIdlePeriods(t *testing.T) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -269,29 +271,22 @@ func TestLinkReadIdleCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer link.Close()
-	idle := make(chan struct{}, 8)
-	link.SetIOTimeouts(time.Second, 20*time.Millisecond, func() {
-		select {
-		case idle <- struct{}{}:
-		default:
-		}
-	})
+	link.SetIOTimeouts(time.Second, 20*time.Millisecond)
 	go link.Serve()
 
-	select {
-	case <-idle:
-	case <-time.After(5 * time.Second):
-		t.Fatal("idle callback never fired on a silent link")
-	}
-	if link.Stats().IdlePeriods == 0 {
-		t.Fatal("IdlePeriods not counted")
+	deadline := time.Now().Add(5 * time.Second)
+	for link.Stats().IdlePeriods == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("IdlePeriods not counted on a silent link")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// The serve loop must still be reading: a frame sent after idle
 	// periods is delivered.
 	registerPeer(t, link.conn, dot11.MACAddr{0x02, 0, 0, 0, 0, 0x09})
 	waitPeers(t, hub, 1)
 	hub.Transmit(bssid, broadcastBeacon(t), dot11.Rate1Mbps)
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for link.Stats().FramesIn == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("frame not received after idle periods")
@@ -352,4 +347,145 @@ func broadcastBeacon(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// judged is one copy a receiver got: the index of the frame it
+// carries and the byte a corrupting verdict flipped (-1 for none).
+type judged struct{ frame, flipped int }
+
+// judgedFrame builds frame k of the cross-air test: a group frame from
+// bssid whose tail is k repeated, so a copy with one flipped byte still
+// names its frame.
+func judgedFrame(k int) []byte {
+	raw := make([]byte, 40)
+	copy(raw[4:], dot11.Broadcast[:])
+	copy(raw[10:], bssid[:])
+	for i := 16; i < len(raw); i++ {
+		raw[i] = byte(k)
+	}
+	return raw
+}
+
+// judge names the frame a received copy carries and the byte flipped
+// in it.
+func judge(t *testing.T, got []byte) judged {
+	t.Helper()
+	if len(got) != len(judgedFrame(0)) {
+		t.Fatalf("copy of %d bytes, want %d", len(got), len(judgedFrame(0)))
+	}
+	// At most one byte is flipped, so two of the last three agree.
+	n := len(got)
+	j := judged{frame: int(got[n-1]), flipped: -1}
+	if got[n-1] != got[n-2] {
+		j.frame = int(got[n-3])
+	}
+	want := judgedFrame(j.frame)
+	for i := range want {
+		if got[i] != want[i] {
+			if j.flipped >= 0 || got[i] != want[i]^0xff {
+				t.Fatalf("copy %x is not frame %d with one flipped byte", got, j.frame)
+			}
+			j.flipped = i
+		}
+	}
+	return j
+}
+
+// judgedRecorder is a medium node that judges every copy it receives.
+type judgedRecorder struct {
+	t   *testing.T
+	got []judged
+}
+
+func (r *judgedRecorder) Receive(raw []byte, _ dot11.Rate, _ time.Duration) {
+	r.got = append(r.got, judge(r.t, raw))
+}
+
+// TestHubJudgesLikeMedium sends the same group frames through a hub
+// with four loopback peers and a medium with four nodes, under the same
+// fault plan and seed: every receiver must get the same frames, with
+// the same bytes corrupted. A verdict that both drops and corrupts
+// still draws the corrupted byte on both airs, so their RNG streams
+// stay in step.
+func TestHubJudgesLikeMedium(t *testing.T) {
+	const (
+		receivers = 4
+		frames    = 40
+		seed      = 11
+		sentinel  = 0xee
+	)
+	plan := fault.Compose(fault.Loss{P: 0.5}, fault.Corrupt{P: 0.5})
+	macs := make([]dot11.MACAddr, receivers)
+	for i := range macs {
+		macs[i] = dot11.MACAddr{0x02, 0, 0, 0, 0, byte(i + 1)}
+	}
+
+	eng := sim.New()
+	med := medium.New(eng, dot11.DefaultPHY(), seed)
+	med.SetFaultPlan(plan)
+	nodes := make([]*judgedRecorder, receivers)
+	for i, mac := range macs {
+		nodes[i] = &judgedRecorder{t: t}
+		med.Attach(mac, nodes[i])
+	}
+	for k := 0; k < frames; k++ {
+		med.Transmit(bssid, judgedFrame(k), dot11.Rate1Mbps)
+	}
+	eng.Run()
+
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(pc, make(chan sim.Event, 16))
+	go hub.Serve()
+	defer hub.Close()
+	peers := make([]net.Conn, receivers)
+	for i, mac := range macs {
+		conn, err := net.Dial("udp", pc.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		registerPeer(t, conn, mac)
+		waitPeers(t, hub, i+1) // first contact fixes the fan-out order
+		peers[i] = conn
+	}
+	hub.SetFaultPlan(plan, seed)
+	for k := 0; k < frames; k++ {
+		hub.Transmit(bssid, judgedFrame(k), dot11.Rate1Mbps)
+	}
+	hub.SetFaultPlan(nil, 0)
+	hub.Transmit(bssid, judgedFrame(sentinel), dot11.Rate1Mbps)
+
+	drops, corrupts := med.Stats.Losses, med.Stats.Corruptions
+	if drops == 0 || corrupts == 0 {
+		t.Fatalf("plan inert on the medium: %+v", med.Stats)
+	}
+	if st := hub.Stats(); st.FaultDropped != drops || st.FaultCorrupted != corrupts {
+		t.Errorf("hub dropped %d and corrupted %d, medium %d and %d", st.FaultDropped, st.FaultCorrupted, drops, corrupts)
+	}
+	for i, conn := range peers {
+		var got []judged
+		buf := make([]byte, maxDatagram)
+		for {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("peer %d: %v after %d copies", i, err, len(got))
+			}
+			m, err := netmedium.Unmarshal(buf[:n])
+			if err != nil {
+				t.Fatalf("peer %d: %v", i, err)
+			}
+			j := judge(t, m.Payload)
+			if j.frame == sentinel {
+				break
+			}
+			got = append(got, j)
+		}
+		if want := nodes[i].got; !slices.Equal(got, want) {
+			t.Errorf("receiver %d: hub delivered %v, medium %v", i, got, want)
+		}
+	}
 }

@@ -26,10 +26,9 @@ type Config struct {
 	SSID string
 	// BeaconInterval defaults to 100 TU.
 	BeaconInterval time.Duration
-	// DTIMPeriod is in beacon intervals (typical 1-3; default 3).
+	// DTIMPeriod is in beacon intervals (typical 1-3; default
+	// DefaultDTIMPeriod).
 	DTIMPeriod int
-	// BeaconRate is the rate for beacons and group frames (basic rate).
-	BeaconRate dot11.Rate
 	// HIDE enables the HIDE extensions (BTIM + port table). When
 	// false the AP behaves as a stock 802.11 AP (receive-all).
 	HIDE bool
@@ -50,6 +49,15 @@ type Config struct {
 	PortTTL time.Duration
 }
 
+// DefaultDTIMPeriod is the DTIM period, in beacon intervals, that a
+// zero Config.DTIMPeriod selects.
+const DefaultDTIMPeriod = 3
+
+// basicRate is the rate of beacons, association responses, ACKs,
+// disassociations and the buffered unicast frames the AP releases on
+// PS-Poll. Group frames keep the rate they were enqueued with.
+const basicRate = dot11.Rate1Mbps
+
 // normalized fills defaults and clamps fields to protocol limits.
 func (c Config) normalized() Config {
 	if len(c.SSID) > 32 {
@@ -61,10 +69,7 @@ func (c Config) normalized() Config {
 		c.BeaconInterval = dot11.DefaultBeaconInterval
 	}
 	if c.DTIMPeriod <= 0 {
-		c.DTIMPeriod = 3
-	}
-	if c.BeaconRate <= 0 {
-		c.BeaconRate = dot11.Rate1Mbps
+		c.DTIMPeriod = DefaultDTIMPeriod
 	}
 	return c
 }
@@ -450,7 +455,7 @@ func (a *AP) DisassociateClient(addr dot11.MACAddr, reason uint16) bool {
 		},
 		Reason: reason,
 	}
-	a.med.Transmit(a.cfg.BSSID, d.Marshal(), a.cfg.BeaconRate)
+	a.med.Transmit(a.cfg.BSSID, d.Marshal(), basicRate)
 	a.stats.DisassocsSent++
 	a.Disassociate(addr)
 	return true
@@ -561,7 +566,7 @@ func (a *AP) beaconTick(now time.Duration) {
 			o.BeaconBuilt(now, v)
 		}
 	}
-	a.med.Transmit(a.cfg.BSSID, raw, a.cfg.BeaconRate)
+	a.med.Transmit(a.cfg.BSSID, raw, basicRate)
 	a.stats.BeaconsSent++
 	if isDTIM {
 		a.stats.DTIMsSent++
@@ -838,7 +843,7 @@ func (a *AP) handleAssocRequest(raw []byte, now time.Duration) {
 	if err != nil {
 		panic(fmt.Sprintf("ap: assoc response marshal: %v", err))
 	}
-	a.med.Transmit(a.cfg.BSSID, out, a.cfg.BeaconRate)
+	a.med.Transmit(a.cfg.BSSID, out, basicRate)
 }
 
 // handlePortMessage updates the port table and ACKs the sender. The
@@ -863,7 +868,7 @@ func (a *AP) handlePortMessage(raw []byte, now time.Duration) {
 	a.stats.PortMsgsReceived++
 	ack := dot11.ACK{RA: c.addr}
 	a.ackBuf = ack.AppendTo(a.ackBuf[:0])
-	a.med.Transmit(a.cfg.BSSID, a.ackBuf, a.cfg.BeaconRate)
+	a.med.Transmit(a.cfg.BSSID, a.ackBuf, basicRate)
 	a.stats.ACKsSent++
 }
 
@@ -888,7 +893,7 @@ func (a *AP) handlePSPoll(raw []byte) {
 		b := fc.Marshal()
 		frame[0], frame[1] = b[0], b[1]
 	}
-	a.med.Transmit(a.cfg.BSSID, frame, a.cfg.BeaconRate)
+	a.med.Transmit(a.cfg.BSSID, frame, basicRate)
 	a.stats.PSPollsServed++
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ap"
 	"repro/internal/core"
 	"repro/internal/dot11"
 	"repro/internal/engine"
@@ -271,7 +272,7 @@ func chaosRun(sc ChaosScenario, ts trace.Scenario, seed uint64, duration time.Du
 
 	// Port layout: ~10% of trace traffic is wanted, plus one probe
 	// port carrying only the post-recovery probes.
-	open := trace.OpenPortsForFraction(tr, 0.10)
+	open := trace.OpenPortsForFraction(tr, defaultUsefulTarget)
 	probePort := uint16(40000)
 	hist := tr.PortHistogram()
 	for hist[probePort] > 0 || open[probePort] {
@@ -339,7 +340,7 @@ func chaosRun(sc ChaosScenario, ts trace.Scenario, seed uint64, duration time.Du
 	// 16 x AckTimeout x 1.25 (= 1.2 s) before it can re-register — so
 	// four DTIM spans, not two.
 	interval := dot11.DefaultBeaconInterval
-	dtimSpan := 3 * interval
+	dtimSpan := ap.DefaultDTIMPeriod * interval
 	probeStart := tr.Duration + interval + 4*dtimSpan
 	for i := 0; i < chaosProbeCount; i++ {
 		at := probeStart + time.Duration(i)*dtimSpan

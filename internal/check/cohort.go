@@ -52,9 +52,6 @@ type EquivConfig struct {
 	// Duration truncates the scenario traces; zero keeps the paper's
 	// full capture durations. Tests use a couple of minutes.
 	Duration time.Duration
-	// UsefulTarget is the port-derived useful-traffic fraction (default
-	// 0.10); the resulting open-port set is shared by every member.
-	UsefulTarget float64
 	// Seed perturbs the scenario's calibrated generator seed and drives
 	// both sides' jitter RNGs, like the oracle's Cell.Seed.
 	Seed uint64
@@ -75,9 +72,6 @@ type EquivConfig struct {
 
 // normalized fills defaults.
 func (c EquivConfig) normalized() EquivConfig {
-	if c.UsefulTarget <= 0 {
-		c.UsefulTarget = 0.10
-	}
 	if len(c.Devices) == 0 {
 		c.Devices = []energy.Profile{energy.NexusOne, energy.GalaxyS4}
 	}
@@ -85,7 +79,8 @@ func (c EquivConfig) normalized() EquivConfig {
 }
 
 // equivTrace returns a cell's trace and the sorted open-port set every
-// member listens on, rejecting an empty population up front.
+// member listens on (built for defaultUsefulTarget), rejecting an empty
+// population up front.
 func equivTrace(sc trace.Scenario, size int, cfg EquivConfig) (*trace.Trace, []uint16, error) {
 	if size < 1 {
 		return nil, nil, fmt.Errorf("check: equivalence size %d < 1", size)
@@ -94,7 +89,7 @@ func equivTrace(sc trace.Scenario, size int, cfg EquivConfig) (*trace.Trace, []u
 	if err != nil {
 		return nil, nil, err
 	}
-	return tr, sortedPorts(trace.OpenPortsForFraction(tr, cfg.UsefulTarget)), nil
+	return tr, sortedPorts(trace.OpenPortsForFraction(tr, defaultUsefulTarget)), nil
 }
 
 // airDigest fingerprints a monitor-mode capture: an FNV-1a hash over

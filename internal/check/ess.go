@@ -187,44 +187,16 @@ func DefaultESSEquivMatrix() EquivMatrix {
 	return m
 }
 
-// ESSRoamFaultConfig tunes the roam-under-fault check: a churning ESS
-// with a lossy distribution system, run repeatedly to assert
-// determinism and the miss-count ordering.
-type ESSRoamFaultConfig struct {
-	// APs, Stations, RoamRate size the churn (defaults 4, 12, 3/min).
-	APs      int
-	Stations int
-	RoamRate float64
-	// DSLoss is the DS-channel drop probability (default 0.5 — an
-	// aggressively lossy distribution system).
-	DSLoss float64
-	// Scenario and Duration select the trace (the zero Scenario is
-	// Classroom; Duration defaults to 2 min).
-	Scenario trace.Scenario
-	Duration time.Duration
-	// Seed drives trace generation and mobility.
-	Seed uint64
-}
-
-// normalized fills defaults.
-func (c ESSRoamFaultConfig) normalized() ESSRoamFaultConfig {
-	if c.APs <= 0 {
-		c.APs = 4
-	}
-	if c.Stations <= 0 {
-		c.Stations = 12
-	}
-	if c.RoamRate <= 0 {
-		c.RoamRate = 3
-	}
-	if c.DSLoss <= 0 {
-		c.DSLoss = 0.5
-	}
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Minute
-	}
-	return c
-}
+// The roam-under-fault check's fixed churn: a 2-minute Classroom
+// trace through 4 APs whose 12 stations roam 3 times a minute over an
+// aggressively lossy distribution system.
+const (
+	roamFaultAPs      = 4
+	roamFaultStations = 12
+	roamFaultRate     = 3   // roams per station per minute
+	roamFaultDSLoss   = 0.5 // DS-channel drop probability
+	roamFaultDuration = 2 * time.Minute
+)
 
 // ESSRoamFaultResult reports the roam-under-fault check.
 type ESSRoamFaultResult struct {
@@ -241,7 +213,8 @@ type ESSRoamFaultResult struct {
 // OK reports whether every property held.
 func (r ESSRoamFaultResult) OK() bool { return r.Mismatch == "" }
 
-// RunESSRoamFaultContext drives the churn-under-DS-fault check:
+// RunESSRoamFaultContext drives the churn-under-DS-fault check, with
+// seed driving trace generation and mobility:
 //
 //   - determinism: the lossy run, repeated with the same seed at
 //     worker counts 1 and 4, produces identical shard fingerprints
@@ -251,26 +224,24 @@ func (r ESSRoamFaultResult) OK() bool { return r.Mismatch == "" }
 //     the cold ceiling;
 //   - liveness: roams happen in every regime and dropped DS records
 //     are actually observed.
-func RunESSRoamFaultContext(ctx context.Context, cfg ESSRoamFaultConfig) (ESSRoamFaultResult, error) {
-	cfg = cfg.normalized()
-
+func RunESSRoamFaultContext(ctx context.Context, seed uint64) (ESSRoamFaultResult, error) {
 	run := func(replicate bool, dsLoss float64, workers int) ([]uint64, ess.Stats, error) {
-		tr, err := oracleTrace(cfg.Scenario, cfg.Seed, cfg.Duration)
+		tr, err := oracleTrace(trace.Classroom, seed, roamFaultDuration)
 		if err != nil {
 			return nil, ess.Stats{}, err
 		}
-		open := sortedPorts(trace.OpenPortsForFraction(tr, 0.10))
+		open := sortedPorts(trace.OpenPortsForFraction(tr, defaultUsefulTarget))
 		e, err := ess.New(ess.Config{
-			APs: cfg.APs,
+			APs: roamFaultAPs,
 			Network: core.NetworkConfig{
 				DTIMPeriod: 1,
 				HIDE:       true,
 				Harden:     true,
-				Seed:       cfg.Seed,
+				Seed:       seed,
 			},
 			Replicate: replicate,
-			RoamRate:  cfg.RoamRate,
-			RoamSeed:  cfg.Seed ^ 0xa24baed4963ee407,
+			RoamRate:  roamFaultRate,
+			RoamSeed:  seed ^ 0xa24baed4963ee407,
 			DSLoss:    dsLoss,
 			Workers:   workers,
 		})
@@ -283,7 +254,7 @@ func RunESSRoamFaultContext(ctx context.Context, cfg ESSRoamFaultConfig) (ESSRoa
 			sh.Net.Medium.SetTap(d.tap)
 			digests = append(digests, d)
 		}
-		for i := 0; i < cfg.Stations; i++ {
+		for i := 0; i < roamFaultStations; i++ {
 			if _, err := e.AddStation(station.HIDE, open, 1); err != nil {
 				return nil, ess.Stats{}, err
 			}
@@ -304,11 +275,11 @@ func RunESSRoamFaultContext(ctx context.Context, cfg ESSRoamFaultConfig) (ESSRoa
 		return res, nil
 	}
 
-	lossyFP1, lossy1, err := run(true, cfg.DSLoss, 1)
+	lossyFP1, lossy1, err := run(true, roamFaultDSLoss, 1)
 	if err != nil {
 		return res, err
 	}
-	lossyFP4, lossy4, err := run(true, cfg.DSLoss, 4)
+	lossyFP4, lossy4, err := run(true, roamFaultDSLoss, 4)
 	if err != nil {
 		return res, err
 	}
@@ -345,7 +316,7 @@ func RunESSRoamFaultContext(ctx context.Context, cfg ESSRoamFaultConfig) (ESSRoa
 		return fail("faulted DS missed more than cold handoffs: %d > %d", lossy1.ResyncWindowMisses, cold.ResyncWindowMisses)
 	}
 	if lossy1.DSRecordsDropped == 0 {
-		return fail("DS fault inert: no replication records dropped at DSLoss=%v", cfg.DSLoss)
+		return fail("DS fault inert: no replication records dropped at DSLoss=%v", roamFaultDSLoss)
 	}
 	return res, nil
 }

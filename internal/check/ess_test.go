@@ -169,7 +169,7 @@ func TestESSShardObservers(t *testing.T) {
 
 // TestESSRoamFault drives the churn-under-DS-fault check end to end.
 func TestESSRoamFault(t *testing.T) {
-	res, err := RunESSRoamFaultContext(context.Background(), ESSRoamFaultConfig{Seed: 29})
+	res, err := RunESSRoamFaultContext(context.Background(), 29)
 	if err != nil {
 		t.Fatal(err)
 	}

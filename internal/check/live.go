@@ -14,27 +14,22 @@ import (
 	"repro/internal/station"
 )
 
+// The live run's timing: beacons at 5x real time, so a DTIM span is
+// 40ms and the whole run fits in seconds of wall clock.
+const (
+	liveBeaconInterval = 20 * time.Millisecond
+	liveDTIMPeriod     = 2                     // beacons
+	livePingInterval   = 50 * time.Millisecond // liveness sweep cadence
+	liveMaxMissedPings = 3                     // sweeps before eviction
+	liveProbes         = 6                     // convergence probes per phase
+	liveDrainDeadline  = 2 * time.Second       // bounds the final drain
+)
+
 // LiveConfig sizes the live-daemon chaos run. The zero value is the
-// standard smoke configuration: fast beacons so the whole run fits in
-// seconds of wall clock.
+// standard smoke configuration.
 type LiveConfig struct {
 	// Clients is how many hidec clients attach (default 12).
 	Clients int
-	// BeaconInterval is the AP beacon cadence (default 20ms — 5x
-	// real time so a DTIM span is 40ms).
-	BeaconInterval time.Duration
-	// DTIMPeriod is in beacons (default 2).
-	DTIMPeriod int
-	// PingInterval is the liveness sweep cadence (default 50ms).
-	PingInterval time.Duration
-	// MaxMissedPings evicts a dead client after this many sweeps
-	// (default 3).
-	MaxMissedPings int
-	// Probes is how many convergence probes each phase sends
-	// (default 6).
-	Probes int
-	// DrainDeadline bounds the final graceful drain (default 2s).
-	DrainDeadline time.Duration
 	// Seed feeds the fault plan and client jitter RNGs.
 	Seed uint64
 	// Logf receives narrative progress (default: silent).
@@ -44,24 +39,6 @@ type LiveConfig struct {
 func (c LiveConfig) normalized() LiveConfig {
 	if c.Clients <= 0 {
 		c.Clients = 12
-	}
-	if c.BeaconInterval <= 0 {
-		c.BeaconInterval = 20 * time.Millisecond
-	}
-	if c.DTIMPeriod <= 0 {
-		c.DTIMPeriod = 2
-	}
-	if c.PingInterval <= 0 {
-		c.PingInterval = 50 * time.Millisecond
-	}
-	if c.MaxMissedPings <= 0 {
-		c.MaxMissedPings = 3
-	}
-	if c.Probes <= 0 {
-		c.Probes = 6
-	}
-	if c.DrainDeadline <= 0 {
-		c.DrainDeadline = 2 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -120,7 +97,6 @@ const liveProbePort = 40000
 
 // liveRun bundles the booted daemon, its clients, and the HTTP base.
 type liveRun struct {
-	cfg     LiveConfig
 	d       *daemon.Daemon
 	clients []*daemon.Client
 	base    string // control-plane URL
@@ -150,11 +126,11 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		Listen:         "127.0.0.1:0",
 		Control:        "127.0.0.1:0",
 		Scenario:       "none",
-		BeaconInterval: daemon.Duration(cfg.BeaconInterval),
-		DTIMPeriod:     cfg.DTIMPeriod,
-		PingInterval:   daemon.Duration(cfg.PingInterval),
-		MaxMissedPings: cfg.MaxMissedPings,
-		DrainDeadline:  daemon.Duration(cfg.DrainDeadline),
+		BeaconInterval: daemon.Duration(liveBeaconInterval),
+		DTIMPeriod:     liveDTIMPeriod,
+		PingInterval:   daemon.Duration(livePingInterval),
+		MaxMissedPings: liveMaxMissedPings,
+		DrainDeadline:  daemon.Duration(liveDrainDeadline),
 		Seed:           cfg.Seed,
 	})
 	if err != nil {
@@ -175,7 +151,7 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		daemonErr <- d.Run(runCtx)
 	}()
 
-	r := &liveRun{cfg: cfg, d: d, res: res,
+	r := &liveRun{d: d, res: res,
 		base: "http://" + d.ControlAddr().String()}
 
 	// Attach the clients: every client wants the probe port plus a
@@ -190,13 +166,11 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			Mode:          station.HIDE,
 			Ports:         []uint16{liveProbePort, uint16(41000 + i)},
 			Reconnect:     true,
-			ReconnectBase: 2 * cfg.BeaconInterval,
-			ReconnectMax:  10 * cfg.BeaconInterval,
-			BeaconTimeout: 6 * cfg.BeaconInterval,
-			DeadTimeout:   15 * cfg.BeaconInterval,
-			CheckInterval: cfg.BeaconInterval,
-			WriteTimeout:  time.Second,
-			ReadIdle:      time.Second,
+			ReconnectBase: 2 * liveBeaconInterval,
+			ReconnectMax:  10 * liveBeaconInterval,
+			BeaconTimeout: 6 * liveBeaconInterval,
+			DeadTimeout:   15 * liveBeaconInterval,
+			CheckInterval: liveBeaconInterval,
 			Seed:          cfg.Seed,
 			Logf:          func(string, ...any) {},
 		})
@@ -219,7 +193,7 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	}
 	cfg.Logf("live: %d clients associated", res.Clients)
 
-	dtimSpan := time.Duration(cfg.DTIMPeriod) * cfg.BeaconInterval
+	dtimSpan := liveDTIMPeriod * liveBeaconInterval
 	// settle outlasts the worst-case post-fault resync (a station
 	// caught mid-backoff re-registers within a few ACK timeouts), same
 	// rationale as the in-process chaos grid's four-DTIM-span window.
@@ -278,7 +252,7 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	live := r.clients[:len(r.clients)-1]
 	victimAddr := victim.Station().Addr().String()
 	victim.Kill()
-	evictBudget := time.Duration(cfg.MaxMissedPings+3) * cfg.PingInterval
+	evictBudget := (liveMaxMissedPings + 3) * livePingInterval
 	if !r.waitEviction(ctx, victimAddr, evictBudget+2*time.Second) {
 		fail("liveness: dead client %s not evicted within %v", victimAddr, evictBudget+2*time.Second)
 	}
@@ -300,12 +274,12 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		if err != nil {
 			fail("drain: daemon exited with %v", err)
 		}
-	case <-time.After(cfg.DrainDeadline + 5*time.Second):
+	case <-time.After(liveDrainDeadline + 5*time.Second):
 		fail("drain: daemon still running past deadline")
 		res.DrainTime = time.Since(start)
 	}
-	if res.DrainTime > cfg.DrainDeadline+2*time.Second {
-		fail("drain: took %v, deadline %v", res.DrainTime, cfg.DrainDeadline)
+	if res.DrainTime > liveDrainDeadline+2*time.Second {
+		fail("drain: took %v, deadline %v", res.DrainTime, liveDrainDeadline)
 	}
 	// The disassociation datagrams race this check over the loopback
 	// socket and each client's inject queue, so poll briefly.
@@ -329,13 +303,13 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	return res, ctx.Err()
 }
 
-// probePhase sends cfg.Probes broadcast probes one DTIM span apart
+// probePhase sends liveProbes broadcast probes one DTIM span apart
 // and requires every live client to receive each within one DTIM span
 // plus a fixed wall-clock slack (socket + goroutine-scheduler
 // latency; the protocol-level budget is the DTIM span itself).
 func (r *liveRun) probePhase(ctx context.Context, phase string, dtimSpan time.Duration) {
 	const wallSlack = 750 * time.Millisecond
-	for p := 0; p < r.cfg.Probes; p++ {
+	for p := 0; p < liveProbes; p++ {
 		before := make([]int, len(r.clients))
 		for i, c := range r.clients {
 			i, c := i, c
@@ -420,7 +394,7 @@ func (r *liveRun) waitEviction(ctx context.Context, victimAddr string, timeout t
 				return true
 			}
 		}
-		sleepCtx(ctx, r.cfg.PingInterval)
+		sleepCtx(ctx, livePingInterval)
 	}
 	return false
 }

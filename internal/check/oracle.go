@@ -31,7 +31,13 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s/%s/%s/seed%d", c.Policy, c.Scenario, c.Device.Name, c.Seed)
 }
 
-// OracleConfig tunes a differential-oracle run.
+// defaultUsefulTarget is the port-derived useful-traffic fraction the
+// harness builds open-port sets from: 0.10, the paper's headline sweep
+// point.
+const defaultUsefulTarget = 0.10
+
+// OracleConfig tunes a differential-oracle run. Every cell is judged
+// by DefaultTolerance.
 type OracleConfig struct {
 	// Duration truncates the scenario traces; zero keeps the paper's
 	// full capture durations (30-60 min). Tests use a few minutes so
@@ -41,9 +47,6 @@ type OracleConfig struct {
 	// 0.10, the paper's headline sweep point). Both sides classify by
 	// the same open-port set, so they agree on which frames are useful.
 	UsefulTarget float64
-	// Tolerance declares the agreement bands; the zero value selects
-	// DefaultTolerance.
-	Tolerance Tolerance
 	// CheckInvariants attaches the runtime invariant checker to every
 	// protocol run (on by default in tests, flag-gated in
 	// cmd/crosscheck).
@@ -62,9 +65,8 @@ type OracleConfig struct {
 // normalized fills defaults.
 func (c OracleConfig) normalized() OracleConfig {
 	if c.UsefulTarget <= 0 {
-		c.UsefulTarget = 0.10
+		c.UsefulTarget = defaultUsefulTarget
 	}
-	c.Tolerance = c.Tolerance.normalized()
 	return c
 }
 
@@ -401,7 +403,7 @@ func (u matrixUnit) run(devs []energy.Profile, cfg OracleConfig) ([]CellResult, 
 		}
 		out = append(out, CellResult{
 			Cell: c, Analytic: a, Protocol: p,
-			Diffs:      Compare(a, p, cfg.Tolerance),
+			Diffs:      Compare(a, p, DefaultTolerance()),
 			Violations: viol,
 		})
 	}

@@ -45,6 +45,10 @@ func TestCommandExitCodes(t *testing.T) {
 		{"hideport", []string{"-file", "/nonexistent"}, 1, "/nonexistent"},
 		{"hidenet", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"hidenet", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"hidenet", []string{"-loss", "-0.3"}, 2, "-loss"},
+		{"hidenet", []string{"-loss", "NaN"}, 2, "-loss"},
+		{"hidenet", []string{"-loss", "1.5"}, 2, "-loss"},
+		{"hidenet", []string{"-minutes", "-5"}, 2, "-minutes"},
 		{"hidesim", []string{"-device", "iphone"}, 2, `"iphone"`},
 		{"hidesim", []string{"-ess", "-ess-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"hidesim", []string{"-fault", "all"}, 2, "-fault"},

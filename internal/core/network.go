@@ -42,16 +42,17 @@ type Network struct {
 type NetworkConfig struct {
 	// SSID names the network (default "hide-sim").
 	SSID string
-	// BeaconInterval and DTIMPeriod follow ap.Config defaults.
-	BeaconInterval time.Duration
-	DTIMPeriod     int
+	// DTIMPeriod is in beacon intervals (default ap.DefaultDTIMPeriod).
+	// Beacons go out every dot11.DefaultBeaconInterval.
+	DTIMPeriod int
 	// HIDE enables the AP's HIDE extensions.
 	HIDE bool
 	// FilterUnicast enables the AP-side unicast filtering extension
 	// (paper §I): unicast UDP frames to a HIDE client's closed ports
 	// are dropped at the AP.
 	FilterUnicast bool
-	// Loss is the medium's independent per-delivery loss probability.
+	// Loss is the medium's independent per-delivery loss probability,
+	// in [0, 1).
 	Loss float64
 	// Fault installs a composable fault plan on the medium, consulted
 	// once per delivery (after the Loss knob, when both are set). Nil
@@ -114,15 +115,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	// entries not refreshed within 8 — room for two whole refresh
 	// rounds (each with its own retry budget) to be lost before a live
 	// client's entry can age out.
-	interval := cfg.BeaconInterval
-	if interval <= 0 {
-		interval = dot11.DefaultBeaconInterval
-	}
-	dtimPeriod := cfg.DTIMPeriod
-	if dtimPeriod <= 0 {
-		dtimPeriod = 3
-	}
-	dtimSpan := interval * time.Duration(dtimPeriod)
+	dtimSpan := cfg.dtimSpan()
 	var portTTL time.Duration
 	if cfg.Harden {
 		portTTL = 8 * dtimSpan
@@ -133,13 +126,12 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		bssid = dot11.MACAddr{0x02, 0x1d, 0xe0, 0x00, 0x00, 0x01}
 	}
 	a := ap.New(eng, med, ap.Config{
-		BSSID:          bssid,
-		SSID:           cfg.SSID,
-		BeaconInterval: cfg.BeaconInterval,
-		DTIMPeriod:     cfg.DTIMPeriod,
-		HIDE:           cfg.HIDE,
-		FilterUnicast:  cfg.FilterUnicast,
-		PortTTL:        portTTL,
+		BSSID:         bssid,
+		SSID:          cfg.SSID,
+		DTIMPeriod:    cfg.DTIMPeriod,
+		HIDE:          cfg.HIDE,
+		FilterUnicast: cfg.FilterUnicast,
+		PortTTL:       portTTL,
 	})
 	return &Network{
 		Engine: eng, Medium: med, AP: a, BSSID: bssid, SSID: cfg.SSID,
@@ -148,23 +140,33 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	}, nil
 }
 
-// newMedium builds a medium on eng with its fault RNG seeded by seed:
-// the Loss knob first, then plan composed after it. A nil plan leaves
-// the channel pristine beyond Loss. NewNetwork and the windowed groups
-// both build their media here.
-func newMedium(eng *sim.Engine, seed uint64, loss float64, plan fault.Plan) (*medium.Medium, error) {
-	med := medium.New(eng, dot11.DefaultPHY(), seed)
-	if loss > 0 {
-		if err := med.SetLoss(loss); err != nil {
-			return nil, err
-		}
+// dtimSpan is the time between DTIM beacons: the DTIM period
+// (ap.DefaultDTIMPeriod when unset) times the beacon interval.
+func (cfg NetworkConfig) dtimSpan() time.Duration {
+	period := cfg.DTIMPeriod
+	if period <= 0 {
+		period = ap.DefaultDTIMPeriod
 	}
-	if plan != nil {
-		if loss > 0 {
+	return time.Duration(period) * dot11.DefaultBeaconInterval
+}
+
+// newMedium builds a medium on eng with its fault RNG seeded by seed:
+// a positive loss installs fault.Loss, and plan is composed after it.
+// With neither the channel is pristine. NewNetwork and the windowed
+// groups both build their media here.
+func newMedium(eng *sim.Engine, seed uint64, loss float64, plan fault.Plan) (*medium.Medium, error) {
+	if !(loss >= 0 && loss < 1) {
+		return nil, fmt.Errorf("core: loss probability %v outside [0, 1)", loss)
+	}
+	if loss > 0 {
+		if plan == nil {
+			plan = fault.Loss{P: loss}
+		} else {
 			plan = fault.Compose(fault.Loss{P: loss}, plan)
 		}
-		med.SetFaultPlan(plan)
 	}
+	med := medium.New(eng, dot11.DefaultPHY(), seed)
+	med.SetFaultPlan(plan)
 	return med, nil
 }
 

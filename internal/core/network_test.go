@@ -195,8 +195,10 @@ func TestNetworkWithLossStillConverges(t *testing.T) {
 }
 
 func TestNewNetworkValidatesLoss(t *testing.T) {
-	if _, err := NewNetwork(NetworkConfig{Loss: 1.5}); err == nil {
-		t.Fatal("invalid loss accepted")
+	for _, loss := range []float64{1.5, 1, -0.3, math.NaN()} {
+		if _, err := NewNetwork(NetworkConfig{Loss: loss}); err == nil {
+			t.Errorf("loss %v accepted", loss)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/dot11"
 	"repro/internal/energy"
 	"repro/internal/station"
 	"repro/internal/trace"
@@ -250,7 +249,7 @@ func DefaultPortCoalesceStudy(dev energy.Profile) ([]PortCoalescePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	dtimSpan := 3 * dot11.DefaultBeaconInterval // the default DTIM period
+	dtimSpan := NetworkConfig{}.dtimSpan()
 	var out []PortCoalescePoint
 	for _, c := range []time.Duration{0, dtimSpan, 3 * dtimSpan} {
 		pts, err := ScaleClientsNetwork(

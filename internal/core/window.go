@@ -112,11 +112,6 @@ type WindowConfig struct {
 	// Network.Loss (stateless per-delivery probability) applies to the
 	// hub and to every group.
 	Network NetworkConfig
-	// Window is the barrier spacing (default one DTIM span — the
-	// finest window at which HIDE stations can react to the AP anyway).
-	// The window quantizes uplink latency, not correctness: any value
-	// yields a deterministic, worker-count-independent run.
-	Window time.Duration
 	// Workers bounds how many groups drain a window concurrently: 0
 	// selects runtime.GOMAXPROCS(0), 1 forces the sequential drain.
 	// The output is byte-identical for any value.
@@ -137,22 +132,10 @@ func NewWindowedNetwork(cfg WindowConfig) (*WindowedNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
-	interval := cfg.Network.BeaconInterval
-	if interval <= 0 {
-		interval = dot11.DefaultBeaconInterval
-	}
-	dtimPeriod := cfg.Network.DTIMPeriod
-	if dtimPeriod <= 0 {
-		dtimPeriod = 3
-	}
-	window := cfg.Window
-	if window <= 0 {
-		window = interval * time.Duration(dtimPeriod)
-	}
 	w := &WindowedNetwork{
 		Hub:      hub,
 		netCfg:   cfg.Network,
-		window:   window,
+		window:   cfg.Network.dtimSpan(),
 		workers:  cfg.Workers,
 		faultFor: cfg.FaultFor,
 	}
@@ -171,7 +154,8 @@ func NewWindowedNetwork(cfg WindowConfig) (*WindowedNetwork, error) {
 	return w, nil
 }
 
-// Window returns the barrier spacing in effect.
+// Window returns the barrier spacing: one DTIM span, the finest window
+// at which HIDE stations can react to the AP anyway.
 func (w *WindowedNetwork) Window() time.Duration { return w.window }
 
 // Groups returns the number of partitions (one per Add call).

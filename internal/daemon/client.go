@@ -56,6 +56,13 @@ func (s ClientState) String() string {
 	}
 }
 
+// The client's per-operation airlink deadlines. A read-idle expiry is
+// not an error; it just keeps the read loop supervisable.
+const (
+	linkWriteTimeout = time.Second
+	linkReadIdle     = time.Second
+)
+
 // ClientConfig configures a supervised hidec client.
 type ClientConfig struct {
 	// Connect is the hided air address ("127.0.0.1:5600").
@@ -88,12 +95,6 @@ type ClientConfig struct {
 	DeadTimeout time.Duration
 	// CheckInterval is the watchdog cadence (default BeaconTimeout/4).
 	CheckInterval time.Duration
-	// WriteTimeout bounds every airlink send (default 1s; per-op
-	// deadline on the UDP socket).
-	WriteTimeout time.Duration
-	// ReadIdle bounds every airlink read; an idle expiry is not an
-	// error, it just keeps the read loop supervisable (default 1s).
-	ReadIdle time.Duration
 	// Seed feeds the backoff-jitter RNG (folded with the MAC so equal
 	// seeds still desynchronize a fleet).
 	Seed uint64
@@ -127,12 +128,6 @@ func (c ClientConfig) normalized() ClientConfig {
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = c.BeaconTimeout / 4
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = time.Second
-	}
-	if c.ReadIdle <= 0 {
-		c.ReadIdle = time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(format string, args ...any) {
@@ -202,7 +197,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		rng:     sim.NewRNG(cfg.Seed ^ macSeed(cfg.Addr)),
 		engDone: make(chan struct{}),
 	}
-	c.link.SetIOTimeouts(cfg.WriteTimeout, cfg.ReadIdle, nil)
+	c.link.SetIOTimeouts(linkWriteTimeout, linkReadIdle)
 	c.st = station.New(c.eng, link, station.Config{
 		Addr:  cfg.Addr,
 		BSSID: cfg.BSSID,
@@ -247,28 +242,7 @@ func (c *Client) Engine() *sim.Engine { return c.eng }
 // bounded by timeout — the race-free way for a harness to read
 // station state while Run is live.
 func (c *Client) Do(timeout time.Duration, fn func(now time.Duration)) error {
-	done := make(chan struct{})
-	ev := func(now time.Duration) {
-		fn(now)
-		close(done)
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case c.inject <- ev:
-	case <-c.engDone:
-		return errEngineStopped
-	case <-t.C:
-		return errEngineBusy
-	}
-	select {
-	case <-done:
-		return nil
-	case <-c.engDone:
-		return errEngineStopped
-	case <-t.C:
-		return errEngineBusy
-	}
+	return roundTrip(c.inject, c.engDone, timeout, fn)
 }
 
 // Run associates and serves until ctx is cancelled — or, with

@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ap"
 	"repro/internal/control"
 	"repro/internal/dot11"
 	"repro/internal/trace"
@@ -72,7 +73,7 @@ type Config struct {
 	SSID string `json:"ssid,omitempty"`
 	// BSSID is the AP MAC ("02:1d:e0:ff:00:01" when empty).
 	BSSID string `json:"bssid,omitempty"`
-	// DTIMPeriod is in beacons (default 3).
+	// DTIMPeriod is in beacons (default ap.DefaultDTIMPeriod).
 	DTIMPeriod int `json:"dtim_period,omitempty"`
 	// BeaconInterval defaults to the 802.11 100 TU.
 	BeaconInterval Duration `json:"beacon_interval,omitempty"`
@@ -113,7 +114,7 @@ func (c Config) normalized() Config {
 		c.BSSID = "02:1d:e0:ff:00:01"
 	}
 	if c.DTIMPeriod <= 0 {
-		c.DTIMPeriod = 3
+		c.DTIMPeriod = ap.DefaultDTIMPeriod
 	}
 	if c.Scenario == "" {
 		c.Scenario = "Starbucks"

@@ -65,6 +65,8 @@ type Daemon struct {
 
 	engDone chan struct{} // closed when RunRealtime returns
 	drained chan struct{} // closed when the graceful drain finished
+
+	statsEv sim.Handle // the pending status-line tick; engine-owned
 }
 
 // New builds a daemon from a config, binding the air socket and the
@@ -230,9 +232,12 @@ func (d *Daemon) Run(ctx context.Context) error {
 	d.schedulePingSweep()
 	d.scheduleHealthMirror()
 	d.scheduleStatsLog()
+	// The control plane already serves, so a reload may race these
+	// reads: take the config under its lock.
+	cfg := d.Config()
 	d.logf("%s AP %q on %v (control %v, bssid %s, DTIM %d)",
-		map[bool]string{true: "legacy", false: "HIDE"}[d.cfg.Legacy],
-		d.cfg.SSID, d.AirAddr(), d.ControlAddr(), d.cfg.BSSID, d.cfg.DTIMPeriod)
+		map[bool]string{true: "legacy", false: "HIDE"}[cfg.Legacy],
+		cfg.SSID, d.AirAddr(), d.ControlAddr(), cfg.BSSID, cfg.DTIMPeriod)
 
 	err := d.eng.RunRealtime(runCtx, d.inject, 1)
 	close(d.engDone)
@@ -272,6 +277,15 @@ func (d *Daemon) Drained() <-chan struct{} { return d.drained }
 // by timeout. This is the only path by which control-plane goroutines
 // touch engine-owned state (the AP, the port table, the replay).
 func (d *Daemon) onEngine(timeout time.Duration, fn func(now time.Duration)) error {
+	return roundTrip(d.inject, d.engDone, timeout, fn)
+}
+
+// roundTrip injects fn into a running engine and waits for it to run,
+// bounded by timeout: errEngineStopped once engDone closes, and
+// errEngineBusy when the timeout passes first, whether the engine has
+// not taken fn or has not finished it. The daemon and the client both
+// reach their engines this way.
+func roundTrip(inject chan<- sim.Event, engDone <-chan struct{}, timeout time.Duration, fn func(now time.Duration)) error {
 	done := make(chan struct{})
 	ev := func(now time.Duration) {
 		fn(now)
@@ -280,8 +294,8 @@ func (d *Daemon) onEngine(timeout time.Duration, fn func(now time.Duration)) err
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case d.inject <- ev:
-	case <-d.engDone:
+	case inject <- ev:
+	case <-engDone:
 		return errEngineStopped
 	case <-t.C:
 		return errEngineBusy
@@ -289,7 +303,7 @@ func (d *Daemon) onEngine(timeout time.Duration, fn func(now time.Duration)) err
 	select {
 	case <-done:
 		return nil
-	case <-d.engDone:
+	case <-engDone:
 		return errEngineStopped
 	case <-t.C:
 		return errEngineBusy
@@ -320,7 +334,7 @@ func (d *Daemon) schedulePingSweep() {
 		}
 		d.eng.MustScheduleAfter(time.Duration(d.Config().PingInterval), sweep)
 	}
-	d.eng.MustScheduleAfter(time.Duration(d.cfg.PingInterval), sweep)
+	d.eng.MustScheduleAfter(time.Duration(d.Config().PingInterval), sweep)
 }
 
 // scheduleHealthMirror copies engine-owned gauges into atomics on a
@@ -335,32 +349,37 @@ func (d *Daemon) scheduleHealthMirror() {
 	d.eng.MustScheduleAfter(healthMirrorEvery, tick)
 }
 
-// scheduleStatsLog logs a status line at StatsEvery (0 disables).
+// scheduleStatsLog starts the status-line log at StatsEvery unless it
+// is off or a tick is already pending. Every tick re-reads StatsEvery,
+// so a reload applies at the next line and a tick that reads 0 stops
+// the log; a reload that turns it back on calls here again. It runs
+// on the engine, or before it starts.
 func (d *Daemon) scheduleStatsLog() {
-	if d.cfg.StatsEvery <= 0 {
+	if every := time.Duration(d.Config().StatsEvery); every > 0 && !d.statsEv.Pending() {
+		d.statsEv = d.eng.MustScheduleAfter(every, d.statsTick)
+	}
+}
+
+// statsTick logs one status line and schedules the next, unless
+// StatsEvery now reads 0.
+func (d *Daemon) statsTick(now time.Duration) {
+	every := time.Duration(d.Config().StatsEvery)
+	if every <= 0 {
 		return
 	}
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		st := d.ap.Stats()
-		hs := d.hub.Stats()
-		d.logf("[%8s] peers=%d beacons=%d dtims=%d group=%d portmsgs=%d assoc=%d evictions=%d",
-			now.Truncate(time.Second), hs.Peers, st.BeaconsSent, st.DTIMsSent,
-			st.GroupFramesSent, st.PortMsgsReceived, st.AssocResponses, hs.Evictions)
-		every := time.Duration(d.Config().StatsEvery)
-		if every <= 0 {
-			every = 10 * time.Second
-		}
-		d.eng.MustScheduleAfter(every, tick)
-	}
-	d.eng.MustScheduleAfter(time.Duration(d.cfg.StatsEvery), tick)
+	st := d.ap.Stats()
+	hs := d.hub.Stats()
+	d.logf("[%8s] peers=%d beacons=%d dtims=%d group=%d portmsgs=%d assoc=%d evictions=%d",
+		now.Truncate(time.Second), hs.Peers, st.BeaconsSent, st.DTIMsSent,
+		st.GroupFramesSent, st.PortMsgsReceived, st.AssocResponses, hs.Evictions)
+	d.statsEv = d.eng.MustScheduleAfter(every, d.statsTick)
 }
 
 // scheduleReplay starts the configured broadcast-scenario replay.
 // Must run before the engine starts (Run calls it); reloads instead
 // go through switchReplay on the engine.
 func (d *Daemon) scheduleReplay() {
-	name := d.cfg.Scenario
+	name := d.Config().Scenario
 	if strings.EqualFold(name, "none") {
 		return
 	}
@@ -462,6 +481,11 @@ func (d *Daemon) Reload() (string, error) {
 	}
 	if cur.Scenario != merged.Scenario {
 		if err := d.switchReplay(merged.Scenario); err != nil {
+			return "", err
+		}
+	}
+	if cur.StatsEvery <= 0 && merged.StatsEvery > 0 {
+		if err := d.onEngine(controlTimeout, func(time.Duration) { d.scheduleStatsLog() }); err != nil {
 			return "", err
 		}
 	}

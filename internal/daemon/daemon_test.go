@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,6 +237,69 @@ func TestReloadAppliesSubsetFromFile(t *testing.T) {
 	}
 	if d.Config().MaxMissedPings != 7 {
 		t.Error("failed reload clobbered the config")
+	}
+}
+
+// TestReloadTurnsStatsLogOnAndOff reloads stats_every under a running
+// daemon: 0 -> 50ms must start the status-line log, and 50ms -> 0 must
+// stop it.
+func TestReloadTurnsStatsLogOnAndOff(t *testing.T) {
+	const quiet = `{
+		"listen": "127.0.0.1:0",
+		"control": "127.0.0.1:0",
+		"scenario": "none"
+	}`
+	path := writeConfig(t, quiet)
+	d, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines atomic.Int64
+	d.SetLogf(func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "peers=") {
+			lines.Add(1)
+		}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	waitHTTP(t, "http://"+d.ControlAddr().String()+"/healthz")
+
+	reload := func(body string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Reload(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reload(`{
+		"listen": "127.0.0.1:0",
+		"control": "127.0.0.1:0",
+		"scenario": "none",
+		"stats_every": "50ms"
+	}`)
+	deadline := time.Now().Add(3 * time.Second)
+	for lines.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats_every 0 -> 50ms: %d status lines in 3s", lines.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	reload(quiet)
+	time.Sleep(100 * time.Millisecond) // a tick already logging may finish
+	settled := lines.Load()
+	time.Sleep(300 * time.Millisecond)
+	if got := lines.Load(); got != settled {
+		t.Errorf("stats_every 50ms -> 0: %d more status lines", got-settled)
 	}
 }
 

@@ -74,6 +74,9 @@ func (o Overhead) PortMsgBytes(phy dot11.PHY) int {
 	return lphy + dot11.MACHeaderLen + 2 + 2*o.PortsPerMsg
 }
 
+// beaconRate is the rate beacons, and so their BTIM bytes, arrive at.
+const beaconRate = dot11.Rate1Mbps
+
 // Config drives one model evaluation.
 type Config struct {
 	// Device is the Table I profile to charge energy against.
@@ -82,10 +85,6 @@ type Config struct {
 	Duration time.Duration
 	// BeaconInterval is T_b (default 100 TU if zero).
 	BeaconInterval time.Duration
-	// BeaconRate is the rate beacons (and their BTIM bytes) arrive at.
-	BeaconRate dot11.Rate
-	// PHY supplies preamble/header sizes for Eq. 19.
-	PHY dot11.PHY
 	// Overhead enables HIDE protocol overhead when non-zero.
 	Overhead Overhead
 	// BeaconListenInterval divides the beacon-reception energy: a
@@ -98,12 +97,6 @@ type Config struct {
 func (c Config) normalized() Config {
 	if c.BeaconInterval <= 0 {
 		c.BeaconInterval = dot11.DefaultBeaconInterval
-	}
-	if c.BeaconRate <= 0 {
-		c.BeaconRate = dot11.Rate1Mbps
-	}
-	if c.PHY.PreambleHeaderBits == 0 {
-		c.PHY = dot11.DefaultPHY()
 	}
 	if c.BeaconListenInterval <= 0 {
 		c.BeaconListenInterval = 1
@@ -299,13 +292,13 @@ func Compute(frames []Arrival, cfg Config) (Breakdown, error) {
 		o := cfg.Overhead
 		// E1: extra BTIM bytes in every received beacon, at the beacon
 		// rate with the radio in receive state.
-		btimTime := float64(8*o.BTIMBytes) / float64(cfg.BeaconRate) * float64(numBeacons/cfg.BeaconListenInterval)
+		btimTime := float64(8*o.BTIMBytes) / float64(beaconRate) * float64(numBeacons/cfg.BeaconListenInterval)
 		e1 := dev.PrW * btimTime
 		// E2: UDP Port Message transmissions (Eqs. 17-19).
 		var e2 float64
 		if o.PortMsgInterval > 0 {
 			m := float64(cfg.Duration) / float64(o.PortMsgInterval) // Eq. 18
-			lm := o.PortMsgBytes(cfg.PHY)
+			lm := o.PortMsgBytes(dot11.DefaultPHY())
 			rate := o.PortMsgRate
 			if rate <= 0 {
 				rate = dot11.Rate1Mbps

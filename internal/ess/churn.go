@@ -20,6 +20,10 @@ import (
 	"repro/internal/trace"
 )
 
+// churnUsefulTarget is the port-derived useful-traffic fraction every
+// churn station's open-port set is built from.
+const churnUsefulTarget = 0.10
+
 // ChurnConfig tunes one churn-rate cell.
 type ChurnConfig struct {
 	// APs and Stations size the ESS (defaults 4 and 32).
@@ -29,9 +33,6 @@ type ChurnConfig struct {
 	Scenario trace.Scenario
 	// Duration truncates the scenario capture; zero keeps it whole.
 	Duration time.Duration
-	// UsefulTarget is the port-derived useful-traffic fraction every
-	// station's open-port set is built from (default 0.10).
-	UsefulTarget float64
 	// RoamRate is the expected roams per station per minute.
 	RoamRate float64
 	// Replicate selects warm (replicated) handoffs; false runs cold.
@@ -45,9 +46,6 @@ type ChurnConfig struct {
 	// handoffs and, unjittered, phase-locks into the N≳500 congestion
 	// collapse.
 	RefreshJitter float64
-	// Window overrides the barrier spacing (default one beacon
-	// interval).
-	Window time.Duration
 	// Device prices the per-station energy (default Nexus One).
 	Device energy.Profile
 	// Workers bounds the shard parallelism.
@@ -61,9 +59,6 @@ func (c ChurnConfig) normalized() ChurnConfig {
 	}
 	if c.Stations <= 0 {
 		c.Stations = 32
-	}
-	if c.UsefulTarget <= 0 {
-		c.UsefulTarget = 0.10
 	}
 	if c.Device.Name == "" {
 		c.Device = energy.NexusOne
@@ -102,7 +97,7 @@ func RunChurnContext(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) 
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	openSet := trace.OpenPortsForFraction(tr, cfg.UsefulTarget)
+	openSet := trace.OpenPortsForFraction(tr, churnUsefulTarget)
 	open := make([]uint16, 0, len(openSet))
 	for p := range openSet {
 		open = append(open, p)
@@ -118,7 +113,6 @@ func RunChurnContext(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) 
 			RefreshJitter: cfg.RefreshJitter,
 			Seed:          cfg.Seed,
 		},
-		Window:    cfg.Window,
 		Replicate: cfg.Replicate,
 		RoamRate:  cfg.RoamRate,
 		RoamSeed:  cfg.Seed ^ 0xc2b2ae3d27d4eb4f,

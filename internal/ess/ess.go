@@ -56,7 +56,6 @@ import (
 	"repro/internal/dot11"
 	"repro/internal/energy"
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/station"
 	"repro/internal/trace"
@@ -66,6 +65,10 @@ import (
 // so shard 0 owns the single-AP default {..., 0x00, 0x01} and a K=1
 // ESS keeps the exact BSSID a plain core.Network would use.
 var essBSSIDBase = dot11.MACAddr{0x02, 0x1d, 0xe0, 0x00, 0x00, 0x00}
+
+// barrierEvery is the window between barriers: one beacon interval.
+// Roams and DS merges happen only at barriers.
+const barrierEvery = dot11.DefaultBeaconInterval
 
 // maxAPs keeps the BSSID block clear of the station address space,
 // which starts 0x010000 addresses above the AP base.
@@ -78,15 +81,10 @@ type Config struct {
 	// Network is the per-shard assembly template. Shard k derives its
 	// seed as Network.Seed+k and its BSSID from the ESS block; the
 	// SSID, DTIM cadence, HIDE/Harden knobs, and loss probability are
-	// shared by every AP of the ESS.
+	// shared by every AP of the ESS. Network.Fault must stay nil when
+	// APs > 1: plans may be stateful and a single instance cannot be
+	// shared across shard goroutines.
 	Network core.NetworkConfig
-	// FaultFor, when set, builds shard k's fault plan. Network.Fault
-	// must stay nil when APs > 1: plans may be stateful and a single
-	// instance cannot be shared across shard goroutines.
-	FaultFor func(shard int) fault.Plan
-	// Window is the barrier spacing (default one beacon interval).
-	// Roams and DS merges happen only at window barriers.
-	Window time.Duration
 	// Replicate selects the warm-handoff policy: port tables are
 	// proactively replicated over the DS and seeded into the
 	// roam-target AP at reassociation time. False leaves handoffs
@@ -239,7 +237,6 @@ type member struct {
 // AddStation/AddCohort, then drive with RunContext.
 type ESS struct {
 	cfg     Config
-	window  time.Duration
 	shards  []*Shard
 	members []*member
 	dir     map[dot11.MACAddr][]uint16 // DS directory; written only at barriers
@@ -261,18 +258,13 @@ func New(cfg Config) (*ESS, error) {
 		return nil, fmt.Errorf("ess: %d APs exceeds the BSSID block (max %d)", k, maxAPs)
 	}
 	if k > 1 && cfg.Network.Fault != nil {
-		return nil, fmt.Errorf("ess: Network.Fault cannot be shared across %d shards; use FaultFor", k)
+		return nil, fmt.Errorf("ess: Network.Fault cannot be shared across %d shards", k)
 	}
 	if cfg.Network.BSSID != (dot11.MACAddr{}) {
 		return nil, fmt.Errorf("ess: shard BSSIDs are assigned from the ESS block; Network.BSSID must be zero")
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = dot11.DefaultBeaconInterval
-	}
 	e := &ESS{
 		cfg:     cfg,
-		window:  window,
 		dir:     make(map[dot11.MACAddr][]uint16),
 		roamRng: sim.NewRNG(cfg.RoamSeed ^ 0x9e3779b97f4a7c15),
 		dsRng:   sim.NewRNG(cfg.RoamSeed ^ 0xd1b54a32d192ed03),
@@ -281,9 +273,6 @@ func New(cfg Config) (*ESS, error) {
 		ncfg := cfg.Network
 		ncfg.Seed += uint64(i)
 		ncfg.BSSID = dot11.AddrAdd(essBSSIDBase, i+1)
-		if cfg.FaultFor != nil {
-			ncfg.Fault = cfg.FaultFor(i)
-		}
 		n, err := core.NewNetwork(ncfg)
 		if err != nil {
 			return nil, fmt.Errorf("ess: shard %d: %w", i, err)
@@ -394,7 +383,7 @@ func (e *ESS) RunContext(ctx context.Context, tr *trace.Trace) error {
 	}
 	end := tr.Duration + dot11.DefaultBeaconInterval
 	for e.now < end {
-		next := e.now + e.window
+		next := e.now + barrierEvery
 		if next > end {
 			next = end
 		}
@@ -443,7 +432,7 @@ func (e *ESS) mergeDS() {
 // the same mobility sequence for any worker count.
 func (e *ESS) applyRoams() error {
 	k := len(e.shards)
-	perWindow := e.cfg.RoamRate * e.window.Minutes()
+	perWindow := e.cfg.RoamRate * barrierEvery.Minutes()
 	if perWindow > 1 {
 		perWindow = 1
 	}

@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection subsystem: a
 // composable description of what an unreliable channel does to frame
-// deliveries. The medium consults a Plan once per delivery and applies
-// the returned verdict — drop, corrupt, or duplicate — so every
+// deliveries. The medium judges every delivery by its Plan (Judge) and
+// applies the outcome — drop, corrupt, or duplicate — so every
 // protocol layer can be exercised against bursty loss, targeted
 // classifier drops, and garbled frames without touching protocol code.
 //
@@ -74,6 +74,28 @@ func (v Verdict) merge(o Verdict) Verdict {
 // randomness from the rng argument.
 type Plan interface {
 	Deliver(d Delivery, rng *sim.RNG) Verdict
+}
+
+// Outcome is a judged delivery: the plan's verdict and, when the
+// verdict corrupts, the index in Raw of the byte the receiver's copy
+// has flipped (-1 otherwise). Equal outcomes treat a copy identically.
+type Outcome struct {
+	Verdict
+	Byte int
+}
+
+// Judge is the one verdict rule of every air, the emulated medium and
+// the UDP hub alike: the plan's verdict on d, then, whenever it
+// corrupts (even alongside Drop), one draw for the corrupted byte. The
+// draw count depends on the verdicts alone, so a block judged member
+// by member, a per-receiver walk and the hub's per-peer fan-out
+// consume one RNG stream alike.
+func Judge(p Plan, d Delivery, rng *sim.RNG) Outcome {
+	v := p.Deliver(d, rng)
+	if !v.Corrupt {
+		return Outcome{Verdict: v, Byte: -1}
+	}
+	return Outcome{Verdict: v, Byte: rng.Intn(len(d.Raw))}
 }
 
 // Loss drops each delivery independently with probability P — the

@@ -10,40 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSetLossEquivalentToLossPlan locks in byte-identity across the
-// fault-subsystem refactor: SetLoss(p) and SetFaultPlan(fault.Loss{p})
-// must drop exactly the same deliveries from the same seed, because
-// both draw exactly one value per delivery.
-func TestSetLossEquivalentToLossPlan(t *testing.T) {
-	run := func(install func(*Medium)) []recorded {
-		eng := sim.New()
-		m := New(eng, dot11.DefaultPHY(), 99)
-		install(m)
-		r := &recorder{}
-		m.Attach(s1Addr, r)
-		ack := &dot11.ACK{RA: s1Addr}
-		for i := 0; i < 500; i++ {
-			m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
-		}
-		eng.Run()
-		return r.frames
-	}
-	a := run(func(m *Medium) {
-		if err := m.SetLoss(0.4); err != nil {
-			t.Fatal(err)
-		}
-	})
-	b := run(func(m *Medium) { m.SetFaultPlan(fault.Loss{P: 0.4}) })
-	if len(a) != len(b) {
-		t.Fatalf("SetLoss delivered %d frames, Loss plan %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].at != b[i].at || !bytes.Equal(a[i].raw, b[i].raw) {
-			t.Fatalf("delivery %d differs between SetLoss and Loss plan", i)
-		}
-	}
-}
-
 // TestKindTargetedDrops drops every beacon while ACKs pass untouched.
 func TestKindTargetedDrops(t *testing.T) {
 	eng := sim.New()

@@ -102,9 +102,9 @@ type Medium struct {
 	tap func(raw []byte, rate dot11.Rate, at time.Duration)
 	obs func(src dot11.MACAddr, raw []byte, rate dot11.Rate, start, deliverAt time.Duration)
 
-	deliverFn sim.ArgEvent   // bound once; avoids a closure per Transmit
-	txFree    []*pendingTx   // recycled in-flight transmission records
-	verdicts  []blockVerdict // scratch for per-member block verdicts
+	deliverFn sim.ArgEvent    // bound once; avoids a closure per Transmit
+	txFree    []*pendingTx    // recycled in-flight transmission records
+	outcomes  []fault.Outcome // scratch for per-member block outcomes
 }
 
 // fanoutEntry pairs an attached address with its node so group fan-out
@@ -115,15 +115,6 @@ type fanoutEntry struct {
 	addr  dot11.MACAddr
 	count int // members covered; <= 1 means a plain single-address node
 	node  Node
-}
-
-// blockVerdict is one member's fault treatment during block delivery:
-// the plan's verdict plus the corruption byte index (-1 when the copy
-// is not corrupted). Members with equal blockVerdicts are
-// indistinguishable and stay folded in one block.
-type blockVerdict struct {
-	v       fault.Verdict
-	corrupt int
 }
 
 // pendingTx carries one in-flight transmission from Transmit to its
@@ -155,21 +146,6 @@ func New(eng *sim.Engine, phy dot11.PHY, seed uint64) *Medium {
 	}
 	m.deliverFn = m.deliverEvent
 	return m
-}
-
-// SetLoss sets the independent per-delivery loss probability — the
-// historical knob, retained as sugar for SetFaultPlan(fault.Loss{P: p}).
-// A zero probability restores the pristine channel.
-func (m *Medium) SetLoss(p float64) error {
-	if p < 0 || p >= 1 {
-		return fmt.Errorf("medium: loss probability %v outside [0, 1)", p)
-	}
-	if p == 0 {
-		m.plan = nil
-	} else {
-		m.plan = fault.Loss{P: p}
-	}
-	return nil
 }
 
 // SetFaultPlan installs the fault plan consulted once per (frame,
@@ -341,7 +317,7 @@ func (m *Medium) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.D
 	// The single copy on the frame's whole journey: the caller may reuse
 	// its buffer, but from here every receiver shares this one buffer
 	// immutably (the fault plan's Corrupt verdict is the only cloning
-	// path; see deliverOne).
+	// path; see applyVerdict).
 	frame := append([]byte(nil), raw...)
 	if m.tap != nil {
 		m.tap(frame, rate, start)
@@ -442,20 +418,16 @@ func (m *Medium) deliverBlock(i int, src, dst dot11.MACAddr, raw []byte, kind do
 		return 1 + len(m.fanout) - pre
 	}
 
-	// Per-member verdict pass, interleaving the corruption byte draw at
-	// each corrupted member's position like the expanded walk does.
-	m.verdicts = m.verdicts[:0]
+	// Per-member judgement pass, in member order like the expanded
+	// walk. Members with equal outcomes are indistinguishable and stay
+	// folded in one block.
+	m.outcomes = m.outcomes[:0]
 	base := m.fanout[i].addr
 	for k := 0; k < count; k++ {
-		v := m.plan.Deliver(fault.Delivery{
+		m.outcomes = append(m.outcomes, fault.Judge(m.plan, fault.Delivery{
 			Raw: raw, Kind: kind,
 			Src: src, Dst: dst, Rcv: dot11.AddrAdd(base, k), At: now,
-		}, m.rng)
-		bv := blockVerdict{v: v, corrupt: -1}
-		if v.Corrupt {
-			bv.corrupt = m.rng.Intn(len(raw))
-		}
-		m.verdicts = append(m.verdicts, bv)
+		}, m.rng))
 	}
 
 	// Walk maximal runs of equal treatment. A run that does not reach
@@ -468,7 +440,7 @@ func (m *Medium) deliverBlock(i int, src, dst dot11.MACAddr, raw []byte, kind do
 	cur := i // entry covering members [lo, count) at loop top
 	for lo := 0; lo < count; {
 		hi := lo + 1
-		for hi < count && m.verdicts[hi] == m.verdicts[lo] {
+		for hi < count && m.outcomes[hi] == m.outcomes[lo] {
 			hi++
 		}
 		if hi < count {
@@ -477,20 +449,20 @@ func (m *Medium) deliverBlock(i int, src, dst dot11.MACAddr, raw []byte, kind do
 				// No split support: deliver the rest member-by-member to
 				// the same node, preserving per-member stats.
 				for k := lo; k < count; k++ {
-					m.applyVerdict(m.fanout[cur].node, dst, m.verdicts[k], 1, raw, rate, now)
+					m.applyVerdict(m.fanout[cur].node, dst, m.outcomes[k], 1, raw, rate, now)
 				}
 				return consumed
 			}
 			tail := sp.SplitTail(hi - lo)
 			next := m.splitEntryAt(cur, hi-lo, tail)
 			pre := len(m.fanout)
-			m.applyVerdict(m.fanout[cur].node, dst, m.verdicts[lo], hi-lo, raw, rate, now)
+			m.applyVerdict(m.fanout[cur].node, dst, m.outcomes[lo], hi-lo, raw, rate, now)
 			ins := len(m.fanout) - pre // self-splits during the delivery
 			cur = next + ins
 			consumed += 1 + ins
 		} else {
 			pre := len(m.fanout)
-			m.applyVerdict(m.fanout[cur].node, dst, m.verdicts[lo], hi-lo, raw, rate, now)
+			m.applyVerdict(m.fanout[cur].node, dst, m.outcomes[lo], hi-lo, raw, rate, now)
 			consumed += len(m.fanout) - pre
 		}
 		lo = hi
@@ -498,22 +470,24 @@ func (m *Medium) deliverBlock(i int, src, dst dot11.MACAddr, raw []byte, kind do
 	return consumed
 }
 
-// applyVerdict delivers one group frame to a block node under a uniform
-// member verdict, scaling the stats by the member count it stands for.
-// A corrupted run's members share one garbled copy: their corruption
-// byte draws were equal, or they would not be in the same run.
-func (m *Medium) applyVerdict(n Node, to dot11.MACAddr, bv blockVerdict, members int, raw []byte, rate dot11.Rate, now time.Duration) {
-	if bv.v.Drop {
+// applyVerdict delivers a frame to a node under one judged outcome,
+// scaling the stats by the member count the node stands for. A
+// corrupted run's members share one garbled copy: their corruption
+// byte draws were equal, or they would not be in the same run. Other
+// receivers keep the original bytes, as with independent radios on a
+// shared channel.
+func (m *Medium) applyVerdict(n Node, to dot11.MACAddr, o fault.Outcome, members int, raw []byte, rate dot11.Rate, now time.Duration) {
+	if o.Drop {
 		m.Stats.Losses += members
 		return
 	}
-	if bv.v.Corrupt {
+	if o.Corrupt {
 		c := append([]byte(nil), raw...)
-		c[bv.corrupt] ^= 0xff
+		c[o.Byte] ^= 0xff
 		raw = c
 		m.Stats.Corruptions += members
 	}
-	if bv.v.Duplicate {
+	if o.Duplicate {
 		m.Stats.Duplicates += members
 		m.Stats.Deliveries += members
 		handTo(n, to, raw, rate, now)
@@ -537,40 +511,15 @@ func handTo(n Node, to dot11.MACAddr, raw []byte, rate dot11.Rate, now time.Dura
 	n.Receive(raw, rate, now)
 }
 
-// deliverOne hands the frame to one node, applying the fault plan's
-// verdict for this (frame, receiver) pair.
+// deliverOne hands the frame to one node under the fault plan's
+// outcome for this (frame, receiver) pair.
 func (m *Medium) deliverOne(n Node, rcv, src, dst dot11.MACAddr, raw []byte, kind dot11.FrameKind, rate dot11.Rate, now time.Duration) {
+	o := fault.Outcome{Byte: -1}
 	if m.plan != nil {
-		v := m.plan.Deliver(fault.Delivery{
+		o = fault.Judge(m.plan, fault.Delivery{
 			Raw: raw, Kind: kind,
 			Src: src, Dst: dst, Rcv: rcv, At: now,
 		}, m.rng)
-		// The corruption byte is drawn whenever the verdict says Corrupt
-		// — even alongside Drop — so the RNG stream matches the block
-		// walk in deliverBlock, which draws it at verdict time.
-		cb := -1
-		if v.Corrupt {
-			cb = m.rng.Intn(len(raw))
-		}
-		if v.Drop {
-			m.Stats.Losses++
-			return
-		}
-		if v.Corrupt {
-			// Corruption garbles this receiver's copy only; other
-			// receivers of a group frame keep the original bytes, as
-			// with independent radios on a shared channel.
-			c := append([]byte(nil), raw...)
-			c[cb] ^= 0xff
-			raw = c
-			m.Stats.Corruptions++
-		}
-		if v.Duplicate {
-			m.Stats.Duplicates++
-			m.Stats.Deliveries++
-			handTo(n, dst, raw, rate, now)
-		}
 	}
-	m.Stats.Deliveries++
-	handTo(n, dst, raw, rate, now)
+	m.applyVerdict(n, dst, o, 1, raw, rate, now)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/dot11"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -130,9 +131,7 @@ func TestChannelSerialization(t *testing.T) {
 func TestLossInjection(t *testing.T) {
 	eng := sim.New()
 	m := New(eng, dot11.DefaultPHY(), 7)
-	if err := m.SetLoss(0.5); err != nil {
-		t.Fatal(err)
-	}
+	m.SetFaultPlan(fault.Loss{P: 0.5})
 	r1 := &recorder{}
 	m.Attach(s1Addr, r1)
 	ack := &dot11.ACK{RA: s1Addr}
@@ -147,16 +146,6 @@ func TestLossInjection(t *testing.T) {
 	}
 	if m.Stats.Losses+m.Stats.Deliveries != n {
 		t.Errorf("loss+delivery = %d, want %d", m.Stats.Losses+m.Stats.Deliveries, n)
-	}
-}
-
-func TestSetLossValidation(t *testing.T) {
-	m := New(sim.New(), dot11.DefaultPHY(), 1)
-	if err := m.SetLoss(-0.1); err == nil {
-		t.Error("negative loss accepted")
-	}
-	if err := m.SetLoss(1.0); err == nil {
-		t.Error("loss of 1.0 accepted")
 	}
 }
 

@@ -37,7 +37,7 @@ func hardRig(t *testing.T, cfg Config, ports []uint16) (*sim.Engine, *medium.Med
 }
 
 func TestGiveUpAfterRetryBudget(t *testing.T) {
-	eng, med, a, st := hardRig(t, Config{AckTimeout: 20 * time.Millisecond, MaxRetries: 2}, []uint16{53})
+	eng, med, a, st := hardRig(t, Config{AckTimeout: 20 * time.Millisecond}, []uint16{53})
 	med.SetFaultPlan(fault.Only(fault.Loss{P: 1}, dot11.KindACK))
 	a.Start()
 	eng.RunUntil(5 * time.Second)
@@ -46,8 +46,8 @@ func TestGiveUpAfterRetryBudget(t *testing.T) {
 	if s.PortMsgGivenUp == 0 {
 		t.Fatal("retry budget exhausted but PortMsgGivenUp not surfaced")
 	}
-	if s.PortMsgsSent < 3 {
-		t.Errorf("sent %d port messages, want initial + 2 retries", s.PortMsgsSent)
+	if s.PortMsgRetries != maxRetries || s.PortMsgsSent != 1+maxRetries {
+		t.Errorf("sent %d port messages with %d retries, want initial + %d retries", s.PortMsgsSent, s.PortMsgRetries, maxRetries)
 	}
 	if !st.Suspended() {
 		t.Error("station did not suspend after giving up")

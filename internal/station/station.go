@@ -62,19 +62,9 @@ type Config struct {
 	BSSID dot11.MACAddr
 	// Mode selects broadcast handling.
 	Mode Mode
-	// Tau is the full processing wakelock (default 1 s).
-	Tau time.Duration
-	// DriverWakelock is the short wakelock ClientSide mode holds for a
-	// useless frame (default 100 ms).
-	DriverWakelock time.Duration
-	// CtrlRate is the rate for UDP Port Messages and PS-Polls (the
-	// paper sends port messages at the lowest rate, 1 Mb/s).
-	CtrlRate dot11.Rate
 	// AckTimeout bounds the wait for a UDP Port Message ACK before
 	// retransmission (default DefaultAckTimeout).
 	AckTimeout time.Duration
-	// MaxRetries bounds port-message retransmissions (default 4).
-	MaxRetries int
 	// ListenInterval is the 802.11 listen interval in beacons: the
 	// radio wakes only for every ListenInterval-th beacon (default 1 =
 	// every beacon). Skipped beacons cost no energy but may carry DTIM
@@ -127,22 +117,26 @@ type Config struct {
 // timeout would misread that latency as loss.
 const DefaultAckTimeout = 60 * time.Millisecond
 
+// The station's fixed operating point (paper §IV and §VI-A2).
+const (
+	// tau is the full processing wakelock a received frame holds.
+	tau = time.Second
+	// driverWakelock is the short wakelock ClientSide mode holds for a
+	// useless frame.
+	driverWakelock = 100 * time.Millisecond
+	// ctrlRate is the rate of every frame the station sends: UDP Port
+	// Messages, (re)association requests, disassociations and
+	// PS-Polls. The paper sends port messages at the lowest rate.
+	ctrlRate = dot11.Rate1Mbps
+	// maxRetries bounds the retransmissions of a UDP Port Message and
+	// of an association request.
+	maxRetries = 4
+)
+
 // normalized fills defaults.
 func (c Config) normalized() Config {
-	if c.Tau <= 0 {
-		c.Tau = time.Second
-	}
-	if c.DriverWakelock <= 0 {
-		c.DriverWakelock = 100 * time.Millisecond
-	}
-	if c.CtrlRate <= 0 {
-		c.CtrlRate = dot11.Rate1Mbps
-	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = DefaultAckTimeout
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 4
 	}
 	if c.ListenInterval <= 0 {
 		c.ListenInterval = 1
@@ -417,7 +411,7 @@ func (s *Station) sendAssocRequest(reassoc bool, ssid string, currentAP dot11.MA
 	if err != nil {
 		panic(fmt.Sprintf("station: assoc request marshal: %v", err))
 	}
-	s.med.Transmit(s.cfg.Addr, raw, s.cfg.CtrlRate)
+	s.med.Transmit(s.cfg.Addr, raw, ctrlRate)
 	if reassoc {
 		s.stats.ReassocRequests++
 	} else {
@@ -429,7 +423,7 @@ func (s *Station) sendAssocRequest(reassoc bool, ssid string, currentAP dot11.MA
 			return
 		}
 		s.assocRetries++
-		if s.assocRetries > s.cfg.MaxRetries {
+		if s.assocRetries > maxRetries {
 			return // give up; the station stays unassociated
 		}
 		s.sendAssocRequest(reassoc, ssid, currentAP)
@@ -447,7 +441,7 @@ func (s *Station) Leave(reason uint16) {
 		Header: dot11.MACHeader{Addr1: s.cfg.BSSID, Addr2: s.cfg.Addr, Addr3: s.cfg.BSSID},
 		Reason: reason,
 	}
-	s.med.Transmit(s.cfg.Addr, d.Marshal(), s.cfg.CtrlRate)
+	s.med.Transmit(s.cfg.Addr, d.Marshal(), ctrlRate)
 	s.detach()
 }
 
@@ -805,7 +799,7 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 	if df.Header.Addr1 == s.cfg.Addr {
 		// Buffered unicast retrieved via PS-Poll.
 		s.stats.UnicastReceived++
-		s.recordArrival(raw, rate, now, df.Header.FC.MoreData, s.cfg.Tau)
+		s.recordArrival(raw, rate, now, df.Header.FC.MoreData, tau)
 		if df.Header.FC.MoreData {
 			s.sendPSPoll()
 		}
@@ -833,11 +827,11 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 	if port, err := dot11.DstUDPPort(df.Payload); err == nil {
 		useful = s.ListensOn(port)
 	}
-	wl := s.cfg.Tau
+	wl := tau
 	switch s.cfg.Mode {
 	case ClientSide:
 		if !useful {
-			wl = s.cfg.DriverWakelock
+			wl = driverWakelock
 		}
 	case HIDE:
 		// The BTIM said something useful is in this burst; frames for
@@ -943,7 +937,7 @@ func (s *Station) sendPortMessage(now time.Duration) {
 		Ports: s.lastPortMsg,
 	}
 	s.txBuf = msg.AppendTo(s.txBuf[:0])
-	s.med.Transmit(s.cfg.Addr, s.txBuf, s.cfg.CtrlRate)
+	s.med.Transmit(s.cfg.Addr, s.txBuf, ctrlRate)
 	s.stats.PortMsgsSent++
 	if s.retries > 0 {
 		s.stats.PortMsgRetries++
@@ -986,7 +980,7 @@ func (s *Station) ackTimeout(now time.Duration) {
 		return
 	}
 	s.retries++
-	if s.retries > s.cfg.MaxRetries {
+	if s.retries > maxRetries {
 		s.awaitingACK = false
 		s.stats.PortMsgGivenUp++
 		if now >= s.wlExpiry && !s.listening {
@@ -1025,6 +1019,6 @@ func (s *Station) completeSuspend() {
 // sendPSPoll requests one buffered unicast frame.
 func (s *Station) sendPSPoll() {
 	poll := &dot11.PSPoll{AID: s.aid, BSSID: s.cfg.BSSID, TA: s.cfg.Addr}
-	s.med.Transmit(s.cfg.Addr, poll.Marshal(), s.cfg.CtrlRate)
+	s.med.Transmit(s.cfg.Addr, poll.Marshal(), ctrlRate)
 	s.stats.PSPollsSent++
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ap"
 	"repro/internal/dot11"
+	"repro/internal/fault"
 	"repro/internal/medium"
 	"repro/internal/sim"
 )
@@ -209,9 +210,7 @@ func TestHIDEStationFallsBackOnLegacyAP(t *testing.T) {
 func TestPortMessageRetransmissionUnderLoss(t *testing.T) {
 	eng := sim.New()
 	med := medium.New(eng, dot11.DefaultPHY(), 99)
-	if err := med.SetLoss(0.5); err != nil {
-		t.Fatal(err)
-	}
+	med.SetFaultPlan(fault.Loss{P: 0.5})
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true})
 	st := New(eng, med, Config{
 		Addr:  dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
@@ -325,9 +324,7 @@ func TestFrameLevelAssociation(t *testing.T) {
 func TestAssociationRetriesUnderLoss(t *testing.T) {
 	eng := sim.New()
 	med := medium.New(eng, dot11.DefaultPHY(), 3)
-	if err := med.SetLoss(0.5); err != nil {
-		t.Fatal(err)
-	}
+	med.SetFaultPlan(fault.Loss{P: 0.5})
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true})
 	st := New(eng, med, Config{
 		Addr:  dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
