@@ -600,9 +600,8 @@ func BenchmarkRunSuiteWorkers(b *testing.B) {
 }
 
 // BenchmarkStationsMillion replays a 2-minute WRL trace against 10⁶
-// HIDE clients, each port class folded into one cohort station — exact
-// within the AID space per the internal/check equivalence suite, the
-// aggregate what-if regime past it (DESIGN.md §9). The WindowWorkers
+// HIDE clients, each port class folded into one aggregate cohort
+// station (DESIGN.md §9). The WindowWorkers
 // sub-benchmarks run the same population through the windowed-parallel
 // assembly (DESIGN.md §13); inspect their worker fan-out with
 // `go test -run '^$' -bench 'StationsMillion/window' -trace w.out .`

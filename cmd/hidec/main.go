@@ -29,7 +29,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/daemon"
 	"repro/internal/dot11"
-	"repro/internal/energy"
 	"repro/internal/procnet"
 	"repro/internal/station"
 )
@@ -126,11 +125,9 @@ func main() {
 
 	err = c.Run(ctx)
 	if *runFor > 0 && errors.Is(err, context.DeadlineExceeded) {
-		// Final energy report over the run.
-		b, cerr := energy.Compute(st.Arrivals(), energy.Config{
-			Device:   dev,
-			Duration: *runFor,
-		})
+		// Final energy report over the run, with HIDE's overhead Eo in
+		// HIDE mode.
+		b, cerr := st.Energy(dev, *runFor, m == station.HIDE)
 		if cerr != nil {
 			cli.Exit("hidec", fmt.Errorf("energy: %v", cerr))
 		}

@@ -131,13 +131,6 @@ func (h *Hub) SetFaultPlan(plan fault.Plan, seed uint64) {
 	}
 }
 
-// FaultActive reports whether a fault plan is currently installed.
-func (h *Hub) FaultActive() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.plan != nil
-}
-
 // SetLiveness sets how many consecutive unanswered sweeps evict a peer
 // (values < 1 restore the default of 3). Safe to call while serving.
 func (h *Hub) SetLiveness(maxMissed int) {

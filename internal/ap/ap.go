@@ -81,11 +81,9 @@ type client struct {
 	hideCapable bool
 	psMode      bool
 	unicast     [][]byte // buffered unicast frames (raw)
-	// count > 1 marks an aggregate-cohort representative
-	// (AssociateAggregate): this one association stands for count
-	// stations sharing a single AID. Exact cohorts (AssociateCohort)
-	// instead register every member individually, so their port-table
-	// transitions are bit-identical to individually-modeled stations.
+	// count > 1 marks a cohort representative (AssociateAggregate):
+	// this one association stands for count stations sharing a single
+	// AID.
 	count int
 }
 
@@ -315,37 +313,11 @@ func (a *AP) FreeAIDs() int {
 	return int(dot11.MaxAID) - int(a.nextAID) + 1
 }
 
-// AssociateCohort registers count stations whose MAC addresses follow
-// consecutively from base (dot11.AddrAdd) and returns the first AID of
-// the resulting contiguous AID block. Every member gets its own
-// association and port-table entry — the sequential allocator makes
-// the block contiguous for free — so the AP-side state transitions are
-// bit-identical to count individually-modeled stations; only the
-// station side folds the members into one scheduled entity.
-func (a *AP) AssociateCohort(base dot11.MACAddr, count int, hideCapable bool) (dot11.AID, error) {
-	if count < 1 {
-		return 0, fmt.Errorf("ap: cohort count %d < 1", count)
-	}
-	if free := a.FreeAIDs(); count > free {
-		return 0, fmt.Errorf("ap: cohort of %d exceeds %d free AIDs", count, free)
-	}
-	first, err := a.Associate(base, hideCapable)
-	if err != nil {
-		return 0, err
-	}
-	for i := 1; i < count; i++ {
-		if _, err := a.Associate(dot11.AddrAdd(base, i), hideCapable); err != nil {
-			return 0, fmt.Errorf("ap: cohort member %d: %w", i, err)
-		}
-	}
-	return first, nil
-}
-
 // AssociateAggregate registers a single association standing for count
-// stations — the beyond-AID-space regime for 10⁵–10⁶ client runs. The
-// representative behaves as one station on the air (one AID, one TIM
-// bit, one port-message stream); Members folds the multiplicity back
-// into population counts.
+// stations — a cohort, which reaches 10⁵–10⁶ clients past the AID
+// space. The representative behaves as one station on the air (one
+// AID, one TIM bit, one port-message stream); ClientList reports the
+// multiplicity.
 func (a *AP) AssociateAggregate(base dot11.MACAddr, count int, hideCapable bool) (dot11.AID, error) {
 	if count < 1 {
 		return 0, fmt.Errorf("ap: aggregate count %d < 1", count)
@@ -356,21 +328,6 @@ func (a *AP) AssociateAggregate(base dot11.MACAddr, count int, hideCapable bool)
 	}
 	a.clients[base].count = count
 	return aid, nil
-}
-
-// Members returns the number of stations the AP's associations stand
-// for, counting aggregate representatives with their multiplicity
-// (compare Clients, which counts associations).
-func (a *AP) Members() int {
-	n := 0
-	for _, c := range a.clients {
-		if c.count > 1 {
-			n += c.count
-		} else {
-			n++
-		}
-	}
-	return n
 }
 
 // Disassociate removes a station and its port-table entries.
@@ -403,7 +360,7 @@ type ClientInfo struct {
 	HIDECapable bool
 	PSMode      bool
 	// Members is the number of stations this association stands for
-	// (>1 for aggregate-cohort representatives).
+	// (>1 for cohort representatives).
 	Members int
 	// BufferedUnicast is the client's buffered downlink frame count.
 	BufferedUnicast int

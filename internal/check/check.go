@@ -18,18 +18,16 @@
 //     figure and table regeneration target against testdata snapshots
 //     with tolerance-aware comparison and an -update flag;
 //   - equivalence layers prove each execution mode exact against a
-//     reference: the cohort layer (cohort.go, an exact cohort against
-//     the same population station by station), the ESS layer (ess.go,
-//     a roam-free ESS against one plain Network per shard) and the
-//     window layer (window.go, the windowed assembly at several worker
-//     counts against its sequential run). Every side is collected by
-//     one collector (networkSide: the air fingerprint, then one entry
-//     per station and per cohort member) and compared by one
-//     comparator (diffSides: frames, fingerprint, member count, then
-//     each member's stats, arrivals and bit-identical energy); the
-//     cohort and K=1 ESS sweeps share one grid (EquivMatrix), and the
-//     oracle, equivalence and chaos grids fold their failing cells
-//     through one helper (failErr).
+//     reference: the ESS layer (ess.go, a roam-free ESS against one
+//     plain Network per shard) and the window layer (window.go, the
+//     windowed assembly at several worker counts against its
+//     sequential run). Every side is collected by one collector
+//     (networkSide in equiv.go: the air fingerprint, then one entry per
+//     station and per cohort member) and compared by one comparator
+//     (diffSides: frames, fingerprint, member count, then each member's
+//     stats, arrivals and bit-identical energy); the K=1 ESS sweep runs
+//     on one grid (EquivMatrix), and the oracle, equivalence and chaos
+//     grids fold their failing cells through one helper (failErr).
 //
 // The oracle is exposed to operators as cmd/crosscheck.
 package check

@@ -2,12 +2,14 @@ package check
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dot11"
 	"repro/internal/ess"
+	"repro/internal/policy"
 	"repro/internal/porttable"
 	"repro/internal/station"
 	"repro/internal/trace"
@@ -36,6 +38,24 @@ func TestESSEquivMatrix(t *testing.T) {
 	}
 }
 
+// TestEquivCellValidation: degenerate sizes are rejected up front, not
+// silently compared.
+func TestEquivCellValidation(t *testing.T) {
+	_, err := RunESSEquivCellContext(context.Background(), EquivCell{Policy: policy.HIDE, Scenario: trace.WRL, Size: 0},
+		EquivConfig{Duration: time.Second})
+	if err == nil || !strings.Contains(err.Error(), "size") {
+		t.Fatalf("size 0 accepted: %v", err)
+	}
+}
+
+// TestEquivCellLabel pins the report label format.
+func TestEquivCellLabel(t *testing.T) {
+	c := EquivCell{Policy: policy.HIDE, Scenario: trace.Classroom, Size: 64}
+	if got := c.String(); got != "HIDE/Classroom/n64" {
+		t.Fatalf("label %q", got)
+	}
+}
+
 // TestESSEquivCellDetectsDivergence makes sure the comparison has
 // teeth: mismatched policies on the two sides must be flagged.
 func TestESSEquivCellDetectsDivergence(t *testing.T) {
@@ -58,11 +78,10 @@ func TestESSEquivCellDetectsDivergence(t *testing.T) {
 	}
 }
 
-// TestESSAIDBoundaryMatchesNetwork pins the cohort regime at the AID
-// boundary: after one station that associates by frame exchange, a
-// cohort of MaxAID members no longer fits the AIDs still free, so a
-// K=1 ESS must make it aggregate and leave the station its AID, exactly
-// as a core.Network built the same way does.
+// TestESSAIDBoundaryMatchesNetwork pins a K=1 ESS at the AID
+// boundary: one station that associates by frame exchange and then a
+// cohort of MaxAID members behind its one association must match a
+// core.Network built the same way, every member compared.
 func TestESSAIDBoundaryMatchesNetwork(t *testing.T) {
 	tr, err := oracleTrace(trace.Classroom, 31, time.Minute)
 	if err != nil {
@@ -82,8 +101,8 @@ func TestESSAIDBoundaryMatchesNetwork(t *testing.T) {
 	if d := diffESS(es, net, EquivConfig{}.normalized().Devices, tr.Duration+dot11.DefaultBeaconInterval); d != "" {
 		t.Fatal(d)
 	}
-	if !net[0].aggregate[0] {
-		t.Fatal("a MaxAID cohort after a pending station stayed exact")
+	if got := len(net[0].stats); got != 1+int(dot11.MaxAID) {
+		t.Fatalf("compared %d members, want %d", got, 1+int(dot11.MaxAID))
 	}
 }
 
@@ -117,8 +136,7 @@ func TestESSK4MatchesIndependentNetworks(t *testing.T) {
 	if frames == 0 {
 		t.Fatal("empty frame streams")
 	}
-	// Ten stations plus cohorts of 3 and 5: every member is compared,
-	// including those of segments a lossy channel split off.
+	// Ten stations plus cohorts of 3 and 5: every member is compared.
 	if members != 18 {
 		t.Fatalf("compared %d members, want 18", members)
 	}

@@ -87,12 +87,8 @@ func runWindowSide(tr *trace.Trace, open []uint16, cfg EquivConfig, c WindowCell
 	d := newAirDigest()
 	w.Hub.Medium.SetTap(d.tap)
 	if c.Cohort {
-		coh, err := w.AddCohort(station.HIDE, open, c.Size, 1)
-		if err != nil {
+		if _, err := w.AddCohort(station.HIDE, open, c.Size, 1); err != nil {
 			return nil, err
-		}
-		if coh.Aggregate() {
-			return nil, fmt.Errorf("check: cohort of %d fell out of the exact regime", c.Size)
 		}
 	} else {
 		for i := 0; i < c.Size; i++ {

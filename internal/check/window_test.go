@@ -12,15 +12,19 @@ import (
 	"repro/internal/trace"
 )
 
+// testEquivDuration shortens the traces of the window grid. 90 seconds
+// covers several DTIM rounds of every scenario including Classroom's
+// dense bursts.
+const testEquivDuration = 90 * time.Second
+
 // TestWindowEquiv is the windowed-parallel acceptance grid: every cell
 // replays the same population at WindowWorkers 1, 2 and 4 and requires
 // the hub frame stream byte-identical and every member's counters,
 // arrivals, and energy bit-identical across the sweep — both
-// population shapes, with and without per-group fault plans. As with
-// the cohort grid the claim is per-event, so a short window that
-// crosses several DTIM rounds (suspend cycles, port-message
-// handshakes, hardened refreshes, barrier-merged retries) proves as
-// much as the full capture.
+// population shapes, with and without per-group fault plans. The claim
+// is per-event, so a short window that crosses several DTIM rounds
+// (suspend cycles, port-message handshakes, hardened refreshes,
+// barrier-merged retries) proves as much as the full capture.
 func TestWindowEquiv(t *testing.T) {
 	cells := DefaultWindowCells()
 	cfg := EquivConfig{Duration: testEquivDuration}

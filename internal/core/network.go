@@ -252,17 +252,9 @@ func (n *Network) Stations() []*station.Station {
 }
 
 // StationEnergy evaluates the Section IV model over a station's
-// recorded arrivals, honouring the station's listen interval.
+// recorded arrivals (station.Station.Energy).
 func (n *Network) StationEnergy(st *station.Station, dev energy.Profile, duration time.Duration, withOverhead bool) (energy.Breakdown, error) {
-	cfg := energy.Config{
-		Device:               dev,
-		Duration:             duration,
-		BeaconListenInterval: st.ListenInterval(),
-	}
-	if withOverhead {
-		cfg.Overhead = energy.DefaultOverhead()
-	}
-	return energy.Compute(st.Arrivals(), cfg)
+	return st.Energy(dev, duration, withOverhead)
 }
 
 // stationBase anchors the station MAC address space: station (or
@@ -316,22 +308,11 @@ func (n *Network) AddStationAt(idx int, mode station.Mode, openPorts []uint16, l
 	return n.attachStation(attachment{idx: idx, eng: n.Engine, med: n.Medium}, mode, openPorts, li)
 }
 
-// AddStationDirect is AddStationListenInterval minus the frame-level
-// association exchange: the AP assigns the AID out of band and the
-// station Joins immediately, exactly mirroring how cohorts associate —
-// the equivalence suite uses it so both sides of the cohort-vs-
-// expanded comparison share the same join path.
-func (n *Network) AddStationDirect(mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
-	return n.attachStation(attachment{idx: n.used + 1, eng: n.Engine, med: n.Medium, direct: true}, mode, openPorts, li)
-}
-
 // AddCohort attaches count identical stations as one scheduled entity
-// (station.CohortStation) and picks the representation regime
-// automatically: while the whole cohort fits the AIDs still free every
-// member is associated individually on a contiguous AID block and the
-// cohort is exact — byte-identical frames, bit-identical energy —
-// otherwise the cohort aggregates behind a single association
-// (ap.AssociateAggregate), the regime the 10⁵–10⁶ client runs use.
+// (station.CohortStation): one representative behind one association
+// (ap.AssociateAggregate) stands for every member, so populations of
+// 10⁵–10⁶ clients fit the AID space. A population that must be exact
+// is attached as stations.
 func (n *Network) AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
 	return n.AddCohortAt(n.used+1, mode, openPorts, count, li)
 }
@@ -355,12 +336,12 @@ type attachment struct {
 }
 
 // admit checks that the station numbers [at.idx, at.idx+count) fit
-// the station address space and that an AID is still free, and returns
-// the first member's configuration and the count of free AIDs: the
-// AP's, minus those owed to attached stations not yet associated.
-func (n *Network) admit(at attachment, count int, mode station.Mode, li int) (station.Config, int, error) {
+// the station address space and that an AID is still free — the AP's,
+// minus those owed to attached stations not yet associated — and
+// returns the first member's configuration.
+func (n *Network) admit(at attachment, count int, mode station.Mode, li int) (station.Config, error) {
 	if at.idx < 1 || at.idx+count-1+0x010000 >= dot11.MaxAddrBlock {
-		return station.Config{}, 0, fmt.Errorf("core: stations %d..%d exceed the station address space", at.idx, at.idx+count-1)
+		return station.Config{}, fmt.Errorf("core: stations %d..%d exceed the station address space", at.idx, at.idx+count-1)
 	}
 	free := n.AP.FreeAIDs()
 	for _, st := range n.entries {
@@ -369,18 +350,18 @@ func (n *Network) admit(at attachment, count int, mode station.Mode, li int) (st
 		}
 	}
 	if free < 1 {
-		return station.Config{}, 0, fmt.Errorf("core: association space exhausted")
+		return station.Config{}, fmt.Errorf("core: association space exhausted")
 	}
 	scfg := n.stationConfig(at.idx, mode, li)
 	scfg.AckTimeout = at.ackTimeout
-	return scfg, free, nil
+	return scfg, nil
 }
 
 // attachStation is the one path that attaches a station: it admits the
 // station, builds it on at's engine and medium with its ports open, and
 // associates it — by frame exchange, or out of band when at.direct.
 func (n *Network) attachStation(at attachment, mode station.Mode, openPorts []uint16, li int) (*station.Station, error) {
-	scfg, _, err := n.admit(at, 1, mode, li)
+	scfg, err := n.admit(at, 1, mode, li)
 	if err != nil {
 		return nil, err
 	}
@@ -404,35 +385,25 @@ func (n *Network) attachStation(at attachment, mode station.Mode, openPorts []ui
 	return st, nil
 }
 
-// attachCohort is the one path that attaches a cohort, associated out
-// of band. It is exact only while the whole block fits the free AIDs
-// admit counts; otherwise it aggregates behind one association.
+// attachCohort is the one path that attaches a cohort: its
+// representative associates out of band, behind one AID.
 func (n *Network) attachCohort(at attachment, mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
-	scfg, free, err := n.admit(at, count, mode, li)
+	scfg, err := n.admit(at, count, mode, li)
 	if err != nil {
 		return nil, err
 	}
-	exact := count <= free
-	c, err := station.NewCohort(at.eng, at.med, station.CohortConfig{
-		Config:    scfg,
-		Count:     count,
-		Aggregate: !exact,
-	})
+	c, err := station.NewCohort(at.eng, at.med, station.CohortConfig{Config: scfg, Count: count})
 	if err != nil {
 		return nil, err
 	}
 	for _, p := range openPorts {
 		c.OpenPort(p)
 	}
-	associate := n.AP.AssociateAggregate
-	if exact {
-		associate = n.AP.AssociateCohort
-	}
-	first, err := associate(scfg.Addr, count, mode == station.HIDE)
+	aid, err := n.AP.AssociateAggregate(scfg.Addr, count, mode == station.HIDE)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.JoinBlock(first); err != nil {
+	if err := c.Join(aid); err != nil {
 		return nil, err
 	}
 	n.used = max(n.used, at.idx+count-1)
@@ -440,26 +411,17 @@ func (n *Network) attachCohort(at attachment, mode station.Mode, openPorts []uin
 	return c, nil
 }
 
-// Cohorts returns the attached cohorts in attachment order (splits
-// performed by the medium or by CohortStation.Split are not re-listed;
-// query each cohort's Count for its current width).
+// Cohorts returns the attached cohorts in attachment order.
 func (n *Network) Cohorts() []*station.CohortStation {
 	return append([]*station.CohortStation(nil), n.cohorts...)
 }
 
-// CohortEnergy evaluates the Section IV model over one cohort member's
-// arrivals and returns both the per-member breakdown and the
-// cohort-wide aggregate (per-member scaled by the cohort's count).
+// CohortEnergy evaluates the Section IV model over the cohort's
+// representative (station.Station.Energy) and returns both the
+// per-member breakdown and the cohort-wide aggregate (per-member
+// scaled by the cohort's count).
 func (n *Network) CohortEnergy(c *station.CohortStation, dev energy.Profile, duration time.Duration, withOverhead bool) (member, total energy.Breakdown, err error) {
-	cfg := energy.Config{
-		Device:               dev,
-		Duration:             duration,
-		BeaconListenInterval: c.ListenInterval(),
-	}
-	if withOverhead {
-		cfg.Overhead = energy.DefaultOverhead()
-	}
-	member, err = energy.Compute(c.Arrivals(), cfg)
+	member, err = c.Template().Energy(dev, duration, withOverhead)
 	if err != nil {
 		return energy.Breakdown{}, energy.Breakdown{}, err
 	}

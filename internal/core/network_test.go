@@ -278,11 +278,11 @@ func TestNetworkAssociationOverTheAir(t *testing.T) {
 	}
 }
 
-// TestAttachBounds pins the attach path's limits. A cohort is exact
-// only while it fits the AIDs still free, which excludes the AID owed
-// to a station still associating by frame exchange, and nothing
-// attaches once no AID is free. A block of station numbers must start
-// at 1 or later and end inside the address space.
+// TestAttachBounds pins the attach path's limits. A cohort takes one
+// AID however many members it stands for. Nothing attaches once no AID
+// is free, counting the AID owed to a station still associating by
+// frame exchange. A block of station numbers must start at 1 or later
+// and end inside the address space.
 func TestAttachBounds(t *testing.T) {
 	n, err := NewNetwork(NetworkConfig{HIDE: true})
 	if err != nil {
@@ -292,12 +292,16 @@ func TestAttachBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := n.AddCohort(station.HIDE, nil, int(dot11.MaxAID)-1, 1)
-	if err != nil {
+	if _, err := n.AddCohort(station.HIDE, nil, int(dot11.MaxAID)-1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.Aggregate() {
-		t.Fatal("a cohort filling exactly the AIDs still free went aggregate")
+	if free := n.AP.FreeAIDs(); free != int(dot11.MaxAID)-1 {
+		t.Fatalf("a cohort of %d left %d AIDs free, want %d (one association)", int(dot11.MaxAID)-1, free, int(dot11.MaxAID)-1)
+	}
+	for i := 0; n.AP.FreeAIDs() > 1; i++ {
+		if _, err := n.AP.Associate(dot11.MACAddr{0x02, 0xaa, 0, 0, byte(i >> 8), byte(i)}, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := n.AddStation(station.HIDE, nil); err == nil {
 		t.Fatal("a station attached with every AID promised")

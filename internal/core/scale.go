@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/dot11"
 	"repro/internal/energy"
 	"repro/internal/station"
 	"repro/internal/trace"
@@ -70,7 +71,8 @@ type ScalePoint struct {
 // lifts the reachable population from the AID-space ceiling (2007) to
 // 10⁵–10⁶ clients. Class sizes match the round-robin assignment (port
 // i serves ⌈n/len(ports)⌉ or ⌊n/len(ports)⌋ members); per-station
-// energy comes from one member per cohort scaled by the cohort width.
+// energy comes from each cohort's representative scaled by the cohort
+// width.
 func ScaleClientsNetwork(cfg NetworkConfig, tr *trace.Trace, dev energy.Profile, sizes []int, opts Options) ([]ScalePoint, error) {
 	cfg.HIDE = true
 	hist := tr.PortHistogram()
@@ -166,19 +168,27 @@ func DefaultScaleClients(dev energy.Profile) ([]ScalePoint, error) {
 	return ScaleClientsNetwork(NetworkConfig{HIDE: true}, tr, dev, []int{1, 5, 15, 40}, Options{})
 }
 
-// DefaultScaleCohorts runs the cohort-backed scaling experiment on the
-// same standard trace at populations at and far past the 802.11
-// AID-space ceiling of 2007 associated stations. Each port class folds
-// into one CohortStation, so the protocol simulation replays the trace
-// against 10⁵–10⁶ modeled clients in milliseconds. Within the AID
-// space cohorts are exact per the equivalence suite in internal/check;
-// past it they run in the aggregate what-if regime (DESIGN.md §9).
+// DefaultScaleCohorts runs the scaling experiment on the same standard
+// trace at the 802.11 AID-space ceiling and far past it. The ceiling
+// row is 2007 individually modeled stations; past it each port class
+// folds into one aggregate CohortStation (DESIGN.md §9), so the
+// protocol simulation replays the trace against 10⁵–10⁶ modeled
+// clients in milliseconds.
 func DefaultScaleCohorts(dev energy.Profile) ([]ScalePoint, error) {
 	tr, err := defaultScaleTrace()
 	if err != nil {
 		return nil, err
 	}
-	return ScaleClientsNetwork(NetworkConfig{HIDE: true}, tr, dev, []int{2007, 100_000, 1_000_000}, Options{Cohort: 1 << 30})
+	cfg := NetworkConfig{HIDE: true}
+	pts, err := ScaleClientsNetwork(cfg, tr, dev, []int{int(dot11.MaxAID)}, Options{})
+	if err != nil {
+		return nil, err
+	}
+	agg, err := ScaleClientsNetwork(cfg, tr, dev, []int{100_000, 1_000_000}, Options{Cohort: 1 << 30})
+	if err != nil {
+		return nil, err
+	}
+	return append(pts, agg...), nil
 }
 
 // RefreshJitterPoint is one cell of the hardened-refresh congestion

@@ -158,9 +158,6 @@ func NewWindowedNetwork(cfg WindowConfig) (*WindowedNetwork, error) {
 // at which HIDE stations can react to the AP anyway.
 func (w *WindowedNetwork) Window() time.Duration { return w.window }
 
-// Groups returns the number of partitions (one per Add call).
-func (w *WindowedNetwork) Groups() int { return len(w.groups) }
-
 // newGroup builds the next partition — a fresh engine and a medium
 // replica with a group-indexed seed, the shared Loss knob, and the
 // group's own fault plan, its transmissions captured for the barrier
@@ -227,11 +224,8 @@ func (w *WindowedNetwork) AddStationListenInterval(mode station.Mode, openPorts 
 	return st, nil
 }
 
-// AddCohort attaches count identical stations as one cohort block in
-// its own partition, with Network.AddCohort's exact/aggregate regime.
-// Splits the fault plan forces stay inside the group: the carved
-// segments live on the group's medium and keep their addresses inside
-// the block's contiguous span.
+// AddCohort attaches count identical stations as one cohort in its own
+// partition, built as Network.AddCohort builds it.
 func (w *WindowedNetwork) AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
 	g, at, err := w.newGroup()
 	if err != nil {

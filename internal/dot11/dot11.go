@@ -65,8 +65,8 @@ const MaxAddrBlock = 1 << addrBlockBits
 
 // AddrAdd returns the i-th address of the block starting at base: the
 // low three octets act as a 24-bit big-endian counter, the top three
-// (the OUI) are untouched. Cohort stations derive member addresses this
-// way, so a block of N members occupies N consecutive addresses.
+// (the OUI) are untouched. Station numbers map to addresses this way,
+// so a cohort of N members reserves N consecutive addresses.
 func AddrAdd(base MACAddr, i int) MACAddr {
 	v := uint32(base[3])<<16 | uint32(base[4])<<8 | uint32(base[5])
 	v += uint32(i)

@@ -93,19 +93,6 @@ func (t TIM) Element() (Element, error) {
 	return Element{ID: ElementIDTIM, Body: body}, nil
 }
 
-// ParseTIM decodes a TIM element body into a TIM that owns a copy of
-// its bitmap.
-func ParseTIM(e Element) (TIM, error) {
-	if e.ID != ElementIDTIM {
-		return TIM{}, fmt.Errorf("%w: element id %d is not TIM", ErrBadElement, e.ID)
-	}
-	t, err := readTIM(e.Body)
-	if err != nil {
-		return TIM{}, err
-	}
-	return t.clone(), nil
-}
-
 // readTIM decodes a TIM element body in place: the partial bitmap
 // aliases body.
 func readTIM(body []byte) (TIM, error) {

@@ -140,8 +140,8 @@ func (b Breakdown) TotalJ() float64 { return b.EbJ + b.EfJ + b.EwlJ + b.EstJ + b
 // AvgPowerW) are intensive and stay put. Each component is a single
 // float64 multiply, so Scale(n) is bit-identical to what IEEE-754
 // summation of n identical addends would round to only when n is a
-// power of two; the cohort equivalence contract therefore compares
-// per-member breakdowns, and Scale is the reporting convenience.
+// power of two; comparisons therefore use per-member breakdowns, and
+// Scale is the reporting convenience.
 func (b Breakdown) Scale(n int) Breakdown {
 	f := float64(n)
 	b.EbJ *= f

@@ -108,13 +108,14 @@ type Config struct {
 
 // Stats aggregates ESS-level protocol activity.
 type Stats struct {
-	// Roams counts completed handoffs (cohort handoffs included);
-	// CohortRoams is the cohort subset.
+	// Roams counts completed handoffs. CohortRoams is always 0:
+	// cohorts stand for their members behind one association and stay
+	// on the AP they attached to. The field keeps recorded outputs in
+	// shape.
 	Roams       int
 	CohortRoams int
 	// RoamsDeferred counts mobility hits that could not move the
-	// client this window (mid-handshake cohorts, crashed or
-	// unassociated stations).
+	// client this window (crashed or unassociated stations).
 	RoamsDeferred int
 	// Reassociations sums the reassociation exchanges served by all
 	// APs (retries make it ≥ Roams for station roams).
@@ -147,31 +148,24 @@ type homedStation struct {
 	mode station.Mode
 }
 
-// homedCohort pairs a cohort with its mode.
-type homedCohort struct {
-	c    *station.CohortStation
-	mode station.Mode
-}
-
 // Shard is one AP's slice of the ESS: a complete single-BSS assembly
 // plus the DS queue and miss counters local to its event loop.
 type Shard struct {
 	// Net is the shard's single-BSS assembly (engine, medium, AP). Its
-	// Stations and Cohorts list the clients attached to this shard,
-	// wherever they have roamed since.
+	// Stations and Cohorts list the clients attached to this shard;
+	// stations stay listed wherever they have roamed since.
 	Net *core.Network
 
 	idx      int
 	dsQueue  []dsRecord
 	stations []homedStation // clients homed here; mutated only at barriers
-	cohorts  []homedCohort
 
 	wantedMisses int
 	resyncMisses int
 }
 
 // BeaconBuilt implements ap.Observer: on every DTIM with buffered
-// group traffic it charges a wanted-frame miss for each HIDE client
+// group traffic it charges a wanted-frame miss for each HIDE station
 // homed on this shard that listens on a buffered frame's port but
 // whose BTIM bit is clear. It runs on the shard's event loop and
 // touches only shard-local clients, so windows stay race-free.
@@ -198,37 +192,11 @@ func (sh *Shard) BeaconBuilt(now time.Duration, v ap.BeaconView) {
 			sh.resyncMisses += wanted
 		}
 	}
-	for _, h := range sh.cohorts {
-		if h.mode != station.HIDE {
-			continue
-		}
-		for _, seg := range h.c.Segments() {
-			if seg.Aggregate() {
-				continue
-			}
-			wanted := 0
-			for _, p := range v.BufferedPorts {
-				if seg.ListensOn(p) {
-					wanted++
-				}
-			}
-			// Members share one port set and one synced port table, so
-			// the first member's bit stands for the block.
-			if wanted == 0 || btim.UsefulBroadcastBuffered(seg.BaseAID()) {
-				continue
-			}
-			sh.wantedMisses += wanted * seg.Count()
-			if !seg.Synced() {
-				sh.resyncMisses += wanted * seg.Count()
-			}
-		}
-	}
 }
 
-// member is one roamable client in global attachment order.
+// member is one roamable station in global attachment order.
 type member struct {
-	st    *station.Station       // nil for cohorts
-	coh   *station.CohortStation // nil for stations
+	st    *station.Station
 	mode  station.Mode
 	shard int
 }
@@ -323,9 +291,8 @@ func (e *ESS) AddStation(mode station.Mode, openPorts []uint16, li int) (*statio
 }
 
 // AddCohort attaches a cohort to the next shard (round-robin) through
-// the shard Network's AddCohortAt, which picks the exact or aggregate
-// regime from that shard's AID space. Exact cohorts roam as a unit via
-// the cohort-aware handoff.
+// the shard Network's AddCohortAt. A cohort stands for its members
+// behind one association and does not roam.
 func (e *ESS) AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*station.CohortStation, error) {
 	sh := e.shards[e.placed%len(e.shards)]
 	c, err := sh.Net.AddCohortAt(e.used+1, mode, openPorts, count, li)
@@ -334,39 +301,23 @@ func (e *ESS) AddCohort(mode station.Mode, openPorts []uint16, count, li int) (*
 	}
 	e.used += count
 	e.placed++
-	sh.cohorts = append(sh.cohorts, homedCohort{c: c, mode: mode})
-	e.members = append(e.members, &member{coh: c, mode: mode, shard: sh.idx})
 	return c, nil
 }
 
 // Stations returns the individually-modeled stations in global
 // attachment order, regardless of which shard they currently home on.
 func (e *ESS) Stations() []*station.Station {
-	var out []*station.Station
-	for _, m := range e.members {
-		if m.st != nil {
-			out = append(out, m.st)
-		}
-	}
-	return out
-}
-
-// Cohorts returns the cohorts in global attachment order.
-func (e *ESS) Cohorts() []*station.CohortStation {
-	var out []*station.CohortStation
-	for _, m := range e.members {
-		if m.coh != nil {
-			out = append(out, m.coh)
-		}
+	out := make([]*station.Station, len(e.members))
+	for i, m := range e.members {
+		out[i] = m.st
 	}
 	return out
 }
 
 // StationEnergy prices a station's recorded arrivals with the Section
-// IV model; arrivals and listen interval are station-local, so any
-// shard's assembly can do the pricing.
+// IV model (station.Station.Energy).
 func (e *ESS) StationEnergy(st *station.Station, dev energy.Profile, duration time.Duration, withOverhead bool) (energy.Breakdown, error) {
-	return e.shards[0].Net.StationEnergy(st, dev, duration, withOverhead)
+	return st.Energy(dev, duration, withOverhead)
 }
 
 // RunContext replays the broadcast trace through every AP (the same
@@ -427,7 +378,7 @@ func (e *ESS) mergeDS() {
 	}
 }
 
-// applyRoams tosses every client against the per-window roam
+// applyRoams tosses every station against the per-window roam
 // probability, in global attachment order with a single RNG stream —
 // the same mobility sequence for any worker count.
 func (e *ESS) applyRoams() error {
@@ -454,59 +405,23 @@ func (e *ESS) applyRoams() error {
 	return nil
 }
 
-// roam moves one client from its current shard to tgt at the current
-// barrier. Stations leave with a disassociation frame and reassociate
-// on the new shard; exact cohorts hand off as a block.
+// roam moves one station from its current shard to tgt at the current
+// barrier: it leaves with a disassociation frame and reassociates on
+// the new shard.
 func (e *ESS) roam(m *member, tgt int) error {
 	old, nw := e.shards[m.shard], e.shards[tgt]
-	if m.st != nil {
-		st := m.st
-		if !st.Associated() || st.Crashed() {
-			e.stats.RoamsDeferred++
-			return nil
-		}
-		st.Leave(dot11.ReasonStationLeft)
-		st.Migrate(nw.Net.Engine, nw.Net.Medium, nw.Net.BSSID)
-		st.Reassociate(nw.Net.SSID, old.Net.BSSID)
-		old.removeStation(st)
-		nw.stations = append(nw.stations, homedStation{st: st, mode: m.mode})
-		m.shard = tgt
-		e.stats.Roams++
-		return nil
-	}
-	c := m.coh
-	if err := c.Handoff(nw.Net.Engine, nw.Net.Medium, nw.Net.BSSID); err != nil {
-		// Aggregate, split, or mid-handshake cohorts stay put; the next
-		// mobility hit retries.
+	st := m.st
+	if !st.Associated() || st.Crashed() {
 		e.stats.RoamsDeferred++
 		return nil
 	}
-	for i := 0; i < c.Count(); i++ {
-		old.Net.AP.Disassociate(c.MemberAddr(i))
-	}
-	first, err := nw.Net.AP.AssociateCohort(c.BaseAddr(), c.Count(), m.mode == station.HIDE)
-	if err != nil {
-		return fmt.Errorf("ess: cohort roam re-association: %w", err)
-	}
-	if err := c.RejoinBlock(first); err != nil {
-		return err
-	}
-	if e.cfg.Replicate {
-		// Cohorts associate out of band, so the warm seed is applied out
-		// of band too — one directory lookup per member, mirroring what
-		// the AP does for a station's reassociation frame.
-		for i := 0; i < c.Count(); i++ {
-			if ports := e.dir[c.MemberAddr(i)]; ports != nil {
-				nw.Net.AP.Table().UpdateAt(first+dot11.AID(i), ports, e.now)
-				e.stats.PortsSeededOnRoam += len(ports)
-			}
-		}
-	}
-	old.removeCohort(c)
-	nw.cohorts = append(nw.cohorts, homedCohort{c: c, mode: m.mode})
+	st.Leave(dot11.ReasonStationLeft)
+	st.Migrate(nw.Net.Engine, nw.Net.Medium, nw.Net.BSSID)
+	st.Reassociate(nw.Net.SSID, old.Net.BSSID)
+	old.removeStation(st)
+	nw.stations = append(nw.stations, homedStation{st: st, mode: m.mode})
 	m.shard = tgt
 	e.stats.Roams++
-	e.stats.CohortRoams++
 	return nil
 }
 
@@ -516,17 +431,6 @@ func (sh *Shard) removeStation(st *station.Station) {
 	for i := range sh.stations {
 		if sh.stations[i].st == st {
 			sh.stations = append(sh.stations[:i], sh.stations[i+1:]...)
-			return
-		}
-	}
-}
-
-// removeCohort drops a cohort from the shard's homed list, preserving
-// order.
-func (sh *Shard) removeCohort(c *station.CohortStation) {
-	for i := range sh.cohorts {
-		if sh.cohorts[i].c == c {
-			sh.cohorts = append(sh.cohorts[:i], sh.cohorts[i+1:]...)
 			return
 		}
 	}

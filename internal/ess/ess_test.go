@@ -231,7 +231,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestCohortHandoff(t *testing.T) {
+// TestCohortsStayHome: a cohort stands for its members behind one
+// association, so in a roaming ESS it stays on the AP it attached to
+// while the stations around it roam.
+func TestCohortsStayHome(t *testing.T) {
 	tr := testTrace(t, trace.Starbucks, 2*time.Minute)
 	e, err := New(Config{
 		APs:       2,
@@ -247,31 +250,25 @@ func TestCohortHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := e.AddStation(station.HIDE, []uint16{5353}, 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.RunContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.CohortRoams == 0 {
-		t.Fatalf("no cohort roams (stats %+v)", s)
+	if s.Roams == 0 || s.CohortRoams != 0 {
+		t.Fatalf("want station roams and no cohort roams, got %+v", s)
 	}
-	if c.Count() != 5 {
-		t.Fatalf("cohort width changed: %d", c.Count())
+	home := e.Shards()[0].Net.AP
+	aid, ok := home.AIDOf(c.Template().Addr())
+	if !ok {
+		t.Fatal("cohort left its home AP")
 	}
-	// The roamed-to AP must know every member.
-	home := e.Shards()[e.members[0].shard].Net.AP
-	for i := 0; i < 5; i++ {
-		found := false
-		for _, sh := range e.Shards() {
-			if sh.Net.AP == home {
-				found = true
-			}
+	for _, ci := range home.ClientList() {
+		if ci.AID == aid && ci.Members != 5 {
+			t.Fatalf("home AP holds the cohort as %d members, want 5", ci.Members)
 		}
-		if !found {
-			t.Fatal("cohort's home AP not among shards")
-		}
-	}
-	if home.Members() < 5 {
-		t.Fatalf("home AP holds %d members, want ≥5", home.Members())
 	}
 }
 

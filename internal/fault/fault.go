@@ -261,23 +261,16 @@ func Silence(addr dot11.MACAddr, from time.Duration) Plan {
 // broadcast lost beyond the faulted frame itself"). It adds no
 // randomness of its own.
 type Recorder struct {
-	inner    Plan
-	drops    map[dot11.FrameKind]int
-	corrupts map[dot11.FrameKind]int
-	dups     map[dot11.FrameKind]int
-	dataRcv  map[dot11.MACAddr]int // data-frame drops+corruptions per receiver
-	total    int
-	last     time.Duration
+	inner   Plan
+	dataRcv map[dot11.MACAddr]int // data-frame drops+corruptions per receiver
+	total   int
 }
 
 // NewRecorder wraps inner.
 func NewRecorder(inner Plan) *Recorder {
 	return &Recorder{
-		inner:    inner,
-		drops:    make(map[dot11.FrameKind]int),
-		corrupts: make(map[dot11.FrameKind]int),
-		dups:     make(map[dot11.FrameKind]int),
-		dataRcv:  make(map[dot11.MACAddr]int),
+		inner:   inner,
+		dataRcv: make(map[dot11.MACAddr]int),
 	}
 }
 
@@ -287,31 +280,12 @@ func (r *Recorder) Deliver(d Delivery, rng *sim.RNG) Verdict {
 	if !v.Faulty() {
 		return v
 	}
-	if v.Drop {
-		r.drops[d.Kind]++
-	}
-	if v.Corrupt {
-		r.corrupts[d.Kind]++
-	}
-	if v.Duplicate {
-		r.dups[d.Kind]++
-	}
 	if d.Kind == dot11.KindData && (v.Drop || v.Corrupt) {
 		r.dataRcv[d.Rcv]++
 	}
 	r.total++
-	r.last = d.At
 	return v
 }
-
-// Drops returns the dropped deliveries of one kind.
-func (r *Recorder) Drops(k dot11.FrameKind) int { return r.drops[k] }
-
-// Corrupts returns the corrupted deliveries of one kind.
-func (r *Recorder) Corrupts(k dot11.FrameKind) int { return r.corrupts[k] }
-
-// Duplicates returns the duplicated deliveries of one kind.
-func (r *Recorder) Duplicates(k dot11.FrameKind) int { return r.dups[k] }
 
 // DataFaults returns how many data-frame deliveries to rcv were
 // dropped or corrupted — the per-receiver bound on legitimately lost
@@ -320,6 +294,3 @@ func (r *Recorder) DataFaults(rcv dot11.MACAddr) int { return r.dataRcv[rcv] }
 
 // Total returns the number of faulted deliveries of any kind.
 func (r *Recorder) Total() int { return r.total }
-
-// LastFaultAt returns the virtual time of the most recent fault.
-func (r *Recorder) LastFaultAt() time.Duration { return r.last }

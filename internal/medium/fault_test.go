@@ -143,3 +143,25 @@ func TestNilPlanDrawsNoRandomness(t *testing.T) {
 		t.Errorf("fault-free run consumed medium randomness: next draw %d, want %d", got, want)
 	}
 }
+
+// TestBlockTakesOneVerdict: a node attached for a block of receivers
+// is judged once per frame, and the verdict counts for every member.
+func TestBlockTakesOneVerdict(t *testing.T) {
+	eng := sim.New()
+	m := New(eng, dot11.DefaultPHY(), 1)
+	rec := fault.NewRecorder(fault.Loss{P: 1})
+	m.SetFaultPlan(rec)
+	m.Attach(apAddr, &recorder{})
+	m.Attach(s1Addr, &recorder{})
+	if err := m.AttachBlock(s2Addr, 4, &recorder{}); err != nil {
+		t.Fatal(err)
+	}
+	m.Transmit(apAddr, beaconRaw(t), dot11.Rate1Mbps)
+	eng.Run()
+	if rec.Total() != 2 {
+		t.Errorf("judged %d deliveries, want 2 (the station and the block)", rec.Total())
+	}
+	if m.Stats.Losses != 5 {
+		t.Errorf("counted %d losses, want 5 (the station and 4 members)", m.Stats.Losses)
+	}
+}

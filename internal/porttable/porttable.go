@@ -29,19 +29,12 @@ type Table struct {
 	portBits  map[uint16]*dot11.VirtualBitmap // reverse index: port → listener AID bitmap
 	byClient  map[dot11.AID][]uint16
 	refreshed map[dot11.AID]time.Duration
-	// counts carries the multiplicity of cohort entries (absent = 1):
-	// an entry at aid with count c stands for the contiguous AID block
-	// [aid, aid+c), whose bits are materialized into portBits at update
-	// time so OrListeners stays a single OR. Blocks must not overlap
-	// any other registration — the AP's sequential AID allocator
-	// guarantees that.
-	counts map[dot11.AID]int
-	gen    uint64 // bumped whenever the port → client mapping changes; lets callers cache derived state
-	ops    OpCounts
+	gen       uint64 // bumped whenever the port → client mapping changes; lets callers cache derived state
+	ops       OpCounts
 	// floor is a lower bound on every refresh stamp, so ExpireBefore
 	// returns at once while no entry can be stale.
 	floor time.Duration
-	// uniq and seen are updateBlock's deduplication scratch: the
+	// uniq and seen are UpdateAt's deduplication scratch: the
 	// deduplicated ports, and one bit per port number (8 KiB, allocated
 	// on first use) set only while a refresh is being deduplicated.
 	uniq []uint16
@@ -62,7 +55,6 @@ func New() *Table {
 		portBits:  make(map[uint16]*dot11.VirtualBitmap),
 		byClient:  make(map[dot11.AID][]uint16),
 		refreshed: make(map[dot11.AID]time.Duration),
-		counts:    make(map[dot11.AID]int),
 	}
 }
 
@@ -78,29 +70,6 @@ func (t *Table) init() {
 	if t.refreshed == nil {
 		t.refreshed = make(map[dot11.AID]time.Duration)
 	}
-	if t.counts == nil {
-		t.counts = make(map[dot11.AID]int)
-	}
-}
-
-// countOf returns the multiplicity of a client entry (1 for
-// individually-registered clients).
-func (t *Table) countOf(aid dot11.AID) int {
-	if c, ok := t.counts[aid]; ok {
-		return c
-	}
-	return 1
-}
-
-// blockEnd returns the last AID of an entry's block that fits the
-// bitmap space; members past dot11.MaxAID have no bit (they exist only
-// through the entry's count — see ListenerCount).
-func blockEnd(aid dot11.AID, count int) dot11.AID {
-	hi := int64(aid) + int64(count) - 1
-	if hi > int64(dot11.MaxAID) {
-		hi = int64(dot11.MaxAID)
-	}
-	return dot11.AID(hi)
 }
 
 // Gen returns the table's mutation generation: it changes exactly when
@@ -123,35 +92,15 @@ func (t *Table) Update(aid dot11.AID, ports []uint16) {
 // UpdateAt is Update with a refresh timestamp: the entry's TTL clock
 // (see ExpireBefore) restarts at now. The AP stamps the virtual
 // arrival time of the UDP Port Message that carried the refresh.
-func (t *Table) UpdateAt(aid dot11.AID, ports []uint16, now time.Duration) {
-	t.updateBlock(aid, 1, ports, now)
-}
-
-// UpdateCohortAt is UpdateAt for a cohort entry: the client at aid
-// stands for count stations occupying the contiguous AID block
-// [aid, aid+count). Every block bit that fits the AID space is
-// materialized into the reverse index, so Algorithm 1's OrListeners
-// needs no cohort awareness, and the entry prices as ONE refresh in
-// the delay model — that constancy is the cohort scaling win.
-func (t *Table) UpdateCohortAt(aid dot11.AID, count int, ports []uint16, now time.Duration) error {
-	if count < 1 {
-		return fmt.Errorf("porttable: cohort count %d < 1", count)
-	}
-	t.updateBlock(aid, count, ports, now)
-	return nil
-}
-
-// updateBlock replaces the port set for a (possibly multi-member)
-// client entry. count == 1 is exactly the historical UpdateAt path.
 // Every refresh prices as deleting the old ports and inserting the new
-// ones (Eq. 25), but one that re-announces the stored set for the same
-// block changes no mapping: it keeps the message's port order, restarts
-// the TTL clock and leaves Gen alone.
-func (t *Table) updateBlock(aid dot11.AID, count int, ports []uint16, now time.Duration) {
+// ones (Eq. 25), but one that re-announces the stored set changes no
+// mapping: it keeps the message's port order, restarts the TTL clock
+// and leaves Gen alone.
+func (t *Table) UpdateAt(aid dot11.AID, ports []uint16, now time.Duration) {
 	t.init()
 	old := t.byClient[aid]
 	uniq, same := t.dedup(ports, old)
-	if same && len(old) > 0 && t.countOf(aid) == count {
+	if same && len(old) > 0 {
 		copy(old, uniq)
 		t.ops.Deletes += len(old)
 		t.ops.Inserts += len(uniq)
@@ -161,14 +110,11 @@ func (t *Table) updateBlock(aid dot11.AID, count int, ports []uint16, now time.D
 	if len(old) > 0 || len(uniq) > 0 {
 		t.gen++
 	}
-	oldEnd := blockEnd(aid, t.countOf(aid))
 	for _, p := range old {
 		if set := t.byPort[p]; set != nil {
 			delete(set, aid)
 			if bits := t.portBits[p]; bits != nil {
-				for a := aid; a <= oldEnd; a++ {
-					bits.Clear(a)
-				}
+				bits.Clear(aid)
 			}
 			if len(set) == 0 {
 				delete(t.byPort, p)
@@ -179,12 +125,10 @@ func (t *Table) updateBlock(aid dot11.AID, count int, ports []uint16, now time.D
 	}
 	delete(t.byClient, aid)
 	delete(t.refreshed, aid)
-	delete(t.counts, aid)
 
 	if len(uniq) == 0 {
 		return
 	}
-	end := blockEnd(aid, count)
 	for _, p := range uniq {
 		set := t.byPort[p]
 		if set == nil {
@@ -197,18 +141,13 @@ func (t *Table) updateBlock(aid dot11.AID, count int, ports []uint16, now time.D
 			bits = new(dot11.VirtualBitmap)
 			t.portBits[p] = bits
 		}
-		for a := aid; a <= end; a++ {
-			bits.Set(a)
-		}
+		bits.Set(aid)
 		t.ops.Inserts++
 	}
 	// Stored lists are never handed out (Ports copies), so the old
 	// list's storage can take the new one.
 	t.byClient[aid] = append(old[:0], uniq...)
 	t.stamp(aid, now)
-	if count > 1 {
-		t.counts[aid] = count
-	}
 }
 
 // dedup collapses repeated ports, keeping first occurrences in order,
@@ -317,47 +256,10 @@ func (t *Table) OrListeners(port uint16, dst *dot11.VirtualBitmap) bool {
 	return true
 }
 
-// Listening reports whether the client has the port open. A cohort
-// entry answers for every member AID in its block.
+// Listening reports whether the client has the port open.
 func (t *Table) Listening(port uint16, aid dot11.AID) bool {
-	if _, ok := t.byPort[port][aid]; ok {
-		return ok
-	}
-	// Block entries never overlap (AIDs are allocated sequentially), so
-	// at most one covers the AID; the full scan keeps the answer
-	// independent of map iteration order.
-	open := false
-	for base, c := range t.counts {
-		if aid >= base && int(aid-base) < c {
-			if _, ok := t.byPort[port][base]; ok {
-				open = true
-			}
-		}
-	}
-	return open
-}
-
-// ListenerCount returns the number of stations listening on port,
-// counting each cohort entry with its multiplicity.
-func (t *Table) ListenerCount(port uint16) int {
-	n := 0
-	for aid := range t.byPort[port] {
-		n += t.countOf(aid)
-	}
-	return n
-}
-
-// Members returns the number of stations the table's entries stand
-// for, counting each cohort entry with its multiplicity (compare
-// Clients, which counts entries).
-func (t *Table) Members() int {
-	n := len(t.byClient)
-	for aid, c := range t.counts {
-		if _, ok := t.byClient[aid]; ok {
-			n += c - 1
-		}
-	}
-	return n
+	_, ok := t.byPort[port][aid]
+	return ok
 }
 
 // Ports returns the client's current open ports (the stored copy is

@@ -21,11 +21,10 @@ type refTable struct {
 
 type refEntry struct {
 	ports []uint16 // deduplicated, first occurrences in message order
-	count int
 	at    time.Duration
 }
 
-func (r *refTable) update(aid dot11.AID, count int, ports []uint16, now time.Duration) {
+func (r *refTable) update(aid dot11.AID, ports []uint16, now time.Duration) {
 	r.ops.Deletes += len(r.entries[aid].ports)
 	delete(r.entries, aid)
 	var uniq []uint16
@@ -38,7 +37,7 @@ func (r *refTable) update(aid dot11.AID, count int, ports []uint16, now time.Dur
 		return
 	}
 	r.ops.Inserts += len(uniq)
-	r.entries[aid] = refEntry{ports: uniq, count: count, at: now}
+	r.entries[aid] = refEntry{ports: uniq, at: now}
 }
 
 func (r *refTable) expireBefore(cutoff time.Duration) []dot11.AID {
@@ -50,22 +49,20 @@ func (r *refTable) expireBefore(cutoff time.Duration) []dot11.AID {
 	}
 	slices.Sort(stale)
 	for _, aid := range stale {
-		r.update(aid, 1, nil, 0)
+		r.update(aid, nil, 0)
 	}
 	return stale
 }
 
 // lookup is Lookup and OrListeners in one: the sorted listener AIDs and
-// the bitmap of every block member that fits the AID space.
+// their bitmap.
 func (r *refTable) lookup(port uint16) ([]dot11.AID, dot11.VirtualBitmap) {
 	var aids []dot11.AID
 	var bits dot11.VirtualBitmap
 	for aid, e := range r.entries {
 		if slices.Contains(e.ports, port) {
 			aids = append(aids, aid)
-			for a := aid; a <= blockEnd(aid, e.count); a++ {
-				bits.Set(a)
-			}
+			bits.Set(aid)
 		}
 	}
 	slices.Sort(aids)
@@ -73,7 +70,7 @@ func (r *refTable) lookup(port uint16) ([]dot11.AID, dot11.VirtualBitmap) {
 }
 
 // mapping renders the port → client mapping canonically: every entry's
-// AID, block width and port set. Gen must change exactly when it does.
+// AID and port set. Gen must change exactly when it does.
 func (r *refTable) mapping() string {
 	aids := make([]dot11.AID, 0, len(r.entries))
 	for aid := range r.entries {
@@ -83,26 +80,25 @@ func (r *refTable) mapping() string {
 	out := ""
 	for _, aid := range aids {
 		e := r.entries[aid]
-		out += fmt.Sprintf("%d×%d:%v;", aid, e.count, sortedUint16(e.ports))
+		out += fmt.Sprintf("%d:%v;", aid, sortedUint16(e.ports))
 	}
 	return out
 }
 
-// Universes of the refresh property test. Cohort blocks based at
-// refAIDs never overlap for widths up to 9, and the last one reaches
-// past dot11.MaxAID, where members have no bit.
+// Universes of the refresh property test, from the first AID to the
+// last.
 var (
-	refAIDs  = []dot11.AID{1, 10, 20, 30, 2003}
+	refAIDs  = []dot11.AID{1, 10, 20, 30, dot11.MaxAID}
 	refPorts = []uint16{0, 53, 67, 123, 1900, 5353, 65535}
 )
 
 // TestRefreshMatchesReference drives Table and the always-delete,
-// always-scan reference through random UpdateAt, UpdateCohortAt,
-// Remove and ExpireBefore scripts full of repeated identical refreshes,
-// duplicated and reordered ports and block-width changes, and compares
-// every view after every step: Lookup, OrListeners, Listening,
-// ListenerCount, Ports, RefreshedAt, Members, Clients, Len, Ops and
-// ExpireBefore's result. Gen must change exactly when the mapping does.
+// always-scan reference through random UpdateAt, Remove and
+// ExpireBefore scripts full of repeated identical refreshes and
+// duplicated and reordered ports, and compares every view after every
+// step: Lookup, OrListeners, Listening, Ports, RefreshedAt, Clients,
+// Len, Ops and ExpireBefore's result. Gen must change exactly when the
+// mapping does.
 func TestRefreshMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,21 +119,13 @@ func TestRefreshMatchesReference(t *testing.T) {
 			case op < 6:
 				ports := randomPorts(rng, last[aid])
 				last[aid] = ports
-				count := 1
-				if rng.Intn(3) == 0 {
-					count = 1 + rng.Intn(9)
-				}
-				desc = fmt.Sprintf("update %d×%d %v at %v", aid, count, ports, at)
-				if count == 1 && rng.Intn(2) == 0 {
-					tab.UpdateAt(aid, ports, at)
-				} else if err := tab.UpdateCohortAt(aid, count, ports, at); err != nil {
-					t.Fatal(err)
-				}
-				ref.update(aid, count, ports, at)
+				desc = fmt.Sprintf("update %d %v at %v", aid, ports, at)
+				tab.UpdateAt(aid, ports, at)
+				ref.update(aid, ports, at)
 			case op < 7:
 				desc = fmt.Sprintf("remove %d", aid)
 				tab.Remove(aid)
-				ref.update(aid, 1, nil, 0)
+				ref.update(aid, nil, 0)
 			default:
 				cutoff := now - time.Duration(rng.Intn(400))*time.Millisecond
 				desc = fmt.Sprintf("expire before %v", cutoff)
@@ -193,22 +181,15 @@ func compareRef(tab *Table, ref *refTable) error {
 		if hit := tab.OrListeners(p, &bits); hit != (len(wantAIDs) > 0) || bits != wantBits {
 			return fmt.Errorf("OrListeners(%d) = %v with a different bitmap, reference %v", p, hit, wantAIDs)
 		}
-		n := 0
-		for _, aid := range wantAIDs {
-			n += ref.entries[aid].count
-		}
-		if got := tab.ListenerCount(p); got != n {
-			return fmt.Errorf("ListenerCount(%d) = %d, reference %d", p, got, n)
-		}
-		for _, base := range refAIDs { // block edges, and one AID either side
-			for _, a := range []dot11.AID{base - 1, base, base + 1, base + 4, base + 8, base + 9} {
-				if got := tab.Listening(p, a); got != refListening(ref, p, a) {
+		for _, base := range refAIDs { // each client, and one AID either side
+			for _, a := range []dot11.AID{base - 1, base, base + 1} {
+				if got := tab.Listening(p, a); got != slices.Contains(ref.entries[a].ports, p) {
 					return fmt.Errorf("Listening(%d, %d) = %v", p, a, got)
 				}
 			}
 		}
 	}
-	members, pairs := 0, 0
+	pairs := 0
 	for _, aid := range refAIDs {
 		e, ok := ref.entries[aid]
 		if got := tab.Ports(aid); !slices.Equal(got, e.ports) {
@@ -217,27 +198,16 @@ func compareRef(tab *Table, ref *refTable) error {
 		if at, has := tab.RefreshedAt(aid); has != ok || at != e.at {
 			return fmt.Errorf("RefreshedAt(%d) = %v %v, reference %v %v", aid, at, has, e.at, ok)
 		}
-		members += e.count
 		pairs += len(e.ports)
 	}
-	if tab.Members() != members || tab.Clients() != len(ref.entries) || tab.Len() != pairs {
-		return fmt.Errorf("Members/Clients/Len = %d/%d/%d, reference %d/%d/%d",
-			tab.Members(), tab.Clients(), tab.Len(), members, len(ref.entries), pairs)
+	if tab.Clients() != len(ref.entries) || tab.Len() != pairs {
+		return fmt.Errorf("Clients/Len = %d/%d, reference %d/%d",
+			tab.Clients(), tab.Len(), len(ref.entries), pairs)
 	}
 	if tab.Ops() != ref.ops {
 		return fmt.Errorf("Ops = %+v, reference %+v", tab.Ops(), ref.ops)
 	}
 	return nil
-}
-
-// refListening reports whether aid falls in a block listening on port.
-func refListening(ref *refTable, port uint16, aid dot11.AID) bool {
-	for base, e := range ref.entries {
-		if aid >= base && int(aid-base) < e.count && slices.Contains(e.ports, port) {
-			return true
-		}
-	}
-	return false
 }
 
 // TestAllocBudgetRefresh pins the table's steady state at zero

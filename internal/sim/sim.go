@@ -94,11 +94,10 @@ func (h Handle) Cancel() bool {
 }
 
 // Slot identifies an event's position within its instant's firing
-// order. An entity standing for many identical members (a cohort)
-// schedules one event at a normal slot; when members peel off, each
-// mirrors the pending event at the source's slot offset by its member
-// index, so same-instant firing follows member order no matter what
-// order — or how late — the members were carved off.
+// order. An entity that queues a sequence of events one at a time (a
+// trace replay) schedules the first at a normal slot and event i at
+// that slot offset by i, so same-instant firing follows sequence order
+// no matter how late each event is queued.
 type Slot struct {
 	seq, sub uint64
 }

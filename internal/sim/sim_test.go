@@ -270,39 +270,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(77)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if mean < -0.02 || mean > 0.02 {
-		t.Fatalf("NormFloat64 mean = %v, want ~0", mean)
-	}
-	if variance < 0.95 || variance > 1.05 {
-		t.Fatalf("NormFloat64 variance = %v, want ~1", variance)
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	for n := 0; n < 50; n++ {
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestRunUntilInterrupt(t *testing.T) {
 	e := New()
 	var fired []time.Duration

@@ -32,16 +32,16 @@ func cohortRig(t *testing.T, count int) (*sim.Engine, *CohortStation) {
 		t.Fatal(err)
 	}
 	c.OpenPort(5353)
-	first, err := a.AssociateCohort(c.BaseAddr(), count, true)
+	aid, err := a.AssociateAggregate(c.tmpl.Addr(), count, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.JoinBlock(first); err != nil {
+	if err := c.Join(aid); err != nil {
 		t.Fatal(err)
 	}
 	a.Start()
 	eng.RunUntil(2 * time.Second)
-	if !c.Suspended() {
+	if !c.tmpl.Suspended() {
 		t.Fatal("cohort not suspended after handshake")
 	}
 	return eng, c
@@ -62,51 +62,23 @@ func TestAllocBudgetCohortAsleepReceive(t *testing.T) {
 		Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{DstPort: 9999, Payload: make([]byte, 160)}),
 	}).Marshal()
 	now := eng.Now()
-	for i := 0; i < 8; i++ {
-		c.Receive(frame, dot11.Rate11Mbps, now)
-	}
-	if c.Count() != 64 {
-		t.Fatalf("warm-up split the cohort to %d members", c.Count())
-	}
 	allocs := testing.AllocsPerRun(200, func() {
-		c.Receive(frame, dot11.Rate11Mbps, now)
+		c.tmpl.Receive(frame, dot11.Rate11Mbps, now)
 	})
 	if allocs != 0 {
 		t.Fatalf("asleep group receive: %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// TestAllocBudgetCohortRoutedReceive covers the same path through the
-// medium's routed hand-off (ReceiveAs), which the emulated Medium
-// always prefers for block nodes.
-func TestAllocBudgetCohortRoutedReceive(t *testing.T) {
-	eng, c := cohortRig(t, 64)
-	frame := (&dot11.DataFrame{
-		Header: dot11.MACHeader{
-			FC:    dot11.FrameControl{FromDS: true},
-			Addr1: dot11.Broadcast, Addr2: bssid, Addr3: bssid,
-		},
-		Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{DstPort: 9999, Payload: make([]byte, 160)}),
-	}).Marshal()
-	now := eng.Now()
-	allocs := testing.AllocsPerRun(200, func() {
-		c.ReceiveAs(dot11.Broadcast, frame, dot11.Rate11Mbps, now)
-	})
-	if allocs != 0 {
-		t.Fatalf("routed asleep receive: %.1f allocs/op, want 0", allocs)
-	}
-}
-
 // dtimBeacon encodes a DTIM beacon announcing group traffic: its TIM
-// sets the broadcast bit and no unicast bit, and its BTIM sets the bit
-// of every AID in [first, first+n) when set is true and none otherwise.
-// The timestamp is far ahead of the rig AP's, so receiving it never
-// looks like an AP restart.
-func dtimBeacon(t *testing.T, first dot11.AID, n int, set bool) []byte {
+// sets the broadcast bit and no unicast bit, and its BTIM sets aid's
+// bit when set is true and none otherwise. The timestamp is far ahead
+// of the rig AP's, so receiving it never looks like an AP restart.
+func dtimBeacon(t *testing.T, aid dot11.AID, set bool) []byte {
 	t.Helper()
 	var bm dot11.VirtualBitmap
-	for k := 0; set && k < n; k++ {
-		bm.Set(first + dot11.AID(k))
+	if set {
+		bm.Set(aid)
 	}
 	btim := dot11.BTIMFromBitmap(&bm)
 	raw, err := (&dot11.Beacon{
@@ -126,7 +98,7 @@ func dtimBeacon(t *testing.T, first dot11.AID, n int, set bool) []byte {
 // TestAllocBudgetBeaconReceive pins the beacon receive path at zero
 // allocations: a suspended HIDE station and a 64-member cohort read
 // the TIM/BTIM of a DTIM beacon in place, off the shared frame. The
-// BTIM bit is set for every member in one run and clear in the other;
+// reader's BTIM bit is set in one run and clear in the other;
 // the TIM unicast bit stays clear, so nothing is sent either way.
 func TestAllocBudgetBeaconReceive(t *testing.T) {
 	for _, set := range []bool{true, false} {
@@ -134,7 +106,7 @@ func TestAllocBudgetBeaconReceive(t *testing.T) {
 			eng, a, st := rig(t, HIDE, true, []uint16{5353})
 			a.Start()
 			eng.RunUntil(500 * time.Millisecond)
-			frame := dtimBeacon(t, st.AID(), 1, set)
+			frame := dtimBeacon(t, st.AID(), set)
 			now, before := eng.Now(), st.Stats()
 			allocs := testing.AllocsPerRun(200, func() {
 				st.Receive(frame, dot11.Rate1Mbps, now)
@@ -149,19 +121,19 @@ func TestAllocBudgetBeaconReceive(t *testing.T) {
 			}
 
 			eng, c := cohortRig(t, 64)
-			frame = dtimBeacon(t, c.BaseAID(), c.Count(), set)
-			now, before = eng.Now(), c.Template().Stats()
+			frame = dtimBeacon(t, c.tmpl.AID(), set)
+			now, before = eng.Now(), c.MemberStats()
 			allocs = testing.AllocsPerRun(200, func() {
-				c.ReceiveAs(dot11.Broadcast, frame, dot11.Rate1Mbps, now)
+				c.tmpl.Receive(frame, dot11.Rate1Mbps, now)
 			})
 			if allocs != 0 {
 				t.Errorf("cohort beacon receive: %.1f allocs/op, want 0", allocs)
 			}
-			after = c.Template().Stats()
-			if c.Count() != 64 || c.tmpl.listening != set || after.BeaconsHeard == before.BeaconsHeard ||
+			after = c.MemberStats()
+			if c.tmpl.listening != set || after.BeaconsHeard == before.BeaconsHeard ||
 				after.PSPollsSent != before.PSPollsSent || after.PortMsgsSent != before.PortMsgsSent {
-				t.Errorf("cohort read the beacon wrong: count=%d listening=%v, stats before %+v after %+v",
-					c.Count(), c.tmpl.listening, before, after)
+				t.Errorf("cohort read the beacon wrong: listening=%v, stats before %+v after %+v",
+					c.tmpl.listening, before, after)
 			}
 		})
 	}

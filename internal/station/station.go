@@ -211,7 +211,7 @@ type Station struct {
 
 	// ports is the sorted open-port list. OpenPort and ClosePort
 	// replace it and nothing writes into it, so the last sent and the
-	// last acknowledged lists, snapshots and clones share it.
+	// last acknowledged lists share it.
 	ports []uint16
 
 	listening bool // radio held on for a group-frame burst
@@ -249,12 +249,6 @@ type Station struct {
 	// method-value closure per schedule.
 	trySuspendFn sim.Event
 	ackTimeoutFn sim.Event
-
-	// ackArm, when set, is notified with the deadline each time the ACK
-	// timer is armed. Cohorts use it to watch the handshake: the AP
-	// serves member ACKs serially, so tail members can time out while
-	// the template's own ACK (always first) arrives in time.
-	ackArm func(deadline time.Duration)
 }
 
 var _ medium.Node = (*Station)(nil)
@@ -272,66 +266,6 @@ func New(eng *sim.Engine, med medium.Channel, cfg Config) *Station {
 	s.ackTimeoutFn = s.ackTimeout
 	med.Attach(cfg.Addr, s)
 	return s
-}
-
-// cloneFor returns a deep copy of the station reparented to a new MAC
-// address, AID, and channel — the member-divergence path of cohort
-// splitting (off is the clone's member offset from the source). The
-// clone owns a fresh arrival log (port lists are immutable and
-// shared), rebinds its method-value events to itself, re-arms any pending suspend/ACK
-// timers at their original instants, and seeds a fresh RNG from the
-// new address (exact versus an expanded member until the first retry
-// draw, since jitter is only consumed on retransmissions). Pending
-// timers are mirrored at the source event's slot offset by off, so
-// same-instant firing follows member order however the family was
-// split — exactly the order expanded members, whose timers are armed
-// consecutively in member order, would fire in. The association retry
-// timer cannot be cloned (it is a closure over the original station),
-// so splitting is only valid once association has completed; the
-// observer is deliberately not carried over.
-func (s *Station) cloneFor(addr dot11.MACAddr, aid dot11.AID, med medium.Channel, off int) *Station {
-	c := s.snapshot().adopt(addr, aid, med)
-	if slot, ok := s.suspendEv.Slot(); ok {
-		c.suspendEv = c.eng.MustScheduleAtSlot(s.suspendEv.At(), slot.Offset(off), c.trySuspendFn)
-	}
-	if slot, ok := s.ackTimer.Slot(); ok {
-		c.ackTimer = c.eng.MustScheduleAtSlot(s.ackTimer.At(), slot.Offset(off), c.ackTimeoutFn)
-	}
-	return c
-}
-
-// snapshot returns an inert deep copy of the station's protocol state:
-// a fresh arrival log (port lists are immutable and shared), but no
-// channel, no encode buffer, no bound events, no scheduled timers, and
-// no observer. Cohorts freeze
-// one per handshake round so a timed-out tail can be split off in the
-// exact pre-ACK state an expanded member would hold; adopt brings a
-// snapshot to life.
-func (s *Station) snapshot() *Station {
-	c := new(Station)
-	*c = *s
-	c.med = nil
-	c.txBuf = nil
-	c.arrivals = append([]energy.Arrival(nil), s.arrivals...)
-	c.obs = nil
-	c.trySuspendFn, c.ackTimeoutFn, c.ackArm = nil, nil, nil
-	c.suspendEv, c.ackTimer, c.assocTimer = sim.Handle{}, sim.Handle{}, sim.Handle{}
-	return c
-}
-
-// adopt reparents a snapshot to a new MAC address, AID, and channel,
-// rebinding its method-value events and seeding a fresh RNG from the
-// new address. Pending timers are NOT restored — cloneFor re-arms
-// them from the source, and the cohort handshake path instead invokes
-// the timed-out path directly.
-func (c *Station) adopt(addr dot11.MACAddr, aid dot11.AID, med medium.Channel) *Station {
-	c.cfg.Addr = addr
-	c.med = med
-	c.aid = aid
-	c.rng = sim.NewRNG(c.cfg.Seed ^ addrSeed(addr))
-	c.trySuspendFn = c.trySuspend
-	c.ackTimeoutFn = c.ackTimeout
-	return c
 }
 
 // addrSeed folds the MAC address into an RNG seed so stations sharing
@@ -568,11 +502,26 @@ func (s *Station) Arrivals() []energy.Arrival {
 	return out
 }
 
+// Energy prices the recorded arrivals with the Section IV model over
+// duration, at the beacon interval the station heard (the model's
+// default until a beacon is heard) and its listen interval. With
+// withOverhead it adds HIDE's protocol overhead Eo
+// (energy.DefaultOverhead).
+func (s *Station) Energy(dev energy.Profile, duration time.Duration, withOverhead bool) (energy.Breakdown, error) {
+	cfg := energy.Config{
+		Device:               dev,
+		Duration:             duration,
+		BeaconInterval:       s.beaconGap,
+		BeaconListenInterval: s.cfg.ListenInterval,
+	}
+	if withOverhead {
+		cfg.Overhead = energy.DefaultOverhead()
+	}
+	return energy.Compute(s.Arrivals(), cfg)
+}
+
 // Suspended reports whether the host is in suspend mode.
 func (s *Station) Suspended() bool { return s.suspended }
-
-// ListenInterval returns the configured listen interval in beacons.
-func (s *Station) ListenInterval() int { return s.cfg.ListenInterval }
 
 // OpenPort registers a listening UDP port (an application socket).
 func (s *Station) OpenPort(p uint16) {
@@ -945,9 +894,6 @@ func (s *Station) sendPortMessage(now time.Duration) {
 	s.awaitingACK = true
 	s.ackTimer.Cancel()
 	s.ackTimer = s.eng.MustScheduleAfter(s.ackWait(), s.ackTimeoutFn)
-	if s.ackArm != nil {
-		s.ackArm(s.ackTimer.At())
-	}
 }
 
 // maxBackoffShift caps the exponential ACK-timeout backoff at 16× the

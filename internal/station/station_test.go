@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ap"
 	"repro/internal/dot11"
+	"repro/internal/energy"
 	"repro/internal/fault"
 	"repro/internal/medium"
 	"repro/internal/sim"
@@ -36,6 +37,38 @@ func rig(t *testing.T, mode Mode, apHIDE bool, ports []uint16) (*sim.Engine, *ap
 		t.Fatal(err)
 	}
 	return eng, a, st
+}
+
+// TestEnergyPricesHeardBeaconInterval: Energy prices the beacon
+// interval the station heard. On an AP beaconing every 200 TU, Eb
+// counts the window's 200 TU beacons, not the model's 100 TU default,
+// and withOverhead adds a positive Eo.
+func TestEnergyPricesHeardBeaconInterval(t *testing.T) {
+	const interval, window = 200 * dot11.TU, 10 * time.Second
+	eng := sim.New()
+	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true, BeaconInterval: interval})
+	st := New(eng, med, Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 0x10}, BSSID: bssid, Mode: HIDE})
+	st.OpenPort(5353)
+	aid, err := a.Associate(st.Addr(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Join(aid); err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	eng.RunUntil(window)
+	b, err := st.Energy(energy.NexusOne, window, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := energy.NexusOne.EBeaconJ * float64(window/interval); b.EbJ != want {
+		t.Errorf("Eb = %v J, want %v J (%d beacons of 200 TU)", b.EbJ, want, window/interval)
+	}
+	if b.EoJ <= 0 {
+		t.Errorf("Eo = %v J with the overhead on, want > 0", b.EoJ)
+	}
 }
 
 func TestJoinRejectsInvalidAID(t *testing.T) {
