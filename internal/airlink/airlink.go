@@ -16,12 +16,18 @@
 // judged per peer — drop, corrupt, duplicate — by the in-process
 // medium's rule (fault.Judge), so the chaos scenarios from
 // internal/fault run against a real daemon over real sockets. And the
-// hub tracks peer liveness (SetLiveness + PingPeers) in the same
-// netmedium.Peers table the simulation monitor keeps its taps in: a
-// client process that died without disassociating stops answering
-// pings and is evicted after a configurable number of missed sweeps,
-// and PingPeers returns the evicted MACs so the daemon can clean up
+// hub runs the simulation monitor's datagram loop, netmedium.Endpoint,
+// so it tracks peer liveness (SetLiveness + PingPeers) in the same
+// netmedium.Peers table the monitor keeps its taps in: a client
+// process that died without disassociating stops answering pings and
+// is evicted after a configurable number of missed sweeps, and
+// PingPeers returns the evicted MACs so the daemon can clean up
 // AP-side state and log the eviction.
+//
+// Neither end ever blocks handing a received frame to its engine: the
+// frame is offered to the engine's queue (netmedium.Offer), and one
+// the full queue refuses is dropped like a frame lost on the air and
+// counted (Dropped).
 package airlink
 
 import (
@@ -38,61 +44,52 @@ import (
 	"repro/internal/sim"
 )
 
-// maxDatagram bounds reads.
-const maxDatagram = 8192
-
 // Hub is the AP-side link: it owns the listening socket, learns peers,
 // and fans group frames out to all of them.
 type Hub struct {
-	pc     net.PacketConn
-	inject chan<- sim.Event
+	// Endpoint keeps the stations, keyed by MAC, in first-contact order
+	// so fan-out (and the fault plan's per-peer RNG draws) replay in a
+	// deterministic sequence for a given association order, mirroring
+	// the in-process medium's attach-order fanout.
+	netmedium.Endpoint[dot11.MACAddr]
 
-	mu   sync.Mutex
-	node medium.Node // the local AP
-	// peers keeps the stations in first-contact order so fan-out (and
-	// the fault plan's per-peer RNG draws) replay in a deterministic
-	// sequence for a given association order, mirroring the in-process
-	// medium's attach-order fanout.
-	peers netmedium.Peers[dot11.MACAddr]
-	stats HubStats
+	mu    sync.Mutex  // guards the endpoint and everything below
+	node  medium.Node // the local AP
+	stats HubStats    // EndpointStats is filled in by Stats
 
 	plan  fault.Plan
 	rng   *sim.RNG
 	clock func() time.Duration // virtual time for fault windows; nil = zero
 }
 
-// HubStats counts hub activity.
+// HubStats counts hub activity; the endpoint's counters cover peers,
+// malformed datagrams, the liveness sweep and engine-queue drops.
 type HubStats struct {
-	FramesIn   int
-	FramesOut  int
-	Peers      int
-	BadPackets int
+	netmedium.EndpointStats
+	FramesIn  int
+	FramesOut int
 	// Fault-plan verdicts applied to outgoing deliveries.
 	FaultDropped    int
 	FaultCorrupted  int
 	FaultDuplicated int
-	// Liveness sweep activity.
-	PingsSent int
-	Evictions int
 }
 
 // NewHub wraps a listening socket. Received frames are delivered to
 // the attached node via the inject channel (on the engine goroutine).
 func NewHub(pc net.PacketConn, inject chan<- sim.Event) *Hub {
-	return &Hub{pc: pc, inject: inject}
+	h := &Hub{}
+	h.Endpoint = netmedium.NewEndpoint[dot11.MACAddr](pc, &h.mu, inject, h.handle)
+	return h
 }
 
 var _ medium.Channel = (*Hub)(nil)
 
-// Addr returns the hub's listen address.
-func (h *Hub) Addr() net.Addr { return h.pc.LocalAddr() }
-
 // Stats returns a snapshot of the counters.
 func (h *Hub) Stats() HubStats {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	st := h.stats
-	st.Peers = h.peers.Len()
+	h.mu.Unlock()
+	st.EndpointStats = h.Endpoint.Stats()
 	return st
 }
 
@@ -131,39 +128,12 @@ func (h *Hub) SetFaultPlan(plan fault.Plan, seed uint64) {
 	}
 }
 
-// SetLiveness sets how many consecutive unanswered sweeps evict a peer
-// (values < 1 restore the default of 3). Safe to call while serving.
-func (h *Hub) SetLiveness(maxMissed int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.peers.SetMaxMissed(maxMissed)
-}
-
-// PingPeers runs one liveness sweep of the peer table
-// (netmedium.Peers.Sweep) and returns the MACs it evicted: peers that
-// have left the configured number of consecutive sweeps unanswered go,
-// the rest are pinged again. Any datagram from a peer — a frame, a
-// pong — resets its counter. Drive it at a steady cadence on the
-// engine clock.
-func (h *Hub) PingPeers() []dot11.MACAddr {
-	ping, err := netmedium.Message{Type: netmedium.MsgPing}.Marshal()
-	if err != nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	evicted, sent := h.peers.Sweep(func(addr netip.AddrPort) error { return netmedium.SendTo(h.pc, ping, addr) })
-	h.stats.PingsSent += sent
-	h.stats.Evictions += len(evicted)
-	return evicted
-}
-
 // DropPeer forgets a peer immediately (a disassociated client); its
 // next frame re-learns it.
 func (h *Hub) DropPeer(mac dot11.MACAddr) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.peers.Remove(mac)
+	h.Peers().Remove(mac)
 }
 
 // Transmit sends a frame to its addressee(s) over UDP, applying the
@@ -190,13 +160,13 @@ func (h *Hub) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Dura
 		}
 	}
 	if dst.IsMulticast() {
-		h.peers.Each(func(mac dot11.MACAddr, to netip.AddrPort) {
+		h.Peers().Each(func(mac dot11.MACAddr, to netip.AddrPort) {
 			d.Rcv = mac
 			h.deliverLocked(d, to, msg)
 		})
 		return 0
 	}
-	if to, ok := h.peers.Addr(dst); ok {
+	if to, ok := h.Peers().Addr(dst); ok {
 		d.Rcv = dst
 		h.deliverLocked(d, to, msg)
 	}
@@ -223,70 +193,40 @@ func (h *Hub) deliverLocked(d fault.Delivery, to netip.AddrPort, msg []byte) {
 		}
 		if o.Duplicate {
 			h.stats.FaultDuplicated++
-			if netmedium.SendTo(h.pc, out, to) == nil {
+			if h.Send(out, to) == nil {
 				h.stats.FramesOut++
 			}
 		}
 	}
-	if netmedium.SendTo(h.pc, out, to) == nil {
+	if h.Send(out, to) == nil {
 		h.stats.FramesOut++
 	}
 }
 
-// Serve reads datagrams until the socket closes, delivering frames to
-// the attached node through the inject channel. Returns net.ErrClosed
-// after Close.
-func (h *Hub) Serve() error {
-	buf := make([]byte, maxDatagram)
-	for {
-		n, from, err := h.pc.ReadFrom(buf)
-		if err != nil {
-			return err
-		}
-		h.handle(buf[:n], netmedium.AddrPortOf(from))
+// handle applies one frame from a station, the hub's own message type:
+// it teaches the peer table its transmitter's address and becomes the
+// event that delivers it to the attached node.
+func (h *Hub) handle(m netmedium.Message, from netip.AddrPort) (sim.Event, bool) {
+	if m.Type != netmedium.MsgFrame {
+		return nil, false
 	}
+	if src, ok := dot11.Transmitter(m.Payload); ok {
+		h.Peers().Learn(src, from)
+	} else {
+		h.Peers().Touch(from)
+	}
+	h.stats.FramesIn++
+	if h.node == nil {
+		return nil, true
+	}
+	return deliver(h.node, m), true
 }
 
-// handle applies one datagram from a station. A frame teaches the peer
-// table its transmitter's address and goes to the attached node; any
-// valid datagram resets its sender's liveness count.
-func (h *Hub) handle(b []byte, from netip.AddrPort) {
-	m, err := netmedium.Unmarshal(b)
-	h.mu.Lock()
-	switch {
-	case err != nil:
-		h.stats.BadPackets++
-	case m.Type == netmedium.MsgFrame:
-		if src, ok := dot11.Transmitter(m.Payload); ok {
-			h.peers.Learn(src, from)
-		} else {
-			h.peers.Touch(from)
-		}
-		h.stats.FramesIn++
-	case m.Type == netmedium.MsgPing:
-		h.peers.Touch(from)
-		if pong, err := (netmedium.Message{Type: netmedium.MsgPong}).Marshal(); err == nil {
-			//lint:ignore errdrop best-effort pong; a lost reply looks like a lost packet
-			_ = netmedium.SendTo(h.pc, pong, from)
-		}
-	case m.Type == netmedium.MsgPong:
-		h.peers.Touch(from)
-	default:
-		h.stats.BadPackets++
-	}
-	node := h.node
-	h.mu.Unlock()
-	if err != nil || m.Type != netmedium.MsgFrame || node == nil {
-		return
-	}
+// deliver is the engine event that hands a received frame to node.
+func deliver(node medium.Node, m netmedium.Message) sim.Event {
 	raw, rate := m.Payload, m.Rate
-	h.inject <- func(now time.Duration) {
-		node.Receive(raw, rate, now)
-	}
+	return func(now time.Duration) { node.Receive(raw, rate, now) }
 }
-
-// Close shuts the hub's socket; Serve returns.
-func (h *Hub) Close() error { return h.pc.Close() }
 
 // Link is the client-side leg: a connected UDP socket to the hub.
 type Link struct {
@@ -313,6 +253,8 @@ type LinkStats struct {
 	IdlePeriods int
 	// PingsAnswered counts hub liveness pings answered with a pong.
 	PingsAnswered int
+	// Dropped counts frames the engine's full queue refused.
+	Dropped int
 }
 
 // Dial connects to a hub.
@@ -379,9 +321,11 @@ func (l *Link) Stats() LinkStats {
 }
 
 // Serve reads frames from the hub until the socket closes, answering
-// liveness pings and reporting read-idle periods.
+// liveness pings and reporting read-idle periods. A frame is offered
+// to the engine (netmedium.Offer), so Serve returns after Close even
+// when the engine has stopped draining its queue.
 func (l *Link) Serve() error {
-	buf := make([]byte, maxDatagram)
+	buf := make([]byte, netmedium.MaxDatagram)
 	for {
 		l.mu.Lock()
 		idle := l.readIdle
@@ -401,45 +345,28 @@ func (l *Link) Serve() error {
 			return err
 		}
 		m, err := netmedium.Unmarshal(buf[:n])
-		if err != nil {
-			l.mu.Lock()
-			l.stats.BadPackets++
-			l.mu.Unlock()
-			continue
-		}
-		switch m.Type {
-		case netmedium.MsgPing:
+		if err == nil && m.Type == netmedium.MsgPing {
 			// Answer the hub's liveness sweep so an idle (suspended)
 			// client is not evicted between frames.
-			if pong, perr := (netmedium.Message{Type: netmedium.MsgPong}).Marshal(); perr == nil {
-				//lint:ignore errdrop best-effort pong; a missed reply costs one sweep
-				_, _ = l.conn.Write(pong)
-			}
-			l.mu.Lock()
-			l.stats.PingsAnswered++
-			l.mu.Unlock()
-			continue
-		case netmedium.MsgPong:
-			continue
-		case netmedium.MsgFrame:
-		default:
-			l.mu.Lock()
-			l.stats.BadPackets++
-			l.mu.Unlock()
-			continue
+			//lint:ignore errdrop best-effort pong; a missed reply costs one sweep
+			_ = netmedium.Pong(l.conn)
 		}
 		l.mu.Lock()
-		node := l.node
-		l.stats.FramesIn++
+		switch {
+		case err != nil:
+			l.stats.BadPackets++
+		case m.Type == netmedium.MsgPing:
+			l.stats.PingsAnswered++
+		case m.Type == netmedium.MsgPong:
+		case m.Type != netmedium.MsgFrame:
+			l.stats.BadPackets++
+		default:
+			l.stats.FramesIn++
+			if l.node != nil && !netmedium.Offer(l.inject, deliver(l.node, m)) {
+				l.stats.Dropped++
+			}
+		}
 		l.mu.Unlock()
-		if node == nil {
-			continue
-		}
-		raw := m.Payload
-		rate := m.Rate
-		l.inject <- func(now time.Duration) {
-			node.Receive(raw, rate, now)
-		}
 	}
 }
 

@@ -196,7 +196,7 @@ func TestOverTheWireBroadcastFiltering(t *testing.T) {
 
 // hubInject runs fn on the AP engine goroutine.
 func (r *rig) hubInject(fn sim.Event) {
-	r.hub.inject <- fn
+	r.apInject <- fn
 }
 
 func TestLegacyClientOverTheWire(t *testing.T) {

@@ -70,7 +70,7 @@ func FuzzHubDatagrams(f *testing.F) {
 			data = data[2+n:]
 			if h&0x80 != 0 {
 				for _, mac := range hub.PingPeers() {
-					if _, ok := hub.peers.Addr(mac); ok {
+					if _, ok := hub.Peers().Addr(mac); ok {
 						t.Fatalf("evicted %v still has an address", mac)
 					}
 					if mac.IsMulticast() {
@@ -83,17 +83,17 @@ func FuzzHubDatagrams(f *testing.F) {
 					}
 				}
 			}
-			hub.handle(dgram, from)
+			hub.HandleDatagram(dgram, from)
 			if m, err := netmedium.Unmarshal(dgram); err == nil && m.Type == netmedium.MsgFrame {
 				if src, ok := dot11.Transmitter(m.Payload); ok {
-					if at, _ := hub.peers.Addr(src); at != from {
+					if at, _ := hub.Peers().Addr(src); at != from {
 						t.Fatalf("frame from %v at %v: routed to %v", src, from, at)
 					}
 				}
 			}
 			held := make(map[netip.AddrPort]bool)
-			hub.peers.Each(func(mac dot11.MACAddr, at netip.AddrPort) {
-				if got, _ := hub.peers.Addr(mac); got != at || held[at] {
+			hub.Peers().Each(func(mac dot11.MACAddr, at netip.AddrPort) {
+				if got, _ := hub.Peers().Addr(mac); got != at || held[at] {
 					t.Fatalf("peer %v: listed at %v, routed to %v, address shared: %v", mac, at, got, held[at])
 				}
 				held[at] = true
@@ -105,7 +105,7 @@ func FuzzHubDatagrams(f *testing.F) {
 		clear(conn.sent)
 		hub.Transmit(bssid, broadcastBeacon(t), dot11.Rate1Mbps)
 		n := 0
-		hub.peers.Each(func(_ dot11.MACAddr, at netip.AddrPort) {
+		hub.Peers().Each(func(_ dot11.MACAddr, at netip.AddrPort) {
 			n++
 			if conn.sent[at] != 1 {
 				t.Fatalf("peer at %v sent %d copies of a group frame", at, conn.sent[at])

@@ -2,6 +2,7 @@ package airlink
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"slices"
 	"testing"
@@ -91,7 +92,7 @@ func TestHubFaultPlanCorrupt(t *testing.T) {
 	}
 	// The corrupted datagram reaches the peer and differs from the
 	// original frame in exactly one byte.
-	buf := make([]byte, maxDatagram)
+	buf := make([]byte, netmedium.MaxDatagram)
 	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
 	n, err := peer.Read(buf)
 	if err != nil {
@@ -143,7 +144,7 @@ func TestHubTransmitKeepsNoCallerBuffer(t *testing.T) {
 		buf[i] = 0xff
 	}
 	for i, conn := range peers {
-		in := make([]byte, maxDatagram)
+		in := make([]byte, netmedium.MaxDatagram)
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		n, err := conn.Read(in)
 		if err != nil {
@@ -287,6 +288,101 @@ func TestLinkReadIdlePeriods(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// discard is a medium node that ignores every frame.
+type discard struct{}
+
+func (discard) Receive([]byte, dot11.Rate, time.Duration) {}
+
+// fullQueue is the engine queue of the hang tests: four slots that
+// nothing drains, as after the engine has stopped.
+const fullQueue = 4
+
+// floodThenClose waits until a read loop has taken ten frames, checks
+// that the six past its engine's full queue were dropped and counted,
+// then closes it: its Serve must return.
+func floodThenClose(t *testing.T, served <-chan error, read, dropped func() int, close func() error) {
+	t.Helper()
+	const sent = 10
+	deadline := time.Now().Add(5 * time.Second)
+	for read() < sent {
+		if time.Now().After(deadline) {
+			t.Fatalf("the read loop took %d of %d frames", read(), sent)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := dropped(); got != sent-fullQueue {
+		t.Errorf("Dropped = %d, want the %d frames past the full queue", got, sent-fullQueue)
+	}
+	if err := close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-served:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve had not returned 2 s after Close")
+	}
+}
+
+// TestHubServeReturnsWithEngineQueueFull hands ten frames to a hub
+// whose engine queue is full and undrained: the hub drops and counts
+// what the queue refuses instead of blocking, so Close ends Serve.
+func TestHubServeReturnsWithEngineQueueFull(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(pc, make(chan sim.Event, fullQueue))
+	hub.Attach(bssid, discard{})
+	served := make(chan error, 1)
+	go func() { served <- hub.Serve() }()
+	conn, err := net.Dial("udp", hub.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 10; i++ {
+		registerPeer(t, conn, dot11.MACAddr{0x02, 0, 0, 0, 0, 0x01})
+	}
+	floodThenClose(t, served,
+		func() int { return hub.Stats().FramesIn },
+		func() int { return hub.Stats().Dropped },
+		hub.Close)
+}
+
+// TestLinkServeReturnsWithEngineQueueFull is the same for the client's
+// leg: ten frames from the hub reach a link whose engine queue is full
+// and undrained.
+func TestLinkServeReturnsWithEngineQueueFull(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0") // the hub's socket
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	link, err := Dial(pc.LocalAddr().String(), make(chan sim.Event, fullQueue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	link.Attach(dot11.MACAddr{0x02, 0, 0, 0, 0, 0x01}, discard{})
+	served := make(chan error, 1)
+	go func() { served <- link.Serve() }()
+	msg, err := netmedium.Message{Type: netmedium.MsgFrame, Rate: dot11.Rate1Mbps, Payload: broadcastBeacon(t)}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := pc.WriteTo(msg, link.conn.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floodThenClose(t, served,
+		func() int { return link.Stats().FramesIn },
+		func() int { return link.Stats().Dropped },
+		link.Close)
 }
 
 // registerPeer sends one frame from mac so the hub learns the peer's
@@ -461,7 +557,7 @@ func TestHubJudgesLikeMedium(t *testing.T) {
 	}
 	for i, conn := range peers {
 		var got []judged
-		buf := make([]byte, maxDatagram)
+		buf := make([]byte, netmedium.MaxDatagram)
 		for {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			n, err := conn.Read(buf)

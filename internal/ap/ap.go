@@ -92,7 +92,6 @@ type bufferedGroup struct {
 	payload []byte // LLC/SNAP+IP body
 	rate    dot11.Rate
 	dstPort uint16
-	ok      bool // dstPort parsed successfully
 }
 
 // Stats counts AP-side protocol activity.
@@ -151,12 +150,9 @@ type BeaconView struct {
 	// IsDTIM marks DTIM beacons (group traffic flushes after these).
 	IsDTIM bool
 	// BufferedPorts holds the destination UDP port of every buffered
-	// group frame whose port was parseable — Algorithm 1's inputs. The
-	// AP reuses its storage, so it is valid only during BeaconBuilt.
+	// group frame — Algorithm 1's inputs. The AP reuses its storage, so
+	// it is valid only during BeaconBuilt.
 	BufferedPorts []uint16
-	// UnparsedBuffered counts buffered group frames without a
-	// classifiable destination port (never indicated in the BTIM).
-	UnparsedBuffered int
 }
 
 // Observer receives AP protocol events. Observers run synchronously on
@@ -446,7 +442,7 @@ func (a *AP) Start() {
 func (a *AP) EnqueueGroup(d dot11.UDPDatagram, rate dot11.Rate) {
 	body := dot11.EncapsulateUDP(d)
 	a.group = append(a.group, bufferedGroup{
-		payload: body, rate: rate, dstPort: d.DstPort, ok: true,
+		payload: body, rate: rate, dstPort: d.DstPort,
 	})
 	a.stats.GroupFramesEnqueued++
 	a.dirty = true
@@ -512,12 +508,10 @@ func (a *AP) beaconTick(now time.Duration) {
 	isDTIM := a.dtim == 0
 	beacon, raw := a.encodeBeacon(now, isDTIM)
 	if len(a.obs) > 0 {
-		ports, unparsed := a.bufferedPorts()
 		v := BeaconView{
-			Beacon:           beacon,
-			IsDTIM:           isDTIM,
-			BufferedPorts:    ports,
-			UnparsedBuffered: unparsed,
+			Beacon:        beacon,
+			IsDTIM:        isDTIM,
+			BufferedPorts: a.bufferedPorts(),
 		}
 		for _, o := range a.obs {
 			o.BeaconBuilt(now, v)
@@ -654,33 +648,24 @@ func (a *AP) patchBeacon(now time.Duration, isDTIM bool) {
 // Table's reverse index) into the flag set.
 func (a *AP) broadcastFlags() *dot11.VirtualBitmap {
 	if a.flagFn != nil {
-		ports, _ := a.bufferedPorts()
-		return a.flagFn(ports, a.table)
+		return a.flagFn(a.bufferedPorts(), a.table)
 	}
 	var flags dot11.VirtualBitmap
 	for _, g := range a.group {
-		if !g.ok {
-			continue
-		}
 		a.table.OrListeners(g.dstPort, &flags)
 	}
 	return &flags
 }
 
 // bufferedPorts returns the destination ports of the buffered group
-// frames with a parseable port, plus the count of unparseable ones.
-// The ports slice is the AP's scratch, valid until the next call.
-func (a *AP) bufferedPorts() (ports []uint16, unparsed int) {
-	ports = a.buffered[:0]
+// frames in the AP's scratch, valid until the next call.
+func (a *AP) bufferedPorts() []uint16 {
+	ports := a.buffered[:0]
 	for _, g := range a.group {
-		if g.ok {
-			ports = append(ports, g.dstPort)
-		} else {
-			unparsed++
-		}
+		ports = append(ports, g.dstPort)
 	}
 	a.buffered = ports
-	return ports, unparsed
+	return ports
 }
 
 // flushGroup transmits all buffered group frames after a DTIM beacon,

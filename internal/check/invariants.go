@@ -169,7 +169,7 @@ var _ ap.Observer = (*Invariants)(nil)
 // asserts the emitted BTIM equals it in both directions, plus the TIM
 // broadcast-bit rule.
 func (inv *Invariants) BeaconBuilt(now time.Duration, v ap.BeaconView) {
-	buffered := len(v.BufferedPorts) + v.UnparsedBuffered
+	buffered := len(v.BufferedPorts)
 	if tim := v.Beacon.TIM; tim != nil {
 		if tim.Broadcast && (!v.IsDTIM || buffered == 0) {
 			inv.record(now, RuleTIMBroadcast,

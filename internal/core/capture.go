@@ -32,8 +32,9 @@ func (n *Network) StartCapture() *Capture {
 func (n *Network) tap(raw []byte, rate dot11.Rate, at time.Duration) {
 	if c := n.capture; c != nil {
 		c.records = append(c.records, trace.PCAPRecord{
-			At:  at,
-			Raw: append([]byte(nil), raw...),
+			At:   at,
+			Rate: rate,
+			Raw:  append([]byte(nil), raw...),
 		})
 	}
 	if m := n.monitor; m != nil {
@@ -44,7 +45,9 @@ func (n *Network) tap(raw []byte, rate dot11.Rate, at time.Duration) {
 // Frames returns the number of captured frames.
 func (c *Capture) Frames() int { return len(c.records) }
 
-// WritePCAP exports the capture as a DLT 105 pcap file.
+// WritePCAP exports the capture as a radiotap pcap file with
+// nanosecond timestamps, each frame at the rate it went out at
+// (trace.WritePCAPRecords).
 func (c *Capture) WritePCAP(w io.Writer) error {
 	return trace.WritePCAPRecords(w, c.records)
 }

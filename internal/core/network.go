@@ -192,59 +192,92 @@ func (n *Network) Replay(tr *trace.Trace) error {
 }
 
 // ScheduleReplay is Replay without the run: it validates the trace,
-// starts the beacon loop, and queues the trace's first frame, leaving
-// the engine untouched so the caller drives it — the ESS advances all
-// shard engines in lockstep windows instead of one RunUntil. A plain
-// Replay is ScheduleReplay followed by RunUntil(Duration + one beacon
-// interval), and the ESS's final window lands on exactly that
-// deadline, which is what makes a roam-free K=1 ESS byte-identical.
-//
-// Only one replay event is queued at a time: each frame's event
-// schedules the next frame before handing its own to the AP. Frame 0
-// takes an ordinary slot and frame i fires at that slot's offset i, so
-// frame i sorts where it would if every frame had been queued up front
-// (consecutive seqs from frame 0's): ties with beacons, deliveries and
-// timers fire in the same order.
+// starts the beacon loop, and queues the trace's first frame (a
+// one-pass StartReplay from time 0), leaving the engine untouched so
+// the caller drives it — the ESS advances all shard engines in
+// lockstep windows instead of one RunUntil. A plain Replay is
+// ScheduleReplay followed by RunUntil(Duration + one beacon interval),
+// and the ESS's final window lands on exactly that deadline, which is
+// what makes a roam-free K=1 ESS byte-identical.
 func (n *Network) ScheduleReplay(tr *trace.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
 	n.AP.Start()
-	if len(tr.Frames) == 0 {
-		return nil
-	}
-	r := &replay{eng: n.Engine, ap: n.AP, frames: tr.Frames}
-	r.fireFn = r.fire
-	h, err := n.Engine.ScheduleAt(tr.Frames[0].At, r.fireFn)
-	if err != nil {
-		return fmt.Errorf("core: scheduling trace frame: %w", err)
-	}
-	r.slot, _ = h.Slot()
-	return nil
+	_, err := StartReplay(n.Engine, n.AP, tr, 0, false)
+	return err
 }
 
-// replay walks a trace one frame event at a time. Its single bound
-// event carries no per-frame closure, and frames are read in place
-// from the (immutable, shared) trace, whose Datagram shares its
-// padding.
-type replay struct {
+// Replayer is a trace replay in progress on one engine, the walker
+// behind Network.ScheduleReplay and hided's scenario loop. Only one
+// replay event is queued at a time: each frame's event schedules the
+// next frame before handing its own to the AP. A pass's frame 0 takes
+// an ordinary slot and its frame i fires at that slot's offset i, so
+// frame i sorts where it would if every frame of the pass had been
+// queued up front (consecutive seqs from frame 0's): ties with
+// beacons, deliveries and timers fire in the same order. The walker
+// carries no per-frame closure, and frames are read in place from the
+// (immutable, shared) trace, whose Datagram shares its padding.
+type Replayer struct {
 	eng    *sim.Engine
 	ap     *ap.AP
 	frames []trace.Frame
-	next   int      // index of the frame whose event is queued
-	slot   sim.Slot // frame 0's slot; frame i fires at its offset i
+	loop   time.Duration // pass length when looping, 0 for one pass
+	base   time.Duration // the current pass's start
+	next   int           // index of the frame whose event is queued
+	slot   sim.Slot      // the pass's frame 0 slot; frame i fires at its offset i
+	ev     sim.Handle    // the queued frame event
 	fireFn sim.Event
 }
 
+// StartReplay replays tr on eng from time from: each frame reaches a
+// as a group datagram from the distribution system at from plus its
+// offset. With loop set the walk starts over every tr.Duration until
+// Stop; otherwise it ends after one pass. It neither validates the
+// trace nor starts the AP's beacon loop.
+func StartReplay(eng *sim.Engine, a *ap.AP, tr *trace.Trace, from time.Duration, loop bool) (*Replayer, error) {
+	r := &Replayer{eng: eng, ap: a, frames: tr.Frames, base: from}
+	if loop && tr.Duration > 0 {
+		r.loop = tr.Duration
+	}
+	r.fireFn = r.fire
+	if len(r.frames) == 0 {
+		return r, nil
+	}
+	if err := r.startPass(); err != nil {
+		return nil, fmt.Errorf("core: scheduling trace frame: %w", err)
+	}
+	return r, nil
+}
+
+// startPass queues frame 0 of the pass starting at r.base in a fresh
+// slot.
+func (r *Replayer) startPass() (err error) {
+	r.next = 0
+	r.ev, err = r.eng.ScheduleAt(r.base+r.frames[0].At, r.fireFn)
+	r.slot, _ = r.ev.Slot()
+	return err
+}
+
 // fire queues the next frame, then hands this one to the AP.
-func (r *replay) fire(time.Duration) {
+func (r *Replayer) fire(time.Duration) {
 	f := &r.frames[r.next]
 	r.next++
-	if r.next < len(r.frames) {
-		r.eng.MustScheduleAtSlot(r.frames[r.next].At, r.slot.Offset(r.next), r.fireFn)
+	switch {
+	case r.next < len(r.frames):
+		r.ev = r.eng.MustScheduleAtSlot(r.base+r.frames[r.next].At, r.slot.Offset(r.next), r.fireFn)
+	case r.loop > 0:
+		r.base += r.loop
+		if err := r.startPass(); err != nil {
+			panic(err) // the next pass starts after this frame, never in the past
+		}
 	}
 	r.ap.EnqueueGroup(f.Datagram(), f.Rate)
 }
+
+// Stop cancels the replay's queued event: no further frame of the
+// trace reaches the AP. It runs on the engine.
+func (r *Replayer) Stop() { r.ev.Cancel() }
 
 // Stations returns the attached stations in attachment order.
 func (n *Network) Stations() []*station.Station {

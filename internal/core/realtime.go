@@ -26,9 +26,9 @@ const defaultPingEvery = time.Second
 
 // monitorInjects bounds the inject requests queued for the engine: 64
 // absorbs a burst of tap requests while the engine is busy with an
-// event. Past that, or while no replay drains the queue, a request is
-// dropped like a lost datagram rather than stall the server's read
-// loop.
+// event. Past that, or while no replay drains the queue, the server
+// drops a request like a lost datagram rather than stall its read loop
+// (netmedium.Offer), and counts it in its Stats.
 const monitorInjects = 64
 
 // Monitor couples a Network to a netmedium server.
@@ -48,18 +48,12 @@ type Monitor struct {
 //lint:ignore ctxfirst the monitor lifetime is owned by Close, not a context
 func (n *Network) ServeMonitor(pc net.PacketConn) *Monitor {
 	m := &Monitor{inject: make(chan sim.Event, monitorInjects), served: make(chan struct{})}
-	m.Server = netmedium.NewServer(pc, func(req netmedium.InjectRequest) {
-		ev := func(time.Duration) {
-			n.AP.EnqueueGroup(dot11.UDPDatagram{
-				DstIP:   [4]byte{255, 255, 255, 255},
-				DstPort: req.DstPort,
-				Payload: make([]byte, int(req.PayloadSize)),
-			}, dot11.Rate1Mbps)
-		}
-		select {
-		case m.inject <- ev:
-		default: // queue full: dropped, see monitorInjects
-		}
+	m.Server = netmedium.NewServer(pc, m.inject, func(req netmedium.InjectRequest) {
+		n.AP.EnqueueGroup(dot11.UDPDatagram{
+			DstIP:   [4]byte{255, 255, 255, 255},
+			DstPort: req.DstPort,
+			Payload: make([]byte, int(req.PayloadSize)),
+		}, dot11.Rate1Mbps)
 	})
 	n.monitor = m
 	n.Medium.SetTap(n.tap)
@@ -110,7 +104,7 @@ func (n *Network) ReplayRealtime(ctx context.Context, tr *trace.Trace, speed flo
 		}
 		var sweep sim.Event
 		sweep = func(time.Duration) {
-			m.Server.PingTaps()
+			m.Server.PingPeers()
 			n.Engine.MustScheduleAfter(every, sweep)
 		}
 		n.Engine.MustScheduleAfter(every, sweep)

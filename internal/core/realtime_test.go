@@ -129,7 +129,7 @@ func TestLiveMonitorStreamsAndInjects(t *testing.T) {
 	}
 	defer tap.Close()
 	deadline := time.Now().Add(10 * time.Second)
-	for mon.Server.Stats().Subscribers == 0 {
+	for mon.Server.Stats().Peers == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("tap never subscribed")
 		}
@@ -197,7 +197,7 @@ func serveMonitor(t *testing.T, n *Network) (*Monitor, *netmedium.Tap) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tap.Close() })
-	waitFor(t, "tap subscription", func() bool { return mon.Server.Stats().Subscribers == 1 })
+	waitFor(t, "tap subscription", func() bool { return mon.Server.Stats().Peers == 1 })
 	return mon, tap
 }
 
@@ -253,8 +253,8 @@ func TestCaptureWhileServingMonitor(t *testing.T) {
 
 func TestMonitorCloseAfterInjectFlood(t *testing.T) {
 	// Injects that arrive after the replay has ended find no engine to
-	// drain them: the bounded queue fills and the rest are dropped, so
-	// the server keeps reading and Close still returns.
+	// drain them: the bounded queue fills and the rest are dropped and
+	// counted, so the server keeps reading and Close still returns.
 	n, err := NewNetwork(NetworkConfig{HIDE: true})
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +275,9 @@ func TestMonitorCloseAfterInjectFlood(t *testing.T) {
 		sent += 16
 		waitFor(t, "inject batch", func() bool { return mon.Server.Stats().Injects == sent })
 	}
+	if got, want := mon.Server.Stats().Dropped, flood-monitorInjects; got != want {
+		t.Errorf("Dropped = %d, want the %d requests past the full queue", got, want)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- mon.Close() }()
 	select {
@@ -287,7 +290,7 @@ func TestMonitorCloseAfterInjectFlood(t *testing.T) {
 func TestCaptureClosesTheLoop(t *testing.T) {
 	// Generate → simulate → capture to pcap → re-import: the re-imported
 	// broadcast trace must contain exactly the group frames the AP sent,
-	// at their on-air times.
+	// at their on-air times and rates.
 	n, err := NewNetwork(NetworkConfig{HIDE: true})
 	if err != nil {
 		t.Fatal(err)
@@ -324,6 +327,13 @@ func TestCaptureClosesTheLoop(t *testing.T) {
 	for p, n := range want {
 		if have[p] != n {
 			t.Fatalf("port %d: %d frames re-imported, want %d", p, have[p], n)
+		}
+	}
+	// Each frame reads back at the rate it went out at: the AP flushes
+	// group frames in trace order, each at its trace rate.
+	for i := range got.Frames {
+		if g, w := got.Frames[i].Rate, tr.Frames[i].Rate; g != w {
+			t.Fatalf("frame %d re-imported at %v, sent at %v", i, g, w)
 		}
 	}
 	// The re-imported trace drives the analytic pipeline end to end.

@@ -82,8 +82,6 @@ type Config struct {
 	// Scenario names the broadcast trace replayed on loop ("none"
 	// disables; default Starbucks). Reloadable.
 	Scenario string `json:"scenario,omitempty"`
-	// PortTTL ages out stale Client UDP Port Table entries.
-	PortTTL Duration `json:"port_ttl,omitempty"`
 	// PingInterval is the peer-liveness sweep cadence (default 1s).
 	// Reloadable.
 	PingInterval Duration `json:"ping_interval,omitempty"`
@@ -215,9 +213,6 @@ func (c Config) diff(next Config) (reloadable, restartOnly []string) {
 	}
 	if c.Legacy != next.Legacy {
 		restartOnly = append(restartOnly, chg("legacy", c.Legacy, next.Legacy))
-	}
-	if c.PortTTL != next.PortTTL {
-		restartOnly = append(restartOnly, chg("port_ttl", time.Duration(c.PortTTL), time.Duration(next.PortTTL)))
 	}
 	if c.Seed != next.Seed {
 		restartOnly = append(restartOnly, chg("seed", c.Seed, next.Seed))

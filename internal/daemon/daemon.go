@@ -17,6 +17,7 @@ import (
 	"repro/internal/airlink"
 	"repro/internal/ap"
 	"repro/internal/control"
+	"repro/internal/core"
 	"repro/internal/dot11"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -61,12 +62,12 @@ type Daemon struct {
 	uptimeMS  atomic.Int64 // health mirror, virtual ms
 	evictions atomic.Int64 // liveness evictions performed
 	reloads   atomic.Int64 // successful reloads applied
-	replayGen atomic.Uint64
 
 	engDone chan struct{} // closed when RunRealtime returns
 	drained chan struct{} // closed when the graceful drain finished
 
-	statsEv sim.Handle // the pending status-line tick; engine-owned
+	statsEv sim.Handle     // the pending status-line tick; engine-owned
+	replay  *core.Replayer // the scenario loop, nil for "none"; engine-owned
 }
 
 // New builds a daemon from a config, binding the air socket and the
@@ -110,7 +111,6 @@ func New(cfg Config) (*Daemon, error) {
 		BeaconInterval: time.Duration(cfg.BeaconInterval),
 		DTIMPeriod:     cfg.DTIMPeriod,
 		HIDE:           !cfg.Legacy,
-		PortTTL:        time.Duration(cfg.PortTTL),
 	})
 	d.hub.SetClock(func() time.Duration { return d.eng.Now() })
 	d.hub.SetLiveness(cfg.MaxMissedPings)
@@ -228,13 +228,17 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}()
 
 	d.ap.Start()
-	d.scheduleReplay()
-	d.schedulePingSweep()
-	d.scheduleHealthMirror()
-	d.scheduleStatsLog()
 	// The control plane already serves, so a reload may race these
 	// reads: take the config under its lock.
 	cfg := d.Config()
+	if tr, err := scenarioTrace(cfg.Scenario); err != nil {
+		d.logf("replay: %v", err)
+	} else {
+		d.startReplay(tr, d.eng.Now())
+	}
+	d.schedulePingSweep()
+	d.scheduleHealthMirror()
+	d.scheduleStatsLog()
 	d.logf("%s AP %q on %v (control %v, bssid %s, DTIM %d)",
 		map[bool]string{true: "legacy", false: "HIDE"}[cfg.Legacy],
 		cfg.SSID, d.AirAddr(), d.ControlAddr(), cfg.BSSID, cfg.DTIMPeriod)
@@ -375,82 +379,48 @@ func (d *Daemon) statsTick(now time.Duration) {
 	d.statsEv = d.eng.MustScheduleAfter(every, d.statsTick)
 }
 
-// scheduleReplay starts the configured broadcast-scenario replay.
-// Must run before the engine starts (Run calls it); reloads instead
-// go through switchReplay on the engine.
-func (d *Daemon) scheduleReplay() {
-	name := d.Config().Scenario
+// scenarioTrace generates the named scenario's trace, or nil for
+// "none".
+func scenarioTrace(name string) (*trace.Trace, error) {
 	if strings.EqualFold(name, "none") {
-		return
+		return nil, nil
 	}
 	s, err := trace.ScenarioByName(name)
 	if err != nil {
-		// Config was validated at load; an unknown name here means
-		// "none" semantics, not a crash.
+		return nil, err
+	}
+	return trace.GenerateScenario(s)
+}
+
+// startReplay stops the running scenario loop, if any, and starts tr's
+// (nil for none) from now: the walker's pending event is cancelled, so
+// no frame of the old scenario reaches the AP after the switch. It runs
+// on the engine, or before it starts.
+func (d *Daemon) startReplay(tr *trace.Trace, now time.Duration) {
+	if d.replay != nil {
+		d.replay.Stop()
+		d.replay = nil
+	}
+	if tr == nil {
 		return
 	}
-	tr, err := trace.GenerateScenario(s)
+	r, err := core.StartReplay(d.eng, d.ap, tr, now, true)
 	if err != nil {
 		d.logf("replay: %v", err)
 		return
 	}
-	gen := d.replayGen.Load()
-	d.scheduleTrace(tr, gen, 0)
+	d.replay = r
 	d.logf("replaying %s broadcast chatter (%d frames over %v, looping)",
 		tr.Name, len(tr.Frames), tr.Duration)
 }
 
-// scheduleTrace schedules the trace's frames from offset, looping
-// until the replay generation moves on (a reload switched scenarios).
-// Every pass binds one event over pointers into the trace rather than
-// a closure per frame.
-func (d *Daemon) scheduleTrace(tr *trace.Trace, gen uint64, offset time.Duration) {
-	enqueue := func(_ time.Duration, arg any) {
-		if d.replayGen.Load() != gen {
-			return
-		}
-		f := arg.(*trace.Frame)
-		d.ap.EnqueueGroup(f.Datagram(), f.Rate)
-	}
-	var pass func(offset time.Duration)
-	pass = func(offset time.Duration) {
-		for i := range tr.Frames {
-			d.eng.MustScheduleArgAt(offset+tr.Frames[i].At, enqueue, &tr.Frames[i])
-		}
-		d.eng.MustScheduleAt(offset+tr.Duration, func(now time.Duration) {
-			if d.replayGen.Load() == gen {
-				pass(now)
-			}
-		})
-	}
-	pass(offset)
-}
-
-// switchReplay retires the running replay and, unless the new
-// scenario is "none", starts the new one from the current engine
-// time. Runs on a control-plane goroutine; the scheduling itself is
-// injected onto the engine.
-func (d *Daemon) switchReplay(name string) error {
-	gen := d.replayGen.Add(1)
-	if strings.EqualFold(name, "none") {
-		return nil
-	}
-	s, err := trace.ScenarioByName(name)
-	if err != nil {
-		return err
-	}
-	tr, err := trace.GenerateScenario(s)
-	if err != nil {
-		return err
-	}
-	return d.onEngine(controlTimeout, func(now time.Duration) {
-		d.scheduleTrace(tr, gen, now)
-	})
-}
-
 // Reload re-reads the config file and applies the reloadable subset
 // live (scenario, ping_interval, max_missed_pings, drain_deadline,
-// stats_every). Non-reloadable changes are reported but not applied.
+// stats_every) in one engine round trip: the engine reads the new
+// config, the hub's liveness threshold changes, the scenario switches
+// and the status-line log restarts inside one engine event. A new
+// scenario's trace is generated before the round trip. Non-reloadable
+// changes are reported but not applied.
 func (d *Daemon) Reload() (string, error) {
 	if d.cfgPath == "" {
 		return "", errors.New("daemon: started without a config file; nothing to reload")
@@ -459,9 +429,7 @@ func (d *Daemon) Reload() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d.mu.Lock()
-	cur := d.cfg
-	d.mu.Unlock()
+	cur := d.Config()
 	reloadable, restartOnly := cur.diff(next)
 	if len(reloadable) == 0 && len(restartOnly) == 0 {
 		return "no changes", nil
@@ -473,21 +441,24 @@ func (d *Daemon) Reload() (string, error) {
 	merged.MaxMissedPings = next.MaxMissedPings
 	merged.DrainDeadline = next.DrainDeadline
 	merged.StatsEvery = next.StatsEvery
-	d.mu.Lock()
-	d.cfg = merged
-	d.mu.Unlock()
-	if cur.MaxMissedPings != merged.MaxMissedPings {
+	switched := cur.Scenario != merged.Scenario
+	var tr *trace.Trace
+	if switched {
+		if tr, err = scenarioTrace(merged.Scenario); err != nil {
+			return "", err
+		}
+	}
+	if err := d.onEngine(controlTimeout, func(now time.Duration) {
+		d.mu.Lock()
+		d.cfg = merged
+		d.mu.Unlock()
 		d.hub.SetLiveness(merged.MaxMissedPings)
-	}
-	if cur.Scenario != merged.Scenario {
-		if err := d.switchReplay(merged.Scenario); err != nil {
-			return "", err
+		if switched {
+			d.startReplay(tr, now)
 		}
-	}
-	if cur.StatsEvery <= 0 && merged.StatsEvery > 0 {
-		if err := d.onEngine(controlTimeout, func(time.Duration) { d.scheduleStatsLog() }); err != nil {
-			return "", err
-		}
+		d.scheduleStatsLog()
+	}); err != nil {
+		return "", err
 	}
 	d.reloads.Add(1)
 	var parts []string
@@ -548,6 +519,7 @@ func (d *Daemon) Counters() (map[string]int64, error) {
 		"air_frames_in_total":            int64(hs.FramesIn),
 		"air_frames_out_total":           int64(hs.FramesOut),
 		"air_bad_packets_total":          int64(hs.BadPackets),
+		"air_frames_dropped_total":       int64(hs.Dropped),
 		"fault_dropped_total":            int64(hs.FaultDropped),
 		"fault_corrupted_total":          int64(hs.FaultCorrupted),
 		"fault_duplicated_total":         int64(hs.FaultDuplicated),

@@ -4,15 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/control"
+	"repro/internal/dot11"
+	"repro/internal/netmedium"
 )
 
 func writeConfig(t *testing.T, body string) string {
@@ -184,6 +188,95 @@ func TestDaemonBootControlAndDrain(t *testing.T) {
 	}
 }
 
+// TestRunReturnsWhileTheAirFloods cancels a daemon whose air socket
+// eight senders keep flooding while one control client stalls mid-POST,
+// so the HTTP shutdown waits out its deadline after the engine has
+// stopped and the engine's queue fills. The hub drops what the full
+// queue refuses, counts it, and returns on Close, so Run returns.
+func TestRunReturnsWhileTheAirFloods(t *testing.T) {
+	d, err := New(Config{
+		Listen:        "127.0.0.1:0",
+		Control:       "127.0.0.1:0",
+		Scenario:      "none",
+		DrainDeadline: Duration(time.Second),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetLogf(t.Logf)
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.Run(ctx) }()
+	waitHTTP(t, "http://"+d.ControlAddr().String()+"/healthz")
+
+	stalled, err := net.Dial("tcp", d.ControlAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte("POST /v1/inject HTTP/1.1\r\nHost: hided\r\nContent-Length: 64\r\n\r\n{")); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var senders sync.WaitGroup
+	defer senders.Wait()
+	defer close(stop)
+	bssid, err := dot11.ParseMAC(d.Config().BSSID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		conn, err := net.Dial("udp", d.AirAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		df := &dot11.DataFrame{Header: dot11.MACHeader{
+			FC:    dot11.FrameControl{ToDS: true},
+			Addr1: bssid, Addr2: dot11.MACAddr{0x02, 0, 0, 0, 0x0f, byte(i)}, Addr3: bssid,
+		}}
+		msg, err := netmedium.Message{Type: netmedium.MsgFrame, Rate: dot11.Rate1Mbps, Payload: df.Marshal()}.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				//lint:ignore errdrop a lost flood datagram changes nothing
+				_, _ = conn.Write(msg)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for d.hub.Stats().FramesIn == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the hub never read a flood frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run had not returned 10 s after cancellation")
+	}
+	if st := d.hub.Stats(); st.Dropped == 0 {
+		t.Errorf("the stopped engine's full queue refused no frame: %+v", st)
+	}
+}
+
 // TestReloadAppliesSubsetFromFile edits the config file under a
 // running daemon's feet and reloads.
 func TestReloadAppliesSubsetFromFile(t *testing.T) {
@@ -201,8 +294,18 @@ func TestReloadAppliesSubsetFromFile(t *testing.T) {
 	if summary, err := d.Reload(); err != nil || summary != "no changes" {
 		t.Fatalf("idempotent reload: %q %v", summary, err)
 	}
-	// max_missed_pings is reloadable; ssid needs a restart. Scenario is
-	// left alone so the reload path needs no running engine.
+	// A reload applies its live changes on the engine, so it runs.
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	waitHTTP(t, "http://"+d.ControlAddr().String()+"/healthz")
+	// max_missed_pings is reloadable; ssid needs a restart.
 	if err := os.WriteFile(path, []byte(`{
 		"listen": "127.0.0.1:0",
 		"control": "127.0.0.1:0",

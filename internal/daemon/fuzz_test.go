@@ -18,7 +18,6 @@ const fullConfig = `{
 	"beacon_interval": "102400us",
 	"legacy": false,
 	"scenario": "starbucks",
-	"port_ttl": "5m",
 	"ping_interval": 1000000000,
 	"max_missed_pings": 3,
 	"drain_deadline": "5s",

@@ -60,6 +60,10 @@ type cfgBuilder struct {
 	labelBreak    map[string]*cfgBlock
 	labelContinue map[string]*cfgBlock
 	labelBlocks   map[string]*cfgBlock
+	// label names the statement stmt lowers next when that statement
+	// is labeled; a loop, switch or select registers it as its break
+	// (and continue) target.
+	label string
 	// gotos seen before their label's block exists, patched at the end.
 	pendingGotos map[string][]*cfgBlock
 }
@@ -119,6 +123,8 @@ func (b *cfgBuilder) stmtList(list []ast.Stmt) {
 }
 
 func (b *cfgBuilder) stmt(s ast.Stmt) {
+	label := b.label
+	b.label = ""
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		b.stmtList(s.List)
@@ -159,7 +165,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			// No condition: the only way out is break/return, but keep an
 			// exit edge off the (possibly empty) post block unreachable.
 		}
-		b.pushLoop(exit, post)
+		b.pushLoop(label, exit, post)
 		b.cur = body
 		b.stmtList(s.Body.List)
 		b.popLoop()
@@ -180,7 +186,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		// The per-iteration key/value assignment happens at the head.
 		head.stmts = append(head.stmts, s)
 		head.succs = append(head.succs, body, exit)
-		b.pushLoop(exit, head)
+		b.pushLoop(label, exit, head)
 		b.cur = body
 		b.stmtList(s.Body.List)
 		b.popLoop()
@@ -194,19 +200,19 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Tag != nil {
 			b.cur.stmts = append(b.cur.stmts, &ast.ExprStmt{X: s.Tag})
 		}
-		b.switchBody(s.Body, nil)
+		b.switchBody(label, s.Body)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
 		b.cur.stmts = append(b.cur.stmts, s.Assign)
-		b.switchBody(s.Body, nil)
+		b.switchBody(label, s.Body)
 
 	case *ast.SelectStmt:
 		head := b.cur
 		join := b.newBlock()
-		b.pushSwitch(join)
+		b.pushSwitch(label, join)
 		hasDefault := false
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
@@ -254,15 +260,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		tgt := b.newBlock()
 		b.labelBlocks[s.Label.Name] = tgt
 		b.startBlock(tgt)
-		switch inner := s.Stmt.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			// Register the label's break/continue targets by peeking at
-			// the loop the inner statement will build: run it and patch.
-			exit := b.labeledLoop(s.Label.Name, inner)
-			_ = exit
-		default:
-			b.stmt(s.Stmt)
-		}
+		b.label = s.Label.Name
+		b.stmt(s.Stmt)
 
 	case *ast.DeferStmt:
 		b.g.defers = append(b.g.defers, s)
@@ -285,68 +284,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	}
 }
 
-// labeledLoop builds a labeled for/range loop so `break label` and
-// `continue label` resolve. It mirrors the unlabeled lowering but
-// registers the label targets before descending into the body.
-func (b *cfgBuilder) labeledLoop(label string, s ast.Stmt) *cfgBlock {
-	switch s := s.(type) {
-	case *ast.ForStmt:
-		if s.Init != nil {
-			b.stmt(s.Init)
-		}
-		head := b.newBlock()
-		body := b.newBlock()
-		post := b.newBlock()
-		exit := b.newBlock()
-		b.startBlock(head)
-		if s.Cond != nil {
-			head.stmts = append(head.stmts, &ast.ExprStmt{X: s.Cond})
-			head.succs = append(head.succs, body, exit)
-		} else {
-			head.succs = append(head.succs, body)
-		}
-		b.labelBreak[label] = exit
-		b.labelContinue[label] = post
-		b.pushLoop(exit, post)
-		b.cur = body
-		b.stmtList(s.Body.List)
-		b.popLoop()
-		b.cur.succs = append(b.cur.succs, post)
-		b.cur = post
-		if s.Post != nil {
-			b.stmt(s.Post)
-		}
-		b.cur.succs = append(b.cur.succs, head)
-		b.cur = exit
-		return exit
-	case *ast.RangeStmt:
-		head := b.newBlock()
-		body := b.newBlock()
-		exit := b.newBlock()
-		b.cur.stmts = append(b.cur.stmts, &ast.ExprStmt{X: s.X})
-		b.startBlock(head)
-		head.stmts = append(head.stmts, s)
-		head.succs = append(head.succs, body, exit)
-		b.labelBreak[label] = exit
-		b.labelContinue[label] = head
-		b.pushLoop(exit, head)
-		b.cur = body
-		b.stmtList(s.Body.List)
-		b.popLoop()
-		b.cur.succs = append(b.cur.succs, head)
-		b.cur = exit
-		return exit
-	}
-	return nil
-}
-
 // switchBody lowers the case clauses of a switch/type switch: every
 // case body is a successor of the current block, fallthrough chains to
 // the next body, break (and the end of a body) goes to the join block.
-func (b *cfgBuilder) switchBody(body *ast.BlockStmt, _ *cfgBlock) {
+func (b *cfgBuilder) switchBody(label string, body *ast.BlockStmt) {
 	head := b.cur
 	join := b.newBlock()
-	b.pushSwitch(join)
+	b.pushSwitch(label, join)
 	var caseBlocks []*cfgBlock
 	var clauses []*ast.CaseClause
 	for _, c := range body.List {
@@ -381,9 +325,14 @@ func (b *cfgBuilder) switchBody(body *ast.BlockStmt, _ *cfgBlock) {
 	b.cur = join
 }
 
-func (b *cfgBuilder) pushLoop(brk, cont *cfgBlock) {
-	b.breakTargets = append(b.breakTargets, brk)
+// pushLoop enters a loop: brk and cont are its break and continue
+// targets, also under label when it is labeled.
+func (b *cfgBuilder) pushLoop(label string, brk, cont *cfgBlock) {
+	b.pushSwitch(label, brk)
 	b.continueTargets = append(b.continueTargets, cont)
+	if label != "" {
+		b.labelContinue[label] = cont
+	}
 }
 
 func (b *cfgBuilder) popLoop() {
@@ -391,8 +340,13 @@ func (b *cfgBuilder) popLoop() {
 	b.continueTargets = b.continueTargets[:len(b.continueTargets)-1]
 }
 
-func (b *cfgBuilder) pushSwitch(brk *cfgBlock) {
+// pushSwitch enters a switch or select, or a loop: brk is its break
+// target, also under label when it is labeled.
+func (b *cfgBuilder) pushSwitch(label string, brk *cfgBlock) {
 	b.breakTargets = append(b.breakTargets, brk)
+	if label != "" {
+		b.labelBreak[label] = brk
+	}
 }
 
 func (b *cfgBuilder) popSwitch() {

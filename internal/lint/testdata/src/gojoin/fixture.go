@@ -83,6 +83,41 @@ func RangeJoin(n int) int {
 	return total
 }
 
+// LabeledSwitchJoin breaks out of a labeled switch and then joins:
+// `break L` lands after the switch, not at the function's exit.
+func LabeledSwitchJoin(x int) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		work(x)
+	}()
+L:
+	switch x {
+	case 1:
+		break L
+	}
+	wg.Wait()
+}
+
+// LabeledSelectJoin is the same through a labeled select (sending,
+// since a receive would count as a join).
+func LabeledSelectJoin(c chan int) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		work(0)
+	}()
+L:
+	select {
+	case c <- 1:
+		break L
+	default:
+	}
+	wg.Wait()
+}
+
 type testErr struct{}
 
 func (testErr) Error() string { return "test" }

@@ -108,26 +108,26 @@ func FuzzServerDatagrams(f *testing.F) {
 	datagramSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := &sinkConn{sent: make(map[netip.AddrPort]int)}
-		srv := NewServer(conn, func(InjectRequest) {})
+		srv := NewServer(conn, nil, func(InjectRequest) {})
 		splitDatagrams(data, func(from netip.AddrPort, dgram []byte, sweep bool) {
 			if sweep {
-				srv.PingTaps()
+				srv.PingPeers()
 			}
-			srv.handle(dgram, from)
-			if err := srv.taps.check(); err != nil {
+			srv.HandleDatagram(dgram, from)
+			if err := srv.peers.check(); err != nil {
 				t.Fatal(err)
 			}
 		})
 		clear(conn.sent)
 		srv.Publish([]byte{0x80, 0}, dot11.Rate1Mbps, 0)
 		n := 0
-		srv.taps.Each(func(_, addr netip.AddrPort) {
+		srv.peers.Each(func(_, addr netip.AddrPort) {
 			n++
 			if conn.sent[addr] != 1 {
 				t.Fatalf("tap %v sent %d copies of the frame", addr, conn.sent[addr])
 			}
 		})
-		if len(conn.sent) != n || srv.Stats().Subscribers != n {
+		if len(conn.sent) != n || srv.Stats().Peers != n {
 			t.Fatalf("frame published to %v, table holds %d taps", conn.sent, n)
 		}
 	})

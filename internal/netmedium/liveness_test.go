@@ -23,25 +23,25 @@ func deafSubscriber(t *testing.T, srv *Server) net.Conn {
 	if _, err := conn.Write(sub); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "subscription", func() bool { return srv.Stats().Subscribers > 0 })
+	waitFor(t, "subscription", func() bool { return srv.Stats().Peers > 0 })
 	return conn
 }
 
 func TestPingTapsEvictsDeafSubscriber(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	deafSubscriber(t, srv)
 
 	// The subscriber survives the first maxMissedPings sweeps and is
 	// reaped on the next.
 	for i := 0; i < maxMissedPings; i++ {
-		srv.PingTaps()
-		if got := srv.Stats().Subscribers; got != 1 {
+		srv.PingPeers()
+		if got := srv.Stats().Peers; got != 1 {
 			t.Fatalf("sweep %d: %d subscribers, want 1", i, got)
 		}
 	}
-	srv.PingTaps()
+	srv.PingPeers()
 	st := srv.Stats()
-	if st.Subscribers != 0 {
+	if st.Peers != 0 {
 		t.Fatalf("deaf subscriber survived %d sweeps", maxMissedPings+1)
 	}
 	if st.Evictions != 1 {
@@ -53,14 +53,14 @@ func TestPingTapsEvictsDeafSubscriber(t *testing.T) {
 }
 
 func TestPongKeepsSubscriberAlive(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	conn := deafSubscriber(t, srv)
 	pong, err := Message{Type: MsgPong}.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3*maxMissedPings; i++ {
-		srv.PingTaps()
+		srv.PingPeers()
 		if _, err := conn.Write(pong); err != nil {
 			t.Fatal(err)
 		}
@@ -70,34 +70,34 @@ func TestPongKeepsSubscriberAlive(t *testing.T) {
 		waitFor(t, "pong processed", func() bool {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
-			for _, sub := range srv.taps.order {
+			for _, sub := range srv.peers.order {
 				if sub.missed == 0 {
 					return true
 				}
 			}
-			return srv.stats.Evictions > base
+			return srv.Endpoint.stats.Evictions > base
 		})
 	}
 	st := srv.Stats()
-	if st.Subscribers != 1 || st.Evictions != 0 {
+	if st.Peers != 1 || st.Evictions != 0 {
 		t.Fatalf("ponging subscriber evicted: %+v", st)
 	}
 }
 
 func TestTapAutoPongsAndStillReceivesFrames(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	tap, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tap.Close()
-	waitFor(t, "subscription", func() bool { return srv.Stats().Subscribers > 0 })
+	waitFor(t, "subscription", func() bool { return srv.Stats().Peers > 0 })
 
 	// Interleave sweeps with frames: Next must transparently answer
 	// the pings and return only the frames.
 	frame := []byte{0x80, 0x00, 7}
 	for i := 0; i < maxMissedPings+2; i++ {
-		srv.PingTaps()
+		srv.PingPeers()
 		srv.Publish(frame, dot11.Rate1Mbps, time.Duration(i)*time.Millisecond)
 		ev, err := tap.Next(time.Now().Add(5 * time.Second))
 		if err != nil {
@@ -111,15 +111,15 @@ func TestTapAutoPongsAndStillReceivesFrames(t *testing.T) {
 		waitFor(t, "pong processed", func() bool {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
-			for _, sub := range srv.taps.order {
+			for _, sub := range srv.peers.order {
 				if sub.missed != 0 {
 					return false
 				}
 			}
-			return srv.taps.Len() > 0
+			return srv.peers.Len() > 0
 		})
 	}
-	if st := srv.Stats(); st.Subscribers != 1 || st.Evictions != 0 {
+	if st := srv.Stats(); st.Peers != 1 || st.Evictions != 0 {
 		t.Fatalf("live tap evicted: %+v", st)
 	}
 }

@@ -23,10 +23,11 @@
 // only), and Pong/Ping for liveness.
 //
 // The package also holds what both UDP servers of the live runtime
-// share: the codec, which internal/airlink reuses for its virtual air,
-// and Peers, the ordered ping/pong liveness table that keeps this
-// server's taps and the airlink hub's stations under one sweep and one
-// eviction rule.
+// share: the codec, which internal/airlink reuses for its virtual air;
+// Endpoint, the one datagram loop, with Peers, its ordered ping/pong
+// liveness table under one sweep and one eviction rule; Offer, the one
+// non-blocking hand-off onto an engine; and Pong, the clients' one
+// answer to a ping.
 package netmedium
 
 import (
@@ -40,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/dot11"
+	"repro/internal/sim"
 )
 
 // Wire protocol constants.
@@ -49,6 +51,10 @@ const (
 
 	headerLen   = 22
 	maxFrameLen = 4096
+
+	// MaxDatagram sizes a read buffer one byte past the longest valid
+	// message, so a longer datagram reads as too long, not truncated.
+	MaxDatagram = headerLen + maxFrameLen + 1
 )
 
 // MsgType enumerates protocol message types.
@@ -77,6 +83,14 @@ func (m Message) Marshal() ([]byte, error) {
 	if len(m.Payload) > maxFrameLen {
 		return nil, fmt.Errorf("netmedium: payload %d exceeds %d", len(m.Payload), maxFrameLen)
 	}
+	return m.encode(), nil
+}
+
+// pingMsg and pongMsg are the liveness datagrams, encoded once.
+var pingMsg, pongMsg = Message{Type: MsgPing}.encode(), Message{Type: MsgPong}.encode()
+
+// encode is Marshal for a payload known to fit.
+func (m Message) encode() []byte {
 	out := make([]byte, headerLen+len(m.Payload))
 	binary.LittleEndian.PutUint16(out[0:2], protoMagic)
 	out[2] = protoVersion
@@ -85,7 +99,7 @@ func (m Message) Marshal() ([]byte, error) {
 	binary.LittleEndian.PutUint64(out[12:20], math.Float64bits(float64(m.Rate)))
 	binary.LittleEndian.PutUint16(out[20:22], uint16(len(m.Payload)))
 	copy(out[headerLen:], m.Payload)
-	return out, nil
+	return out
 }
 
 // ErrBadMessage reports a malformed datagram.
@@ -142,16 +156,11 @@ func parseInject(b []byte) (InjectRequest, error) {
 	}, nil
 }
 
-// Stats counts server activity.
+// Stats counts server activity. Peers counts the subscribed taps.
 type Stats struct {
-	Subscribers int
-	FramesSent  int
-	Injects     int
-	BadPackets  int
-	PingsSent   int
-	// Evictions counts subscribers reaped by the liveness sweep after
-	// maxMissedPings consecutive unanswered pings.
-	Evictions int
+	EndpointStats
+	FramesSent int
+	Injects    int
 }
 
 // maxMissedPings is the default for how many consecutive sweeps a
@@ -161,114 +170,58 @@ type Stats struct {
 const maxMissedPings = 3
 
 // Server relays monitor frames to taps and inject requests into the
-// simulation. It is safe for concurrent use: Publish and PingTaps are
-// called from the simulation loop while Serve reads the socket.
+// simulation. It is safe for concurrent use: Publish and PingPeers are
+// called from the simulation loop while Serve reads the socket. Any
+// message from a subscriber — a Pong, an Inject, even a fresh
+// Subscribe — resets its liveness count.
 type Server struct {
-	pc     net.PacketConn
-	inject func(InjectRequest)
+	Endpoint[netip.AddrPort] // taps, keyed by their own address
 
-	mu    sync.Mutex
-	taps  Peers[netip.AddrPort] // keyed by their own address
-	stats Stats
+	mu     sync.Mutex // guards the endpoint and counts
+	apply  func(InjectRequest)
+	counts Stats // the server's own; Stats fills in EndpointStats
 }
 
-// NewServer wraps a packet connection. inject is called (from the
-// Serve goroutine) for every valid inject request and must not block;
-// nil disables injection.
-func NewServer(pc net.PacketConn, inject func(InjectRequest)) *Server {
-	return &Server{pc: pc, inject: inject}
+// NewServer wraps a packet connection. apply carries out a valid
+// inject request on the engine: Serve offers the event that calls it
+// to inject (Offer). A nil apply disables injection.
+func NewServer(pc net.PacketConn, inject chan<- sim.Event, apply func(InjectRequest)) *Server {
+	s := &Server{apply: apply}
+	s.Endpoint = NewEndpoint[netip.AddrPort](pc, &s.mu, inject, s.handle)
+	return s
 }
-
-// Addr returns the server's listen address.
-func (s *Server) Addr() net.Addr { return s.pc.LocalAddr() }
 
 // Stats returns a snapshot of the counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Subscribers = s.taps.Len()
+	st := s.counts
+	s.mu.Unlock()
+	st.EndpointStats = s.Endpoint.Stats()
 	return st
 }
 
-// Serve reads datagrams until the connection is closed. It returns
-// net.ErrClosed after Close.
-func (s *Server) Serve() error {
-	buf := make([]byte, headerLen+maxFrameLen)
-	for {
-		n, from, err := s.pc.ReadFrom(buf)
+// handle applies one message of the server's own types from a tap.
+func (s *Server) handle(m Message, from netip.AddrPort) (sim.Event, bool) {
+	switch m.Type {
+	case MsgSubscribe:
+		s.peers.Learn(from, from)
+	case MsgUnsubscribe:
+		s.peers.Remove(from)
+	case MsgInject:
+		req, err := parseInject(m.Payload)
 		if err != nil {
-			return err
+			return nil, false
 		}
-		s.handle(buf[:n], AddrPortOf(from))
-	}
-}
-
-// handle applies one datagram from a tap. Any valid message from a
-// subscriber resets its liveness count.
-func (s *Server) handle(b []byte, from netip.AddrPort) {
-	m, err := Unmarshal(b)
-	var req InjectRequest
-	if err == nil && m.Type == MsgInject {
-		req, err = parseInject(m.Payload)
-	}
-	s.mu.Lock()
-	switch {
-	case err != nil:
-		s.stats.BadPackets++
-	case m.Type == MsgSubscribe:
-		s.taps.Learn(from, from)
-	case m.Type == MsgUnsubscribe:
-		s.taps.Remove(from)
-	case m.Type == MsgInject:
-		s.stats.Injects++
-		s.taps.Touch(from)
-	case m.Type == MsgPing:
-		s.taps.Touch(from)
-		if pong, err := (Message{Type: MsgPong}).Marshal(); err == nil {
-			//lint:ignore errdrop best-effort pong; a lost reply looks like a lost packet
-			_ = SendTo(s.pc, pong, from)
+		s.counts.Injects++
+		s.peers.Touch(from)
+		if apply := s.apply; apply != nil {
+			return func(time.Duration) { apply(req) }, true
 		}
-	case m.Type == MsgPong:
-		s.taps.Touch(from)
 	default:
-		s.stats.BadPackets++
+		return nil, false
 	}
-	s.mu.Unlock()
-	if err == nil && m.Type == MsgInject && s.inject != nil {
-		s.inject(req)
-	}
+	return nil, true
 }
-
-// SetLiveness overrides how many consecutive unanswered sweeps evict
-// a subscriber (values < 1 restore the default of 3). Safe to call
-// while serving.
-func (s *Server) SetLiveness(maxMissed int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.taps.SetMaxMissed(maxMissed)
-}
-
-// PingTaps runs one liveness sweep of the tap table (Peers.Sweep):
-// subscribers that have left the configured number of consecutive
-// sweeps unanswered (SetLiveness; default 3) are evicted, the rest are
-// pinged again. Drive it at a steady cadence (ReplayRealtime's sweep
-// event, configurable via Monitor.SetLiveness); any message from a tap
-// — a Pong, an Inject, even a fresh Subscribe — resets its counter.
-func (s *Server) PingTaps() {
-	ping, err := Message{Type: MsgPing}.Marshal()
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	evicted, sent := s.taps.Sweep(func(addr netip.AddrPort) error { return SendTo(s.pc, ping, addr) })
-	s.stats.PingsSent += sent
-	s.stats.Evictions += len(evicted)
-}
-
-// Close shuts the server down; Serve returns.
-func (s *Server) Close() error { return s.pc.Close() }
 
 // Publish streams one monitor frame to every subscriber, in
 // subscription order. A tap that cannot be reached is left to the
@@ -283,9 +236,9 @@ func (s *Server) Publish(raw []byte, rate dot11.Rate, at time.Duration) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.taps.Each(func(_, addr netip.AddrPort) {
-		if SendTo(s.pc, msg, addr) == nil {
-			s.stats.FramesSent++
+	s.peers.Each(func(_, addr netip.AddrPort) {
+		if s.Send(msg, addr) == nil {
+			s.counts.FramesSent++
 		}
 	})
 }
@@ -296,18 +249,6 @@ func (s *Server) Publish(raw []byte, rate dot11.Rate, at time.Duration) {
 func AddrPortOf(a net.Addr) netip.AddrPort {
 	u, _ := a.(*net.UDPAddr)
 	return u.AddrPort()
-}
-
-// SendTo writes b to addr over pc. On a *net.UDPConn, the socket every
-// server here listens on, the send does not allocate.
-func SendTo(pc net.PacketConn, b []byte, addr netip.AddrPort) error {
-	var err error
-	if u, ok := pc.(*net.UDPConn); ok {
-		_, err = u.WriteToUDPAddrPort(b, addr)
-	} else {
-		_, err = pc.WriteTo(b, net.UDPAddrFromAddrPort(addr))
-	}
-	return err
 }
 
 // Tap is a monitor-mode subscriber.
@@ -348,7 +289,7 @@ func (t *Tap) Next(deadline time.Time) (FrameEvent, error) {
 	if err := t.conn.SetReadDeadline(deadline); err != nil {
 		return FrameEvent{}, err
 	}
-	buf := make([]byte, headerLen+maxFrameLen)
+	buf := make([]byte, MaxDatagram)
 	for {
 		n, err := t.conn.Read(buf)
 		if err != nil {
@@ -361,10 +302,8 @@ func (t *Tap) Next(deadline time.Time) (FrameEvent, error) {
 		if m.Type == MsgPing {
 			// Answer the server's liveness sweep so the tap is not
 			// evicted while idling between frames.
-			if pong, err := (Message{Type: MsgPong}).Marshal(); err == nil {
-				//lint:ignore errdrop best-effort pong; a missed reply costs one sweep
-				_, _ = t.conn.Write(pong)
-			}
+			//lint:ignore errdrop best-effort pong; a missed reply costs one sweep
+			_ = Pong(t.conn)
 			continue
 		}
 		if m.Type != MsgFrame {

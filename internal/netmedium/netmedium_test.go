@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/dot11"
+	"repro/internal/sim"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -108,20 +109,20 @@ func waitFor(t *testing.T, msg string, cond func() bool) {
 }
 
 // startServer runs a server on loopback.
-func startServer(t *testing.T, inject func(InjectRequest)) *Server {
+func startServer(t *testing.T, inject chan<- sim.Event, apply func(InjectRequest)) *Server {
 	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(pc, inject)
+	srv := NewServer(pc, inject, apply)
 	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return srv
 }
 
 func TestSubscribePublishReceive(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	tap, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestSubscribePublishReceive(t *testing.T) {
 	defer tap.Close()
 
 	// Wait for the subscription to land, then publish.
-	waitFor(t, "subscription", func() bool { return srv.Stats().Subscribers > 0 })
+	waitFor(t, "subscription", func() bool { return srv.Stats().Peers > 0 })
 	frame := []byte{0x80, 0x00, 1, 2, 3}
 	srv.Publish(frame, dot11.Rate1Mbps, 42*time.Millisecond)
 
@@ -149,8 +150,9 @@ func TestSubscribePublishReceive(t *testing.T) {
 }
 
 func TestInjectReachesServer(t *testing.T) {
-	got := make(chan InjectRequest, 1)
-	srv := startServer(t, func(r InjectRequest) { got <- r })
+	inject := make(chan sim.Event, 1)
+	var got InjectRequest
+	srv := startServer(t, inject, func(r InjectRequest) { got = r })
 	tap, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +163,10 @@ func TestInjectReachesServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case r := <-got:
-		if r.DstPort != 5353 || r.PayloadSize != 64 {
-			t.Fatalf("inject = %+v", r)
+	case ev := <-inject:
+		ev(0)
+		if got.DstPort != 5353 || got.PayloadSize != 64 {
+			t.Fatalf("inject = %+v", got)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("inject never arrived")
@@ -171,18 +174,18 @@ func TestInjectReachesServer(t *testing.T) {
 }
 
 func TestUnsubscribeStopsStream(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	tap, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "subscription", func() bool { return srv.Stats().Subscribers > 0 })
+	waitFor(t, "subscription", func() bool { return srv.Stats().Peers > 0 })
 	tap.Close()
-	waitFor(t, "unsubscribe", func() bool { return srv.Stats().Subscribers == 0 })
+	waitFor(t, "unsubscribe", func() bool { return srv.Stats().Peers == 0 })
 }
 
 func TestServerIgnoresGarbageDatagrams(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	conn, err := net.Dial("udp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +198,7 @@ func TestServerIgnoresGarbageDatagrams(t *testing.T) {
 }
 
 func TestPingPong(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	conn, err := net.Dial("udp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -223,13 +226,13 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestPublishSkipsOversizeFrames(t *testing.T) {
-	srv := startServer(t, nil)
+	srv := startServer(t, nil, nil)
 	tap, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tap.Close()
-	waitFor(t, "subscription", func() bool { return srv.Stats().Subscribers > 0 })
+	waitFor(t, "subscription", func() bool { return srv.Stats().Peers > 0 })
 	srv.Publish(make([]byte, maxFrameLen+1), dot11.Rate1Mbps, 0)
 	if srv.Stats().FramesSent != 0 {
 		t.Fatal("oversize frame published")

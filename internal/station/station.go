@@ -731,8 +731,10 @@ func (s *Station) observeBeacon(b *dot11.BeaconReading, now time.Duration) {
 // handleData receives group or unicast data frames.
 func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 	// Asleep fast path: a group frame reaching a PS-mode radio between
-	// listen windows is dropped before the (allocating) full parse —
-	// the dominant delivery at large scale. The outcome matches the
+	// listen windows is dropped after reading only its receiver
+	// address, before the header parse and the slow path's checks —
+	// the dominant delivery at large scale. Neither path allocates:
+	// ReadDataFrame reads in place. The outcome matches the
 	// slow path exactly: not ours, multicast, not listening, beacon not
 	// overdue → return with no state change (and a frame the full parse
 	// would reject changes no state on either path).

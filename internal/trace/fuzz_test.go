@@ -112,7 +112,7 @@ func FuzzReadPCAP(f *testing.F) {
 	f.Add(buf.Bytes(), 0.0)
 
 	const epoch = 1_700_000_000 * time.Second
-	f.Add(buildEthernetPCAP(f, [][]byte{ethBroadcastUDP(5353, 50), ethBroadcastUDP(1900, 80)},
+	f.Add(buildPCAP(f, DLTEthernet, [][]byte{ethBroadcastUDP(5353, 50), ethBroadcastUDP(1900, 80)},
 		[]time.Duration{epoch + time.Second, epoch + 2*time.Second}), 2e6)
 
 	beacon, err := (&dot11.Beacon{Header: dot11.MACHeader{Addr1: dot11.Broadcast}, SSID: "x"}).Marshal()
@@ -123,11 +123,7 @@ func FuzzReadPCAP(f *testing.F) {
 		Header:  dot11.MACHeader{FC: dot11.FrameControl{FromDS: true, MoreData: true}, Addr1: dot11.Broadcast},
 		Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{DstPort: 1900, Payload: make([]byte, 20)}),
 	}).Marshal()
-	buf.Reset()
-	if err := WritePCAPRecords(&buf, []PCAPRecord{{At: time.Second, Raw: beacon}, {At: 2 * time.Second, Raw: data}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes(), 5.5e6)
+	f.Add(buildPCAP(f, DLT80211, [][]byte{beacon, data}, []time.Duration{time.Second, 2 * time.Second}), 5.5e6)
 
 	f.Fuzz(func(t *testing.T, data []byte, rate float64) {
 		opts := PCAPOptions{Name: "fuzz", DefaultRate: dot11.Rate(rate)}

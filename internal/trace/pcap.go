@@ -17,12 +17,11 @@ import (
 //   - Ethernet (DLT 1): broadcast/multicast UDP datagrams, as captured
 //     on the AP's wired side. Rates are not available and default to
 //     1 Mb/s (the basic rate broadcast goes out at).
-//   - IEEE 802.11 (DLT 105): raw frames as produced by this package's
-//     own dot11 encoder (WritePCAPRecords) or a monitor-mode capture
-//     without radiotap.
-//   - Radiotap (DLT 127): monitor-mode captures and WritePCAP exports;
-//     the radiotap header's Rate field supplies the per-frame PHY rate
-//     when present.
+//   - IEEE 802.11 (DLT 105): raw frames from a monitor-mode capture
+//     without radiotap. Rates are not available.
+//   - Radiotap (DLT 127): monitor-mode captures and this package's
+//     exports (WritePCAP, WritePCAPRecords); the radiotap header's Rate
+//     field supplies the per-frame PHY rate when present.
 //
 // Only UDP-padded group-addressed data frames become trace entries;
 // everything else (beacons, ACKs, unicast, non-UDP) is skipped, which
@@ -285,73 +284,68 @@ func parseRadiotap(pkt []byte) (hdrLen int, rate dot11.Rate, ok bool) {
 	return hdrLen, 0, true
 }
 
-// PCAPRecord is one raw captured frame for WritePCAPRecords.
+// PCAPRecord is one raw captured 802.11 frame for WritePCAPRecords:
+// its time, the PHY rate it went out at, and its bytes.
 type PCAPRecord struct {
-	At  time.Duration
-	Raw []byte
-}
-
-// writePCAPHeader writes a little-endian pcap global header.
-func writePCAPHeader(w io.Writer, magic, linkType uint32) error {
-	var gh [pcapGlobalHeaderLen]byte
-	binary.LittleEndian.PutUint32(gh[0:4], magic)
-	binary.LittleEndian.PutUint16(gh[4:6], 2) // version major
-	binary.LittleEndian.PutUint16(gh[6:8], 4) // version minor
-	binary.LittleEndian.PutUint32(gh[16:20], 65535)
-	binary.LittleEndian.PutUint32(gh[20:24], linkType)
-	_, err := w.Write(gh[:])
-	return err
+	At   time.Duration
+	Rate dot11.Rate
+	Raw  []byte
 }
 
 // WritePCAPRecords writes raw 802.11 frames (e.g. from the medium's
-// monitor tap) as a DLT 105 pcap capture, preserving their bytes
-// exactly. ReadPCAP turns such a capture back into a broadcast trace.
+// monitor tap) as a radiotap (DLT 127) pcap capture with nanosecond
+// timestamps, each frame's bytes exactly behind a radiotap header
+// carrying its rate, so ReadPCAP turns the capture back into a
+// broadcast trace at the rates the frames were sent. A rate the
+// radiotap Rate field cannot carry (a multiple of 500 kb/s up to
+// 127.5 Mb/s) is left out and reads back as the reader's default
+// rate.
 func WritePCAPRecords(w io.Writer, recs []PCAPRecord) error {
-	if err := writePCAPHeader(w, pcapMagicMicros, DLT80211); err != nil {
+	var gh [pcapGlobalHeaderLen]byte
+	binary.LittleEndian.PutUint32(gh[0:4], pcapMagicNanos)
+	binary.LittleEndian.PutUint16(gh[4:6], 2) // version major
+	binary.LittleEndian.PutUint16(gh[6:8], 4) // version minor
+	binary.LittleEndian.PutUint32(gh[16:20], 65535)
+	binary.LittleEndian.PutUint32(gh[20:24], DLTRadiotap)
+	if _, err := w.Write(gh[:]); err != nil {
 		return err
 	}
 	var rec [pcapRecordHeaderLen]byte
-	for _, r := range recs {
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(r.At/time.Second))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(r.At%time.Second/time.Microsecond))
-		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(r.Raw)))
-		binary.LittleEndian.PutUint32(rec[12:16], uint32(len(r.Raw)))
-		if _, err := w.Write(rec[:]); err != nil {
-			return err
+	for i := range recs {
+		r := &recs[i]
+		if r.At < 0 || r.At/time.Second > math.MaxUint32 {
+			return fmt.Errorf("trace: record %d at %v outside the pcap timestamp range", i, r.At)
 		}
-		if _, err := w.Write(r.Raw); err != nil {
-			return err
+		// Radiotap version 0, length, present word, then the Rate
+		// field (present bit 2) in 500 kb/s units when it fits.
+		rt := []byte{0, 0, 8, 0, 0, 0, 0, 0}
+		if units := math.Round(float64(r.Rate) / 500e3); units >= 1 && units <= 255 && units*500e3 == float64(r.Rate) {
+			rt[2], rt[4] = 9, 1<<2
+			rt = append(rt, byte(units))
+		}
+		n := uint32(len(rt) + len(r.Raw))
+		binary.LittleEndian.PutUint32(rec[0:4], uint32(r.At/time.Second))
+		binary.LittleEndian.PutUint32(rec[4:8], uint32(r.At%time.Second))
+		binary.LittleEndian.PutUint32(rec[8:12], n)
+		binary.LittleEndian.PutUint32(rec[12:16], n)
+		for _, b := range [][]byte{rec[:], rt, r.Raw} {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// WritePCAP exports the trace as a radiotap (DLT 127) pcap capture
-// with nanosecond timestamps: each trace frame becomes a
-// group-addressed UDP data frame encoded by the dot11 package behind a
-// radiotap header carrying its rate, so external tools (wireshark,
-// tshark) can inspect generated traces and ReadPCAP reads back the
-// frames as written. A rate the radiotap Rate field cannot carry (a
-// multiple of 500 kb/s up to 127.5 Mb/s) is left out and reads back as
-// the reader's default rate.
+// WritePCAP exports the trace as a WritePCAPRecords capture: each
+// trace frame becomes a group-addressed UDP data frame encoded by the
+// dot11 package, so external tools (wireshark, tshark) can inspect
+// generated traces and ReadPCAP reads back the frames as written.
 func WritePCAP(w io.Writer, tr *Trace) error {
-	if err := writePCAPHeader(w, pcapMagicNanos, DLTRadiotap); err != nil {
-		return err
-	}
 	src := dot11.MACAddr{0x02, 0x1d, 0xe0, 0xff, 0xff, 0xfe}
-	var rec [pcapRecordHeaderLen]byte
+	recs := make([]PCAPRecord, len(tr.Frames))
 	for i := range tr.Frames {
 		f := &tr.Frames[i]
-		if f.At < 0 || f.At/time.Second > math.MaxUint32 {
-			return fmt.Errorf("trace: frame %d at %v outside the pcap timestamp range", i, f.At)
-		}
-		// Radiotap version 0, length, present word, then the Rate
-		// field (present bit 2) in 500 kb/s units when it fits.
-		rt := []byte{0, 0, 8, 0, 0, 0, 0, 0}
-		if units := math.Round(float64(f.Rate) / 500e3); units >= 1 && units <= 255 && units*500e3 == float64(f.Rate) {
-			rt[2], rt[4] = 9, 1<<2
-			rt = append(rt, byte(units))
-		}
 		df := &dot11.DataFrame{
 			Header: dot11.MACHeader{
 				FC:    dot11.FrameControl{FromDS: true, MoreData: f.MoreData},
@@ -360,17 +354,7 @@ func WritePCAP(w io.Writer, tr *Trace) error {
 			},
 			Payload: dot11.EncapsulateUDP(f.Datagram()),
 		}
-		raw := df.Marshal()
-		n := uint32(len(rt) + len(raw))
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(f.At/time.Second))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(f.At%time.Second))
-		binary.LittleEndian.PutUint32(rec[8:12], n)
-		binary.LittleEndian.PutUint32(rec[12:16], n)
-		for _, b := range [][]byte{rec[:], rt, raw} {
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-		}
+		recs[i] = PCAPRecord{At: f.At, Rate: f.Rate, Raw: df.Marshal()}
 	}
-	return nil
+	return WritePCAPRecords(w, recs)
 }

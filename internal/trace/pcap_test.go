@@ -34,14 +34,14 @@ func TestPCAPRoundTrip(t *testing.T) {
 	}
 }
 
-// buildEthernetPCAP synthesizes an Ethernet capture with the given
-// packets (each: offset, dst MAC, payload bytes after the MAC header).
-func buildEthernetPCAP(t testing.TB, pkts [][]byte, times []time.Duration) []byte {
+// buildPCAP synthesizes a microsecond capture of the given link type
+// holding pkts at times.
+func buildPCAP(t testing.TB, linkType uint32, pkts [][]byte, times []time.Duration) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var gh [pcapGlobalHeaderLen]byte
 	binary.LittleEndian.PutUint32(gh[0:4], pcapMagicMicros)
-	binary.LittleEndian.PutUint32(gh[20:24], DLTEthernet)
+	binary.LittleEndian.PutUint32(gh[20:24], linkType)
 	buf.Write(gh[:])
 	var rec [pcapRecordHeaderLen]byte
 	for i, p := range pkts {
@@ -81,7 +81,7 @@ func TestReadPCAPEthernet(t *testing.T) {
 	pkts = append(pkts, uni)
 	// Epoch-style timestamps exercise the rebase-to-first-packet path.
 	const epoch = 1_700_000_000 * time.Second
-	raw := buildEthernetPCAP(t, pkts,
+	raw := buildPCAP(t, DLTEthernet, pkts,
 		[]time.Duration{epoch + time.Second, epoch + 2*time.Second, epoch + 3*time.Second})
 
 	tr, err := ReadPCAP(bytes.NewReader(raw), PCAPOptions{Name: "eth"})
