@@ -17,12 +17,13 @@
 // medium's rule (fault.Judge), so the chaos scenarios from
 // internal/fault run against a real daemon over real sockets. And the
 // hub runs the simulation monitor's datagram loop, netmedium.Endpoint,
-// so it tracks peer liveness (SetLiveness + PingPeers) in the same
-// netmedium.Peers table the monitor keeps its taps in: a client
-// process that died without disassociating stops answering pings and
-// is evicted after a configurable number of missed sweeps, and
-// PingPeers returns the evicted MACs so the daemon can clean up
-// AP-side state and log the eviction.
+// so it tracks peers in the same netmedium.Peers table the monitor
+// keeps its taps in. A disassociation crossing the hub, the station's
+// own or the AP's, is delivered and then removes the peer; a client
+// process that died without one stops answering pings and is evicted
+// after a configurable number of missed sweeps (SetLiveness +
+// PingPeers), which returns the evicted MACs so the daemon can clean
+// up AP-side state and log the eviction.
 //
 // Neither end ever blocks handing a received frame to its engine: the
 // frame is offered to the engine's queue (netmedium.Offer), and one
@@ -31,6 +32,7 @@
 package airlink
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -128,14 +130,6 @@ func (h *Hub) SetFaultPlan(plan fault.Plan, seed uint64) {
 	}
 }
 
-// DropPeer forgets a peer immediately (a disassociated client); its
-// next frame re-learns it.
-func (h *Hub) DropPeer(mac dot11.MACAddr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.Peers().Remove(mac)
-}
-
 // Transmit sends a frame to its addressee(s) over UDP, applying the
 // installed fault plan per delivery. It is called from the engine
 // goroutine only.
@@ -169,6 +163,9 @@ func (h *Hub) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Dura
 	if to, ok := h.Peers().Addr(dst); ok {
 		d.Rcv = dst
 		h.deliverLocked(d, to, msg)
+		if dot11.Classify(raw) == dot11.KindDisassoc {
+			h.Peers().Remove(dst) // the AP said goodbye
+		}
 	}
 	return 0
 }
@@ -204,16 +201,21 @@ func (h *Hub) deliverLocked(d fault.Delivery, to netip.AddrPort, msg []byte) {
 }
 
 // handle applies one frame from a station, the hub's own message type:
-// it teaches the peer table its transmitter's address and becomes the
-// event that delivers it to the attached node.
+// it teaches the peer table its transmitter's address, or removes the
+// transmitter from the table when the frame is its disassociation, and
+// becomes the event that delivers the frame to the attached node.
 func (h *Hub) handle(m netmedium.Message, from netip.AddrPort) (sim.Event, bool) {
 	if m.Type != netmedium.MsgFrame {
 		return nil, false
 	}
-	if src, ok := dot11.Transmitter(m.Payload); ok {
-		h.Peers().Learn(src, from)
-	} else {
+	src, ok := dot11.Transmitter(m.Payload)
+	switch {
+	case !ok:
 		h.Peers().Touch(from)
+	case dot11.Classify(m.Payload) == dot11.KindDisassoc:
+		h.Peers().Remove(src) // it said goodbye; the AP still hears it
+	default:
+		h.Peers().Learn(src, from)
 	}
 	h.stats.FramesIn++
 	if h.node == nil {
@@ -228,16 +230,30 @@ func deliver(node medium.Node, m netmedium.Message) sim.Event {
 	return func(now time.Duration) { node.Receive(raw, rate, now) }
 }
 
+// writeTimeout bounds every write on a link's socket. Transmit runs on
+// the engine goroutine, and a blocked send must not stall it.
+const writeTimeout = time.Second
+
 // Link is the client-side leg: a connected UDP socket to the hub.
 type Link struct {
-	conn   net.Conn
+	conn   hubConn
 	inject chan<- sim.Event
 
-	mu           sync.Mutex
-	node         medium.Node
-	stats        LinkStats
-	writeTimeout time.Duration
-	readIdle     time.Duration
+	mu    sync.Mutex
+	node  medium.Node
+	stats LinkStats
+}
+
+// hubConn is a link's socket. Its Write, the one write path for frames
+// and pongs, arms a fresh deadline first: a pong never inherits the
+// expired deadline of the client's last frame.
+type hubConn struct{ net.Conn }
+
+// Write sends one datagram within writeTimeout.
+func (c hubConn) Write(b []byte) (int, error) {
+	//lint:ignore errdrop a deadline that cannot be set surfaces as the write error below
+	_ = c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	return c.Conn.Write(b)
 }
 
 // LinkStats counts link activity.
@@ -245,13 +261,12 @@ type LinkStats struct {
 	FramesIn   int
 	FramesOut  int
 	BadPackets int
-	// WriteErrors counts sends that failed or timed out (per-operation
-	// write deadline); the frame is treated as lost on the air.
+	// WriteErrors counts frames and pongs whose send failed or timed
+	// out; a frame is treated as lost on the air, a pong as a miss.
 	WriteErrors int
-	// IdlePeriods counts read-idle expiries: no datagram from the hub
-	// for the configured window.
-	IdlePeriods int
-	// PingsAnswered counts hub liveness pings answered with a pong.
+	// ReadErrors counts reads that failed on the open socket.
+	ReadErrors int
+	// PingsAnswered counts pings answered with a pong that was written.
 	PingsAnswered int
 	// Dropped counts frames the engine's full queue refused.
 	Dropped int
@@ -263,7 +278,7 @@ func Dial(addr string, inject chan<- sim.Event) (*Link, error) {
 	if err != nil {
 		return nil, fmt.Errorf("airlink: dialing hub: %w", err)
 	}
-	return &Link{conn: conn, inject: inject}, nil
+	return &Link{conn: hubConn{conn}, inject: inject}, nil
 }
 
 var _ medium.Channel = (*Link)(nil)
@@ -275,32 +290,11 @@ func (l *Link) Attach(addr dot11.MACAddr, n medium.Node) {
 	l.node = n
 }
 
-// SetIOTimeouts installs per-operation deadlines: every Transmit gets
-// a write deadline of write (0 leaves writes unbounded), and Serve
-// arms a read deadline of readIdle per read — when no datagram arrives
-// within it, Serve counts an idle period and reads on, so a silent hub
-// surfaces as idleness instead of a hung read. Configure before Serve
-// starts.
-func (l *Link) SetIOTimeouts(write, readIdle time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.writeTimeout = write
-	l.readIdle = readIdle
-}
-
-// Transmit sends a frame to the hub, bounded by the configured write
-// deadline.
+// Transmit sends a frame to the hub within writeTimeout.
 func (l *Link) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Duration {
 	msg, err := netmedium.Message{Type: netmedium.MsgFrame, Rate: rate, Payload: raw}.Marshal()
 	if err != nil {
 		return 0
-	}
-	l.mu.Lock()
-	wt := l.writeTimeout
-	l.mu.Unlock()
-	if wt > 0 {
-		//lint:ignore errdrop a deadline that cannot be set surfaces as the write error below
-		_ = l.conn.SetWriteDeadline(time.Now().Add(wt))
 	}
 	_, err = l.conn.Write(msg)
 	l.mu.Lock()
@@ -321,40 +315,36 @@ func (l *Link) Stats() LinkStats {
 }
 
 // Serve reads frames from the hub until the socket closes, answering
-// liveness pings and reporting read-idle periods. A frame is offered
-// to the engine (netmedium.Offer), so Serve returns after Close even
-// when the engine has stopped draining its queue.
+// liveness pings. A frame is offered to the engine (netmedium.Offer),
+// so Serve returns after Close even when the engine has stopped
+// draining its queue. Another read error, such as the refusal of a
+// datagram sent while the hub was down, is counted and reading goes on.
 func (l *Link) Serve() error {
 	buf := make([]byte, netmedium.MaxDatagram)
 	for {
-		l.mu.Lock()
-		idle := l.readIdle
-		l.mu.Unlock()
-		if idle > 0 {
-			//lint:ignore errdrop a deadline that cannot be set degrades to a blocking read
-			_ = l.conn.SetReadDeadline(time.Now().Add(idle))
-		}
 		n, err := l.conn.Read(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && idle > 0 {
-				l.mu.Lock()
-				l.stats.IdlePeriods++
-				l.mu.Unlock()
-				continue
-			}
+		if errors.Is(err, net.ErrClosed) {
 			return err
 		}
+		if err != nil {
+			l.mu.Lock()
+			l.stats.ReadErrors++
+			l.mu.Unlock()
+			continue
+		}
 		m, err := netmedium.Unmarshal(buf[:n])
+		var pongErr error
 		if err == nil && m.Type == netmedium.MsgPing {
 			// Answer the hub's liveness sweep so an idle (suspended)
 			// client is not evicted between frames.
-			//lint:ignore errdrop best-effort pong; a missed reply costs one sweep
-			_ = netmedium.Pong(l.conn)
+			pongErr = netmedium.Pong(l.conn)
 		}
 		l.mu.Lock()
 		switch {
 		case err != nil:
 			l.stats.BadPackets++
+		case m.Type == netmedium.MsgPing && pongErr != nil:
+			l.stats.WriteErrors++
 		case m.Type == netmedium.MsgPing:
 			l.stats.PingsAnswered++
 		case m.Type == netmedium.MsgPong:

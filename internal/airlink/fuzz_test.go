@@ -3,6 +3,7 @@ package airlink
 import (
 	"net"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/dot11"
@@ -28,8 +29,9 @@ func (c *sinkConn) WriteTo(b []byte, to net.Addr) (int, error) {
 // a run of records: a header byte picks the source (low two bits) and
 // asks for a sweep first (top bit), a length byte sizes the datagram.
 // The hub must never panic; every frame's transmitter must be routed
-// to the address it spoke from; each peer must hold exactly one
-// address; and no evicted peer may still be routed.
+// to the address it spoke from, unless the frame is its disassociation,
+// which leaves it unrouted; each peer must hold exactly one address;
+// and no evicted peer may still be routed.
 func FuzzHubDatagrams(f *testing.F) {
 	sources := [4]netip.AddrPort{
 		netip.MustParseAddrPort("127.0.0.1:40001"),
@@ -37,28 +39,32 @@ func FuzzHubDatagrams(f *testing.F) {
 		netip.MustParseAddrPort("[::1]:40001"),
 		netip.MustParseAddrPort("10.0.0.7:9"),
 	}
-	frame, err := (&dot11.AssocRequest{Header: dot11.MACHeader{Addr1: bssid, Addr2: dot11.MACAddr{2, 0, 0, 0, 0, 1}, Addr3: bssid}}).Marshal()
+	record := func(src byte, m netmedium.Message) []byte {
+		b, err := m.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append([]byte{src, byte(len(b))}, b...)
+	}
+	hdr := dot11.MACHeader{Addr1: bssid, Addr2: dot11.MACAddr{2, 0, 0, 0, 0, 1}, Addr3: bssid}
+	frame, err := (&dot11.AssocRequest{Header: hdr}).Marshal()
 	if err != nil {
 		f.Fatal(err)
 	}
+	assoc := netmedium.Message{Type: netmedium.MsgFrame, Rate: dot11.Rate1Mbps, Payload: frame}
 	for i, m := range []netmedium.Message{
-		{Type: netmedium.MsgFrame, Rate: dot11.Rate1Mbps, Payload: frame},
+		assoc,
 		{Type: netmedium.MsgPing},
 		{Type: netmedium.MsgPong},
 		{Type: netmedium.MsgSubscribe},
 		{Type: netmedium.MsgInject, Payload: []byte{0xe9, 0x14, 64, 0}},
 	} {
-		b, err := m.Marshal()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(append([]byte{byte(i), byte(len(b))}, b...))
+		f.Add(record(byte(i), m))
 	}
-	ping, err := netmedium.Message{Type: netmedium.MsgPing}.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte{0x80, 21}, ping[:21]...)) // truncated header
+	ping := record(0x80, netmedium.Message{Type: netmedium.MsgPing})
+	f.Add(append([]byte{0x80, 21}, ping[2:23]...)) // truncated header
+	bye := netmedium.Message{Type: netmedium.MsgFrame, Rate: dot11.Rate1Mbps, Payload: (&dot11.Disassoc{Header: hdr}).Marshal()}
+	f.Add(slices.Concat(record(0, assoc), record(0, bye))) // associate, then say goodbye
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := &sinkConn{sent: make(map[netip.AddrPort]int)}
@@ -86,7 +92,12 @@ func FuzzHubDatagrams(f *testing.F) {
 			hub.HandleDatagram(dgram, from)
 			if m, err := netmedium.Unmarshal(dgram); err == nil && m.Type == netmedium.MsgFrame {
 				if src, ok := dot11.Transmitter(m.Payload); ok {
-					if at, _ := hub.Peers().Addr(src); at != from {
+					at, routed := hub.Peers().Addr(src)
+					if dot11.Classify(m.Payload) == dot11.KindDisassoc {
+						if routed {
+							t.Fatalf("%v said goodbye from %v: still routed to %v", src, from, at)
+						}
+					} else if at != from {
 						t.Fatalf("frame from %v at %v: routed to %v", src, from, at)
 					}
 				}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/medium"
 	"repro/internal/netmedium"
 	"repro/internal/sim"
+	"repro/internal/station"
 )
 
 // TestHubFaultPlanTotalLoss installs a 100% loss plan and checks that
@@ -227,66 +228,59 @@ func TestHubLivenessEviction(t *testing.T) {
 	}
 }
 
-// TestHubDropPeer forgets a peer immediately.
-func TestHubDropPeer(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := NewHub(pc, make(chan sim.Event, 16))
-	go hub.Serve()
-	defer hub.Close()
+// TestHubPeerLeavesOnDisassociation checks the hub's goodbye rule from
+// both ends: a station's Leave, and a disassociation the AP sends, each
+// reach the other side and remove the station's peer at once, and the
+// liveness sweeps that follow evict nothing.
+func TestHubPeerLeavesOnDisassociation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fromAP bool              // the AP says goodbye, not the station
+		leave  func(r *rig)      // on the engine of the side that leaves
+		heard  func(r *rig) bool // on the engine of the other side
+	}{
+		{
+			name:  "station leaves",
+			leave: func(r *rig) { r.stEnt.Leave(dot11.ReasonStationLeft) },
+			heard: func(r *rig) bool { _, ok := r.apEnt.AIDOf(r.stEnt.Addr()); return !ok },
+		},
+		{
+			name:   "AP disassociates",
+			fromAP: true,
+			leave:  func(r *rig) { r.apEnt.DisassociateClient(r.stEnt.Addr(), dot11.ReasonInactivity) },
+			heard:  func(r *rig) bool { return r.stEnt.Stats().DisassocsReceived == 1 },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := startRig(t, station.HIDE, []uint16{5353}, 20*time.Millisecond)
+			r.associatedAID(t)
+			waitPeers(t, r.hub, 1)
+			r.hub.SetLiveness(1)
+			leaver, hearer := r.stInject, r.apInject
+			if tc.fromAP {
+				leaver, hearer = hearer, leaver
+			}
+			probeWait(t, leaver, time.Second, func() bool { tc.leave(r); return true })
 
-	peer := dialAndRegister(t, hub)
-	defer peer.Close()
-	hub.DropPeer(dot11.MACAddr{0x02, 0, 0, 0, 0, 0x01})
-	if n := hub.Stats().Peers; n != 0 {
-		t.Fatalf("peers after DropPeer = %d, want 0", n)
-	}
-	hub.Transmit(bssid, broadcastBeacon(t), dot11.Rate1Mbps)
-	if got := hub.Stats().FramesOut; got != 0 {
-		t.Fatalf("dropped peer still receives frames: FramesOut=%d", got)
-	}
-}
-
-// TestLinkReadIdlePeriods checks the read-idle deadline counts idle
-// periods instead of hanging or killing the serve loop.
-func TestLinkReadIdlePeriods(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := NewHub(pc, make(chan sim.Event, 16))
-	go hub.Serve()
-	defer hub.Close()
-
-	inject := make(chan sim.Event, 16)
-	link, err := Dial(pc.LocalAddr().String(), inject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	link.SetIOTimeouts(time.Second, 20*time.Millisecond)
-	go link.Serve()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for link.Stats().IdlePeriods == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("IdlePeriods not counted on a silent link")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The serve loop must still be reading: a frame sent after idle
-	// periods is delivered.
-	registerPeer(t, link.conn, dot11.MACAddr{0x02, 0, 0, 0, 0, 0x09})
-	waitPeers(t, hub, 1)
-	hub.Transmit(bssid, broadcastBeacon(t), dot11.Rate1Mbps)
-	deadline = time.Now().Add(5 * time.Second)
-	for link.Stats().FramesIn == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("frame not received after idle periods")
-		}
-		time.Sleep(time.Millisecond)
+			if !probeWait(t, hearer, 2*time.Second, func() bool { return tc.heard(r) }) {
+				t.Fatal("the disassociation was not delivered")
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for r.hub.Stats().Peers != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("the peer stayed after its disassociation: %+v", r.hub.Stats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for i := 0; i < 3; i++ {
+				if evicted := r.hub.PingPeers(); len(evicted) > 0 {
+					t.Fatalf("sweep %d evicted %v", i, evicted)
+				}
+			}
+			if st := r.hub.Stats(); st.Evictions != 0 {
+				t.Fatalf("a goodbye counted as an eviction: %+v", st)
+			}
+		})
 	}
 }
 
@@ -383,6 +377,57 @@ func TestLinkServeReturnsWithEngineQueueFull(t *testing.T) {
 		func() int { return link.Stats().FramesIn },
 		func() int { return link.Stats().Dropped },
 		link.Close)
+}
+
+// TestLinkReadsAfterTheHubReturns stops the hub a link is connected
+// to and sends it a frame: the link counts the refusal its next read
+// reports, and once the hub is back on the same address it still reads
+// the hub's frames.
+func TestLinkReadsAfterTheHubReturns(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := pc.LocalAddr().String()
+	link, err := Dial(addr, make(chan sim.Event, fullQueue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	link.Attach(dot11.MACAddr{0x02, 0, 0, 0, 0, 0x01}, discard{})
+	served := make(chan error, 1)
+	go func() { served <- link.Serve() }()
+	defer func() {
+		link.Close()
+		<-served
+	}()
+
+	pc.Close()
+	link.Transmit(dot11.MACAddr{0x02, 0, 0, 0, 0, 0x01}, broadcastBeacon(t), dot11.Rate1Mbps)
+	deadline := time.Now().Add(2 * time.Second)
+	for link.Stats().ReadErrors == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no refusal read: %+v", link.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if pc, err = net.ListenPacket("udp", addr); err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	msg, err := netmedium.Message{Type: netmedium.MsgFrame, Rate: dot11.Rate1Mbps, Payload: broadcastBeacon(t)}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.WriteTo(msg, link.conn.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	for link.Stats().FramesIn == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the link stopped reading after the hub refused a frame: %+v", link.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // registerPeer sends one frame from mac so the hub learns the peer's

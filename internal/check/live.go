@@ -62,7 +62,8 @@ type LiveResult struct {
 	// RestartsSeen counts clients that detected the AP power-cycle by
 	// TSF regression.
 	RestartsSeen int
-	// Evictions is the daemon's liveness-eviction count.
+	// Evictions is the daemon's liveness-eviction count; the budget is
+	// exactly the one killed client.
 	Evictions int64
 	// DisassocsReceived counts clients that heard a real
 	// disassociation frame during the drain.
@@ -155,24 +156,19 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		base: "http://" + d.ControlAddr().String()}
 
 	// Attach the clients: every client wants the probe port plus a
-	// unique private port, reconnects with fast backoff, and times its
-	// liveness to the fast beacons.
+	// unique private port and reconnects; its watchdog and backoff
+	// time themselves to the fast beacons it hears.
 	clientCtx, stopClients := context.WithCancel(ctx)
 	defer stopClients()
 	for i := 0; i < cfg.Clients; i++ {
 		c, err := daemon.NewClient(daemon.ClientConfig{
-			Connect:       d.AirAddr().String(),
-			Addr:          dot11.MACAddr{0x02, 0x1d, 0xe0, 0xfe, byte(i >> 8), byte(i + 1)},
-			Mode:          station.HIDE,
-			Ports:         []uint16{liveProbePort, uint16(41000 + i)},
-			Reconnect:     true,
-			ReconnectBase: 2 * liveBeaconInterval,
-			ReconnectMax:  10 * liveBeaconInterval,
-			BeaconTimeout: 6 * liveBeaconInterval,
-			DeadTimeout:   15 * liveBeaconInterval,
-			CheckInterval: liveBeaconInterval,
-			Seed:          cfg.Seed,
-			Logf:          func(string, ...any) {},
+			Connect:   d.AirAddr().String(),
+			Addr:      dot11.MACAddr{0x02, 0x1d, 0xe0, 0xfe, byte(i >> 8), byte(i + 1)},
+			Mode:      station.HIDE,
+			Ports:     []uint16{liveProbePort, uint16(41000 + i)},
+			Reconnect: true,
+			Seed:      cfg.Seed,
+			Logf:      func(string, ...any) {},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("check: client %d: %w", i, err)
@@ -260,7 +256,12 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return res, err
 	}
+	// Only the silent victim is evicted: every live client answers the
+	// sweep however long it idles.
 	res.Evictions = counters["evictions_total"]
+	if res.Evictions != 1 {
+		fail("liveness: %d evictions, want 1 (the killed client)", res.Evictions)
+	}
 	cfg.Logf("live: victim evicted (evictions=%d)", res.Evictions)
 
 	// Phase 4: graceful drain. Stop the daemon; surviving clients must

@@ -33,8 +33,8 @@ func TestLiveChaos(t *testing.T) {
 	if res.ProbesSent == 0 || res.Clients != 12 {
 		t.Fatalf("harness degenerate: %+v", res)
 	}
-	if res.Evictions == 0 {
-		t.Error("no liveness eviction recorded")
+	if res.Evictions != 1 {
+		t.Errorf("%d liveness evictions recorded, want 1 (the killed client)", res.Evictions)
 	}
 	if res.DisassocsReceived != res.Clients-1 {
 		t.Errorf("drain reached %d/%d surviving clients", res.DisassocsReceived, res.Clients-1)

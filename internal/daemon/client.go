@@ -56,11 +56,18 @@ func (s ClientState) String() string {
 	}
 }
 
-// The client's per-operation airlink deadlines. A read-idle expiry is
-// not an error; it just keeps the read loop supervisable.
+// The watchdog's timings, in beacon intervals the station hears
+// (Station.BeaconInterval, 100 TU until the first beacon): degraded
+// after degradedAfter silent intervals, abandoned after deadAfter, a
+// check every checkEvery, and a reconnect backoff from backoffBase
+// doubling up to backoffMax. At 100 TU: about 1 s, 3 s, 250 ms, 200 ms
+// and 5 s.
 const (
-	linkWriteTimeout = time.Second
-	linkReadIdle     = time.Second
+	degradedAfter = 10
+	deadAfter     = 30
+	checkEvery    = 2.5
+	backoffBase   = 2
+	backoffMax    = 49
 )
 
 // ClientConfig configures a supervised hidec client.
@@ -71,8 +78,6 @@ type ClientConfig struct {
 	SSID string
 	// Addr is this client's MAC (required).
 	Addr dot11.MACAddr
-	// BSSID is the AP MAC (default 02:1d:e0:ff:00:01).
-	BSSID dot11.MACAddr
 	// Mode selects HIDE, Legacy, or ClientSide behaviour.
 	Mode station.Mode
 	// Ports are the open UDP ports reported to the AP.
@@ -80,21 +85,6 @@ type ClientConfig struct {
 	// Reconnect re-associates after the AP disappears. When false, a
 	// lost connection ends Run with ErrConnectionLost.
 	Reconnect bool
-	// ReconnectBase is the first backoff step (default 200ms); each
-	// failed attempt doubles it up to ReconnectMax (default 5s), with
-	// ±25% jitter so a fleet of clients does not stampede a restarted
-	// AP.
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
-	// BeaconTimeout marks the association degraded when no beacon has
-	// been heard for this long (default 10 beacon intervals' worth:
-	// 1s).
-	BeaconTimeout time.Duration
-	// DeadTimeout abandons the association when beacons have been
-	// silent this long (default 3× BeaconTimeout).
-	DeadTimeout time.Duration
-	// CheckInterval is the watchdog cadence (default BeaconTimeout/4).
-	CheckInterval time.Duration
 	// Seed feeds the backoff-jitter RNG (folded with the MAC so equal
 	// seeds still desynchronize a fleet).
 	Seed uint64
@@ -109,25 +99,6 @@ func (c ClientConfig) normalized() ClientConfig {
 	}
 	if c.SSID == "" {
 		c.SSID = "hide-net"
-	}
-	var zero dot11.MACAddr
-	if c.BSSID == zero {
-		c.BSSID = dot11.MACAddr{0x02, 0x1d, 0xe0, 0xff, 0x00, 0x01}
-	}
-	if c.ReconnectBase <= 0 {
-		c.ReconnectBase = 200 * time.Millisecond
-	}
-	if c.ReconnectMax <= 0 {
-		c.ReconnectMax = 5 * time.Second
-	}
-	if c.BeaconTimeout <= 0 {
-		c.BeaconTimeout = time.Second
-	}
-	if c.DeadTimeout <= 0 {
-		c.DeadTimeout = 3 * c.BeaconTimeout
-	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = c.BeaconTimeout / 4
 	}
 	if c.Logf == nil {
 		c.Logf = func(format string, args ...any) {
@@ -197,10 +168,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		rng:     sim.NewRNG(cfg.Seed ^ macSeed(cfg.Addr)),
 		engDone: make(chan struct{}),
 	}
-	c.link.SetIOTimeouts(linkWriteTimeout, linkReadIdle)
 	c.st = station.New(c.eng, link, station.Config{
 		Addr:  cfg.Addr,
-		BSSID: cfg.BSSID,
+		BSSID: dot11.Broadcast, // until the AP answers
 		Mode:  cfg.Mode,
 	})
 	for _, p := range cfg.Ports {
@@ -270,12 +240,17 @@ func (c *Client) Run(ctx context.Context) error {
 	err := c.eng.RunRealtime(runCtx, c.inject, 1)
 	close(c.engDone)
 	if c.lost.Load() {
-		return fmt.Errorf("%w (no beacon from %s for %v)", ErrConnectionLost, c.cfg.BSSID, c.cfg.DeadTimeout)
+		return fmt.Errorf("%w (no beacon from %s for %v)", ErrConnectionLost, c.st.BSSID(), c.beacons(deadAfter))
 	}
 	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
 		return ctx.Err()
 	}
 	return err
+}
+
+// beacons returns n beacon intervals at the cadence the station hears.
+func (c *Client) beacons(n float64) time.Duration {
+	return time.Duration(n * float64(c.st.BeaconInterval()))
 }
 
 // scheduleWatchdog drives the state machine on the engine clock.
@@ -284,10 +259,10 @@ func (c *Client) scheduleWatchdog() {
 	tick = func(now time.Duration) {
 		c.check(now)
 		if c.State() != StateLost {
-			c.eng.MustScheduleAfter(c.cfg.CheckInterval, tick)
+			c.eng.MustScheduleAfter(c.beacons(checkEvery), tick)
 		}
 	}
-	c.eng.MustScheduleAfter(c.cfg.CheckInterval, tick)
+	c.eng.MustScheduleAfter(c.beacons(checkEvery), tick)
 }
 
 // check runs one watchdog pass; it is only called on the engine
@@ -301,12 +276,12 @@ func (c *Client) check(now time.Duration) {
 	state := c.State()
 	if c.st.Associated() {
 		switch {
-		case stale > c.cfg.DeadTimeout:
+		case stale > c.beacons(deadAfter):
 			// Associated but the AP has gone silent past the dead
 			// threshold: the AP died or restarted. Abandon locally (no
 			// disassoc frame — nobody is listening) and back off.
 			c.abandon(now, "beacons silent")
-		case stale > c.cfg.BeaconTimeout:
+		case stale > c.beacons(degradedAfter):
 			if state != StateDegraded {
 				c.setState(StateDegraded)
 				c.mu.Lock()
@@ -323,7 +298,7 @@ func (c *Client) check(now time.Duration) {
 				}
 				c.attempts = 0
 				c.mu.Unlock()
-				c.cfg.Logf("associated: aid=%d", c.st.AID())
+				c.cfg.Logf("associated: aid=%d bssid=%s", c.st.AID(), c.st.BSSID())
 			}
 		}
 		return
@@ -352,7 +327,7 @@ func (c *Client) check(now time.Duration) {
 	// StateConnecting with the retry window open: the in-flight
 	// attempt is the station's own (it retries with its AckTimeout);
 	// if it has given up past the dead window, kick a fresh one.
-	if stale > c.cfg.DeadTimeout {
+	if stale > c.beacons(deadAfter) {
 		c.abandon(now, "association never completed")
 	}
 }
@@ -382,15 +357,16 @@ func (c *Client) abandon(now time.Duration, why string) {
 	c.cfg.Logf("%s: backing off %v before re-associating", why, backoff.Truncate(time.Millisecond))
 }
 
-// backoffLocked computes the next backoff step: base<<attempts capped
-// at max, with ±25% jitter. Callers hold c.mu.
+// backoffLocked computes the next backoff step: backoffBase<<attempts
+// beacon intervals capped at backoffMax, with ±25% jitter. Callers
+// hold c.mu.
 func (c *Client) backoffLocked() time.Duration {
-	d := c.cfg.ReconnectBase
-	for i := 0; i < c.attempts && d < c.cfg.ReconnectMax; i++ {
+	d, ceiling := c.beacons(backoffBase), c.beacons(backoffMax)
+	for i := 0; i < c.attempts && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > c.cfg.ReconnectMax {
-		d = c.cfg.ReconnectMax
+	if d > ceiling {
+		d = ceiling
 	}
 	c.attempts++
 	// Jitter to ±25%: draw j in [0, d/2) and shift by -d/4.

@@ -1,12 +1,12 @@
 // Package daemon is the supervised lifecycle of the hided access
 // point and the hidec client: config files with live reload (SIGHUP
 // or POST /v1/reload), an HTTP control plane (internal/control),
-// liveness-evicted peers, graceful drain on SIGTERM — stop accepting
-// associations, disassociate every client with real frames, bounded
-// by a drain deadline — and, client-side, a connection state machine
-// (connecting → associated → degraded → reconnecting) with
-// exponential backoff, resumable association, and per-operation
-// timeouts on all airlink I/O.
+// eviction of peers that go silent, graceful drain on SIGTERM — stop
+// accepting associations, disassociate every client with real frames,
+// bounded by a drain deadline — and, client-side, a connection state
+// machine (connecting → associated → degraded → reconnecting) with
+// exponential backoff, resumable association, and timings in the
+// beacon intervals the client hears from an AP it learns from the air.
 //
 // The daemon is glue, not protocol: all protocol state lives in the
 // single-threaded engine entities (internal/ap, internal/station) and

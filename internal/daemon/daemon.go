@@ -28,8 +28,14 @@ import (
 // without touching the engine.
 const healthMirrorEvery = 200 * time.Millisecond
 
-// controlTimeout bounds one control-plane round-trip onto the engine.
-const controlTimeout = 2 * time.Second
+// controlTimeout bounds one control-plane round-trip onto the engine
+// and the HTTP shutdown at exit. A request's headers and the whole
+// request must arrive sooner, so a stalled one cannot hold the exit.
+const (
+	controlTimeout       = 2 * time.Second
+	controlHeaderTimeout = 500 * time.Millisecond
+	controlReadTimeout   = time.Second
+)
 
 // errEngineStopped is returned by control-plane calls after the
 // engine has exited.
@@ -114,7 +120,11 @@ func New(cfg Config) (*Daemon, error) {
 	})
 	d.hub.SetClock(func() time.Duration { return d.eng.Now() })
 	d.hub.SetLiveness(cfg.MaxMissedPings)
-	d.httpSrv = &http.Server{Handler: control.NewServer(d).Handler()}
+	d.httpSrv = &http.Server{
+		Handler:           control.NewServer(d).Handler(),
+		ReadHeaderTimeout: controlHeaderTimeout,
+		ReadTimeout:       controlReadTimeout,
+	}
 	return d, nil
 }
 
@@ -221,8 +231,10 @@ func (d *Daemon) Run(ctx context.Context) error {
 		stopEngine()
 		sctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 		defer cancel()
-		//lint:ignore errdrop shutdown errors past the deadline have no remedy at exit
-		_ = d.httpSrv.Shutdown(sctx)
+		if d.httpSrv.Shutdown(sctx) != nil {
+			//lint:ignore errdrop past the deadline, close what is left so no handler outlives Run
+			_ = d.httpSrv.Close()
+		}
 		//lint:ignore errdrop closing a dead socket twice is fine
 		_ = d.hub.Close()
 	}()

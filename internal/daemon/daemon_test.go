@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -190,9 +191,11 @@ func TestDaemonBootControlAndDrain(t *testing.T) {
 
 // TestRunReturnsWhileTheAirFloods cancels a daemon whose air socket
 // eight senders keep flooding while one control client stalls mid-POST,
-// so the HTTP shutdown waits out its deadline after the engine has
+// so the HTTP shutdown waits for that request after the engine has
 // stopped and the engine's queue fills. The hub drops what the full
-// queue refuses, counts it, and returns on Close, so Run returns.
+// queue refuses, counts it, and returns on Close. The server's read
+// timeout closes the stalled connection, so Run returns within that
+// timeout of the stalled request.
 func TestRunReturnsWhileTheAirFloods(t *testing.T) {
 	d, err := New(Config{
 		Listen:        "127.0.0.1:0",
@@ -214,6 +217,7 @@ func TestRunReturnsWhileTheAirFloods(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
+	stalledAt := time.Now()
 	if _, err := stalled.Write([]byte("POST /v1/inject HTTP/1.1\r\nHost: hided\r\nContent-Length: 64\r\n\r\n{")); err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +276,18 @@ func TestRunReturnsWhileTheAirFloods(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run had not returned 10 s after cancellation")
 	}
+	// Shutdown polls its connections at up to 500 ms intervals.
+	if took, budget := time.Since(stalledAt), controlReadTimeout+900*time.Millisecond; took > budget {
+		t.Errorf("Run returned %v after the stalled request, want within %v", took, budget)
+	}
 	if st := d.hub.Stats(); st.Dropped == 0 {
 		t.Errorf("the stopped engine's full queue refused no frame: %+v", st)
+	}
+	// The server answered or dropped the stalled request and closed
+	// its connection: the read ends at EOF, not at the deadline.
+	stalled.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadAll(stalled); err != nil {
+		t.Errorf("the stalled connection is still open: %v", err)
 	}
 }
 
@@ -449,41 +463,61 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return sb.String()
 }
 
-// TestClientConfigDefaults pins the normalized defaults the state
-// machine's timings derive from.
+// TestClientConfigDefaults pins the normalized defaults and the
+// watchdog's timings at the 100 TU a client assumes before its first
+// beacon: 10, 30, 2.5, 2 and 49 intervals, within one interval of the
+// 1 s, 3 s, 250 ms, 200 ms and 5 s they replaced.
 func TestClientConfigDefaults(t *testing.T) {
 	c := ClientConfig{}.normalized()
-	if c.ReconnectBase != 200*time.Millisecond || c.ReconnectMax != 5*time.Second {
-		t.Errorf("backoff defaults drifted: %+v", c)
+	if c.Connect != "127.0.0.1:5600" || c.SSID != "hide-net" || c.Logf == nil {
+		t.Errorf("defaults drifted: %+v", c)
 	}
-	if c.DeadTimeout != 3*c.BeaconTimeout {
-		t.Errorf("dead timeout default drifted: %+v", c)
-	}
-	if c.CheckInterval != c.BeaconTimeout/4 {
-		t.Errorf("check interval default drifted: %+v", c)
+	client := discardClient(t)
+	iv := dot11.DefaultBeaconInterval
+	for _, tm := range []struct {
+		name      string
+		got, want time.Duration
+		replaced  time.Duration
+	}{
+		{"degraded", client.beacons(degradedAfter), 10 * iv, time.Second},
+		{"dead", client.beacons(deadAfter), 30 * iv, 3 * time.Second},
+		{"check", client.beacons(checkEvery), iv * 5 / 2, 250 * time.Millisecond},
+		{"backoff base", client.beacons(backoffBase), 2 * iv, 200 * time.Millisecond},
+		{"backoff max", client.beacons(backoffMax), 49 * iv, 5 * time.Second},
+	} {
+		if tm.got != tm.want {
+			t.Errorf("%s: %v, want %v", tm.name, tm.got, tm.want)
+		}
+		if d := tm.got - tm.replaced; d < -iv || d > iv {
+			t.Errorf("%s: %v is more than one interval from %v", tm.name, tm.got, tm.replaced)
+		}
 	}
 }
 
-// TestClientBackoffGrowsAndJitters pins the backoff envelope:
-// doubling from base, capped at max, jitter within ±25%.
-func TestClientBackoffGrowsAndJitters(t *testing.T) {
+// discardClient builds a client that never runs, dialed at the discard
+// port, which nothing writes to.
+func discardClient(t *testing.T) *Client {
+	t.Helper()
 	c, err := NewClient(ClientConfig{
-		Connect:       "127.0.0.1:9", // discard port; never written to
-		Addr:          [6]byte{2, 0, 0, 0, 0, 1},
-		ReconnectBase: 100 * time.Millisecond,
-		ReconnectMax:  time.Second,
-		Seed:          42,
+		Connect: "127.0.0.1:9",
+		Addr:    [6]byte{2, 0, 0, 0, 0, 1},
+		Seed:    42,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.link.Close()
+	t.Cleanup(func() { c.link.Close() })
+	return c
+}
+
+// TestClientBackoffGrowsAndJitters pins the backoff envelope at 100 TU
+// beacons: doubling from 2 intervals, capped at 49, jitter within ±25%.
+func TestClientBackoffGrowsAndJitters(t *testing.T) {
+	c := discardClient(t)
+	base, ceiling := 2*dot11.DefaultBeaconInterval, 49*dot11.DefaultBeaconInterval
 	prevNominal := time.Duration(0)
 	for i := 0; i < 8; i++ {
-		nominal := 100 * time.Millisecond << i
-		if nominal > time.Second {
-			nominal = time.Second
-		}
+		nominal := min(base<<i, ceiling)
 		c.mu.Lock()
 		got := c.backoffLocked()
 		c.mu.Unlock()

@@ -254,6 +254,7 @@ func AddrPortOf(a net.Addr) netip.AddrPort {
 // Tap is a monitor-mode subscriber.
 type Tap struct {
 	conn net.Conn
+	buf  []byte // Next's; Unmarshal copies each payload out
 }
 
 // FrameEvent is one frame observed by a tap.
@@ -269,7 +270,7 @@ func Dial(addr string) (*Tap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netmedium: dialing server: %w", err)
 	}
-	t := &Tap{conn: conn}
+	t := &Tap{conn: conn, buf: make([]byte, MaxDatagram)}
 	msg, err := Message{Type: MsgSubscribe}.Marshal()
 	if err != nil {
 		//lint:ignore errdrop close error is moot once subscribing has failed
@@ -284,18 +285,18 @@ func Dial(addr string) (*Tap, error) {
 	return t, nil
 }
 
-// Next blocks for the next frame event, bounded by the deadline.
+// Next blocks for the next frame event, bounded by the deadline. Calls
+// must not overlap: they share the tap's read buffer.
 func (t *Tap) Next(deadline time.Time) (FrameEvent, error) {
 	if err := t.conn.SetReadDeadline(deadline); err != nil {
 		return FrameEvent{}, err
 	}
-	buf := make([]byte, MaxDatagram)
 	for {
-		n, err := t.conn.Read(buf)
+		n, err := t.conn.Read(t.buf)
 		if err != nil {
 			return FrameEvent{}, err
 		}
-		m, err := Unmarshal(buf[:n])
+		m, err := Unmarshal(t.buf[:n])
 		if err != nil {
 			continue
 		}

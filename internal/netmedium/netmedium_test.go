@@ -2,6 +2,7 @@ package netmedium
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -146,6 +147,35 @@ func TestSubscribePublishReceive(t *testing.T) {
 	}
 	if srv.Stats().FramesSent != 1 {
 		t.Fatalf("FramesSent = %d", srv.Stats().FramesSent)
+	}
+}
+
+// TestTapNextCostsOnlyPayloads reads frames through one tap: each
+// costs the copy of its payload, not a fresh MaxDatagram read buffer.
+func TestTapNextCostsOnlyPayloads(t *testing.T) {
+	srv := startServer(t, nil, nil)
+	tap, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tap.Close()
+	waitFor(t, "subscription", func() bool { return srv.Stats().Peers > 0 })
+	const frames = 32
+	frame := make([]byte, 64)
+	for i := 0; i < frames; i++ {
+		srv.Publish(frame, dot11.Rate1Mbps, time.Duration(i)*time.Millisecond)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		if _, err := tap.Next(deadline); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perFrame := (after.TotalAlloc - before.TotalAlloc) / frames; perFrame > 4*uint64(len(frame)) {
+		t.Errorf("Next allocated %d B per %d-byte frame, want its payload copy only (a read buffer is %d B)", perFrame, len(frame), MaxDatagram)
 	}
 }
 

@@ -58,7 +58,8 @@ func (m Mode) String() string {
 type Config struct {
 	// Addr is the station's MAC address.
 	Addr dot11.MACAddr
-	// BSSID is the AP it associates with.
+	// BSSID is the AP it associates with (dot11.Broadcast for any);
+	// the sender of the association response it accepts replaces it.
 	BSSID dot11.MACAddr
 	// Mode selects broadcast handling.
 	Mode Mode
@@ -235,7 +236,7 @@ type Station struct {
 	crashed       bool
 	rng           *sim.RNG
 	lastBeaconAt  time.Duration // last heard beacon (zero until one is heard)
-	beaconGap     time.Duration // learned beacon interval
+	beaconGap     time.Duration // advertised in the last heard beacon (zero until one is heard)
 	lastTimestamp uint64        // last heard TSF timestamp (restart detection)
 	haveTimestamp bool
 	lastSyncAt    time.Duration // last acknowledged port sync
@@ -446,9 +447,10 @@ func (s *Station) ListensOn(p uint16) bool {
 	return ok
 }
 
-// handleAssocResponse completes a (re)association exchange. An
-// association response joins and wakes the host; a reassociation
-// response completes a roam without waking it.
+// handleAssocResponse completes a (re)association exchange with the
+// AP that answered, which becomes the BSSID. An association response
+// joins and wakes the host; a reassociation response completes a roam
+// without waking it.
 func (s *Station) handleAssocResponse(raw []byte) {
 	resp, err := dot11.UnmarshalAssocResponse(raw)
 	if err != nil || s.associated {
@@ -458,6 +460,7 @@ func (s *Station) handleAssocResponse(raw []byte) {
 		return
 	}
 	s.assocTimer.Cancel()
+	s.cfg.BSSID = resp.Header.Addr2
 	// Neither Join nor Rejoin can fail here: the AID was just validated.
 	if resp.Reassoc {
 		err = s.Rejoin(resp.AID)
@@ -475,6 +478,9 @@ func (s *Station) AID() dot11.AID { return s.aid }
 
 // Addr returns the station's MAC address.
 func (s *Station) Addr() dot11.MACAddr { return s.cfg.Addr }
+
+// BSSID returns the AP the station associates with (Config.BSSID).
+func (s *Station) BSSID() dot11.MACAddr { return s.cfg.BSSID }
 
 // Stats returns the protocol counters.
 func (s *Station) Stats() Stats { return s.stats }
@@ -503,15 +509,14 @@ func (s *Station) Arrivals() []energy.Arrival {
 }
 
 // Energy prices the recorded arrivals with the Section IV model over
-// duration, at the beacon interval the station heard (the model's
-// default until a beacon is heard) and its listen interval. With
-// withOverhead it adds HIDE's protocol overhead Eo
-// (energy.DefaultOverhead).
+// duration, at the beacon interval the station heard (BeaconInterval)
+// and its listen interval. With withOverhead it adds HIDE's protocol
+// overhead Eo (energy.DefaultOverhead).
 func (s *Station) Energy(dev energy.Profile, duration time.Duration, withOverhead bool) (energy.Breakdown, error) {
 	cfg := energy.Config{
 		Device:               dev,
 		Duration:             duration,
-		BeaconInterval:       s.beaconGap,
+		BeaconInterval:       s.BeaconInterval(),
 		BeaconListenInterval: s.cfg.ListenInterval,
 	}
 	if withOverhead {
@@ -637,6 +642,16 @@ func (s *Station) detach() {
 // association. Supervisors use it to detect a silent AP.
 func (s *Station) LastBeaconAt() (time.Duration, bool) {
 	return s.lastBeaconAt, s.lastBeaconAt > 0
+}
+
+// BeaconInterval returns the interval the last heard beacon advertised,
+// or dot11.DefaultBeaconInterval (100 TU) before the first. It inlines
+// into the asleep fast path.
+func (s *Station) BeaconInterval() time.Duration {
+	if s.beaconGap > 0 {
+		return s.beaconGap
+	}
+	return dot11.DefaultBeaconInterval
 }
 
 // handleBeacon processes TIM/BTIM indications. The radio wakes for
@@ -814,10 +829,7 @@ func (s *Station) beaconOverdue(now time.Duration) bool {
 	if !s.cfg.MissedBeaconFailSafe || s.cfg.Mode != HIDE {
 		return false
 	}
-	gap := s.beaconGap
-	if gap <= 0 {
-		gap = dot11.DefaultBeaconInterval
-	}
+	gap := s.BeaconInterval()
 	window := gap*time.Duration(s.cfg.ListenInterval) - gap/4
 	return now-s.lastBeaconAt > window
 }
