@@ -211,6 +211,8 @@ func (r ESSRoamFaultResult) OK() bool { return r.Mismatch == "" }
 // RunESSRoamFaultContext drives the churn-under-DS-fault check, with
 // seed driving trace generation and mobility:
 //
+//   - invariants: a runtime checker watches every shard of every run,
+//     and no run may violate a rule;
 //   - determinism: the lossy run, repeated with the same seed at
 //     worker counts 1 and 4, produces identical shard fingerprints
 //     and identical stats;
@@ -220,6 +222,7 @@ func (r ESSRoamFaultResult) OK() bool { return r.Mismatch == "" }
 //   - liveness: roams happen in every regime and dropped DS records
 //     are actually observed.
 func RunESSRoamFaultContext(ctx context.Context, seed uint64) (ESSRoamFaultResult, error) {
+	var violation string // the first invariant violation of any run
 	run := func(replicate bool, dsLoss float64, workers int) ([]uint64, ess.Stats, error) {
 		tr, err := oracleTrace(trace.Classroom, seed, roamFaultDuration)
 		if err != nil {
@@ -254,8 +257,22 @@ func RunESSRoamFaultContext(ctx context.Context, seed uint64) (ESSRoamFaultResul
 				return nil, ess.Stats{}, err
 			}
 		}
+		// Each station has one observer slot, so a roamed station keeps
+		// reporting to the checker of the shard it started on. That is
+		// correct: the station rules are per station.
+		invs := make([]*Invariants, len(e.Shards()))
+		for i, sh := range e.Shards() {
+			invs[i] = NewInvariants()
+			invs[i].Watch(sh.Net)
+		}
 		if err := e.RunContext(ctx, tr); err != nil {
 			return nil, ess.Stats{}, err
+		}
+		for i, inv := range invs {
+			inv.Finish(tr.Duration + dot11.DefaultBeaconInterval)
+			if err := inv.Err(); err != nil && violation == "" {
+				violation = fmt.Sprintf("shard %d (replicate %v, DS loss %v, %d workers): %v", i, replicate, dsLoss, workers, err)
+			}
 		}
 		fps := make([]uint64, len(digests))
 		for i, d := range digests {
@@ -290,6 +307,9 @@ func RunESSRoamFaultContext(ctx context.Context, seed uint64) (ESSRoamFaultResul
 	}
 	res.Warm = warm
 
+	if violation != "" {
+		return fail("%s", violation)
+	}
 	if lossy1 != lossy4 {
 		return fail("lossy-DS stats diverged across worker counts: %+v vs %+v", lossy1, lossy4)
 	}

@@ -2,7 +2,9 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ap"
@@ -15,12 +17,13 @@ import (
 
 // Rule names the protocol invariants the harness asserts.
 const (
-	// RuleBTIMSound: a BTIM bit is set only for an AID the Client UDP
-	// Port Table lists as listening on some buffered frame's
-	// destination port (Algorithm 1 soundness).
+	// RuleBTIMSound: a BTIM bit is set only for an associated client
+	// whose registered ports include some buffered frame's destination
+	// port (Algorithm 1 soundness).
 	RuleBTIMSound = "btim-soundness"
-	// RuleBTIMComplete: every AID listening on a buffered frame's
-	// destination port has its BTIM bit set (Algorithm 1 completeness).
+	// RuleBTIMComplete: every associated client registered on a
+	// buffered frame's destination port has its BTIM bit set
+	// (Algorithm 1 completeness).
 	RuleBTIMComplete = "btim-completeness"
 	// RuleTIMBroadcast: the TIM broadcast bit is set only on DTIM
 	// beacons with group frames actually buffered.
@@ -67,6 +70,9 @@ type Invariants struct {
 	// simulation event that broke the invariant (useful under tests).
 	FailFast bool
 
+	// mu guards violations and seenRule: in an ESS, a station that
+	// roamed records from another shard's goroutine.
+	mu         sync.Mutex
 	violations []Violation
 	seenRule   map[string]int
 	ap         *ap.AP
@@ -136,6 +142,8 @@ func (inv *Invariants) record(at time.Duration, rule, detail string) {
 	if inv.FailFast {
 		panic("check: invariant violated: " + v.String())
 	}
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
 	if inv.seenRule == nil {
 		inv.seenRule = make(map[string]int)
 	}
@@ -165,7 +173,8 @@ func (inv *Invariants) eventHook(now time.Duration) {
 var _ ap.Observer = (*Invariants)(nil)
 
 // BeaconBuilt implements ap.Observer: it re-runs Algorithm 1 from the
-// observed inputs (buffered destination ports × port table) and
+// buffered frames' ports and each associated client's registered ports
+// (not the listener bitmaps the AP ORs, which must agree with them),
 // asserts the emitted BTIM equals it in both directions, plus the TIM
 // broadcast-bit rule.
 func (inv *Invariants) BeaconBuilt(now time.Duration, v ap.BeaconView) {
@@ -189,10 +198,12 @@ func (inv *Invariants) BeaconBuilt(now time.Duration, v ap.BeaconView) {
 		return
 	}
 	var want dot11.VirtualBitmap
-	table := inv.ap.Table()
-	for _, port := range v.BufferedPorts {
-		for _, aid := range table.Lookup(port) {
-			want.Set(aid)
+	for _, c := range inv.ap.ClientList() {
+		for _, port := range inv.ap.Table().Ports(c.AID) {
+			if slices.Contains(v.BufferedPorts, port) {
+				want.Set(c.AID)
+				break
+			}
 		}
 	}
 	for aid := dot11.AID(1); aid <= dot11.MaxAID; aid++ {
@@ -200,11 +211,11 @@ func (inv *Invariants) BeaconBuilt(now time.Duration, v ap.BeaconView) {
 		switch {
 		case g && !w:
 			inv.record(now, RuleBTIMSound,
-				fmt.Sprintf("BTIM bit set for AID %d but no buffered frame's port is open for it (ports %v)",
+				fmt.Sprintf("BTIM bit set for AID %d but it registered no buffered frame's port (ports %v)",
 					aid, v.BufferedPorts))
 		case !g && w:
 			inv.record(now, RuleBTIMComplete,
-				fmt.Sprintf("AID %d listens on a buffered frame's port (ports %v) but its BTIM bit is clear",
+				fmt.Sprintf("AID %d registered a buffered frame's port (ports %v) but its BTIM bit is clear",
 					aid, v.BufferedPorts))
 		}
 	}

@@ -132,7 +132,6 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		PingInterval:   daemon.Duration(livePingInterval),
 		MaxMissedPings: liveMaxMissedPings,
 		DrainDeadline:  daemon.Duration(liveDrainDeadline),
-		Seed:           cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

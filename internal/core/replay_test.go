@@ -96,12 +96,9 @@ func runReplay(t *testing.T, tr *trace.Trace, schedule func(*Network, *trace.Tra
 // queued before the run, each with the next insertion seq.
 func scheduleUpFront(n *Network, tr *trace.Trace) error {
 	n.AP.Start()
-	enqueue := func(_ time.Duration, arg any) {
-		f := arg.(*trace.Frame)
-		n.AP.EnqueueGroup(f.Datagram(), f.Rate)
-	}
 	for i := range tr.Frames {
-		if _, err := n.Engine.ScheduleArgAt(tr.Frames[i].At, enqueue, &tr.Frames[i]); err != nil {
+		f := &tr.Frames[i]
+		if _, err := n.Engine.ScheduleAt(f.At, func(time.Duration) { n.AP.EnqueueGroup(f.Datagram(), f.Rate) }); err != nil {
 			return err
 		}
 	}

@@ -217,7 +217,9 @@ func (c *Client) Do(timeout time.Duration, fn func(now time.Duration)) error {
 
 // Run associates and serves until ctx is cancelled — or, with
 // Reconnect disabled, until the AP disappears, in which case it
-// returns ErrConnectionLost.
+// returns ErrConnectionLost. On cancellation it returns ctx.Err(),
+// after an associated client has sent a disassociation, so the AP
+// need not evict a silent peer.
 func (c *Client) Run(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -242,7 +244,11 @@ func (c *Client) Run(ctx context.Context) error {
 	if c.lost.Load() {
 		return fmt.Errorf("%w (no beacon from %s for %v)", ErrConnectionLost, c.st.BSSID(), c.beacons(deadAfter))
 	}
-	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+	if ctx.Err() != nil {
+		// The engine has stopped and this goroutine owns it, so the
+		// goodbye needs no round trip; the link's write deadline bounds
+		// it. Kill cancels runCtx alone and stays silent.
+		c.st.Leave(dot11.ReasonStationLeft)
 		return ctx.Err()
 	}
 	return err

@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,8 +34,10 @@ func liveDaemon(t *testing.T, cfg Config) (*Daemon, context.CancelFunc) {
 }
 
 // liveClient runs a reconnecting HIDE client of d, open on a port no
-// frame uses, until the test ends, and waits until it is associated.
-func liveClient(t *testing.T, d *Daemon) *Client {
+// frame uses, until the test ends or stop is called, and waits until it
+// is associated. stop cancels the client's context and returns what
+// Run returned.
+func liveClient(t *testing.T, d *Daemon) (c *Client, stop func() error) {
 	t.Helper()
 	c, err := NewClient(ClientConfig{
 		Connect:   d.AirAddr().String(),
@@ -50,14 +53,22 @@ func liveClient(t *testing.T, d *Daemon) *Client {
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
 	go func() { runErr <- c.Run(ctx) }()
+	var once sync.Once
+	var ran error
+	stop = func() error {
+		once.Do(func() {
+			cancel()
+			ran = <-runErr
+		})
+		return ran
+	}
 	t.Cleanup(func() {
-		cancel()
-		if err := <-runErr; err != nil && !errors.Is(err, context.Canceled) {
+		if err := stop(); err != nil && !errors.Is(err, context.Canceled) {
 			t.Errorf("client Run: %v", err)
 		}
 	})
 	waitUntil(t, 5*time.Second, "association", func() bool { return c.State() == StateAssociated })
-	return c
+	return c, stop
 }
 
 // waitUntil polls cond every few milliseconds until it holds or
@@ -94,7 +105,7 @@ func TestIdleClientStaysAssociated(t *testing.T) {
 		PingInterval:   Duration(sweep),
 		MaxMissedPings: 3,
 	})
-	c := liveClient(t, d)
+	c, _ := liveClient(t, d)
 	time.Sleep(time.Second + (3+1)*sweep + 5*sweep)
 
 	if n := d.evictions.Load(); n != 0 {
@@ -122,7 +133,7 @@ func TestClientHearsDrainFromAnyBSSID(t *testing.T) {
 		BSSID:          "02:1d:e0:ff:00:02",
 		BeaconInterval: Duration(20 * time.Millisecond),
 	})
-	c := liveClient(t, d)
+	c, _ := liveClient(t, d)
 	drain()
 	<-d.Drained()
 	waitUntil(t, 2*time.Second, "disassociation heard", func() bool {
@@ -140,7 +151,7 @@ func TestClientJudgesSlowBeacons(t *testing.T) {
 	t.Parallel()
 	const beacon = 1200 * time.Millisecond
 	d, _ := liveDaemon(t, Config{BeaconInterval: Duration(beacon)})
-	c := liveClient(t, d)
+	c, _ := liveClient(t, d)
 	waitUntil(t, 2*beacon, "first beacon", func() bool {
 		var heard bool
 		onClient(t, c, func(time.Duration) { _, heard = c.Station().LastBeaconAt() })
@@ -160,7 +171,7 @@ func TestClientDeclaresSilentAPDead(t *testing.T) {
 	t.Parallel()
 	const beacon = 20 * time.Millisecond
 	d, _ := liveDaemon(t, Config{BeaconInterval: Duration(beacon)})
-	c := liveClient(t, d)
+	c, _ := liveClient(t, d)
 	d.hub.SetFaultPlan(fault.Loss{P: 1}, 1)
 	var silence time.Duration
 	waitUntil(t, 5*time.Second, "abandoned association", func() bool {
@@ -178,5 +189,41 @@ func TestClientDeclaresSilentAPDead(t *testing.T) {
 	const slack = 100 * time.Millisecond
 	if budget := 30*beacon + beacon*5/2 + slack; silence > budget {
 		t.Errorf("abandoned after %v without a beacon, want within %v", silence, budget)
+	}
+}
+
+// TestClientSaysGoodbye cancels an associated client's context: Run
+// returns context.Canceled, and hided counts one disassociation, drops
+// the peer from its hub and evicts nobody, even after the sweeps that
+// would evict a silent peer have passed.
+func TestClientSaysGoodbye(t *testing.T) {
+	t.Parallel()
+	const sweep, missed = 50 * time.Millisecond, 2
+	d, _ := liveDaemon(t, Config{
+		BeaconInterval: Duration(20 * time.Millisecond),
+		PingInterval:   Duration(sweep),
+		MaxMissedPings: missed,
+	})
+	_, stop := liveClient(t, d)
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after cancellation = %v, want context.Canceled", err)
+	}
+	counters := func() map[string]int64 {
+		t.Helper()
+		m, err := d.Counters()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	waitUntil(t, 2*time.Second, "disassociation", func() bool { return counters()["disassociations_total"] == 1 })
+	time.Sleep((missed + 3) * sweep)
+	m := counters()
+	if m["disassociations_total"] != 1 || m["evictions_total"] != 0 {
+		t.Errorf("disassociations %d, evictions %d; want 1 and 0",
+			m["disassociations_total"], m["evictions_total"])
+	}
+	if n := d.hub.Stats().Peers; n != 0 {
+		t.Errorf("the hub still holds %d peers after the client left", n)
 	}
 }

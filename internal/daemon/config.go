@@ -93,7 +93,8 @@ type Config struct {
 	DrainDeadline Duration `json:"drain_deadline,omitempty"`
 	// StatsEvery is the stats-log cadence (0 disables). Reloadable.
 	StatsEvery Duration `json:"stats_every,omitempty"`
-	// Seed drives the trace generator and fault RNG defaults.
+	// Seed is accepted and read by nothing: the scenario replays its
+	// calibrated trace, and POST /v1/fault carries its own seed.
 	Seed uint64 `json:"seed,omitempty"`
 }
 

@@ -1,5 +1,7 @@
 package dot11
 
+import "math/bits"
+
 // VirtualBitmap is a full traffic-indication virtual bitmap: one bit per
 // AID, bit k of octet k/8 corresponding to AID k (IEEE 802.11-2012
 // §8.4.2.7). Octet 0 bit 0 is the AID-0 position, which the standard TIM
@@ -69,6 +71,17 @@ func (v *VirtualBitmap) Count() int {
 	return n
 }
 
+// AppendAIDs appends the AID of every set bit to dst in ascending
+// order and returns the extended slice.
+func (v *VirtualBitmap) AppendAIDs(dst []AID) []AID {
+	for i := 0; i < v.hi; i++ {
+		for b := v.octets[i]; b != 0; b &= b - 1 {
+			dst = append(dst, AID(i*8+bits.TrailingZeros8(b)))
+		}
+	}
+	return dst
+}
+
 // Or sets every bit of v that is set in o (bitwise union). Union is
 // order-independent, which is what lets Algorithm 1 fold precomputed
 // per-port bitmaps together and still produce bit-identical BTIMs.
@@ -79,19 +92,6 @@ func (v *VirtualBitmap) Or(o *VirtualBitmap) {
 	if o.hi > v.hi {
 		v.hi = o.hi
 	}
-}
-
-// Equal reports whether both bitmaps have exactly the same bits set.
-func (v *VirtualBitmap) Equal(o *VirtualBitmap) bool {
-	if v.hi != o.hi {
-		return false
-	}
-	for i := 0; i < v.hi; i++ {
-		if v.octets[i] != o.octets[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // shrink recomputes hi after a Clear.

@@ -131,3 +131,36 @@ func TestCountMatchesSetBitsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendAIDsMatchesGetProperty: AppendAIDs lists exactly the AIDs
+// Get reports set, in ascending order, after the given prefix.
+func TestAppendAIDsMatchesGetProperty(t *testing.T) {
+	f := func(set, cleared []uint16) bool {
+		var v VirtualBitmap
+		for _, a := range set {
+			v.Set(AID(a % 2008))
+		}
+		for _, a := range cleared {
+			v.Clear(AID(a % 2008))
+		}
+		got := v.AppendAIDs([]AID{9999})
+		var want []AID
+		for aid := AID(0); aid <= MaxAID; aid++ {
+			if v.Get(aid) {
+				want = append(want, aid)
+			}
+		}
+		if len(got) != len(want)+1 || got[0] != 9999 {
+			return false
+		}
+		for i, aid := range want {
+			if got[i+1] != aid {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -73,8 +73,7 @@ type Medium struct {
 	tap func(raw []byte, rate dot11.Rate, at time.Duration)
 	obs func(src dot11.MACAddr, raw []byte, rate dot11.Rate, start, deliverAt time.Duration)
 
-	deliverFn sim.ArgEvent // bound once; avoids a closure per Transmit
-	txFree    []*pendingTx // recycled in-flight transmission records
+	txFree []*pendingTx // recycled in-flight transmission records
 }
 
 // fanoutEntry pairs an attached address with its node so group fan-out
@@ -94,6 +93,7 @@ type pendingTx struct {
 	src   dot11.MACAddr
 	frame []byte
 	rate  dot11.Rate
+	fire  sim.Event // delivers this record; bound once, when it is created
 }
 
 // Stats tallies channel activity.
@@ -114,7 +114,6 @@ func New(eng *sim.Engine, phy dot11.PHY, seed uint64) *Medium {
 		nodes: make(map[dot11.MACAddr]Node),
 		rng:   sim.NewRNG(seed),
 	}
-	m.deliverFn = m.deliverEvent
 	return m
 }
 
@@ -158,7 +157,7 @@ func (m *Medium) SetTxObserver(obs func(src dot11.MACAddr, raw []byte, rate dot1
 func (m *Medium) InjectAt(src dot11.MACAddr, raw []byte, rate dot11.Rate, deliverAt time.Duration) error {
 	tx := m.allocTx()
 	tx.src, tx.frame, tx.rate = src, raw, rate
-	if _, err := m.eng.ScheduleArgAt(deliverAt, m.deliverFn, tx); err != nil {
+	if _, err := m.eng.ScheduleAt(deliverAt, tx.fire); err != nil {
 		tx.frame = nil
 		m.txFree = append(m.txFree, tx)
 		return err
@@ -262,11 +261,13 @@ func (m *Medium) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.D
 	}
 	tx := m.allocTx()
 	tx.src, tx.frame, tx.rate = src, frame, rate
-	m.eng.MustScheduleArgAt(end, m.deliverFn, tx)
+	m.eng.MustScheduleAt(end, tx.fire)
 	return end
 }
 
-// allocTx takes a pendingTx from the free list or allocates one.
+// allocTx takes a pendingTx from the free list or allocates one, with
+// its delivery event: deliver the frame, then return the record to the
+// free list.
 func (m *Medium) allocTx() *pendingTx {
 	if n := len(m.txFree); n > 0 {
 		tx := m.txFree[n-1]
@@ -274,15 +275,13 @@ func (m *Medium) allocTx() *pendingTx {
 		m.txFree = m.txFree[:n-1]
 		return tx
 	}
-	return new(pendingTx)
-}
-
-// deliverEvent is the bound ArgEvent for scheduled deliveries.
-func (m *Medium) deliverEvent(now time.Duration, arg any) {
-	tx := arg.(*pendingTx)
-	m.deliver(tx.src, tx.frame, tx.rate, now)
-	tx.frame = nil
-	m.txFree = append(m.txFree, tx)
+	tx := new(pendingTx)
+	tx.fire = func(now time.Duration) {
+		m.deliver(tx.src, tx.frame, tx.rate, now)
+		tx.frame = nil
+		m.txFree = append(m.txFree, tx)
+	}
+	return tx
 }
 
 // deliver routes the frame to its destination(s). With a fault plan

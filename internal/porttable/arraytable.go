@@ -12,13 +12,14 @@ import (
 // choose, trading 512 KiB-ish of memory for O(1) lookups with no hash
 // or probe work on the per-DTIM Algorithm 1 path.
 //
-// It implements the same operations as Table so the two are
-// interchangeable in benchmarks and in the AP.
+// It answers Table's lookups (Update, Remove, Lookup, Listening,
+// Ports, Clients, Len) for the layout ablation benchmarks and the
+// equivalence property tests; it lacks the AP's TTL stamps, listener
+// bitmaps and mutation generation, so the AP runs Table.
 type ArrayTable struct {
 	byPort   [1 << 16][]dot11.AID
 	byClient map[dot11.AID][]uint16
 	size     int
-	ops      OpCounts
 }
 
 // NewArray returns an empty ArrayTable.
@@ -30,7 +31,6 @@ func NewArray() *ArrayTable {
 func (t *ArrayTable) Update(aid dot11.AID, ports []uint16) {
 	for _, p := range t.byClient[aid] {
 		t.removeAID(p, aid)
-		t.ops.Deletes++
 	}
 	delete(t.byClient, aid)
 
@@ -47,7 +47,6 @@ func (t *ArrayTable) Update(aid dot11.AID, ports []uint16) {
 		uniq = append(uniq, p)
 		t.byPort[p] = append(t.byPort[p], aid)
 		t.size++
-		t.ops.Inserts++
 	}
 	t.byClient[aid] = uniq
 }
@@ -70,7 +69,6 @@ func (t *ArrayTable) Remove(aid dot11.AID) { t.Update(aid, nil) }
 
 // Lookup returns the AIDs listening on port, sorted ascending.
 func (t *ArrayTable) Lookup(port uint16) []dot11.AID {
-	t.ops.Lookups++
 	list := t.byPort[port]
 	if len(list) == 0 {
 		return nil
@@ -100,6 +98,3 @@ func (t *ArrayTable) Clients() int { return len(t.byClient) }
 
 // Len returns the number of (port, client) pairs.
 func (t *ArrayTable) Len() int { return t.size }
-
-// Ops returns the operation counters.
-func (t *ArrayTable) Ops() OpCounts { return t.ops }

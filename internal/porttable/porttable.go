@@ -19,18 +19,16 @@ import (
 	"repro/internal/dot11"
 )
 
-// Table maps UDP ports to the set of client AIDs listening on them,
-// and tracks the reverse mapping so a client's stale ports can be
-// removed when a fresh UDP Port Message arrives. The zero value is
-// ready to use. Table is not safe for concurrent use; the AP owns it
-// from its event loop.
+// Table maps UDP ports to the set of client AIDs listening on them.
+// It keeps the relation once, as one listener bitmap per port, which
+// is Algorithm 1's input, beside one record per client holding the
+// ports its last UDP Port Message announced, so a fresh message can
+// remove the stale ones. The zero value is ready to use. Table is not
+// safe for concurrent use; the AP owns it from its event loop.
 type Table struct {
-	byPort    map[uint16]map[dot11.AID]struct{}
-	portBits  map[uint16]*dot11.VirtualBitmap // reverse index: port → listener AID bitmap
-	byClient  map[dot11.AID][]uint16
-	refreshed map[dot11.AID]time.Duration
+	listeners map[uint16]*dot11.VirtualBitmap // port → listener AID bitmap
+	clients   map[dot11.AID]entry
 	gen       uint64 // bumped whenever the port → client mapping changes; lets callers cache derived state
-	ops       OpCounts
 	// floor is a lower bound on every refresh stamp, so ExpireBefore
 	// returns at once while no entry can be stale.
 	floor time.Duration
@@ -41,34 +39,25 @@ type Table struct {
 	seen *[1 << 16 / 64]uint64
 }
 
-// OpCounts tallies table operations, feeding the delay model.
-type OpCounts struct {
-	Inserts int
-	Deletes int
-	Lookups int
+// entry is one client's registration: its ports, deduplicated in
+// message order, and the stamp of the refresh that announced them.
+type entry struct {
+	ports []uint16
+	at    time.Duration
 }
 
 // New returns an empty table.
 func New() *Table {
-	return &Table{
-		byPort:    make(map[uint16]map[dot11.AID]struct{}),
-		portBits:  make(map[uint16]*dot11.VirtualBitmap),
-		byClient:  make(map[dot11.AID][]uint16),
-		refreshed: make(map[dot11.AID]time.Duration),
-	}
+	t := new(Table)
+	t.init()
+	return t
 }
 
 // init lazily initializes the zero value.
 func (t *Table) init() {
-	if t.byPort == nil {
-		t.byPort = make(map[uint16]map[dot11.AID]struct{})
-		t.byClient = make(map[dot11.AID][]uint16)
-	}
-	if t.portBits == nil {
-		t.portBits = make(map[uint16]*dot11.VirtualBitmap)
-	}
-	if t.refreshed == nil {
-		t.refreshed = make(map[dot11.AID]time.Duration)
+	if t.listeners == nil {
+		t.listeners = make(map[uint16]*dot11.VirtualBitmap)
+		t.clients = make(map[dot11.AID]entry)
 	}
 }
 
@@ -95,59 +84,57 @@ func (t *Table) Update(aid dot11.AID, ports []uint16) {
 // Every refresh prices as deleting the old ports and inserting the new
 // ones (Eq. 25), but one that re-announces the stored set changes no
 // mapping: it keeps the message's port order, restarts the TTL clock
-// and leaves Gen alone.
+// and leaves Gen alone. An AID past dot11.MaxAID has no bit in the
+// listener bitmaps, so UpdateAt ignores it.
 func (t *Table) UpdateAt(aid dot11.AID, ports []uint16, now time.Duration) {
+	if aid > dot11.MaxAID {
+		return
+	}
 	t.init()
-	old := t.byClient[aid]
+	old := t.clients[aid].ports
 	uniq, same := t.dedup(ports, old)
 	if same && len(old) > 0 {
 		copy(old, uniq)
-		t.ops.Deletes += len(old)
-		t.ops.Inserts += len(uniq)
-		t.stamp(aid, now)
+		t.stamp(aid, old, now)
 		return
 	}
 	if len(old) > 0 || len(uniq) > 0 {
 		t.gen++
 	}
 	for _, p := range old {
-		if set := t.byPort[p]; set != nil {
-			delete(set, aid)
-			if bits := t.portBits[p]; bits != nil {
-				bits.Clear(aid)
-			}
-			if len(set) == 0 {
-				delete(t.byPort, p)
-				delete(t.portBits, p)
-			}
-			t.ops.Deletes++
-		}
+		t.unlisten(p, aid)
 	}
-	delete(t.byClient, aid)
-	delete(t.refreshed, aid)
-
 	if len(uniq) == 0 {
+		delete(t.clients, aid)
 		return
 	}
 	for _, p := range uniq {
-		set := t.byPort[p]
-		if set == nil {
-			set = make(map[dot11.AID]struct{})
-			t.byPort[p] = set
-		}
-		set[aid] = struct{}{}
-		bits := t.portBits[p]
-		if bits == nil {
-			bits = new(dot11.VirtualBitmap)
-			t.portBits[p] = bits
-		}
-		bits.Set(aid)
-		t.ops.Inserts++
+		t.listen(p, aid)
 	}
 	// Stored lists are never handed out (Ports copies), so the old
 	// list's storage can take the new one.
-	t.byClient[aid] = append(old[:0], uniq...)
-	t.stamp(aid, now)
+	t.stamp(aid, append(old[:0], uniq...), now)
+}
+
+// listen adds aid to port's listener bitmap.
+func (t *Table) listen(port uint16, aid dot11.AID) {
+	bits := t.listeners[port]
+	if bits == nil {
+		bits = new(dot11.VirtualBitmap)
+		t.listeners[port] = bits
+	}
+	bits.Set(aid)
+}
+
+// unlisten takes aid off port's listener bitmap, and the bitmap off
+// the table with its last listener.
+func (t *Table) unlisten(port uint16, aid dot11.AID) {
+	if bits := t.listeners[port]; bits != nil {
+		bits.Clear(aid)
+		if !bits.Any() {
+			delete(t.listeners, port)
+		}
+	}
 }
 
 // dedup collapses repeated ports, keeping first occurrences in order,
@@ -177,9 +164,10 @@ func (t *Table) dedup(ports, old []uint16) (uniq []uint16, same bool) {
 	return uniq, same
 }
 
-// stamp records a client's refresh time and keeps floor below it.
-func (t *Table) stamp(aid dot11.AID, now time.Duration) {
-	t.refreshed[aid] = now
+// stamp stores a client's ports with its refresh time and keeps floor
+// below it.
+func (t *Table) stamp(aid dot11.AID, ports []uint16, now time.Duration) {
+	t.clients[aid] = entry{ports: ports, at: now}
 	if now < t.floor {
 		t.floor = now
 	}
@@ -193,8 +181,8 @@ func (t *Table) Remove(aid dot11.AID) {
 // RefreshedAt returns the client's last refresh stamp and whether the
 // client has any entry at all.
 func (t *Table) RefreshedAt(aid dot11.AID) (time.Duration, bool) {
-	at, ok := t.refreshed[aid]
-	return at, ok
+	e, ok := t.clients[aid]
+	return e.at, ok
 }
 
 // ExpireBefore removes every client whose last refresh is strictly
@@ -211,11 +199,11 @@ func (t *Table) ExpireBefore(cutoff time.Duration) []dot11.AID {
 	}
 	var stale []dot11.AID
 	floor := time.Duration(math.MaxInt64)
-	for aid, at := range t.refreshed {
-		if at < cutoff {
+	for aid, e := range t.clients {
+		if e.at < cutoff {
 			stale = append(stale, aid)
 		} else {
-			floor = min(floor, at)
+			floor = min(floor, e.at)
 		}
 	}
 	t.floor = floor
@@ -229,26 +217,17 @@ func (t *Table) ExpireBefore(cutoff time.Duration) []dot11.AID {
 // Lookup returns the AIDs of clients listening on port, sorted
 // ascending. The returned slice is freshly allocated.
 func (t *Table) Lookup(port uint16) []dot11.AID {
-	t.ops.Lookups++
-	set := t.byPort[port]
-	if len(set) == 0 {
-		return nil
+	if bits := t.listeners[port]; bits != nil {
+		return bits.AppendAIDs(nil)
 	}
-	out := make([]dot11.AID, 0, len(set))
-	for aid := range set {
-		out = append(out, aid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
 }
 
 // OrListeners ORs the bitmap of clients listening on port into dst and
-// reports whether any client listens. It prices as one lookup, exactly
-// like Lookup, but reads the maintained reverse index instead of
-// sorting the listener set — this is Algorithm 1's hot path.
+// reports whether any client listens. This is Algorithm 1's per-frame
+// lookup.
 func (t *Table) OrListeners(port uint16, dst *dot11.VirtualBitmap) bool {
-	t.ops.Lookups++
-	bits := t.portBits[port]
+	bits := t.listeners[port]
 	if bits == nil {
 		return false
 	}
@@ -258,30 +237,27 @@ func (t *Table) OrListeners(port uint16, dst *dot11.VirtualBitmap) bool {
 
 // Listening reports whether the client has the port open.
 func (t *Table) Listening(port uint16, aid dot11.AID) bool {
-	_, ok := t.byPort[port][aid]
-	return ok
+	bits := t.listeners[port]
+	return bits != nil && bits.Get(aid)
 }
 
 // Ports returns the client's current open ports (the stored copy is
 // not aliased).
 func (t *Table) Ports(aid dot11.AID) []uint16 {
-	return append([]uint16(nil), t.byClient[aid]...)
+	return append([]uint16(nil), t.clients[aid].ports...)
 }
 
 // Clients returns the number of clients with at least one entry.
-func (t *Table) Clients() int { return len(t.byClient) }
+func (t *Table) Clients() int { return len(t.clients) }
 
 // Len returns the number of (port, client) pairs in the table.
 func (t *Table) Len() int {
 	n := 0
-	for _, set := range t.byPort {
-		n += len(set)
+	for _, e := range t.clients {
+		n += len(e.ports)
 	}
 	return n
 }
-
-// Ops returns the operation counters.
-func (t *Table) Ops() OpCounts { return t.ops }
 
 // OpTimings holds per-operation durations for the delay model:
 // τdel, τins, τlp of Eqs. 25-26.

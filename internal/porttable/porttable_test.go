@@ -1,7 +1,9 @@
 package porttable
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -70,6 +72,17 @@ func TestUpdateCollapsesDuplicates(t *testing.T) {
 	}
 }
 
+// TestUpdateIgnoresAIDPastMax: an AID the listener bitmaps have no bit
+// for leaves every view empty, instead of a record no lookup can see.
+func TestUpdateIgnoresAIDPastMax(t *testing.T) {
+	tab := New()
+	tab.Update(dot11.MaxAID+1, []uint16{53})
+	var bits dot11.VirtualBitmap
+	if tab.OrListeners(53, &bits) || tab.Clients() != 0 || tab.Len() != 0 || tab.Ports(dot11.MaxAID+1) != nil {
+		t.Fatalf("AID %d stored: Clients %d, Len %d, Ports %v", dot11.MaxAID+1, tab.Clients(), tab.Len(), tab.Ports(dot11.MaxAID+1))
+	}
+}
+
 func TestRemove(t *testing.T) {
 	tab := New()
 	tab.Update(1, []uint16{53})
@@ -83,17 +96,6 @@ func TestRemove(t *testing.T) {
 	}
 	if tab.Clients() != 1 {
 		t.Errorf("Clients = %d, want 1", tab.Clients())
-	}
-}
-
-func TestOpsCounting(t *testing.T) {
-	tab := New()
-	tab.Update(1, []uint16{1, 2, 3}) // 3 inserts
-	tab.Update(1, []uint16{4})       // 3 deletes + 1 insert
-	tab.Lookup(4)                    // 1 lookup
-	ops := tab.Ops()
-	if ops.Inserts != 4 || ops.Deletes != 3 || ops.Lookups != 1 {
-		t.Errorf("ops = %+v, want 4 inserts, 3 deletes, 1 lookup", ops)
 	}
 }
 
@@ -279,20 +281,61 @@ func TestMeasureProducesPositiveTimings(t *testing.T) {
 	}
 }
 
+// TestMeasureDeletesStoredPairs: every pair a run of Measure deletes
+// at its setting in delayanalysis (N=50, n_o=50) is stored in the
+// table, and no run deletes a pair twice, so each timed delete removes
+// an entry and each timed insert restores one.
+func TestMeasureDeletesStoredPairs(t *testing.T) {
+	tab, batches := measureSetup(50, 50, 1)
+	if len(batches) != measureRuns {
+		t.Fatalf("%d runs, want %d", len(batches), measureRuns)
+	}
+	for run, batch := range batches {
+		if len(batch) != measureOps {
+			t.Fatalf("run %d times %d pairs, want %d", run, len(batch), measureOps)
+		}
+		seen := map[pair]bool{}
+		for _, p := range batch {
+			if !tab.Listening(p.port, p.aid) || seen[p] {
+				t.Fatalf("run %d deletes (port %d, AID %d): stored %v, already deleted %v",
+					run, p.port, p.aid, tab.Listening(p.port, p.aid), seen[p])
+			}
+			seen[p] = true
+		}
+	}
+}
+
+// TestMeasureLeavesTableConsistent: a measured run deletes pairs and
+// puts them back, so Lookup, OrListeners, Listening, Ports, Len and
+// Clients read the same before and after it.
 func TestMeasureLeavesTableConsistent(t *testing.T) {
-	// The measured primitives maintain the same invariants as Update.
-	tab := New()
-	tab.insertOne(53, 1)
-	tab.insertOne(53, 2)
-	tab.deleteOne(53, 1)
-	if tab.Listening(53, 1) || !tab.Listening(53, 2) {
-		t.Fatal("insertOne/deleteOne broke table state")
+	tab, batches := measureSetup(50, 50, 1)
+	views := func() string {
+		var b strings.Builder
+		for _, batch := range batches {
+			for _, p := range batch {
+				var bits dot11.VirtualBitmap
+				hit := tab.OrListeners(p.port, &bits)
+				fmt.Fprintf(&b, "%d: %v %v %v %v; ", p.port, tab.Lookup(p.port), hit, bits.AppendAIDs(nil), tab.Listening(p.port, p.aid))
+			}
+		}
+		for aid := dot11.AID(0); aid <= 26; aid++ {
+			fmt.Fprintf(&b, "%d: %v; ", aid, tab.Ports(aid))
+		}
+		fmt.Fprintf(&b, "len %d clients %d", tab.Len(), tab.Clients())
+		return b.String()
 	}
-	if got := tab.Ports(2); len(got) != 1 || got[0] != 53 {
-		t.Fatalf("reverse map inconsistent: %v", got)
+	before := views()
+	tab.measure(batches)
+	if after := views(); after != before {
+		t.Fatalf("a measured run changed the table:\nbefore %s\nafter  %s", before, after)
 	}
-	tab.deleteOne(53, 2)
-	if tab.Len() != 0 {
-		t.Fatalf("table not empty after deletes: %d", tab.Len())
+}
+
+// TestMeasureWithoutPairs: a table with no stored pair has nothing to
+// time.
+func TestMeasureWithoutPairs(t *testing.T) {
+	if got := Measure(50, 0, 1); got != (OpTimings{}) {
+		t.Fatalf("Measure with no open ports = %+v, want zero timings", got)
 	}
 }

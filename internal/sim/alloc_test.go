@@ -91,28 +91,3 @@ func TestCancelRecyclesAtCall(t *testing.T) {
 		t.Fatalf("reused item: Pending %v, engine Pending %d, want true and %d", h2.Pending(), eng.Pending(), pending)
 	}
 }
-
-// TestAllocBudgetScheduleArg asserts the arg-carrying schedule path —
-// one bound function, per-event state passed as a pointer — does not box
-// or capture: pointer-shaped args ride in the interface word for free.
-func TestAllocBudgetScheduleArg(t *testing.T) {
-	eng := New()
-	var sink int
-	fn := func(now time.Duration, arg any) { sink += *arg.(*int) }
-	payload := 7
-	for i := 0; i < 64; i++ {
-		eng.MustScheduleArgAt(eng.Now()+time.Microsecond, fn, &payload)
-	}
-	for eng.Step() {
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		eng.MustScheduleArgAt(eng.Now()+time.Microsecond, fn, &payload)
-		eng.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule-arg+step: %.1f allocs/op, want 0", allocs)
-	}
-	if sink == 0 {
-		t.Fatal("arg events never fired")
-	}
-}

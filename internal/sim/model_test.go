@@ -107,11 +107,6 @@ func (er *engineRun) event(h, victim int) Event {
 	}
 }
 
-func (er *engineRun) argEvent(now time.Duration, arg any) {
-	h := *arg.(*int)
-	er.fired = append(er.fired, h)
-}
-
 // runProgram executes prog on a fresh engine and on the reference and
 // fails at the first disagreement.
 func runProgram(t testing.TB, prog []byte) {
@@ -122,7 +117,7 @@ func runProgram(t testing.TB, prog []byte) {
 		op, arg := prog[pc]%10, prog[pc+1]
 		desc := ""
 		switch op {
-		case 0, 1, 2, 3: // schedule, plain or with an argument
+		case 0, 1, 2, 3: // schedule
 			d := time.Duration(arg % 8)
 			if d == 7 && ref.now > 0 {
 				desc = "schedule in the past"
@@ -134,19 +129,11 @@ func runProgram(t testing.TB, prog []byte) {
 			at := ref.now + d
 			h := len(ref.events)
 			victim := -1
-			if v := int(arg >> 4); v > 0 && h > 0 && arg&8 == 0 {
+			if v := int(arg >> 4); v > 0 && h > 0 {
 				victim = (v - 1) % h
 			}
-			var eh Handle
-			var err error
-			if arg&8 != 0 {
-				id := h
-				desc = fmt.Sprintf("schedule-arg #%d at %v", h, at)
-				eh, err = er.eng.ScheduleArgAt(at, er.argEvent, &id)
-			} else {
-				desc = fmt.Sprintf("schedule #%d at %v (cancels %d)", h, at, victim)
-				eh, err = er.eng.ScheduleAt(at, er.event(h, victim))
-			}
+			desc = fmt.Sprintf("schedule #%d at %v (cancels %d)", h, at, victim)
+			eh, err := er.eng.ScheduleAt(at, er.event(h, victim))
 			if err != nil {
 				t.Fatalf("op %d: %s: %v", pc/2, desc, err)
 			}

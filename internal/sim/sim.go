@@ -14,10 +14,10 @@
 // cancelled timer costs nothing later. The engine is allocation-lean
 // on its hot path: queue items are recycled through a free list as
 // soon as they fire or are cancelled (generation-guarded, so stale
-// Handles cannot touch a recycled slot), the queue backing array is
-// pre-sized, and the ScheduleArg variants let periodic callers (beacon
-// ticks, frame deliveries, wakelock expiries) attach per-event state
-// without allocating a closure per event.
+// Handles cannot touch a recycled slot) and the queue backing array is
+// pre-sized. A caller that fires one logical event many times (an AP
+// ticking beacons, a medium delivering frames) binds its Event once and
+// reschedules the bound value, so scheduling allocates no closure.
 package sim
 
 import (
@@ -28,12 +28,6 @@ import (
 
 // Event is a callback scheduled to run at a virtual time.
 type Event func(now time.Duration)
-
-// ArgEvent is a callback with an attached argument. Callers that fire
-// the same logical event many times (a medium delivering frames, an AP
-// ticking beacons) bind one ArgEvent value once and pass per-event
-// state through arg, avoiding a closure allocation per schedule.
-type ArgEvent func(now time.Duration, arg any)
 
 // Hook observes event dispatch: each registered hook runs after every
 // dispatched event, at the event's virtual time. Hooks are how the
@@ -47,15 +41,13 @@ type Hook func(now time.Duration)
 // Handle's generation matches, and Handles referring to a previous
 // occupancy turn inert.
 type item struct {
-	at    time.Duration
-	seq   uint64 // insertion order, breaks ties deterministically
-	sub   uint64 // sub-slot within seq (slot-mirrored events), 0 normally
-	gen   uint64 // recycle generation, guards stale Handles
-	fn    Event
-	argFn ArgEvent
-	arg   any
-	eng   *Engine // owning engine, whose queue Cancel removes the item from
-	idx   int     // heap index while queued
+	at  time.Duration
+	seq uint64 // insertion order, breaks ties deterministically
+	sub uint64 // sub-slot within seq (slot-mirrored events), 0 normally
+	gen uint64 // recycle generation, guards stale Handles
+	fn  Event
+	eng *Engine // owning engine, whose queue Cancel removes the item from
+	idx int     // heap index while queued
 }
 
 // before orders items by (at, seq, sub), the queue's firing order.
@@ -180,8 +172,6 @@ func (e *Engine) alloc() *item {
 func (e *Engine) release(it *item) {
 	it.gen++
 	it.fn = nil
-	it.argFn = nil
-	it.arg = nil
 	e.free = append(e.free, it)
 }
 
@@ -249,8 +239,9 @@ func (e *Engine) down(i int) bool {
 	return i > i0
 }
 
-// schedule enqueues a prepared item.
-func (e *Engine) schedule(at time.Duration, fn Event, argFn ArgEvent, arg any) (Handle, error) {
+// ScheduleAt schedules fn to run at absolute virtual time at.
+// It returns an error if at is before the current time.
+func (e *Engine) ScheduleAt(at time.Duration, fn Event) (Handle, error) {
 	if at < e.now {
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrSchedulePast, at, e.now)
 	}
@@ -259,8 +250,6 @@ func (e *Engine) schedule(at time.Duration, fn Event, argFn ArgEvent, arg any) (
 	it.seq = e.seq
 	it.sub = 0
 	it.fn = fn
-	it.argFn = argFn
-	it.arg = arg
 	e.seq++
 	e.push(it)
 	return Handle{it: it, gen: it.gen}, nil
@@ -293,24 +282,10 @@ func (e *Engine) MustScheduleAtSlot(at time.Duration, slot Slot, fn Event) Handl
 	return h
 }
 
-// ScheduleAt schedules fn to run at absolute virtual time at.
-// It returns an error if at is before the current time.
-func (e *Engine) ScheduleAt(at time.Duration, fn Event) (Handle, error) {
-	return e.schedule(at, fn, nil, nil)
-}
-
 // ScheduleAfter schedules fn to run delay after the current virtual time.
 // A negative delay is an error.
 func (e *Engine) ScheduleAfter(delay time.Duration, fn Event) (Handle, error) {
-	return e.schedule(e.now+delay, fn, nil, nil)
-}
-
-// ScheduleArgAt schedules fn(now, arg) at absolute virtual time at.
-// Binding fn once and passing state through arg keeps per-event
-// scheduling allocation-free (arg is stored as-is; pointer-shaped args
-// do not allocate).
-func (e *Engine) ScheduleArgAt(at time.Duration, fn ArgEvent, arg any) (Handle, error) {
-	return e.schedule(at, nil, fn, arg)
+	return e.ScheduleAt(e.now+delay, fn)
 }
 
 // MustScheduleAt is ScheduleAt but panics on error. It is intended for
@@ -326,15 +301,6 @@ func (e *Engine) MustScheduleAt(at time.Duration, fn Event) Handle {
 // MustScheduleAfter is ScheduleAfter but panics on error.
 func (e *Engine) MustScheduleAfter(delay time.Duration, fn Event) Handle {
 	h, err := e.ScheduleAfter(delay, fn)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// MustScheduleArgAt is ScheduleArgAt but panics on error.
-func (e *Engine) MustScheduleArgAt(at time.Duration, fn ArgEvent, arg any) Handle {
-	h, err := e.ScheduleArgAt(at, fn, arg)
 	if err != nil {
 		panic(err)
 	}
@@ -368,14 +334,10 @@ func (e *Engine) Step() bool {
 	}
 	it := e.remove(0)
 	e.now = it.at
-	fn, argFn, arg := it.fn, it.argFn, it.arg
+	fn := it.fn
 	e.release(it)
 	e.fired++
-	if fn != nil {
-		fn(e.now)
-	} else {
-		argFn(e.now, arg)
-	}
+	fn(e.now)
 	for _, h := range e.hooks {
 		h(e.now)
 	}
