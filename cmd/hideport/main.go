@@ -54,10 +54,7 @@ func main() {
 		},
 		Ports: ports,
 	}
-	raw, err := msg.Marshal()
-	if err != nil {
-		cli.Exit("hideport", fmt.Errorf("encoding: %w", err))
-	}
+	raw := msg.AppendTo(nil)
 	fmt.Printf("UDP Port Message: %d bytes on the wire (+%d PHY preamble bits)\n",
 		len(raw), dot11.DefaultPHY().PreambleHeaderBits)
 	if *hexDump {

@@ -25,6 +25,15 @@ func main() {
 	inject := flag.Int("inject", 0, "inject a broadcast frame to this UDP port first")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-frame receive timeout")
 	flag.Parse()
+	if *count < 0 {
+		cli.Usagef("hidetap", "-n %d must not be negative", *count)
+	}
+	if *inject < 0 || *inject > 0xffff {
+		cli.Usagef("hidetap", "-inject %d is not a UDP port (0 injects nothing)", *inject)
+	}
+	if *timeout <= 0 {
+		cli.Usagef("hidetap", "-timeout %v must be positive", *timeout)
+	}
 
 	tap, err := netmedium.Dial(*addr)
 	if err != nil {
@@ -33,7 +42,7 @@ func main() {
 	//lint:ignore errdrop teardown of a read-side UDP socket at process exit; nothing is buffered and the process has no one left to tell
 	defer tap.Close()
 
-	if *inject > 0 && *inject <= 0xffff {
+	if *inject > 0 {
 		if err := tap.Inject(netmedium.InjectRequest{DstPort: uint16(*inject), PayloadSize: 64}); err != nil {
 			cli.Exit("hidetap", fmt.Errorf("inject: %w", err))
 		}
@@ -65,36 +74,36 @@ func describe(ev netmedium.FrameEvent) string {
 	prefix := fmt.Sprintf("%12v %8s %4dB ", ev.At, ev.Rate, len(ev.Raw))
 	switch k := dot11.Classify(ev.Raw); k {
 	case dot11.KindBeacon:
-		b, err := dot11.UnmarshalBeacon(ev.Raw)
-		if err != nil {
+		var b dot11.BeaconReading
+		if err := dot11.ReadBeacon(ev.Raw, &b); err != nil {
 			return prefix + "beacon (malformed)"
 		}
 		s := prefix + fmt.Sprintf("beacon ssid=%q", b.SSID)
-		if b.TIM != nil {
+		if b.HasTIM {
 			s += fmt.Sprintf(" dtim=%d/%d bc=%v", b.TIM.DTIMCount, b.TIM.DTIMPeriod, b.TIM.Broadcast)
 		}
-		if b.BTIM != nil {
+		if b.HasBTIM {
 			s += fmt.Sprintf(" btim[off=%d,%dB]", b.BTIM.Offset, len(b.BTIM.PartialBitmap))
 		}
 		return s
 	case dot11.KindUDPPortMessage:
-		m, err := dot11.UnmarshalUDPPortMessage(ev.Raw)
+		hdr, ports, err := dot11.ReadUDPPortMessage(ev.Raw, nil)
 		if err != nil {
 			return prefix + "udp-port-message (malformed)"
 		}
 		return prefix + fmt.Sprintf("udp-port-message from %v: %d ports %v",
-			m.Header.Addr2, len(m.Ports), m.Ports)
+			hdr.Addr2, len(ports), ports)
 	case dot11.KindData:
-		d, err := dot11.UnmarshalDataFrame(ev.Raw)
-		if err != nil {
+		var d dot11.DataFrame
+		if err := dot11.ReadDataFrame(ev.Raw, &d); err != nil {
 			return prefix + "data (malformed)"
 		}
 		dst := "unicast"
 		if d.Header.Addr1.IsBroadcast() {
 			dst = "broadcast"
 		}
-		if port, err := dot11.DstUDPPort(d.Payload); err == nil {
-			return prefix + fmt.Sprintf("data %s udp/%d more=%v", dst, port, d.Header.FC.MoreData)
+		if dg, err := dot11.ParseUDP(d.Payload); err == nil {
+			return prefix + fmt.Sprintf("data %s udp/%d more=%v", dst, dg.DstPort, d.Header.FC.MoreData)
 		}
 		return prefix + "data " + dst
 	case dot11.KindACK:

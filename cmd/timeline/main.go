@@ -63,7 +63,7 @@ func main() {
 		if err != nil {
 			cli.Exit("timeline", err)
 		}
-		arr, err := p.Apply(tr, tagged)
+		arr, err := policy.AppendArrivals(nil, p, tr, tagged)
 		if err != nil {
 			cli.Exit("timeline", err)
 		}

@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	arrivals, err := p.Apply(tr, useful)
+	arrivals, err := policy.AppendArrivals(nil, p, tr, useful)
 	if err != nil {
 		log.Fatal(err)
 	}

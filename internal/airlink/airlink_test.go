@@ -221,7 +221,7 @@ func TestHubTransmitToUnknownPeer(t *testing.T) {
 	defer pc.Close()
 	hub := NewHub(pc, make(chan sim.Event, 1))
 	// Unicast to a MAC the hub has never heard from: silently dropped.
-	ack := (&dot11.ACK{RA: dot11.MACAddr{9, 9, 9, 9, 9, 9}}).Marshal()
+	ack := (&dot11.ACK{RA: dot11.MACAddr{9, 9, 9, 9, 9, 9}}).AppendTo(nil)
 	hub.Transmit(bssid, ack, dot11.Rate1Mbps)
 	if hub.Stats().FramesOut != 0 {
 		t.Fatal("frame sent to unknown peer")

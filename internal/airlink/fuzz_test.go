@@ -83,7 +83,7 @@ func FuzzHubDatagrams(f *testing.F) {
 						continue // Transmit fans a group address out to every peer
 					}
 					clear(conn.sent)
-					hub.Transmit(bssid, (&dot11.ACK{RA: mac}).Marshal(), dot11.Rate1Mbps)
+					hub.Transmit(bssid, (&dot11.ACK{RA: mac}).AppendTo(nil), dot11.Rate1Mbps)
 					if len(conn.sent) != 0 {
 						t.Fatalf("evicted %v still routed: %v", mac, conn.sent)
 					}

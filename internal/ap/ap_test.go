@@ -18,8 +18,8 @@ var (
 
 // sniffer records everything delivered to one address.
 type sniffer struct {
-	beacons   []*dot11.Beacon
-	data      []*dot11.DataFrame
+	beacons   []dot11.BeaconReading // each read from its own copy of the frame
+	data      []dot11.DataFrame     // each read from its own copy of the frame
 	acks      int
 	responses []dot11.FrameKind // (re)association responses, in order
 }
@@ -29,13 +29,13 @@ func (s *sniffer) Receive(raw []byte, rate dot11.Rate, at time.Duration) {
 	case dot11.KindAssocResponse, dot11.KindReassocResponse:
 		s.responses = append(s.responses, k)
 	case dot11.KindBeacon:
-		if b, err := dot11.UnmarshalBeacon(raw); err == nil {
+		var b dot11.BeaconReading
+		if dot11.ReadBeacon(append([]byte(nil), raw...), &b) == nil {
 			s.beacons = append(s.beacons, b)
 		}
 	case dot11.KindData:
-		if d, err := dot11.UnmarshalDataFrame(raw); err == nil {
-			// Copy the payload; it aliases the delivery buffer.
-			d.Payload = append([]byte(nil), d.Payload...)
+		var d dot11.DataFrame
+		if dot11.ReadDataFrame(append([]byte(nil), raw...), &d) == nil {
 			s.data = append(s.data, d)
 		}
 	case dot11.KindACK:
@@ -68,7 +68,7 @@ func TestBeaconCadenceAndDTIM(t *testing.T) {
 		t.Fatalf("heard %d beacons in 1 s, want 9", len(sn.beacons))
 	}
 	for i, b := range sn.beacons {
-		if b.TIM == nil {
+		if !b.HasTIM {
 			t.Fatalf("beacon %d missing TIM", i)
 		}
 		wantCount := uint8((3 - i%3) % 3)
@@ -91,13 +91,13 @@ func TestHIDEBeaconCarriesBTIM(t *testing.T) {
 	if len(sn.beacons) == 0 {
 		t.Fatal("no beacons heard")
 	}
-	if sn.beacons[0].BTIM == nil {
+	if !sn.beacons[0].HasBTIM {
 		t.Fatal("HIDE AP beacon missing BTIM element")
 	}
 	eng2, _, a2, sn2 := rig(t, Config{HIDE: false})
 	a2.Start()
 	eng2.RunUntil(200 * time.Millisecond)
-	if sn2.beacons[0].BTIM != nil {
+	if sn2.beacons[0].HasBTIM {
 		t.Fatal("legacy AP beacon carries BTIM")
 	}
 }
@@ -162,10 +162,7 @@ func TestPortMessageUpdatesTableAndACKs(t *testing.T) {
 		Header: dot11.MACHeader{Addr1: bssid, Addr2: c1Addr, Addr3: bssid},
 		Ports:  []uint16{53, 5353},
 	}
-	raw, err := msg.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := msg.AppendTo(nil)
 	med.Transmit(c1Addr, raw, dot11.Rate1Mbps)
 	eng.Run()
 
@@ -186,10 +183,7 @@ func TestPortMessageFromUnassociatedIgnored(t *testing.T) {
 		Header: dot11.MACHeader{Addr1: bssid, Addr2: c1Addr, Addr3: bssid},
 		Ports:  []uint16{53},
 	}
-	raw, err := msg.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := msg.AppendTo(nil)
 	med.Transmit(c1Addr, raw, dot11.Rate1Mbps)
 	eng.Run()
 	if sn.acks != 0 {

@@ -83,13 +83,10 @@ func TestBeaconCacheInvalidation(t *testing.T) {
 	// portMsg hands the AP a UDP Port Message from client i, through
 	// the receive path stations use.
 	portMsg := func(i int, ports ...uint16) {
-		raw, err := (&dot11.UDPPortMessage{
+		raw := (&dot11.UDPPortMessage{
 			Header: dot11.MACHeader{Addr1: a.cfg.BSSID, Addr2: addr(i), Addr3: a.cfg.BSSID},
 			Ports:  ports,
-		}).Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
+		}).AppendTo(nil)
 		a.Receive(raw, dot11.Rate1Mbps, now)
 	}
 	steps := []struct {
@@ -199,13 +196,10 @@ func TestAllocBudgetPortMessageReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := (&dot11.UDPPortMessage{
+	raw := (&dot11.UDPPortMessage{
 		Header: dot11.MACHeader{Addr1: bssid, Addr2: c1Addr, Addr3: bssid},
 		Ports:  []uint16{53, 5353},
-	}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).AppendTo(nil)
 	receive := func() {
 		a.Receive(raw, dot11.Rate1Mbps, eng.Now())
 		eng.Step() // the ACK's delivery

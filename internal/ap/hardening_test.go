@@ -15,10 +15,7 @@ func sendPortMsg(t *testing.T, med *medium.Medium, addr dot11.MACAddr, ports []u
 		Header: dot11.MACHeader{Addr1: bssid, Addr2: addr, Addr3: bssid},
 		Ports:  ports,
 	}
-	raw, err := msg.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := msg.AppendTo(nil)
 	med.Transmit(addr, raw, dot11.Rate1Mbps)
 }
 

@@ -263,7 +263,7 @@ func analyticBreakdown(tr *trace.Trace, useful []bool, kind policy.Kind, dev ene
 	if err != nil {
 		return energy.Breakdown{}, err
 	}
-	arr, err := p.Apply(tr, useful)
+	arr, err := policy.AppendArrivals(nil, p, tr, useful)
 	if err != nil {
 		return energy.Breakdown{}, err
 	}

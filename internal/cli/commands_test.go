@@ -20,7 +20,7 @@ func TestCommandExitCodes(t *testing.T) {
 		t.Fatalf("the go tool is needed to build the commands: %v", err)
 	}
 	cmds := []string{"capacity", "crosscheck", "delayanalysis", "hidec", "hided", "hidenet",
-		"hideport", "hidesim", "report", "sweep", "timeline", "tracegen"}
+		"hideport", "hidesim", "hidetap", "report", "sweep", "timeline", "tracegen"}
 	bin := t.TempDir()
 	build := []string{"build", "-o", bin + string(filepath.Separator)}
 	for _, c := range cmds {
@@ -52,6 +52,10 @@ func TestCommandExitCodes(t *testing.T) {
 		{"hidesim", []string{"-device", "iphone"}, 2, `"iphone"`},
 		{"hidesim", []string{"-ess", "-ess-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"hidesim", []string{"-fault", "all"}, 2, "-fault"},
+		{"hidetap", []string{"-inject", "70000"}, 2, "-inject"},
+		{"hidetap", []string{"-inject", "-3"}, 2, "-inject"},
+		{"hidetap", []string{"-n", "-1"}, 2, "-n"},
+		{"hidetap", []string{"-timeout", "-1s"}, 2, "-timeout"},
 		{"report", []string{"-j", "-3"}, 2, "-j"},
 		{"sweep", []string{"-base", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"sweep", []string{"-device", "iphone"}, 2, `"iphone"`},

@@ -150,8 +150,7 @@ func EvaluateContext(ctx context.Context, tr *trace.Trace, useful []bool, dev en
 }
 
 // evaluateScratch is EvaluateContext building arrivals in sc's reused
-// buffer. The arrival values are exactly what the policy's Apply would
-// produce, so every Breakdown is bit-identical to the allocating path.
+// buffer.
 func evaluateScratch(ctx context.Context, tr *trace.Trace, useful []bool, dev energy.Profile, kind policy.Kind, opts Options, sc *evalScratch) (Result, error) {
 	opts = opts.normalized()
 	res := Result{

@@ -34,7 +34,6 @@ type Network struct {
 	harden        bool
 	portRefresh   time.Duration // station-side TTL refresh cadence when hardened
 	refreshJitter float64       // per-station refresh desynchronization factor
-	portCoalesce  time.Duration // station-side port-message batching window
 	used          int           // highest station number attached (cohort members included)
 }
 
@@ -78,18 +77,6 @@ type NetworkConfig struct {
 	// cadence and is byte-identical to builds without the knob.
 	// Ignored unless Harden is set (legacy stations never refresh).
 	RefreshJitter float64
-	// PortCoalesce batches each station's port registrations and
-	// refreshes (station.Config.PortCoalesce): a pre-suspend UDP Port
-	// Message is skipped while the last acknowledged sync still matches
-	// the station's open ports and is younger than this window, so the
-	// many suspend cycles of a busy trace share one registration frame
-	// instead of re-sending an identical list each time. Zero keeps the
-	// paper's send-every-suspend behaviour (byte-identical to builds
-	// without the knob); values at or below one refresh cadence compose
-	// safely with the hardened TTL. The million-client congestion study
-	// (DefaultPortCoalesceStudy) measures it against the N≳500 port-
-	// message collapse.
-	PortCoalesce time.Duration
 	// Seed drives the medium's fault RNG and the stations' jitter RNGs.
 	Seed uint64
 	// BSSID overrides the AP's MAC address (zero selects the default).
@@ -136,7 +123,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return &Network{
 		Engine: eng, Medium: med, AP: a, BSSID: bssid, SSID: cfg.SSID,
 		seed: cfg.Seed, harden: cfg.Harden, portRefresh: 3 * dtimSpan,
-		refreshJitter: cfg.RefreshJitter, portCoalesce: cfg.PortCoalesce,
+		refreshJitter: cfg.RefreshJitter,
 	}, nil
 }
 
@@ -306,7 +293,6 @@ func (n *Network) stationConfig(idx int, mode station.Mode, li int) station.Conf
 		Mode:           mode,
 		ListenInterval: li,
 		Seed:           n.seed,
-		PortCoalesce:   n.portCoalesce,
 	}
 	//lint:ignore rngdraw harden is fixed per-run config, so the guard is constant for the whole run and every station draws the same count; the jitter RNG is constructed per station, not shared
 	if n.harden {

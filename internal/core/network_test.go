@@ -149,7 +149,7 @@ func TestProtocolSimMatchesAnalyticModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := p.Apply(tr, useful)
+	arr, err := policy.AppendArrivals(nil, p, tr, useful)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,44 +231,3 @@ func DefaultRefreshJitterStudy(dev energy.Profile) ([]RefreshJitterPoint, error)
 	}
 	return out, nil
 }
-
-// PortCoalescePoint is one cell of the port-message batching study:
-// the scaling metrics for one NetworkConfig.PortCoalesce window.
-type PortCoalescePoint struct {
-	// Coalesce is the batching window (0 = legacy, one frame per
-	// suspend attempt).
-	Coalesce time.Duration
-	ScalePoint
-}
-
-// DefaultPortCoalesceStudy measures UDP Port Message batching against
-// the same N=500 hardened population where DefaultRefreshJitterStudy
-// observes the onset of the refresh-storm collapse. Jitter attacks the
-// storms' phase alignment; PortCoalesce attacks their volume from the
-// other end: a station about to suspend whose open-port set still
-// matches its last acknowledged sync — and whose sync is younger than
-// the coalesce window — skips the redundant registration outright, so
-// bursts of suspend attempts inside one window collapse into a single
-// Port Message frame. The sweep takes one DTIM span (the tightest
-// window that can span two suspend attempts) and the hardened refresh
-// cadence of three spans (the largest window that never starves a TTL
-// refresh); past that the window stops being freshness-bounded in
-// practice and re-opens the known fail-safe gap (DESIGN.md §7).
-func DefaultPortCoalesceStudy(dev energy.Profile) ([]PortCoalescePoint, error) {
-	tr, err := defaultScaleTrace()
-	if err != nil {
-		return nil, err
-	}
-	dtimSpan := NetworkConfig{}.dtimSpan()
-	var out []PortCoalescePoint
-	for _, c := range []time.Duration{0, dtimSpan, 3 * dtimSpan} {
-		pts, err := ScaleClientsNetwork(
-			NetworkConfig{HIDE: true, Harden: true, PortCoalesce: c},
-			tr, dev, []int{500}, Options{})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PortCoalescePoint{Coalesce: c, ScalePoint: pts[0]})
-	}
-	return out, nil
-}

@@ -9,9 +9,6 @@ type Element struct {
 	Body []byte
 }
 
-// WireLen returns the encoded length of the element in bytes.
-func (e Element) WireLen() int { return 2 + len(e.Body) }
-
 // AppendTo appends the encoded element to b and returns the extended
 // slice. It returns an error if the body exceeds 255 bytes.
 func (e Element) AppendTo(b []byte) ([]byte, error) {
@@ -108,12 +105,6 @@ func readTIM(body []byte) (TIM, error) {
 	}, nil
 }
 
-// clone returns t with a private copy of its partial bitmap.
-func (t TIM) clone() TIM {
-	t.PartialBitmap = append([]byte(nil), t.PartialBitmap...)
-	return t
-}
-
 // UnicastBuffered reports whether the TIM indicates buffered unicast
 // traffic for aid.
 func (t TIM) UnicastBuffered(aid AID) bool {
@@ -152,19 +143,6 @@ func (b BTIM) Element() (Element, error) {
 	return Element{ID: ElementIDBTIM, Body: body}, nil
 }
 
-// ParseBTIM decodes a BTIM element body into a BTIM that owns a copy
-// of its bitmap.
-func ParseBTIM(e Element) (BTIM, error) {
-	if e.ID != ElementIDBTIM {
-		return BTIM{}, fmt.Errorf("%w: element id %d is not BTIM", ErrBadElement, e.ID)
-	}
-	b, err := readBTIM(e.Body)
-	if err != nil {
-		return BTIM{}, err
-	}
-	return b.clone(), nil
-}
-
 // readBTIM decodes a BTIM element body in place: the partial bitmap
 // aliases body.
 func readBTIM(body []byte) (BTIM, error) {
@@ -175,12 +153,6 @@ func readBTIM(body []byte) (BTIM, error) {
 		return BTIM{}, fmt.Errorf("%w: BTIM offset %d is odd", ErrBadElement, body[0])
 	}
 	return BTIM{Offset: body[0], PartialBitmap: body[1:]}, nil
-}
-
-// clone returns b with a private copy of its partial bitmap.
-func (b BTIM) clone() BTIM {
-	b.PartialBitmap = append([]byte(nil), b.PartialBitmap...)
-	return b
 }
 
 // UsefulBroadcastBuffered reports whether the BTIM bit for aid is set,

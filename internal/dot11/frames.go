@@ -16,7 +16,6 @@ type Beacon struct {
 	SSID           string
 	TIM            *TIM
 	BTIM           *BTIM
-	Extra          []Element // any additional elements, kept in order
 }
 
 // beaconFixedLen is the length of the fixed beacon body fields:
@@ -60,52 +59,15 @@ func (b *Beacon) Marshal() ([]byte, error) {
 			return nil, err
 		}
 	}
-	for _, e := range b.Extra {
-		if out, err = e.AppendTo(out); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
-}
-
-// UnmarshalBeacon decodes a beacon frame into a Beacon that owns its
-// fields, for callers that keep a beacon; receive paths read in place
-// with ReadBeacon. Legacy receivers simply skip the BTIM element they
-// do not understand, which is what makes HIDE backward compatible;
-// this decoder surfaces both elements when present.
-func UnmarshalBeacon(raw []byte) (*Beacon, error) {
-	var r BeaconReading
-	var extra []Element
-	if err := readBeacon(raw, &r, func(e Element) {
-		extra = append(extra, Element{ID: e.ID, Body: append([]byte(nil), e.Body...)})
-	}); err != nil {
-		return nil, err
-	}
-	b := &Beacon{
-		Header:         r.Header,
-		Timestamp:      r.Timestamp,
-		BeaconInterval: r.BeaconInterval,
-		Capability:     r.Capability,
-		SSID:           string(r.SSID),
-		Extra:          extra,
-	}
-	if r.HasTIM {
-		tim := r.TIM.clone()
-		b.TIM = &tim
-	}
-	if r.HasBTIM {
-		btim := r.BTIM.clone()
-		b.BTIM = &btim
-	}
-	return b, nil
 }
 
 // BeaconReading is a beacon read in place by ReadBeacon. Its byte
 // slices (SSID and both partial bitmaps) alias the frame it was read
 // from, so it lives no longer than that frame may be used: a station
 // reads the shared, immutable delivered frame during Receive and
-// never retains the reading. Callers that keep a beacon decode it with
-// UnmarshalBeacon.
+// never retains the reading. A caller that keeps a beacon copies the
+// frame before reading it.
 type BeaconReading struct {
 	Header         MACHeader
 	Timestamp      uint64
@@ -118,18 +80,13 @@ type BeaconReading struct {
 	BTIM           BTIM
 }
 
-// ReadBeacon reads a beacon frame into r; reading a well-formed beacon
-// allocates nothing. It rejects exactly the frames UnmarshalBeacon
-// rejects and, like it, keeps the last TIM and BTIM element of a frame
-// carrying several. On error r holds no meaningful reading.
+// ReadBeacon validates a beacon frame and reads it into r in place;
+// reading a well-formed beacon allocates nothing. It keeps the last
+// TIM and BTIM element of a frame carrying several and skips every
+// other element, as a legacy receiver skips the BTIM it does not
+// understand, which is what makes HIDE backward compatible. On error
+// r holds no meaningful reading.
 func ReadBeacon(raw []byte, r *BeaconReading) error {
-	return readBeacon(raw, r, nil)
-}
-
-// readBeacon validates and reads a beacon in place, handing every
-// element that is not SSID, TIM or BTIM to extra (when non-nil) in
-// frame order. It is the one home of the beacon validation rules.
-func readBeacon(raw []byte, r *BeaconReading, extra func(Element)) error {
 	hdr, err := unmarshalMACHeader(raw)
 	if err != nil {
 		return err
@@ -166,10 +123,6 @@ func readBeacon(raw []byte, r *BeaconReading, extra func(Element)) error {
 				return err
 			}
 			r.HasBTIM = true
-		default:
-			if extra != nil {
-				extra(e)
-			}
 		}
 	}
 	return nil
@@ -182,12 +135,6 @@ func readBeacon(raw []byte, r *BeaconReading, extra func(Element)) error {
 type UDPPortMessage struct {
 	Header MACHeader
 	Ports  []uint16
-}
-
-// Marshal encodes the UDP Port Message into a new buffer. Encoding
-// cannot fail; the error is always nil.
-func (m *UDPPortMessage) Marshal() ([]byte, error) {
-	return m.AppendTo(make([]byte, 0, MACHeaderLen+2+2*len(m.Ports))), nil
 }
 
 // AppendTo appends the encoded UDP Port Message to b and returns the
@@ -203,23 +150,11 @@ func (m *UDPPortMessage) AppendTo(b []byte) []byte {
 	return appendPortElements(b, m.Ports)
 }
 
-// UnmarshalUDPPortMessage decodes a UDP Port Message into a message
-// that owns its port list; receive paths read in place with
-// ReadUDPPortMessage.
-func UnmarshalUDPPortMessage(raw []byte) (*UDPPortMessage, error) {
-	hdr, ports, err := ReadUDPPortMessage(raw, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &UDPPortMessage{Header: hdr, Ports: ports}, nil
-}
-
 // ReadUDPPortMessage validates a UDP Port Message in place and appends
 // the ports of its Open UDP Ports elements, in frame order, to
 // ports[:0]; with a scratch slice of enough capacity it allocates
-// nothing. It rejects exactly the frames UnmarshalUDPPortMessage
-// rejects, and is the one home of their validation rules. On error
-// the returned slice keeps the scratch's storage but holds no ports.
+// nothing. On error the returned slice keeps the scratch's storage but
+// holds no ports.
 func ReadUDPPortMessage(raw []byte, ports []uint16) (MACHeader, []uint16, error) {
 	ports = ports[:0]
 	hdr, err := unmarshalMACHeader(raw)
@@ -249,31 +184,12 @@ type ACK struct {
 	RA MACAddr // receiver address
 }
 
-// Marshal encodes the ACK into a new buffer (without FCS).
-func (a *ACK) Marshal() []byte {
-	return a.AppendTo(make([]byte, 0, ACKFrameLen-FCSLen))
-}
-
 // AppendTo appends the encoded ACK (without FCS) to b and returns the
 // extended slice.
 func (a *ACK) AppendTo(b []byte) []byte {
 	fc := FrameControl{Type: TypeControl, Subtype: SubtypeACK}.Marshal()
 	b = append(b, fc[0], fc[1], 0, 0) // frame control, zero duration
 	return append(b, a.RA[:]...)
-}
-
-// UnmarshalACK decodes an ACK control frame.
-func UnmarshalACK(raw []byte) (*ACK, error) {
-	if len(raw) < ACKFrameLen-FCSLen {
-		return nil, fmt.Errorf("%w: %d bytes for ACK", ErrShortFrame, len(raw))
-	}
-	fc := UnmarshalFrameControl([2]byte{raw[0], raw[1]})
-	if fc.Type != TypeControl || fc.Subtype != SubtypeACK {
-		return nil, fmt.Errorf("%w: %v/%d, want ACK", ErrBadFrameType, fc.Type, fc.Subtype)
-	}
-	a := &ACK{}
-	copy(a.RA[:], raw[4:])
-	return a, nil
 }
 
 // PSPoll is the Power Save Poll control frame a station in PS mode
@@ -330,19 +246,10 @@ func (d *DataFrame) Marshal() []byte {
 	return out
 }
 
-// UnmarshalDataFrame decodes a data frame. The payload aliases raw.
-func UnmarshalDataFrame(raw []byte) (*DataFrame, error) {
-	d := new(DataFrame)
-	if err := ReadDataFrame(raw, d); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // ReadDataFrame reads a data frame into d without allocating; the
 // payload aliases raw, so d lives no longer than raw may be used. It
-// rejects exactly the frames UnmarshalDataFrame rejects. On error d is
-// left unchanged.
+// accepts every data frame with a whole MAC header. On error d is left
+// unchanged.
 func ReadDataFrame(raw []byte, d *DataFrame) error {
 	hdr, err := unmarshalMACHeader(raw)
 	if err != nil {

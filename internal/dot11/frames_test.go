@@ -2,6 +2,7 @@ package dot11
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -56,25 +57,27 @@ func TestBeaconRoundTrip(t *testing.T) {
 			DTIMCount: 0, DTIMPeriod: 3, Broadcast: true,
 			BitmapOffset: 0, PartialBitmap: []byte{0x02},
 		},
-		BTIM:  &btim,
-		Extra: []Element{{ID: 42, Body: []byte{1, 2, 3}}},
+		BTIM: &btim,
 	}
 	raw, err := b.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalBeacon(raw)
-	if err != nil {
+	// An element the reader does not know is skipped, as a legacy
+	// receiver skips the BTIM.
+	raw = append(raw, 42, 3, 1, 2, 3)
+	var got BeaconReading
+	if err := ReadBeacon(raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Timestamp != b.Timestamp || got.BeaconInterval != b.BeaconInterval ||
-		got.Capability != b.Capability || got.SSID != b.SSID {
+		got.Capability != b.Capability || string(got.SSID) != b.SSID {
 		t.Errorf("fixed fields mismatch: got %+v", got)
 	}
-	if got.TIM == nil || !got.TIM.Broadcast || got.TIM.DTIMPeriod != 3 {
+	if !got.HasTIM || !got.TIM.Broadcast || got.TIM.DTIMPeriod != 3 {
 		t.Errorf("TIM mismatch: %+v", got.TIM)
 	}
-	if got.BTIM == nil {
+	if !got.HasBTIM {
 		t.Fatal("BTIM missing after round trip")
 	}
 	for aid := AID(1); aid <= 32; aid++ {
@@ -82,9 +85,6 @@ func TestBeaconRoundTrip(t *testing.T) {
 		if got.BTIM.UsefulBroadcastBuffered(aid) != want {
 			t.Errorf("BTIM bit for AID %d = %v, want %v", aid, !want, want)
 		}
-	}
-	if len(got.Extra) != 1 || got.Extra[0].ID != 42 || !bytes.Equal(got.Extra[0].Body, []byte{1, 2, 3}) {
-		t.Errorf("extra elements mismatch: %+v", got.Extra)
 	}
 	if got.Header.Addr2 != apAddr {
 		t.Errorf("header source = %v, want %v", got.Header.Addr2, apAddr)
@@ -101,23 +101,20 @@ func TestBeaconWithoutHIDEElements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalBeacon(raw)
-	if err != nil {
+	var got BeaconReading
+	if err := ReadBeacon(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.TIM != nil || got.BTIM != nil {
-		t.Fatal("decoded elements that were never encoded")
+	if got.HasTIM || got.HasBTIM {
+		t.Fatal("read elements that were never encoded")
 	}
 }
 
 func TestUnmarshalBeaconRejectsWrongType(t *testing.T) {
 	m := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}}
-	raw, err := m.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalBeacon(raw); err == nil {
-		t.Fatal("UnmarshalBeacon accepted a UDP Port Message")
+	var r BeaconReading
+	if err := ReadBeacon(m.AppendTo(nil), &r); err == nil {
+		t.Fatal("ReadBeacon accepted a UDP Port Message")
 	}
 }
 
@@ -127,28 +124,20 @@ func TestUDPPortMessageRoundTrip(t *testing.T) {
 		Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr},
 		Ports:  ports,
 	}
-	raw, err := m.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := m.AppendTo(nil)
 	// Eq. 19: L = Lmac + 2 + 2*N for N <= 127 (PHY overhead added on air).
 	if want := MACHeaderLen + 2 + 2*len(ports); len(raw) != want {
 		t.Errorf("wire length = %d, want %d per Eq. 19", len(raw), want)
 	}
-	got, err := UnmarshalUDPPortMessage(raw)
+	hdr, got, err := ReadUDPPortMessage(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Ports) != len(ports) {
-		t.Fatalf("ports round trip: got %v, want %v", got.Ports, ports)
+	if !slices.Equal(got, ports) {
+		t.Fatalf("ports round trip: got %v, want %v", got, ports)
 	}
-	for i := range ports {
-		if got.Ports[i] != ports[i] {
-			t.Errorf("port[%d] = %d, want %d", i, got.Ports[i], ports[i])
-		}
-	}
-	if got.Header.Addr2 != c1Addr {
-		t.Errorf("source = %v, want %v", got.Header.Addr2, c1Addr)
+	if hdr.Addr2 != c1Addr {
+		t.Errorf("source = %v, want %v", hdr.Addr2, c1Addr)
 	}
 }
 
@@ -158,73 +147,46 @@ func TestUDPPortMessageSplitsLargePortSets(t *testing.T) {
 		ports[i] = uint16(1024 + i)
 	}
 	m := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, Ports: ports}
-	raw, err := m.Marshal()
+	_, got, err := ReadUDPPortMessage(m.AppendTo(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalUDPPortMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Ports) != 300 {
-		t.Fatalf("got %d ports, want 300", len(got.Ports))
-	}
-	for i := range ports {
-		if got.Ports[i] != ports[i] {
-			t.Fatalf("port[%d] = %d, want %d", i, got.Ports[i], ports[i])
-		}
+	if !slices.Equal(got, ports) {
+		t.Fatalf("got %d ports %v, want the 300 sent", len(got), got)
 	}
 }
 
 func TestUDPPortMessageEmpty(t *testing.T) {
 	m := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}}
-	raw, err := m.Marshal()
+	_, got, err := ReadUDPPortMessage(m.AppendTo(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalUDPPortMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Ports) != 0 {
-		t.Fatalf("empty message round-tripped to %v", got.Ports)
+	if len(got) != 0 {
+		t.Fatalf("empty message round-tripped to %v", got)
 	}
 }
 
 func TestUDPPortMessageRoundTripProperty(t *testing.T) {
 	f := func(ports []uint16) bool {
 		m := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, Ports: ports}
-		raw, err := m.Marshal()
-		if err != nil {
-			return false
-		}
-		got, err := UnmarshalUDPPortMessage(raw)
-		if err != nil {
-			return false
-		}
-		if len(got.Ports) != len(ports) {
-			return false
-		}
-		for i := range ports {
-			if got.Ports[i] != ports[i] {
-				return false
-			}
-		}
-		return true
+		_, got, err := ReadUDPPortMessage(m.AppendTo(nil), nil)
+		return err == nil && slices.Equal(got, ports)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestACKRoundTrip: an ACK encodes to its ACKFrameLen-FCSLen wire
+// image, which Classify names and whose receiver address reads back.
 func TestACKRoundTrip(t *testing.T) {
-	a := &ACK{RA: c1Addr}
-	got, err := UnmarshalACK(a.Marshal())
-	if err != nil {
-		t.Fatal(err)
+	raw := (&ACK{RA: c1Addr}).AppendTo(nil)
+	if len(raw) != ACKFrameLen-FCSLen || Classify(raw) != KindACK {
+		t.Fatalf("ACK encodes as %d bytes of kind %v", len(raw), Classify(raw))
 	}
-	if got.RA != c1Addr {
-		t.Errorf("RA = %v, want %v", got.RA, c1Addr)
+	if ra, ok := Receiver(raw); !ok || ra != c1Addr {
+		t.Errorf("RA = %v, want %v", ra, c1Addr)
 	}
 }
 
@@ -253,8 +215,8 @@ func TestDataFrameWithUDPRoundTrip(t *testing.T) {
 		Payload: body,
 	}
 	raw := d.Marshal()
-	got, err := UnmarshalDataFrame(raw)
-	if err != nil {
+	var got DataFrame
+	if err := ReadDataFrame(raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Header.FC.MoreData {
@@ -326,10 +288,7 @@ func TestClassify(t *testing.T) {
 		t.Fatal(err)
 	}
 	upm := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, Ports: []uint16{53}}
-	upmRaw, err := upm.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	upmRaw := upm.AppendTo(nil)
 	data := &DataFrame{Header: MACHeader{Addr1: Broadcast, Addr2: apAddr, Addr3: apAddr}}
 	cases := []struct {
 		raw  []byte
@@ -337,7 +296,7 @@ func TestClassify(t *testing.T) {
 	}{
 		{beaconRaw, KindBeacon},
 		{upmRaw, KindUDPPortMessage},
-		{(&ACK{RA: c1Addr}).Marshal(), KindACK},
+		{(&ACK{RA: c1Addr}).AppendTo(nil), KindACK},
 		{(&PSPoll{AID: 1, BSSID: apAddr, TA: c1Addr}).Marshal(), KindPSPoll},
 		{data.Marshal(), KindData},
 		{nil, KindUnknown},
@@ -369,7 +328,7 @@ func TestFrameAddresses(t *testing.T) {
 		{"data", (&DataFrame{Header: MACHeader{Addr1: Broadcast, Addr2: apAddr, Addr3: apAddr}}).Marshal(), Broadcast, apAddr, true},
 		{"PS-Poll", (&PSPoll{AID: 1, BSSID: apAddr, TA: c1Addr}).Marshal(), apAddr, c1Addr, true},
 		// ACKs have no transmitter address to learn from.
-		{"ACK", (&ACK{RA: c1Addr}).Marshal(), c1Addr, MACAddr{}, false},
+		{"ACK", (&ACK{RA: c1Addr}).AppendTo(nil), c1Addr, MACAddr{}, false},
 	}
 	for _, c := range cases {
 		if rx, ok := Receiver(c.raw); !ok || rx != c.rx {
@@ -413,9 +372,8 @@ func TestTIMOddOffsetRejected(t *testing.T) {
 }
 
 func TestBTIMParseRejectsOddOffset(t *testing.T) {
-	e := Element{ID: ElementIDBTIM, Body: []byte{3, 0xff}}
-	if _, err := ParseBTIM(e); err == nil {
-		t.Fatal("ParseBTIM accepted odd offset")
+	if _, err := readBTIM([]byte{3, 0xff}); err == nil {
+		t.Fatal("readBTIM accepted odd offset")
 	}
 }
 

@@ -26,9 +26,7 @@ func seedCorpus(f *testing.F) {
 		f.Add(raw)
 	}
 	m := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, Ports: []uint16{53, 5353}}
-	if raw, err := m.Marshal(); err == nil {
-		f.Add(raw)
-	}
+	f.Add(m.AppendTo(nil))
 	req := &AssocRequest{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, SSID: "x", HIDECapable: true}
 	if raw, err := req.Marshal(); err == nil {
 		f.Add(raw)
@@ -57,32 +55,51 @@ func seedCorpus(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 }
 
-// FuzzUnmarshalBeacon drives the beacon decoders, the frames every
-// client parses most. UnmarshalBeacon must round-trip what it accepts,
-// and the in-place ReadBeacon must agree with it on every input (see
-// checkReadBeacon).
+// FuzzUnmarshalBeacon drives ReadBeacon, the one beacon reader and the
+// frame every client parses most: no input may panic or be written
+// into, every bit test of an accepted reading must equal the
+// Decompress reference (see checkReadBeacon), and an accepted reading,
+// rebuilt into a Beacon, must re-marshal and read back equal.
 func FuzzUnmarshalBeacon(f *testing.F) {
 	seedCorpus(f)
 	for _, raw := range beaconEdgeSeeds() {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		b, err := UnmarshalBeacon(raw)
-		checkReadBeacon(t, raw, b, err)
-		if err != nil {
+		r, ok := checkReadBeacon(t, raw)
+		if !ok {
 			return
 		}
-		// Re-encode: must succeed and decode to the same fields.
+		b := Beacon{
+			Header: r.Header, Timestamp: r.Timestamp, BeaconInterval: r.BeaconInterval,
+			Capability: r.Capability, SSID: string(r.SSID),
+		}
+		if r.HasTIM {
+			b.TIM = &r.TIM
+		}
+		if r.HasBTIM {
+			b.BTIM = &r.BTIM
+		}
 		out, err := b.Marshal()
 		if err != nil {
-			t.Fatalf("re-marshal of decoded beacon failed: %v", err)
+			t.Fatalf("re-marshal of an accepted reading failed: %v", err)
 		}
-		b2, err := UnmarshalBeacon(out)
-		if err != nil {
-			t.Fatalf("decode of re-marshalled beacon failed: %v", err)
+		var r2 BeaconReading
+		if err := ReadBeacon(out, &r2); err != nil {
+			t.Fatalf("read of the re-marshalled beacon failed: %v", err)
 		}
-		if b2.SSID != b.SSID || b2.BeaconInterval != b.BeaconInterval {
-			t.Fatal("beacon fields drifted across re-encode")
+		if r2.Header != r.Header || r2.Timestamp != r.Timestamp || r2.BeaconInterval != r.BeaconInterval ||
+			r2.Capability != r.Capability || !bytes.Equal(r2.SSID, r.SSID) ||
+			r2.HasTIM != r.HasTIM || r2.HasBTIM != r.HasBTIM {
+			t.Fatalf("beacon drifted across re-encode: %+v -> %+v", r, r2)
+		}
+		if r.HasTIM && (r2.TIM.DTIMCount != r.TIM.DTIMCount || r2.TIM.DTIMPeriod != r.TIM.DTIMPeriod ||
+			r2.TIM.Broadcast != r.TIM.Broadcast || r2.TIM.BitmapOffset != r.TIM.BitmapOffset ||
+			!bytes.Equal(r2.TIM.PartialBitmap, r.TIM.PartialBitmap)) {
+			t.Fatalf("TIM drifted across re-encode: %+v -> %+v", r.TIM, r2.TIM)
+		}
+		if r.HasBTIM && (r2.BTIM.Offset != r.BTIM.Offset || !bytes.Equal(r2.BTIM.PartialBitmap, r.BTIM.PartialBitmap)) {
+			t.Fatalf("BTIM drifted across re-encode: %+v -> %+v", r.BTIM, r2.BTIM)
 		}
 	})
 }
@@ -115,104 +132,77 @@ func beaconEdgeSeeds() [][]byte {
 	return seeds
 }
 
-// checkReadBeacon is the differential half of FuzzUnmarshalBeacon: the
-// in-place reader errs exactly when UnmarshalBeacon (b, err) does,
-// reads the same fields, leaves the frame untouched, and its bit tests
-// equal the Decompress reference for every AID up to MaxAID+8.
-func checkReadBeacon(t *testing.T, raw []byte, b *Beacon, err error) {
+// checkReadBeacon reads raw with ReadBeacon and reports the reading
+// and whether it was accepted. The frame must come back untouched, and
+// the bit tests of an accepted reading must equal the Decompress
+// reference for every AID up to MaxAID+8.
+func checkReadBeacon(t *testing.T, raw []byte) (BeaconReading, bool) {
 	t.Helper()
 	orig := append([]byte(nil), raw...)
 	var r BeaconReading
-	rerr := ReadBeacon(raw, &r)
+	err := ReadBeacon(raw, &r)
 	if !bytes.Equal(raw, orig) {
 		t.Fatal("ReadBeacon wrote into the frame")
 	}
-	if (rerr != nil) != (err != nil) {
-		t.Fatalf("ReadBeacon err = %v, UnmarshalBeacon err = %v", rerr, err)
-	}
 	if err != nil {
-		return
-	}
-	if r.Header != b.Header || r.Timestamp != b.Timestamp || r.BeaconInterval != b.BeaconInterval ||
-		r.Capability != b.Capability || string(r.SSID) != b.SSID {
-		t.Fatalf("fixed fields differ: reading %+v, beacon %+v", r, b)
-	}
-	if r.HasTIM != (b.TIM != nil) || r.HasBTIM != (b.BTIM != nil) {
-		t.Fatalf("element presence differs: reading TIM=%v BTIM=%v, beacon TIM=%v BTIM=%v",
-			r.HasTIM, r.HasBTIM, b.TIM != nil, b.BTIM != nil)
+		return r, false
 	}
 	if r.HasTIM {
-		if r.TIM.DTIMCount != b.TIM.DTIMCount || r.TIM.DTIMPeriod != b.TIM.DTIMPeriod ||
-			r.TIM.Broadcast != b.TIM.Broadcast || r.TIM.BitmapOffset != b.TIM.BitmapOffset ||
-			!bytes.Equal(r.TIM.PartialBitmap, b.TIM.PartialBitmap) {
-			t.Fatalf("TIM differs: reading %+v, beacon %+v", r.TIM, *b.TIM)
-		}
-		checkBits(t, "TIM", b.TIM.BitmapOffset, b.TIM.PartialBitmap, r.TIM.UnicastBuffered, b.TIM.UnicastBuffered)
+		checkBits(t, "TIM", r.TIM.BitmapOffset, r.TIM.PartialBitmap, r.TIM.UnicastBuffered)
 	}
 	if r.HasBTIM {
-		if r.BTIM.Offset != b.BTIM.Offset || !bytes.Equal(r.BTIM.PartialBitmap, b.BTIM.PartialBitmap) {
-			t.Fatalf("BTIM differs: reading %+v, beacon %+v", r.BTIM, *b.BTIM)
-		}
-		checkBits(t, "BTIM", b.BTIM.Offset, b.BTIM.PartialBitmap, r.BTIM.UsefulBroadcastBuffered, b.BTIM.UsefulBroadcastBuffered)
+		checkBits(t, "BTIM", r.BTIM.Offset, r.BTIM.PartialBitmap, r.BTIM.UsefulBroadcastBuffered)
 	}
+	return r, true
 }
 
-// checkBits requires the in-place bit tests of a reading and of the
-// decoded beacon to equal Decompress(offset, partial).Get for every
-// AID up to MaxAID+8, false where Decompress rejects the encoding.
-func checkBits(t *testing.T, elem string, offset uint8, partial []byte, reading, decoded func(AID) bool) {
+// checkBits requires an in-place bit test to equal
+// Decompress(offset, partial).Get for every AID up to MaxAID+8, false
+// where Decompress rejects the encoding.
+func checkBits(t *testing.T, elem string, offset uint8, partial []byte, bit func(AID) bool) {
 	t.Helper()
 	ref, err := Decompress(offset, partial)
 	for aid := AID(0); aid <= MaxAID+8; aid++ {
-		want := err == nil && ref.Get(aid)
-		if reading(aid) != want || decoded(aid) != want {
-			t.Fatalf("%s bit for AID %d: reading %v, beacon %v, Decompress %v", elem, aid, reading(aid), decoded(aid), want)
+		if want := err == nil && ref.Get(aid); bit(aid) != want {
+			t.Fatalf("%s bit for AID %d: reading %v, Decompress %v", elem, aid, bit(aid), want)
 		}
 	}
 }
 
-// FuzzUnmarshalUDPPortMessage drives the port-message codec. The
-// in-place ReadUDPPortMessage, given a dirty non-empty scratch slice,
-// accepts exactly what UnmarshalUDPPortMessage accepts and reads the
-// same header and ports; an accepted message re-encodes with Marshal
-// to a frame carrying exactly the same ports; and AppendTo onto a
-// non-empty prefix yields the prefix followed by Marshal's bytes.
+// FuzzUnmarshalUDPPortMessage drives ReadUDPPortMessage, the one port
+// message reader. Given a dirty non-empty scratch slice it must leave
+// the frame untouched, reuse the scratch when it has room, and hold no
+// ports on error; an accepted message must re-encode with AppendTo to
+// a frame that reads back the same header and ports; and AppendTo onto
+// a non-empty prefix must yield the prefix followed by those bytes.
 func FuzzUnmarshalUDPPortMessage(f *testing.F) {
 	seedCorpus(f)
 	split := &UDPPortMessage{Header: MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}, Ports: make([]uint16, 2*MaxPortsPerElement+3)}
-	if raw, err := split.Marshal(); err == nil {
-		f.Add(raw) // three Open UDP Ports elements
-	}
+	f.Add(split.AppendTo(nil)) // three Open UDP Ports elements
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		orig := append([]byte(nil), raw...)
-		m, err := UnmarshalUDPPortMessage(raw)
 		scratch := []uint16{0xdead, 0xbeef, 7}
-		hdr, ports, rerr := ReadUDPPortMessage(raw, scratch[:2])
+		hdr, ports, err := ReadUDPPortMessage(raw, scratch[:2])
 		if !bytes.Equal(raw, orig) {
 			t.Fatal("ReadUDPPortMessage wrote into the frame")
 		}
-		if (rerr != nil) != (err != nil) {
-			t.Fatalf("ReadUDPPortMessage err = %v, UnmarshalUDPPortMessage err = %v", rerr, err)
-		}
 		if err != nil {
+			if len(ports) != 0 {
+				t.Fatalf("ReadUDPPortMessage failed (%v) holding ports %v", err, ports)
+			}
 			return
-		}
-		if hdr != m.Header || !slices.Equal(ports, m.Ports) {
-			t.Fatalf("in-place read %v %v, owning decode %v %v", hdr, ports, m.Header, m.Ports)
 		}
 		if len(ports) > 0 && &ports[0] != &scratch[0] && cap(scratch) >= len(ports) {
 			t.Fatal("ReadUDPPortMessage ignored a scratch slice with room")
 		}
-		out, err := m.Marshal()
+		m := UDPPortMessage{Header: hdr, Ports: ports}
+		out := m.AppendTo(nil)
+		hdr2, ports2, err := ReadUDPPortMessage(out, nil)
 		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
+			t.Fatalf("read of the re-encoded message failed: %v", err)
 		}
-		m2, err := UnmarshalUDPPortMessage(out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !slices.Equal(m2.Ports, m.Ports) {
-			t.Fatalf("ports drifted across re-encode: %v -> %v", m.Ports, m2.Ports)
+		if hdr2 != hdr || !slices.Equal(ports2, ports) {
+			t.Fatalf("message drifted across re-encode: %v %v -> %v %v", hdr, ports, hdr2, ports2)
 		}
 		prefix := []byte{0xa5, 0x5a, 0x01}
 		app := m.AppendTo(append([]byte(nil), prefix...))
@@ -362,7 +352,7 @@ func FuzzParseElements(f *testing.F) {
 		// Total re-encoded length must equal the input length.
 		total := 0
 		for _, e := range elems {
-			total += e.WireLen()
+			total += 2 + len(e.Body)
 		}
 		if total != len(raw) {
 			t.Fatalf("element lengths %d != input %d", total, len(raw))
@@ -370,12 +360,37 @@ func FuzzParseElements(f *testing.F) {
 	})
 }
 
+// FuzzParseUDP drives the UDP header walk through both of its users:
+// the header-only DstUDPPort (and IPv4DstUDPPort behind the LLC/SNAP
+// header) must read ParseUDP's port from every body ParseUDP accepts,
+// and must accept every truncation of a body it accepts that still
+// holds the headers, with the same port; a datagram ParseUDP accepts
+// must re-encapsulate to a parseable body with the same ports and
+// payload.
 func FuzzParseUDP(f *testing.F) {
 	f.Add(EncapsulateUDP(UDPDatagram{SrcPort: 1, DstPort: 2, Payload: []byte("hi")}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xaa}, 40))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		port, perr := DstUDPPort(raw)
 		d, err := ParseUDP(raw)
+		if err == nil && (perr != nil || port != d.DstPort) {
+			t.Fatalf("DstUDPPort = %d, %v on a body ParseUDP reads as port %d", port, perr, d.DstPort)
+		}
+		if perr == nil {
+			if p, err := IPv4DstUDPPort(raw[LLCSNAPLen:]); err != nil || p != port {
+				t.Fatalf("IPv4DstUDPPort = %d, %v behind LLC/SNAP; DstUDPPort read %d", p, err, port)
+			}
+			hdrs := LLCSNAPLen + int(raw[LLCSNAPLen]&0x0f)*4 + UDPHdrLen
+			for n := hdrs; n < len(raw); n++ {
+				if p, err := DstUDPPort(raw[:n]); err != nil || p != port {
+					t.Fatalf("DstUDPPort of the first %d bytes = %d, %v; the whole body reads %d", n, p, err, port)
+				}
+			}
+			if _, err := DstUDPPort(raw[:hdrs-1]); err == nil {
+				t.Fatalf("DstUDPPort accepted %d bytes, short of the %d-byte headers", hdrs-1, hdrs)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -393,9 +408,10 @@ func FuzzParseUDP(f *testing.F) {
 }
 
 // FuzzBTIMElement drives the BTIM (element ID 201) codec with
-// arbitrary element bodies: ParseBTIM must never panic, and any body it
-// accepts must re-encode to the identical wire image and preserve
-// per-AID bit lookups.
+// arbitrary element bodies: readBTIM, which ReadBeacon reads each BTIM
+// element with, must never panic, and any body it accepts must
+// re-encode to the identical wire image and preserve per-AID bit
+// lookups.
 func FuzzBTIMElement(f *testing.F) {
 	var bm VirtualBitmap
 	bm.Set(3)
@@ -410,7 +426,7 @@ func FuzzBTIMElement(f *testing.F) {
 	f.Add([]byte{1, 0xff}) // odd offset: must be rejected
 	f.Add(bytes.Repeat([]byte{0xff}, 252))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		b, err := ParseBTIM(Element{ID: ElementIDBTIM, Body: body})
+		b, err := readBTIM(body)
 		if err != nil {
 			return
 		}
@@ -421,7 +437,7 @@ func FuzzBTIMElement(f *testing.F) {
 		if !bytes.Equal(e.Body, body) {
 			t.Fatalf("BTIM wire image drifted: %x -> %x", body, e.Body)
 		}
-		b2, err := ParseBTIM(e)
+		b2, err := readBTIM(e.Body)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -475,32 +491,29 @@ func FuzzOpenUDPPortsElement(f *testing.F) {
 	})
 }
 
-// FuzzClassifyNeverPanics feeds arbitrary frames to Classify, and to
-// both data-frame decoders: the in-place ReadDataFrame accepts exactly
-// what UnmarshalDataFrame accepts (data frames with a full MAC header)
-// and reads the same header and payload, aliasing the frame.
+// FuzzClassifyNeverPanics feeds arbitrary frames to Classify and to
+// ReadDataFrame, which must accept exactly the data frames with a full
+// MAC header, read a payload that aliases the rest of the frame, and
+// leave its DataFrame unchanged on error.
 func FuzzClassifyNeverPanics(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		kind := Classify(raw)
 		_ = kind.String()
-		d, err := UnmarshalDataFrame(raw)
-		var r DataFrame
-		rerr := ReadDataFrame(raw, &r)
-		if (rerr != nil) != (err != nil) {
-			t.Fatalf("ReadDataFrame err = %v, UnmarshalDataFrame err = %v", rerr, err)
-		}
+		sentinel := DataFrame{Header: MACHeader{Seq: 0xbeef}, Payload: []byte{1}}
+		d := sentinel
+		err := ReadDataFrame(raw, &d)
 		if want := kind == KindData && len(raw) >= MACHeaderLen; (err == nil) != want {
 			t.Fatalf("data frame accepted = %v for a %d-byte %v frame", err == nil, len(raw), kind)
 		}
 		if err != nil {
+			if d.Header != sentinel.Header || len(d.Payload) != 1 || &d.Payload[0] != &sentinel.Payload[0] {
+				t.Fatalf("ReadDataFrame failed (%v) and changed its DataFrame to %+v", err, d)
+			}
 			return
 		}
-		if r.Header != d.Header || !bytes.Equal(r.Payload, d.Payload) {
-			t.Fatalf("in-place read %+v, owning decode %+v", r, *d)
-		}
-		if len(r.Payload) > 0 && &r.Payload[0] != &raw[MACHeaderLen] {
-			t.Fatal("ReadDataFrame payload does not alias the frame")
+		if len(d.Payload) != len(raw)-MACHeaderLen || len(d.Payload) > 0 && &d.Payload[0] != &raw[MACHeaderLen] {
+			t.Fatal("ReadDataFrame payload does not alias the rest of the frame")
 		}
 	})
 }

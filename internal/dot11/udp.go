@@ -1,10 +1,13 @@
 package dot11
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file synthesizes and parses the LLC/SNAP + IPv4 + UDP payload
-// of a UDP-padded broadcast frame. The AP-side Algorithm 1 extracts the
-// destination UDP port from the frame body, so the simulated frames
+// of a UDP-padded broadcast frame. Stations and the trace importer take
+// the destination UDP port from the frame body, so the simulated frames
 // carry a real, parseable encapsulation rather than an out-of-band tag.
 
 // Encapsulation header lengths in bytes.
@@ -63,52 +66,84 @@ func EncapsulateUDP(d UDPDatagram) []byte {
 }
 
 // ParseUDP extracts the UDP datagram from a data-frame body produced by
-// EncapsulateUDP (or any LLC/SNAP IPv4 UDP body). It returns an error
-// if the body is not a well-formed UDP-over-IPv4 encapsulation.
+// EncapsulateUDP (or any LLC/SNAP IPv4 UDP body). It walks the headers
+// DstUDPPort walks and then requires the whole datagram, as a kernel
+// does before waking a socket: a UDP length that runs past the body is
+// an error.
 func ParseUDP(body []byte) (UDPDatagram, error) {
 	var d UDPDatagram
-	if len(body) < UDPEncapsLen {
-		return d, fmt.Errorf("%w: %d bytes for UDP encapsulation", ErrShortFrame, len(body))
+	ip, err := snapIPv4(body)
+	if err != nil {
+		return d, err
 	}
-	if body[0] != 0xaa || body[1] != 0xaa || body[2] != 0x03 {
-		return d, fmt.Errorf("dot11: not an LLC/SNAP body")
+	udp, err := ipv4UDP(ip)
+	if err != nil {
+		return d, err
 	}
-	if et := uint16(body[6])<<8 | uint16(body[7]); et != etherTypeIPv4 {
-		return d, fmt.Errorf("dot11: ethertype %#04x is not IPv4", et)
-	}
-	ip := body[LLCSNAPLen:]
-	if ip[0]>>4 != 4 {
-		return d, fmt.Errorf("dot11: IP version %d is not 4", ip[0]>>4)
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < IPv4HdrLen || len(ip) < ihl+UDPHdrLen {
-		return d, fmt.Errorf("%w: IHL %d", ErrShortFrame, ihl)
-	}
-	if ip[9] != 17 {
-		return d, fmt.Errorf("dot11: IP protocol %d is not UDP", ip[9])
-	}
-	copy(d.SrcIP[:], ip[12:16])
-	copy(d.DstIP[:], ip[16:20])
-	udp := ip[ihl:]
-	d.SrcPort = uint16(udp[0])<<8 | uint16(udp[1])
-	d.DstPort = uint16(udp[2])<<8 | uint16(udp[3])
 	ul := int(udp[4])<<8 | int(udp[5])
 	if ul < UDPHdrLen || len(udp) < ul {
 		return d, fmt.Errorf("%w: UDP length %d with %d bytes", ErrShortFrame, ul, len(udp))
 	}
+	copy(d.SrcIP[:], ip[12:16])
+	copy(d.DstIP[:], ip[16:20])
+	d.SrcPort = uint16(udp[0])<<8 | uint16(udp[1])
+	d.DstPort = uint16(udp[2])<<8 | uint16(udp[3])
 	d.Payload = udp[UDPHdrLen:ul]
 	return d, nil
 }
 
-// DstUDPPort extracts just the destination UDP port from a data-frame
-// body. This is the AP's hot path in Algorithm 1 (line 3).
+// DstUDPPort reads the destination UDP port of a data-frame body from
+// its LLC/SNAP, IPv4 and UDP headers alone, so a body cut short after
+// the UDP header, as in a capture truncated at its snaplen, still
+// yields its port. It accepts every body ParseUDP accepts, with the
+// same port.
 func DstUDPPort(body []byte) (uint16, error) {
-	d, err := ParseUDP(body)
+	ip, err := snapIPv4(body)
 	if err != nil {
 		return 0, err
 	}
-	return d.DstPort, nil
+	return IPv4DstUDPPort(ip)
 }
+
+// IPv4DstUDPPort is DstUDPPort for a bare IPv4 packet, as an Ethernet
+// capture carries it behind the EtherType.
+func IPv4DstUDPPort(ip []byte) (uint16, error) {
+	udp, err := ipv4UDP(ip)
+	if err != nil {
+		return 0, err
+	}
+	return uint16(udp[2])<<8 | uint16(udp[3]), nil
+}
+
+// snapIPv4 checks that a data-frame body opens with an LLC/SNAP header
+// naming IPv4 and returns the packet behind it.
+func snapIPv4(body []byte) ([]byte, error) {
+	if len(body) < LLCSNAPLen || body[0] != 0xaa || body[1] != 0xaa || body[2] != 0x03 ||
+		uint16(body[6])<<8|uint16(body[7]) != etherTypeIPv4 {
+		return nil, errNotSNAPIPv4
+	}
+	return body[LLCSNAPLen:], nil
+}
+
+// ipv4UDP walks the header of an IPv4 packet carrying UDP and returns
+// the segment behind it, which holds at least a whole UDP header. It
+// is the one IPv4 header walk: ParseUDP and both port readers use it.
+func ipv4UDP(ip []byte) ([]byte, error) {
+	if len(ip) < IPv4HdrLen || ip[0]>>4 != 4 || ip[9] != 17 {
+		return nil, errNotIPv4UDP
+	}
+	ihl := int(ip[0]&0x0f) * 4
+	if ihl < IPv4HdrLen || len(ip) < ihl+UDPHdrLen {
+		return nil, errNotIPv4UDP
+	}
+	return ip[ihl:], nil
+}
+
+// Errors of the header walk.
+var (
+	errNotSNAPIPv4 = errors.New("dot11: body is not LLC/SNAP IPv4")
+	errNotIPv4UDP  = errors.New("dot11: packet is not IPv4 with a whole UDP header")
+)
 
 // ipv4Checksum computes the IPv4 header checksum with the checksum
 // field treated as zero.

@@ -20,7 +20,7 @@ func TestKindTargetedDrops(t *testing.T) {
 
 	m.Transmit(apAddr, beaconRaw(t), dot11.Rate1Mbps)
 	ack := &dot11.ACK{RA: s1Addr}
-	m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
+	m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 	eng.Run()
 
 	if len(r.frames) != 1 {
@@ -84,7 +84,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	ack := &dot11.ACK{RA: s1Addr}
 	const n = 10
 	for i := 0; i < n; i++ {
-		m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
+		m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 	}
 	eng.Run()
 	if len(r.frames) != 2*n {
@@ -110,7 +110,7 @@ func TestWindowedFaultsExpire(t *testing.T) {
 	for _, at := range []time.Duration{5 * time.Millisecond, 15 * time.Millisecond, 25 * time.Millisecond} {
 		at := at
 		eng.MustScheduleAt(at, func(time.Duration) {
-			m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
+			m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 		})
 	}
 	eng.Run()
@@ -134,7 +134,7 @@ func TestNilPlanDrawsNoRandomness(t *testing.T) {
 	m.Attach(s1Addr, r)
 	ack := &dot11.ACK{RA: s1Addr}
 	for i := 0; i < 50; i++ {
-		m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
+		m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 	}
 	eng.Run()
 	// The medium's RNG must still be at its seed-initial position.

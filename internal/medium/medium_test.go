@@ -73,7 +73,7 @@ func TestUnicastDelivery(t *testing.T) {
 	m.Attach(s2Addr, r2)
 
 	ack := &dot11.ACK{RA: s1Addr}
-	m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
+	m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 	eng.Run()
 
 	if len(r1.frames) != 1 {
@@ -91,7 +91,7 @@ func TestAirtimeTiming(t *testing.T) {
 	m.Attach(s1Addr, r1)
 
 	ack := &dot11.ACK{RA: s1Addr}
-	raw := ack.Marshal()
+	raw := ack.AppendTo(nil)
 	m.Transmit(apAddr, raw, dot11.Rate1Mbps)
 	eng.Run()
 
@@ -111,7 +111,7 @@ func TestChannelSerialization(t *testing.T) {
 	m.Attach(s1Addr, r1)
 
 	ack := &dot11.ACK{RA: s1Addr}
-	raw := ack.Marshal()
+	raw := ack.AppendTo(nil)
 	// Two back-to-back transmissions: the second must wait for the
 	// first plus a DIFS.
 	m.Transmit(apAddr, raw, dot11.Rate1Mbps)
@@ -137,7 +137,7 @@ func TestLossInjection(t *testing.T) {
 	ack := &dot11.ACK{RA: s1Addr}
 	const n = 1000
 	for i := 0; i < n; i++ {
-		m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
+		m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 	}
 	eng.Run()
 	got := len(r1.frames)
@@ -153,7 +153,7 @@ func TestUnattachedDestinationDropped(t *testing.T) {
 	eng := sim.New()
 	m := New(eng, dot11.DefaultPHY(), 1)
 	ack := &dot11.ACK{RA: s1Addr} // s1 never attached
-	m.Transmit(apAddr, ack.Marshal(), dot11.Rate1Mbps)
+	m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 	eng.Run()
 	if m.Stats.Deliveries != 0 {
 		t.Errorf("Deliveries = %d, want 0", m.Stats.Deliveries)
@@ -166,7 +166,7 @@ func TestTransmitCopiesBuffer(t *testing.T) {
 	r1 := &recorder{}
 	m.Attach(s1Addr, r1)
 	ack := &dot11.ACK{RA: s1Addr}
-	raw := ack.Marshal()
+	raw := ack.AppendTo(nil)
 	m.Transmit(apAddr, raw, dot11.Rate1Mbps)
 	for i := range raw {
 		raw[i] = 0xff // caller reuses the buffer before delivery
@@ -229,8 +229,8 @@ func TestMonitorTapSeesAllTransmissions(t *testing.T) {
 		tapped = append(tapped, recorded{append([]byte(nil), raw...), rate, at})
 	})
 	// One unicast to an attached node, one to nobody: the tap sees both.
-	m.Transmit(apAddr, (&dot11.ACK{RA: s1Addr}).Marshal(), dot11.Rate1Mbps)
-	m.Transmit(apAddr, (&dot11.ACK{RA: s2Addr}).Marshal(), dot11.Rate11Mbps)
+	m.Transmit(apAddr, (&dot11.ACK{RA: s1Addr}).AppendTo(nil), dot11.Rate1Mbps)
+	m.Transmit(apAddr, (&dot11.ACK{RA: s2Addr}).AppendTo(nil), dot11.Rate11Mbps)
 	eng.Run()
 	if len(tapped) != 2 {
 		t.Fatalf("tap saw %d frames, want 2", len(tapped))
@@ -243,7 +243,7 @@ func TestMonitorTapSeesAllTransmissions(t *testing.T) {
 		t.Errorf("tap time = %v, want transmission start", tapped[0].at)
 	}
 	m.SetTap(nil)
-	m.Transmit(apAddr, (&dot11.ACK{RA: s1Addr}).Marshal(), dot11.Rate1Mbps)
+	m.Transmit(apAddr, (&dot11.ACK{RA: s1Addr}).AppendTo(nil), dot11.Rate1Mbps)
 	eng.Run()
 	if len(tapped) != 2 {
 		t.Error("nil tap still invoked")

@@ -24,14 +24,10 @@ var _ Policy = receiveAll{}
 // Kind identifies the policy.
 func (receiveAll) Kind() Kind { return ReceiveAll }
 
-// Apply passes every frame with the full τ wakelock. The usefulness
-// vector is validated but otherwise ignored: the stock system cannot
-// tell useful frames apart.
-func (p receiveAll) Apply(tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
-	return p.appendTo(nil, tr, useful)
-}
-
-func (receiveAll) appendTo(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
+// appendArrivals passes every frame with the full τ wakelock. The
+// usefulness vector is validated but otherwise ignored: the stock
+// system cannot tell useful frames apart.
+func (receiveAll) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
 	if err := checkLen(tr, useful); err != nil {
 		return nil, err
 	}
@@ -70,12 +66,9 @@ var _ Policy = ClientSidePolicy{}
 // Kind identifies the policy.
 func (ClientSidePolicy) Kind() Kind { return ClientSide }
 
-// Apply passes every frame; useless frames get the driver wakelock.
-func (p ClientSidePolicy) Apply(tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
-	return p.appendTo(nil, tr, useful)
-}
-
-func (p ClientSidePolicy) appendTo(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
+// appendArrivals passes every frame; useless frames get the driver
+// wakelock.
+func (p ClientSidePolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
 	if err := checkLen(tr, useful); err != nil {
 		return nil, err
 	}
@@ -100,12 +93,8 @@ var _ Policy = hidePolicy{}
 // Kind identifies the policy.
 func (hidePolicy) Kind() Kind { return HIDE }
 
-// Apply passes only useful frames.
-func (p hidePolicy) Apply(tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
-	return p.appendTo(nil, tr, useful)
-}
-
-func (hidePolicy) appendTo(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
+// appendArrivals passes only useful frames.
+func (hidePolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
 	if err := checkLen(tr, useful); err != nil {
 		return nil, err
 	}
@@ -115,28 +104,6 @@ func (hidePolicy) appendTo(dst []energy.Arrival, tr *trace.Trace, useful []bool)
 		}
 	}
 	return dst, nil
-}
-
-// AppendArrivals applies p to the tagged trace, appending the arrivals
-// to dst — normally dst[:0] of a buffer reused across evaluation cells
-// — and returning the extended slice. It produces exactly the arrivals
-// p.Apply would, without the per-call slice allocation for the builtin
-// policies; other Policy implementations fall back to Apply.
-func AppendArrivals(dst []energy.Arrival, p Policy, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
-	switch q := p.(type) {
-	case receiveAll:
-		return q.appendTo(dst, tr, useful)
-	case ClientSidePolicy:
-		return q.appendTo(dst, tr, useful)
-	case hidePolicy:
-		return q.appendTo(dst, tr, useful)
-	default:
-		arr, err := p.Apply(tr, useful)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, arr...), nil
-	}
 }
 
 // growArrivals ensures dst can take n more appends without reallocating.
@@ -169,9 +136,9 @@ var _ Policy = CombinedPolicy{}
 // Kind identifies the policy.
 func (CombinedPolicy) Kind() Kind { return Combined }
 
-// Apply passes only frames the AP forwards; stale ones get a zero
-// wakelock from the driver filter.
-func (p CombinedPolicy) Apply(tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
+// appendArrivals passes only frames the AP forwards; stale ones get a
+// zero wakelock from the driver filter.
+func (p CombinedPolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
 	if err := checkLen(tr, useful); err != nil {
 		return nil, err
 	}
@@ -179,7 +146,6 @@ func (p CombinedPolicy) Apply(tr *trace.Trace, useful []bool) ([]energy.Arrival,
 		return nil, fmt.Errorf("policy: staleness %v outside [0, 1]", p.Staleness)
 	}
 	r := sim.NewRNG(p.Seed)
-	var out []energy.Arrival
 	for i, f := range tr.Frames {
 		if !useful[i] {
 			continue
@@ -188,7 +154,7 @@ func (p CombinedPolicy) Apply(tr *trace.Trace, useful []bool) ([]energy.Arrival,
 		if p.Staleness > 0 && r.Float64() < p.Staleness {
 			wl = 0
 		}
-		out = append(out, convert(f, wl))
+		dst = append(dst, convert(f, wl))
 	}
-	return out, nil
+	return dst, nil
 }

@@ -62,14 +62,24 @@ func (k Kind) String() string {
 // overhead of Eqs. 15-19.
 func (k Kind) HasOverhead() bool { return k == HIDE || k == Combined }
 
-// Policy converts a tagged trace into the energy model's input.
+// Policy converts a tagged trace into the energy model's input, read
+// through AppendArrivals. The built-in policies are its only
+// implementations.
 type Policy interface {
 	// Kind identifies the policy.
 	Kind() Kind
-	// Apply returns the frames the client's radio receives, with their
-	// wakelock durations, given the trace and per-frame usefulness.
-	// len(useful) must equal len(tr.Frames).
-	Apply(tr *trace.Trace, useful []bool) ([]energy.Arrival, error)
+	// appendArrivals appends the frames the client's radio receives,
+	// with their wakelock durations, to dst.
+	appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error)
+}
+
+// AppendArrivals applies p to the trace and its per-frame usefulness,
+// appending the frames the client's radio receives, with their
+// wakelock durations, to dst — nil, or dst[:0] of a buffer reused
+// across evaluation cells — and returning the extended slice.
+// len(useful) must equal len(tr.Frames).
+func AppendArrivals(dst []energy.Arrival, p Policy, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
+	return p.appendArrivals(dst, tr, useful)
 }
 
 // New returns the built-in policy of the given kind. Combined uses a

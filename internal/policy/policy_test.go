@@ -53,7 +53,7 @@ func TestApplyLengthMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Apply(tr, make([]bool, 3)); err == nil {
+		if _, err := AppendArrivals(nil, p, tr, make([]bool, 3)); err == nil {
 			t.Errorf("%v: mismatched usefulness vector accepted", k)
 		}
 	}
@@ -62,7 +62,7 @@ func TestApplyLengthMismatch(t *testing.T) {
 func TestReceiveAllPassesEverythingWithTau(t *testing.T) {
 	tr, u := genTagged(t, trace.Starbucks, 0.1)
 	p, _ := New(ReceiveAll)
-	arr, err := p.Apply(tr, u)
+	arr, err := AppendArrivals(nil, p, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestReceiveAllPassesEverythingWithTau(t *testing.T) {
 func TestClientSideDriverWakelockForUseless(t *testing.T) {
 	tr, u := genTagged(t, trace.CSDept, 0.1)
 	p, _ := New(ClientSide)
-	arr, err := p.Apply(tr, u)
+	arr, err := AppendArrivals(nil, p, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestClientSideWithTauEqualsReceiveAll(t *testing.T) {
 	// The lower-bound sweep relies on δ=τ degenerating to receive-all.
 	tr, u := genTagged(t, trace.WRL, 0.1)
 	ra, _ := New(ReceiveAll)
-	raArr, err := ra.Apply(tr, u)
+	raArr, err := AppendArrivals(nil, ra, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csArr, err := ClientSidePolicy{DriverWakelock: time.Second}.Apply(tr, u)
+	csArr, err := AppendArrivals(nil, ClientSidePolicy{DriverWakelock: time.Second}, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestClientSideWithTauEqualsReceiveAll(t *testing.T) {
 func TestHIDEPassesOnlyUseful(t *testing.T) {
 	tr, u := genTagged(t, trace.WML, 0.1)
 	p, _ := New(HIDE)
-	arr, err := p.Apply(tr, u)
+	arr, err := AppendArrivals(nil, p, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestHIDEPassesOnlyUseful(t *testing.T) {
 func TestCombinedZeroStalenessEqualsHIDE(t *testing.T) {
 	tr, u := genTagged(t, trace.WRL, 0.1)
 	h, _ := New(HIDE)
-	hArr, err := h.Apply(tr, u)
+	hArr, err := AppendArrivals(nil, h, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cArr, err := CombinedPolicy{}.Apply(tr, u)
+	cArr, err := AppendArrivals(nil, CombinedPolicy{}, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCombinedZeroStalenessEqualsHIDE(t *testing.T) {
 
 func TestCombinedStalenessDropsWakelocks(t *testing.T) {
 	tr, u := genTagged(t, trace.WRL, 0.2)
-	arr, err := CombinedPolicy{Staleness: 0.5, Seed: 9}.Apply(tr, u)
+	arr, err := AppendArrivals(nil, CombinedPolicy{Staleness: 0.5, Seed: 9}, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestCombinedStalenessDropsWakelocks(t *testing.T) {
 
 func TestCombinedRejectsBadStaleness(t *testing.T) {
 	tr, u := genTagged(t, trace.Starbucks, 0.1)
-	if _, err := (CombinedPolicy{Staleness: 1.5}).Apply(tr, u); err == nil {
+	if _, err := AppendArrivals(nil, CombinedPolicy{Staleness: 1.5}, tr, u); err == nil {
 		t.Fatal("staleness > 1 accepted")
 	}
-	if _, err := (CombinedPolicy{Staleness: -0.1}).Apply(tr, u); err == nil {
+	if _, err := AppendArrivals(nil, CombinedPolicy{Staleness: -0.1}, tr, u); err == nil {
 		t.Fatal("negative staleness accepted")
 	}
 }
@@ -201,7 +201,7 @@ func evaluate(t *testing.T, k Kind, tr *trace.Trace, u []bool, dev energy.Profil
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := p.Apply(tr, u)
+	arr, err := AppendArrivals(nil, p, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,11 @@ func TestZeroDriverWakelockChurnsOnDenseTraffic(t *testing.T) {
 	tr, u := genTagged(t, trace.WML, 0.1)
 	zero := ClientSidePolicy{DriverWakelock: 0}
 	hundred := ClientSidePolicy{DriverWakelock: 100 * time.Millisecond}
-	zArr, err := zero.Apply(tr, u)
+	zArr, err := AppendArrivals(nil, zero, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hArr, err := hundred.Apply(tr, u)
+	hArr, err := AppendArrivals(nil, hundred, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package station
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -141,9 +140,9 @@ func TestAllocBudgetBeaconReceive(t *testing.T) {
 
 // TestAllocBudgetPortMessageSend pins a warm station's UDP Port
 // Message send at one allocation: the medium's injection copy. The
-// message is encoded into the station's reused buffer, and the sent
-// and acknowledged lists share the open-port list. No AP is attached,
-// so the frame's delivery is a drop and the ACK is handed in directly.
+// message is encoded into the station's reused buffer. No AP is
+// attached, so the frame's delivery is a drop and the ACK is handed in
+// directly.
 func TestAllocBudgetPortMessageSend(t *testing.T) {
 	eng := sim.New()
 	med := medium.New(eng, dot11.DefaultPHY(), 7)
@@ -164,7 +163,7 @@ func TestAllocBudgetPortMessageSend(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, send); allocs > 1 {
 		t.Fatalf("warm port-message send: %.1f allocs/op, want <= 1 (injection copy only)", allocs)
 	}
-	if !st.Synced() || !slices.Equal(st.syncedPorts, []uint16{53, 5353}) {
-		t.Fatalf("synced %v with %v, want true with [53 5353]", st.Synced(), st.syncedPorts)
+	if !st.Synced() {
+		t.Fatal("the acknowledged send left the station unsynced")
 	}
 }

@@ -1,7 +1,6 @@
 package station
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -196,25 +195,25 @@ func TestNoPortRefreshWhenDisabled(t *testing.T) {
 
 // TestZeroPortStationSyncs: a HIDE station with no open ports still
 // completes the handshake. The AP acknowledges its empty port list, so
-// the station counts as synced, and under PortCoalesce its next
-// suspend rides on that sync instead of resending the empty list.
+// the station counts as synced, and its next suspend re-sends the
+// empty list, which the AP acknowledges too.
 func TestZeroPortStationSyncs(t *testing.T) {
-	eng, _, a, st := hardRig(t, Config{PortCoalesce: math.MaxInt64}, nil)
+	eng, _, a, st := hardRig(t, Config{}, nil)
 	a.Start()
 	eng.RunUntil(2 * time.Second)
 	if s := st.Stats(); s.PortMsgsSent != 1 || s.ACKsReceived != 1 || !st.Synced() {
 		t.Fatalf("after the handshake: sent %d, ACKs %d, synced %v; want 1, 1, true",
 			s.PortMsgsSent, s.ACKsReceived, st.Synced())
 	}
-	// A unicast frame wakes the host; its next suspend coalesces.
+	// A unicast frame wakes the host; its next suspend syncs again.
 	if err := a.EnqueueUnicast(st.Addr(), dot11.UDPDatagram{DstPort: 4000}, dot11.Rate11Mbps); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(5 * time.Second)
 	s := st.Stats()
-	if s.UnicastReceived != 1 || s.Suspends != 2 || s.PortMsgsSent != 1 || s.PortMsgsCoalesced != 1 {
-		t.Errorf("after one wake: unicast %d, suspends %d, sent %d, coalesced %d; want 1, 2, 1, 1",
-			s.UnicastReceived, s.Suspends, s.PortMsgsSent, s.PortMsgsCoalesced)
+	if s.UnicastReceived != 1 || s.Suspends != 2 || s.PortMsgsSent != 2 || s.ACKsReceived != 2 {
+		t.Errorf("after one wake: unicast %d, suspends %d, sent %d, ACKs %d; want 1, 2, 2, 2",
+			s.UnicastReceived, s.Suspends, s.PortMsgsSent, s.ACKsReceived)
 	}
 	if !st.Suspended() || !st.Synced() {
 		t.Errorf("suspended %v, synced %v; want both", st.Suspended(), st.Synced())

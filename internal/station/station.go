@@ -72,23 +72,6 @@ type Config struct {
 	// group indications the station then misses — the classic power/
 	// latency trade-off, counted in Stats.DTIMsSkipped.
 	ListenInterval int
-	// PortCoalesce batches port registrations and refreshes: a
-	// pre-suspend UDP Port Message is skipped while the last
-	// acknowledged sync still matches the current open-port set AND is
-	// younger than this window, so the short awake/suspend cycles of a
-	// busy trace ride on one registration instead of re-sending an
-	// identical port list every few hundred milliseconds. Port changes
-	// made while awake still coalesce into the single full-list message
-	// sent at the next suspend whose sync is stale or dirty. The skip
-	// is freshness-bounded, so it composes with the hardened AP-side
-	// TTL: keep the window below the AP's PortTTL minus the refresh
-	// cadence and the table entry can never age out behind a skipped
-	// sync; an unbounded window (math.MaxInt64) skips every unchanged
-	// sync and relies on the AP never losing association state. Zero
-	// disables coalescing — the paper's send-every-suspend behaviour,
-	// byte-identical to builds without the knob. Skips are counted in
-	// Stats.PortMsgsCoalesced.
-	PortCoalesce time.Duration
 	// PortRefresh re-sends the UDP Port Message when a heard DTIM
 	// beacon finds the last acknowledged sync older than this,
 	// refreshing the AP's TTL'd port-table entry (ap.Config.PortTTL)
@@ -165,9 +148,6 @@ type Stats struct {
 	// unacknowledged after the full retry budget — the AP may hold
 	// stale (conservative) information until the next refresh.
 	PortMsgGivenUp int
-	// PortMsgsCoalesced counts pre-suspend port messages skipped by the
-	// Config.PortCoalesce batching window (fresh matching sync).
-	PortMsgsCoalesced int
 	// PortMsgRefreshes counts TTL-refresh port messages triggered by
 	// Config.PortRefresh.
 	PortMsgRefreshes int
@@ -210,10 +190,7 @@ type Station struct {
 	med medium.Channel
 	aid dot11.AID
 
-	// ports is the sorted open-port list. OpenPort and ClosePort
-	// replace it and nothing writes into it, so the last sent and the
-	// last acknowledged lists share it.
-	ports []uint16
+	ports []uint16 // the sorted open-port list
 
 	listening bool // radio held on for a group-frame burst
 	suspended bool
@@ -223,10 +200,8 @@ type Station struct {
 	awaitingACK bool
 	retries     int
 	ackTimer    sim.Handle
-	lastPortMsg []uint16
-	syncedPorts []uint16 // last ACKed port set, meaningful while synced
-	synced      bool     // the current AP acknowledged syncedPorts
-	txBuf       []byte   // port-message encode buffer; Transmit never keeps it
+	synced      bool   // the current AP acknowledged a port message
+	txBuf       []byte // port-message encode buffer; Transmit never keeps it
 
 	associated   bool
 	assocRetries int
@@ -789,9 +764,10 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 		s.stats.FailSafeBursts++
 	}
 	s.stats.GroupReceived++
+	// Like a kernel, the driver hands only a whole datagram to a socket.
 	useful := false
-	if port, err := dot11.DstUDPPort(df.Payload); err == nil {
-		useful = s.ListensOn(port)
+	if d, err := dot11.ParseUDP(df.Payload); err == nil {
+		useful = s.ListensOn(d.DstPort)
 	}
 	wl := tau
 	switch s.cfg.Mode {
@@ -875,12 +851,6 @@ func (s *Station) trySuspend(now time.Duration) {
 		return
 	}
 	if s.cfg.Mode == HIDE {
-		if s.cfg.PortCoalesce > 0 && s.synced &&
-			now-s.lastSyncAt < s.cfg.PortCoalesce && slices.Equal(s.syncedPorts, s.ports) {
-			s.stats.PortMsgsCoalesced++
-			s.completeSuspend()
-			return
-		}
 		s.retries = 0
 		s.sendPortMessage(now)
 		return
@@ -891,13 +861,12 @@ func (s *Station) trySuspend(now time.Duration) {
 // sendPortMessage transmits the UDP Port Message, encoded into the
 // station's reused buffer, and arms the ACK timeout.
 func (s *Station) sendPortMessage(now time.Duration) {
-	s.lastPortMsg = s.ports
 	msg := dot11.UDPPortMessage{
 		Header: dot11.MACHeader{
 			Addr1: s.cfg.BSSID, Addr2: s.cfg.Addr, Addr3: s.cfg.BSSID,
 			FC: dot11.FrameControl{Retry: s.retries > 0},
 		},
-		Ports: s.lastPortMsg,
+		Ports: s.ports,
 	}
 	s.txBuf = msg.AppendTo(s.txBuf[:0])
 	s.med.Transmit(s.cfg.Addr, s.txBuf, ctrlRate)
@@ -959,7 +928,6 @@ func (s *Station) handleACK(now time.Duration) {
 	s.awaitingACK = false
 	s.ackTimer.Cancel()
 	s.stats.ACKsReceived++
-	s.syncedPorts = s.lastPortMsg
 	s.synced = true
 	s.lastSyncAt = now
 	if now >= s.wlExpiry && !s.listening {

@@ -1,7 +1,6 @@
 package station
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -558,67 +557,4 @@ func TestReassociationAfterLeave(t *testing.T) {
 	if !a.Table().Listening(5353, st.AID()) {
 		t.Fatal("ports not re-seeded on re-association")
 	}
-}
-
-func TestPortCoalesceSkipsRedundantMessages(t *testing.T) {
-	// run registers the ports (acknowledged at about 2 ms), then drives
-	// two wake/suspend cycles with the ports unchanged: the station
-	// suspends again at about 1.5 s and 4.2 s.
-	run := func(t *testing.T, window time.Duration) (*sim.Engine, *ap.AP, *Station) {
-		t.Helper()
-		eng := sim.New()
-		med := medium.New(eng, dot11.DefaultPHY(), 7)
-		a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true, DTIMPeriod: 2})
-		st := New(eng, med, Config{
-			Addr:         dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
-			BSSID:        bssid,
-			Mode:         HIDE,
-			PortCoalesce: window,
-		})
-		st.OpenPort(5353)
-		st.StartAssociation("t")
-		a.Start()
-		for i := 0; i < 2; i++ {
-			at := time.Duration(500+2500*i) * time.Millisecond
-			eng.MustScheduleAt(at, func(time.Duration) {
-				a.EnqueueGroup(dot11.UDPDatagram{DstPort: 5353}, dot11.Rate1Mbps)
-			})
-		}
-		eng.RunUntil(6 * time.Second)
-		if !st.Suspended() {
-			t.Fatal("station not suspended")
-		}
-		return eng, a, st
-	}
-
-	t.Run("unbounded window skips unchanged syncs", func(t *testing.T) {
-		_, _, st := run(t, math.MaxInt64)
-		if s := st.Stats(); s.PortMsgsSent != 1 || s.PortMsgsCoalesced != 2 {
-			t.Errorf("sent %d, coalesced %d; want 1 (initial only), 2", s.PortMsgsSent, s.PortMsgsCoalesced)
-		}
-	})
-
-	t.Run("bounded window re-sends a stale sync", func(t *testing.T) {
-		// The 1.5 s suspend rides on the 2 ms sync; by the 4.2 s one
-		// that sync is older than the window.
-		_, _, st := run(t, 2*time.Second)
-		if s := st.Stats(); s.PortMsgsSent != 2 || s.PortMsgsCoalesced != 1 {
-			t.Errorf("sent %d, coalesced %d; want 2, 1", s.PortMsgsSent, s.PortMsgsCoalesced)
-		}
-	})
-
-	t.Run("port change forces a sync", func(t *testing.T) {
-		eng, a, st := run(t, math.MaxInt64)
-		eng.MustScheduleAt(6100*time.Millisecond, func(time.Duration) {
-			st.OpenPort(1900)
-			a.EnqueueGroup(dot11.UDPDatagram{DstPort: 5353}, dot11.Rate1Mbps)
-		})
-		eng.RunUntil(9 * time.Second)
-		if st.Stats().PortMsgsSent != 2 {
-			t.Errorf("port messages after change = %d, want 2", st.Stats().PortMsgsSent)
-		}
-		if !a.Table().Listening(1900, st.AID()) {
-			t.Error("changed ports not synced")
-		}
-	})
 }

@@ -100,7 +100,8 @@ func FuzzReadJSONL(f *testing.F) {
 }
 
 // FuzzReadPCAP covers the three link types (radiotap, 802.11 and
-// Ethernet) with the importer's default rate as a second input.
+// Ethernet) and a record cut at its snaplen, with the importer's
+// default rate as a second input.
 // WritePCAP carries nanosecond timestamps and radiotap rates, so an
 // accepted capture reads back as the same trace under the same
 // options.
@@ -124,6 +125,7 @@ func FuzzReadPCAP(f *testing.F) {
 		Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{DstPort: 1900, Payload: make([]byte, 20)}),
 	}).Marshal()
 	f.Add(buildPCAP(f, DLT80211, [][]byte{beacon, data}, []time.Duration{time.Second, 2 * time.Second}), 5.5e6)
+	f.Add(snapPCAP(f, DLTRadiotap, radiotapUDP(5353, 200), 96), 0.0) // cut inside the UDP payload
 
 	f.Fuzz(func(t *testing.T, data []byte, rate float64) {
 		opts := PCAPOptions{Name: "fuzz", DefaultRate: dot11.Rate(rate)}

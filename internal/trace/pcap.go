@@ -25,7 +25,10 @@ import (
 //
 // Only UDP-padded group-addressed data frames become trace entries;
 // everything else (beacons, ACKs, unicast, non-UDP) is skipped, which
-// is exactly the filtering the paper applies to its captures.
+// is exactly the filtering the paper applies to its captures. A record
+// cut at the capture's snaplen keeps its frame while it still holds the
+// whole UDP header: dot11.DstUDPPort and dot11.IPv4DstUDPPort read the
+// port from the headers alone.
 
 // pcap file format constants.
 const (
@@ -177,8 +180,8 @@ func decodeEthernet(pkt []byte, origLen int, rate dot11.Rate) (Frame, bool) {
 	if et := uint16(pkt[12])<<8 | uint16(pkt[13]); et != 0x0800 {
 		return Frame{}, false
 	}
-	port, ok := ipv4UDPDstPort(pkt[ethHdrLen:])
-	if !ok {
+	port, err := dot11.IPv4DstUDPPort(pkt[ethHdrLen:])
+	if err != nil {
 		return Frame{}, false
 	}
 	// Express the length as the equivalent 802.11 frame: swap the
@@ -189,11 +192,8 @@ func decodeEthernet(pkt []byte, origLen int, rate dot11.Rate) (Frame, bool) {
 
 // decode80211 extracts group-addressed UDP data frames.
 func decode80211(pkt []byte, origLen int, rate dot11.Rate) (Frame, bool) {
-	if dot11.Classify(pkt) != dot11.KindData {
-		return Frame{}, false
-	}
-	df, err := dot11.UnmarshalDataFrame(pkt)
-	if err != nil || !df.Header.Addr1.IsMulticast() {
+	var df dot11.DataFrame
+	if err := dot11.ReadDataFrame(pkt, &df); err != nil || !df.Header.Addr1.IsMulticast() {
 		return Frame{}, false
 	}
 	port, err := dot11.DstUDPPort(df.Payload)
@@ -207,19 +207,6 @@ func decode80211(pkt []byte, origLen int, rate dot11.Rate) (Frame, bool) {
 		Length: origLen, Rate: rate, DstPort: port,
 		MoreData: df.Header.FC.MoreData,
 	}, true
-}
-
-// ipv4UDPDstPort pulls the UDP destination port out of an IPv4 packet
-// that holds a whole UDP header.
-func ipv4UDPDstPort(ip []byte) (uint16, bool) {
-	if len(ip) < dot11.IPv4HdrLen || ip[0]>>4 != 4 {
-		return 0, false
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < dot11.IPv4HdrLen || len(ip) < ihl+dot11.UDPHdrLen || ip[9] != 17 {
-		return 0, false
-	}
-	return uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3]), true
 }
 
 // radiotap field sizes and alignments for present bits 0..13, enough

@@ -55,6 +55,26 @@ func buildPCAP(t testing.TB, linkType uint32, pkts [][]byte, times []time.Durati
 	return buf.Bytes()
 }
 
+// snapPCAP is buildPCAP for one packet cut at snaplen snap: the record
+// holds the first snap bytes and the packet's original length.
+func snapPCAP(t testing.TB, linkType uint32, pkt []byte, snap int) []byte {
+	t.Helper()
+	raw := buildPCAP(t, linkType, [][]byte{pkt[:snap]}, []time.Duration{0})
+	binary.LittleEndian.PutUint32(raw[pcapGlobalHeaderLen+12:], uint32(len(pkt)))
+	return raw
+}
+
+// radiotapUDP builds a radiotap record (Rate 11 Mb/s) of a broadcast
+// 802.11 data frame carrying a UDP datagram to dstPort.
+func radiotapUDP(dstPort uint16, payload int) []byte {
+	rt := []byte{0, 0, 9, 0, 0x04, 0, 0, 0, 0x16}
+	df := &dot11.DataFrame{
+		Header:  dot11.MACHeader{FC: dot11.FrameControl{FromDS: true}, Addr1: dot11.Broadcast},
+		Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{DstPort: dstPort, Payload: make([]byte, payload)}),
+	}
+	return append(rt, df.Marshal()...)
+}
+
 // ethBroadcastUDP builds a broadcast Ethernet frame carrying UDP.
 func ethBroadcastUDP(dstPort uint16, payload int) []byte {
 	ip := make([]byte, 20+8+payload)
@@ -101,6 +121,37 @@ func TestReadPCAPEthernet(t *testing.T) {
 	wantLen := len(pkts[0]) - 14 + dot11.MACHeaderLen + dot11.LLCSNAPLen
 	if tr.Frames[0].Length != wantLen {
 		t.Fatalf("length = %d, want %d", tr.Frames[0].Length, wantLen)
+	}
+}
+
+// TestReadPCAPKeepsTruncatedFrames: a broadcast UDP frame whose record
+// a 96-byte snaplen cut inside the UDP payload is kept on every link
+// type, with its port and the length of the frame that was on the air.
+func TestReadPCAPKeepsTruncatedFrames(t *testing.T) {
+	const snap = 96
+	eth := ethBroadcastUDP(5353, 200)
+	rt := radiotapUDP(5353, 200)
+	wlan := rt[9:]
+	for _, c := range []struct {
+		name     string
+		linkType uint32
+		pkt      []byte
+		wantLen  int
+	}{
+		{"Ethernet", DLTEthernet, eth, len(eth) - 14 + dot11.MACHeaderLen + dot11.LLCSNAPLen},
+		{"802.11", DLT80211, wlan, len(wlan)},
+		{"radiotap", DLTRadiotap, rt, len(wlan)},
+	} {
+		tr, err := ReadPCAP(bytes.NewReader(snapPCAP(t, c.linkType, c.pkt, snap)), PCAPOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(tr.Frames) != 1 {
+			t.Fatalf("%s: %d frames from a truncated record, want 1", c.name, len(tr.Frames))
+		}
+		if f := tr.Frames[0]; f.DstPort != 5353 || f.Length != c.wantLen {
+			t.Errorf("%s: port %d, length %d; want 5353, %d", c.name, f.DstPort, f.Length, c.wantLen)
+		}
 	}
 }
 
@@ -211,19 +262,7 @@ func TestParseRadiotapRejectsBad(t *testing.T) {
 func TestReadPCAPRadiotap(t *testing.T) {
 	// Build a radiotap + 802.11 capture by prefixing WritePCAP-style
 	// frames with a radiotap header carrying an 11 Mb/s rate.
-	rt := []byte{
-		0x00, 0x00, 0x09, 0x00,
-		0x04, 0x00, 0x00, 0x00, // present: Rate only
-		0x16, // 11 Mb/s
-	}
-	df := &dot11.DataFrame{
-		Header: dot11.MACHeader{
-			FC:    dot11.FrameControl{FromDS: true},
-			Addr1: dot11.Broadcast,
-		},
-		Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{DstPort: 1900, Payload: make([]byte, 20)}),
-	}
-	pkt := append(append([]byte(nil), rt...), df.Marshal()...)
+	pkt := radiotapUDP(1900, 20)
 
 	var buf bytes.Buffer
 	var gh [pcapGlobalHeaderLen]byte
@@ -264,7 +303,7 @@ func TestReadPCAPSkipsControlFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack := (&dot11.ACK{RA: dot11.MACAddr{1}}).Marshal()
+	ack := (&dot11.ACK{RA: dot11.MACAddr{1}}).AppendTo(nil)
 	var rec [pcapRecordHeaderLen]byte
 	for _, p := range [][]byte{braw, ack} {
 		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(p)))
