@@ -375,6 +375,25 @@ func BenchmarkEnergyModel(b *testing.B) {
 	b.ReportMetric(float64(len(arr)), "frames")
 }
 
+// BenchmarkClientSideCell measures one client-side lower-bound cell of
+// Figure 7: tagging, arrivals and the six-wakelock sweep over the same
+// 45-minute trace at 10% useful frames.
+func BenchmarkClientSideCell(b *testing.B) {
+	tr, err := GenerateTrace(WML)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvaluateFractionContext(ctx, tr, 0.1, NexusOne, ClientSide, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Frames)), "frames")
+}
+
 // BenchmarkProtocolSim measures the full protocol simulation: AP plus
 // three stations replaying two minutes of trace over the emulated
 // channel.

@@ -38,7 +38,7 @@ import (
 // scratchPool and return it, so a suite run reuses a few buffers across
 // its dozens of cells instead of allocating (and zeroing) fresh slices
 // per cell. Nothing downstream retains either slice: policies write
-// arrivals, energy.Compute reads them, and only the scalar Breakdown
+// arrivals, the energy model reads them, and only the scalar Breakdown
 // survives.
 type evalScratch struct {
 	useful   []bool
@@ -50,7 +50,7 @@ var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 // clientSideSweep is the candidate driver-wakelock set for the
 // client-side lower bound. The final candidate equals τ, i.e. the
 // receive-all behaviour, so the lower bound is ≤ receive-all.
-var clientSideSweep = []time.Duration{
+var clientSideSweep = [...]time.Duration{
 	0,
 	50 * time.Millisecond,
 	100 * time.Millisecond,
@@ -165,33 +165,26 @@ func evaluateScratch(ctx context.Context, tr *trace.Trace, useful []bool, dev en
 	}
 
 	if kind == policy.ClientSide {
-		// Build the arrivals once with a zero driver wakelock (the first
-		// sweep candidate), then re-stamp only the useless frames' Wakelock
-		// per candidate: arrivals and frames index 1:1 for this policy, and
-		// every other field is candidate-independent.
+		// Build the arrivals once, then price every candidate driver
+		// wakelock in one walk: arrivals and frames index 1:1 for this
+		// policy, and the sweep gives the useless frames each candidate's
+		// wakelock in turn.
 		arr, err := policy.AppendArrivals(sc.arrivals[:0], policy.ClientSidePolicy{}, tr, useful)
 		if err != nil {
 			return Result{}, err
 		}
 		sc.arrivals = arr
-		best := false
-		for _, wl := range clientSideSweep {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			for i := range arr {
-				if !useful[i] {
-					arr[i].Wakelock = wl
-				}
-			}
-			b, err := energy.Compute(arr, cfg)
-			if err != nil {
-				return Result{}, err
-			}
-			if !best || b.TotalJ() < res.Breakdown.TotalJ() {
-				best = true
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+		var sweep [len(clientSideSweep)]energy.Breakdown
+		if err := energy.ComputeSweep(arr, useful, clientSideSweep[:], cfg, sweep[:]); err != nil {
+			return Result{}, err
+		}
+		for k, b := range sweep {
+			if k == 0 || b.TotalJ() < res.Breakdown.TotalJ() {
 				res.Breakdown = b
-				res.DriverWakelock = wl
+				res.DriverWakelock = clientSideSweep[k]
 			}
 		}
 		return res, nil

@@ -262,6 +262,47 @@ func TestParseUDPRejectsNonUDPProtocol(t *testing.T) {
 	}
 }
 
+// TestUDPHeaderWalkRefusesLaterFragments: a non-first IPv4 fragment
+// carries payload where a UDP header would be, so ParseUDP and both
+// port readers refuse it, while a first fragment (More Fragments set,
+// offset 0) or an unfragmented packet keeps its header and its port.
+func TestUDPHeaderWalkRefusesLaterFragments(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		flagsOffset  [2]byte // IPv4 bytes 6-7
+		wantAccepted bool
+	}{
+		{"unfragmented", [2]byte{0, 0}, true},
+		{"don't fragment", [2]byte{0x40, 0}, true},
+		{"first fragment", [2]byte{0x20, 0}, true},
+		{"fragment at 185x8", [2]byte{0, 185}, false},
+		{"middle fragment", [2]byte{0x20, 185}, false},
+		{"last possible offset", [2]byte{0x3f, 0xff}, false},
+	} {
+		body := EncapsulateUDP(UDPDatagram{DstPort: 5353, Payload: make([]byte, 32)})
+		ip := body[LLCSNAPLen:]
+		ip[6], ip[7] = c.flagsOffset[0], c.flagsOffset[1]
+		if !c.wantAccepted {
+			// Payload bytes where the header walk would read the ports.
+			copy(ip[IPv4HdrLen:], []byte{0xde, 0xad, 0xbe, 0xef})
+		}
+		d, err := ParseUDP(body)
+		port, perr := DstUDPPort(body)
+		iport, ierr := IPv4DstUDPPort(ip)
+		if !c.wantAccepted {
+			if err == nil || perr == nil || ierr == nil {
+				t.Errorf("%s: ParseUDP %v, DstUDPPort %d, %v, IPv4DstUDPPort %d, %v; want every reader to refuse it",
+					c.name, err, port, perr, iport, ierr)
+			}
+			continue
+		}
+		if err != nil || perr != nil || ierr != nil || d.DstPort != 5353 || port != 5353 || iport != 5353 {
+			t.Errorf("%s: ParseUDP %d, %v, DstUDPPort %d, %v, IPv4DstUDPPort %d, %v; want port 5353 from each",
+				c.name, d.DstPort, err, port, perr, iport, ierr)
+		}
+	}
+}
+
 func TestUDPEncapsRoundTripProperty(t *testing.T) {
 	f := func(sp, dp uint16, payload []byte) bool {
 		if len(payload) > 1400 {

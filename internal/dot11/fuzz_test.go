@@ -371,6 +371,12 @@ func FuzzParseUDP(f *testing.F) {
 	f.Add(EncapsulateUDP(UDPDatagram{SrcPort: 1, DstPort: 2, Payload: []byte("hi")}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xaa}, 40))
+	// A non-first IPv4 fragment (offset 185×8) whose payload would read
+	// as port 0xbeef.
+	frag := EncapsulateUDP(UDPDatagram{DstPort: 2, Payload: make([]byte, 8)})
+	frag[LLCSNAPLen+7] = 185
+	copy(frag[LLCSNAPLen+IPv4HdrLen:], []byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add(frag)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		port, perr := DstUDPPort(raw)
 		d, err := ParseUDP(raw)

@@ -128,8 +128,14 @@ func snapIPv4(body []byte) ([]byte, error) {
 // ipv4UDP walks the header of an IPv4 packet carrying UDP and returns
 // the segment behind it, which holds at least a whole UDP header. It
 // is the one IPv4 header walk: ParseUDP and both port readers use it.
+// Only a first fragment (fragment offset 0, as in every unfragmented
+// packet) opens with the UDP header; a later fragment carries payload
+// there and is refused.
 func ipv4UDP(ip []byte) ([]byte, error) {
 	if len(ip) < IPv4HdrLen || ip[0]>>4 != 4 || ip[9] != 17 {
+		return nil, errNotIPv4UDP
+	}
+	if fragOffset := uint16(ip[6]&0x1f)<<8 | uint16(ip[7]); fragOffset != 0 {
 		return nil, errNotIPv4UDP
 	}
 	ihl := int(ip[0]&0x0f) * 4

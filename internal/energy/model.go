@@ -175,118 +175,194 @@ func (b Breakdown) ComponentPowersW() (eb, ef, est, ewl, eo float64) {
 }
 
 // Compute evaluates the Section IV model over the received-frame
-// sequence. Frames must be sorted by arrival time.
+// sequence, each frame holding its own Wakelock. Frames must be sorted
+// by arrival time. It is ComputeSweep's one-candidate case.
 func Compute(frames []Arrival, cfg Config) (Breakdown, error) {
-	cfg = cfg.normalized()
-	if err := cfg.Device.Validate(); err != nil {
-		return Breakdown{}, err
+	var out [1]Breakdown
+	err := walk(frames, nil, nil, cfg, out[:])
+	return out[0], err
+}
+
+// MaxCandidates is the most driver wakelocks one ComputeSweep prices.
+const MaxCandidates = 8
+
+// ComputeSweep evaluates the model once per candidate driver wakelock
+// in one walk over frames: out[k] is Compute over frames with every
+// useless frame (useful[i] false, a frame the driver drops) holding
+// wakelocks[k] and every other frame its own Wakelock. The ordering
+// check, the reception times and the Eq. 7 terms are shared; only the
+// wakelock machine runs once per candidate. useful indexes frames 1:1,
+// and out holds exactly one result per candidate, at most
+// MaxCandidates of them. It allocates nothing.
+func ComputeSweep(frames []Arrival, useful []bool, wakelocks []time.Duration, cfg Config, out []Breakdown) error {
+	if len(useful) != len(frames) {
+		return fmt.Errorf("energy: %d usefulness flags for %d frames", len(useful), len(frames))
 	}
-	if cfg.Duration <= 0 {
-		return Breakdown{}, fmt.Errorf("energy: non-positive duration %v", cfg.Duration)
+	if len(wakelocks) < 1 || len(wakelocks) > MaxCandidates || len(out) != len(wakelocks) {
+		return fmt.Errorf("energy: %d candidate wakelocks into %d results, want 1..%d of each", len(wakelocks), len(out), MaxCandidates)
 	}
+	return walk(frames, useful, wakelocks, cfg, out)
+}
 
-	dev := cfg.Device
-	b := Breakdown{Duration: cfg.Duration, Received: len(frames)}
+// machine is the wakelock machine of Eqs. 3-5, 13 and 14 for one
+// wakelock assignment.
+//
+// The paper's recursion assumes every frame holds the same wakelock τ,
+// so "renewal" always extends the expiry. With per-frame wakelocks (the
+// client-side filter gives useless frames a shorter one) renewal must
+// not shorten an already-held wakelock, so the expiry is the running
+// maximum of tr(i)+Wakelock(i). A frame arriving between expiry and
+// expiry+Tsp lands mid-suspend and aborts it (Eq. 14); later arrivals
+// find the system suspended (Eq. 5) and pay a full resume+suspend
+// cycle (Eq. 13).
+type machine struct {
+	expiry        time.Duration // current wakelock expiry
+	tr            time.Duration // wakelock start of the current frame
+	sumWakelock   time.Duration // total time wakelocks held (Σ twl)
+	suspendedTime time.Duration // completed-suspend time for Fig. 9
+	sumAbortedY   float64       // Σ y(i) for Eq. 13
+	resumes       int           // Σ 1-s(i)
+	aborted       int           // non-zero y(i) terms
+}
 
-	// --- Eq. 6: beacon reception. A PS client receives every
-	// BeaconListenInterval-th beacon regardless of policy.
-	numBeacons := int(cfg.Duration / cfg.BeaconInterval)
-	b.EbJ = dev.EBeaconJ * float64(numBeacons/cfg.BeaconListenInterval)
-
-	// --- Eqs. 3-5, 14: reconstruct wakelock starts, durations, states.
-	//
-	// The paper's recursion assumes every frame holds the same wakelock
-	// τ, so "renewal" always extends the expiry. With per-frame
-	// wakelocks (the client-side filter gives useless frames a zero
-	// wakelock) renewal must not shorten an already-held wakelock, so
-	// the expiry is the running maximum of tr(i)+Wakelock(i). A frame
-	// arriving between expiry and expiry+Tsp lands mid-suspend and
-	// aborts it (Eq. 14); later arrivals find the system suspended
-	// (Eq. 5) and pay a full resume+suspend cycle (Eq. 13).
-	// The wakelock recursion, the ordering validation, and the Eq. 7
-	// receive/idle accounting all walk the frames in order with
-	// independent accumulators, so they share one pass (and one
-	// rxDuration evaluation per frame). Each accumulator sees exactly
-	// the operation sequence the separate loops produced, keeping every
-	// float result bit-identical.
-	n := len(frames)
-	var sumWakelock time.Duration   // total time wakelocks held (Σ twl)
-	var sumAbortedY float64         // Σ y(i) for Eq. 13
-	var suspendedTime time.Duration // completed-suspend time for Fig. 9
-	var expiry time.Duration        // current wakelock expiry
-	var tr time.Duration            // wakelock start of the current frame
-	var rxTime time.Duration        // Σ tt(i) (Eq. 8)
-	var idleTime time.Duration      // Σ td(i) + Σ tf(i) (Eqs. 9-10)
-	seenInterval := int64(-1)
-	for i, f := range frames {
-		if i > 0 && f.At < frames[i-1].At {
-			return Breakdown{}, fmt.Errorf("energy: frames out of order at index %d", i)
+// run advances the machine over a run of frames whose receptions end
+// at ends; each holds its own Wakelock, or drop where useful is false.
+// first marks a run that opens the trace. The state lives in locals
+// for the run, so the loop keeps it in registers.
+func (m *machine) run(frames []Arrival, ends []time.Duration, useful []bool, drop time.Duration, first bool, dev *Profile) {
+	tsp, trm := dev.Tsp, dev.Trm
+	expiry, tr := m.expiry, m.tr
+	sumWakelock, suspendedTime, sumAbortedY := m.sumWakelock, m.suspendedTime, m.sumAbortedY
+	resumes, aborted := m.resumes, m.aborted
+	frames, useful = frames[:len(ends)], useful[:len(ends)]
+	for i, rxEnd := range ends {
+		wl := frames[i].Wakelock
+		if !useful[i] {
+			wl = drop
 		}
-		rx := f.rxDuration()
-		rxEnd := f.At + rx
-
-		// --- Eq. 7 terms: radio receive + idle listening.
-		rxTime += rx
-		iv := int64(f.At / cfg.BeaconInterval)
-		// tf: idle from the interval's beacon to its first frame (Eq. 9).
-		if iv != seenInterval {
-			seenInterval = iv
-			idleTime += f.At - time.Duration(iv)*cfg.BeaconInterval
-		}
-		// td: post-frame listening while more-data is set (Eq. 10).
-		if f.MoreData {
-			next := time.Duration(iv+1) * cfg.BeaconInterval
-			if i+1 < n && frames[i+1].At < next {
-				next = frames[i+1].At
-			}
-			if d := next - rxEnd; d > 0 {
-				idleTime += d
-			}
-		}
-
-		// --- Eqs. 3-5, 14 terms: the wakelock machine.
-		prevTr := tr
-		if i == 0 || rxEnd >= expiry+dev.Tsp {
+		if first || rxEnd >= expiry+tsp {
 			// Suspended on arrival (the paper assumes s(1)=0): resume.
-			tr = rxEnd + dev.Trm
-			b.Resumes++
-			if i == 0 {
+			if first {
+				first = false
 				suspendedTime += rxEnd
 			} else {
-				suspendedTime += rxEnd - (expiry + dev.Tsp)
+				suspendedTime += rxEnd - (expiry + tsp)
 			}
-			sumWakelock += f.Wakelock
-			expiry = tr + f.Wakelock
+			tr = rxEnd + trm
+			resumes++
+			sumWakelock += wl
+			expiry = tr + wl
 			continue
 		}
 		// Active, resuming, or suspending on arrival (s(i)=1).
-		tr = maxDur(rxEnd, prevTr)
+		tr = maxDur(rxEnd, tr)
 		if tr > expiry {
 			// Eq. 14: arrival mid-suspend aborts the partial suspend.
-			sumAbortedY += float64(tr-expiry) / float64(dev.Tsp)
-			b.AbortedSuspends++
+			sumAbortedY += float64(tr-expiry) / float64(tsp)
+			aborted++
 		}
-		if newExpiry := tr + f.Wakelock; newExpiry > expiry {
+		if newExpiry := tr + wl; newExpiry > expiry {
 			sumWakelock += newExpiry - maxDur(expiry, tr)
 			expiry = newExpiry
 		}
 	}
-	if n > 0 {
-		if end := expiry + dev.Tsp; end < cfg.Duration {
-			suspendedTime += cfg.Duration - end
-		}
-	} else {
-		suspendedTime = cfg.Duration
+	m.expiry, m.tr = expiry, tr
+	m.sumWakelock, m.suspendedTime, m.sumAbortedY = sumWakelock, suspendedTime, sumAbortedY
+	m.resumes, m.aborted = resumes, aborted
+}
+
+// chunk is how many frames' reception ends walk holds at a time.
+const chunk = 256
+
+// keepAll is Compute's usefulness mask for one chunk: every frame
+// holds its own wakelock.
+var keepAll = func() (m [chunk]bool) {
+	for i := range m {
+		m[i] = true
 	}
-	b.SuspendFraction = math.Max(0, math.Min(1, float64(suspendedTime)/float64(cfg.Duration)))
+	return m
+}()
+
+// walk is the one model kernel behind Compute and ComputeSweep. It
+// runs len(out) wakelock machines side by side over frames; machine k
+// gives a frame wakelocks[k] when useful is non-nil and marks it
+// useless, and the frame's own Wakelock otherwise. It takes the frames
+// a chunk at a time: the ordering check and the Eq. 7 receive/idle
+// terms of the chunk first, recording each reception end, then every
+// machine over the chunk. Each machine and each accumulator sees
+// exactly the operation sequence of a separate pass, so every float
+// result is bit-identical to one.
+func walk(frames []Arrival, useful []bool, wakelocks []time.Duration, cfg Config, out []Breakdown) error {
+	cfg = cfg.normalized()
+	if err := cfg.Device.Validate(); err != nil {
+		return err
+	}
+	if cfg.Duration <= 0 {
+		return fmt.Errorf("energy: non-positive duration %v", cfg.Duration)
+	}
+	dev := cfg.Device
+	var machines [MaxCandidates]machine
+	ms := machines[:len(out)]
+
+	n := len(frames)
+	var ends [chunk]time.Duration
+	var rxTime time.Duration   // Σ tt(i) (Eq. 8)
+	var idleTime time.Duration // Σ td(i) + Σ tf(i) (Eqs. 9-10)
+	seenInterval := int64(-1)
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		for i := lo; i < hi; i++ {
+			f := &frames[i]
+			if i > 0 && f.At < frames[i-1].At {
+				return fmt.Errorf("energy: frames out of order at index %d", i)
+			}
+			rx := f.rxDuration()
+			rxEnd := f.At + rx
+			ends[i-lo] = rxEnd
+
+			// --- Eq. 7 terms: radio receive + idle listening.
+			rxTime += rx
+			iv := int64(f.At / cfg.BeaconInterval)
+			// tf: idle from the interval's beacon to its first frame (Eq. 9).
+			if iv != seenInterval {
+				seenInterval = iv
+				idleTime += f.At - time.Duration(iv)*cfg.BeaconInterval
+			}
+			// td: post-frame listening while more-data is set (Eq. 10).
+			if f.MoreData {
+				next := time.Duration(iv+1) * cfg.BeaconInterval
+				if i+1 < n && frames[i+1].At < next {
+					next = frames[i+1].At
+				}
+				if d := next - rxEnd; d > 0 {
+					idleTime += d
+				}
+			}
+		}
+
+		// --- Eqs. 3-5, 14: one wakelock machine per candidate.
+		u := keepAll[:hi-lo]
+		if useful != nil {
+			u = useful[lo:hi]
+		}
+		for k := range ms {
+			var drop time.Duration
+			if useful != nil {
+				drop = wakelocks[k]
+			}
+			ms[k].run(frames[lo:hi], ends[:hi-lo], u, drop, lo == 0, &dev)
+		}
+	}
+
+	// The candidate-independent components.
+	var b Breakdown
+	b.Duration = cfg.Duration
+	b.Received = n
+	// --- Eq. 6: beacon reception. A PS client receives every
+	// BeaconListenInterval-th beacon regardless of policy.
+	numBeacons := int(cfg.Duration / cfg.BeaconInterval)
+	b.EbJ = dev.EBeaconJ * float64(numBeacons/cfg.BeaconListenInterval)
 	b.EfJ = dev.PrW*rxTime.Seconds() + dev.PidleW*idleTime.Seconds()
-
-	// --- Eq. 12: system idle under wakelocks.
-	b.EwlJ = dev.PsaW * sumWakelock.Seconds()
-
-	// --- Eq. 13: state transfers (full cycles + aborted suspends).
-	b.EstJ = (dev.ErmJ+dev.EspJ)*float64(b.Resumes) + dev.EspJ*sumAbortedY
-
 	// --- Eqs. 15-19: HIDE overhead.
 	if cfg.Overhead != (Overhead{}) {
 		o := cfg.Overhead
@@ -307,7 +383,27 @@ func Compute(frames []Arrival, cfg Config) (Breakdown, error) {
 		}
 		b.EoJ = e1 + e2
 	}
-	return b, nil
+
+	for k := range ms {
+		m := &ms[k]
+		suspendedTime := m.suspendedTime
+		if n > 0 {
+			if end := m.expiry + dev.Tsp; end < cfg.Duration {
+				suspendedTime += cfg.Duration - end
+			}
+		} else {
+			suspendedTime = cfg.Duration
+		}
+		out[k] = b
+		out[k].SuspendFraction = math.Max(0, math.Min(1, float64(suspendedTime)/float64(cfg.Duration)))
+		out[k].Resumes = m.resumes
+		out[k].AbortedSuspends = m.aborted
+		// --- Eq. 12: system idle under wakelocks.
+		out[k].EwlJ = dev.PsaW * m.sumWakelock.Seconds()
+		// --- Eq. 13: state transfers (full cycles + aborted suspends).
+		out[k].EstJ = (dev.ErmJ+dev.EspJ)*float64(m.resumes) + dev.EspJ*m.sumAbortedY
+	}
+	return nil
 }
 
 // maxDur returns the larger duration.

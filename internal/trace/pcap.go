@@ -154,12 +154,21 @@ func decodePacket(linkType uint32, pkt []byte, origLen int, defRate dot11.Rate) 
 	case DLT80211:
 		return decode80211(pkt, origLen, defRate)
 	case DLTRadiotap:
-		hdrLen, rate, ok := parseRadiotap(pkt)
+		hdrLen, rate, fcs, ok := parseRadiotap(pkt)
 		if !ok {
 			return Frame{}, false
 		}
 		if rate <= 0 {
 			rate = defRate
+		}
+		if fcs {
+			// The frame ends before its 4-byte FCS: the medium adds the
+			// FCS to every frame's airtime itself.
+			end := max(origLen, len(pkt)) - dot11.FCSLen
+			if end < hdrLen {
+				return Frame{}, false
+			}
+			pkt, origLen = pkt[:min(len(pkt), end)], end
 		}
 		return decode80211(pkt[hdrLen:], origLen-hdrLen, rate)
 	}
@@ -228,28 +237,34 @@ var radiotapFields = []struct{ size, align int }{
 	{1, 1}, // 13 dB antenna noise
 }
 
-// parseRadiotap returns the radiotap header length and the PHY rate
-// (0 when absent). It handles chained present words.
-func parseRadiotap(pkt []byte) (hdrLen int, rate dot11.Rate, ok bool) {
+// radiotapFlagFCS is the Flags field's bit for a frame that carries
+// its FCS at the end.
+const radiotapFlagFCS = 0x10
+
+// parseRadiotap returns the radiotap header length, the PHY rate (0
+// when absent) and whether the Flags field says the frame ends in its
+// FCS. It handles chained present words.
+func parseRadiotap(pkt []byte) (hdrLen int, rate dot11.Rate, fcs, ok bool) {
 	if len(pkt) < 8 || pkt[0] != 0 {
-		return 0, 0, false
+		return 0, 0, false, false
 	}
 	hdrLen = int(binary.LittleEndian.Uint16(pkt[2:4]))
 	if hdrLen < 8 || hdrLen > len(pkt) {
-		return 0, 0, false
+		return 0, 0, false, false
 	}
 	// Collect present words (bit 31 chains to another word).
 	present := []uint32{binary.LittleEndian.Uint32(pkt[4:8])}
 	off := 8
 	for present[len(present)-1]&(1<<31) != 0 {
 		if off+4 > hdrLen {
-			return 0, 0, false
+			return 0, 0, false, false
 		}
 		present = append(present, binary.LittleEndian.Uint32(pkt[off:off+4]))
 		off += 4
 	}
 	// Walk the first present word's fields up to the Rate bit. Fields
-	// beyond our table stop the walk (we only need Rate, bit 2).
+	// beyond our table stop the walk (we only need Flags, bit 1, and
+	// Rate, bit 2).
 	p := present[0]
 	for bit := 0; bit < len(radiotapFields); bit++ {
 		if p&(1<<uint(bit)) == 0 {
@@ -260,15 +275,18 @@ func parseRadiotap(pkt []byte) (hdrLen int, rate dot11.Rate, ok bool) {
 			off += f.align - rem
 		}
 		if off+f.size > hdrLen {
-			return 0, 0, false
+			return 0, 0, false, false
 		}
-		if bit == 2 {
+		switch bit {
+		case 1:
+			fcs = pkt[off]&radiotapFlagFCS != 0
+		case 2:
 			// Rate in units of 500 kb/s.
-			return hdrLen, dot11.Rate(float64(pkt[off]) * 500e3), true
+			return hdrLen, dot11.Rate(float64(pkt[off]) * 500e3), fcs, true
 		}
 		off += f.size
 	}
-	return hdrLen, 0, true
+	return hdrLen, 0, fcs, true
 }
 
 // PCAPRecord is one raw captured 802.11 frame for WritePCAPRecords:

@@ -155,6 +155,53 @@ func TestReadPCAPKeepsTruncatedFrames(t *testing.T) {
 	}
 }
 
+// TestReadPCAPStripsRadiotapFCS: a radiotap record whose Flags say the
+// frame carries its FCS yields the frame without it, whole or cut at a
+// 96-byte snaplen, and a record too short to hold the FCS is skipped.
+func TestReadPCAPStripsRadiotapFCS(t *testing.T) {
+	// Radiotap: length 10, present Flags|Rate, Flags 0x10, 11 Mb/s.
+	rt := []byte{0, 0, 10, 0, 0x06, 0, 0, 0, radiotapFlagFCS, 0x16}
+	wlan := radiotapUDP(5353, 100)[9:]
+	if len(wlan) != 160 {
+		t.Fatalf("data frame is %d bytes, want 160", len(wlan))
+	}
+	pkt := append(append(append([]byte(nil), rt...), wlan...), 0xde, 0xad, 0xbe, 0xef)
+	for _, snap := range []int{len(pkt), len(pkt) - 2, 96} {
+		tr, err := ReadPCAP(bytes.NewReader(snapPCAP(t, DLTRadiotap, pkt, snap)), PCAPOptions{})
+		if err != nil {
+			t.Fatalf("snaplen %d: %v", snap, err)
+		}
+		if len(tr.Frames) != 1 {
+			t.Fatalf("snaplen %d: %d frames, want 1", snap, len(tr.Frames))
+		}
+		if f := tr.Frames[0]; f.Length != 160 || f.DstPort != 5353 || f.Rate != dot11.Rate11Mbps {
+			t.Errorf("snaplen %d: length %d, port %d, rate %v; want 160, 5353, 11 Mb/s", snap, f.Length, f.DstPort, f.Rate)
+		}
+	}
+	short := append(append([]byte(nil), rt...), 1, 2, 3)
+	tr, err := ReadPCAP(bytes.NewReader(buildPCAP(t, DLTRadiotap, [][]byte{short}, []time.Duration{0})), PCAPOptions{})
+	if err != nil || len(tr.Frames) != 0 {
+		t.Fatalf("record shorter than its FCS: %v, %v; want no frames", tr, err)
+	}
+}
+
+// TestReadPCAPSkipsLaterFragments: an Ethernet capture of a non-first
+// IPv4 fragment, whose payload would read as UDP port 0xbeef, imports
+// no frame.
+func TestReadPCAPSkipsLaterFragments(t *testing.T) {
+	pkt := ethBroadcastUDP(5353, 40)
+	ip := pkt[14:]
+	ip[7] = 185 // fragment offset 185×8 bytes
+	copy(ip[20:], []byte{0xde, 0xad, 0xbe, 0xef})
+	tr, err := ReadPCAP(bytes.NewReader(buildPCAP(t, DLTEthernet, [][]byte{pkt}, []time.Duration{0})), PCAPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Frames) != 0 {
+		t.Fatalf("%d frames from a later fragment (first port %d), want 0", len(tr.Frames), tr.Frames[0].DstPort)
+	}
+}
+
 func TestReadPCAPRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -209,12 +256,16 @@ func TestParseRadiotap(t *testing.T) {
 		0x16,       // rate = 22 * 500 kb/s = 11 Mb/s
 		0x00, 0x00, // (channel would follow; truncated within hdrLen)
 	}
-	hdrLen, rate, ok := parseRadiotap(hdr)
+	hdrLen, rate, fcs, ok := parseRadiotap(hdr)
 	if !ok || hdrLen != 12 {
 		t.Fatalf("parseRadiotap: ok=%v len=%d", ok, hdrLen)
 	}
-	if rate != dot11.Rate11Mbps {
-		t.Fatalf("rate = %v, want 11 Mb/s", rate)
+	if rate != dot11.Rate11Mbps || fcs {
+		t.Fatalf("rate = %v, FCS %v; want 11 Mb/s and no FCS", rate, fcs)
+	}
+	hdr[8] = radiotapFlagFCS
+	if _, rate, fcs, ok := parseRadiotap(hdr); !ok || rate != dot11.Rate11Mbps || !fcs {
+		t.Fatalf("Flags 0x10: ok=%v rate=%v FCS %v; want 11 Mb/s with the FCS", ok, rate, fcs)
 	}
 }
 
@@ -224,7 +275,7 @@ func TestParseRadiotapWithTSFT(t *testing.T) {
 	hdr[2] = 18 // length
 	binary.LittleEndian.PutUint32(hdr[4:8], 1<<0|1<<2)
 	hdr[16] = 0x04 // rate = 2 * 500 kb/s? No: 4*500k = 2 Mb/s
-	hdrLen, rate, ok := parseRadiotap(hdr)
+	hdrLen, rate, _, ok := parseRadiotap(hdr)
 	if !ok || hdrLen != 18 {
 		t.Fatalf("ok=%v len=%d", ok, hdrLen)
 	}
@@ -241,20 +292,20 @@ func TestParseRadiotapChainedPresent(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[4:8], 1<<2|1<<31)
 	binary.LittleEndian.PutUint32(hdr[8:12], 0)
 	hdr[12] = 0x02 // 1 Mb/s
-	_, rate, ok := parseRadiotap(hdr)
+	_, rate, _, ok := parseRadiotap(hdr)
 	if !ok || rate != dot11.Rate1Mbps {
 		t.Fatalf("ok=%v rate=%v", ok, rate)
 	}
 }
 
 func TestParseRadiotapRejectsBad(t *testing.T) {
-	if _, _, ok := parseRadiotap([]byte{0, 0}); ok {
+	if _, _, _, ok := parseRadiotap([]byte{0, 0}); ok {
 		t.Error("short radiotap accepted")
 	}
 	bad := make([]byte, 8)
 	bad[0] = 1 // wrong version
 	bad[2] = 8
-	if _, _, ok := parseRadiotap(bad); ok {
+	if _, _, _, ok := parseRadiotap(bad); ok {
 		t.Error("wrong version accepted")
 	}
 }
