@@ -224,10 +224,23 @@ func (h *Hub) handle(m netmedium.Message, from netip.AddrPort) (sim.Event, bool)
 	return deliver(h.node, m), true
 }
 
-// deliver is the engine event that hands a received frame to node.
+// readings recycles the Frames delivery events read datagrams into: a
+// node never keeps its Frame past Receive, so one goes back to the
+// pool as soon as the call returns, and links add no per-client
+// reading.
+var readings = sync.Pool{New: func() any { return new(medium.Frame) }}
+
+// deliver is the engine event that reads a received frame, once, and
+// hands the reading to node.
 func deliver(node medium.Node, m netmedium.Message) sim.Event {
 	raw, rate := m.Payload, m.Rate
-	return func(now time.Duration) { node.Receive(raw, rate, now) }
+	return func(now time.Duration) {
+		f := readings.Get().(*medium.Frame)
+		f.Read(raw, rate)
+		node.Receive(f, now)
+		*f = medium.Frame{} // keep no datagram alive from the pool
+		readings.Put(f)
+	}
 }
 
 // writeTimeout bounds every write on a link's socket. Transmit runs on

@@ -287,7 +287,7 @@ func TestHubPeerLeavesOnDisassociation(t *testing.T) {
 // discard is a medium node that ignores every frame.
 type discard struct{}
 
-func (discard) Receive([]byte, dot11.Rate, time.Duration) {}
+func (discard) Receive(*medium.Frame, time.Duration) {}
 
 // fullQueue is the engine queue of the hang tests: four slots that
 // nothing drains, as after the engine has stopped.
@@ -532,8 +532,8 @@ type judgedRecorder struct {
 	got []judged
 }
 
-func (r *judgedRecorder) Receive(raw []byte, _ dot11.Rate, _ time.Duration) {
-	r.got = append(r.got, judge(r.t, raw))
+func (r *judgedRecorder) Receive(f *medium.Frame, _ time.Duration) {
+	r.got = append(r.got, judge(r.t, f.Raw))
 }
 
 // TestHubJudgesLikeMedium sends the same group frames through a hub

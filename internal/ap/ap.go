@@ -692,9 +692,11 @@ func (a *AP) flushGroup() {
 	a.group = a.group[:0]
 }
 
-// Receive implements medium.Node: the AP's frame demultiplexer.
-func (a *AP) Receive(raw []byte, rate dot11.Rate, now time.Duration) {
-	switch dot11.Classify(raw) {
+// Receive implements medium.Node: the AP's frame demultiplexer, on
+// the kind the channel read.
+func (a *AP) Receive(f *medium.Frame, now time.Duration) {
+	raw := f.Raw
+	switch f.Kind {
 	case dot11.KindAssocRequest, dot11.KindReassocRequest:
 		a.handleAssocRequest(raw, now)
 	case dot11.KindDisassoc:

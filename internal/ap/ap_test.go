@@ -24,23 +24,33 @@ type sniffer struct {
 	responses []dot11.FrameKind // (re)association responses, in order
 }
 
-func (s *sniffer) Receive(raw []byte, rate dot11.Rate, at time.Duration) {
-	switch k := dot11.Classify(raw); k {
+// Receive keeps what it reads, so it reads its own copy of the frame
+// rather than keep the channel's reading.
+func (s *sniffer) Receive(f *medium.Frame, at time.Duration) {
+	switch f.Kind {
 	case dot11.KindAssocResponse, dot11.KindReassocResponse:
-		s.responses = append(s.responses, k)
+		s.responses = append(s.responses, f.Kind)
 	case dot11.KindBeacon:
 		var b dot11.BeaconReading
-		if dot11.ReadBeacon(append([]byte(nil), raw...), &b) == nil {
+		if dot11.ReadBeacon(append([]byte(nil), f.Raw...), &b) == nil {
 			s.beacons = append(s.beacons, b)
 		}
 	case dot11.KindData:
 		var d dot11.DataFrame
-		if dot11.ReadDataFrame(append([]byte(nil), raw...), &d) == nil {
+		if dot11.ReadDataFrame(append([]byte(nil), f.Raw...), &d) == nil {
 			s.data = append(s.data, d)
 		}
 	case dot11.KindACK:
 		s.acks++
 	}
+}
+
+// readFrame is the channel's reading of raw, as a medium hands it to
+// a node, for tests that call Receive directly.
+func readFrame(raw []byte, rate dot11.Rate) *medium.Frame {
+	f := new(medium.Frame)
+	f.Read(raw, rate)
+	return f
 }
 
 // rig builds an engine, medium, AP, and a sniffer attached at addr.
@@ -401,7 +411,7 @@ func TestAPReceiveGarbageNeverPanics(t *testing.T) {
 		for j := range raw {
 			raw[j] = byte(r.Uint64())
 		}
-		a.Receive(raw, dot11.Rate1Mbps, eng.Now())
+		a.Receive(readFrame(raw, dot11.Rate1Mbps), eng.Now())
 	}
 	eng.RunUntil(time.Second)
 	if a.Stats().BeaconsSent == 0 {

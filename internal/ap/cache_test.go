@@ -87,7 +87,7 @@ func TestBeaconCacheInvalidation(t *testing.T) {
 			Header: dot11.MACHeader{Addr1: a.cfg.BSSID, Addr2: addr(i), Addr3: a.cfg.BSSID},
 			Ports:  ports,
 		}).AppendTo(nil)
-		a.Receive(raw, dot11.Rate1Mbps, now)
+		a.Receive(readFrame(raw, dot11.Rate1Mbps), now)
 	}
 	steps := []struct {
 		name      string
@@ -200,8 +200,9 @@ func TestAllocBudgetPortMessageReceive(t *testing.T) {
 		Header: dot11.MACHeader{Addr1: bssid, Addr2: c1Addr, Addr3: bssid},
 		Ports:  []uint16{53, 5353},
 	}).AppendTo(nil)
+	f := readFrame(raw, dot11.Rate1Mbps)
 	receive := func() {
-		a.Receive(raw, dot11.Rate1Mbps, eng.Now())
+		a.Receive(f, eng.Now())
 		eng.Step() // the ACK's delivery
 	}
 	receive() // the first message creates the table entry

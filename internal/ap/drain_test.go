@@ -15,11 +15,11 @@ type disassocSniffer struct {
 	disassocs []*dot11.Disassoc
 }
 
-func (s *disassocSniffer) Receive(raw []byte, _ dot11.Rate, _ time.Duration) {
-	if dot11.Classify(raw) != dot11.KindDisassoc {
+func (s *disassocSniffer) Receive(f *medium.Frame, _ time.Duration) {
+	if f.Kind != dot11.KindDisassoc {
 		return
 	}
-	if d, err := dot11.UnmarshalDisassoc(raw); err == nil {
+	if d, err := dot11.UnmarshalDisassoc(f.Raw); err == nil {
 		s.disassocs = append(s.disassocs, d)
 	}
 }
@@ -42,7 +42,7 @@ func TestDrainRejectsNewAssociations(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.MustScheduleAt(time.Millisecond, func(now time.Duration) {
-		a.Receive(raw, dot11.Rate1Mbps, now)
+		a.Receive(readFrame(raw, dot11.Rate1Mbps), now)
 	})
 	eng.RunUntil(10 * time.Millisecond)
 	if len(sn2.resps) != 1 {
@@ -64,11 +64,11 @@ type assocSniffer struct {
 	resps []*dot11.AssocResponse
 }
 
-func (s *assocSniffer) Receive(raw []byte, _ dot11.Rate, _ time.Duration) {
-	if dot11.Classify(raw) != dot11.KindAssocResponse {
+func (s *assocSniffer) Receive(f *medium.Frame, _ time.Duration) {
+	if f.Kind != dot11.KindAssocResponse {
 		return
 	}
-	if r, err := dot11.UnmarshalAssocResponse(raw); err == nil {
+	if r, err := dot11.UnmarshalAssocResponse(f.Raw); err == nil {
 		s.resps = append(s.resps, r)
 	}
 }

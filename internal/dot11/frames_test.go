@@ -262,6 +262,34 @@ func TestParseUDPRejectsNonUDPProtocol(t *testing.T) {
 	}
 }
 
+// ttlFlipped is an encapsulated datagram to port 5353 whose IPv4 TTL
+// byte was flipped after the checksum was computed.
+func ttlFlipped() []byte {
+	body := EncapsulateUDP(UDPDatagram{DstPort: 5353, Payload: []byte("mdns")})
+	body[LLCSNAPLen+8] ^= 0xff
+	return body
+}
+
+// TestParseUDPChecksIPv4HeaderChecksum: a kernel drops a packet whose
+// IPv4 header checksum does not hold, so ParseUDP refuses a body with
+// a flipped TTL byte, while the port readers, which also read captures
+// whose checksums the sender's NIC fills in later, still read its port.
+func TestParseUDPChecksIPv4HeaderChecksum(t *testing.T) {
+	body := ttlFlipped()
+	if d, err := ParseUDP(body); err == nil {
+		t.Fatalf("ParseUDP read port %d from a header whose checksum does not hold", d.DstPort)
+	}
+	port, perr := DstUDPPort(body)
+	iport, ierr := IPv4DstUDPPort(body[LLCSNAPLen:])
+	if perr != nil || ierr != nil || port != 5353 || iport != 5353 {
+		t.Fatalf("DstUDPPort %d, %v, IPv4DstUDPPort %d, %v; want 5353 from each", port, perr, iport, ierr)
+	}
+	body[LLCSNAPLen+8] ^= 0xff
+	if d, err := ParseUDP(body); err != nil || d.DstPort != 5353 {
+		t.Fatalf("ParseUDP of the restored body = %d, %v; want 5353", d.DstPort, err)
+	}
+}
+
 // TestUDPHeaderWalkRefusesLaterFragments: a non-first IPv4 fragment
 // carries payload where a UDP header would be, so ParseUDP and both
 // port readers refuse it, while a first fragment (More Fragments set,
@@ -282,6 +310,10 @@ func TestUDPHeaderWalkRefusesLaterFragments(t *testing.T) {
 		body := EncapsulateUDP(UDPDatagram{DstPort: 5353, Payload: make([]byte, 32)})
 		ip := body[LLCSNAPLen:]
 		ip[6], ip[7] = c.flagsOffset[0], c.flagsOffset[1]
+		// The checksum covers bytes 6-7, so only the fragment rule can
+		// refuse the packet.
+		cs := ipv4Checksum(ip[:IPv4HdrLen])
+		ip[10], ip[11] = byte(cs>>8), byte(cs)
 		if !c.wantAccepted {
 			// Payload bytes where the header walk would read the ports.
 			copy(ip[IPv4HdrLen:], []byte{0xde, 0xad, 0xbe, 0xef})

@@ -377,6 +377,9 @@ func FuzzParseUDP(f *testing.F) {
 	frag[LLCSNAPLen+7] = 185
 	copy(frag[LLCSNAPLen+IPv4HdrLen:], []byte{0xde, 0xad, 0xbe, 0xef})
 	f.Add(frag)
+	// A header whose checksum does not hold: only the port readers
+	// accept it.
+	f.Add(ttlFlipped())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		port, perr := DstUDPPort(raw)
 		d, err := ParseUDP(raw)

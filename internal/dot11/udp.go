@@ -67,9 +67,11 @@ func EncapsulateUDP(d UDPDatagram) []byte {
 
 // ParseUDP extracts the UDP datagram from a data-frame body produced by
 // EncapsulateUDP (or any LLC/SNAP IPv4 UDP body). It walks the headers
-// DstUDPPort walks and then requires the whole datagram, as a kernel
-// does before waking a socket: a UDP length that runs past the body is
-// an error.
+// DstUDPPort walks and then checks what a kernel checks before waking a
+// socket: the IPv4 header checksum must hold, and a UDP length that
+// runs past the body is an error. The port readers skip the checksum,
+// because a capture taken on the sending host carries the checksums
+// its NIC fills in later.
 func ParseUDP(body []byte) (UDPDatagram, error) {
 	var d UDPDatagram
 	ip, err := snapIPv4(body)
@@ -79,6 +81,9 @@ func ParseUDP(body []byte) (UDPDatagram, error) {
 	udp, err := ipv4UDP(ip)
 	if err != nil {
 		return d, err
+	}
+	if hdr := ip[:len(ip)-len(udp)]; uint16(hdr[10])<<8|uint16(hdr[11]) != ipv4Checksum(hdr) {
+		return d, errIPv4Checksum
 	}
 	ul := int(udp[4])<<8 | int(udp[5])
 	if ul < UDPHdrLen || len(udp) < ul {
@@ -147,8 +152,9 @@ func ipv4UDP(ip []byte) ([]byte, error) {
 
 // Errors of the header walk.
 var (
-	errNotSNAPIPv4 = errors.New("dot11: body is not LLC/SNAP IPv4")
-	errNotIPv4UDP  = errors.New("dot11: packet is not IPv4 with a whole UDP header")
+	errNotSNAPIPv4  = errors.New("dot11: body is not LLC/SNAP IPv4")
+	errNotIPv4UDP   = errors.New("dot11: packet is not IPv4 with a whole UDP header")
+	errIPv4Checksum = errors.New("dot11: IPv4 header checksum does not hold")
 )
 
 // ipv4Checksum computes the IPv4 header checksum with the checksum

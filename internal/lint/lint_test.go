@@ -185,12 +185,12 @@ func TestFrameMutFixture(t *testing.T) {
 }
 
 // TestFrameMutOutOfScope re-analyzes the frame fixture where only
-// Receive/ReceiveAs parameters are delivered frames: the five writes
+// Receive/ReceiveAs parameters are delivered frames: the eight writes
 // in those two methods are all that may be reported.
 func TestFrameMutOutOfScope(t *testing.T) {
 	diags := loadFixture(t, FrameMut, "framemut", "repro/internal/ap")
-	if len(diags) != 5 {
-		t.Errorf("out-of-scope run got %d findings, want the 5 in Receive/ReceiveAs: %v", len(diags), diags)
+	if len(diags) != 8 {
+		t.Errorf("out-of-scope run got %d findings, want the 8 in Receive/ReceiveAs: %v", len(diags), diags)
 	}
 }
 

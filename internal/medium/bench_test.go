@@ -11,7 +11,7 @@ import (
 // benchSink is a no-op receiver tallying deliveries.
 type benchSink struct{ n int }
 
-func (s *benchSink) Receive(raw []byte, rate dot11.Rate, at time.Duration) { s.n++ }
+func (s *benchSink) Receive(*Frame, time.Duration) { s.n++ }
 
 // benchMedium builds a medium with one source and extra subscriber
 // nodes attached, returning the engine, medium, and source address.

@@ -6,6 +6,13 @@
 // deliveries (loss, bursty loss, corruption, duplication) to exercise
 // retransmission and fail-safe paths.
 //
+// The medium reads each transmission once, into a Frame it owns: the
+// frame's kind and, for a beacon, its in-place dot11.BeaconReading.
+// Every receiver of the unchanged bytes is handed that one Frame, so a
+// beacon heard by 200 stations is classified and read once, not 200
+// times; a receiver whose copy a fault.Corrupt verdict garbled gets a
+// Frame read from its own bytes.
+//
 // The medium runs on a sim.Engine virtual clock, so whole days of
 // channel time simulate in milliseconds and runs are deterministic.
 package medium
@@ -20,10 +27,38 @@ import (
 )
 
 // Node is anything attached to the medium. Receive is called once per
-// delivered frame with the raw bytes, the PHY rate it was sent at, and
-// the delivery (end-of-airtime) virtual time.
+// delivered frame with the channel's reading of it and the delivery
+// (end-of-airtime) virtual time. The Frame is shared by every receiver
+// of the same bytes and is valid only during the call: a node never
+// keeps it and never writes to it or through it (the immutable bytes
+// in Raw may be kept).
 type Node interface {
-	Receive(raw []byte, rate dot11.Rate, at time.Duration)
+	Receive(f *Frame, at time.Duration)
+}
+
+// Frame is a delivered frame as the channel read it: the bytes, the
+// PHY rate they were sent at, their kind and, when the frame is a
+// beacon that reads, its in-place reading, whose slices alias Raw.
+type Frame struct {
+	Raw  []byte
+	Rate dot11.Rate
+	Kind dot11.FrameKind
+	// Beacon holds the beacon reading when BeaconOK, which is true
+	// exactly when dot11.ReadBeacon accepts Raw; otherwise it holds
+	// nothing meaningful.
+	Beacon   dot11.BeaconReading
+	BeaconOK bool
+}
+
+// Read fills f with the reading of raw sent at rate: dot11.Classify
+// for the kind and, for a beacon, dot11.ReadBeacon. It never writes
+// raw, draws no randomness and allocates nothing. Channels call it
+// once per transmission (the emulated medium) or per datagram (the UDP
+// air link) before handing f to their nodes.
+func (f *Frame) Read(raw []byte, rate dot11.Rate) {
+	f.Raw, f.Rate = raw, rate
+	f.Kind = dot11.Classify(raw)
+	f.BeaconOK = f.Kind == dot11.KindBeacon && dot11.ReadBeacon(raw, &f.Beacon) == nil
 }
 
 // Channel is the transport surface the protocol entities (AP,
@@ -74,6 +109,11 @@ type Medium struct {
 	obs func(src dot11.MACAddr, raw []byte, rate dot11.Rate, start, deliverAt time.Duration)
 
 	txFree []*pendingTx // recycled in-flight transmission records
+
+	// The readings deliveries hand their nodes, reused from one
+	// transmission to the next: frame reads the bytes as transmitted,
+	// garbled a receiver's corrupted copy.
+	frame, garbled Frame
 }
 
 // fanoutEntry pairs an attached address with its node so group fan-out
@@ -284,62 +324,61 @@ func (m *Medium) allocTx() *pendingTx {
 	return tx
 }
 
-// deliver routes the frame to its destination(s). With a fault plan
-// set, the frame is classified once here, from the bytes as
-// transmitted, for every receiver's verdict.
+// deliver reads the frame once and routes that reading to its
+// destination(s). The fault plan judges each receiver's copy by one
+// Delivery built here, from the bytes as transmitted.
 func (m *Medium) deliver(src dot11.MACAddr, raw []byte, rate dot11.Rate, now time.Duration) {
 	dst, ok := dot11.Receiver(raw)
 	if !ok {
 		return
 	}
-	var kind dot11.FrameKind
-	if m.plan != nil {
-		kind = dot11.Classify(raw)
-	}
+	m.frame.Read(raw, rate)
+	d := fault.Delivery{Raw: raw, Kind: m.frame.Kind, Src: src, Dst: dst, At: now}
 	if dst.IsMulticast() {
 		for i := 0; i < len(m.fanout); i++ {
 			e := &m.fanout[i]
 			if e.addr == src {
 				continue
 			}
-			m.deliverOne(e.node, e.addr, e.count, src, dst, raw, kind, rate, now)
+			d.Rcv = e.addr
+			m.deliverOne(e.node, e.count, &d)
 		}
 		return
 	}
 	if n, ok := m.nodes[dst]; ok {
-		m.deliverOne(n, dst, 1, src, dst, raw, kind, rate, now)
+		d.Rcv = dst
+		m.deliverOne(n, 1, &d)
 	}
 }
 
-// deliverOne hands the frame to one node under the fault plan's
-// outcome for this (frame, receiver) pair, with the stats counted for
-// the members the node stands for: a block takes one verdict for all
-// its members. A corrupted delivery gets its own garbled copy; other
-// receivers keep the original bytes, as with independent radios on a
-// shared channel.
-func (m *Medium) deliverOne(n Node, rcv dot11.MACAddr, members int, src, dst dot11.MACAddr, raw []byte, kind dot11.FrameKind, rate dot11.Rate, now time.Duration) {
+// deliverOne hands the frame's reading to one node under the fault
+// plan's outcome for delivery d, with the stats counted for the
+// members the node stands for: a block takes one verdict for all its
+// members. A corrupted delivery gets its own garbled copy, read on its
+// own; other receivers keep the original bytes and their reading, as
+// with independent radios on a shared channel.
+func (m *Medium) deliverOne(n Node, members int, d *fault.Delivery) {
 	o := fault.Outcome{Byte: -1}
 	if m.plan != nil {
-		o = fault.Judge(m.plan, fault.Delivery{
-			Raw: raw, Kind: kind,
-			Src: src, Dst: dst, Rcv: rcv, At: now,
-		}, m.rng)
+		o = fault.Judge(m.plan, *d, m.rng)
 	}
 	if o.Drop {
 		m.Stats.Losses += members
 		return
 	}
+	f := &m.frame
 	if o.Corrupt {
-		c := append([]byte(nil), raw...)
+		c := append([]byte(nil), d.Raw...)
 		c[o.Byte] ^= 0xff
-		raw = c
+		f = &m.garbled
+		f.Read(c, m.frame.Rate)
 		m.Stats.Corruptions += members
 	}
 	if o.Duplicate {
 		m.Stats.Duplicates += members
 		m.Stats.Deliveries += members
-		n.Receive(raw, rate, now)
+		n.Receive(f, d.At)
 	}
 	m.Stats.Deliveries += members
-	n.Receive(raw, rate, now)
+	n.Receive(f, d.At)
 }

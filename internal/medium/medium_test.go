@@ -20,8 +20,8 @@ type recorded struct {
 	at   time.Duration
 }
 
-func (r *recorder) Receive(raw []byte, rate dot11.Rate, at time.Duration) {
-	r.frames = append(r.frames, recorded{append([]byte(nil), raw...), rate, at})
+func (r *recorder) Receive(f *Frame, at time.Duration) {
+	r.frames = append(r.frames, recorded{append([]byte(nil), f.Raw...), f.Rate, at})
 }
 
 var (
@@ -183,8 +183,8 @@ func TestTransmitCopiesBuffer(t *testing.T) {
 // keeper keeps every delivered frame as delivered, without copying.
 type keeper struct{ frames [][]byte }
 
-func (k *keeper) Receive(raw []byte, _ dot11.Rate, _ time.Duration) {
-	k.frames = append(k.frames, raw)
+func (k *keeper) Receive(f *Frame, _ time.Duration) {
+	k.frames = append(k.frames, f.Raw)
 }
 
 // TestTransmitKeepsNoCallerBuffer pins the Channel contract senders

@@ -60,9 +60,9 @@ func TestAllocBudgetCohortAsleepReceive(t *testing.T) {
 		},
 		Payload: dot11.EncapsulateUDP(dot11.UDPDatagram{DstPort: 9999, Payload: make([]byte, 160)}),
 	}).Marshal()
-	now := eng.Now()
+	now, f := eng.Now(), readFrame(frame, dot11.Rate11Mbps)
 	allocs := testing.AllocsPerRun(200, func() {
-		c.tmpl.Receive(frame, dot11.Rate11Mbps, now)
+		c.tmpl.Receive(f, now)
 	})
 	if allocs != 0 {
 		t.Fatalf("asleep group receive: %.1f allocs/op, want 0", allocs)
@@ -95,20 +95,22 @@ func dtimBeacon(t *testing.T, aid dot11.AID, set bool) []byte {
 }
 
 // TestAllocBudgetBeaconReceive pins the beacon receive path at zero
-// allocations: a suspended HIDE station and a 64-member cohort read
-// the TIM/BTIM of a DTIM beacon in place, off the shared frame. The
-// reader's BTIM bit is set in one run and clear in the other;
-// the TIM unicast bit stays clear, so nothing is sent either way.
+// allocations: a suspended HIDE station and a 64-member cohort test
+// the TIM/BTIM bits of the channel's reading of a DTIM beacon, read
+// once outside the measured call as the medium reads it once per
+// transmission. The reader's BTIM bit is set in one run and clear in
+// the other; the TIM unicast bit stays clear, so nothing is sent
+// either way.
 func TestAllocBudgetBeaconReceive(t *testing.T) {
 	for _, set := range []bool{true, false} {
 		t.Run(fmt.Sprintf("btim=%v", set), func(t *testing.T) {
 			eng, a, st := rig(t, HIDE, true, []uint16{5353})
 			a.Start()
 			eng.RunUntil(500 * time.Millisecond)
-			frame := dtimBeacon(t, st.AID(), set)
+			f := readFrame(dtimBeacon(t, st.AID(), set), dot11.Rate1Mbps)
 			now, before := eng.Now(), st.Stats()
 			allocs := testing.AllocsPerRun(200, func() {
-				st.Receive(frame, dot11.Rate1Mbps, now)
+				st.Receive(f, now)
 			})
 			if allocs != 0 {
 				t.Errorf("station beacon receive: %.1f allocs/op, want 0", allocs)
@@ -120,10 +122,10 @@ func TestAllocBudgetBeaconReceive(t *testing.T) {
 			}
 
 			eng, c := cohortRig(t, 64)
-			frame = dtimBeacon(t, c.tmpl.AID(), set)
+			f = readFrame(dtimBeacon(t, c.tmpl.AID(), set), dot11.Rate1Mbps)
 			now, before = eng.Now(), c.MemberStats()
 			allocs = testing.AllocsPerRun(200, func() {
-				c.tmpl.Receive(frame, dot11.Rate1Mbps, now)
+				c.tmpl.Receive(f, now)
 			})
 			if allocs != 0 {
 				t.Errorf("cohort beacon receive: %.1f allocs/op, want 0", allocs)

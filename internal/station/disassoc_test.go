@@ -22,7 +22,7 @@ func TestAPInitiatedDisassoc(t *testing.T) {
 			Header: dot11.MACHeader{Addr1: st.Addr(), Addr2: bssid, Addr3: bssid},
 			Reason: dot11.ReasonUnspecified,
 		}
-		st.Receive(d.Marshal(), dot11.Rate1Mbps, now)
+		st.Receive(readFrame(d.Marshal(), dot11.Rate1Mbps), now)
 	})
 	eng.RunUntil(300 * time.Millisecond)
 
@@ -53,10 +53,10 @@ func TestDisassocFromWrongBSS(t *testing.T) {
 	eng.MustScheduleAt(210*time.Millisecond, func(now time.Duration) {
 		// Foreign BSS.
 		d := &dot11.Disassoc{Header: dot11.MACHeader{Addr1: st.Addr(), Addr2: other, Addr3: other}}
-		st.Receive(d.Marshal(), dot11.Rate1Mbps, now)
+		st.Receive(readFrame(d.Marshal(), dot11.Rate1Mbps), now)
 		// Right BSS, another station's address.
 		d2 := &dot11.Disassoc{Header: dot11.MACHeader{Addr1: other, Addr2: bssid, Addr3: bssid}}
-		st.Receive(d2.Marshal(), dot11.Rate1Mbps, now)
+		st.Receive(readFrame(d2.Marshal(), dot11.Rate1Mbps), now)
 	})
 	eng.RunUntil(300 * time.Millisecond)
 

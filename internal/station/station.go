@@ -543,27 +543,29 @@ func (s *Station) Crash() {
 // Crashed reports whether Crash was called.
 func (s *Station) Crashed() bool { return s.crashed }
 
-// Receive implements medium.Node.
-func (s *Station) Receive(raw []byte, rate dot11.Rate, now time.Duration) {
+// Receive implements medium.Node: it dispatches on the kind the
+// channel read and hands a beacon's reading, not its bytes, to
+// handleBeacon.
+func (s *Station) Receive(f *medium.Frame, now time.Duration) {
 	if s.crashed {
 		return
 	}
-	switch dot11.Classify(raw) {
+	switch f.Kind {
 	case dot11.KindAssocResponse, dot11.KindReassocResponse:
-		s.handleAssocResponse(raw)
+		s.handleAssocResponse(f.Raw)
 	case dot11.KindBeacon:
-		if s.associated {
-			s.handleBeacon(raw, now)
+		if s.associated && f.BeaconOK {
+			s.handleBeacon(&f.Beacon, now)
 		}
 	case dot11.KindData:
 		if s.associated {
-			s.handleData(raw, rate, now)
+			s.handleData(f.Raw, f.Rate, now)
 		}
 	case dot11.KindACK:
 		s.handleACK(now)
 	case dot11.KindDisassoc:
 		if s.associated {
-			s.handleDisassoc(raw)
+			s.handleDisassoc(f.Raw)
 		}
 	}
 }
@@ -630,14 +632,10 @@ func (s *Station) BeaconInterval() time.Duration {
 }
 
 // handleBeacon processes TIM/BTIM indications. The radio wakes for
-// every beacon regardless of host state (Section II). The beacon is
-// read in place, off the shared frame, and the reading does not
-// outlive this call.
-func (s *Station) handleBeacon(raw []byte, now time.Duration) {
-	var b dot11.BeaconReading
-	if err := dot11.ReadBeacon(raw, &b); err != nil {
-		return
-	}
+// every beacon regardless of host state (Section II). b is the
+// channel's reading of the beacon, shared with every other receiver
+// of the frame: it is only read, and not kept past this call.
+func (s *Station) handleBeacon(b *dot11.BeaconReading, now time.Duration) {
 	// Listen interval: the radio sleeps through all but every LI-th
 	// beacon. Skipped DTIMs may hide group indications.
 	s.beaconSeq++
@@ -649,7 +647,7 @@ func (s *Station) handleBeacon(raw []byte, now time.Duration) {
 		return
 	}
 	s.stats.BeaconsHeard++
-	s.observeBeacon(&b, now)
+	s.observeBeacon(b, now)
 
 	// Group bursts never span beacons: if the end-of-burst frame was
 	// lost (MoreData never cleared), the beacon ends the listen window

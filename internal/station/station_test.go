@@ -14,6 +14,14 @@ import (
 
 var bssid = dot11.MACAddr{2, 0, 0, 0, 0, 1}
 
+// readFrame is the channel's reading of raw, as a medium hands it to
+// a node, for tests that call Receive directly.
+func readFrame(raw []byte, rate dot11.Rate) *medium.Frame {
+	f := new(medium.Frame)
+	f.Read(raw, rate)
+	return f
+}
+
 // rig assembles an engine, medium, HIDE-capable AP, and one station.
 func rig(t *testing.T, mode Mode, apHIDE bool, ports []uint16) (*sim.Engine, *ap.AP, *Station) {
 	t.Helper()
@@ -424,7 +432,7 @@ func TestReceiveGarbageNeverPanics(t *testing.T) {
 		for j := range raw {
 			raw[j] = byte(r.Uint64())
 		}
-		st.Receive(raw, dot11.Rate1Mbps, eng.Now())
+		st.Receive(readFrame(raw, dot11.Rate1Mbps), eng.Now())
 	}
 	eng.RunUntil(time.Second)
 	// The station must still work after the garbage storm.
