@@ -135,11 +135,10 @@ func GenerateTraceConfig(cfg GenConfig) (*Trace, error) { return trace.Generate(
 // scenario, for callers that want to tweak it.
 func ScenarioConfig(s Scenario) GenConfig { return trace.ScenarioConfig(s) }
 
-// ReadTraceCSV and friends exchange traces with external captures.
-func ReadTraceCSV(r io.Reader) (*Trace, error)     { return trace.ReadCSV(r) }
-func WriteTraceCSV(w io.Writer, tr *Trace) error   { return trace.WriteCSV(w, tr) }
-func ReadTraceJSONL(r io.Reader) (*Trace, error)   { return trace.ReadJSONL(r) }
-func WriteTraceJSONL(w io.Writer, tr *Trace) error { return trace.WriteJSONL(w, tr) }
+// ReadTraceCSV and WriteTraceCSV exchange traces with external
+// captures.
+func ReadTraceCSV(r io.Reader) (*Trace, error)   { return trace.ReadCSV(r) }
+func WriteTraceCSV(w io.Writer, tr *Trace) error { return trace.WriteCSV(w, tr) }
 
 // PCAPOptions tunes the pcap importer.
 type PCAPOptions = trace.PCAPOptions
@@ -189,9 +188,9 @@ func SummarizeTrace(tr *Trace) TraceSummary { return trace.Summarize(tr) }
 type SeedSweep = core.SeedSweep
 
 // SweepSeedsContext evaluates the headline saving across tagging seeds
-// on the worker pool configured by opts.Workers; opts also supplies
-// the protocol overhead, while its seed fields are overridden per
-// sweep point. It shows the headline saving is not a seed artifact.
+// on the worker pool configured by opts.Workers; each sweep point
+// evaluates exactly its listed seed, 0 included. It shows the headline
+// saving is not a seed artifact.
 func SweepSeedsContext(ctx context.Context, tr *Trace, dev Profile, fraction float64, seeds []uint64, opts Options) (SeedSweep, error) {
 	return core.SweepSeedsContext(ctx, tr, dev, fraction, seeds, opts)
 }

@@ -3,7 +3,6 @@ package hide
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 	"time"
 )
@@ -84,26 +83,16 @@ func TestPublicTraceIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv, jsonl bytes.Buffer
+	var csv bytes.Buffer
 	if err := WriteTraceCSV(&csv, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTraceJSONL(&jsonl, tr); err != nil {
 		t.Fatal(err)
 	}
 	a, err := ReadTraceCSV(&csv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadTraceJSONL(&jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Frames) != len(tr.Frames) || len(b.Frames) != len(tr.Frames) {
-		t.Fatal("round trips lost frames")
-	}
-	if !strings.HasPrefix(csv.String(), "") { // csv drained by reader
-		t.Fatal("unreachable")
+	if len(a.Frames) != len(tr.Frames) {
+		t.Fatal("round trip lost frames")
 	}
 }
 

@@ -237,21 +237,26 @@ func BenchmarkAblationSyncInterval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	useful := TagUniform(tr, 0.1, 1)
+	p, err := policy.New(HIDE)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arr, err := policy.AppendArrivals(nil, p, tr, TagUniform(tr, 0.1, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	intervals := []time.Duration{10 * time.Second, 60 * time.Second, 600 * time.Second}
-	var last Result
+	var last Breakdown
 	for i := 0; i < b.N; i++ {
 		for _, iv := range intervals {
 			o := DefaultOverhead()
 			o.PortMsgInterval = iv
-			r, err := EvaluateContext(context.Background(), tr, useful, NexusOne, HIDE, Options{Overhead: o})
-			if err != nil {
+			if last, err = ComputeEnergy(arr, NexusOne, tr.Duration, o); err != nil {
 				b.Fatal(err)
 			}
-			last = r
 		}
 	}
-	b.ReportMetric(last.Breakdown.EoJ, "Eo-J-at-600s")
+	b.ReportMetric(last.EoJ, "Eo-J-at-600s")
 }
 
 // BenchmarkAblationCombinedPolicy evaluates the future-work HIDE +

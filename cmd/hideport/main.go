@@ -56,7 +56,7 @@ func main() {
 	}
 	raw := msg.AppendTo(nil)
 	fmt.Printf("UDP Port Message: %d bytes on the wire (+%d PHY preamble bits)\n",
-		len(raw), dot11.DefaultPHY().PreambleHeaderBits)
+		len(raw), dot11.PLCPBits)
 	if *hexDump {
 		for i := 0; i < len(raw); i += 16 {
 			end := i + 16

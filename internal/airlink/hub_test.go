@@ -556,7 +556,7 @@ func TestHubJudgesLikeMedium(t *testing.T) {
 	}
 
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), seed)
+	med := medium.New(eng, seed)
 	med.SetFaultPlan(plan)
 	nodes := make([]*judgedRecorder, receivers)
 	for i, mac := range macs {

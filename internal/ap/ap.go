@@ -53,11 +53,6 @@ type Config struct {
 // zero Config.DTIMPeriod selects.
 const DefaultDTIMPeriod = 3
 
-// basicRate is the rate of beacons, association responses, ACKs,
-// disassociations and the buffered unicast frames the AP releases on
-// PS-Poll. Group frames keep the rate they were enqueued with.
-const basicRate = dot11.Rate1Mbps
-
 // normalized fills defaults and clamps fields to protocol limits.
 func (c Config) normalized() Config {
 	if len(c.SSID) > 32 {
@@ -408,7 +403,7 @@ func (a *AP) DisassociateClient(addr dot11.MACAddr, reason uint16) bool {
 		},
 		Reason: reason,
 	}
-	a.med.Transmit(a.cfg.BSSID, d.Marshal(), basicRate)
+	a.med.Transmit(a.cfg.BSSID, d.Marshal(), dot11.BasicRate)
 	a.stats.DisassocsSent++
 	a.Disassociate(addr)
 	return true
@@ -517,7 +512,7 @@ func (a *AP) beaconTick(now time.Duration) {
 			o.BeaconBuilt(now, v)
 		}
 	}
-	a.med.Transmit(a.cfg.BSSID, raw, basicRate)
+	a.med.Transmit(a.cfg.BSSID, raw, dot11.BasicRate)
 	a.stats.BeaconsSent++
 	if isDTIM {
 		a.stats.DTIMsSent++
@@ -787,7 +782,7 @@ func (a *AP) handleAssocRequest(raw []byte, now time.Duration) {
 	if err != nil {
 		panic(fmt.Sprintf("ap: assoc response marshal: %v", err))
 	}
-	a.med.Transmit(a.cfg.BSSID, out, basicRate)
+	a.med.Transmit(a.cfg.BSSID, out, dot11.BasicRate)
 }
 
 // handlePortMessage updates the port table and ACKs the sender. The
@@ -812,7 +807,7 @@ func (a *AP) handlePortMessage(raw []byte, now time.Duration) {
 	a.stats.PortMsgsReceived++
 	ack := dot11.ACK{RA: c.addr}
 	a.ackBuf = ack.AppendTo(a.ackBuf[:0])
-	a.med.Transmit(a.cfg.BSSID, a.ackBuf, basicRate)
+	a.med.Transmit(a.cfg.BSSID, a.ackBuf, dot11.BasicRate)
 	a.stats.ACKsSent++
 }
 
@@ -837,7 +832,7 @@ func (a *AP) handlePSPoll(raw []byte) {
 		b := fc.Marshal()
 		frame[0], frame[1] = b[0], b[1]
 	}
-	a.med.Transmit(a.cfg.BSSID, frame, basicRate)
+	a.med.Transmit(a.cfg.BSSID, frame, dot11.BasicRate)
 	a.stats.PSPollsServed++
 }
 

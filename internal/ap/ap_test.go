@@ -57,7 +57,7 @@ func readFrame(raw []byte, rate dot11.Rate) *medium.Frame {
 func rig(t *testing.T, cfg Config) (*sim.Engine, *medium.Medium, *AP, *sniffer) {
 	t.Helper()
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 42)
+	med := medium.New(eng, 42)
 	cfg.BSSID = bssid
 	if cfg.SSID == "" {
 		cfg.SSID = "test"

@@ -13,7 +13,7 @@ import (
 // entries registered, its beacon loop started.
 func benchAP(clients int, dtimPeriod int) (*sim.Engine, *AP) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 1)
+	med := medium.New(eng, 1)
 	a := New(eng, med, Config{
 		BSSID:      dot11.MACAddr{0x02, 0x1d, 0xe0, 0, 0, 1},
 		SSID:       "bench",

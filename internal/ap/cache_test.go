@@ -58,7 +58,7 @@ func encodeBoth(a *AP, now time.Duration, isDTIM bool) (got, want []byte) {
 // both DTIM and non-DTIM beacons.
 func TestBeaconCacheInvalidation(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 1)
+	med := medium.New(eng, 1)
 	a := New(eng, med, Config{
 		BSSID:      dot11.MACAddr{0x02, 0x1d, 0xe0, 0, 0, 1},
 		SSID:       "inval",
@@ -190,7 +190,7 @@ func TestBeaconCacheInvalidation(t *testing.T) {
 // station is attached, so the ACK's delivery is a drop.
 func TestAllocBudgetPortMessageReceive(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 1)
+	med := medium.New(eng, 1)
 	a := New(eng, med, Config{BSSID: bssid, SSID: "t", HIDE: true})
 	aid, err := a.Associate(c1Addr, true)
 	if err != nil {

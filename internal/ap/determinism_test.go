@@ -30,7 +30,7 @@ func TestBeaconBytesInsensitiveToInsertionOrder(t *testing.T) {
 
 	build := func(perm []int) []byte {
 		eng := sim.New()
-		med := medium.New(eng, dot11.DefaultPHY(), 42)
+		med := medium.New(eng, 42)
 		a := New(eng, med, Config{BSSID: bssid, SSID: "perm", HIDE: true, DTIMPeriod: 1})
 		// Associations run in a fixed order so every trial binds the
 		// same AID to the same address; only map-population order may
@@ -102,7 +102,7 @@ func TestBeaconBytesInsensitiveToExpiryOrder(t *testing.T) {
 
 	build := func(perm []int) []byte {
 		eng := sim.New()
-		med := medium.New(eng, dot11.DefaultPHY(), 42)
+		med := medium.New(eng, 42)
 		a := New(eng, med, Config{BSSID: bssid, SSID: "ttl", HIDE: true, DTIMPeriod: 1})
 		for _, addr := range addrs {
 			if _, err := a.Associate(addr, true); err != nil {

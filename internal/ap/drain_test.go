@@ -75,7 +75,7 @@ func (s *assocSniffer) Receive(f *medium.Frame, _ time.Duration) {
 
 func TestDisassociateAllSendsFramesInAIDOrder(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 42)
+	med := medium.New(eng, 42)
 	a := New(eng, med, Config{BSSID: bssid, SSID: "test", HIDE: true})
 
 	sn1, sn2 := &disassocSniffer{}, &disassocSniffer{}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ap"
 	"repro/internal/core"
 	"repro/internal/dot11"
+	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/station"
@@ -468,7 +469,7 @@ func chaosRun(sc ChaosScenario, ts trace.Scenario, seed uint64, duration time.Du
 func usefulArrivalsSince(st *station.Station, from time.Duration) int {
 	n := 0
 	for _, a := range st.Arrivals() {
-		if a.At >= from && a.Wakelock >= time.Second {
+		if a.At >= from && a.Wakelock >= energy.Tau {
 			n++
 		}
 	}

@@ -69,7 +69,7 @@ func runESSSide(ctx context.Context, tr *trace.Trace, cfg core.NetworkConfig, k 
 	sides := make([]*equivSide, k)
 	bssids := make([]dot11.MACAddr, k)
 	for i, sh := range e.Shards() {
-		invs[i].Finish(tr.Duration + dot11.DefaultBeaconInterval)
+		invs[i].Finish(core.ReplayEnd(tr))
 		sides[i] = networkSide(digests[i], sh.Net)
 		sides[i].violations = invs[i].Violations()
 		bssids[i] = sh.Net.BSSID
@@ -134,7 +134,7 @@ func compareESS(ctx context.Context, tr *trace.Trace, cfg core.NetworkConfig, k 
 	if err != nil {
 		return nil, "", fmt.Errorf("network side: %w", err)
 	}
-	return ref, diffESS(es, ref, devs, tr.Duration+dot11.DefaultBeaconInterval), nil
+	return ref, diffESS(es, ref, devs, core.ReplayEnd(tr)), nil
 }
 
 // diffESS names the first shard whose ESS side broke an invariant or
@@ -269,7 +269,7 @@ func RunESSRoamFaultContext(ctx context.Context, seed uint64) (ESSRoamFaultResul
 			return nil, ess.Stats{}, err
 		}
 		for i, inv := range invs {
-			inv.Finish(tr.Duration + dot11.DefaultBeaconInterval)
+			inv.Finish(core.ReplayEnd(tr))
 			if err := inv.Err(); err != nil && violation == "" {
 				violation = fmt.Sprintf("shard %d (replicate %v, DS loss %v, %d workers): %v", i, replicate, dsLoss, workers, err)
 			}

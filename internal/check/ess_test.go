@@ -98,7 +98,7 @@ func TestESSAIDBoundaryMatchesNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffESS(es, net, EquivConfig{}.normalized().Devices, tr.Duration+dot11.DefaultBeaconInterval); d != "" {
+	if d := diffESS(es, net, EquivConfig{}.normalized().Devices, core.ReplayEnd(tr)); d != "" {
 		t.Fatal(d)
 	}
 	if got := len(net[0].stats); got != 1+int(dot11.MaxAID) {

@@ -139,9 +139,8 @@ func oracleTrace(s trace.Scenario, seed uint64, d time.Duration) (*trace.Trace, 
 // idle-listening tail to the interval's end — in the protocol run the
 // station's listen window closes with the burst, milliseconds later.
 func alignDTIM(tr *trace.Trace, useful []bool, hide bool) *trace.Trace {
-	phy := dot11.DefaultPHY()
 	interval := dot11.DefaultBeaconInterval
-	beaconAir := phy.FrameAirtime(representativeBeaconLen(hide)+dot11.FCSLen, dot11.Rate1Mbps)
+	beaconAir := dot11.FrameAirtime(representativeBeaconLen(hide)+dot11.FCSLen, dot11.BasicRate)
 	out := &trace.Trace{Name: tr.Name, Duration: tr.Duration}
 	frames := tr.Frames
 	for i := 0; i < len(frames); {
@@ -153,9 +152,9 @@ func alignDTIM(tr *trace.Trace, useful []bool, hide bool) *trace.Trace {
 		busy := flushAt + beaconAir
 		for ; i < j; i++ {
 			f := frames[i]
-			start := busy + phy.DIFS
-			busy = start + phy.FrameAirtime(f.Length+dot11.FCSLen, f.Rate)
-			f.At = busy + phy.PropagationDelay
+			start := busy + dot11.DIFS
+			busy = start + dot11.FrameAirtime(f.Length+dot11.FCSLen, f.Rate)
+			f.At = busy + dot11.PropagationDelay
 			if hide {
 				f.MoreData = laterUseful(useful, i, j)
 			} else {
@@ -249,7 +248,7 @@ func protocolRun(tr *trace.Trace, kind policy.Kind, open []uint16, seed uint64, 
 	}
 	var viol []Violation
 	if inv != nil {
-		inv.Finish(tr.Duration + dot11.DefaultBeaconInterval)
+		inv.Finish(core.ReplayEnd(tr))
 		viol = inv.Violations()
 	}
 	return st, viol, nil
@@ -385,7 +384,7 @@ func (u matrixUnit) run(devs []energy.Profile, cfg OracleConfig) ([]CellResult, 
 	}
 	arrivals := st.Arrivals()
 	aligned := alignDTIM(tr, useful, u.kind == policy.HIDE)
-	window := tr.Duration + dot11.DefaultBeaconInterval
+	window := core.ReplayEnd(tr)
 	out := make([]CellResult, 0, len(devs))
 	for _, dev := range devs {
 		c := Cell{Policy: u.kind, Scenario: u.scenario, Device: dev, Seed: u.seed}

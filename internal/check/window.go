@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dot11"
 	"repro/internal/fault"
 	"repro/internal/station"
 	"repro/internal/trace"
@@ -126,7 +125,7 @@ func RunWindowCell(c WindowCell, cfg EquivConfig) (WindowResult, error) {
 	if err != nil {
 		return WindowResult{}, err
 	}
-	window := tr.Duration + dot11.DefaultBeaconInterval
+	window := core.ReplayEnd(tr)
 
 	ref, err := runWindowSide(tr, open, cfg, c, WindowWorkerSweep[0])
 	if err != nil {

@@ -48,7 +48,7 @@ type evalScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // clientSideSweep is the candidate driver-wakelock set for the
-// client-side lower bound. The final candidate equals τ, i.e. the
+// client-side lower bound. The final candidate is τ, i.e. the
 // receive-all behaviour, so the lower bound is ≤ receive-all.
 var clientSideSweep = [...]time.Duration{
 	0,
@@ -56,7 +56,7 @@ var clientSideSweep = [...]time.Duration{
 	100 * time.Millisecond,
 	200 * time.Millisecond,
 	500 * time.Millisecond,
-	time.Second,
+	energy.Tau,
 }
 
 // DefaultSeed is the usefulness-tagging seed an Options value selects
@@ -64,11 +64,9 @@ var clientSideSweep = [...]time.Duration{
 const DefaultSeed uint64 = 0x51de
 
 // Options tunes an evaluation. The zero value reproduces the paper's
-// settings (Section VI-A2).
+// settings (Section VI-A2); HIDE cells are priced with
+// energy.DefaultOverhead.
 type Options struct {
-	// Overhead is the HIDE protocol overhead configuration; the zero
-	// value selects energy.DefaultOverhead() for HIDE policies.
-	Overhead energy.Overhead
 	// Seed drives usefulness tagging. When HasSeed is false a zero
 	// Seed selects DefaultSeed; set HasSeed (or use WithSeed) to make
 	// seed 0 itself selectable.
@@ -109,9 +107,6 @@ func (o Options) WithSeed(seed uint64) Options {
 
 // normalized fills defaults.
 func (o Options) normalized() Options {
-	if o.Overhead == (energy.Overhead{}) {
-		o.Overhead = energy.DefaultOverhead()
-	}
 	if !o.HasSeed && o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
@@ -161,7 +156,7 @@ func evaluateScratch(ctx context.Context, tr *trace.Trace, useful []bool, dev en
 	}
 	cfg := energy.Config{Device: dev, Duration: tr.Duration}
 	if kind.HasOverhead() {
-		cfg.Overhead = opts.Overhead
+		cfg.Overhead = energy.DefaultOverhead()
 	}
 
 	if kind == policy.ClientSide {

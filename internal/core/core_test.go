@@ -267,6 +267,39 @@ func TestSweepSeedsEmpty(t *testing.T) {
 	}
 }
 
+func TestSweepSeedsUsesListedSeedZero(t *testing.T) {
+	// A listed seed is the seed used: {0} tags with seed 0 itself, not
+	// with DefaultSeed, so {0, DefaultSeed} holds two taggings.
+	tr, err := trace.GenerateScenario(trace.Starbucks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	zero, err := SweepSeedsContext(ctx, tr, energy.NexusOne, 0.10, []uint64{0}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{}.WithSeed(0)
+	ra, err := EvaluateFractionContext(ctx, tr, 0.10, energy.NexusOne, policy.ReceiveAll, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd, err := EvaluateFractionContext(ctx, tr, 0.10, energy.NexusOne, policy.HIDE, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 - hd.Breakdown.TotalJ()/ra.Breakdown.TotalJ(); zero.MeanSaving != want {
+		t.Errorf("sweep over {0} saves %v, seed 0 evaluated directly %v", zero.MeanSaving, want)
+	}
+	def, err := SweepSeedsContext(ctx, tr, energy.NexusOne, 0.10, []uint64{DefaultSeed}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero == def {
+		t.Errorf("sweep over {0} equals the sweep over {DefaultSeed}: %+v", zero)
+	}
+}
+
 func TestScaleClients(t *testing.T) {
 	pts, err := DefaultScaleClients(energy.NexusOne)
 	if err != nil {

@@ -152,7 +152,7 @@ func newMedium(eng *sim.Engine, seed uint64, loss float64, plan fault.Plan) (*me
 			plan = fault.Compose(fault.Loss{P: loss}, plan)
 		}
 	}
-	med := medium.New(eng, dot11.DefaultPHY(), seed)
+	med := medium.New(eng, seed)
 	med.SetFaultPlan(plan)
 	return med, nil
 }
@@ -168,14 +168,20 @@ func (n *Network) AddStation(mode station.Mode, openPorts []uint16) (*station.St
 
 // Replay schedules every frame of the trace as a group datagram
 // arriving at the AP from the distribution system, starts the AP's
-// beacon loop, and runs the simulation for the trace duration plus
-// one beacon interval of drain time.
+// beacon loop, and runs the simulation to ReplayEnd(tr).
 func (n *Network) Replay(tr *trace.Trace) error {
 	if err := n.ScheduleReplay(tr); err != nil {
 		return err
 	}
-	n.Engine.RunUntil(tr.Duration + dot11.DefaultBeaconInterval)
+	n.Engine.RunUntil(ReplayEnd(tr))
 	return nil
+}
+
+// ReplayEnd is the instant every replay of tr runs to: the trace
+// duration plus one beacon interval of drain time. Every execution
+// mode and every check that prices or inspects a replay reads it.
+func ReplayEnd(tr *trace.Trace) time.Duration {
+	return tr.Duration + dot11.DefaultBeaconInterval
 }
 
 // ScheduleReplay is Replay without the run: it validates the trace,
@@ -183,9 +189,9 @@ func (n *Network) Replay(tr *trace.Trace) error {
 // one-pass StartReplay from time 0), leaving the engine untouched so
 // the caller drives it — the ESS advances all shard engines in
 // lockstep windows instead of one RunUntil. A plain Replay is
-// ScheduleReplay followed by RunUntil(Duration + one beacon interval),
-// and the ESS's final window lands on exactly that deadline, which is
-// what makes a roam-free K=1 ESS byte-identical.
+// ScheduleReplay followed by RunUntil(ReplayEnd(tr)), and the ESS's
+// final window lands on exactly that deadline, which is what makes a
+// roam-free K=1 ESS byte-identical.
 func (n *Network) ScheduleReplay(tr *trace.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return err

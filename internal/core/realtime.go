@@ -119,6 +119,6 @@ func (n *Network) ReplayRealtime(ctx context.Context, tr *trace.Trace, speed flo
 		}
 		n.Engine.Stop()
 	}
-	n.Engine.MustScheduleAt(tr.Duration+dot11.DefaultBeaconInterval, stop)
+	n.Engine.MustScheduleAt(ReplayEnd(tr), stop)
 	return n.Engine.RunRealtime(ctx, inject, speed)
 }

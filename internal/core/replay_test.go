@@ -84,7 +84,7 @@ func runReplay(t *testing.T, tr *trace.Trace, schedule func(*Network, *trace.Tra
 	if err := schedule(n, tr); err != nil {
 		t.Fatal(err)
 	}
-	n.Engine.RunUntil(tr.Duration + dot11.DefaultBeaconInterval)
+	n.Engine.RunUntil(ReplayEnd(tr))
 	for _, st := range n.Stations() {
 		run.stats = append(run.stats, st.Stats())
 		run.arrivals += fmt.Sprint(st.Arrivals())

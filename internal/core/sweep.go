@@ -30,10 +30,9 @@ type SeedSweep struct {
 
 // SweepSeedsContext evaluates HIDE's saving across tagging seeds,
 // fanning the per-seed evaluations over the worker pool configured by
-// opts.Workers. opts supplies the overhead and parallelism settings;
-// its seed fields are overridden per sweep point. The aggregation
-// folds savings in seed order, so the result is identical for any
-// worker count.
+// opts.Workers. Each sweep point evaluates exactly its listed seed
+// (opts.WithSeed), 0 included. The aggregation folds savings in seed
+// order, so the result is identical for any worker count.
 func SweepSeedsContext(ctx context.Context, tr *trace.Trace, dev energy.Profile, fraction float64, seeds []uint64, opts Options) (SeedSweep, error) {
 	out := SeedSweep{
 		Trace: tr.Name, Device: dev.Name,
@@ -41,11 +40,7 @@ func SweepSeedsContext(ctx context.Context, tr *trace.Trace, dev energy.Profile,
 		MinSaving: math.Inf(1), MaxSaving: math.Inf(-1),
 	}
 	savings, err := engine.Map(ctx, opts.Workers, len(seeds), func(ctx context.Context, i int) (float64, error) {
-		// Options{Seed: seed} (not WithSeed) preserves the historical
-		// behaviour of custom seed sets containing 0: the default seed.
-		sopts := opts
-		sopts.Seed = seeds[i]
-		sopts.HasSeed = false
+		sopts := opts.WithSeed(seeds[i])
 		ra, err := EvaluateFractionContext(ctx, tr, fraction, dev, policy.ReceiveAll, sopts)
 		if err != nil {
 			return 0, err

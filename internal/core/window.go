@@ -246,7 +246,7 @@ func (w *WindowedNetwork) ReplayContext(ctx context.Context, tr *trace.Trace) er
 	if err := w.Hub.ScheduleReplay(tr); err != nil {
 		return err
 	}
-	return w.RunUntilContext(ctx, tr.Duration+dot11.DefaultBeaconInterval)
+	return w.RunUntilContext(ctx, ReplayEnd(tr))
 }
 
 // Replay is ReplayContext without cancellation.

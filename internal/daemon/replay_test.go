@@ -20,7 +20,7 @@ import (
 // reaches the AP.
 func TestReplayLoopsUntilScenarioSwitch(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 1)
+	med := medium.New(eng, 1)
 	d := &Daemon{eng: eng, ap: ap.New(eng, med, ap.Config{BSSID: dot11.MACAddr{2, 0, 0, 0, 0, 1}, HIDE: true}), logf: t.Logf}
 	tr := &trace.Trace{Name: "tiny", Duration: time.Second, Frames: []trace.Frame{
 		{At: 0, Length: 120, Rate: dot11.Rate1Mbps, DstPort: 5353},

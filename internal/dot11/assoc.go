@@ -110,11 +110,11 @@ func UnmarshalAssocRequest(raw []byte) (*AssocRequest, error) {
 	if r.Reassoc {
 		copy(r.CurrentAP[:], p[assocReqFixedLen:])
 	}
-	elems, err := ParseElements(p[fixed:])
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range elems {
+	for rest := p[fixed:]; len(rest) > 0; {
+		var e Element
+		if e, rest, err = nextElement(rest); err != nil {
+			return nil, err
+		}
 		switch e.ID {
 		case ElementIDSSID:
 			r.SSID = string(e.Body)
@@ -194,12 +194,14 @@ func UnmarshalAssocResponse(raw []byte) (*AssocResponse, error) {
 		Status:     getUint16(p[2:]),
 		AID:        AID(getUint16(p[4:]) &^ 0xc000),
 	}
-	elems, err := ParseElements(p[assocRespFixedLen:])
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := FindElement(elems, hideSupportElementID); ok {
-		r.HIDESupported = true
+	for rest := p[assocRespFixedLen:]; len(rest) > 0; {
+		var e Element
+		if e, rest, err = nextElement(rest); err != nil {
+			return nil, err
+		}
+		if e.ID == hideSupportElementID {
+			r.HIDESupported = true
+		}
 	}
 	return r, nil
 }

@@ -139,6 +139,29 @@ func TestAssocWrongTypeRejected(t *testing.T) {
 	}
 }
 
+func TestAssocRejectsBadElements(t *testing.T) {
+	// Both decoders walk their elements with nextElement: a truncated
+	// element header, or a body shorter than its length byte, after
+	// well-formed elements is an error.
+	hdr := MACHeader{Addr1: apAddr, Addr2: c1Addr, Addr3: apAddr}
+	req, err := (&AssocRequest{Header: hdr, SSID: "net", HIDECapable: true, Ports: []uint16{53}}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := (&AssocResponse{Header: hdr, AID: 1, HIDESupported: true}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range [][]byte{{5}, {5, 10, 1, 2}} {
+		if _, err := UnmarshalAssocRequest(append(req[:len(req):len(req)], tail...)); !errors.Is(err, ErrBadElement) {
+			t.Errorf("request ending % x: err = %v, want ErrBadElement", tail, err)
+		}
+		if _, err := UnmarshalAssocResponse(append(resp[:len(resp):len(resp)], tail...)); !errors.Is(err, ErrBadElement) {
+			t.Errorf("response ending % x: err = %v, want ErrBadElement", tail, err)
+		}
+	}
+}
+
 func TestAssocRequestRoundTripProperty(t *testing.T) {
 	f := func(cap uint16, ssid string, ports []uint16) bool {
 		if len(ssid) > 32 {

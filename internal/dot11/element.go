@@ -19,21 +19,6 @@ func (e Element) AppendTo(b []byte) ([]byte, error) {
 	return append(b, e.Body...), nil
 }
 
-// ParseElements splits a concatenated information-element blob into
-// individual elements. Bodies alias the input slice.
-func ParseElements(b []byte) ([]Element, error) {
-	var out []Element
-	for len(b) > 0 {
-		e, rest, err := nextElement(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-		b = rest
-	}
-	return out, nil
-}
-
 // nextElement splits the first element off a non-empty element blob.
 // The body aliases b.
 func nextElement(b []byte) (e Element, rest []byte, err error) {
@@ -45,16 +30,6 @@ func nextElement(b []byte) (e Element, rest []byte, err error) {
 		return Element{}, nil, fmt.Errorf("%w: element id=%d declares %d bytes, %d remain", ErrBadElement, id, n, len(b)-2)
 	}
 	return Element{ID: id, Body: b[2 : 2+n]}, b[2+n:], nil
-}
-
-// FindElement returns the first element with the given ID, or false.
-func FindElement(elems []Element, id uint8) (Element, bool) {
-	for _, e := range elems {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Element{}, false
 }
 
 // TIM is the standard Traffic Indication Map element (Figure 1). The

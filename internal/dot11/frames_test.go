@@ -421,15 +421,6 @@ func TestFrameAddresses(t *testing.T) {
 	}
 }
 
-func TestParseElementsErrors(t *testing.T) {
-	if _, err := ParseElements([]byte{5}); err == nil {
-		t.Error("accepted truncated element header")
-	}
-	if _, err := ParseElements([]byte{5, 10, 1, 2}); err == nil {
-		t.Error("accepted element with short body")
-	}
-}
-
 func TestElementTooLong(t *testing.T) {
 	e := Element{ID: 1, Body: make([]byte, 256)}
 	if _, err := e.AppendTo(nil); err == nil {
@@ -451,21 +442,21 @@ func TestBTIMParseRejectsOddOffset(t *testing.T) {
 }
 
 func TestPHYAirtime(t *testing.T) {
-	phy := DefaultPHY()
-	// 192 bits preamble at 1 Mb/s = 192 µs.
-	if got := phy.PreambleDuration(); got != 192*1000 {
-		t.Errorf("preamble duration = %v, want 192µs", got)
+	// 192 bits preamble at 1 Mb/s = 192 µs: a bare preamble.
+	preamble := FrameAirtime(0, Rate11Mbps)
+	if preamble != 192*1000 {
+		t.Errorf("preamble duration = %v, want 192µs", preamble)
 	}
 	// 1000-byte frame at 1 Mb/s: 192µs + 8000µs.
-	if got := phy.FrameAirtime(1000, Rate1Mbps); got != 8192*1000 {
+	if got := FrameAirtime(1000, Rate1Mbps); got != 8192*1000 {
 		t.Errorf("airtime = %v, want 8.192ms", got)
 	}
 	// Higher rate shortens only the MAC portion.
-	at11 := phy.FrameAirtime(1000, Rate11Mbps)
-	if at11 >= phy.FrameAirtime(1000, Rate1Mbps) {
+	at11 := FrameAirtime(1000, Rate11Mbps)
+	if at11 >= FrameAirtime(1000, Rate1Mbps) {
 		t.Error("11 Mb/s airtime not shorter than 1 Mb/s")
 	}
-	if at11 <= phy.PreambleDuration() {
+	if at11 <= preamble {
 		t.Error("airtime not longer than bare preamble")
 	}
 }

@@ -339,27 +339,6 @@ func FuzzUnmarshalRoamFrames(f *testing.F) {
 	})
 }
 
-func FuzzParseElements(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 1, 'x'})
-	f.Add([]byte{5, 4, 0, 3, 0, 1})
-	f.Add(bytes.Repeat([]byte{200, 2, 1, 2}, 10))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		elems, err := ParseElements(raw)
-		if err != nil {
-			return
-		}
-		// Total re-encoded length must equal the input length.
-		total := 0
-		for _, e := range elems {
-			total += 2 + len(e.Body)
-		}
-		if total != len(raw) {
-			t.Fatalf("element lengths %d != input %d", total, len(raw))
-		}
-	})
-}
-
 // FuzzParseUDP drives the UDP header walk through both of its users:
 // the header-only DstUDPPort (and IPv4DstUDPPort behind the LLC/SNAP
 // header) must read ParseUDP's port from every body ParseUDP accepts,

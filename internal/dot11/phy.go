@@ -21,49 +21,33 @@ const (
 // String formats the rate in Mb/s.
 func (r Rate) String() string { return fmt.Sprintf("%gMb/s", float64(r)/1e6) }
 
-// PHY holds physical-layer timing parameters. DefaultPHY matches the
-// 802.11b configuration of Table II.
-type PHY struct {
-	// PreambleHeaderBits is the PLCP preamble + header length in bits,
-	// transmitted at the base rate (Table II: 192 bits).
-	PreambleHeaderBits int
-	// BaseRate is the rate the preamble/header are sent at.
-	BaseRate Rate
-	// SlotTime, SIFS, DIFS are MAC timing parameters.
-	SlotTime time.Duration
-	SIFS     time.Duration
-	DIFS     time.Duration
+// BasicRate is the BSS basic rate. The AP's beacons, association
+// responses, ACKs, disassociations and PS-Poll releases go out at it,
+// and so does every frame a station sends: UDP Port Messages,
+// (re)association requests, disassociations and PS-Polls. The paper
+// sends port messages at the lowest rate. Group data frames keep the
+// rate they were enqueued with.
+const BasicRate = Rate1Mbps
+
+// The 802.11b channel timing of Table II that the emulated channel
+// runs on.
+const (
+	// PLCPBits is the PLCP preamble + header length, sent ahead of
+	// every frame at PLCPRate.
+	PLCPBits = 192
+	// PLCPRate is the rate the PLCP preamble and header go out at.
+	PLCPRate = Rate1Mbps
+	// DIFS is the gap a transmission leaves after a busy channel.
+	DIFS = 50 * time.Microsecond
 	// PropagationDelay is the one-way propagation delay.
-	PropagationDelay time.Duration
-	// CWMin, CWMax bound the contention window.
-	CWMin, CWMax int
-}
-
-// DefaultPHY returns the 802.11b parameters of Table II.
-func DefaultPHY() PHY {
-	return PHY{
-		PreambleHeaderBits: 192,
-		BaseRate:           Rate1Mbps,
-		SlotTime:           20 * time.Microsecond,
-		SIFS:               10 * time.Microsecond,
-		DIFS:               50 * time.Microsecond,
-		PropagationDelay:   1 * time.Microsecond,
-		CWMin:              32,
-		CWMax:              1024,
-	}
-}
-
-// PreambleDuration returns the time to transmit the PLCP preamble and
-// header at the base rate.
-func (p PHY) PreambleDuration() time.Duration {
-	return bitsDuration(p.PreambleHeaderBits, p.BaseRate)
-}
+	PropagationDelay = time.Microsecond
+)
 
 // FrameAirtime returns the time on air for a frame of frameBytes bytes
-// (MAC header + body + FCS) sent at rate: PLCP preamble/header at the
-// base rate plus the MAC portion at the payload rate.
-func (p PHY) FrameAirtime(frameBytes int, rate Rate) time.Duration {
-	return p.PreambleDuration() + bitsDuration(8*frameBytes, rate)
+// (MAC header + body + FCS) sent at rate: the PLCP preamble/header at
+// PLCPRate plus the MAC portion at the payload rate.
+func FrameAirtime(frameBytes int, rate Rate) time.Duration {
+	return bitsDuration(PLCPBits, PLCPRate) + bitsDuration(8*frameBytes, rate)
 }
 
 // bitsDuration returns the transmission time of n bits at rate r.

@@ -47,35 +47,28 @@ type Overhead struct {
 	PortMsgInterval time.Duration
 	// PortsPerMsg is N_i, the number of 2-byte UDP ports per message.
 	PortsPerMsg int
-	// PortMsgRate is the rate port messages are sent at (the paper uses
-	// the lowest rate, 1 Mb/s).
-	PortMsgRate dot11.Rate
 	// BTIMBytes is the added BTIM element length per beacon (element
 	// header + offset + partial virtual bitmap).
 	BTIMBytes int
 }
 
 // DefaultOverhead returns the evaluation settings of Section VI-A2:
-// port messages every 10 s at 1 Mb/s carrying 100 ports ("smartphones
-// in heavy usage"), and a small BTIM in every beacon.
+// port messages every 10 s carrying 100 ports ("smartphones in heavy
+// usage"), and a small BTIM in every beacon. Port messages and beacons,
+// and so their BTIM bytes, go out at the basic rate (dot11.BasicRate).
 func DefaultOverhead() Overhead {
 	return Overhead{
 		PortMsgInterval: 10 * time.Second,
 		PortsPerMsg:     100,
-		PortMsgRate:     dot11.Rate1Mbps,
 		BTIMBytes:       5, // elem ID + length + offset + 2 bitmap octets
 	}
 }
 
 // PortMsgBytes returns L^m of Eq. 19: PHY preamble/header + MAC header
 // + 2 fixed bytes + 2 bytes per port.
-func (o Overhead) PortMsgBytes(phy dot11.PHY) int {
-	lphy := phy.PreambleHeaderBits / 8
-	return lphy + dot11.MACHeaderLen + 2 + 2*o.PortsPerMsg
+func (o Overhead) PortMsgBytes() int {
+	return dot11.PLCPBits/8 + dot11.MACHeaderLen + 2 + 2*o.PortsPerMsg
 }
-
-// beaconRate is the rate beacons, and so their BTIM bytes, arrive at.
-const beaconRate = dot11.Rate1Mbps
 
 // Config drives one model evaluation.
 type Config struct {
@@ -366,20 +359,16 @@ func walk(frames []Arrival, useful []bool, wakelocks []time.Duration, cfg Config
 	// --- Eqs. 15-19: HIDE overhead.
 	if cfg.Overhead != (Overhead{}) {
 		o := cfg.Overhead
-		// E1: extra BTIM bytes in every received beacon, at the beacon
+		// E1: extra BTIM bytes in every received beacon, at the basic
 		// rate with the radio in receive state.
-		btimTime := float64(8*o.BTIMBytes) / float64(beaconRate) * float64(numBeacons/cfg.BeaconListenInterval)
+		btimTime := float64(8*o.BTIMBytes) / float64(dot11.BasicRate) * float64(numBeacons/cfg.BeaconListenInterval)
 		e1 := dev.PrW * btimTime
 		// E2: UDP Port Message transmissions (Eqs. 17-19).
 		var e2 float64
 		if o.PortMsgInterval > 0 {
 			m := float64(cfg.Duration) / float64(o.PortMsgInterval) // Eq. 18
-			lm := o.PortMsgBytes(dot11.DefaultPHY())
-			rate := o.PortMsgRate
-			if rate <= 0 {
-				rate = dot11.Rate1Mbps
-			}
-			e2 = dev.PtW * m * float64(8*lm) / float64(rate)
+			lm := o.PortMsgBytes()
+			e2 = dev.PtW * m * float64(8*lm) / float64(dot11.BasicRate)
 		}
 		b.EoJ = e1 + e2
 	}

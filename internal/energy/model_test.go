@@ -63,6 +63,24 @@ func TestProfileValidateCatchesBadFields(t *testing.T) {
 	}
 }
 
+func TestProfileRejectsAnotherTau(t *testing.T) {
+	// Policies and stations hold every processed frame at the one
+	// constant Tau, so a profile claiming another τ would be priced at
+	// Tau anyway: it must be rejected, not silently accepted.
+	for _, dev := range Profiles {
+		for _, tau := range []time.Duration{500 * time.Millisecond, 2 * time.Second} {
+			p := dev
+			p.Tau = tau
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s with τ = %v validated", p.Name, tau)
+			}
+			if _, err := Compute(nil, Config{Device: p, Duration: time.Minute}); err == nil {
+				t.Errorf("%s with τ = %v priced", p.Name, tau)
+			}
+		}
+	}
+}
+
 func TestEmptyTraceOnlyBeacons(t *testing.T) {
 	b, err := Compute(nil, cfgNexus(10*time.Second))
 	if err != nil {

@@ -134,20 +134,16 @@ func referenceCompute(frames []Arrival, cfg Config) (Breakdown, error) {
 	// --- Eqs. 15-19: HIDE overhead.
 	if cfg.Overhead != (Overhead{}) {
 		o := cfg.Overhead
-		// E1: extra BTIM bytes in every received beacon, at the beacon
+		// E1: extra BTIM bytes in every received beacon, at the basic
 		// rate with the radio in receive state.
-		btimTime := float64(8*o.BTIMBytes) / float64(beaconRate) * float64(numBeacons/cfg.BeaconListenInterval)
+		btimTime := float64(8*o.BTIMBytes) / float64(dot11.BasicRate) * float64(numBeacons/cfg.BeaconListenInterval)
 		e1 := dev.PrW * btimTime
 		// E2: UDP Port Message transmissions (Eqs. 17-19).
 		var e2 float64
 		if o.PortMsgInterval > 0 {
 			m := float64(cfg.Duration) / float64(o.PortMsgInterval) // Eq. 18
-			lm := o.PortMsgBytes(dot11.DefaultPHY())
-			rate := o.PortMsgRate
-			if rate <= 0 {
-				rate = dot11.Rate1Mbps
-			}
-			e2 = dev.PtW * m * float64(8*lm) / float64(rate)
+			lm := o.PortMsgBytes()
+			e2 = dev.PtW * m * float64(8*lm) / float64(dot11.BasicRate)
 		}
 		b.EoJ = e1 + e2
 	}
@@ -318,13 +314,34 @@ func TestComputeSweepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzComputeSweep drives the kernel with arbitrary sorted arrivals, a
-// usefulness mask and up to six candidate wakelocks. Each 6-byte group
-// of raw is one frame: a 2-byte gap in 100 µs units, a 2-byte length,
-// a rate selector, and a flag byte (bit 0 MoreData, bit 1 useful, the
-// rest the frame's own wakelock in 25 ms units). Each byte of cands is
-// one candidate in 10 ms units. Compute must equal referenceCompute,
-// and each sweep result must equal it on the restamped arrivals.
+// fuzzArrivals decodes raw into sorted arrivals and a usefulness mask.
+// Each 6-byte group of raw is one frame: a 2-byte gap in 100 µs units,
+// a 2-byte length, a rate selector, and a flag byte (bit 0 MoreData,
+// bit 1 useful, the rest the frame's own wakelock in 25 ms units).
+func fuzzArrivals(raw []byte) ([]Arrival, []bool) {
+	rates := [...]dot11.Rate{dot11.Rate1Mbps, dot11.Rate2Mbps, dot11.Rate11Mbps, 0}
+	var frames []Arrival
+	var useful []bool
+	at := time.Duration(0)
+	for ; len(raw) >= 6; raw = raw[6:] {
+		at += time.Duration(binary.BigEndian.Uint16(raw)) * 100 * time.Microsecond
+		frames = append(frames, Arrival{
+			At:       at,
+			Length:   int(binary.BigEndian.Uint16(raw[2:])),
+			Rate:     rates[raw[4]%byte(len(rates))],
+			MoreData: raw[5]&1 != 0,
+			Wakelock: time.Duration(raw[5]>>2) * 25 * time.Millisecond,
+		})
+		useful = append(useful, raw[5]&2 != 0)
+	}
+	return frames, useful
+}
+
+// FuzzComputeSweep drives the kernel with arbitrary sorted arrivals
+// (fuzzArrivals), a usefulness mask and up to six candidate wakelocks.
+// Each byte of cands is one candidate in 10 ms units. Compute must
+// equal referenceCompute, and each sweep result must equal it on the
+// restamped arrivals.
 func FuzzComputeSweep(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 200, 0, 0x2a, 0, 0, 1, 0, 1, 0x01, 39, 16, 0, 100, 2, 0x02}, []byte{0, 5, 10, 20, 50, 100}, uint16(600), false)
 	f.Add([]byte{}, []byte{100}, uint16(1), true)
@@ -336,21 +353,7 @@ func FuzzComputeSweep(f *testing.F) {
 	}
 	f.Add(long, []byte{0, 5, 10, 20, 50, 100}, uint16(3000), true)
 	f.Fuzz(func(t *testing.T, raw, cands []byte, durDS uint16, galaxy bool) {
-		rates := [...]dot11.Rate{dot11.Rate1Mbps, dot11.Rate2Mbps, dot11.Rate11Mbps, 0}
-		var frames []Arrival
-		var useful []bool
-		at := time.Duration(0)
-		for ; len(raw) >= 6; raw = raw[6:] {
-			at += time.Duration(binary.BigEndian.Uint16(raw)) * 100 * time.Microsecond
-			frames = append(frames, Arrival{
-				At:       at,
-				Length:   int(binary.BigEndian.Uint16(raw[2:])),
-				Rate:     rates[raw[4]%byte(len(rates))],
-				MoreData: raw[5]&1 != 0,
-				Wakelock: time.Duration(raw[5]>>2) * 25 * time.Millisecond,
-			})
-			useful = append(useful, raw[5]&2 != 0)
-		}
+		frames, useful := fuzzArrivals(raw)
 		if len(cands) == 0 || len(cands) > 6 {
 			return
 		}

@@ -46,11 +46,14 @@ type Interval struct {
 func (iv Interval) Duration() time.Duration { return iv.To - iv.From }
 
 // StateTimeline reconstructs the host's power-state timeline from the
-// received-frame sequence, using the same Eqs. 3-5/14 semantics as
-// Compute: resume on arrival in suspend, wakelock renewal via running
-// maximum expiry, aborted suspends on arrivals during the suspend
-// operation. The returned intervals partition [0, cfg.Duration]
-// exactly: sorted, contiguous, no gaps.
+// received-frame sequence. It runs the model kernel's wakelock machine
+// (Eqs. 3-5/14, the one behind Compute) one frame at a time and reads
+// its transitions: a resume closes the previous episode (awake to the
+// old expiry, one suspend operation, then suspended up to the frame)
+// and opens a resuming stretch; an aborted suspend shows as suspending
+// from the old expiry to the new wakelock start; the end of the window
+// closes the last episode. The returned intervals partition
+// [0, cfg.Duration] exactly: sorted, contiguous, no gaps.
 func StateTimeline(frames []Arrival, cfg Config) ([]Interval, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Device.Validate(); err != nil {
@@ -85,54 +88,38 @@ func StateTimeline(frames []Arrival, cfg Config) ([]Interval, error) {
 		out = append(out, Interval{Kind: kind, From: from, To: to})
 	}
 
-	var expiry, tr, mark time.Duration
-	started := false
-	// closeEpisode emits the tail of an awake episode that ended with a
-	// completed suspend, covering up to `until`.
-	closeEpisode := func(until time.Duration) {
+	var m machine
+	var mark time.Duration // where the current awake stretch began
+	// closeEpisode emits the tail of an awake episode whose wakelock
+	// expired at expiry and whose suspend completed, up to until.
+	closeEpisode := func(expiry, until time.Duration) {
 		add(StateAwake, mark, expiry)
 		add(StateSuspending, expiry, expiry+dev.Tsp)
 		add(StateSuspended, expiry+dev.Tsp, until)
 	}
-
-	for _, f := range frames {
-		rxEnd := f.endTime()
-		if !started || rxEnd >= expiry+dev.Tsp {
-			if !started {
-				add(StateSuspended, 0, rxEnd)
+	for i := range frames {
+		end := [1]time.Duration{frames[i].endTime()}
+		prev := m
+		m.run(frames[i:i+1], end[:], keepAll[:1], 0, i == 0, &dev)
+		switch {
+		case m.resumes > prev.resumes: // found suspended: resumed
+			if i == 0 {
+				add(StateSuspended, 0, end[0])
 			} else {
-				closeEpisode(rxEnd)
+				closeEpisode(prev.expiry, end[0])
 			}
-			add(StateResuming, rxEnd, rxEnd+dev.Trm)
-			tr = rxEnd + dev.Trm
-			mark = tr
-			expiry = tr + f.Wakelock
-			started = true
-			continue
-		}
-		newTr := maxDur(rxEnd, tr)
-		if newTr > expiry {
-			// The suspend that began at expiry was aborted at newTr.
-			add(StateAwake, mark, expiry)
-			add(StateSuspending, expiry, newTr)
-			mark = newTr
-		}
-		tr = newTr
-		if e := tr + f.Wakelock; e > expiry {
-			expiry = e
+			add(StateResuming, end[0], m.tr)
+			mark = m.tr
+		case m.aborted > prev.aborted: // landed mid-suspend: aborted it
+			add(StateAwake, mark, prev.expiry)
+			add(StateSuspending, prev.expiry, m.tr)
+			mark = m.tr
 		}
 	}
-	if started {
-		closeEpisode(cfg.Duration)
+	if len(frames) > 0 {
+		closeEpisode(m.expiry, cfg.Duration)
 	} else {
 		add(StateSuspended, 0, cfg.Duration)
-	}
-
-	// The final episode may extend past the window; ensure coverage to
-	// the boundary (add clamps internally, so only a shortfall needs
-	// patching — the device is still awake at the cut).
-	if n := len(out); n > 0 && out[n-1].To < cfg.Duration {
-		add(StateAwake, out[n-1].To, cfg.Duration)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package energy
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -188,4 +190,54 @@ func TestStateKindString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)
 		}
 	}
+}
+
+// FuzzStateTimeline drives the timeline with arbitrary sorted arrivals
+// (fuzzArrivals) over a window of durDS tenths of a second. The
+// intervals must partition the window; when every reception ends
+// inside it, the suspended time and the number of resuming stretches
+// must equal what Compute reports, exactly; and the input must come
+// back untouched.
+func FuzzStateTimeline(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 200, 0, 0x2a, 0, 0, 1, 0, 1, 0x01, 39, 16, 0, 100, 2, 0x02}, uint16(600), false)
+	f.Add([]byte{}, uint16(1), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 3, 0xff, 0, 0, 0, 0, 0, 0}, uint16(0xffff), false)
+	// Frames 1.1 s apart holding τ = 1 s, on the Galaxy S4 (Tsp 165 ms):
+	// each frame after the first lands mid-suspend and aborts it.
+	f.Add([]byte{0, 0, 0, 100, 0, 0xa0, 0x2a, 0xf8, 0, 100, 0, 0xa0, 0x2a, 0xf8, 0, 100, 0, 0xa0}, uint16(100), true)
+	f.Fuzz(func(t *testing.T, raw []byte, durDS uint16, galaxy bool) {
+		frames, _ := fuzzArrivals(raw)
+		cfg := Config{Device: NexusOne, Duration: time.Duration(durDS)*100*time.Millisecond + time.Nanosecond}
+		if galaxy {
+			cfg.Device = GalaxyS4
+		}
+		keep := slices.Clone(frames)
+		ivs, err := StateTimeline(frames, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPartition(t, ivs, cfg.Duration)
+		if !slices.Equal(frames, keep) {
+			t.Fatal("StateTimeline modified its input")
+		}
+		for _, a := range frames {
+			if a.endTime() >= cfg.Duration {
+				return
+			}
+		}
+		b, err := Compute(frames, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		susp := math.Max(0, math.Min(1, float64(TimeInState(ivs, StateSuspended))/float64(cfg.Duration)))
+		resuming := 0
+		for _, iv := range ivs {
+			if iv.Kind == StateResuming {
+				resuming++
+			}
+		}
+		if susp != b.SuspendFraction || resuming != b.Resumes {
+			t.Fatalf("timeline suspended %v of the window and %d resumes; Compute %v and %d", susp, resuming, b.SuspendFraction, b.Resumes)
+		}
+	})
 }

@@ -332,7 +332,7 @@ func (e *ESS) RunContext(ctx context.Context, tr *trace.Trace) error {
 			return err
 		}
 	}
-	end := tr.Duration + dot11.DefaultBeaconInterval
+	end := core.ReplayEnd(tr)
 	for e.now < end {
 		next := e.now + barrierEvery
 		if next > end {

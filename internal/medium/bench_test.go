@@ -17,7 +17,7 @@ func (s *benchSink) Receive(*Frame, time.Duration) { s.n++ }
 // nodes attached, returning the engine, medium, and source address.
 func benchMedium(subscribers int) (*sim.Engine, *Medium, dot11.MACAddr) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	src := dot11.MACAddr{0x02, 0, 0, 0, 0, 0xfe}
 	m.Attach(src, &benchSink{})
 	for i := 0; i < subscribers; i++ {

@@ -13,7 +13,7 @@ import (
 // TestKindTargetedDrops drops every beacon while ACKs pass untouched.
 func TestKindTargetedDrops(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	m.SetFaultPlan(fault.Only(fault.Loss{P: 1}, dot11.KindBeacon))
 	r := &recorder{}
 	m.Attach(s1Addr, r)
@@ -38,7 +38,7 @@ func TestKindTargetedDrops(t *testing.T) {
 // broadcast; the co-receiver's copy must stay pristine.
 func TestCorruptionIsolatedPerReceiver(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 5)
+	m := New(eng, 5)
 	m.SetFaultPlan(fault.To(s1Addr, fault.Corrupt{P: 1}))
 	r1, r2 := &recorder{}, &recorder{}
 	m.Attach(s1Addr, r1)
@@ -77,7 +77,7 @@ func TestCorruptionIsolatedPerReceiver(t *testing.T) {
 // TestDuplicationDeliversTwice duplicates every delivery.
 func TestDuplicationDeliversTwice(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	m.SetFaultPlan(fault.Duplicate{P: 1})
 	r := &recorder{}
 	m.Attach(s1Addr, r)
@@ -102,7 +102,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 // nothing outside it.
 func TestWindowedFaultsExpire(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	m.SetFaultPlan(fault.Window{From: 10 * time.Millisecond, To: 20 * time.Millisecond, Inner: fault.Loss{P: 1}})
 	r := &recorder{}
 	m.Attach(s1Addr, r)
@@ -129,7 +129,7 @@ func TestWindowedFaultsExpire(t *testing.T) {
 // clearing faults cannot perturb anything downstream.
 func TestNilPlanDrawsNoRandomness(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 123)
+	m := New(eng, 123)
 	r := &recorder{}
 	m.Attach(s1Addr, r)
 	ack := &dot11.ACK{RA: s1Addr}
@@ -148,7 +148,7 @@ func TestNilPlanDrawsNoRandomness(t *testing.T) {
 // is judged once per frame, and the verdict counts for every member.
 func TestBlockTakesOneVerdict(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	rec := fault.NewRecorder(fault.Loss{P: 1})
 	m.SetFaultPlan(rec)
 	m.Attach(apAddr, &recorder{})

@@ -95,7 +95,6 @@ var (
 // Medium is the emulated channel. Create with New.
 type Medium struct {
 	eng       *sim.Engine
-	phy       dot11.PHY
 	nodes     map[dot11.MACAddr]Node
 	fanout    []fanoutEntry // precomputed broadcast delivery order (attach order)
 	busyUntil time.Duration
@@ -146,11 +145,12 @@ type Stats struct {
 	AirtimeBusy   time.Duration
 }
 
-// New creates a medium on the engine with the given PHY parameters.
-func New(eng *sim.Engine, phy dot11.PHY, seed uint64) *Medium {
+// New creates a medium on the engine, timed by Table II's 802.11b
+// channel (dot11.FrameAirtime, dot11.DIFS, dot11.PropagationDelay).
+// seed drives the fault plan's draws.
+func New(eng *sim.Engine, seed uint64) *Medium {
 	m := &Medium{
 		eng:   eng,
-		phy:   phy,
 		nodes: make(map[dot11.MACAddr]Node),
 		rng:   sim.NewRNG(seed),
 	}
@@ -262,13 +262,10 @@ func (m *Medium) Detach(addr dot11.MACAddr) {
 	delete(m.nodes, addr)
 }
 
-// PHY returns the channel's PHY parameters.
-func (m *Medium) PHY() dot11.PHY { return m.phy }
-
 // Airtime returns the on-air duration of a frame of n bytes at rate,
 // including the FCS the marshalled bytes omit.
 func (m *Medium) Airtime(n int, rate dot11.Rate) time.Duration {
-	return m.phy.FrameAirtime(n+dot11.FCSLen, rate)
+	return dot11.FrameAirtime(n+dot11.FCSLen, rate)
 }
 
 // Transmit queues a frame for transmission from src. If the channel is
@@ -280,10 +277,10 @@ func (m *Medium) Airtime(n int, rate dot11.Rate) time.Duration {
 func (m *Medium) Transmit(src dot11.MACAddr, raw []byte, rate dot11.Rate) time.Duration {
 	start := m.eng.Now()
 	if m.busyUntil > start {
-		start = m.busyUntil + m.phy.DIFS
+		start = m.busyUntil + dot11.DIFS
 	}
 	air := m.Airtime(len(raw), rate)
-	end := start + air + m.phy.PropagationDelay
+	end := start + air + dot11.PropagationDelay
 	m.busyUntil = start + air
 	m.Stats.Transmissions++
 	m.Stats.AirtimeBusy += air

@@ -46,7 +46,7 @@ func beaconRaw(t *testing.T) []byte {
 
 func TestBroadcastDelivery(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	r1, r2 := &recorder{}, &recorder{}
 	m.Attach(apAddr, &recorder{})
 	m.Attach(s1Addr, r1)
@@ -67,7 +67,7 @@ func TestBroadcastDelivery(t *testing.T) {
 
 func TestUnicastDelivery(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	r1, r2 := &recorder{}, &recorder{}
 	m.Attach(s1Addr, r1)
 	m.Attach(s2Addr, r2)
@@ -86,7 +86,7 @@ func TestUnicastDelivery(t *testing.T) {
 
 func TestAirtimeTiming(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	r1 := &recorder{}
 	m.Attach(s1Addr, r1)
 
@@ -105,8 +105,7 @@ func TestAirtimeTiming(t *testing.T) {
 
 func TestChannelSerialization(t *testing.T) {
 	eng := sim.New()
-	phy := dot11.DefaultPHY()
-	m := New(eng, phy, 1)
+	m := New(eng, 1)
 	r1 := &recorder{}
 	m.Attach(s1Addr, r1)
 
@@ -123,14 +122,14 @@ func TestChannelSerialization(t *testing.T) {
 	}
 	air := m.Airtime(len(raw), dot11.Rate1Mbps)
 	gap := r1.frames[1].at - r1.frames[0].at
-	if gap != air+phy.DIFS {
-		t.Errorf("second delivery gap = %v, want airtime %v + DIFS %v", gap, air, phy.DIFS)
+	if gap != air+dot11.DIFS {
+		t.Errorf("second delivery gap = %v, want airtime %v + DIFS %v", gap, air, dot11.DIFS)
 	}
 }
 
 func TestLossInjection(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 7)
+	m := New(eng, 7)
 	m.SetFaultPlan(fault.Loss{P: 0.5})
 	r1 := &recorder{}
 	m.Attach(s1Addr, r1)
@@ -151,7 +150,7 @@ func TestLossInjection(t *testing.T) {
 
 func TestUnattachedDestinationDropped(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	ack := &dot11.ACK{RA: s1Addr} // s1 never attached
 	m.Transmit(apAddr, ack.AppendTo(nil), dot11.Rate1Mbps)
 	eng.Run()
@@ -162,7 +161,7 @@ func TestUnattachedDestinationDropped(t *testing.T) {
 
 func TestTransmitCopiesBuffer(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	r1 := &recorder{}
 	m.Attach(s1Addr, r1)
 	ack := &dot11.ACK{RA: s1Addr}
@@ -194,7 +193,7 @@ func (k *keeper) Receive(f *Frame, _ time.Duration) {
 // original bytes, even when they keep the slices they were handed.
 func TestTransmitKeepsNoCallerBuffer(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	k1, k2 := &keeper{}, &keeper{}
 	m.Attach(s1Addr, k1)
 	m.Attach(s2Addr, k2)
@@ -222,7 +221,7 @@ func TestTransmitKeepsNoCallerBuffer(t *testing.T) {
 
 func TestMonitorTapSeesAllTransmissions(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 1)
+	m := New(eng, 1)
 	m.Attach(s1Addr, &recorder{})
 	var tapped []recorded
 	m.SetTap(func(raw []byte, rate dot11.Rate, at time.Duration) {

@@ -152,7 +152,7 @@ func TestSharedReadingMatchesFreshRead(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng := sim.New()
-			m := New(eng, dot11.DefaultPHY(), 9)
+			m := New(eng, 9)
 			m.SetFaultPlan(c.plan)
 			nodes := map[dot11.MACAddr]*rereader{}
 			for _, addr := range []dot11.MACAddr{apAddr, s1Addr, s2Addr, {2, 0, 0, 0, 0, 0x30}} {
@@ -203,7 +203,7 @@ func TestSharedReadingMatchesFreshRead(t *testing.T) {
 // original bytes and the original's reading.
 func TestCorruptedReceiverReadsItsOwnBytes(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, dot11.DefaultPHY(), 3)
+	m := New(eng, 3)
 	m.SetFaultPlan(fault.To(s1Addr, fault.Corrupt{P: 1}))
 	before, garbled, after := &rereader{t: t}, &rereader{t: t}, &rereader{t: t}
 	m.Attach(s2Addr, before)

@@ -12,10 +12,6 @@ import (
 // timeDuration aliases time.Duration to keep the convert helper terse.
 type timeDuration = time.Duration
 
-// tau is the per-frame WiFi wakelock duration of the receive-all and
-// useful-frame paths — one second, per [6] and Table I.
-const tau = time.Second
-
 // receiveAll implements the stock "receive-all" solution.
 type receiveAll struct{}
 
@@ -33,33 +29,19 @@ func (receiveAll) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful [
 	}
 	dst = growArrivals(dst, len(tr.Frames))
 	for _, f := range tr.Frames {
-		dst = append(dst, convert(f, tau))
+		dst = append(dst, convert(f, energy.Tau))
 	}
 	return dst, nil
 }
 
-// DefaultDriverWakelock is the short wakelock the client-side filter
-// holds while the driver classifies and drops a useless frame. Dropping
-// with a literally zero wakelock makes the device suspend-churn — on
-// dense traffic it re-enters the suspend operation after every frame,
-// and because the suspend operation's power (Esp/Tsp: ~205 mW Nexus
-// One, ~520 mW Galaxy S4) exceeds the active-idle power, that costs
-// more than simply staying awake. A ~100 ms driver wakelock batches
-// back-to-back useless frames into one suspend attempt, which is what
-// a deployable driver filter does and what keeps the client-side
-// solution's lower bound at or below receive-all.
-const DefaultDriverWakelock = 100 * time.Millisecond
-
 // ClientSidePolicy implements the lower bound of the client-side
 // driver filter [6]: every frame is still received (radio cost);
-// useless frames are dropped in the driver under a short processing
-// wakelock and the system re-suspends, paying the state-transfer cost
-// ("the overhead of this solution is more frequent state transfers").
-type ClientSidePolicy struct {
-	// DriverWakelock is the wakelock held to drop a useless frame.
-	// Zero means drop instantly (the pathological churn regime).
-	DriverWakelock time.Duration
-}
+// useless frames are dropped in the driver under the short
+// energy.DriverWakelock and the system re-suspends, paying the
+// state-transfer cost ("the overhead of this solution is more frequent
+// state transfers"). energy.ComputeSweep prices the same arrivals at
+// other driver wakelocks.
+type ClientSidePolicy struct{}
 
 var _ Policy = ClientSidePolicy{}
 
@@ -68,15 +50,15 @@ func (ClientSidePolicy) Kind() Kind { return ClientSide }
 
 // appendArrivals passes every frame; useless frames get the driver
 // wakelock.
-func (p ClientSidePolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
+func (ClientSidePolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful []bool) ([]energy.Arrival, error) {
 	if err := checkLen(tr, useful); err != nil {
 		return nil, err
 	}
 	dst = growArrivals(dst, len(tr.Frames))
 	for i, f := range tr.Frames {
-		wl := p.DriverWakelock
+		wl := energy.DriverWakelock
 		if useful[i] {
-			wl = tau
+			wl = energy.Tau
 		}
 		dst = append(dst, convert(f, wl))
 	}
@@ -100,7 +82,7 @@ func (hidePolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, useful [
 	}
 	for i, f := range tr.Frames {
 		if useful[i] {
-			dst = append(dst, convert(f, tau))
+			dst = append(dst, convert(f, energy.Tau))
 		}
 	}
 	return dst, nil
@@ -150,7 +132,7 @@ func (p CombinedPolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, us
 		if !useful[i] {
 			continue
 		}
-		wl := tau
+		wl := energy.Tau
 		if p.Staleness > 0 && r.Float64() < p.Staleness {
 			wl = 0
 		}

@@ -89,7 +89,7 @@ func New(k Kind) (Policy, error) {
 	case ReceiveAll:
 		return receiveAll{}, nil
 	case ClientSide:
-		return ClientSidePolicy{DriverWakelock: DefaultDriverWakelock}, nil
+		return ClientSidePolicy{}, nil
 	case HIDE:
 		return hidePolicy{}, nil
 	case Combined:

@@ -90,7 +90,7 @@ func TestClientSideDriverWakelockForUseless(t *testing.T) {
 		t.Fatal("client-side must still receive every frame")
 	}
 	for i, a := range arr {
-		want := DefaultDriverWakelock
+		want := energy.DriverWakelock
 		if u[i] {
 			want = time.Second
 		}
@@ -101,23 +101,32 @@ func TestClientSideDriverWakelockForUseless(t *testing.T) {
 }
 
 func TestClientSideWithTauEqualsReceiveAll(t *testing.T) {
-	// The lower-bound sweep relies on δ=τ degenerating to receive-all.
+	// The lower-bound sweep relies on δ=τ degenerating to receive-all:
+	// the client-side arrivals priced at driver wakelock τ must equal
+	// the receive-all arrivals priced as they are.
 	tr, u := genTagged(t, trace.WRL, 0.1)
 	ra, _ := New(ReceiveAll)
 	raArr, err := AppendArrivals(nil, ra, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csArr, err := AppendArrivals(nil, ClientSidePolicy{DriverWakelock: time.Second}, tr, u)
+	cs, _ := New(ClientSide)
+	csArr, err := AppendArrivals(nil, cs, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raArr) != len(csArr) {
-		t.Fatalf("lengths differ: %d vs %d", len(raArr), len(csArr))
-	}
-	for i := range raArr {
-		if raArr[i] != csArr[i] {
-			t.Fatalf("arrival %d differs", i)
+	for _, dev := range energy.Profiles {
+		cfg := energy.Config{Device: dev, Duration: tr.Duration}
+		want, err := energy.Compute(raArr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [1]energy.Breakdown
+		if err := energy.ComputeSweep(csArr, u, []time.Duration{energy.Tau}, cfg, got[:]); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want {
+			t.Errorf("%s: client-side at δ=τ %+v, receive-all %+v", dev.Name, got[0], want)
 		}
 	}
 }
@@ -269,29 +278,20 @@ func TestZeroDriverWakelockChurnsOnDenseTraffic(t *testing.T) {
 	// On a dense trace, dropping with a zero wakelock suspend-churns:
 	// the S4's suspend-operation power (Esp/Tsp ≈ 520 mW) exceeds its
 	// active-idle power, so the zero-wakelock filter must cost MORE
-	// than a 100 ms driver wakelock there. This is the pathology the
-	// DefaultDriverWakelock doc comment describes.
+	// than the driver wakelock there. This is the pathology the
+	// energy.DriverWakelock doc comment describes.
 	tr, u := genTagged(t, trace.WML, 0.1)
-	zero := ClientSidePolicy{DriverWakelock: 0}
-	hundred := ClientSidePolicy{DriverWakelock: 100 * time.Millisecond}
-	zArr, err := AppendArrivals(nil, zero, tr, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hArr, err := AppendArrivals(nil, hundred, tr, u)
+	cs, _ := New(ClientSide)
+	arr, err := AppendArrivals(nil, cs, tr, u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := energy.Config{Device: energy.GalaxyS4, Duration: tr.Duration}
-	zB, err := energy.Compute(zArr, cfg)
-	if err != nil {
+	var b [2]energy.Breakdown
+	if err := energy.ComputeSweep(arr, u, []time.Duration{0, energy.DriverWakelock}, cfg, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	hB, err := energy.Compute(hArr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zB.TotalJ() <= hB.TotalJ() {
-		t.Errorf("zero-wakelock %.1f J <= 100ms-wakelock %.1f J; churn pathology not reproduced", zB.TotalJ(), hB.TotalJ())
+	if b[0].TotalJ() <= b[1].TotalJ() {
+		t.Errorf("zero-wakelock %.1f J <= %v-wakelock %.1f J; churn pathology not reproduced", b[0].TotalJ(), energy.DriverWakelock, b[1].TotalJ())
 	}
 }

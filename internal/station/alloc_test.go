@@ -17,7 +17,7 @@ import (
 func cohortRig(t *testing.T, count int) (*sim.Engine, *CohortStation) {
 	t.Helper()
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true, DTIMPeriod: 1})
 	c, err := NewCohort(eng, med, CohortConfig{
 		Config: Config{
@@ -147,7 +147,7 @@ func TestAllocBudgetBeaconReceive(t *testing.T) {
 // directly.
 func TestAllocBudgetPortMessageSend(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	st := New(eng, med, Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 0x10}, BSSID: bssid, Mode: HIDE})
 	st.OpenPort(53)
 	st.OpenPort(5353)

@@ -19,7 +19,7 @@ import (
 func BenchmarkBeaconFanout(b *testing.B) {
 	const stations = 200
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "bench", HIDE: true, DTIMPeriod: 1})
 	sts := make([]*Station, stations)
 	for i := range sts {

@@ -16,7 +16,7 @@ import (
 func hardRig(t *testing.T, cfg Config, ports []uint16) (*sim.Engine, *medium.Medium, *ap.AP, *Station) {
 	t.Helper()
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true, DTIMPeriod: 2})
 	cfg.Addr = dot11.MACAddr{2, 0, 0, 0, 0, 0x10}
 	cfg.BSSID = bssid
@@ -54,7 +54,7 @@ func TestGiveUpAfterRetryBudget(t *testing.T) {
 }
 
 func TestBackoffGrowsExponentiallyWithJitter(t *testing.T) {
-	st := New(sim.New(), medium.New(sim.New(), dot11.DefaultPHY(), 1),
+	st := New(sim.New(), medium.New(sim.New(), 1),
 		Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 9}, BSSID: bssid, AckTimeout: 60 * time.Millisecond})
 	// First attempt: exactly the base timeout, no randomness drawn.
 	if got := st.ackWait(); got != 60*time.Millisecond {
@@ -79,7 +79,7 @@ func TestBackoffGrowsExponentiallyWithJitter(t *testing.T) {
 
 func TestBackoffJitterDesynchronizesStations(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 1)
+	med := medium.New(eng, 1)
 	mk := func(last byte) *Station {
 		s := New(eng, med, Config{
 			Addr: dot11.MACAddr{2, 0, 0, 0, 0, last}, BSSID: bssid,

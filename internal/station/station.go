@@ -14,7 +14,6 @@ package station
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/dot11"
@@ -101,21 +100,9 @@ type Config struct {
 // timeout would misread that latency as loss.
 const DefaultAckTimeout = 60 * time.Millisecond
 
-// The station's fixed operating point (paper §IV and §VI-A2).
-const (
-	// tau is the full processing wakelock a received frame holds.
-	tau = time.Second
-	// driverWakelock is the short wakelock ClientSide mode holds for a
-	// useless frame.
-	driverWakelock = 100 * time.Millisecond
-	// ctrlRate is the rate of every frame the station sends: UDP Port
-	// Messages, (re)association requests, disassociations and
-	// PS-Polls. The paper sends port messages at the lowest rate.
-	ctrlRate = dot11.Rate1Mbps
-	// maxRetries bounds the retransmissions of a UDP Port Message and
-	// of an association request.
-	maxRetries = 4
-)
+// maxRetries bounds the retransmissions of a UDP Port Message and of
+// an association request.
+const maxRetries = 4
 
 // normalized fills defaults.
 func (c Config) normalized() Config {
@@ -321,7 +308,7 @@ func (s *Station) sendAssocRequest(reassoc bool, ssid string, currentAP dot11.MA
 	if err != nil {
 		panic(fmt.Sprintf("station: assoc request marshal: %v", err))
 	}
-	s.med.Transmit(s.cfg.Addr, raw, ctrlRate)
+	s.med.Transmit(s.cfg.Addr, raw, dot11.BasicRate)
 	if reassoc {
 		s.stats.ReassocRequests++
 	} else {
@@ -351,7 +338,7 @@ func (s *Station) Leave(reason uint16) {
 		Header: dot11.MACHeader{Addr1: s.cfg.BSSID, Addr2: s.cfg.Addr, Addr3: s.cfg.BSSID},
 		Reason: reason,
 	}
-	s.med.Transmit(s.cfg.Addr, d.Marshal(), ctrlRate)
+	s.med.Transmit(s.cfg.Addr, d.Marshal(), dot11.BasicRate)
 	s.detach()
 }
 
@@ -475,12 +462,12 @@ func (s *Station) setSuspended(v bool) {
 	}
 }
 
-// Arrivals returns the recorded radio arrivals for energy analysis,
-// sorted by time.
+// Arrivals returns a copy of the recorded radio arrivals for energy
+// analysis. They are in time order as recorded: each is logged at its
+// engine time, which only grows, across an ESS roam too, since shards
+// meet at the same barrier instant.
 func (s *Station) Arrivals() []energy.Arrival {
-	out := append([]energy.Arrival(nil), s.arrivals...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+	return append([]energy.Arrival(nil), s.arrivals...)
 }
 
 // Energy prices the recorded arrivals with the Section IV model over
@@ -738,7 +725,7 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 	if df.Header.Addr1 == s.cfg.Addr {
 		// Buffered unicast retrieved via PS-Poll.
 		s.stats.UnicastReceived++
-		s.recordArrival(raw, rate, now, df.Header.FC.MoreData, tau)
+		s.recordArrival(raw, rate, now, df.Header.FC.MoreData, energy.Tau)
 		if df.Header.FC.MoreData {
 			s.sendPSPoll()
 		}
@@ -767,11 +754,11 @@ func (s *Station) handleData(raw []byte, rate dot11.Rate, now time.Duration) {
 	if d, err := dot11.ParseUDP(df.Payload); err == nil {
 		useful = s.ListensOn(d.DstPort)
 	}
-	wl := tau
+	wl := energy.Tau
 	switch s.cfg.Mode {
 	case ClientSide:
 		if !useful {
-			wl = driverWakelock
+			wl = energy.DriverWakelock
 		}
 	case HIDE:
 		// The BTIM said something useful is in this burst; frames for
@@ -867,7 +854,7 @@ func (s *Station) sendPortMessage(now time.Duration) {
 		Ports: s.ports,
 	}
 	s.txBuf = msg.AppendTo(s.txBuf[:0])
-	s.med.Transmit(s.cfg.Addr, s.txBuf, ctrlRate)
+	s.med.Transmit(s.cfg.Addr, s.txBuf, dot11.BasicRate)
 	s.stats.PortMsgsSent++
 	if s.retries > 0 {
 		s.stats.PortMsgRetries++
@@ -945,6 +932,6 @@ func (s *Station) completeSuspend() {
 // sendPSPoll requests one buffered unicast frame.
 func (s *Station) sendPSPoll() {
 	poll := &dot11.PSPoll{AID: s.aid, BSSID: s.cfg.BSSID, TA: s.cfg.Addr}
-	s.med.Transmit(s.cfg.Addr, poll.Marshal(), ctrlRate)
+	s.med.Transmit(s.cfg.Addr, poll.Marshal(), dot11.BasicRate)
 	s.stats.PSPollsSent++
 }

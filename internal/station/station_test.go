@@ -26,7 +26,7 @@ func readFrame(raw []byte, rate dot11.Rate) *medium.Frame {
 func rig(t *testing.T, mode Mode, apHIDE bool, ports []uint16) (*sim.Engine, *ap.AP, *Station) {
 	t.Helper()
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: apHIDE, DTIMPeriod: 2})
 	st := New(eng, med, Config{
 		Addr:  dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
@@ -53,7 +53,7 @@ func rig(t *testing.T, mode Mode, apHIDE bool, ports []uint16) (*sim.Engine, *ap
 func TestEnergyPricesHeardBeaconInterval(t *testing.T) {
 	const interval, window = 200 * dot11.TU, 10 * time.Second
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true, BeaconInterval: interval})
 	st := New(eng, med, Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 0x10}, BSSID: bssid, Mode: HIDE})
 	st.OpenPort(5353)
@@ -80,7 +80,7 @@ func TestEnergyPricesHeardBeaconInterval(t *testing.T) {
 
 func TestJoinRejectsInvalidAID(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	st := New(eng, med, Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 9}, BSSID: bssid})
 	if err := st.Join(0); err == nil {
 		t.Fatal("AID 0 accepted")
@@ -249,7 +249,7 @@ func TestHIDEStationFallsBackOnLegacyAP(t *testing.T) {
 
 func TestPortMessageRetransmissionUnderLoss(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 99)
+	med := medium.New(eng, 99)
 	med.SetFaultPlan(fault.Loss{P: 0.5})
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true})
 	st := New(eng, med, Config{
@@ -300,7 +300,7 @@ func TestUnicastRetrievalViaPSPoll(t *testing.T) {
 
 func TestOpenClosePorts(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	st := New(eng, med, Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 9}, BSSID: bssid})
 	st.OpenPort(53)
 	st.OpenPort(5353)
@@ -334,7 +334,7 @@ func TestUpdatedPortsReachAPOnNextSuspend(t *testing.T) {
 
 func TestFrameLevelAssociation(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true})
 	st := New(eng, med, Config{
 		Addr:  dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
@@ -363,7 +363,7 @@ func TestFrameLevelAssociation(t *testing.T) {
 
 func TestAssociationRetriesUnderLoss(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 3)
+	med := medium.New(eng, 3)
 	med.SetFaultPlan(fault.Loss{P: 0.5})
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true})
 	st := New(eng, med, Config{
@@ -386,7 +386,7 @@ func TestAssociationRetriesUnderLoss(t *testing.T) {
 
 func TestStartAssociationIdempotent(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true})
 	st := New(eng, med, Config{
 		Addr:  dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
@@ -406,7 +406,7 @@ func TestStartAssociationIdempotent(t *testing.T) {
 
 func TestUnassociatedStationIgnoresTraffic(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: false})
 	st := New(eng, med, Config{
 		Addr:  dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
@@ -447,7 +447,7 @@ func TestReceiveGarbageNeverPanics(t *testing.T) {
 
 func TestListenIntervalSkipsBeacons(t *testing.T) {
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true, DTIMPeriod: 2})
 	st := New(eng, med, Config{
 		Addr:           dot11.MACAddr{2, 0, 0, 0, 0, 0x10},
@@ -484,7 +484,7 @@ func TestListenIntervalMayMissGroupTraffic(t *testing.T) {
 	// are slept through, so some useful frames are lost — the trade-off
 	// the knob exists to explore.
 	eng := sim.New()
-	med := medium.New(eng, dot11.DefaultPHY(), 7)
+	med := medium.New(eng, 7)
 	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true, DTIMPeriod: 1})
 	st := New(eng, med, Config{
 		Addr:           dot11.MACAddr{2, 0, 0, 0, 0, 0x10},

@@ -77,28 +77,6 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzReadJSONL: accepted JSONL traces round-trip, and microsecond
-// counts a Duration cannot hold are rejected.
-func FuzzReadJSONL(f *testing.F) {
-	addWritten(f, seedTrace(f), WriteJSONL)
-	for _, s := range []string{
-		`{"name":"Star bucks; x","duration_us":10000000,"frames":1}` + "\n" +
-			`{"at_us":1000,"length":100,"rate_bps":1000000,"dst_port":5353}` + "\n",
-		`{"name":"wrap","duration_us":9223372036854776,"frames":1}` + "\n" +
-			`{"at_us":9223372036854776,"length":100,"rate_bps":1e6,"dst_port":1}` + "\n",
-		`{"name":"neg","duration_us":-5,"frames":0}`,
-	} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		checkRoundTrip(t, tr, WriteJSONL, ReadJSONL)
-	})
-}
-
 // FuzzReadPCAP covers the three link types (radiotap, 802.11 and
 // Ethernet) and a record cut at its snaplen, with the importer's
 // default rate as a second input.

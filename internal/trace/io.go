@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -14,13 +13,10 @@ import (
 	"repro/internal/dot11"
 )
 
-// This file reads and writes traces in two interchange formats so that
-// real captures (e.g. tshark exports) can replace the synthetic
-// generators without touching any downstream code:
-//
-//   - CSV with header "at_us,length,rate_bps,dst_port,more_data"
-//   - JSON lines, one Frame object per line, preceded by a header line
-//     carrying the trace name and duration.
+// This file reads and writes traces as CSV, with header
+// "at_us,length,rate_bps,dst_port,more_data", so that real captures
+// (e.g. tshark exports) can replace the synthetic generators without
+// touching any downstream code. pcap.go reads and writes captures.
 
 // csvHeader is the required column layout.
 var csvHeader = []string{"at_us", "length", "rate_bps", "dst_port", "more_data"}
@@ -117,18 +113,13 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 const csvDurationKey = ";duration_us="
 
 // parseMicros parses a decimal microsecond count into a Duration,
-// rejecting counts the Duration cannot hold.
+// rejecting counts the Duration cannot hold instead of letting them
+// wrap.
 func parseMicros(s, field string) (time.Duration, error) {
 	us, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("trace: bad %s %q: %w", field, s, err)
 	}
-	return micros(us, field)
-}
-
-// micros converts a microsecond count into a Duration, rejecting
-// counts the Duration cannot hold instead of letting them wrap.
-func micros(us int64, field string) (time.Duration, error) {
 	const limit = math.MaxInt64 / int64(time.Microsecond)
 	if us > limit || us < -limit {
 		return 0, fmt.Errorf("trace: %s %d µs outside the representable range", field, us)
@@ -177,79 +168,4 @@ func parseCSVRecord(rec []string) (Frame, error) {
 		return f, fmt.Errorf("trace: bad more_data %q: %w", rec[4], err)
 	}
 	return f, nil
-}
-
-// jsonlHeader is the first line of a JSONL trace file.
-type jsonlHeader struct {
-	Name       string `json:"name"`
-	DurationUS int64  `json:"duration_us"`
-	Frames     int    `json:"frames"`
-}
-
-// jsonlFrame is the wire form of a Frame in JSONL traces.
-type jsonlFrame struct {
-	AtUS     int64   `json:"at_us"`
-	Length   int     `json:"length"`
-	RateBPS  float64 `json:"rate_bps"`
-	DstPort  uint16  `json:"dst_port"`
-	MoreData bool    `json:"more_data,omitempty"`
-}
-
-// WriteJSONL writes the trace as JSON lines.
-func WriteJSONL(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{Name: tr.Name, DurationUS: tr.Duration.Microseconds(), Frames: len(tr.Frames)}); err != nil {
-		return err
-	}
-	for _, f := range tr.Frames {
-		jf := jsonlFrame{
-			AtUS: f.At.Microseconds(), Length: f.Length,
-			RateBPS: float64(f.Rate), DstPort: f.DstPort, MoreData: f.MoreData,
-		}
-		if err := enc.Encode(jf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL parses a trace written by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr jsonlHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading JSONL header: %w", err)
-	}
-	dur, err := micros(hdr.DurationUS, "duration_us")
-	if err != nil {
-		return nil, err
-	}
-	tr := &Trace{Name: hdr.Name, Duration: dur}
-	for {
-		var jf jsonlFrame
-		if err := dec.Decode(&jf); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: reading JSONL frame: %w", err)
-		}
-		at, err := micros(jf.AtUS, "at_us")
-		if err != nil {
-			return nil, err
-		}
-		if err := checkLength(jf.Length); err != nil {
-			return nil, err
-		}
-		tr.Frames = append(tr.Frames, Frame{
-			At: at, Length: jf.Length,
-			Rate: dot11.Rate(jf.RateBPS), DstPort: jf.DstPort, MoreData: jf.MoreData,
-		})
-	}
-	if hdr.Frames != len(tr.Frames) {
-		return nil, fmt.Errorf("trace: JSONL header declares %d frames, read %d", hdr.Frames, len(tr.Frames))
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }

@@ -8,7 +8,7 @@
 // of Figure 6. The downstream energy model consumes only the tuple
 // (arrival time, frame length, data rate, destination port, more-data
 // bit), so any real capture converted to the same schema can be
-// substituted via the CSV/JSONL readers, and a libpcap capture is read
+// substituted via the CSV reader, and a libpcap capture is read
 // directly by ReadPCAP. A capture cut at a snaplen loses nothing the
 // tuple needs: each frame's length comes from the record's original
 // length and its port from the headers alone.

@@ -283,22 +283,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	assertTracesEqual(t, tr, got)
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	tr, err := GenerateScenario(WRL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, tr, got)
-}
-
 func assertTracesEqual(t *testing.T, want, got *Trace) {
 	t.Helper()
 	if got.Name != want.Name {
@@ -363,30 +347,6 @@ func TestCSVNameRoundTrip(t *testing.T) {
 	}
 	if err := WriteCSV(io.Discard, &Trace{Name: "two\nlines"}); err == nil {
 		t.Error("a name with a newline was written")
-	}
-}
-
-// TestReadJSONLRejectsOutOfRange: microsecond counts whose nanoseconds
-// wrap, and frames longer than 64 KiB, are errors.
-func TestReadJSONLRejectsOutOfRange(t *testing.T) {
-	const hdr = `{"name":"x","duration_us":1000000,"frames":1}` + "\n"
-	for _, in := range []string{
-		`{"name":"x","duration_us":18446744073709552,"frames":0}`,
-		hdr + `{"at_us":18446744073709552,"length":100,"rate_bps":1e6,"dst_port":1}`,
-		hdr + `{"at_us":0,"length":65537,"rate_bps":1e6,"dst_port":1}`,
-	} {
-		if _, err := ReadJSONL(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("%s accepted", in)
-		}
-	}
-}
-
-func TestReadJSONLRejectsFrameCountMismatch(t *testing.T) {
-	in := `{"name":"x","duration_us":1000000,"frames":2}
-{"at_us":1,"length":100,"rate_bps":1000000,"dst_port":53}
-`
-	if _, err := ReadJSONL(bytes.NewReader([]byte(in))); err == nil {
-		t.Fatal("JSONL with wrong frame count accepted")
 	}
 }
 

@@ -21,18 +21,11 @@ import (
 // TagUniform returns a usefulness vector where each frame is useful
 // with probability p (deterministic for a given seed).
 func TagUniform(tr *Trace, p float64, seed uint64) []bool {
-	r := sim.NewRNG(seed)
-	u := make([]bool, len(tr.Frames))
-	for i := range u {
-		u[i] = r.Float64() < p
-	}
-	return u
+	return TagUniformInto(make([]bool, 0, len(tr.Frames)), tr, p, seed)
 }
 
 // TagUniformInto is TagUniform appending into dst (normally dst[:0] of
-// a reused buffer), growing it only when capacity runs out. The RNG
-// draw sequence is identical to TagUniform's, so the vector matches it
-// bit for bit.
+// a reused buffer), growing it only when capacity runs out.
 func TagUniformInto(dst []bool, tr *Trace, p float64, seed uint64) []bool {
 	r := *sim.NewRNG(seed)
 	for range tr.Frames {
