@@ -154,24 +154,8 @@ func WriteTracePCAP(w io.Writer, tr *Trace) error { return trace.WritePCAP(w, tr
 // Trace transforms for building sweeps from one capture.
 func TruncateTrace(tr *Trace, d time.Duration) *Trace { return trace.Truncate(tr, d) }
 
-// WindowTrace extracts and rebases the sub-trace in [from, to).
-func WindowTrace(tr *Trace, from, to time.Duration) (*Trace, error) {
-	return trace.Window(tr, from, to)
-}
-
 // TimeScaleTrace stretches or compresses the trace's time axis.
 func TimeScaleTrace(tr *Trace, factor float64) (*Trace, error) { return trace.TimeScale(tr, factor) }
-
-// ThinTrace keeps each frame with the given probability.
-func ThinTrace(tr *Trace, keep float64, seed uint64) (*Trace, error) {
-	return trace.Thin(tr, keep, seed)
-}
-
-// MergeTraces overlays traces onto a shared time axis.
-func MergeTraces(name string, traces ...*Trace) *Trace { return trace.Merge(name, traces...) }
-
-// RepeatTrace tiles the trace n times back to back.
-func RepeatTrace(tr *Trace, n int) (*Trace, error) { return trace.Repeat(tr, n) }
 
 // LocalOpenPorts returns this Linux machine's wildcard-bound UDP ports
 // — what a deployed HIDE client would report in its UDP Port Message.

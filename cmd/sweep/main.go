@@ -54,6 +54,19 @@ func main() {
 	if err != nil {
 		cli.Usagef("sweep", "%v", err)
 	}
+	for _, d := range dens {
+		if !(d > 0) {
+			cli.Usagef("sweep", "-densities %v must be positive", d)
+		}
+	}
+	for _, f := range fracs {
+		if !(f >= 0 && f <= 1) {
+			cli.Usagef("sweep", "-useful %v outside [0, 1]", f)
+		}
+	}
+	if *format != "table" && *format != "csv" {
+		cli.Usagef("sweep", "-format %q must be table or csv", *format)
+	}
 
 	baseTr, err := hide.GenerateTrace(sc)
 	if err != nil {
@@ -69,9 +82,6 @@ func main() {
 	}
 	var jobs []job
 	for _, d := range dens {
-		if d <= 0 {
-			cli.Usagef("sweep", "density %v must be positive", d)
-		}
 		// Density k = time-scale 1/k.
 		tr, err := hide.TimeScaleTrace(baseTr, 1/d)
 		if err != nil {

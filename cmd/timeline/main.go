@@ -43,6 +43,12 @@ func main() {
 	if *width < 10 || *width > 500 {
 		cli.Usagef("timeline", "width %d outside [10, 500]", *width)
 	}
+	if !(*useful >= 0 && *useful <= 1) {
+		cli.Usagef("timeline", "-useful %v outside [0, 1]", *useful)
+	}
+	if *window <= 0 {
+		cli.Usagef("timeline", "-window %v must be positive", *window)
+	}
 
 	full, err := hide.GenerateTrace(sc)
 	if err != nil {

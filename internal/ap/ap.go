@@ -279,30 +279,32 @@ func (a *AP) SetRoamPortLookup(fn func(addr dot11.MACAddr) []uint16) { a.roamPor
 func (a *AP) SetPortSync(fn func(addr dot11.MACAddr, ports []uint16)) { a.portSync = fn }
 
 // Associate registers a station and returns its AID. hideCapable marks
-// stations that understand the BTIM element.
+// stations that understand the BTIM element. AIDs are handed out in
+// order until the counter passes dot11.MaxAID; from then on each
+// association takes the lowest AID no client holds.
 func (a *AP) Associate(addr dot11.MACAddr, hideCapable bool) (dot11.AID, error) {
 	if _, ok := a.clients[addr]; ok {
 		return 0, fmt.Errorf("ap: %v already associated", addr)
 	}
-	if !a.nextAID.Valid() {
-		return 0, fmt.Errorf("ap: association table full")
+	aid := a.nextAID
+	if aid.Valid() {
+		a.nextAID++
+	} else {
+		for aid = 1; a.byAID[aid] != nil; aid++ {
+		}
+		if !aid.Valid() {
+			return 0, fmt.Errorf("ap: association table full")
+		}
 	}
-	c := &client{addr: addr, aid: a.nextAID, hideCapable: hideCapable, psMode: true}
-	a.nextAID++
+	c := &client{addr: addr, aid: aid, hideCapable: hideCapable, psMode: true}
 	a.clients[addr] = c
 	a.byAID[c.aid] = c
 	a.dirty = true
 	return c.aid, nil
 }
 
-// FreeAIDs returns the number of AIDs the sequential allocator can
-// still hand out.
-func (a *AP) FreeAIDs() int {
-	if !a.nextAID.Valid() {
-		return 0
-	}
-	return int(dot11.MaxAID) - int(a.nextAID) + 1
-}
+// FreeAIDs returns the number of AIDs no client holds.
+func (a *AP) FreeAIDs() int { return int(dot11.MaxAID) - len(a.byAID) }
 
 // AssociateAggregate registers a single association standing for count
 // stations — a cohort, which reaches 10⁵–10⁶ clients past the AID

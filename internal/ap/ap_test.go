@@ -431,3 +431,31 @@ func TestOversizeSSIDClamped(t *testing.T) {
 		t.Fatalf("SSID length = %d, want clamped to 32", len(got))
 	}
 }
+
+// TestAIDsReusedAfterExhaustion runs the AID counter out with
+// associations that each leave again: the next association takes the
+// lowest AID no client holds instead of finding the table full.
+func TestAIDsReusedAfterExhaustion(t *testing.T) {
+	_, _, a, _ := rig(t, Config{})
+	for i := 0; i < int(dot11.MaxAID); i++ {
+		addr := dot11.MACAddr{0x02, 0xbb, 0, 0, byte(i >> 8), byte(i)}
+		aid, err := a.Associate(addr, true)
+		if err != nil {
+			t.Fatalf("association %d: %v", i+1, err)
+		}
+		if want := dot11.AID(i + 1); aid != want {
+			t.Fatalf("association %d got AID %d, want %d (sequential)", i+1, aid, want)
+		}
+		a.Disassociate(addr)
+	}
+	if _, err := a.Associate(c1Addr, true); err != nil {
+		t.Fatalf("association after %d leaves: %v", dot11.MaxAID, err)
+	}
+	aid, err := a.Associate(c2Addr, true)
+	if err != nil || aid != 2 {
+		t.Fatalf("second reused AID = %d, %v; want 2", aid, err)
+	}
+	if free := a.FreeAIDs(); free != int(dot11.MaxAID)-2 {
+		t.Fatalf("FreeAIDs = %d with 2 clients, want %d", free, int(dot11.MaxAID)-2)
+	}
+}

@@ -59,8 +59,13 @@ func TestCommandExitCodes(t *testing.T) {
 		{"report", []string{"-j", "-3"}, 2, "-j"},
 		{"sweep", []string{"-base", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"sweep", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"sweep", []string{"-format", "bogus"}, 2, "-format"},
+		{"sweep", []string{"-useful", "2"}, 2, "-useful"},
 		{"timeline", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"timeline", []string{"-device", "iphone"}, 2, `"iphone"`},
+		{"timeline", []string{"-useful", "2"}, 2, "-useful"},
+		{"timeline", []string{"-useful", "-1"}, 2, "-useful"},
+		{"timeline", []string{"-window", "-1m"}, 2, "-window"},
 		{"tracegen", []string{"-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"tracegen", []string{"-scenario", "sTARBUCKS"}, 0, ""},
 	} {

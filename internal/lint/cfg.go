@@ -6,10 +6,13 @@
 // they need a (small) control-flow layer to be machine-checkable.
 //
 // buildCFG lowers one function body to basic blocks of statements with
-// successor edges. The graph is intraprocedural and deliberately
-// simple: expressions are not decomposed (a whole statement is the unit
-// of transfer), defers are recorded on the graph rather than threaded
-// into the edges, and calls that provably never return (panic, os.Exit,
+// edges both ways, and records where the paths of each if, switch,
+// select and loop split and rejoin; it is the one place that lowers
+// break, continue, goto, fallthrough, labels and never-returning calls.
+// The graph is intraprocedural and deliberately simple: expressions
+// are not decomposed (a whole statement is the unit of transfer),
+// defers are recorded on the graph rather than threaded into the
+// edges, and calls that provably never return (panic, os.Exit,
 // log.Fatal*, internal/cli.Exit/Usagef/Abort, testing's Fatal/Skip
 // family) terminate their path into a dedicated panic-exit block so
 // "every exit path" checks can reason about clean returns separately
@@ -19,16 +22,31 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // A cfgBlock is one basic block: a maximal run of statements with a
-// single entry, plus its successor edges.
+// single entry, plus its edges.
 type cfgBlock struct {
 	index int
 	// stmts are the statements executed in order. Control transfers
 	// happen only after the last statement.
 	stmts []ast.Stmt
 	succs []*cfgBlock
+	// preds are the blocks with an edge here, in the order the edges
+	// were lowered, which is source order for the paths of a join.
+	preds []*cfgBlock
+}
+
+// A cfgJoin is a statement whose paths split and meet again: an if,
+// switch, type switch or select, whose paths leave split and rejoin at
+// the blocks in at (the block after the statement, and each case a
+// fallthrough enters), or a loop, whose paths leave it from its head
+// (split) through at (the block after the loop).
+type cfgJoin struct {
+	stmt  ast.Stmt
+	split *cfgBlock
+	at    []*cfgBlock
 }
 
 // A funcCFG is the control-flow graph of one function body.
@@ -45,6 +63,8 @@ type funcCFG struct {
 	// order. They run on every exit (normal or unwinding), so path
 	// checks treat a satisfying defer as covering all exits.
 	defers []*ast.DeferStmt
+	// joins are the function's branching statements and loops.
+	joins []*cfgJoin
 }
 
 // cfgBuilder carries the under-construction graph.
@@ -89,7 +109,7 @@ func buildCFG(body *ast.BlockStmt, info *types.Info) *funcCFG {
 	for label, srcs := range b.pendingGotos {
 		if tgt, ok := b.labelBlocks[label]; ok {
 			for _, src := range srcs {
-				src.succs = append(src.succs, tgt)
+				link(src, tgt)
 			}
 		}
 	}
@@ -102,17 +122,33 @@ func (b *cfgBuilder) newBlock() *cfgBlock {
 	return blk
 }
 
+// link adds edges from one block to others.
+func link(from *cfgBlock, to ...*cfgBlock) {
+	for _, t := range to {
+		from.succs = append(from.succs, t)
+		t.preds = append(t.preds, from)
+	}
+}
+
+// addJoin records a branching statement or loop that leaves split and
+// rejoins at the given blocks.
+func (b *cfgBuilder) addJoin(s ast.Stmt, split *cfgBlock, at ...*cfgBlock) *cfgJoin {
+	j := &cfgJoin{stmt: s, split: split, at: at}
+	b.g.joins = append(b.g.joins, j)
+	return j
+}
+
 // jump ends the current block with an edge to tgt and leaves the
 // builder on a fresh unreachable block (so statements after a return
 // still land somewhere without corrupting the graph).
 func (b *cfgBuilder) jump(tgt *cfgBlock) {
-	b.cur.succs = append(b.cur.succs, tgt)
+	link(b.cur, tgt)
 	b.cur = b.newBlock()
 }
 
 // startBlock links the current block to next and continues there.
 func (b *cfgBuilder) startBlock(next *cfgBlock) {
-	b.cur.succs = append(b.cur.succs, next)
+	link(b.cur, next)
 	b.cur = next
 }
 
@@ -137,15 +173,16 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		thenB := b.newBlock()
 		elseB := b.newBlock()
 		join := b.newBlock()
-		b.cur.succs = append(b.cur.succs, thenB, elseB)
+		link(b.cur, thenB, elseB)
+		b.addJoin(s, b.cur, join)
 		b.cur = thenB
 		b.stmtList(s.Body.List)
-		b.cur.succs = append(b.cur.succs, join)
+		link(b.cur, join)
 		b.cur = elseB
 		if s.Else != nil {
 			b.stmt(s.Else)
 		}
-		b.cur.succs = append(b.cur.succs, join)
+		link(b.cur, join)
 		b.cur = join
 
 	case *ast.ForStmt:
@@ -157,24 +194,24 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		post := b.newBlock()
 		exit := b.newBlock()
 		b.startBlock(head)
+		b.addJoin(s, head, exit)
 		if s.Cond != nil {
 			head.stmts = append(head.stmts, &ast.ExprStmt{X: s.Cond})
-			head.succs = append(head.succs, body, exit)
+			link(head, body, exit)
 		} else {
-			head.succs = append(head.succs, body)
-			// No condition: the only way out is break/return, but keep an
-			// exit edge off the (possibly empty) post block unreachable.
+			// No condition: the only way out is break/return.
+			link(head, body)
 		}
 		b.pushLoop(label, exit, post)
 		b.cur = body
 		b.stmtList(s.Body.List)
 		b.popLoop()
-		b.cur.succs = append(b.cur.succs, post)
+		link(b.cur, post)
 		b.cur = post
 		if s.Post != nil {
 			b.stmt(s.Post)
 		}
-		b.cur.succs = append(b.cur.succs, head)
+		link(b.cur, head)
 		b.cur = exit
 
 	case *ast.RangeStmt:
@@ -183,14 +220,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		exit := b.newBlock()
 		b.cur.stmts = append(b.cur.stmts, &ast.ExprStmt{X: s.X})
 		b.startBlock(head)
+		b.addJoin(s, head, exit)
 		// The per-iteration key/value assignment happens at the head.
 		head.stmts = append(head.stmts, s)
-		head.succs = append(head.succs, body, exit)
+		link(head, body, exit)
 		b.pushLoop(label, exit, head)
 		b.cur = body
 		b.stmtList(s.Body.List)
 		b.popLoop()
-		b.cur.succs = append(b.cur.succs, head)
+		link(b.cur, head)
 		b.cur = exit
 
 	case *ast.SwitchStmt:
@@ -200,34 +238,33 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Tag != nil {
 			b.cur.stmts = append(b.cur.stmts, &ast.ExprStmt{X: s.Tag})
 		}
-		b.switchBody(label, s.Body)
+		b.switchBody(label, s, s.Body)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
 		b.cur.stmts = append(b.cur.stmts, s.Assign)
-		b.switchBody(label, s.Body)
+		b.switchBody(label, s, s.Body)
 
 	case *ast.SelectStmt:
+		// A select without default still picks some case, so only the
+		// cases reach the join.
 		head := b.cur
 		join := b.newBlock()
+		b.addJoin(s, head, join)
 		b.pushSwitch(label, join)
-		hasDefault := false
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
 			caseB := b.newBlock()
-			head.succs = append(head.succs, caseB)
+			link(head, caseB)
 			b.cur = caseB
 			if cc.Comm != nil {
 				b.stmt(cc.Comm)
-			} else {
-				hasDefault = true
 			}
 			b.stmtList(cc.Body)
-			b.cur.succs = append(b.cur.succs, join)
+			link(b.cur, join)
 		}
-		_ = hasDefault // a select without default still picks some case
 		b.popSwitch()
 		b.cur = join
 
@@ -284,12 +321,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	}
 }
 
-// switchBody lowers the case clauses of a switch/type switch: every
+// switchBody lowers the case clauses of switch statement s: every
 // case body is a successor of the current block, fallthrough chains to
 // the next body, break (and the end of a body) goes to the join block.
-func (b *cfgBuilder) switchBody(label string, body *ast.BlockStmt) {
+func (b *cfgBuilder) switchBody(label string, s ast.Stmt, body *ast.BlockStmt) {
 	head := b.cur
 	join := b.newBlock()
+	j := b.addJoin(s, head, join)
 	b.pushSwitch(label, join)
 	var caseBlocks []*cfgBlock
 	var clauses []*ast.CaseClause
@@ -303,23 +341,25 @@ func (b *cfgBuilder) switchBody(label string, body *ast.BlockStmt) {
 	}
 	hasDefault := false
 	for i, cc := range clauses {
-		head.succs = append(head.succs, caseBlocks[i])
+		link(head, caseBlocks[i])
 		if cc.List == nil {
 			hasDefault = true
 		}
 		b.cur = caseBlocks[i]
 		b.stmtList(cc.Body)
-		// fallthrough must be the last statement of a body.
+		// fallthrough must be the last statement of a body; the next
+		// body is then a second place the switch's paths rejoin.
 		if n := len(cc.Body); n > 0 {
 			if br, ok := cc.Body[n-1].(*ast.BranchStmt); ok && br.Tok.String() == "fallthrough" && i+1 < len(caseBlocks) {
-				b.cur.succs = append(b.cur.succs, caseBlocks[i+1])
+				link(b.cur, caseBlocks[i+1])
+				j.at = append(j.at, caseBlocks[i+1])
 				continue
 			}
 		}
-		b.cur.succs = append(b.cur.succs, join)
+		link(b.cur, join)
 	}
 	if !hasDefault {
-		head.succs = append(head.succs, join) // no case matched
+		link(head, join) // no case matched
 	}
 	b.popSwitch()
 	b.cur = join
@@ -406,7 +446,7 @@ func (b *cfgBuilder) neverReturns(call *ast.CallExpr) bool {
 			return true
 		}
 	default:
-		if isPkgFunc(fn, fn.Pkg().Path(), name) && pkgIsInternalCLI(fn.Pkg().Path()) {
+		if isPkgFunc(fn, fn.Pkg().Path(), name) && strings.HasSuffix(fn.Pkg().Path(), "/internal/cli") {
 			switch name {
 			case "Exit", "Usagef", "Abort":
 				return true
@@ -414,14 +454,6 @@ func (b *cfgBuilder) neverReturns(call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// pkgIsInternalCLI matches the module's internal/cli package without
-// hard-coding the module path.
-func pkgIsInternalCLI(path string) bool {
-	return path == "repro/internal/cli" ||
-		// Fixture packages type-check under synthetic module paths.
-		len(path) > len("/internal/cli") && path[len(path)-len("/internal/cli"):] == "/internal/cli"
 }
 
 // blockSeen is a reusable visited set for CFG walks.

@@ -34,20 +34,6 @@ func (s factSet) clone() factSet {
 	return out
 }
 
-// equal reports set equality (only true entries are ever stored).
-func (s factSet) equal(o factSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	//lint:ignore determinism set equality is order-independent: the answer is a conjunction over all keys, so any iteration order returns the same bool
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // union adds o's facts, reporting whether anything changed.
 func (s factSet) union(o factSet) bool {
 	changed := false
@@ -286,14 +272,4 @@ func aliasCarrier(info *types.Info) func(expr ast.Expr, facts factSet) bool {
 func isZeroLiteral(e ast.Expr) bool {
 	lit, ok := ast.Unparen(e).(*ast.BasicLit)
 	return ok && lit.Value == "0"
-}
-
-// factsAt replays a block's transfers up to (but excluding) statement
-// index idx, returning the facts in force just before it executes.
-func (fa *flowAnalysis) factsAt(blockEntry factSet, b *cfgBlock, idx int) factSet {
-	facts := blockEntry.clone()
-	for i := 0; i < idx && i < len(b.stmts); i++ {
-		fa.stepStmt(b.stmts[i], facts)
-	}
-	return facts
 }

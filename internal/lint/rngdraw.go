@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // RNGDraw enforces the seeded-RNG draw-count discipline that keeps a
@@ -15,18 +17,20 @@ import (
 // count per consultation regardless of outcome, and conditionals that
 // skip a draw must either terminate the path (early return — the
 // combinator pattern, documented to consume no randomness) or burn the
-// same number of draws on the other side. The analyzer checks each
-// conditional in the scoped packages: branches that rejoin must draw
-// equal counts, and a draw on the short-circuited side of && / || is
+// same number of draws on the other side. The analyzer carries the
+// draw count forward over each function's control-flow graph: wherever
+// the paths of an if, switch, type switch or select rejoin (break and
+// fallthrough included), or leave a loop, every path must arrive with
+// the same count. A draw on the short-circuited side of && / || is
 // consumed only when the left side passes, which hides an imbalance
 // inside a single expression.
 var RNGDraw = &Analyzer{
 	Name: "rngdraw",
 	Doc: "in internal/fault, internal/ess, internal/station, and internal/core, " +
-		"branches of a conditional that both fall through must consume the same " +
-		"number of seeded-RNG draws (*sim.RNG / *math/rand.Rand method calls), and a " +
-		"draw must not sit on the short-circuited side of && or ||; early-returning " +
-		"branches are exempt (the documented consume-nothing combinator pattern)",
+		"paths that rejoin after a conditional, switch or select, or that leave a loop, " +
+		"must consume the same number of seeded-RNG draws (*sim.RNG / *math/rand.Rand " +
+		"method calls), and a draw must not sit on the short-circuited side of && or ||; " +
+		"early-returning paths are exempt (the documented consume-nothing combinator pattern)",
 	Run: runRNGDraw,
 }
 
@@ -51,262 +55,227 @@ func runRNGDraw(p *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			countDraws(p, fn.Body)
+			reportShortCircuitDraws(p, fn.Body)
+			checkDrawJoins(p, buildCFG(fn.Body, p.TypesInfo))
 		}
 	}
 	return nil
 }
 
-// drawKind classifies a construct's draw consumption.
-type drawKind int
-
-const (
-	drawExact      drawKind = iota // consumes exactly n draws
-	drawOpaque                     // unknown (per-iteration draws, rng escapes into a call)
-	drawTerminates                 // the path does not rejoin (return/branch/never-returns)
-)
-
-// drawCount is the lattice value: how many seeded draws a construct
-// consumes on the way to its natural exit.
-type drawCount struct {
-	kind drawKind
-	n    int
+// reportShortCircuitDraws flags each draw (or generator hand-off) on
+// the right of an && or || in body, which runs only when the left side
+// lets it.
+func reportShortCircuitDraws(p *Pass, body *ast.BlockStmt) {
+	eachSureCall(body, func(*ast.CallExpr) {}, func(e ast.Expr) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if ok && usesRNG(p.TypesInfo, call) {
+				p.Reportf(call.Pos(), "seeded-RNG draw on the short-circuited side of && / || is consumed only when the left side passes; hoist the draw so the stream position is branch-independent")
+				return false
+			}
+			return true
+		})
+	})
 }
 
-func exactDraws(n int) drawCount { return drawCount{kind: drawExact, n: n} }
+// A drawCount is the number of seeded draws made on every path into a
+// point since the block numbered anchor, where the count was last
+// known: the function entry, a merge of paths that disagree, or a
+// statement that hands the generator to a call or draws under go or
+// defer. Counts with different anchors do not compare.
+type drawCount struct{ anchor, n int }
 
-// plus sequences two counts.
-func (d drawCount) plus(o drawCount) drawCount {
-	switch {
-	case d.kind == drawTerminates:
-		return d
-	case o.kind == drawTerminates:
-		return drawCount{kind: drawTerminates}
-	case d.kind == drawOpaque || o.kind == drawOpaque:
-		return drawCount{kind: drawOpaque}
-	default:
-		return exactDraws(d.n + o.n)
+// unreached is the count of a point no path reaches.
+var unreached = drawCount{anchor: -1}
+
+// checkDrawJoins carries draw counts forward over g and reports each
+// branching statement or loop whose paths rejoin with different
+// counts. Paths into the normal and panic exits are never compared, so
+// an early return stays exempt.
+func checkDrawJoins(p *Pass, g *funcCFG) {
+	order := reversePostorder(g)
+	pos := make([]int, len(g.blocks)) // 1-based; 0 where no path reaches
+	for i, b := range order {
+		pos[b.index] = i + 1
 	}
-}
-
-// countDraws walks a statement list structurally, reporting unbalanced
-// conditionals as it goes, and returns the list's own draw count.
-func countDraws(p *Pass, body *ast.BlockStmt) drawCount {
-	total := exactDraws(0)
-	for _, s := range body.List {
-		total = total.plus(countStmtDraws(p, s))
-		if total.kind == drawTerminates {
-			break
+	back := func(from, to *cfgBlock) bool { return pos[from.index] >= pos[to.index] }
+	rejoin := make([]bool, len(g.blocks))
+	for _, j := range g.joins {
+		for _, at := range j.at {
+			rejoin[at.index] = true
 		}
 	}
-	return total
-}
-
-// countStmtDraws computes one statement's draw count, recursing into
-// compound statements and reporting imbalances.
-func countStmtDraws(p *Pass, s ast.Stmt) drawCount {
-	switch s := s.(type) {
-	case nil:
-		return exactDraws(0)
-	case *ast.BlockStmt:
-		return countDraws(p, s)
-	case *ast.ReturnStmt:
-		return countExprDraws(p, s).plus(drawCount{kind: drawTerminates})
-	case *ast.BranchStmt:
-		// break/continue/goto leave the conditional; like return, the
-		// path does not rejoin its sibling branch.
-		return drawCount{kind: drawTerminates}
-	case *ast.IfStmt:
-		c := exactDraws(0)
-		if s.Init != nil {
-			c = c.plus(countStmtDraws(p, s.Init))
+	// lost marks the blocks (loop heads) that a back edge reaches with
+	// another count than the paths from before them bring.
+	lost := make([]bool, len(g.blocks))
+	out := make([]drawCount, len(g.blocks))
+	for i := range out {
+		out[i] = unreached
+	}
+	// arriving folds the counts of the forward paths into b. Where a
+	// statement's paths rejoin, the first path's count carries on (the
+	// disagreement is reported once, at the statement); anywhere else,
+	// paths that disagree lose the count.
+	arriving := func(b *cfgBlock) drawCount {
+		if b == g.entry || lost[b.index] {
+			return drawCount{anchor: b.index}
 		}
-		c = c.plus(countCondDraws(p, s.Cond))
-		thenC := countDraws(p, s.Body)
-		elseC := exactDraws(0)
-		if s.Else != nil {
-			elseC = countStmtDraws(p, s.Else)
-		}
-		agreed := mergeBranch(p, s.Pos(), drawCount{kind: drawExact, n: -1}, thenC, "branches of this if")
-		agreed = mergeBranch(p, s.Pos(), agreed, elseC, "branches of this if")
-		if agreed.kind == drawExact && agreed.n == -1 {
-			agreed = exactDraws(0) // both branches terminated
-		}
-		return c.plus(agreed)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		return countSwitchDraws(p, s)
-	case *ast.ForStmt:
-		c := exactDraws(0)
-		if s.Init != nil {
-			c = c.plus(countStmtDraws(p, s.Init))
-		}
-		inner := exactDraws(0)
-		if s.Cond != nil {
-			inner = inner.plus(countCondDraws(p, s.Cond))
-		}
-		inner = inner.plus(countDraws(p, s.Body))
-		if s.Post != nil {
-			inner = inner.plus(countStmtDraws(p, s.Post))
-		}
-		if inner.kind != drawExact || inner.n != 0 {
-			// Per-iteration draws: the total depends on the trip count,
-			// which the discipline requires to be seed- or config-derived.
-			// That is beyond a static count — opaque, not a finding.
-			return drawCount{kind: drawOpaque}
+		c := unreached
+		for _, pred := range b.preds {
+			switch o := out[pred.index]; {
+			case o.anchor < 0 || back(pred, b):
+			case c.anchor < 0:
+				c = o
+			case o.anchor != c.anchor || o.n != c.n && !rejoin[b.index]:
+				return drawCount{anchor: b.index}
+			}
 		}
 		return c
-	case *ast.RangeStmt:
-		inner := countDraws(p, s.Body)
-		if inner.kind != drawExact || inner.n != 0 {
-			return drawCount{kind: drawOpaque}
+	}
+	// In reverse postorder each block follows its forward predecessors,
+	// so one pass settles every count; a pass that finds a loop head
+	// lost runs again.
+	for again := true; again; {
+		for _, b := range order {
+			c := arriving(b)
+			for _, s := range b.stmts {
+				if n := stmtDraws(p.TypesInfo, s); n < 0 {
+					c = drawCount{anchor: b.index}
+				} else {
+					c.n += n
+				}
+			}
+			out[b.index] = c
 		}
-		return countCondDraws(p, s.X)
-	case *ast.SelectStmt, *ast.GoStmt, *ast.DeferStmt:
-		// Draws behind nondeterministic choice or deferred execution are
-		// beyond structural counting; conservatively opaque.
-		if stmtHasDraw(p, s) {
-			return drawCount{kind: drawOpaque}
+		again = false
+		for _, b := range order {
+			for _, pred := range b.preds {
+				if back(pred, b) && !lost[b.index] && out[pred.index] != arriving(b) {
+					lost[b.index], again = true, true
+				}
+			}
 		}
-		return exactDraws(0)
-	case *ast.LabeledStmt:
-		return countStmtDraws(p, s.Stmt)
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isNeverReturnsCall(p.TypesInfo, call) {
-			return countExprDraws(p, s).plus(drawCount{kind: drawTerminates})
+	}
+	for _, j := range g.joins {
+		switch j.stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			if lost[j.split.index] {
+				continue // draws per iteration: the trip count decides
+			}
 		}
-		return countExprDraws(p, s)
+		reportDrawJoin(p, j, out, out[j.split.index])
+	}
+}
+
+// reportDrawJoin reports the first two paths that rejoin after j with
+// different counts, counted from split, the count j's paths leave with.
+func reportDrawJoin(p *Pass, j *cfgJoin, out []drawCount, split drawCount) {
+	for _, at := range j.at {
+		first := unreached
+		for _, pred := range at.preds {
+			switch c := out[pred.index]; {
+			case c.anchor != split.anchor || c.anchor < 0:
+				// Unreached, or the count was lost on the way.
+			case first.anchor < 0:
+				first = c
+			case c.n != first.n:
+				p.Reportf(j.stmt.Pos(), "%s draw %d vs %d values from the seeded RNG; a branch-dependent draw count shifts the stream for every later consumer — balance the branches or burn the difference", joinPaths(j.stmt), first.n-split.n, c.n-split.n)
+				return
+			}
+		}
+	}
+}
+
+// joinPaths names the paths of a branching statement or loop.
+func joinPaths(s ast.Stmt) string {
+	switch s.(type) {
+	case *ast.IfStmt:
+		return "branches of this if"
+	case *ast.SelectStmt:
+		return "cases of this select"
+	case *ast.ForStmt, *ast.RangeStmt:
+		return "paths out of this loop"
 	default:
-		return countExprDraws(p, s)
+		return "cases of this switch"
 	}
 }
 
-// countSwitchDraws folds all case bodies of a switch: rejoining cases
-// must agree on their draw count.
-func countSwitchDraws(p *Pass, s ast.Stmt) drawCount {
-	var init ast.Stmt
-	var tag ast.Expr
-	var body *ast.BlockStmt
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		init, tag, body = s.Init, s.Tag, s.Body
-	case *ast.TypeSwitchStmt:
-		init, body = s.Init, s.Body
-	}
-	c := exactDraws(0)
-	if init != nil {
-		c = c.plus(countStmtDraws(p, init))
-	}
-	if tag != nil {
-		c = c.plus(countCondDraws(p, tag))
-	}
-	agreed := drawCount{kind: drawExact, n: -1}
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
+// reversePostorder lists the blocks reachable from g's entry so that
+// each comes before its successors, loop back edges aside.
+func reversePostorder(g *funcCFG) []*cfgBlock {
+	var order []*cfgBlock
+	seen := make([]bool, len(g.blocks))
+	var visit func(b *cfgBlock)
+	visit = func(b *cfgBlock) {
+		seen[b.index] = true
+		for _, s := range b.succs {
+			if !seen[s.index] {
+				visit(s)
+			}
 		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		bodyC := countDraws(p, &ast.BlockStmt{List: cc.Body})
-		agreed = mergeBranch(p, s.Pos(), agreed, bodyC, "cases of this switch")
+		order = append(order, b)
 	}
-	if !hasDefault {
-		// A missing default is an implicit empty rejoining case.
-		agreed = mergeBranch(p, s.Pos(), agreed, exactDraws(0), "cases of this switch")
-	}
-	if agreed.kind == drawExact && agreed.n == -1 {
-		agreed = exactDraws(0)
-	}
-	return c.plus(agreed)
+	visit(g.entry)
+	slices.Reverse(order)
+	return order
 }
 
-// mergeBranch folds one rejoining branch into the agreed count,
-// reporting the first disagreement at pos. The sentinel n == -1 marks
-// "no rejoining branch seen yet".
-func mergeBranch(p *Pass, pos token.Pos, agreed, branch drawCount, what string) drawCount {
-	if branch.kind == drawTerminates {
-		return agreed // non-rejoining branches are exempt by design
+// stmtDraws counts the seeded draws a graph statement makes where it
+// stands, or returns -1 when the count is lost there: a generator is
+// handed to a call, or drawn from under go or defer (closure bodies
+// included).
+func stmtDraws(info *types.Info, s ast.Stmt) int {
+	n := 0
+	switch s.(type) {
+	case *ast.GoStmt, *ast.DeferStmt:
+		ast.Inspect(s, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok && usesRNG(info, call) {
+				n = -1
+			}
+			return n == 0
+		})
+		return n
 	}
-	if branch.kind == drawOpaque || agreed.kind == drawOpaque {
-		return drawCount{kind: drawOpaque}
+	for _, e := range evaluatedNodes(s) {
+		eachSureCall(e, func(call *ast.CallExpr) {
+			if n >= 0 && isRNGDrawCall(info, call) {
+				n++
+			} else if rngEscapesInto(info, call) {
+				n = -1
+			}
+		}, func(ast.Expr) {})
 	}
-	if agreed.n == -1 {
-		return branch
-	}
-	if agreed.n != branch.n {
-		p.Reportf(pos, "%s draw %d vs %d values from the seeded RNG; a branch-dependent draw count shifts the stream for every later consumer — balance the branches or burn the difference", what, agreed.n, branch.n)
-		// Keep the first count so one imbalance reports once.
-	}
-	return agreed
+	return n
 }
 
-// countExprDraws counts draws in the expressions a simple statement
-// evaluates, reporting short-circuit-guarded draws.
-func countExprDraws(p *Pass, s ast.Node) drawCount {
-	c := exactDraws(0)
-	ast.Inspect(s, func(n ast.Node) bool {
+// eachSureCall calls call for every call under n that runs whenever n
+// evaluates, and shortCircuited for the right operand of each && and
+// || among them, which runs only when the left side lets it. Function
+// literals are skipped: their bodies run elsewhere.
+func eachSureCall(n ast.Node, call func(*ast.CallExpr), shortCircuited func(ast.Expr)) {
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
 		case *ast.BinaryExpr:
-			if op := n.Op.String(); op == "&&" || op == "||" {
-				// The left side always evaluates; the right side only
-				// sometimes. Count the left normally, flag draws on the right.
-				c = c.plus(countCondDraws(p, n.X))
-				reportShortCircuitDraws(p, n.Y)
+			if n.Op == token.LAND || n.Op == token.LOR {
+				ast.Inspect(n.X, visit)
+				shortCircuited(n.Y)
 				return false
 			}
 		case *ast.CallExpr:
-			if isRNGDrawCall(p.TypesInfo, n) {
-				c = c.plus(exactDraws(1))
-			} else if rngEscapesInto(p.TypesInfo, n) {
-				c = c.plus(drawCount{kind: drawOpaque})
-			}
-		case *ast.FuncLit:
-			return false // its body runs elsewhere
+			call(n)
 		}
 		return true
-	})
-	return c
+	}
+	ast.Inspect(n, visit)
 }
 
-// countCondDraws counts draws in one expression (conditions, range and
-// switch tags), with short-circuit reporting.
-func countCondDraws(p *Pass, e ast.Expr) drawCount {
-	return countExprDraws(p, &ast.ExprStmt{X: e})
-}
-
-// reportShortCircuitDraws flags every draw (or rng escape) under a
-// conditionally-evaluated operand.
-func reportShortCircuitDraws(p *Pass, e ast.Expr) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isRNGDrawCall(p.TypesInfo, call) || rngEscapesInto(p.TypesInfo, call) {
-			p.Reportf(call.Pos(), "seeded-RNG draw on the short-circuited side of && / || is consumed only when the left side passes; hoist the draw so the stream position is branch-independent")
-			return false
-		}
-		return true
-	})
-}
-
-// stmtHasDraw reports whether any draw or rng escape occurs under s.
-func stmtHasDraw(p *Pass, s ast.Node) bool {
-	found := false
-	ast.Inspect(s, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if isRNGDrawCall(p.TypesInfo, call) || rngEscapesInto(p.TypesInfo, call) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+// usesRNG reports whether call draws from a seeded generator or is
+// handed one.
+func usesRNG(info *types.Info, call *ast.CallExpr) bool {
+	return isRNGDrawCall(info, call) || rngEscapesInto(info, call)
 }
 
 // isRNGDrawCall reports whether call is a method call on a seeded
@@ -344,15 +313,9 @@ func isSeededRNG(t types.Type) bool {
 	case "math/rand", "math/rand/v2":
 		return obj.Name() == "Rand"
 	}
-	return obj.Name() == "RNG" && isModuleSimPkg(obj.Pkg().Path())
-}
-
-// isModuleSimPkg matches the module's internal/sim package without
-// hard-coding the module path (fixtures load under synthetic paths).
-func isModuleSimPkg(path string) bool {
-	const suffix = "/internal/sim"
-	return path == "repro/internal/sim" ||
-		len(path) > len(suffix) && path[len(path)-len(suffix):] == suffix
+	// The suffix matches the module's internal/sim under any module
+	// path (fixtures load under synthetic ones).
+	return obj.Name() == "RNG" && strings.HasSuffix(obj.Pkg().Path(), "/internal/sim")
 }
 
 // rngEscapesInto reports whether the call receives a seeded generator
@@ -365,11 +328,4 @@ func rngEscapesInto(info *types.Info, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// isNeverReturnsCall reports whether the statement call terminates the
-// path (panic and friends); shared with the CFG builder.
-func isNeverReturnsCall(info *types.Info, call *ast.CallExpr) bool {
-	b := &cfgBuilder{info: info}
-	return b.neverReturns(call)
 }

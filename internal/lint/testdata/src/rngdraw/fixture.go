@@ -87,3 +87,124 @@ func Escapes(rng *sim.RNG, deep bool) float64 {
 }
 
 func helper(rng *sim.RNG) float64 { return rng.Float64() }
+
+// BreakOut draws on a path that breaks out of the switch: break
+// rejoins the other cases after the switch, so it is no early exit.
+func BreakOut(rng *sim.RNG, mode int, early bool) float64 {
+	v := 0.0
+	switch mode { // want `cases of this switch draw 1 vs 0 values from the seeded RNG`
+	case 0:
+		if early {
+			v = rng.Float64()
+			break
+		}
+		v = 1
+	case 1:
+		v = 2
+	}
+	return v
+}
+
+// DrawThenFallthrough draws and falls into the next case, which the
+// switch also enters directly without that draw.
+func DrawThenFallthrough(rng *sim.RNG, mode int) float64 {
+	v := 0.0
+	switch mode { // want `cases of this switch draw 1 vs 0 values from the seeded RNG`
+	case 0:
+		v = rng.Float64()
+		fallthrough
+	case 1:
+		v++
+	}
+	return v
+}
+
+// BalancedFallthrough draws once on every path: the case that falls
+// through draws nothing before it.
+func BalancedFallthrough(rng *sim.RNG, mode int) float64 {
+	v := 0.0
+	switch mode {
+	case 0:
+		v = 1
+		fallthrough
+	case 1:
+		v += rng.Float64()
+	default:
+		v = rng.Float64()
+	}
+	return v
+}
+
+// BreakPath draws on the path that leaves the loop early: the loop is
+// left with one draw more that way than when it runs out.
+func BreakPath(rng *sim.RNG, xs []float64) float64 {
+	v := 0.0
+	for _, x := range xs { // want `paths out of this loop draw 0 vs 1 values from the seeded RNG`
+		if x < 0 {
+			v = rng.Float64()
+			break
+		}
+	}
+	return v
+}
+
+// ReturnInLoop draws on a path that returns from inside the loop; an
+// early return is exempt there as anywhere.
+func ReturnInLoop(rng *sim.RNG, xs []float64) float64 {
+	for _, x := range xs {
+		if x < 0 {
+			return rng.Float64()
+		}
+	}
+	return 0
+}
+
+// ContinueDraws draws before continue, so the draw repeats per
+// iteration: the count is opaque, not a finding.
+func ContinueDraws(rng *sim.RNG, xs []float64) float64 {
+	total := 0.0
+	for _, x := range xs {
+		if x < 0 {
+			total += rng.Float64()
+			continue
+		}
+		total += x
+	}
+	return total
+}
+
+// EscapeThenUnbalanced hands the generator to a callee, which loses
+// the count, and then draws on one branch only: the count restarts
+// after the call, so the branches are still compared.
+func EscapeThenUnbalanced(rng *sim.RNG, bad bool) float64 {
+	v := helper(rng)
+	if bad { // want `branches of this if draw 1 vs 0 values from the seeded RNG`
+		v = rng.Float64()
+	}
+	return v
+}
+
+// UnbalancedInLoop draws once per item, which is no finding, and once
+// more on one branch of each iteration, which is.
+func UnbalancedInLoop(rng *sim.RNG, xs []bool) float64 {
+	v := 0.0
+	for _, x := range xs {
+		v += rng.Float64()
+		if x { // want `branches of this if draw 1 vs 0 values from the seeded RNG`
+			v = rng.Float64()
+		}
+	}
+	return v
+}
+
+// SelectDraws draws in one case of a select only: whichever channel is
+// ready decides the stream position after it.
+func SelectDraws(rng *sim.RNG, a, b chan int) float64 {
+	v := 0.0
+	select { // want `cases of this select draw 1 vs 0 values from the seeded RNG`
+	case <-a:
+		v = rng.Float64()
+	case <-b:
+	}
+	return v
+}

@@ -38,15 +38,6 @@ type Frame struct {
 	MoreData bool
 }
 
-// EndTime returns the time the frame finishes transmitting (At + L/r),
-// ignoring PHY preamble overhead, matching the paper's l_i/r_i terms.
-func (f Frame) EndTime() time.Duration {
-	if f.Rate <= 0 {
-		return f.At
-	}
-	return f.At + time.Duration(float64(8*f.Length)/float64(f.Rate)*float64(time.Second))
-}
-
 // zeroPayload backs the padding of the datagrams Frame.Datagram
 // returns. Encapsulation copies the payload into the frame body
 // (dot11.EncapsulateUDP), so every datagram can share it.

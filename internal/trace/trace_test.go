@@ -350,18 +350,6 @@ func TestCSVNameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEndTime(t *testing.T) {
-	f := Frame{At: time.Second, Length: 1250, Rate: dot11.Rate1Mbps}
-	// 1250 bytes = 10000 bits at 1 Mb/s = 10 ms.
-	if got := f.EndTime(); got != time.Second+10*time.Millisecond {
-		t.Errorf("EndTime = %v, want 1.01s", got)
-	}
-	zero := Frame{At: time.Second}
-	if zero.EndTime() != time.Second {
-		t.Error("zero-rate frame EndTime changed")
-	}
-}
-
 func TestPortMixPickDistribution(t *testing.T) {
 	mix := DefaultPortMix()
 	tr, err := GenerateScenario(WML)

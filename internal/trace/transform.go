@@ -3,13 +3,10 @@ package trace
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/sim"
 )
 
-// Transformations for preparing traces for sweeps: truncating to a
-// window, time-scaling to change density, thinning, and merging
-// multiple captures. All transforms return fresh traces and leave
+// Transformations for preparing traces: truncating to a prefix and
+// time-scaling to change density. Both return fresh traces and leave
 // their inputs untouched.
 
 // Truncate returns the prefix of the trace up to d.
@@ -28,30 +25,6 @@ func Truncate(tr *Trace, d time.Duration) *Trace {
 		out.Frames = append(out.Frames, f)
 	}
 	return out
-}
-
-// Window returns the sub-trace in [from, to), rebased so the window
-// start becomes time zero.
-func Window(tr *Trace, from, to time.Duration) (*Trace, error) {
-	if from < 0 || to < from {
-		return nil, fmt.Errorf("trace: invalid window [%v, %v)", from, to)
-	}
-	if to > tr.Duration {
-		to = tr.Duration
-	}
-	out := &Trace{Name: tr.Name, Duration: to - from}
-	for _, f := range tr.Frames {
-		if f.At < from {
-			continue
-		}
-		if f.At >= to {
-			break
-		}
-		g := f
-		g.At -= from
-		out.Frames = append(out.Frames, g)
-	}
-	return out, nil
 }
 
 // TimeScale stretches (factor > 1) or compresses (factor < 1) the
@@ -73,54 +46,6 @@ func TimeScale(tr *Trace, factor float64) (*Trace, error) {
 	}
 	if err := out.Validate(); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// Thin keeps each frame independently with probability keep,
-// deterministic for a given seed.
-func Thin(tr *Trace, keep float64, seed uint64) (*Trace, error) {
-	if keep < 0 || keep > 1 {
-		return nil, fmt.Errorf("trace: keep probability %v outside [0, 1]", keep)
-	}
-	r := sim.NewRNG(seed)
-	out := &Trace{Name: tr.Name, Duration: tr.Duration}
-	for _, f := range tr.Frames {
-		if r.Float64() < keep {
-			out.Frames = append(out.Frames, f)
-		}
-	}
-	return out, nil
-}
-
-// Merge overlays traces onto a shared time axis; the result spans the
-// longest input.
-func Merge(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	for _, tr := range traces {
-		if tr.Duration > out.Duration {
-			out.Duration = tr.Duration
-		}
-		out.Frames = append(out.Frames, tr.Frames...)
-	}
-	out.Sort()
-	return out
-}
-
-// Repeat tiles the trace n times back to back.
-func Repeat(tr *Trace, n int) (*Trace, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("trace: repeat count %d < 1", n)
-	}
-	out := &Trace{Name: tr.Name, Duration: time.Duration(n) * tr.Duration}
-	out.Frames = make([]Frame, 0, n*len(tr.Frames))
-	for i := 0; i < n; i++ {
-		off := time.Duration(i) * tr.Duration
-		for _, f := range tr.Frames {
-			g := f
-			g.At += off
-			out.Frames = append(out.Frames, g)
-		}
 	}
 	return out, nil
 }

@@ -37,26 +37,6 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	tr := smallTrace()
-	got, err := Window(tr, 2*time.Second, 6*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Duration != 4*time.Second || len(got.Frames) != 2 {
-		t.Fatalf("Window: dur=%v frames=%d", got.Duration, len(got.Frames))
-	}
-	if got.Frames[0].At != time.Second || got.Frames[0].DstPort != 2 {
-		t.Fatalf("Window not rebased: %+v", got.Frames[0])
-	}
-	if _, err := Window(tr, -1, 5); err == nil {
-		t.Error("negative window accepted")
-	}
-	if _, err := Window(tr, 5*time.Second, time.Second); err == nil {
-		t.Error("inverted window accepted")
-	}
-}
-
 func TestTimeScale(t *testing.T) {
 	tr := smallTrace()
 	got, err := TimeScale(tr, 2)
@@ -75,75 +55,6 @@ func TestTimeScale(t *testing.T) {
 	}
 	if _, err := TimeScale(tr, 0); err == nil {
 		t.Error("zero factor accepted")
-	}
-}
-
-func TestThin(t *testing.T) {
-	tr, err := GenerateScenario(WML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Thin(tr, 0.25, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := float64(len(got.Frames)) / float64(len(tr.Frames))
-	if math.Abs(frac-0.25) > 0.02 {
-		t.Fatalf("thinned to %.3f, want ~0.25", frac)
-	}
-	if got.Duration != tr.Duration {
-		t.Fatal("Thin changed duration")
-	}
-	same, err := Thin(tr, 1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(same.Frames) != len(tr.Frames) {
-		t.Fatal("Thin(1) dropped frames")
-	}
-	if _, err := Thin(tr, 1.5, 0); err == nil {
-		t.Error("keep > 1 accepted")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := smallTrace()
-	b := smallTrace()
-	b.Frames = []Frame{{At: 2 * time.Second, Length: 50, Rate: dot11.Rate1Mbps, DstPort: 9}}
-	b.Duration = 15 * time.Second
-	got := Merge("merged", a, b)
-	if got.Duration != 15*time.Second {
-		t.Fatalf("duration = %v", got.Duration)
-	}
-	if len(got.Frames) != 5 {
-		t.Fatalf("frames = %d, want 5", len(got.Frames))
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-	// Sorted: frame at 2 s slots between 1 s and 3 s.
-	if got.Frames[1].DstPort != 9 {
-		t.Fatalf("merge order wrong: %+v", got.Frames[1])
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	tr := smallTrace()
-	got, err := Repeat(tr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Duration != 30*time.Second || len(got.Frames) != 12 {
-		t.Fatalf("Repeat: dur=%v frames=%d", got.Duration, len(got.Frames))
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Frames[4].At != 11*time.Second {
-		t.Fatalf("second copy offset wrong: %v", got.Frames[4].At)
-	}
-	if _, err := Repeat(tr, 0); err == nil {
-		t.Error("Repeat(0) accepted")
 	}
 }
 
