@@ -266,9 +266,10 @@ type (
 func NewESS(cfg ESSConfig) (*ESS, error) { return ess.New(cfg) }
 
 // RunESSContext replays the trace across every shard of the ESS under
-// ctx: shards advance in lockstep beacon-interval windows, and
-// cross-shard effects (distribution-system merges, roams) apply at the
-// window barriers, so the run is byte-identical for any worker count.
+// ctx: shards advance through beacon-interval windows on their own and
+// halt together only at stops, where cross-shard effects
+// (distribution-system merges, roams) apply in a fixed order, so the
+// run is byte-identical for any worker count.
 func RunESSContext(ctx context.Context, e *ESS, tr *Trace) error { return e.RunContext(ctx, tr) }
 
 // RunChurnContext runs the roaming-churn experiment: an ESS under a

@@ -30,32 +30,31 @@ type churnFlags struct {
 
 // runChurnGrid runs the cold-vs-replicated roaming experiment: every
 // requested roam rate twice (cold port-table resync, then proactive DS
-// replication) and prints the miss/energy comparison.
+// replication) and prints the miss/energy comparison. Every cell's
+// configuration is checked before the first one runs.
 func runChurnGrid(f churnFlags) {
 	scenario, err := trace.ScenarioByName(f.scenario)
 	if err != nil {
 		cli.Usagef("hidesim", "%v", err)
 	}
-	var rates []float64
-	for _, part := range strings.Split(f.roam, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || r < 0 {
-			cli.Usagef("hidesim", "bad roam rate %q", part)
-		}
-		rates = append(rates, r)
+	if f.aps < 1 {
+		cli.Usagef("hidesim", "-ess-aps %d: an ESS needs at least one AP", f.aps)
 	}
-	ctx, stop := cli.SignalContext()
-	defer stop()
-
+	if f.stations < 1 {
+		cli.Usagef("hidesim", "-ess-stations %d: the experiment needs at least one station", f.stations)
+	}
 	type row struct {
-		rate       float64
-		replicated bool
-		res        hide.ChurnResult
+		cell hide.ChurnConfig
+		res  hide.ChurnResult
 	}
 	var rows []row
-	for _, rate := range rates {
+	for _, part := range strings.Split(f.roam, ",") {
+		rate, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			cli.Usagef("hidesim", "-ess-roam: bad roam rate %q", part)
+		}
 		for _, replicated := range []bool{false, true} {
-			res, err := hide.RunChurnContext(ctx, hide.ChurnConfig{
+			cell := hide.ChurnConfig{
 				APs:           f.aps,
 				Stations:      f.stations,
 				Scenario:      scenario,
@@ -67,12 +66,21 @@ func runChurnGrid(f churnFlags) {
 				RefreshJitter: f.jitter,
 				Device:        f.dev,
 				Workers:       f.workers,
-			})
-			if err != nil {
-				cli.Exit("hidesim", err)
 			}
-			rows = append(rows, row{rate, replicated, res})
+			if err := cell.Validate(); err != nil {
+				cli.Usagef("hidesim", "%v", err)
+			}
+			rows = append(rows, row{cell: cell})
 		}
+	}
+	ctx, stop := cli.SignalContext()
+	defer stop()
+	for i := range rows {
+		res, err := hide.RunChurnContext(ctx, rows[i].cell)
+		if err != nil {
+			cli.Exit("hidesim", err)
+		}
+		rows[i].res = res
 	}
 
 	mode := func(replicated bool) string {
@@ -94,7 +102,7 @@ func runChurnGrid(f churnFlags) {
 			s := r.res.Stats
 			rec := []string{
 				scenario.String(), strconv.Itoa(f.aps), strconv.Itoa(f.stations),
-				strconv.FormatFloat(r.rate, 'f', -1, 64), mode(r.replicated),
+				strconv.FormatFloat(r.cell.RoamRate, 'f', -1, 64), mode(r.cell.Replicate),
 				strconv.Itoa(s.Roams), strconv.Itoa(s.WantedMisses), strconv.Itoa(s.ResyncWindowMisses),
 				strconv.Itoa(s.DSRecordsReplicated), strconv.Itoa(s.DSRecordsDropped),
 				strconv.Itoa(s.PortsSeededOnRoam),
@@ -117,7 +125,7 @@ func runChurnGrid(f churnFlags) {
 	for _, r := range rows {
 		s := r.res.Stats
 		fmt.Printf("%-14g %-11s %7d %8d %13d %8d %8d %12.3f\n",
-			r.rate, mode(r.replicated), s.Roams, s.WantedMisses, s.ResyncWindowMisses,
+			r.cell.RoamRate, mode(r.cell.Replicate), s.Roams, s.WantedMisses, s.ResyncWindowMisses,
 			s.DSRecordsReplicated, s.DSRecordsDropped, r.res.MeanPowerMW)
 	}
 }

@@ -52,6 +52,19 @@ func TestCommandExitCodes(t *testing.T) {
 		{"hidesim", []string{"-device", "iphone"}, 2, `"iphone"`},
 		{"hidesim", []string{"-ess", "-ess-scenario", "NoSuchPlace"}, 2, `"NoSuchPlace"`},
 		{"hidesim", []string{"-fault", "all"}, 2, "-fault"},
+		{"hidesim", []string{"-ess", "-ess-roam", "NaN"}, 2, "RoamRate"},
+		{"hidesim", []string{"-ess", "-ess-roam", "0.5,-1"}, 2, "RoamRate"},
+		{"hidesim", []string{"-ess", "-ess-roam", "fast"}, 2, "-ess-roam"},
+		{"hidesim", []string{"-ess", "-ess-dsloss", "2"}, 2, "DSLoss"},
+		{"hidesim", []string{"-ess", "-ess-dsloss", "-1"}, 2, "DSLoss"},
+		{"hidesim", []string{"-ess", "-ess-dsloss", "NaN"}, 2, "DSLoss"},
+		{"hidesim", []string{"-ess", "-ess-duration", "-5s"}, 2, "Duration"},
+		{"hidesim", []string{"-ess", "-ess-jitter", "Inf"}, 2, "RefreshJitter"},
+		{"hidesim", []string{"-ess", "-ess-jitter", "1e300"}, 2, "RefreshJitter"},
+		{"hidesim", []string{"-ess", "-ess-jitter", "-0.5"}, 2, "RefreshJitter"},
+		{"hidesim", []string{"-ess", "-ess-aps", "0"}, 2, "-ess-aps"},
+		{"hidesim", []string{"-ess", "-ess-aps", "70000"}, 2, "70000 APs"},
+		{"hidesim", []string{"-ess", "-ess-stations", "-3"}, 2, "-ess-stations"},
 		{"hidetap", []string{"-inject", "70000"}, 2, "-inject"},
 		{"hidetap", []string{"-inject", "-3"}, 2, "-inject"},
 		{"hidetap", []string{"-n", "-1"}, 2, "-n"},

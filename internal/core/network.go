@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ap"
@@ -86,26 +87,35 @@ type NetworkConfig struct {
 	BSSID dot11.MACAddr
 }
 
+// Validate reports the first setting NewNetwork rejects: a loss
+// probability outside [0, 1), or a RefreshJitter that is negative,
+// NaN, or stretches the hardened refresh period past what a
+// time.Duration holds.
+func (cfg NetworkConfig) Validate() error {
+	if !(cfg.Loss >= 0 && cfg.Loss < 1) {
+		return fmt.Errorf("core: loss probability %v outside [0, 1)", cfg.Loss)
+	}
+	refresh := cfg.portRefresh()
+	if !(cfg.RefreshJitter >= 0 && float64(refresh)*(1+cfg.RefreshJitter) < math.MaxInt64) {
+		return fmt.Errorf("core: RefreshJitter %v is negative, NaN, or stretches the %v port-refresh period past time.Duration", cfg.RefreshJitter, refresh)
+	}
+	return nil
+}
+
 // NewNetwork builds an engine, medium, and AP.
 func NewNetwork(cfg NetworkConfig) (*Network, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.SSID == "" {
 		cfg.SSID = "hide-sim"
 	}
 	eng := sim.New()
-	med, err := newMedium(eng, cfg.Seed+1, cfg.Loss, cfg.Fault)
-	if err != nil {
-		return nil, err
-	}
+	med := newMedium(eng, cfg.Seed+1, cfg.Loss, cfg.Fault)
 
-	// Hardening cadences derive from the DTIM span: stations refresh
-	// their port-table entries every 3 DTIM periods and the AP expires
-	// entries not refreshed within 8 — room for two whole refresh
-	// rounds (each with its own retry budget) to be lost before a live
-	// client's entry can age out.
-	dtimSpan := cfg.dtimSpan()
 	var portTTL time.Duration
 	if cfg.Harden {
-		portTTL = 8 * dtimSpan
+		portTTL = 8 * cfg.dtimSpan()
 	}
 
 	bssid := cfg.BSSID
@@ -122,7 +132,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	})
 	return &Network{
 		Engine: eng, Medium: med, AP: a, BSSID: bssid, SSID: cfg.SSID,
-		seed: cfg.Seed, harden: cfg.Harden, portRefresh: 3 * dtimSpan,
+		seed: cfg.Seed, harden: cfg.Harden, portRefresh: cfg.portRefresh(),
 		refreshJitter: cfg.RefreshJitter,
 	}, nil
 }
@@ -137,14 +147,20 @@ func (cfg NetworkConfig) dtimSpan() time.Duration {
 	return time.Duration(period) * dot11.DefaultBeaconInterval
 }
 
+// portRefresh is the hardened stations' port-refresh cadence before
+// jitter. Hardening cadences derive from the DTIM span: stations
+// refresh their port-table entries every 3 DTIM periods and the AP
+// expires entries not refreshed within 8 — room for two whole refresh
+// rounds (each with its own retry budget) to be lost before a live
+// client's entry can age out.
+func (cfg NetworkConfig) portRefresh() time.Duration { return 3 * cfg.dtimSpan() }
+
 // newMedium builds a medium on eng with its fault RNG seeded by seed:
 // a positive loss installs fault.Loss, and plan is composed after it.
 // With neither the channel is pristine. NewNetwork and the windowed
-// groups both build their media here.
-func newMedium(eng *sim.Engine, seed uint64, loss float64, plan fault.Plan) (*medium.Medium, error) {
-	if !(loss >= 0 && loss < 1) {
-		return nil, fmt.Errorf("core: loss probability %v outside [0, 1)", loss)
-	}
+// groups both build their media here, with a loss NewNetwork has
+// validated.
+func newMedium(eng *sim.Engine, seed uint64, loss float64, plan fault.Plan) *medium.Medium {
 	if loss > 0 {
 		if plan == nil {
 			plan = fault.Loss{P: loss}
@@ -154,7 +170,7 @@ func newMedium(eng *sim.Engine, seed uint64, loss float64, plan fault.Plan) (*me
 	}
 	med := medium.New(eng, seed)
 	med.SetFaultPlan(plan)
-	return med, nil
+	return med
 }
 
 // AddStation creates and attaches a station with the given open ports

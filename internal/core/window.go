@@ -178,10 +178,7 @@ func (w *WindowedNetwork) newGroup() (*windowGroup, attachment, error) {
 		plan = w.faultFor(idx)
 	}
 	eng := sim.New()
-	med, err := newMedium(eng, gseed, w.netCfg.Loss, plan)
-	if err != nil {
-		return nil, attachment{}, err
-	}
+	med := newMedium(eng, gseed, w.netCfg.Loss, plan)
 	g := &windowGroup{eng: eng, med: med}
 	med.SetTxObserver(func(src dot11.MACAddr, raw []byte, rate dot11.Rate, start, deliverAt time.Duration) {
 		g.up = append(g.up, airFrame{src: src, raw: raw, rate: rate, start: start, deliverAt: deliverAt})

@@ -31,7 +31,8 @@ type ChurnConfig struct {
 	Stations int
 	// Scenario selects the replayed broadcast trace.
 	Scenario trace.Scenario
-	// Duration truncates the scenario capture; zero keeps it whole.
+	// Duration truncates the scenario capture; zero keeps it whole,
+	// and a negative value is rejected.
 	Duration time.Duration
 	// RoamRate is the expected roams per station per minute.
 	RoamRate float64
@@ -78,13 +79,45 @@ type ChurnResult struct {
 	Duration time.Duration
 }
 
+// config is the ESS a churn cell runs: hardened HIDE shards at DTIM
+// period 1. Hardening is forced on — the TTL-refresh piggyback is the
+// mechanism that eventually closes a cold handoff's resync window;
+// without it a cold-roamed station would never re-register its ports
+// and the comparison would be degenerate.
+func (c ChurnConfig) config() Config {
+	return Config{
+		APs: c.APs,
+		Network: core.NetworkConfig{
+			DTIMPeriod:    1,
+			HIDE:          true,
+			Harden:        true,
+			RefreshJitter: c.RefreshJitter,
+			Seed:          c.Seed,
+		},
+		Replicate: c.Replicate,
+		RoamRate:  c.RoamRate,
+		RoamSeed:  c.Seed ^ 0xc2b2ae3d27d4eb4f,
+		DSLoss:    c.DSLoss,
+		Workers:   c.Workers,
+	}
+}
+
+// Validate reports the first setting RunChurnContext rejects, without
+// running anything: a negative Duration, or a setting New or
+// core.NewNetwork rejects.
+func (c ChurnConfig) Validate() error {
+	if c.Duration < 0 {
+		return fmt.Errorf("ess: negative churn Duration %v", c.Duration)
+	}
+	return c.normalized().config().validate()
+}
+
 // RunChurnContext runs one churn cell: a hardened K-AP ESS of HIDE
-// stations under seed-driven mobility. Hardening is forced on — the
-// TTL-refresh piggyback is the mechanism that eventually closes a
-// cold handoff's resync window; without it a cold-roamed station
-// would never re-register its ports and the comparison would be
-// degenerate.
+// stations under seed-driven mobility (see config).
 func RunChurnContext(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return ChurnResult{}, err
+	}
 	cfg = cfg.normalized()
 	tcfg := trace.ScenarioConfig(cfg.Scenario)
 	if cfg.Seed != 0 {
@@ -104,21 +137,7 @@ func RunChurnContext(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) 
 	}
 	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
 
-	e, err := New(Config{
-		APs: cfg.APs,
-		Network: core.NetworkConfig{
-			DTIMPeriod:    1,
-			HIDE:          true,
-			Harden:        true,
-			RefreshJitter: cfg.RefreshJitter,
-			Seed:          cfg.Seed,
-		},
-		Replicate: cfg.Replicate,
-		RoamRate:  cfg.RoamRate,
-		RoamSeed:  cfg.Seed ^ 0xc2b2ae3d27d4eb4f,
-		DSLoss:    cfg.DSLoss,
-		Workers:   cfg.Workers,
-	})
+	e, err := New(cfg.config())
 	if err != nil {
 		return ChurnResult{}, err
 	}

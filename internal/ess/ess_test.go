@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -278,5 +279,27 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{APs: maxAPs + 1}); err == nil {
 		t.Error("oversized AP count accepted")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, r := range []float64{-1, nan, inf} {
+		if _, err := New(Config{APs: 2, RoamRate: r}); err == nil {
+			t.Errorf("RoamRate %v accepted", r)
+		}
+	}
+	for _, p := range []float64{-0.1, 1.5, nan} {
+		if _, err := New(Config{APs: 2, DSLoss: p}); err == nil {
+			t.Errorf("DSLoss %v accepted", p)
+		}
+	}
+	for _, j := range []float64{-0.5, nan, inf, 1e300} {
+		if _, err := New(Config{APs: 2, Network: core.NetworkConfig{Harden: true, RefreshJitter: j}}); err == nil {
+			t.Errorf("RefreshJitter %v accepted", j)
+		}
+	}
+	if _, err := New(Config{APs: 2, RoamRate: 2, DSLoss: 1, Network: core.NetworkConfig{Harden: true, RefreshJitter: 1}}); err != nil {
+		t.Errorf("valid configuration rejected: %v", err)
+	}
+	if _, err := RunChurnContext(context.Background(), ChurnConfig{Duration: -5 * time.Second}); err == nil {
+		t.Error("negative churn Duration accepted")
 	}
 }

@@ -260,6 +260,11 @@ func (s *Station) Join(aid dot11.AID) error {
 // Associated reports whether the station has completed association.
 func (s *Station) Associated() bool { return s.associated }
 
+// Associating reports whether an association or reassociation exchange
+// is under way: a request is out and its retry timer armed. A station
+// that exhausted its retry budget is unassociated but not associating.
+func (s *Station) Associating() bool { return !s.associated && s.assocTimer.Pending() }
+
 // StartAssociation performs the frame-level association exchange: the
 // station sends an AssocRequest — carrying its Open UDP Ports element
 // when in HIDE mode — and retries until the AP's AssocResponse arrives

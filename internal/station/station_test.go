@@ -384,6 +384,38 @@ func TestAssociationRetriesUnderLoss(t *testing.T) {
 	}
 }
 
+// TestAssociatingUntilRetriesRunOut: with no AP to answer, the
+// exchange stays under way through every retry and ends, unassociated,
+// when the budget is spent; an answered exchange ends associated.
+func TestAssociatingUntilRetriesRunOut(t *testing.T) {
+	eng := sim.New()
+	med := medium.New(eng, 7)
+	st := New(eng, med, Config{Addr: dot11.MACAddr{2, 0, 0, 0, 0, 0x10}, BSSID: bssid, Mode: HIDE})
+	if st.Associating() {
+		t.Fatal("associating before any request")
+	}
+	st.StartAssociation("t")
+	eng.RunUntil(time.Duration(maxRetries) * DefaultAckTimeout)
+	if !st.Associating() {
+		t.Fatal("exchange over before the last retry's timeout")
+	}
+	eng.RunUntil(time.Second)
+	if st.Associating() || st.Associated() {
+		t.Fatalf("associating %v, associated %v after the retry budget", st.Associating(), st.Associated())
+	}
+	if got := st.Stats().AssocRequests; got != 1+maxRetries {
+		t.Errorf("sent %d requests, want 1 + %d retries", got, maxRetries)
+	}
+
+	a := ap.New(eng, med, ap.Config{BSSID: bssid, SSID: "t", HIDE: true})
+	a.Start()
+	st.StartAssociation("t")
+	eng.RunUntil(2 * time.Second)
+	if st.Associating() || !st.Associated() {
+		t.Fatalf("associating %v, associated %v after the AP answered", st.Associating(), st.Associated())
+	}
+}
+
 func TestStartAssociationIdempotent(t *testing.T) {
 	eng := sim.New()
 	med := medium.New(eng, 7)
