@@ -217,24 +217,26 @@ func EvaluateFractionContext(ctx context.Context, tr *Trace, fraction float64, d
 }
 
 // CompareEnergyContext evaluates the full Figure 7/8 bar set for one
-// trace, fanning the bars over the worker pool configured by
-// opts.Workers; the output is identical for any worker count.
+// trace in one pass: one usefulness draw per frame serves every useful
+// fraction, and the receive-all bar is the client-side sweep's τ
+// candidate. Each bar equals EvaluateFractionContext's for its cell.
+// The pass runs on the calling goroutine; opts.Workers does not apply.
 func CompareEnergyContext(ctx context.Context, tr *Trace, dev Profile, opts Options) (EnergyComparison, error) {
 	return core.CompareEnergyContext(ctx, tr, dev, opts)
 }
 
 // SuspendFractionsContext evaluates the Figure 9 row for one trace
-// under ctx on the configured worker pool.
+// under ctx, reading it off CompareEnergyContext's one pass.
 func SuspendFractionsContext(ctx context.Context, tr *Trace, dev Profile, opts Options) (SuspendRow, error) {
 	return core.SuspendFractionsContext(ctx, tr, dev, opts)
 }
 
 // RunSuiteContext evaluates Figures 7/8 and 9 across all scenarios,
-// fanning the deduplicated evaluation grid over the worker pool
-// configured by opts.Workers (0 = GOMAXPROCS). The suite is
-// byte-identical to the sequential path for any worker count, and a
-// cancelled ctx returns promptly with context.Canceled in the error
-// chain.
+// one CompareEnergyContext pass per trace on the worker pool
+// configured by opts.Workers (0 = GOMAXPROCS), and reads each trace's
+// Figure 9 row off its comparison. The suite is byte-identical to the
+// sequential path for any worker count, and a cancelled ctx returns
+// promptly with context.Canceled in the error chain.
 func RunSuiteContext(ctx context.Context, dev Profile, opts Options) (*Suite, error) {
 	return core.RunSuiteContext(ctx, dev, opts)
 }

@@ -595,11 +595,11 @@ func BenchmarkDCFValidation(b *testing.B) {
 }
 
 // BenchmarkRunSuiteWorkers measures the parallel evaluation engine's
-// scaling on the full Figure 7/8/9 suite: the same deduplicated
-// evaluation grid at 1, 2, and 4 workers and at GOMAXPROCS (workers
-// 0). On a single-CPU host all variants degenerate to sequential
-// throughput; the sub-benchmark ratios show the engine's scheduling
-// overhead is negligible in that case.
+// scaling on the full Figure 7/8/9 suite: the same five per-trace
+// jobs at 1, 2, and 4 workers and at GOMAXPROCS (workers 0). On a
+// single-CPU host all variants degenerate to sequential throughput;
+// the sub-benchmark ratios show the engine's scheduling overhead is
+// negligible in that case.
 func BenchmarkRunSuiteWorkers(b *testing.B) {
 	// Warm the shared trace cache so every variant measures pure
 	// evaluation, not first-touch trace generation.

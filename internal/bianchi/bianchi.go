@@ -205,7 +205,7 @@ func (o OverheadParams) portMsgBits(cfg Config) int {
 // CapacityOverhead computes the fractional decrease in network
 // capacity c = 1 - S2/S1 (Eq. 24) for n stations.
 func CapacityOverhead(cfg Config, o OverheadParams, n int) (float64, error) {
-	if o.HIDEFraction < 0 || o.HIDEFraction > 1 {
+	if !(o.HIDEFraction >= 0 && o.HIDEFraction <= 1) {
 		return 0, fmt.Errorf("bianchi: HIDE fraction %v outside [0, 1]", o.HIDEFraction)
 	}
 	if o.PortMsgInterval <= 0 {

@@ -175,6 +175,10 @@ func TestCapacityOverheadValidation(t *testing.T) {
 	if _, err := CapacityOverhead(TableII(), o, 10); err == nil {
 		t.Error("HIDE fraction > 1 accepted")
 	}
+	o.HIDEFraction = math.NaN()
+	if _, err := CapacityOverhead(TableII(), o, 10); err == nil {
+		t.Error("NaN HIDE fraction accepted")
+	}
 	o = SectionVDefaults()
 	o.PortMsgInterval = 0
 	if _, err := CapacityOverhead(TableII(), o, 10); err == nil {

@@ -3,11 +3,11 @@
 // traffic-management policy to a tagged broadcast trace, runs the
 // Section IV energy model, and produces the rows of Figures 7, 8 and 9.
 //
-// The pipeline is context-aware and parallel: the *Context entry
-// points fan independent evaluation cells over a worker pool
-// (internal/engine) with a deterministic ordered reduction, so the
-// parallel output is byte-identical to the sequential path for any
-// worker count.
+// The pipeline is context-aware and parallel: the suite-level *Context
+// entry points fan independent jobs (one per trace, or one per seed)
+// over a worker pool (internal/engine) with a deterministic ordered
+// reduction, so the parallel output is byte-identical to the
+// sequential path for any worker count.
 //
 // For the client-side solution the paper compares against "the lower
 // bound energy consumption of the client-side solution derived by the
@@ -24,32 +24,34 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// evalScratch is the per-worker scratch an evaluation cell needs: the
-// usefulness vector and the arrival buffer. Cells take one from
-// scratchPool and return it, so a suite run reuses a few buffers across
-// its dozens of cells instead of allocating (and zeroing) fresh slices
-// per cell. Nothing downstream retains either slice: policies write
-// arrivals, the energy model reads them, and only the scalar Breakdown
-// survives.
+// evalScratch is the per-worker scratch of an evaluation: the
+// usefulness vector, the arrival buffer and a per-trace pass's HIDE
+// lists. Evaluations take one from scratchPool and return it, so a
+// suite run reuses a few buffers instead of allocating (and zeroing)
+// fresh slices each time. Nothing downstream retains a slice: only the
+// scalar Breakdown survives.
 type evalScratch struct {
 	useful   []bool
 	arrivals []energy.Arrival
+	hide     [][]energy.Arrival // indexed like UsefulFractions
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // clientSideSweep is the candidate driver-wakelock set for the
-// client-side lower bound. The final candidate is τ, i.e. the
-// receive-all behaviour, so the lower bound is ≤ receive-all.
+// client-side lower bound. The final candidate is τ, the receive-all
+// bar, so the lower bound is ≤ receive-all.
 var clientSideSweep = [...]time.Duration{
 	0,
 	50 * time.Millisecond,
@@ -74,9 +76,10 @@ type Options struct {
 	// HasSeed marks Seed as explicitly chosen, so Seed == 0 means the
 	// literal seed 0 rather than the default.
 	HasSeed bool
-	// Workers bounds the evaluation parallelism of the suite-level
-	// entry points: 0 selects runtime.GOMAXPROCS(0), 1 forces the
-	// sequential path. The output is identical either way.
+	// Workers bounds the parallelism of RunSuiteContext (one job per
+	// trace) and SweepSeedsContext (one per seed): 0 selects
+	// runtime.GOMAXPROCS(0), 1 forces the sequential path. The output
+	// is identical either way.
 	Workers int
 	// Cohort caps the number of clients folded into one cohort station
 	// in scaling runs (ScaleClientsNetwork): 0 or 1 models every client
@@ -154,10 +157,7 @@ func evaluateScratch(ctx context.Context, tr *trace.Trace, useful []bool, dev en
 		Policy:         kind,
 		UsefulFraction: trace.UsefulFraction(useful),
 	}
-	cfg := energy.Config{Device: dev, Duration: tr.Duration}
-	if kind.HasOverhead() {
-		cfg.Overhead = energy.DefaultOverhead()
-	}
+	cfg := modelConfig(tr, dev, kind)
 
 	if kind == policy.ClientSide {
 		// Build the arrivals once, then price every candidate driver
@@ -176,12 +176,7 @@ func evaluateScratch(ctx context.Context, tr *trace.Trace, useful []bool, dev en
 		if err := energy.ComputeSweep(arr, useful, clientSideSweep[:], cfg, sweep[:]); err != nil {
 			return Result{}, err
 		}
-		for k, b := range sweep {
-			if k == 0 || b.TotalJ() < res.Breakdown.TotalJ() {
-				res.Breakdown = b
-				res.DriverWakelock = clientSideSweep[k]
-			}
-		}
+		res.Breakdown, res.DriverWakelock = lowerBound(&sweep)
 		return res, nil
 	}
 
@@ -205,10 +200,32 @@ func evaluateScratch(ctx context.Context, tr *trace.Trace, useful []bool, dev en
 	return res, nil
 }
 
+// modelConfig is the energy model's configuration for a policy over
+// tr: HIDE's protocol overhead applies to the policies that run it.
+func modelConfig(tr *trace.Trace, dev energy.Profile, kind policy.Kind) energy.Config {
+	cfg := energy.Config{Device: dev, Duration: tr.Duration}
+	if kind.HasOverhead() {
+		cfg.Overhead = energy.DefaultOverhead()
+	}
+	return cfg
+}
+
+// lowerBound picks the client-side lower bound from a clientSideSweep
+// result: the cheapest candidate, the first on a tie.
+func lowerBound(sweep *[len(clientSideSweep)]energy.Breakdown) (energy.Breakdown, time.Duration) {
+	best := 0
+	for k, b := range sweep {
+		if b.TotalJ() < sweep[best].TotalJ() {
+			best = k
+		}
+	}
+	return sweep[best], clientSideSweep[best]
+}
+
 // EvaluateFractionContext tags the trace with a uniform useful
 // fraction and evaluates the policy.
 func EvaluateFractionContext(ctx context.Context, tr *trace.Trace, fraction float64, dev energy.Profile, kind policy.Kind, opts Options) (Result, error) {
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) {
 		return Result{}, fmt.Errorf("core: useful fraction %v outside [0, 1]", fraction)
 	}
 	opts = opts.normalized()
@@ -219,6 +236,7 @@ func EvaluateFractionContext(ctx context.Context, tr *trace.Trace, fraction floa
 }
 
 // UsefulFractions is the sweep of Figures 7-8: 10%, 8%, 6%, 4%, 2%.
+// Figure 9's HIDE columns are its first and last entries.
 var UsefulFractions = []float64{0.10, 0.08, 0.06, 0.04, 0.02}
 
 // EnergyComparison is one trace's worth of Figure 7/8 bars: the
@@ -252,41 +270,89 @@ func (c EnergyComparison) SavingsVsClientSide(i int) float64 {
 	return 1 - c.HIDE[i].Breakdown.TotalJ()/cs
 }
 
-// compareBars lists the (policy, fraction) bars of one Figure 7/8
-// comparison, in presentation order. The receive-all and client-side
-// rows use the 10% tagging, like the paper's first two bars.
-func compareBars() []evalCell {
-	bars := []evalCell{
-		{kind: policy.ReceiveAll, fraction: 0.10},
-		{kind: policy.ClientSide, fraction: 0.10},
-	}
-	for _, f := range UsefulFractions {
-		bars = append(bars, evalCell{kind: policy.HIDE, fraction: f})
-	}
-	return bars
-}
+// baselineFraction is the useful fraction the receive-all and
+// client-side bars are tagged with, like the paper's first two bars.
+const baselineFraction = 0.10
 
-// evalCell is one (policy, fraction) evaluation of a fixed trace.
-type evalCell struct {
-	kind     policy.Kind
-	fraction float64
-}
-
-// CompareEnergyContext evaluates all Figure 7/8 bars for one trace and
-// device, fanning the bars over the configured worker pool.
+// CompareEnergyContext prices every Figure 7/8 bar of one trace and
+// device in one pass on the calling goroutine (opts.Workers does not
+// apply), checking ctx between its stages. drawArrivals builds every
+// bar's arrivals from one usefulness draw per frame. One ComputeSweep
+// over all frames under the baseline tagging prices the client-side
+// candidates: the wakelock machine gives a useless frame the
+// candidate's wakelock and never reads its own, so the list's τ stands
+// in for ClientSidePolicy's, and the last candidate, τ, is the
+// receive-all bar. One Compute prices each HIDE list. Each bar equals
+// EvaluateFractionContext's for its cell (TestSuiteMatchesCells).
 func CompareEnergyContext(ctx context.Context, tr *trace.Trace, dev energy.Profile, opts Options) (EnergyComparison, error) {
 	out := EnergyComparison{Trace: tr.Name, Device: dev.Name}
-	bars := compareBars()
-	res, err := engine.Map(ctx, opts.Workers, len(bars), func(ctx context.Context, i int) (Result, error) {
-		return EvaluateFractionContext(ctx, tr, bars[i].fraction, dev, bars[i].kind, opts)
-	})
-	if err != nil {
+	opts = opts.normalized()
+	sc := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(sc)
+	base := sc.drawArrivals(tr, opts.Seed)
+	if err := ctx.Err(); err != nil {
 		return out, err
 	}
-	out.ReceiveAll = res[0]
-	out.ClientSide = res[1]
-	out.HIDE = res[2:]
+	// A bar's useful fraction is trace.UsefulFraction's count/n, and 0
+	// for a trace with no frames.
+	bar := func(kind policy.Kind, useful int, b energy.Breakdown) Result {
+		fraction := float64(useful) / float64(max(len(tr.Frames), 1))
+		return Result{Trace: tr.Name, Device: dev.Name, Policy: kind, UsefulFraction: fraction, Breakdown: b}
+	}
+	var sweep [len(clientSideSweep)]energy.Breakdown
+	if err := energy.ComputeSweep(sc.arrivals, sc.useful, clientSideSweep[:], modelConfig(tr, dev, policy.ClientSide), sweep[:]); err != nil {
+		return out, err
+	}
+	cs, wakelock := lowerBound(&sweep)
+	out.ReceiveAll = bar(policy.ReceiveAll, base, sweep[len(sweep)-1])
+	out.ClientSide = bar(policy.ClientSide, base, cs)
+	out.ClientSide.DriverWakelock = wakelock
+	if err := ctx.Err(); err != nil {
+		return out, err
+	}
+	cfg := modelConfig(tr, dev, policy.HIDE)
+	out.HIDE = make([]Result, len(sc.hide))
+	for j, arr := range sc.hide {
+		b, err := energy.Compute(arr, cfg)
+		if err != nil {
+			return out, err
+		}
+		out.HIDE[j] = bar(policy.HIDE, len(arr), b)
+	}
 	return out, nil
+}
+
+// drawArrivals makes one usefulness draw per frame of tr from seed, the
+// draws TagUniformInto makes; a frame is useful at fraction p iff its
+// draw is below p. It fills sc.useful with the baseline tagging,
+// sc.arrivals with receive-all's list and sc.hide with HIDE's list per
+// UsefulFractions, and returns the baseline's useful count.
+// TestDrawArrivalsMatchesPolicies pins each to policy.AppendArrivals.
+func (sc *evalScratch) drawArrivals(tr *trace.Trace, seed uint64) (base int) {
+	hide := slices.Grow(sc.hide[:0], len(UsefulFractions))[:len(UsefulFractions)]
+	for j := range hide {
+		hide[j] = hide[j][:0]
+	}
+	useful := slices.Grow(sc.useful[:0], len(tr.Frames))
+	all := slices.Grow(sc.arrivals[:0], len(tr.Frames))
+	r := *sim.NewRNG(seed)
+	for _, f := range tr.Frames {
+		d := r.Float64()
+		a := energy.Arrival{At: f.At, Length: f.Length, Rate: f.Rate, MoreData: f.MoreData, Wakelock: energy.Tau}
+		all = append(all, a)
+		u := d < baselineFraction
+		useful = append(useful, u)
+		if u {
+			base++
+		}
+		for j, p := range UsefulFractions {
+			if d < p {
+				hide[j] = append(hide[j], a)
+			}
+		}
+	}
+	sc.useful, sc.arrivals, sc.hide = useful, all, hide
+	return base
 }
 
 // SuspendRow is one trace's worth of Figure 9 bars: the fraction of
@@ -300,29 +366,27 @@ type SuspendRow struct {
 	HIDE2      float64
 }
 
-// suspendBars lists the four Figure 9 evaluations in row order.
-var suspendBars = []evalCell{
-	{kind: policy.ReceiveAll, fraction: 0.10},
-	{kind: policy.ClientSide, fraction: 0.10},
-	{kind: policy.HIDE, fraction: 0.10},
-	{kind: policy.HIDE, fraction: 0.02},
+// suspendRow reads the Figure 9 row off the comparison's bars; its HIDE
+// columns are the first and last of UsefulFractions.
+func (c EnergyComparison) suspendRow() SuspendRow {
+	return SuspendRow{
+		Trace:      c.Trace,
+		Device:     c.Device,
+		ReceiveAll: c.ReceiveAll.Breakdown.SuspendFraction,
+		ClientSide: c.ClientSide.Breakdown.SuspendFraction,
+		HIDE10:     c.HIDE[0].Breakdown.SuspendFraction,
+		HIDE2:      c.HIDE[len(c.HIDE)-1].Breakdown.SuspendFraction,
+	}
 }
 
 // SuspendFractionsContext evaluates the Figure 9 row for one trace and
-// device on the configured worker pool.
+// device, reading it off CompareEnergyContext's one pass.
 func SuspendFractionsContext(ctx context.Context, tr *trace.Trace, dev energy.Profile, opts Options) (SuspendRow, error) {
-	row := SuspendRow{Trace: tr.Name, Device: dev.Name}
-	res, err := engine.Map(ctx, opts.Workers, len(suspendBars), func(ctx context.Context, i int) (Result, error) {
-		return EvaluateFractionContext(ctx, tr, suspendBars[i].fraction, dev, suspendBars[i].kind, opts)
-	})
+	c, err := CompareEnergyContext(ctx, tr, dev, opts)
 	if err != nil {
-		return row, err
+		return SuspendRow{Trace: tr.Name, Device: dev.Name}, err
 	}
-	row.ReceiveAll = res[0].Breakdown.SuspendFraction
-	row.ClientSide = res[1].Breakdown.SuspendFraction
-	row.HIDE10 = res[2].Breakdown.SuspendFraction
-	row.HIDE2 = res[3].Breakdown.SuspendFraction
-	return row, nil
+	return c.suspendRow(), nil
 }
 
 // Suite evaluates Figures 7/8 and 9 across all five scenarios for one
@@ -333,89 +397,31 @@ type Suite struct {
 	Suspend     []SuspendRow       // one per scenario
 }
 
-// suiteJob is one deduplicated evaluation cell of the full suite grid:
-// a (scenario, policy, fraction) triple. The Figure 9 row shares its
-// receive-all, client-side, HIDE:10% and HIDE:2% cells with the
-// Figure 7/8 bars, so the grid is deduplicated before scheduling.
-type suiteJob struct {
-	scenario trace.Scenario
-	cell     evalCell
-}
-
-// suiteJobs flattens the full suite into a deterministic, deduplicated
-// job list covering every Figure 7/8 bar and Figure 9 column.
-func suiteJobs() []suiteJob {
-	var jobs []suiteJob
-	seen := make(map[suiteJob]bool)
-	add := func(j suiteJob) {
-		if !seen[j] {
-			seen[j] = true
-			jobs = append(jobs, j)
-		}
-	}
-	for _, sc := range trace.Scenarios {
-		for _, bar := range compareBars() {
-			add(suiteJob{scenario: sc, cell: bar})
-		}
-		for _, bar := range suspendBars {
-			add(suiteJob{scenario: sc, cell: bar})
-		}
-	}
-	return jobs
-}
-
 // RunSuiteContext generates all scenario traces (through the shared
 // memoized trace cache) and evaluates the full figure set for the
-// device, fanning the deduplicated evaluation cells over the worker
-// pool configured by opts.Workers. The result is byte-identical to the
+// device. The worker pool configured by opts.Workers runs one
+// CompareEnergyContext pass per trace, and each trace's Figure 9 row is
+// read off its comparison. The result is byte-identical to the
 // sequential path for any worker count.
 func RunSuiteContext(ctx context.Context, dev energy.Profile, opts Options) (*Suite, error) {
-	opts = opts.normalized()
-	jobs := suiteJobs()
-	res, err := engine.Map(ctx, opts.Workers, len(jobs), func(ctx context.Context, i int) (Result, error) {
-		j := jobs[i]
-		tr, err := engine.Traces.Scenario(j.scenario)
+	cmps, err := engine.Map(ctx, opts.Workers, len(trace.Scenarios), func(ctx context.Context, i int) (EnergyComparison, error) {
+		scen := trace.Scenarios[i]
+		tr, err := engine.Traces.Scenario(scen)
 		if err != nil {
-			return Result{}, fmt.Errorf("core: generating %v: %w", j.scenario, err)
+			return EnergyComparison{}, fmt.Errorf("core: generating %v: %w", scen, err)
 		}
-		r, err := EvaluateFractionContext(ctx, tr, j.cell.fraction, dev, j.cell.kind, opts)
+		c, err := CompareEnergyContext(ctx, tr, dev, opts)
 		if err != nil {
-			return Result{}, fmt.Errorf("core: evaluating %v %v@%g%%: %w", j.scenario, j.cell.kind, j.cell.fraction*100, err)
+			return EnergyComparison{}, fmt.Errorf("core: evaluating %v: %w", scen, err)
 		}
-		return r, nil
+		return c, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	byJob := make(map[suiteJob]Result, len(jobs))
-	for i, j := range jobs {
-		byJob[j] = res[i]
-	}
-	s := &Suite{Device: dev}
-	for _, sc := range trace.Scenarios {
-		name := ""
-		cmp := EnergyComparison{Device: dev.Name}
-		for i, bar := range compareBars() {
-			r := byJob[suiteJob{scenario: sc, cell: bar}]
-			name = r.Trace
-			switch i {
-			case 0:
-				cmp.ReceiveAll = r
-			case 1:
-				cmp.ClientSide = r
-			default:
-				cmp.HIDE = append(cmp.HIDE, r)
-			}
-		}
-		cmp.Trace = name
-		s.Comparisons = append(s.Comparisons, cmp)
-		row := SuspendRow{Trace: name, Device: dev.Name}
-		row.ReceiveAll = byJob[suiteJob{scenario: sc, cell: suspendBars[0]}].Breakdown.SuspendFraction
-		row.ClientSide = byJob[suiteJob{scenario: sc, cell: suspendBars[1]}].Breakdown.SuspendFraction
-		row.HIDE10 = byJob[suiteJob{scenario: sc, cell: suspendBars[2]}].Breakdown.SuspendFraction
-		row.HIDE2 = byJob[suiteJob{scenario: sc, cell: suspendBars[3]}].Breakdown.SuspendFraction
-		s.Suspend = append(s.Suspend, row)
+	s := &Suite{Device: dev, Comparisons: cmps}
+	for _, c := range cmps {
+		s.Suspend = append(s.Suspend, c.suspendRow())
 	}
 	return s, nil
 }

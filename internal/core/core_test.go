@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -36,6 +37,9 @@ func TestEvaluateFractionValidation(t *testing.T) {
 	}
 	if _, err := EvaluateFractionContext(context.Background(), tr, 1.5, energy.NexusOne, policy.HIDE, Options{}); err == nil {
 		t.Error("fraction > 1 accepted")
+	}
+	if _, err := EvaluateFractionContext(context.Background(), tr, math.NaN(), energy.NexusOne, policy.HIDE, Options{}); err == nil {
+		t.Error("NaN fraction accepted")
 	}
 }
 

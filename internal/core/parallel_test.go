@@ -42,7 +42,8 @@ func TestRunSuiteParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompareEnergyParallelDeterminism covers the per-trace bar fan.
+// TestCompareEnergyParallelDeterminism: the per-trace pass gives the
+// same bars whatever the worker count.
 func TestCompareEnergyParallelDeterminism(t *testing.T) {
 	tr, err := trace.GenerateScenario(trace.Starbucks)
 	if err != nil {

@@ -146,7 +146,7 @@ type GilbertElliott struct {
 // probabilities and returns the channel, starting in the good state.
 func NewGilbertElliott(pGoodBad, pBadGood, lossGood, lossBad float64) (*GilbertElliott, error) {
 	for _, p := range []float64{pGoodBad, pBadGood, lossGood, lossBad} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("fault: probability %v outside [0, 1]", p)
 		}
 	}

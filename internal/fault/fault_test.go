@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -35,6 +36,8 @@ func TestGilbertElliottValidation(t *testing.T) {
 		{0.1, 1.2, 0.01, 0.5},
 		{0.1, 0.2, -1, 0.5},
 		{0.1, 0.2, 0.01, 2},
+		{math.NaN(), 0.2, 0.01, 0.5},
+		{0.1, 0.2, 0.01, math.NaN()},
 	} {
 		if _, err := NewGilbertElliott(bad[0], bad[1], bad[2], bad[3]); err == nil {
 			t.Errorf("NewGilbertElliott(%v) accepted out-of-range probability", bad)

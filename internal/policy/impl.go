@@ -124,7 +124,7 @@ func (p CombinedPolicy) appendArrivals(dst []energy.Arrival, tr *trace.Trace, us
 	if err := checkLen(tr, useful); err != nil {
 		return nil, err
 	}
-	if p.Staleness < 0 || p.Staleness > 1 {
+	if !(p.Staleness >= 0 && p.Staleness <= 1) {
 		return nil, fmt.Errorf("policy: staleness %v outside [0, 1]", p.Staleness)
 	}
 	r := sim.NewRNG(p.Seed)

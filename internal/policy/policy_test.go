@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -200,6 +201,9 @@ func TestCombinedRejectsBadStaleness(t *testing.T) {
 	}
 	if _, err := AppendArrivals(nil, CombinedPolicy{Staleness: -0.1}, tr, u); err == nil {
 		t.Fatal("negative staleness accepted")
+	}
+	if _, err := AppendArrivals(nil, CombinedPolicy{Staleness: math.NaN()}, tr, u); err == nil {
+		t.Fatal("NaN staleness accepted")
 	}
 }
 

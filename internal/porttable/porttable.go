@@ -320,7 +320,7 @@ func (p DelayParams) Validate() error {
 	switch {
 	case p.N < 1:
 		return fmt.Errorf("porttable: N %d < 1", p.N)
-	case p.HIDEFraction < 0 || p.HIDEFraction > 1:
+	case !(p.HIDEFraction >= 0 && p.HIDEFraction <= 1):
 		return fmt.Errorf("porttable: HIDE fraction %v outside [0, 1]", p.HIDEFraction)
 	case p.PortMsgInterval <= 0:
 		return fmt.Errorf("porttable: non-positive port message interval")

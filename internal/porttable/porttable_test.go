@@ -226,6 +226,7 @@ func TestDelayOverheadValidation(t *testing.T) {
 	cases := []func(*DelayParams){
 		func(p *DelayParams) { p.N = 0 },
 		func(p *DelayParams) { p.HIDEFraction = -0.1 },
+		func(p *DelayParams) { p.HIDEFraction = math.NaN() },
 		func(p *DelayParams) { p.PortMsgInterval = 0 },
 		func(p *DelayParams) { p.OpenPorts = -1 },
 		func(p *DelayParams) { p.BaselineRTT = 0 },
